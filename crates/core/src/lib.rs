@@ -50,6 +50,7 @@ pub mod parallel;
 pub mod params;
 pub mod ppr;
 pub mod recommend;
+mod scratch;
 pub mod train;
 
 pub use checkpoint::{CheckpointOptions, TrainCheckpoint};

@@ -8,11 +8,12 @@
 //! the live window (the online continuation of Algorithm 1).
 
 use crate::model::TsPprModel;
-use crate::params::ModelParams;
-use crate::train::{sgd_step, SgdConsts, SgdScratch};
+use crate::params::{fold_transform, score_folded, ModelParams};
+use crate::scratch::{with_scratch, Scratch};
+use crate::train::{sgd_step, SgdConsts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rrc_features::{FeatureContext, FeaturePipeline, Quadruple, RecContext, TrainStats};
+use rrc_features::{FeatureContext, FeaturePipeline, Quadruple, TrainStats};
 use rrc_sequence::{classify, ConsumptionKind, Dataset, ItemId, UserId, WindowState};
 
 /// Online-update settings.
@@ -52,8 +53,17 @@ impl Default for OnlineConfig {
 /// Top-N repeat recommendations for one user against any parameter store.
 ///
 /// This is the single-user serving primitive: it owns no state, so callers
-/// that partition users across threads (the `rrc-serve` shards) and the
-/// all-users-in-one-place [`OnlineTsPpr`] share exactly this code path.
+/// that partition users across threads (the `rrc-serve` shards), the
+/// all-users-in-one-place [`OnlineTsPpr`] and the evaluation adapter
+/// ([`TsPprRecommender`](crate::TsPprRecommender)) share exactly this code
+/// path.
+///
+/// Eq. 5 is evaluated regrouped (see [`crate::params`]): `u`, `A_u` and
+/// the fold `A_uᵀu` are fetched and computed once per request, each
+/// candidate then costs one item-row fetch and `K + F` multiply-adds, and
+/// every score has the bits [`ModelParams::score`] gives that candidate.
+/// The buffers are the calling thread's (see `scratch`), so the returned
+/// list is the only allocation.
 pub fn recommend_single<M: ModelParams + ?Sized>(
     model: &M,
     pipeline: &FeaturePipeline,
@@ -63,23 +73,28 @@ pub fn recommend_single<M: ModelParams + ?Sized>(
     window: &WindowState,
     n: usize,
 ) -> Vec<ItemId> {
-    let ctx = RecContext {
-        user,
-        window,
-        stats,
-        omega,
-    };
-    let fctx = FeatureContext { window, stats };
-    let mut fbuf = Vec::with_capacity(pipeline.len());
-    let mut scored: Vec<(f64, ItemId)> = ctx
-        .candidates()
-        .into_iter()
-        .map(|v| {
-            pipeline.extract_into(&fctx, v, &mut fbuf);
-            (model.score(user, v, &fbuf), v)
-        })
-        .collect();
-    rrc_features::recommend::top_n(&mut scored, n)
+    with_scratch(|s| {
+        let Scratch {
+            candidates,
+            fbuf,
+            w,
+            scored,
+            ..
+        } = s;
+        window.eligible_candidates_into(omega, candidates);
+        if candidates.is_empty() {
+            return Vec::new();
+        }
+        let fctx = FeatureContext { window, stats };
+        let u = model.user_factor(user);
+        fold_transform(u, model.transform(user), w);
+        scored.clear();
+        for &v in candidates.iter() {
+            pipeline.extract_into(&fctx, v, fbuf);
+            scored.push((score_folded(u, model.item_factor(v), w, fbuf), v));
+        }
+        rrc_features::recommend::top_n(scored, n)
+    })
 }
 
 /// Ingest one consumption event for one user: classifies it against the
@@ -127,40 +142,50 @@ pub fn online_step_single<M: ModelParams + ?Sized>(
     rng: &mut StdRng,
     pos: ItemId,
 ) -> u64 {
-    // Sample negatives from the current eligible candidates.
-    let mut candidates = window.eligible_candidates(cfg.omega);
-    candidates.retain(|&v| v != pos);
-    if candidates.is_empty() {
-        return 0;
-    }
-    let fctx = FeatureContext { window, stats };
-    let f_pos = pipeline.extract(&fctx, pos);
-    let s = cfg.negatives_per_event.min(candidates.len());
-    let mut negatives = Vec::with_capacity(s);
-    for k in 0..s {
-        let j = rng.gen_range(k..candidates.len());
-        candidates.swap(k, j);
-        let neg = candidates[k];
-        negatives.push((neg, pipeline.extract(&fctx, neg)));
-    }
+    with_scratch(|s| {
+        let Scratch {
+            candidates,
+            fbuf,
+            features,
+            sgd,
+            ..
+        } = s;
+        // Sample negatives from the current eligible candidates.
+        window.eligible_candidates_into(cfg.omega, candidates);
+        candidates.retain(|&v| v != pos);
+        if candidates.is_empty() {
+            return 0;
+        }
+        // Feature rows: the positive's, then one per sampled negative.
+        let fctx = FeatureContext { window, stats };
+        pipeline.extract_into(&fctx, pos, fbuf);
+        features.clear();
+        features.extend_from_slice(fbuf);
+        let negatives = cfg.negatives_per_event.min(candidates.len());
+        for k in 0..negatives {
+            let j = rng.gen_range(k..candidates.len());
+            candidates.swap(k, j);
+            pipeline.extract_into(&fctx, candidates[k], fbuf);
+            features.extend_from_slice(fbuf);
+        }
 
-    let consts = SgdConsts::for_online(cfg, model.k());
-    let mut scratch = SgdScratch::new(model.k(), model.f_dim());
-    let t = window.time();
-    let mut updates = 0;
-    for (neg, f_neg) in negatives {
-        let q = Quadruple {
-            user,
-            pos,
-            neg,
-            t,
-            f_pos: &f_pos,
-            f_neg: &f_neg,
-        };
-        sgd_step(model, &q, &consts, &mut scratch);
-        updates += 1;
-    }
-    updates
+        let consts = SgdConsts::for_online(cfg, model.k());
+        let t = window.time();
+        let f_dim = pipeline.len();
+        let (f_pos, f_negs) = features.split_at(f_dim);
+        for (k, &neg) in candidates[..negatives].iter().enumerate() {
+            let q = Quadruple {
+                user,
+                pos,
+                neg,
+                t,
+                f_pos,
+                f_neg: &f_negs[k * f_dim..(k + 1) * f_dim],
+            };
+            sgd_step(model, &q, &consts, sgd);
+        }
+        negatives as u64
+    })
 }
 
 /// A live recommender: model + per-user window registry + online updates.

@@ -277,13 +277,17 @@ pub(super) fn train(
         {
             let alloc = &alloc;
             let arena = &arena;
-            run_on_shards(threads, &mut workers, &|_t, w_idx, wk| {
+            run_on_shards(threads, &mut workers, &|t, w_idx, wk| {
                 let n = alloc[w_idx];
                 if n == 0 {
                     return;
                 }
                 let _block_timer = block_hist.timer();
-                let _prof = rrc_obs::ProfGuard::enter_path(&["train", "block"]);
+                // Worker 0 is the caller, already inside `train`.
+                let _prof = match t {
+                    0 => rrc_obs::ProfGuard::enter("block"),
+                    _ => rrc_obs::ProfGuard::enter_path(&["train", "block"]),
+                };
                 for _ in 0..n {
                     let q = training
                         .sample(&mut wk.rng)

@@ -257,11 +257,21 @@ pub fn split_block(block: usize, cum: &[u64]) -> Vec<usize> {
 }
 
 /// Run `f(worker, index, state)` over every state, striping states across
-/// at most `threads` scoped workers (worker `w` owns states `w`, `w+T`,
-/// `w+2T`, …). States are mutated independently, so the result is the same
-/// under any thread count; with one thread (or one state) everything runs
-/// inline on the calling thread in index order. Shared with the parallel
-/// PPR and FPMC trainers.
+/// at most `threads` threads (worker `w` owns states `w`, `w+T`, `w+2T`,
+/// …). States are mutated independently, so the result is the same under
+/// any thread count; with one thread (or one state) everything runs inline
+/// on the calling thread in index order. Shared with the parallel PPR and
+/// FPMC trainers.
+///
+/// Worker 0 is the calling thread, so `threads` counts threads at work and
+/// `threads − 1` are spawned; every spawned worker is joined, not merely
+/// awaited, before this returns. The trainers call this once per block,
+/// back to back: a scope's implicit wait lets the next call spawn while the
+/// last call's threads are still exiting, and the allocator gives each
+/// thread that overlaps a live one a heap of its own, which it keeps. How
+/// many heaps a process ended up with, and which of them a later thread (a
+/// serving shard, say) grew, then depended on exit timing, and peak RSS
+/// differed by that thread's footprint from run to run.
 pub fn run_on_shards<S, F>(threads: usize, states: &mut [S], f: &F)
 where
     S: Send,
@@ -278,15 +288,33 @@ where
     for (i, s) in states.iter_mut().enumerate() {
         stripes[i % threads].push(s);
     }
-    std::thread::scope(|scope| {
-        for (w, stripe) in stripes.into_iter().enumerate() {
-            scope.spawn(move || {
-                for (j, s) in stripe.into_iter().enumerate() {
-                    f(w, j * threads + w, s);
-                }
-            });
+    let run_stripe = |w: usize, stripe: Vec<&mut S>| {
+        for (j, s) in stripe.into_iter().enumerate() {
+            f(w, j * threads + w, s);
         }
+    };
+    let mut stripes = stripes.into_iter().enumerate();
+    let (_, own) = stripes.next().expect("at least two stripes");
+    std::thread::scope(|scope| {
+        let run_stripe = &run_stripe;
+        let workers: Vec<_> = stripes
+            .map(|(w, stripe)| scope.spawn(move || run_stripe(w, stripe)))
+            .collect();
+        run_stripe(0, own);
+        join_all(workers);
     });
+}
+
+/// Join every worker, returning their results in spawn order; a worker's
+/// panic resumes on the caller (the enclosing scope waits for the rest).
+fn join_all<T>(workers: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    workers
+        .into_iter()
+        .map(|w| {
+            w.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
+        .collect()
 }
 
 /// Merge per-shard copies of a shared (item) matrix back into `base` at a
@@ -351,26 +379,23 @@ pub(crate) fn batch_statistics_chunked<P: ModelParams + Sync + ?Sized>(
             partials[c] = batch_partial(params, &batch[r.clone()]);
         }
     } else {
+        // Worker `w` takes chunks `w`, `w+T`, …; worker 0 is this thread,
+        // as in `run_on_shards`.
         let threads = threads.min(bounds.len());
+        let stripe = |w: usize| -> Vec<(usize, (f64, f64))> {
+            (w..bounds.len())
+                .step_by(threads)
+                .map(|c| (c, batch_partial(params, &batch[bounds[c].clone()])))
+                .collect()
+        };
         let computed = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let bounds = &bounds;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut c = w;
-                        while c < bounds.len() {
-                            out.push((c, batch_partial(params, &batch[bounds[c].clone()])));
-                            c += threads;
-                        }
-                        out
-                    })
-                })
+            let stripe = &stripe;
+            let workers: Vec<_> = (1..threads)
+                .map(|w| scope.spawn(move || stripe(w)))
                 .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("stats worker panicked"))
-                .collect::<Vec<_>>()
+            let mut computed = stripe(0);
+            computed.extend(join_all(workers).into_iter().flatten());
+            computed
         });
         for (c, p) in computed {
             partials[c] = p;
@@ -410,6 +435,22 @@ mod tests {
             });
             assert!(states.iter().all(|&s| s == 1), "{states:?}");
         }
+    }
+
+    #[test]
+    fn run_on_shards_caller_is_worker_zero_and_a_panic_comes_back() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 3] {
+            let mut states = vec![(); 7];
+            run_on_shards(threads, &mut states, &|w, i, _| {
+                assert_eq!(w, i % threads);
+                assert_eq!(w == 0, std::thread::current().id() == caller);
+            });
+        }
+        let spawned_panics = std::panic::catch_unwind(|| {
+            run_on_shards(2, &mut [(); 2], &|w, _, _| assert_eq!(w, 0, "worker 1"));
+        });
+        assert!(spawned_panics.is_err());
     }
 
     #[test]

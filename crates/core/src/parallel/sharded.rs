@@ -314,7 +314,7 @@ pub(super) fn train_with(
             a: sa,
             v: sv,
             rng: srng,
-            scratch: SgdScratch::new(k, training.f_dim()),
+            scratch: SgdScratch::default(),
             stamp,
             touched: Vec::new(),
             epoch: 0,
@@ -347,15 +347,18 @@ pub(super) fn train_with(
         {
             let alloc = &alloc;
             let local_of = &local_of;
-            run_on_shards(par.threads, &mut states, &|_w, s_idx, st| {
+            run_on_shards(par.threads, &mut states, &|w, s_idx, st| {
                 let n = alloc[s_idx];
                 if n == 0 {
                     return;
                 }
                 let _block_timer = block_hist.timer();
-                // Workers are their own threads: the path restarts at
-                // train/block rather than nesting under the caller.
-                let _prof = rrc_obs::ProfGuard::enter_path(&["train", "block"]);
+                // Worker 0 is the caller, already inside `train`; the
+                // others are their own threads and restart the path.
+                let _prof = match w {
+                    0 => rrc_obs::ProfGuard::enter("block"),
+                    _ => rrc_obs::ProfGuard::enter_path(&["train", "block"]),
+                };
                 st.epoch += 1;
                 st.touched.clear();
                 let mut params = ShardParams {

@@ -1,6 +1,7 @@
 //! [`Recommender`] adapter for a trained TS-PPR model (§4.3).
 
 use crate::model::TsPprModel;
+use crate::online::recommend_single;
 use rrc_features::{FeatureContext, FeaturePipeline, RecContext, Recommender};
 use rrc_sequence::ItemId;
 
@@ -51,23 +52,19 @@ impl Recommender for TsPprRecommender {
         self.model.score(ctx.user, item, &f)
     }
 
-    /// Batched top-`n` that extracts features into one reused buffer — the
-    /// per-instance path measured in the paper's Fig. 13.
+    /// The serving path itself ([`recommend_single`]): what the paper's
+    /// Fig. 13 times per instance, and what an engine shard runs, so an
+    /// offline evaluation ranks with the code that serves.
     fn recommend(&self, ctx: &RecContext<'_>, n: usize) -> Vec<ItemId> {
-        let fctx = FeatureContext {
-            window: ctx.window,
-            stats: ctx.stats,
-        };
-        let mut fbuf = Vec::with_capacity(self.pipeline.len());
-        let mut scored: Vec<(f64, ItemId)> = ctx
-            .candidates()
-            .into_iter()
-            .map(|v| {
-                self.pipeline.extract_into(&fctx, v, &mut fbuf);
-                (self.model.score(ctx.user, v, &fbuf), v)
-            })
-            .collect();
-        rrc_features::recommend::top_n(&mut scored, n)
+        recommend_single(
+            &self.model,
+            &self.pipeline,
+            ctx.stats,
+            ctx.omega,
+            ctx.user,
+            ctx.window,
+            n,
+        )
     }
 }
 

@@ -161,7 +161,7 @@ impl TsPprTrainer {
         let small_batch = training.small_batch(cfg.check_fraction);
         let fingerprint = TrainCheckpoint::fingerprint_of(cfg, training);
 
-        let mut scratch = SgdScratch::new(cfg.k, training.f_dim());
+        let mut scratch = SgdScratch::default();
         let consts = SgdConsts::from_config(cfg);
         let mut prev_r_tilde: Option<f64> = resume.and_then(|ck| ck.prev_r_tilde);
         let mut sweep_started = Instant::now();
@@ -231,22 +231,13 @@ impl TsPprTrainer {
 }
 
 /// Per-step scratch buffers reused across SGD steps, shared between the
-/// serial trainer and every shard/worker of the parallel trainers.
-#[derive(Debug, Clone)]
+/// serial trainer, every shard/worker of the parallel trainers and the
+/// online step. [`sgd_step`] sizes them, so one value serves any `K`, `F`.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SgdScratch {
-    pub(crate) u_old: Vec<f64>,
-    pub(crate) grad_u: Vec<f64>,
-    pub(crate) df: Vec<f64>,
-}
-
-impl SgdScratch {
-    pub(crate) fn new(k: usize, f_dim: usize) -> Self {
-        SgdScratch {
-            u_old: vec![0.0; k],
-            grad_u: vec![0.0; k],
-            df: vec![0.0; f_dim],
-        }
-    }
+    u_old: Vec<f64>,
+    grad_u: Vec<f64>,
+    df: Vec<f64>,
 }
 
 /// The per-step constants of Algorithm 1, precomputed once per run.
@@ -289,6 +280,13 @@ impl SgdConsts {
 /// crate: the serial trainer applies it to [`TsPprModel`] and the
 /// sharded-deterministic trainer applies it to shard-local rows, which is
 /// what makes a 1-shard parallel run bit-identical to a serial run.
+///
+/// The margin (Eq. 6) and the gradient of `u` (Eq. 12) share the vector
+/// `v_i − v_j + A_u df`, so it is computed once and the margin accumulated
+/// from it in the order [`ModelParams::margin`] uses; the decay and the
+/// rank-1 update of `A_u` are one pass with the same two roundings per
+/// entry. Every parameter comes out with the bits the unfused
+/// `margin()` + `scale()` + `rank1_update()` sequence gave it.
 #[inline]
 pub(crate) fn sgd_step<P: ModelParams + ?Sized>(
     params: &mut P,
@@ -296,23 +294,27 @@ pub(crate) fn sgd_step<P: ModelParams + ?Sized>(
     c: &SgdConsts,
     s: &mut SgdScratch,
 ) {
-    // Margin and the common coefficient α(1 − p(v_i >_ut v_j)).
-    let margin = params.margin(q.user, q.pos, q.neg, q.f_pos, q.f_neg);
-    let coef = c.alpha * (1.0 - sigmoid(margin));
-
-    // df = f_i − f_j; grad_u = (v_i − v_j) + A_u df   (Eq. 12).
-    for ((d, &fp), &fn_) in s.df.iter_mut().zip(q.f_pos).zip(q.f_neg) {
-        *d = fp - fn_;
-    }
+    // df = f_i − f_j; grad_u = (v_i − v_j) + A_u df   (Eq. 12);
+    // margin = u · grad_u   (Eq. 6).
+    s.df.clear();
+    s.df.extend(q.f_pos.iter().zip(q.f_neg).map(|(fp, fn_)| fp - fn_));
+    s.grad_u.resize(c.k, 0.0);
+    let mut margin = 0.0;
     {
         let a = params.transform(q.user);
         let vi = params.item_factor(q.pos);
         let vj = params.item_factor(q.neg);
+        let u = params.user_factor(q.user);
         for r in 0..c.k {
-            s.grad_u[r] = vi[r] - vj[r] + dot(a.row(r), &s.df);
+            let g = vi[r] - vj[r] + dot(a.row(r), &s.df);
+            s.grad_u[r] = g;
+            margin += u[r] * g;
         }
-        s.u_old.copy_from_slice(params.user_factor(q.user));
+        s.u_old.clear();
+        s.u_old.extend_from_slice(u);
     }
+    // The common coefficient α(1 − p(v_i >_ut v_j)).
+    let coef = c.alpha * (1.0 - sigmoid(margin));
 
     // u ← (1 − αγ)u + coef · grad_u   (line 6).
     {
@@ -339,8 +341,12 @@ pub(crate) fn sgd_step<P: ModelParams + ?Sized>(
     // to I under the identity-transform simplification.
     if !c.identity_transform {
         let a = params.transform_mut(q.user);
-        a.scale(c.decay_transform);
-        a.rank1_update(coef, &s.u_old, &s.df);
+        for (r, u0) in s.u_old.iter().enumerate() {
+            let cu = coef * u0;
+            for (x, d) in a.row_mut(r).iter_mut().zip(&s.df) {
+                *x = *x * c.decay_transform + cu * d;
+            }
+        }
     }
 }
 
@@ -386,7 +392,7 @@ mod tests {
     use super::*;
     use rrc_datagen::GeneratorConfig;
     use rrc_features::{FeaturePipeline, SamplingConfig, TrainStats, TrainingSet};
-    use rrc_sequence::Dataset;
+    use rrc_sequence::{Dataset, ItemId, UserId};
 
     fn fixture() -> (Dataset, TrainStats, TrainingSet) {
         let data = GeneratorConfig::tiny().with_seed(11).generate();
@@ -602,6 +608,95 @@ mod tests {
         let (_, report) = TsPprTrainer::new(cfg).train(&training);
         assert!(report.converged);
         assert_eq!(report.checks.len(), 2); // converges at the 2nd check
+    }
+
+    /// The kernel as it stood before it was fused, kept as the reference
+    /// [`sgd_step`] must match byte for byte: `margin()`, then the same
+    /// vector again for `grad_u`, then `scale` + `rank1_update` on `A_u`.
+    fn unfused_sgd_step(params: &mut TsPprModel, q: &Quadruple<'_>, c: &SgdConsts) {
+        let margin = params.margin(q.user, q.pos, q.neg, q.f_pos, q.f_neg);
+        let coef = c.alpha * (1.0 - sigmoid(margin));
+        let df: Vec<f64> = q.f_pos.iter().zip(q.f_neg).map(|(p, n)| p - n).collect();
+        let a = ModelParams::transform(params, q.user);
+        let vi = ModelParams::item_factor(params, q.pos);
+        let vj = ModelParams::item_factor(params, q.neg);
+        let grad_u: Vec<f64> = (0..c.k)
+            .map(|r| vi[r] - vj[r] + dot(a.row(r), &df))
+            .collect();
+        let u_old = ModelParams::user_factor(params, q.user).to_vec();
+        for (x, g) in params.user_factor_mut(q.user).iter_mut().zip(&grad_u) {
+            *x = c.decay_factor * *x + coef * g;
+        }
+        for (x, u0) in params.item_factor_mut(q.pos).iter_mut().zip(&u_old) {
+            *x = c.decay_factor * *x + coef * u0;
+        }
+        for (x, u0) in params.item_factor_mut(q.neg).iter_mut().zip(&u_old) {
+            *x = c.decay_factor * *x - coef * u0;
+        }
+        if !c.identity_transform {
+            let a = params.transform_mut(q.user);
+            a.scale(c.decay_transform);
+            a.rank1_update(coef, &u_old, &df);
+        }
+    }
+
+    #[test]
+    fn fused_step_matches_the_unfused_kernel_byte_for_byte() {
+        use rand::Rng;
+        let bits = |m: &TsPprModel| -> Vec<u64> {
+            [m.u_matrix(), m.v_matrix()]
+                .into_iter()
+                .chain(m.transforms())
+                .flat_map(|x| x.as_slice())
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        for k in [1usize, 3, 8, 40] {
+            for f_dim in [1usize, 4, 5] {
+                for identity_transform in [false, true] {
+                    let mut rng = StdRng::seed_from_u64((k * 10 + f_dim) as u64);
+                    let mut fused = TsPprModel::init(&mut rng, 3, 7, k, f_dim, 0.1, 0.05);
+                    let mut unfused = fused.clone();
+                    let consts = SgdConsts {
+                        k,
+                        alpha: 0.05,
+                        decay_factor: 1.0 - 0.05 * 0.05,
+                        decay_transform: 1.0 - 0.05 * 0.01,
+                        identity_transform,
+                    };
+                    // One scratch across shapes, as the online path has.
+                    let mut scratch = SgdScratch::default();
+                    for step in 0..400 {
+                        let pos = ItemId(rng.gen_range(0..7u32));
+                        let neg = ItemId((pos.0 + rng.gen_range(1..7u32)) % 7);
+                        let f_pos: Vec<f64> = (0..f_dim).map(|_| rng.gen_range(0.0..1.0)).collect();
+                        // Every fifth step: equal features, so `df` is all
+                        // zeros and the signed-zero paths are walked too.
+                        let f_neg: Vec<f64> = if step % 5 == 0 {
+                            f_pos.clone()
+                        } else {
+                            (0..f_dim).map(|_| rng.gen_range(0.0..1.0)).collect()
+                        };
+                        let q = Quadruple {
+                            user: UserId(rng.gen_range(0..3u32)),
+                            pos,
+                            neg,
+                            t: step,
+                            f_pos: &f_pos,
+                            f_neg: &f_neg,
+                        };
+                        sgd_step(&mut fused, &q, &consts, &mut scratch);
+                        unfused_sgd_step(&mut unfused, &q, &consts);
+                        assert_eq!(
+                            bits(&fused),
+                            bits(&unfused),
+                            "K={k} F={f_dim} identity={identity_transform} step {step}"
+                        );
+                    }
+                    assert!(fused.is_finite());
+                }
+            }
+        }
     }
 
     #[test]

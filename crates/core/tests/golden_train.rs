@@ -12,9 +12,10 @@
 //! UPDATE_GOLDEN=1 cargo test -p rrc-core --test golden_train
 //! ```
 
-use rrc_core::{TrainReport, TsPprConfig, TsPprTrainer};
+use rrc_core::{OnlineConfig, OnlineTsPpr, TrainReport, TsPprConfig, TsPprModel, TsPprTrainer};
 use rrc_datagen::GeneratorConfig;
 use rrc_features::{FeaturePipeline, SamplingConfig, TrainStats, TrainingSet};
+use rrc_sequence::UserId;
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
@@ -25,6 +26,10 @@ fn golden_path() -> PathBuf {
 }
 
 fn run_fixture() -> TrainReport {
+    train_fixture().1
+}
+
+fn train_fixture() -> (TsPprModel, TrainReport, TrainStats) {
     let data = GeneratorConfig::tiny().with_seed(1789).generate();
     let stats = TrainStats::compute(&data, 30);
     let training = TrainingSet::build(
@@ -45,7 +50,53 @@ fn run_fixture() -> TrainReport {
         .with_seed(0x6014);
     let (model, report) = TsPprTrainer::new(cfg).train(&training);
     assert!(model.is_finite());
-    report
+    (model, report, stats)
+}
+
+/// FNV-1a over the bit patterns of `U`, `V` and every `A_u`, in that order.
+fn model_hash(model: &TsPprModel) -> u64 {
+    let rows = [model.u_matrix(), model.v_matrix()];
+    rows.into_iter()
+        .chain(model.transforms())
+        .flat_map(|m| m.as_slice())
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The parameters a fixed-seed run ends in, batch and online, pinned as
+/// hashes taken before the SGD kernel was fused: a rewrite of the kernel
+/// must not move one bit of what it learns.
+#[test]
+fn fixed_seed_model_bytes_are_pinned() {
+    let (model, _, stats) = train_fixture();
+    assert_eq!(
+        model_hash(&model),
+        0xe49f_4d2a_c58f_7a3d,
+        "batch-trained model bytes moved"
+    );
+
+    let data = GeneratorConfig::tiny().with_seed(1789).generate();
+    let config = OnlineConfig {
+        window: 30,
+        omega: 5,
+        negatives_per_event: 3,
+        ..OnlineConfig::default()
+    };
+    let mut online = OnlineTsPpr::new(model, FeaturePipeline::standard(), stats, config);
+    for (user, seq) in data.iter() {
+        for &item in seq.events() {
+            online.observe(user, item);
+        }
+    }
+    assert_eq!(online.online_updates(), 882);
+    assert!(!online.recommend(UserId(0), 10).is_empty());
+    assert_eq!(
+        model_hash(online.model()),
+        0x2464_e031_5253_baed,
+        "online-updated model bytes moved"
+    );
 }
 
 /// Serialise the reproducible part of a report: steps, convergence flag,

@@ -54,13 +54,27 @@ pub trait Recommender {
 
 /// Select the `n` highest-scoring items, ties broken by ascending item id.
 /// Exposed for recommenders that build their own scored lists.
+///
+/// The order is total: a NaN score ranks below every number (so a model
+/// that diverged on one item cannot push it into a list), and `-0.0` ties
+/// with `0.0`. Only the head is sorted: the `n` best are selected first,
+/// which is what matters on catalog-wide lists.
 pub fn top_n(scored: &mut [(f64, ItemId)], n: usize) -> Vec<ItemId> {
-    scored.sort_unstable_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.1.cmp(&b.1))
-    });
-    scored.iter().take(n).map(|&(_, v)| v).collect()
+    let n = n.min(scored.len());
+    if (1..scored.len()).contains(&n) {
+        scored.select_nth_unstable_by(n - 1, best_first);
+    }
+    let head = &mut scored[..n];
+    head.sort_unstable_by(best_first);
+    head.iter().map(|&(_, v)| v).collect()
+}
+
+/// Descending score, then ascending id.
+fn best_first(a: &(f64, ItemId), b: &(f64, ItemId)) -> std::cmp::Ordering {
+    // `total_cmp` orders every bit pattern, so map the patterns that must
+    // tie onto one: any NaN to the negative NaN below -inf, -0.0 to 0.0.
+    let key = |s: f64| if s.is_nan() { -f64::NAN } else { s + 0.0 };
+    key(b.0).total_cmp(&key(a.0)).then_with(|| a.1.cmp(&b.1))
 }
 
 #[cfg(test)]
@@ -129,9 +143,46 @@ mod tests {
     }
 
     #[test]
-    fn top_n_handles_nan_scores_without_panicking() {
-        let mut scored = vec![(f64::NAN, ItemId(1)), (1.0, ItemId(2))];
-        let out = top_n(&mut scored, 2);
-        assert_eq!(out.len(), 2);
+    fn top_n_is_a_total_order_under_nan_zeros_and_duplicates() {
+        let scored = vec![
+            (f64::NAN, ItemId(1)),
+            (0.0, ItemId(8)),
+            (-0.0, ItemId(3)),
+            (1.0, ItemId(2)),
+            (-f64::NAN, ItemId(0)),
+            (f64::NEG_INFINITY, ItemId(7)),
+            (1.0, ItemId(2)),
+            (1.0, ItemId(6)),
+            (f64::INFINITY, ItemId(9)),
+        ];
+        let want: Vec<ItemId> = [9, 2, 2, 6, 3, 8, 7, 0, 1].map(ItemId).to_vec();
+        // Every prefix length, through the selecting and the sorting branch,
+        // from every rotation of the input.
+        for shift in 0..scored.len() {
+            for n in 0..=scored.len() + 1 {
+                let mut s = scored.clone();
+                s.rotate_left(shift);
+                assert_eq!(top_n(&mut s, n), want[..n.min(want.len())], "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn top_n_selection_equals_full_sort() {
+        // Many ties (scores take 7 values), so the selected head must agree
+        // with the sorted head on the id tie-break as well.
+        let mut x = 7u32;
+        let scored: Vec<(f64, ItemId)> = (0..500)
+            .map(|i| {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (((x >> 20) % 7) as f64, ItemId(i))
+            })
+            .collect();
+        let mut full = scored.clone();
+        full.sort_unstable_by(best_first);
+        for n in [1, 10, 99, 499, 500] {
+            let want: Vec<ItemId> = full[..n].iter().map(|&(_, v)| v).collect();
+            assert_eq!(top_n(&mut scored.clone(), n), want);
+        }
     }
 }

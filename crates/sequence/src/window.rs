@@ -12,19 +12,23 @@
 //! * a *global* last-seen map over the whole pushed history (for the
 //!   recency features of Eqs. 19–20, which look back past the window).
 //!
-//! `push` is O(1) amortised; all queries are O(1) except candidate
-//! enumeration, which is O(distinct items in window).
+//! Both maps are [`IdHashMap`]s: one multiplication per lookup, and the
+//! same iteration order in every process. `push` is O(1) amortised and
+//! allocates only when a map or the ring grows; all queries are O(1)
+//! except candidate enumeration, which is O(d log d) in the `d` distinct
+//! window items (it sorts by id) and allocates nothing when the caller
+//! brings the buffer ([`WindowState::eligible_candidates_into`]).
 
-use crate::ids::ItemId;
-use std::collections::{HashMap, VecDeque};
+use crate::ids::{IdHashMap, ItemId};
+use std::collections::VecDeque;
 
 /// An incrementally-maintained time window over a consumption stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowState {
     capacity: usize,
     buf: VecDeque<ItemId>,
-    counts: HashMap<ItemId, u32>,
-    last_seen: HashMap<ItemId, usize>,
+    counts: IdHashMap<ItemId, u32>,
+    last_seen: IdHashMap<ItemId, usize>,
     t: usize,
 }
 
@@ -39,8 +43,8 @@ impl WindowState {
         WindowState {
             capacity,
             buf: VecDeque::with_capacity(capacity),
-            counts: HashMap::new(),
-            last_seen: HashMap::new(),
+            counts: IdHashMap::default(),
+            last_seen: IdHashMap::default(),
             t: 0,
         }
     }
@@ -119,8 +123,8 @@ impl WindowState {
         }
     }
 
-    /// Iterate over the distinct items currently in the window (arbitrary
-    /// order).
+    /// Iterate over the distinct items currently in the window, in an
+    /// arbitrary order (the same in every process for the same pushes).
     pub fn distinct_items(&self) -> impl Iterator<Item = ItemId> + '_ {
         self.counts.keys().copied()
     }
@@ -137,14 +141,23 @@ impl WindowState {
     ///
     /// The result is sorted by item id for determinism.
     pub fn eligible_candidates(&self, omega: usize) -> Vec<ItemId> {
-        let mut out: Vec<ItemId> = self
-            .counts
-            .keys()
-            .copied()
-            .filter(|&v| !self.in_last(v, omega))
-            .collect();
-        out.sort_unstable();
+        let mut out = Vec::with_capacity(self.counts.len());
+        self.eligible_candidates_into(omega, &mut out);
         out
+    }
+
+    /// [`eligible_candidates`](Self::eligible_candidates) into a buffer the
+    /// caller reuses: `out` is cleared first, and nothing is allocated once
+    /// it has grown to the window's distinct-item count.
+    pub fn eligible_candidates_into(&self, omega: usize, out: &mut Vec<ItemId>) {
+        out.clear();
+        out.extend(
+            self.counts
+                .keys()
+                .copied()
+                .filter(|&v| !self.in_last(v, omega)),
+        );
+        out.sort_unstable();
     }
 
     /// The window contents, oldest to newest.
@@ -215,7 +228,7 @@ impl WindowState {
         assert!(capacity > 0, "window capacity must be positive");
         assert!(events.len() <= capacity, "more events than capacity");
         assert!(t >= events.len(), "time precedes window contents");
-        let mut counts: HashMap<ItemId, u32> = HashMap::new();
+        let mut counts: IdHashMap<ItemId, u32> = IdHashMap::default();
         for &item in events {
             *counts.entry(item).or_insert(0) += 1;
         }
@@ -392,6 +405,37 @@ mod tests {
         }
         for omega in 0..8 {
             assert_eq!(r.eligible_candidates(omega), w.eligible_candidates(omega));
+        }
+    }
+
+    #[test]
+    fn pushed_window_equals_its_rebuilt_parts() {
+        // Long enough that both maps grow, churn and rehash on the pushed
+        // side, while `from_parts` inserts each key once.
+        let mut w = WindowState::new(16);
+        let mut x = 12345u32;
+        for _ in 0..2000 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            w.push(ItemId((x >> 16) % 97));
+            let events: Vec<ItemId> = w.events().collect();
+            let r =
+                WindowState::from_parts(w.capacity(), w.time(), &events, &w.last_seen_entries());
+            assert_eq!(r, w);
+            assert_eq!(r.last_seen_entries(), w.last_seen_entries());
+        }
+        let mut a: Vec<ItemId> = w.distinct_items().collect();
+        a.sort_unstable();
+        assert_eq!(a, w.eligible_candidates(0));
+    }
+
+    #[test]
+    fn eligible_candidates_into_clears_and_matches() {
+        let mut w = WindowState::new(6);
+        push_all(&mut w, &[5, 3, 5, 9, 1, 7]);
+        let mut buf = vec![ItemId(42); 9];
+        for omega in 0..7 {
+            w.eligible_candidates_into(omega, &mut buf);
+            assert_eq!(buf, w.eligible_candidates(omega));
         }
     }
 

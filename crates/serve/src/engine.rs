@@ -385,6 +385,17 @@ impl Shard {
         }
     }
 
+    /// Whether the served snapshot has rows for `user` (`u`, `A_u`).
+    fn knows_user(&self, user: UserId) -> bool {
+        user.index() < self.tier.base().num_users()
+    }
+
+    /// Whether the served snapshot and the training statistics both have
+    /// a row for `item`; features and scoring index both by it.
+    fn knows_item(&self, item: ItemId) -> bool {
+        item.index() < self.tier.base().num_items().min(self.stats.num_items())
+    }
+
     /// Re-account the touched user, enforce the byte budget, and drain
     /// the tier's metrics delta (hits/misses/evictions, spill/load
     /// latencies) plus footprint gauges into the engine registry.
@@ -443,9 +454,21 @@ impl Shard {
                         }
                         self.dequeue_stamp(trace.as_ref())
                     };
-                    let (kind, updates) = {
+                    let (kind, updates) = if !self.knows_item(item) {
+                        // No row in `V` or the statistics to read: the
+                        // event is counted, never pushed (a window holding
+                        // it would panic the next recommend), and novel.
+                        self.metrics.shards[self.id].skipped.inc();
+                        (ConsumptionKind::Novel, 0)
+                    } else {
                         let _p = ProfGuard::enter("score");
                         self.stall_if_injected(user);
+                        // A user the model has no row for still gets a
+                        // window; there is nothing to take an SGD step on.
+                        let mut config = self.config;
+                        if !self.knows_user(user) {
+                            config.negatives_per_event = 0;
+                        }
                         let base = self.tier.base().clone();
                         let (window, factors) = self
                             .tier
@@ -456,7 +479,7 @@ impl Shard {
                             &mut params,
                             &self.pipeline,
                             &self.stats,
-                            &self.config,
+                            &config,
                             user,
                             window,
                             &mut self.rng,
@@ -502,7 +525,11 @@ impl Shard {
                         }
                         self.dequeue_stamp(trace.as_ref())
                     };
-                    let recs = {
+                    let recs = if !self.knows_user(user) {
+                        // No `u` or `A_u` to score with: an empty list.
+                        self.metrics.shards[self.id].skipped.inc();
+                        Vec::new()
+                    } else {
                         let _p = ProfGuard::enter("score");
                         self.stall_if_injected(user);
                         let base = self.tier.base().clone();
@@ -1470,6 +1497,53 @@ mod tests {
         // window on demand, and its first event classifies as novel.
         let ghost = UserId(100);
         assert_eq!(engine.observe(ghost, ItemId(0)), ConsumptionKind::Novel);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn out_of_catalog_item_is_skipped_not_pushed() {
+        // Learning on, so the eligible-repeat path (features, SGD) runs too.
+        let (engine, _) = engine_fixture(2, 1);
+        let user = UserId(0);
+        let bogus = ItemId(9_999_999);
+        let clock = |e: &ServeEngine| e.export_windows()[0].1.time();
+        let before = clock(&engine);
+        // Often enough that a pushed copy would have become an eligible
+        // candidate (Ω = 5) and reached the statistics and `V`.
+        for _ in 0..8 {
+            assert_eq!(engine.observe(user, bogus), ConsumptionKind::Novel);
+            engine.observe(user, ItemId(1));
+        }
+        assert!(!engine.recommend(user, 50).contains(&bogus));
+        assert_eq!(
+            clock(&engine),
+            before + 8,
+            "only real items advance the window"
+        );
+        let shard = engine.metrics().shards[0];
+        assert_eq!((shard.observes, shard.skipped), (16, 8));
+        engine.shutdown();
+    }
+
+    #[test]
+    fn unknown_user_gets_an_empty_list_and_no_sgd_step() {
+        let (engine, _) = engine_fixture(2, 1);
+        let ghost = UserId(100_000);
+        assert!(engine.recommend(ghost, 5).is_empty());
+        // The ghost's window fills and repeats become eligible; with no
+        // `u` row there is nothing to step on, and nothing to score with.
+        for round in 0..3 {
+            for i in 0..8u32 {
+                let kind = engine.observe(ghost, ItemId(i));
+                assert_eq!(kind == ConsumptionKind::EligibleRepeat, round > 0);
+            }
+        }
+        assert!(engine.recommend(ghost, 5).is_empty());
+        let report = engine.metrics();
+        assert_eq!(report.total_online_updates(), 0);
+        assert_eq!(report.shards[0].skipped, 2);
+        // The shard is alive and everyone else is served as before.
+        assert!(!engine.recommend(UserId(0), 5).is_empty());
         engine.shutdown();
     }
 

@@ -51,6 +51,9 @@ pub struct ShardCounters {
     pub recommends: Arc<Counter>,
     pub online_updates: Arc<Counter>,
     pub swaps: Arc<Counter>,
+    /// Requests naming an item or user outside the model's shape, answered
+    /// without touching the model (see `Shard::run`).
+    pub skipped: Arc<Counter>,
 }
 
 impl ShardCounters {
@@ -62,6 +65,7 @@ impl ShardCounters {
             recommends: registry.counter_with("serve_recommends_total", labels),
             online_updates: registry.counter_with("serve_online_updates_total", labels),
             swaps: registry.counter_with("serve_swaps_total", labels),
+            skipped: registry.counter_with("serve_skipped_total", labels),
         }
     }
 
@@ -71,6 +75,7 @@ impl ShardCounters {
             recommends: self.recommends.get(),
             online_updates: self.online_updates.get(),
             swaps: self.swaps.get(),
+            skipped: self.skipped.get(),
         }
     }
 }
@@ -82,6 +87,7 @@ pub struct ShardCountersSnapshot {
     pub recommends: u64,
     pub online_updates: u64,
     pub swaps: u64,
+    pub skipped: u64,
 }
 
 /// One shard's per-stage cumulative histograms
@@ -1591,6 +1597,7 @@ impl MetricsReport {
                                 ("recommends", Json::U64(s.recommends)),
                                 ("online_updates", Json::U64(s.online_updates)),
                                 ("swaps", Json::U64(s.swaps)),
+                                ("skipped", Json::U64(s.skipped)),
                             ])
                         })
                         .collect(),
@@ -1644,8 +1651,8 @@ impl std::fmt::Display for MetricsReport {
         for (i, s) in self.shards.iter().enumerate() {
             writeln!(
                 f,
-                "shard {i:<2} observes={:<9} recommends={:<9} online_updates={:<9} swaps={}",
-                s.observes, s.recommends, s.online_updates, s.swaps
+                "shard {i:<2} observes={:<9} recommends={:<9} online_updates={:<9} swaps={:<4} skipped={}",
+                s.observes, s.recommends, s.online_updates, s.swaps, s.skipped
             )?;
         }
         for st in &self.stages {

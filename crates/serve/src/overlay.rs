@@ -15,8 +15,8 @@
 
 use rrc_core::{ModelParams, TsPprModel};
 use rrc_linalg::DMatrix;
+use rrc_sequence::ids::IdHashMap;
 use rrc_sequence::{ItemId, UserId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A materialised row: the base it was copied from and its current value.
@@ -135,18 +135,18 @@ impl ModelDiff {
 #[derive(Debug)]
 pub struct ModelOverlay {
     base: Arc<TsPprModel>,
-    users: HashMap<u32, CowRow>,
-    items: HashMap<u32, CowRow>,
-    transforms: HashMap<u32, CowMat>,
+    users: IdHashMap<u32, CowRow>,
+    items: IdHashMap<u32, CowRow>,
+    transforms: IdHashMap<u32, CowMat>,
 }
 
 impl ModelOverlay {
     pub fn new(base: Arc<TsPprModel>) -> Self {
         ModelOverlay {
             base,
-            users: HashMap::new(),
-            items: HashMap::new(),
-            transforms: HashMap::new(),
+            users: IdHashMap::default(),
+            items: IdHashMap::default(),
+            transforms: IdHashMap::default(),
         }
     }
 
@@ -160,7 +160,7 @@ impl ModelOverlay {
     /// Rows whose delta is exactly zero (touched but unchanged) are
     /// dropped. Output is sorted by id so harvests are deterministic.
     pub fn harvest(&mut self) -> ModelDiff {
-        fn rows(map: &mut HashMap<u32, CowRow>) -> Vec<(u32, Vec<f64>)> {
+        fn rows(map: &mut IdHashMap<u32, CowRow>) -> Vec<(u32, Vec<f64>)> {
             let mut out: Vec<(u32, Vec<f64>)> = map
                 .drain()
                 .map(|(id, row)| (id, row.diff()))

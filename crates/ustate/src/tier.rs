@@ -3,9 +3,10 @@
 use crate::codec::{decode_record, encode_record};
 use crate::entry::{UserEntry, UserFactors};
 use rrc_core::TsPprModel;
+use rrc_sequence::ids::IdHashMap;
 use rrc_sequence::{UserId, WindowState};
 use rrc_store::{SegmentLog, StoreError};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -124,7 +125,7 @@ impl TierDelta {
 /// residency/spill contract.
 #[derive(Debug)]
 pub struct UserStateTier {
-    entries: HashMap<u32, UserEntry>,
+    entries: IdHashMap<u32, UserEntry>,
     /// CLOCK hand order: every resident user id exactly once.
     clock: VecDeque<u32>,
     /// LRU order: touch tick → user id (only maintained under `Lru`).
@@ -163,7 +164,7 @@ impl UserStateTier {
             (None, None) => None,
         };
         Ok(UserStateTier {
-            entries: HashMap::new(),
+            entries: IdHashMap::default(),
             clock: VecDeque::new(),
             lru: BTreeMap::new(),
             policy: config.policy,
