@@ -3,9 +3,9 @@
 //! dependency set.
 //!
 //! Lives at the bottom of the workspace graph so every integrity-checked
-//! artifact shares one implementation: `rrc-store` section payloads
-//! re-export it, and the [`forensics`](crate::forensics) flight-recorder
-//! bundle footers use it directly.
+//! artifact shares one implementation: `rrc-store` section payloads and
+//! segment records, and the [`forensics`](crate::forensics)
+//! flight-recorder bundle footers.
 
 const fn build_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -51,5 +51,22 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn single_bit_flip_changes_crc() {
+        let base = b"abcdefgh".to_vec();
+        let reference = crc32(&base);
+        for byte in 0..base.len() {
+            for bit in 0..8 {
+                let mut flipped = base.clone();
+                flipped[byte] ^= 1 << bit;
+                assert_ne!(
+                    crc32(&flipped),
+                    reference,
+                    "flip at {byte}:{bit} undetected"
+                );
+            }
+        }
     }
 }

@@ -25,6 +25,12 @@
 //! same FIFO queue, a user's events can never be dropped or reordered,
 //! including across a model swap.
 //!
+//! Every data request, whichever public entry point it came through, is
+//! sent by one private `submit` and served by one arm of the shard loop;
+//! its accounting is one [`RequestRecord`] that the metrics layer hears
+//! about when it is offered, dequeued and finished. Control messages go
+//! out through one private `broadcast`.
+//!
 //! # Hot swap
 //!
 //! [`ServeEngine::swap_model`] publishes new weights in two phases, both
@@ -43,11 +49,10 @@ use crate::overlay::{ModelDiff, ModelOverlay};
 use crate::overload::{Admission, OverloadOptions, RequestKind, ShedReason};
 use crate::quality::{self, micro, QualityConfig, QualityReport, ShardQuality, VersionQuality};
 use crate::routing::shard_for;
-use crate::trace::{ShardStamp, StageNanos, TraceCtx};
+use crate::trace::{Enqueued, RequestRecord};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rrc_core::parallel::mix64;
 use rrc_core::{
     observe_single, recommend_single, ModelParams, OnlineConfig, OnlineTsPpr, TsPprModel,
 };
@@ -198,39 +203,77 @@ impl Default for EngineOptions {
     }
 }
 
-/// Reply to a synchronous [`Request::Observe`]. `Err` means the request
-/// was admitted but expired in the queue (deadline shed); requests
-/// without a deadline always come back `Ok`.
-struct ObserveReply {
-    outcome: Result<ConsumptionKind, ShedReason>,
-    stamp: Option<ShardStamp>,
+/// What a data request asks of the shard that owns its user.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Ingest one consumption event.
+    Observe(ItemId),
+    /// Top-N repeat recommendations right now.
+    Recommend(usize),
 }
 
-/// Reply to a [`Request::Recommend`]; `Err` as for [`ObserveReply`].
-struct RecommendReply {
-    items: Result<Vec<ItemId>, ShedReason>,
-    stamp: Option<ShardStamp>,
+impl Op {
+    fn kind(self) -> RequestKind {
+        match self {
+            Op::Observe(_) => RequestKind::Observe,
+            Op::Recommend(_) => RequestKind::Recommend,
+        }
+    }
 }
+
+/// How a data request gets its queue slot.
+enum Admit {
+    /// The entry points that promise the caller no shedding: the slot is
+    /// taken unconditionally and the request carries no deadline.
+    /// Bounded deployments should prefer the `try_*` paths.
+    Forced,
+    /// The `try_*` entry points: refused by a full gate with nothing
+    /// enqueued, and shed at dequeue once past the deadline.
+    Gated(Option<Instant>),
+}
+
+/// What a served data request produced.
+enum Served {
+    /// Fire-and-forget: the request is in the shard queue.
+    Queued,
+    /// An observe's classification.
+    Kind(ConsumptionKind),
+    /// A recommend's list.
+    Items(Vec<ItemId>),
+}
+
+impl Served {
+    fn kind(self) -> ConsumptionKind {
+        match self {
+            Served::Kind(kind) => kind,
+            _ => unreachable!("an observe is answered with its classification"),
+        }
+    }
+
+    fn items(self) -> Vec<ItemId> {
+        match self {
+            Served::Items(items) => items,
+            _ => unreachable!("a recommend is answered with its list"),
+        }
+    }
+}
+
+/// Reply to a data request whose caller waits: the result and the
+/// request's record, for the caller to close. `Err` means the request
+/// was admitted but expired in the queue (deadline shed, already closed
+/// by the shard); requests without a deadline always come back `Ok`.
+type Reply = Result<(Served, RequestRecord), ShedReason>;
 
 /// A message to a shard. Every request for a user flows through the same
 /// FIFO queue, which is what guarantees per-user ordering.
 enum Request {
-    /// Ingest one consumption event. `reply` is `None` for
-    /// fire-and-forget ingestion ([`ServeEngine::observe_nowait`]).
-    Observe {
+    /// One data request. `reply` is `None` for fire-and-forget ingestion
+    /// ([`ServeEngine::observe_nowait`]).
+    Data {
         user: UserId,
-        item: ItemId,
-        trace: Option<TraceCtx>,
-        reply: Option<Sender<ObserveReply>>,
-        /// Shed (not served) if still queued past this instant.
-        deadline: Option<Instant>,
-    },
-    /// Top-N repeat recommendations for `user` right now.
-    Recommend {
-        user: UserId,
-        n: usize,
-        trace: Option<TraceCtx>,
-        reply: Sender<RecommendReply>,
+        op: Op,
+        trace: Option<Enqueued>,
+        reply: Option<Sender<Reply>>,
         /// Shed (not served) if still queued past this instant.
         deadline: Option<Instant>,
     },
@@ -278,98 +321,6 @@ struct Shard {
 }
 
 impl Shard {
-    /// Tracing hooks for one traced request: dequeue stamp (plus the
-    /// observed queue depth) now, processed stamp when done. `None` when
-    /// the request carries no trace or tracing is disabled.
-    fn dequeue_stamp(&self, trace: Option<&TraceCtx>) -> Option<(Instant, u64)> {
-        match (self.metrics.tracing.as_ref(), trace) {
-            (Some(t), Some(tr)) => Some(t.on_dequeue(self.id, tr)),
-            _ => None,
-        }
-    }
-
-    fn processed_stamp(
-        &self,
-        trace: Option<&TraceCtx>,
-        dequeued: Option<(Instant, u64)>,
-        kind: &'static str,
-    ) -> Option<ShardStamp> {
-        let stamp = match (self.metrics.tracing.as_ref(), trace, dequeued) {
-            (Some(t), Some(tr), Some((d, depth))) => {
-                let (processed, stages) = t.on_processed(self.id, tr, d);
-                if let Some(fx) = &self.metrics.forensics {
-                    if crate::metrics::sampled(tr.id) {
-                        fx.on_processed_shard(self.id, tr, &stages, depth, kind, self.version);
-                    }
-                }
-                Some(ShardStamp {
-                    dequeued: d,
-                    processed,
-                    queue_depth: depth,
-                    version: self.version,
-                })
-            }
-            _ => None,
-        };
-        if let (Some(t), Some(_)) = (self.metrics.tracing.as_ref(), trace) {
-            t.on_complete(self.id);
-        }
-        stamp
-    }
-
-    /// Give back the bounded-queue slot this data request held (no-op on
-    /// an ungated engine). Every enqueued data request — `try_*` or
-    /// legacy path — took exactly one slot, so this runs unconditionally
-    /// at dequeue, before the deadline check.
-    fn release_slot(&self) {
-        if let Some(om) = &self.metrics.overload {
-            if let Some(gate) = om.gate(self.id) {
-                gate.release();
-            }
-        }
-    }
-
-    /// True when the request sat in the queue past its deadline and must
-    /// be shed instead of served late.
-    fn expired(deadline: Option<Instant>) -> bool {
-        deadline.is_some_and(|d| Instant::now() > d)
-    }
-
-    /// Account a deadline shed and balance the tracing gauges for a
-    /// request that will never be processed: the dequeue drops the
-    /// queue-depth gauge, the completion drops in-flight. No stage
-    /// latencies are recorded — stage histograms describe *served*
-    /// requests only.
-    fn shed_at_dequeue(&self, kind: RequestKind, trace: Option<&TraceCtx>) {
-        if let Some(om) = &self.metrics.overload {
-            om.on_shed_deadline(self.id, kind);
-        }
-        if let Some(fx) = &self.metrics.forensics {
-            fx.flight[self.id].record(
-                "shed",
-                vec![
-                    ("kind", Json::Str(kind.as_str().to_string())),
-                    (
-                        "reason",
-                        Json::Str(ShedReason::Deadline.as_str().to_string()),
-                    ),
-                ],
-            );
-        }
-        if let (Some(t), Some(tr)) = (self.metrics.tracing.as_ref(), trace) {
-            let _ = t.on_dequeue(self.id, tr);
-            t.on_complete(self.id);
-        }
-    }
-
-    /// Count a data request that was actually served, closing its side of
-    /// the conservation law (`offered == admitted + shed`).
-    fn note_admitted(&self, kind: RequestKind) {
-        if let Some(om) = &self.metrics.overload {
-            om.on_admitted(self.id, kind);
-        }
-    }
-
     /// Fault injection: stall scoring for the configured user so tests
     /// can manufacture a known-slow request (lands in the `score` stage,
     /// between the dequeue and processed stamps).
@@ -403,18 +354,7 @@ impl Shard {
         self.tier
             .note_access(user)
             .expect("user-state tier: spill evicted state");
-        let delta = self.tier.take_delta();
-        if let Some(fx) = &self.metrics.forensics {
-            // Evictions and spills are rare, high-signal events — exactly
-            // what a post-incident flight dump should show.
-            for &u in &delta.evicted_users {
-                fx.flight[self.id].record("eviction", vec![("user", Json::U64(u as u64))]);
-            }
-            for &ns in &delta.spill_ns {
-                fx.flight[self.id].record("spill", vec![("spill_ns", Json::U64(ns))]);
-            }
-        }
-        self.metrics.ustate.record(self.id, &delta);
+        self.metrics.tier_settled(self.id, &self.tier.take_delta());
         self.metrics.ustate.set_footprint(
             self.id,
             self.tier.resident_bytes(),
@@ -425,12 +365,95 @@ impl Shard {
         );
     }
 
+    /// Ingest one event: its classification and the online SGD updates
+    /// it triggered.
+    fn observe(&mut self, user: UserId, item: ItemId) -> (ConsumptionKind, u64) {
+        if !self.knows_item(item) {
+            // No row in `V` or the statistics to read: the event is
+            // counted, never pushed (a window holding it would panic the
+            // next recommend), and novel.
+            self.metrics.shards[self.id].skipped.inc();
+            return (ConsumptionKind::Novel, 0);
+        }
+        let _p = ProfGuard::enter("score");
+        self.stall_if_injected(user);
+        // A user the model has no row for still gets a window; there is
+        // nothing to take an SGD step on.
+        let mut config = self.config;
+        if !self.knows_user(user) {
+            config.negatives_per_event = 0;
+        }
+        let base = self.tier.base().clone();
+        let (window, factors) = self
+            .tier
+            .get_or_load(user)
+            .expect("user-state tier: reload spilled state");
+        let mut params = TierParams::new(user, factors, &base, &mut self.overlay);
+        let out = observe_single(
+            &mut params,
+            &self.pipeline,
+            &self.stats,
+            &config,
+            user,
+            window,
+            &mut self.rng,
+            item,
+        );
+        if let Some(q) = &mut self.quality {
+            q.on_observe(user, item, out.0);
+        }
+        self.settle_tier(user);
+        out
+    }
+
+    /// Top-N repeat recommendations for `user` from their live window.
+    fn recommend(&mut self, user: UserId, n: usize) -> Vec<ItemId> {
+        if !self.knows_user(user) {
+            // No `u` or `A_u` to score with: an empty list.
+            self.metrics.shards[self.id].skipped.inc();
+            return Vec::new();
+        }
+        let _p = ProfGuard::enter("score");
+        self.stall_if_injected(user);
+        let base = self.tier.base().clone();
+        let (window, factors) = self
+            .tier
+            .get_or_load(user)
+            .expect("user-state tier: reload spilled state");
+        let params = TierParams::new(user, factors, &base, &mut self.overlay);
+        let recs = recommend_single(
+            &params,
+            &self.pipeline,
+            &self.stats,
+            self.config.omega,
+            user,
+            window,
+            n,
+        );
+        if let Some(q) = &mut self.quality {
+            // Drift sample: the top-1 item's predicted score and
+            // feature mean, under the model that just served it.
+            let sample = recs.first().map(|&top| {
+                let fctx = FeatureContext {
+                    window,
+                    stats: &self.stats,
+                };
+                self.pipeline.extract_into(&fctx, top, &mut self.fbuf);
+                let mean = self.fbuf.iter().sum::<f64>() / self.fbuf.len().max(1) as f64;
+                (micro(params.score(user, top, &self.fbuf)), micro(mean))
+            });
+            q.on_recommend(user, &recs, self.version, sample);
+        }
+        self.settle_tier(user);
+        recs
+    }
+
     fn run(mut self, rx: Receiver<Request>) {
         for req in rx.iter() {
             match req {
-                Request::Observe {
+                Request::Data {
                     user,
-                    item,
+                    op,
                     trace,
                     reply,
                     deadline,
@@ -438,141 +461,52 @@ impl Shard {
                     // Profile frames cover only the *active* request body:
                     // the blocking `rx.iter()` wait above reads as idle, so
                     // shares measure work, not queue time.
-                    let _shard = ProfGuard::enter_path(&["serve", "shard", "observe"]);
-                    let dequeued = {
+                    // (Literals: the profiler keys its path cache on the
+                    // promoted slice's address.)
+                    let _shard = ProfGuard::enter_path(match op {
+                        Op::Observe(_) => &["serve", "shard", "observe"],
+                        Op::Recommend(_) => &["serve", "shard", "recommend"],
+                    });
+                    let mut record = {
                         let _p = ProfGuard::enter("dequeue");
-                        self.release_slot();
-                        if Self::expired(deadline) {
-                            self.shed_at_dequeue(RequestKind::Observe, trace.as_ref());
+                        let mut record = self.metrics.dequeued(self.id, op.kind(), user, trace);
+                        if deadline.is_some_and(|d| Instant::now() > d) {
+                            // Sat in the queue past its deadline: shed
+                            // instead of served late.
+                            record.outcome = Err(ShedReason::Deadline);
+                            self.metrics.finished(&record, None);
                             if let Some(reply) = reply {
-                                let _ = reply.send(ObserveReply {
-                                    outcome: Err(ShedReason::Deadline),
-                                    stamp: None,
-                                });
+                                let _ = reply.send(Err(ShedReason::Deadline));
                             }
                             continue;
                         }
-                        self.dequeue_stamp(trace.as_ref())
+                        record
                     };
-                    let (kind, updates) = if !self.knows_item(item) {
-                        // No row in `V` or the statistics to read: the
-                        // event is counted, never pushed (a window holding
-                        // it would panic the next recommend), and novel.
-                        self.metrics.shards[self.id].skipped.inc();
-                        (ConsumptionKind::Novel, 0)
-                    } else {
-                        let _p = ProfGuard::enter("score");
-                        self.stall_if_injected(user);
-                        // A user the model has no row for still gets a
-                        // window; there is nothing to take an SGD step on.
-                        let mut config = self.config;
-                        if !self.knows_user(user) {
-                            config.negatives_per_event = 0;
+                    let (served, updates) = match op {
+                        Op::Observe(item) => {
+                            let (kind, updates) = self.observe(user, item);
+                            (Served::Kind(kind), updates)
                         }
-                        let base = self.tier.base().clone();
-                        let (window, factors) = self
-                            .tier
-                            .get_or_load(user)
-                            .expect("user-state tier: reload spilled state");
-                        let mut params = TierParams::new(user, factors, &base, &mut self.overlay);
-                        let out = observe_single(
-                            &mut params,
-                            &self.pipeline,
-                            &self.stats,
-                            &config,
-                            user,
-                            window,
-                            &mut self.rng,
-                            item,
-                        );
-                        if let Some(q) = &mut self.quality {
-                            q.on_observe(user, item, out.0);
-                        }
-                        self.settle_tier(user);
-                        out
+                        Op::Recommend(n) => (Served::Items(self.recommend(user, n)), 0),
                     };
                     let _p = ProfGuard::enter("respond");
                     let counters = &self.metrics.shards[self.id];
-                    counters.observes.inc();
-                    counters.online_updates.add(updates);
-                    self.note_admitted(RequestKind::Observe);
-                    let stamp = self.processed_stamp(trace.as_ref(), dequeued, "observe");
-                    if let Some(reply) = reply {
-                        let _ = reply.send(ObserveReply {
-                            outcome: Ok(kind),
-                            stamp,
-                        });
+                    match op {
+                        Op::Observe(_) => {
+                            counters.observes.inc();
+                            counters.online_updates.add(updates);
+                        }
+                        Op::Recommend(_) => counters.recommends.inc(),
                     }
-                }
-                Request::Recommend {
-                    user,
-                    n,
-                    trace,
-                    reply,
-                    deadline,
-                } => {
-                    let _shard = ProfGuard::enter_path(&["serve", "shard", "recommend"]);
-                    let dequeued = {
-                        let _p = ProfGuard::enter("dequeue");
-                        self.release_slot();
-                        if Self::expired(deadline) {
-                            self.shed_at_dequeue(RequestKind::Recommend, trace.as_ref());
-                            let _ = reply.send(RecommendReply {
-                                items: Err(ShedReason::Deadline),
-                                stamp: None,
-                            });
-                            continue;
+                    record.served_by(self.version);
+                    match reply {
+                        // The waiting caller closes the record: only it
+                        // sees the respond leg.
+                        Some(reply) => {
+                            let _ = reply.send(Ok((served, record)));
                         }
-                        self.dequeue_stamp(trace.as_ref())
-                    };
-                    let recs = if !self.knows_user(user) {
-                        // No `u` or `A_u` to score with: an empty list.
-                        self.metrics.shards[self.id].skipped.inc();
-                        Vec::new()
-                    } else {
-                        let _p = ProfGuard::enter("score");
-                        self.stall_if_injected(user);
-                        let base = self.tier.base().clone();
-                        let (window, factors) = self
-                            .tier
-                            .get_or_load(user)
-                            .expect("user-state tier: reload spilled state");
-                        let params = TierParams::new(user, factors, &base, &mut self.overlay);
-                        let recs = recommend_single(
-                            &params,
-                            &self.pipeline,
-                            &self.stats,
-                            self.config.omega,
-                            user,
-                            window,
-                            n,
-                        );
-                        if let Some(q) = &mut self.quality {
-                            // Drift sample: the top-1 item's predicted score and
-                            // feature mean, under the model that just served it.
-                            let sample = recs.first().map(|&top| {
-                                let fctx = FeatureContext {
-                                    window,
-                                    stats: &self.stats,
-                                };
-                                self.pipeline.extract_into(&fctx, top, &mut self.fbuf);
-                                let mean =
-                                    self.fbuf.iter().sum::<f64>() / self.fbuf.len().max(1) as f64;
-                                (micro(params.score(user, top, &self.fbuf)), micro(mean))
-                            });
-                            q.on_recommend(user, &recs, self.version, sample);
-                        }
-                        self.settle_tier(user);
-                        recs
-                    };
-                    let _p = ProfGuard::enter("respond");
-                    self.metrics.shards[self.id].recommends.inc();
-                    self.note_admitted(RequestKind::Recommend);
-                    let stamp = self.processed_stamp(trace.as_ref(), dequeued, "recommend");
-                    let _ = reply.send(RecommendReply {
-                        items: Ok(recs),
-                        stamp,
-                    });
+                        None => self.metrics.finished(&record, None),
+                    }
                 }
                 Request::Flush { reply } => {
                     let _ = reply.send(());
@@ -602,9 +536,8 @@ impl Shard {
                     self.overlay.install(model.clone());
                     self.tier.install(model, version);
                     self.version = version;
-                    if let Some(fx) = &self.metrics.forensics {
-                        fx.flight[self.id].record("swap", vec![("version", Json::U64(version))]);
-                    }
+                    self.metrics
+                        .flight(self.id, "swap", || vec![("version", Json::U64(version))]);
                     self.metrics.shards[self.id].swaps.inc();
                     let _ = reply.send(());
                 }
@@ -792,108 +725,53 @@ impl ServeEngine {
         self.model.lock().expect("model lock").clone()
     }
 
-    /// Mint a trace context for a request bound for `shard` (bumping its
-    /// queue-depth / in-flight gauges), or `None` with tracing off.
-    fn trace_for(&self, shard: usize, user: UserId) -> Option<TraceCtx> {
-        self.metrics
-            .tracing
-            .as_ref()
-            .map(|t| t.on_enqueue(shard, mix64(user.0 as u64)))
-    }
-
-    /// Close a traced request: decompose the four stamps into stages,
-    /// record the `respond` leg, and hand the completed timeline to
-    /// forensics (reservoir admission, exemplars, trace sink).
-    fn close_trace(
-        &self,
-        shard: usize,
-        kind: &'static str,
-        trace: Option<TraceCtx>,
-        stamp: Option<ShardStamp>,
-    ) {
-        let (Some(t), Some(tr), Some(st)) = (self.metrics.tracing.as_ref(), trace, stamp) else {
-            return;
-        };
-        let stages = StageNanos::from_instants(tr.enqueued, st.dequeued, st.processed);
-        t.on_respond(shard, &tr, &stages);
-        if let Some(fx) = &self.metrics.forensics {
-            fx.on_client_complete(shard, kind, &tr, &st, &stages);
-        }
-    }
-
-    /// Account an offered data request and take a bounded-queue slot for
-    /// it. `Err` means the request was shed at enqueue (already counted)
-    /// and must not be sent. On an engine without overload accounting
-    /// this is free and always admits.
-    fn admit(&self, shard: usize, kind: RequestKind) -> Result<(), ShedReason> {
-        let Some(om) = &self.metrics.overload else {
-            return Ok(());
-        };
-        om.on_offered(shard, kind);
-        match om.gate(shard) {
-            Some(gate) => match gate.try_admit(kind) {
-                Ok(()) => Ok(()),
-                Err(reason) => {
-                    om.on_shed_queue(shard, kind);
-                    Err(reason)
+    /// The one way a data request reaches its shard. With `wait`, blocks
+    /// for the reply, closes the request's record and records the
+    /// client-observed latency — of served requests only; without,
+    /// returns [`Served::Queued`] at once.
+    fn submit(&self, user: UserId, op: Op, admit: Admit, wait: bool) -> Result<Served, ShedReason> {
+        let start = wait.then(Instant::now);
+        let shard = shard_for(user, self.senders.len());
+        let (reply, reply_rx) = wait.then(|| bounded(1)).unzip();
+        {
+            // The enqueue frame covers routing + admission + send only;
+            // the blocking reply wait below is deliberately unprofiled
+            // (it is the *shard's* work, sampled on the shard thread).
+            let _p = ProfGuard::enter_path(&["serve", "enqueue"]);
+            let forced = matches!(admit, Admit::Forced);
+            let trace = self.metrics.offered(shard, op.kind(), forced)?;
+            let deadline = match admit {
+                Admit::Forced => None,
+                // An explicit per-request deadline wins; otherwise the
+                // engine-wide default (measured from now) applies.
+                Admit::Gated(deadline) => {
+                    deadline.or_else(|| self.default_deadline.map(|d| Instant::now() + d))
                 }
-            },
-            None => Ok(()),
+            };
+            self.senders[shard]
+                .send(Request::Data {
+                    user,
+                    op,
+                    trace,
+                    reply,
+                    deadline,
+                })
+                .expect("shard thread alive");
         }
-    }
-
-    /// Slot accounting for the legacy (non-`try`) request paths, which
-    /// promise the caller no shedding: the request is counted as offered
-    /// and takes a slot unconditionally — it may transiently push the
-    /// depth past the cap, but the conservation law still holds since it
-    /// will be counted admitted when served. Bounded deployments should
-    /// prefer the `try_*` paths.
-    fn admit_forced(&self, shard: usize, kind: RequestKind) {
-        if let Some(om) = &self.metrics.overload {
-            om.on_offered(shard, kind);
-            if let Some(gate) = om.gate(shard) {
-                gate.force_admit();
-            }
-        }
-    }
-
-    /// Resolve the effective deadline for a `try_*` request: an explicit
-    /// per-request deadline wins; otherwise the engine-wide default from
-    /// [`OverloadOptions::deadline`] (measured from now) applies.
-    fn effective_deadline(&self, deadline: Option<Instant>) -> Option<Instant> {
-        deadline.or_else(|| self.default_deadline.map(|d| Instant::now() + d))
+        let Some(reply_rx) = reply_rx else {
+            return Ok(Served::Queued);
+        };
+        let (served, record) = reply_rx.recv().expect("shard replies to a data request")?;
+        self.metrics.finished(&record, start);
+        Ok(served)
     }
 
     /// Ingest one event and wait for its classification. Latency
     /// (queueing + processing + reply) lands in the observe histogram.
     pub fn observe(&self, user: UserId, item: ItemId) -> ConsumptionKind {
-        let start = Instant::now();
-        let shard = shard_for(user, self.senders.len());
-        let (reply_tx, reply_rx) = bounded(1);
-        let trace = {
-            // The enqueue frame covers routing + admission + send only;
-            // the blocking reply wait below is deliberately unprofiled
-            // (it is the *shard's* work, sampled on the shard thread).
-            let _p = ProfGuard::enter_path(&["serve", "enqueue"]);
-            self.admit_forced(shard, RequestKind::Observe);
-            let trace = self.trace_for(shard, user);
-            self.senders[shard]
-                .send(Request::Observe {
-                    user,
-                    item,
-                    trace,
-                    reply: Some(reply_tx),
-                    deadline: None,
-                })
-                .expect("shard thread alive");
-            trace
-        };
-        let reply = reply_rx.recv().expect("shard replies to observe");
-        self.close_trace(shard, "observe", trace, reply.stamp);
-        self.metrics
-            .observe_latency
-            .record_duration(start.elapsed());
-        reply.outcome.expect("deadline-free observe cannot be shed")
+        self.submit(user, Op::Observe(item), Admit::Forced, true)
+            .expect("deadline-free observe cannot be shed")
+            .kind()
     }
 
     /// Overload-aware ingestion: take a bounded-queue slot (or return the
@@ -908,33 +786,8 @@ impl ServeEngine {
         item: ItemId,
         deadline: Option<Instant>,
     ) -> Result<ConsumptionKind, ShedReason> {
-        let start = Instant::now();
-        let shard = shard_for(user, self.senders.len());
-        let (reply_tx, reply_rx) = bounded(1);
-        let trace = {
-            let _p = ProfGuard::enter_path(&["serve", "enqueue"]);
-            self.admit(shard, RequestKind::Observe)?;
-            let deadline = self.effective_deadline(deadline);
-            let trace = self.trace_for(shard, user);
-            self.senders[shard]
-                .send(Request::Observe {
-                    user,
-                    item,
-                    trace,
-                    reply: Some(reply_tx),
-                    deadline,
-                })
-                .expect("shard thread alive");
-            trace
-        };
-        let reply = reply_rx.recv().expect("shard replies to observe");
-        self.close_trace(shard, "observe", trace, reply.stamp);
-        if reply.outcome.is_ok() {
-            self.metrics
-                .observe_latency
-                .record_duration(start.elapsed());
-        }
-        reply.outcome
+        self.submit(user, Op::Observe(item), Admit::Gated(deadline), true)
+            .map(Served::kind)
     }
 
     /// Fire-and-forget ingestion: enqueue the event and return
@@ -942,19 +795,8 @@ impl ServeEngine {
     /// relative to the user's other requests. Traced requests record
     /// `enqueue_wait` and `score`; there is no reply, so no `respond` leg.
     pub fn observe_nowait(&self, user: UserId, item: ItemId) {
-        let shard = shard_for(user, self.senders.len());
-        let _p = ProfGuard::enter_path(&["serve", "enqueue"]);
-        self.admit_forced(shard, RequestKind::Observe);
-        let trace = self.trace_for(shard, user);
-        self.senders[shard]
-            .send(Request::Observe {
-                user,
-                item,
-                trace,
-                reply: None,
-                deadline: None,
-            })
-            .expect("shard thread alive");
+        self.submit(user, Op::Observe(item), Admit::Forced, false)
+            .expect("deadline-free observe cannot be shed");
     }
 
     /// Overload-aware fire-and-forget ingestion: the typed
@@ -968,52 +810,18 @@ impl ServeEngine {
         item: ItemId,
         deadline: Option<Instant>,
     ) -> Admission {
-        let shard = shard_for(user, self.senders.len());
-        let _p = ProfGuard::enter_path(&["serve", "enqueue"]);
-        if let Err(reason) = self.admit(shard, RequestKind::Observe) {
-            return Admission::Shed(reason);
+        match self.submit(user, Op::Observe(item), Admit::Gated(deadline), false) {
+            Ok(_) => Admission::Admitted,
+            Err(reason) => Admission::Shed(reason),
         }
-        let deadline = self.effective_deadline(deadline);
-        let trace = self.trace_for(shard, user);
-        self.senders[shard]
-            .send(Request::Observe {
-                user,
-                item,
-                trace,
-                reply: None,
-                deadline,
-            })
-            .expect("shard thread alive");
-        Admission::Admitted
     }
 
     /// Top-N repeat recommendations for `user` right now. Latency lands
     /// in the recommend histogram.
     pub fn recommend(&self, user: UserId, n: usize) -> Vec<ItemId> {
-        let start = Instant::now();
-        let shard = shard_for(user, self.senders.len());
-        let (reply_tx, reply_rx) = bounded(1);
-        let trace = {
-            let _p = ProfGuard::enter_path(&["serve", "enqueue"]);
-            self.admit_forced(shard, RequestKind::Recommend);
-            let trace = self.trace_for(shard, user);
-            self.senders[shard]
-                .send(Request::Recommend {
-                    user,
-                    n,
-                    trace,
-                    reply: reply_tx,
-                    deadline: None,
-                })
-                .expect("shard thread alive");
-            trace
-        };
-        let reply = reply_rx.recv().expect("shard replies to recommend");
-        self.close_trace(shard, "recommend", trace, reply.stamp);
-        self.metrics
-            .recommend_latency
-            .record_duration(start.elapsed());
-        reply.items.expect("deadline-free recommend cannot be shed")
+        self.submit(user, Op::Recommend(n), Admit::Forced, true)
+            .expect("deadline-free recommend cannot be shed")
+            .items()
     }
 
     /// Overload-aware top-N: `Err(QueueFull)` means the request was
@@ -1028,51 +836,33 @@ impl ServeEngine {
         n: usize,
         deadline: Option<Instant>,
     ) -> Result<Vec<ItemId>, ShedReason> {
-        let start = Instant::now();
-        let shard = shard_for(user, self.senders.len());
-        let (reply_tx, reply_rx) = bounded(1);
-        let trace = {
-            let _p = ProfGuard::enter_path(&["serve", "enqueue"]);
-            self.admit(shard, RequestKind::Recommend)?;
-            let deadline = self.effective_deadline(deadline);
-            let trace = self.trace_for(shard, user);
-            self.senders[shard]
-                .send(Request::Recommend {
-                    user,
-                    n,
-                    trace,
-                    reply: reply_tx,
-                    deadline,
-                })
-                .expect("shard thread alive");
-            trace
-        };
-        let reply = reply_rx.recv().expect("shard replies to recommend");
-        self.close_trace(shard, "recommend", trace, reply.stamp);
-        if reply.items.is_ok() {
-            self.metrics
-                .recommend_latency
-                .record_duration(start.elapsed());
-        }
-        reply.items
+        self.submit(user, Op::Recommend(n), Admit::Gated(deadline), true)
+            .map(Served::items)
+    }
+
+    /// Send one control message to every shard and collect the replies,
+    /// in shard order. Control messages travel the ordinary request
+    /// queues, behind whatever each shard already holds.
+    fn broadcast<T>(&self, message: impl Fn(Sender<T>) -> Request) -> Vec<T> {
+        let replies: Vec<Receiver<T>> = self
+            .senders
+            .iter()
+            .map(|tx| {
+                let (reply_tx, reply_rx) = bounded(1);
+                tx.send(message(reply_tx)).expect("shard thread alive");
+                reply_rx
+            })
+            .collect();
+        replies
+            .into_iter()
+            .map(|rx| rx.recv().expect("shard replies to a control message"))
+            .collect()
     }
 
     /// Barrier: returns once every request enqueued before this call —
     /// on every shard — has been fully processed.
     pub fn flush(&self) {
-        let replies: Vec<Receiver<()>> = self
-            .senders
-            .iter()
-            .map(|tx| {
-                let (reply_tx, reply_rx) = bounded(1);
-                tx.send(Request::Flush { reply: reply_tx })
-                    .expect("shard thread alive");
-                reply_rx
-            })
-            .collect();
-        for rx in replies {
-            rx.recv().expect("shard replies to flush");
-        }
+        self.broadcast(|reply| Request::Flush { reply });
     }
 
     /// Hot-swap the model without stopping traffic: harvest every shard's
@@ -1109,40 +899,17 @@ impl ServeEngine {
         // order across shards matches version order.
         let version = self.version.fetch_add(1, Ordering::Relaxed) + 1;
         // Phase 1: harvest deltas from every shard (in-band).
-        let replies: Vec<Receiver<ModelDiff>> = self
-            .senders
-            .iter()
-            .map(|tx| {
-                let (reply_tx, reply_rx) = bounded(1);
-                tx.send(Request::Harvest { reply: reply_tx })
-                    .expect("shard thread alive");
-                reply_rx
-            })
-            .collect();
         let mut merged = new_model;
-        for rx in replies {
-            let diff = rx.recv().expect("shard replies to harvest");
+        for diff in self.broadcast(|reply| Request::Harvest { reply }) {
             diff.apply_to(&mut merged);
         }
         // Phase 2: install the merged snapshot everywhere (in-band).
         let merged = Arc::new(merged);
-        let replies: Vec<Receiver<()>> = self
-            .senders
-            .iter()
-            .map(|tx| {
-                let (reply_tx, reply_rx) = bounded(1);
-                tx.send(Request::Install {
-                    model: merged.clone(),
-                    version,
-                    reply: reply_tx,
-                })
-                .expect("shard thread alive");
-                reply_rx
-            })
-            .collect();
-        for rx in replies {
-            rx.recv().expect("shard replies to install");
-        }
+        self.broadcast(|reply| Request::Install {
+            model: merged.clone(),
+            version,
+            reply,
+        });
         self.metrics.on_install(version, fingerprint);
         *published = merged.clone();
         merged
@@ -1164,19 +931,10 @@ impl ServeEngine {
     /// Clone out every user's window, keyed by user id, sorted. Runs
     /// in-band, so call after [`ServeEngine::flush`] for a quiescent view.
     pub fn export_windows(&self) -> Vec<(u32, WindowState)> {
-        let replies: Vec<Receiver<Vec<(u32, WindowState)>>> = self
-            .senders
-            .iter()
-            .map(|tx| {
-                let (reply_tx, reply_rx) = bounded(1);
-                tx.send(Request::ExportWindows { reply: reply_tx })
-                    .expect("shard thread alive");
-                reply_rx
-            })
-            .collect();
-        let mut out: Vec<(u32, WindowState)> = replies
+        let mut out: Vec<(u32, WindowState)> = self
+            .broadcast(|reply| Request::ExportWindows { reply })
             .into_iter()
-            .flat_map(|rx| rx.recv().expect("shard replies to export"))
+            .flatten()
             .collect();
         out.sort_by_key(|(u, _)| *u);
         out
@@ -1189,20 +947,7 @@ impl ServeEngine {
     /// report reflects everything enqueued before this call completes.
     pub fn quality_report(&self) -> Option<QualityReport> {
         let q = self.metrics.quality.as_ref()?;
-        let replies: Vec<Receiver<Vec<VersionQuality>>> = self
-            .senders
-            .iter()
-            .map(|tx| {
-                let (reply_tx, reply_rx) = bounded(1);
-                tx.send(Request::ExportQuality { reply: reply_tx })
-                    .expect("shard thread alive");
-                reply_rx
-            })
-            .collect();
-        let exports = replies
-            .into_iter()
-            .map(|rx| rx.recv().expect("shard replies to quality export"))
-            .collect();
+        let exports = self.broadcast(|reply| Request::ExportQuality { reply });
         Some(quality::build_report(
             &self.metrics.registry,
             q.spec,
@@ -1238,9 +983,8 @@ impl ServeEngine {
     /// target so a crash can still dump the rings.
     pub fn flight_recorders(&self) -> Vec<Arc<FlightRecorder>> {
         self.metrics
-            .forensics
-            .as_ref()
-            .map(|fx| fx.flight.clone())
+            .flight_rings()
+            .map(<[_]>::to_vec)
             .unwrap_or_default()
     }
 
@@ -1264,20 +1008,19 @@ impl ServeEngine {
         path: &Path,
         reason: &str,
     ) -> Option<io::Result<FlightBundleStats>> {
-        let fx = self.metrics.forensics.as_ref()?;
+        let rings = self.metrics.flight_rings()?;
         let mut meta = self.flight_meta();
         meta.push(("reason".to_string(), Json::Str(reason.to_string())));
-        Some(rrc_obs::write_flight_bundle(path, &meta, &fx.flight))
+        Some(rrc_obs::write_flight_bundle(path, &meta, rings))
     }
 
     /// A [`FlightDumpTarget`] for `rrc_obs::install_flight_dump` — the
     /// panic-hook / SIGTERM dump path — or `None` when forensics is off.
     pub fn flight_dump_target(&self, path: PathBuf) -> Option<FlightDumpTarget> {
-        let fx = self.metrics.forensics.as_ref()?;
         Some(FlightDumpTarget {
             path,
             meta: self.flight_meta(),
-            recorders: fx.flight.clone(),
+            recorders: self.metrics.flight_rings()?.to_vec(),
         })
     }
 
@@ -1325,6 +1068,7 @@ impl Drop for ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrc_core::parallel::mix64;
     use rrc_datagen::GeneratorConfig;
     use rrc_features::TrainStats;
 

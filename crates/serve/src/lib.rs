@@ -9,10 +9,12 @@
 //! * **Routing** ([`routing`]) — user state is partitioned across `N`
 //!   shard threads by a stable pure hash of the user id; every request
 //!   for a user lands on the shard that owns their window.
-//! * **Engine** ([`engine`]) — requests (`Observe`, `Recommend`, `Flush`)
-//!   travel per-shard FIFO channels with per-request reply channels.
-//!   FIFO delivery is the ordering guarantee: a user's events are never
-//!   dropped or reordered, even across a model hot-swap.
+//! * **Engine** ([`engine`]) — every data request (an observe or a
+//!   recommend, through any of the six entry points) is sent by one
+//!   function down its user's per-shard FIFO channel and served by one
+//!   shard arm; control messages (flush, both hot-swap phases) travel
+//!   the same queues. FIFO delivery is the ordering guarantee: a user's
+//!   events are never dropped or reordered, even across a model hot-swap.
 //! * **Hot swap** ([`overlay`]) — shards serve from a shared immutable
 //!   `Arc<TsPprModel>` snapshot and accumulate online SGD deltas in a
 //!   copy-on-write overlay. [`ServeEngine::swap_model`] harvests every
@@ -25,8 +27,10 @@
 //!   private [`rrc_obs::Registry`]: wait-free power-of-two latency
 //!   histograms (p50/p95/p99/mean/max) and per-shard traffic counters,
 //!   snapshotted as a [`MetricsReport`] or exposed as Prometheus text via
-//!   [`ServeEngine::metrics_text`]. With tracing on (the default), every
-//!   request carries a [`TraceCtx`] through its shard channel and its
+//!   [`ServeEngine::metrics_text`]. Every data request is accounted for
+//!   by one fixed-size [`trace::RequestRecord`] — kind, shard, stamps,
+//!   outcome — that the metrics layer hears about when the request is
+//!   offered, dequeued and finished; with tracing on (the default) its
 //!   enqueue-wait / score / respond stage durations land in per-shard
 //!   histograms, next to queue-depth and in-flight gauges and rolling
 //!   windowed counterparts.
@@ -36,7 +40,8 @@
 //!   (observes shed strictly before recommends), per-request deadlines
 //!   enforced at dequeue (late requests are shed, not served late), and
 //!   conservation-law accounting `offered == admitted + shed` per shard
-//!   and kind, surfaced as an `engine.overload` report section. The
+//!   and kind — counted from the record's one outcome — surfaced as an
+//!   `engine.overload` report section. The
 //!   [`arrival`] module gives `loadgen` matching open-loop arrival
 //!   processes (Poisson, burst trains, flash crowds, diurnal ramps).
 //! * **Online quality** ([`quality`]) — opt-in
@@ -93,7 +98,7 @@ pub use quality::{
     DriftValues, QualityConfig, QualityReport, VersionQuality, VersionQualityReport, QUALITY_AT,
 };
 pub use routing::shard_for;
-pub use trace::{ShardStamp, StageNanos, TraceCtx};
+pub use trace::StageNanos;
 pub use watcher::{RegistryWatcher, SwapLog};
 // The latency histogram now lives in the workspace-wide observability
 // crate; re-exported here for serving-focused callers.

@@ -10,21 +10,31 @@
 //! snapshot into a [`MetricsReport`] without stopping traffic, and
 //! [`ServeEngine::metrics_text`](crate::ServeEngine::metrics_text)
 //! exposes the same registry as Prometheus text.
+//!
+//! A data request is accounted for by one [`RequestRecord`], which
+//! `EngineMetrics` hears about at most three times: `offered` at the
+//! client, `dequeued` at the shard, `finished` on whichever side closes
+//! it. Tracing, forensics and overload accounting each fold that record;
+//! the engine never asks which of them is on.
 
 use crate::engine::ForensicsOptions;
-use crate::overload::{AdmissionGate, OverloadOptions, RequestKind};
+use crate::overload::{AdmissionGate, OverloadOptions, RequestKind, ShedReason};
 use crate::quality::{DriftAccum, QualityConfig};
-use crate::trace::{ShardStamp, StageNanos, TraceCtx};
+use crate::trace::{instant_of, now_ns, Enqueued, RequestRecord, StageNanos};
+use rrc_core::parallel::mix64;
 use rrc_obs::{
     top_slowest, BucketExemplars, Counter, ExemplarTrace, FlightRecorder, Gauge, Histogram,
     HistogramSnapshot, Json, JsonlSink, Registry, SloEngine, SloState, SloVerdict, TraceReservoir,
     WindowSpec, WindowedCounter, WindowedHistogram,
 };
+use rrc_sequence::UserId;
+use rrc_ustate::TierDelta;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Names of the three traced request stages, in pipeline order.
+/// Names of the three traced request stages, in pipeline order. Per-stage
+/// state is an array in this order.
 pub const STAGE_NAMES: [&str; 3] = ["enqueue_wait", "score", "respond"];
 
 /// Rolling-window stage quantiles and queue-depth samples are recorded
@@ -40,8 +50,13 @@ const WINDOW_SAMPLE_SHIFT: u32 = 2;
 
 /// True when this request id is in the 1-in-2^shift rolling sample.
 #[inline]
-pub(crate) fn sampled(id: u64) -> bool {
+fn sampled(id: u64) -> bool {
     id & ((1 << WINDOW_SAMPLE_SHIFT) - 1) == 0
+}
+
+/// One value per shard, built from the shard's label value.
+fn per_shard<T>(shards: usize, make: impl Fn(&str) -> T) -> Vec<T> {
+    (0..shards).map(|s| make(&s.to_string())).collect()
 }
 
 /// Pre-registered per-shard counter handles (recording is wait-free).
@@ -90,216 +105,85 @@ pub struct ShardCountersSnapshot {
     pub skipped: u64,
 }
 
-/// One shard's per-stage cumulative histograms
-/// (`serve_stage_duration_ns{shard=…,stage=…}`).
-#[derive(Debug, Clone)]
-pub(crate) struct StageHists {
-    pub enqueue_wait: Arc<Histogram>,
-    pub score: Arc<Histogram>,
-    pub respond: Arc<Histogram>,
-}
-
-impl StageHists {
-    fn register(registry: &Registry, shard: usize) -> Self {
-        let shard = shard.to_string();
-        let hist = |stage: &str| {
-            registry.histogram_with(
-                "serve_stage_duration_ns",
-                &[("shard", &shard), ("stage", stage)],
-            )
-        };
-        StageHists {
-            enqueue_wait: hist("enqueue_wait"),
-            score: hist("score"),
-            respond: hist("respond"),
-        }
-    }
-}
-
-/// One shard's rolling-window stage histograms
-/// (`serve_stage_duration_window_ns{shard=…,stage=…}`). Sharded (rather
-/// than one global series per stage) so that the per-event record stays
-/// on a shard-private cache line: with a single global handle every
-/// shard and client thread contends on the same bucket words, which
-/// costs double-digit percent throughput under load.
-#[derive(Debug, Clone)]
-pub(crate) struct StageWindows {
-    pub enqueue_wait: Arc<WindowedHistogram>,
-    pub score: Arc<WindowedHistogram>,
-    pub respond: Arc<WindowedHistogram>,
-}
-
-impl StageWindows {
-    fn register(registry: &Registry, shard: usize, window: WindowSpec) -> Self {
-        let shard = shard.to_string();
-        let hist = |stage: &str| {
-            registry.windowed_histogram_with(
-                "serve_stage_duration_window_ns",
-                &[("shard", &shard), ("stage", stage)],
-                window,
-            )
-        };
-        StageWindows {
-            enqueue_wait: hist("enqueue_wait"),
-            score: hist("score"),
-            respond: hist("respond"),
-        }
-    }
-}
-
 /// Request-scoped tracing state: stage histograms (cumulative and
 /// rolling-window, both per shard), queue-depth/in-flight gauges, and
 /// the windowed event counters behind the windowed-vs-cumulative
-/// throughput check. All hooks are wait-free handle operations; when
-/// tracing is off the engine skips them entirely, which is what
+/// throughput check. Everything recorded is a wait-free handle
+/// operation; when tracing is off none of it is touched, which is what
 /// BENCH_serve.json's tracing-overhead comparison measures.
 #[derive(Debug)]
-pub(crate) struct TracingMetrics {
-    pub stages: Vec<StageHists>,
-    pub windows: Vec<StageWindows>,
-    pub queue_depth: Vec<Arc<Gauge>>,
-    pub inflight: Vec<Arc<Gauge>>,
-    pub queue_sampled: Vec<Arc<Histogram>>,
-    pub events_window: Vec<Arc<WindowedCounter>>,
+struct TracingMetrics {
+    /// `serve_stage_duration_ns{shard=…,stage=…}`, cumulative.
+    stages: Vec<[Arc<Histogram>; 3]>,
+    /// `serve_stage_duration_window_ns{shard=…,stage=…}`. Sharded (rather
+    /// than one global series per stage) so that the per-event record
+    /// stays on a shard-private cache line: with a single global handle
+    /// every shard and client thread contends on the same bucket words,
+    /// which costs double-digit percent throughput under load.
+    windows: Vec<[Arc<WindowedHistogram>; 3]>,
+    queue_depth: Vec<Arc<Gauge>>,
+    inflight: Vec<Arc<Gauge>>,
+    queue_sampled: Vec<Arc<Histogram>>,
+    events_window: Vec<Arc<WindowedCounter>>,
     next_id: AtomicU64,
 }
 
 impl TracingMetrics {
     fn register(registry: &Registry, shards: usize, window: WindowSpec) -> Self {
-        let shard_label: Vec<String> = (0..shards).map(|s| s.to_string()).collect();
         TracingMetrics {
-            stages: (0..shards)
-                .map(|s| StageHists::register(registry, s))
-                .collect(),
-            windows: (0..shards)
-                .map(|s| StageWindows::register(registry, s, window))
-                .collect(),
-            queue_depth: shard_label
-                .iter()
-                .map(|s| registry.gauge_with("serve_queue_depth", &[("shard", s)]))
-                .collect(),
-            inflight: shard_label
-                .iter()
-                .map(|s| registry.gauge_with("serve_inflight", &[("shard", s)]))
-                .collect(),
-            queue_sampled: shard_label
-                .iter()
-                .map(|s| registry.histogram_with("serve_queue_depth_sampled", &[("shard", s)]))
-                .collect(),
-            events_window: shard_label
-                .iter()
-                .map(|s| {
-                    registry.windowed_counter_with("serve_events_window", &[("shard", s)], window)
+            stages: per_shard(shards, |s| {
+                STAGE_NAMES.map(|stage| {
+                    registry.histogram_with(
+                        "serve_stage_duration_ns",
+                        &[("shard", s), ("stage", stage)],
+                    )
                 })
-                .collect(),
+            }),
+            windows: per_shard(shards, |s| {
+                STAGE_NAMES.map(|stage| {
+                    registry.windowed_histogram_with(
+                        "serve_stage_duration_window_ns",
+                        &[("shard", s), ("stage", stage)],
+                        window,
+                    )
+                })
+            }),
+            queue_depth: per_shard(shards, |s| {
+                registry.gauge_with("serve_queue_depth", &[("shard", s)])
+            }),
+            inflight: per_shard(shards, |s| {
+                registry.gauge_with("serve_inflight", &[("shard", s)])
+            }),
+            queue_sampled: per_shard(shards, |s| {
+                registry.histogram_with("serve_queue_depth_sampled", &[("shard", s)])
+            }),
+            events_window: per_shard(shards, |s| {
+                registry.windowed_counter_with("serve_events_window", &[("shard", s)], window)
+            }),
             next_id: AtomicU64::new(0),
-        }
-    }
-
-    /// Client side, just before the request enters the shard channel:
-    /// bump the queue-depth and in-flight gauges and mint the context.
-    pub fn on_enqueue(&self, shard: usize, user_hash: u64) -> TraceCtx {
-        self.queue_depth[shard].add(1);
-        self.inflight[shard].add(1);
-        TraceCtx {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            user_hash,
-            enqueued: Instant::now(),
-        }
-    }
-
-    /// Shard side, right after pulling a traced request off the channel:
-    /// drop the depth gauge and (for sampled requests) record the
-    /// remaining depth. Returns the dequeue stamp and the observed depth
-    /// (for the reply's [`ShardStamp`]).
-    pub fn on_dequeue(&self, shard: usize, trace: &TraceCtx) -> (Instant, u64) {
-        self.queue_depth[shard].add(-1);
-        let depth = self.queue_depth[shard].get().max(0) as u64;
-        if sampled(trace.id) {
-            self.queue_sampled[shard].record(depth);
-        }
-        (Instant::now(), depth)
-    }
-
-    /// Shard side, when processing finishes: record `enqueue_wait` and
-    /// `score` (the `respond` leg is only observable by the client).
-    /// Returns the `processed` stamp to embed in the reply plus the
-    /// stage decomposition so far (respond still zero), which forensic
-    /// hooks reuse without a second clock read.
-    pub fn on_processed(
-        &self,
-        shard: usize,
-        trace: &TraceCtx,
-        dequeued: Instant,
-    ) -> (Instant, StageNanos) {
-        let processed = Instant::now();
-        let stages = StageNanos::from_instants(trace.enqueued, dequeued, processed);
-        self.stages[shard].enqueue_wait.record(stages.enqueue_wait);
-        self.stages[shard].score.record(stages.score);
-        if sampled(trace.id) {
-            let w = &self.windows[shard];
-            w.enqueue_wait
-                .record_at_instant(processed, stages.enqueue_wait);
-            w.score.record_at_instant(processed, stages.score);
-        }
-        self.events_window[shard].add_at_instant(processed, 1);
-        (processed, stages)
-    }
-
-    /// Shard side, after the reply (if any) is sent: the request is no
-    /// longer in flight.
-    pub fn on_complete(&self, shard: usize) {
-        self.inflight[shard].add(-1);
-    }
-
-    /// Client side, after receiving a reply: record the `respond` stage
-    /// from the client-computed stage decomposition.
-    pub fn on_respond(&self, shard: usize, trace: &TraceCtx, stages: &StageNanos) {
-        self.stages[shard].respond.record(stages.respond);
-        if sampled(trace.id) {
-            self.windows[shard].respond.record(stages.respond);
-        }
-    }
-}
-
-/// One shard's per-stage bucket exemplars: a trace id pinned to every
-/// populated stage-histogram bucket, so a p99 bucket links to a concrete
-/// replayable trace.
-pub(crate) struct StageExemplars {
-    pub enqueue_wait: BucketExemplars,
-    pub score: BucketExemplars,
-    pub respond: BucketExemplars,
-}
-
-impl StageExemplars {
-    fn new() -> Self {
-        StageExemplars {
-            enqueue_wait: BucketExemplars::new(),
-            score: BucketExemplars::new(),
-            respond: BucketExemplars::new(),
         }
     }
 }
 
 /// Forensic state: per-shard tail-sampling reservoirs, stage bucket
-/// exemplars, flight-recorder rings, and per-shard rolling request
-/// latency histograms (`serve_request_latency_window_ns{shard,kind}`)
-/// that feed the SLO engine's latency objectives.
+/// exemplars (a trace id pinned to every populated stage-histogram
+/// bucket, so a p99 bucket links to a concrete replayable trace),
+/// flight-recorder rings, and per-shard rolling request latency
+/// histograms (`serve_request_latency_window_ns{shard,kind}`) that feed
+/// the SLO engine's latency objectives.
 ///
 /// Hot-path cost discipline: exemplars and flight events are recorded
 /// only for sampled requests (the 1-in-4 id sample); the reservoir is
 /// consulted for every completed reply but takes its mutex only when the
 /// trace clears the lock-free [`TraceReservoir::admission_floor`] (i.e.
 /// is a tail candidate) or is in the sample.
-pub(crate) struct ForensicsMetrics {
-    pub reservoirs: Vec<Arc<TraceReservoir>>,
-    pub exemplars: Vec<StageExemplars>,
-    pub flight: Vec<Arc<FlightRecorder>>,
-    pub observe_window: Vec<Arc<WindowedHistogram>>,
-    pub recommend_window: Vec<Arc<WindowedHistogram>>,
-    pub sink: Option<Arc<JsonlSink>>,
-    /// Epoch for the reservoirs' monotonic aging clock.
-    origin: Instant,
+struct ForensicsMetrics {
+    reservoirs: Vec<Arc<TraceReservoir>>,
+    exemplars: Vec<[BucketExemplars; 3]>,
+    flight: Vec<Arc<FlightRecorder>>,
+    observe_window: Vec<Arc<WindowedHistogram>>,
+    recommend_window: Vec<Arc<WindowedHistogram>>,
+    sink: Option<Arc<JsonlSink>>,
 }
 
 impl std::fmt::Debug for ForensicsMetrics {
@@ -319,126 +203,98 @@ impl ForensicsMetrics {
         opts: &ForensicsOptions,
     ) -> Self {
         let window_ns = window.window().as_nanos().min(u64::MAX as u128) as u64;
-        let shard_label: Vec<String> = (0..shards).map(|s| s.to_string()).collect();
-        let latency = |kind: &str| -> Vec<Arc<WindowedHistogram>> {
-            shard_label
-                .iter()
-                .map(|s| {
-                    registry.windowed_histogram_with(
-                        "serve_request_latency_window_ns",
-                        &[("shard", s), ("kind", kind)],
-                        window,
-                    )
-                })
-                .collect()
+        let latency = |kind: &str| {
+            per_shard(shards, |s| {
+                registry.windowed_histogram_with(
+                    "serve_request_latency_window_ns",
+                    &[("shard", s), ("kind", kind)],
+                    window,
+                )
+            })
         };
         ForensicsMetrics {
             reservoirs: (0..shards)
                 .map(|_| Arc::new(TraceReservoir::new(opts.reservoir_k, window_ns)))
                 .collect(),
-            exemplars: (0..shards).map(|_| StageExemplars::new()).collect(),
+            exemplars: (0..shards)
+                .map(|_| STAGE_NAMES.map(|_| BucketExemplars::new()))
+                .collect(),
             flight: (0..shards)
                 .map(|s| Arc::new(FlightRecorder::new(s, opts.flight_capacity)))
                 .collect(),
             observe_window: latency("observe"),
             recommend_window: latency("recommend"),
             sink: opts.trace_sink.clone(),
-            origin: Instant::now(),
         }
     }
 
-    fn now_ns(&self) -> u64 {
-        self.origin.elapsed().as_nanos().min(u64::MAX as u128) as u64
-    }
-
-    /// Shard side, for *sampled* traced requests only: pin stage
-    /// exemplars for the shard-observable stages and drop a `request`
-    /// event into the shard's flight ring.
-    pub fn on_processed_shard(
+    /// Fold one served, traced request, closed at `received`. For
+    /// *sampled* requests: pin stage exemplars and drop a `request`
+    /// event into the shard's flight ring. For requests whose caller
+    /// waited (`replied`): feed the rolling request latency behind the
+    /// SLO latency objectives and offer the finished timeline to the
+    /// shard's tail reservoir (admission = the sampling decision → JSONL
+    /// sink).
+    fn served(
         &self,
-        shard: usize,
-        trace: &TraceCtx,
+        id: u64,
+        rec: &RequestRecord,
         stages: &StageNanos,
-        queue_depth: u64,
-        kind: &'static str,
-        version: u64,
+        replied: bool,
+        received: u64,
     ) {
-        let e = &self.exemplars[shard];
-        e.enqueue_wait.record(stages.enqueue_wait, trace.id);
-        e.score.record(stages.score, trace.id);
-        self.flight[shard].record(
-            "request",
-            vec![
-                ("trace_id", Json::U64(trace.id)),
-                ("user_hash", Json::U64(trace.user_hash)),
-                ("kind", Json::Str(kind.to_string())),
-                ("queue_depth", Json::U64(queue_depth)),
-                ("enqueue_wait_ns", Json::U64(stages.enqueue_wait)),
-                ("score_ns", Json::U64(stages.score)),
-                ("version", Json::U64(version)),
-            ],
-        );
-    }
-
-    /// Client side, when a traced reply closes: finish the exemplar
-    /// trace, offer it to the shard's tail reservoir (admission = the
-    /// sampling decision → JSONL sink), and feed the rolling request
-    /// latency histogram behind the SLO latency objectives.
-    pub fn on_client_complete(
-        &self,
-        shard: usize,
-        kind: &'static str,
-        trace: &TraceCtx,
-        stamp: &ShardStamp,
-        stages: &StageNanos,
-    ) {
+        let (shard, kind) = (rec.shard, rec.kind.as_str());
         let total = stages.total();
-        let in_sample = sampled(trace.id);
+        let in_sample = sampled(id);
         if in_sample {
-            self.exemplars[shard]
-                .respond
-                .record(stages.respond, trace.id);
-            let w = if kind == "recommend" {
-                &self.recommend_window[shard]
-            } else {
-                &self.observe_window[shard]
-            };
-            w.record(total);
+            let legs = stages.legs().into_iter().take(2 + replied as usize);
+            for (exemplars, ns) in self.exemplars[shard].iter().zip(legs) {
+                exemplars.record(ns, id);
+            }
+            self.flight[shard].record(
+                "request",
+                vec![
+                    ("trace_id", Json::U64(id)),
+                    ("user_hash", Json::U64(rec.user_hash)),
+                    ("kind", Json::Str(kind.to_string())),
+                    ("queue_depth", Json::U64(rec.queue_depth)),
+                    ("enqueue_wait_ns", Json::U64(stages.enqueue_wait)),
+                    ("score_ns", Json::U64(stages.score)),
+                    ("version", Json::U64(rec.version)),
+                ],
+            );
+            if replied {
+                let window = match rec.kind {
+                    RequestKind::Observe => &self.observe_window[shard],
+                    RequestKind::Recommend => &self.recommend_window[shard],
+                };
+                window.record_at_instant(instant_of(received), total);
+            }
         }
         let reservoir = &self.reservoirs[shard];
-        if !in_sample && total < reservoir.admission_floor() {
+        if !replied || (!in_sample && total < reservoir.admission_floor()) {
             return; // fast path: cannot be tail, not in the sample
         }
         let exemplar = ExemplarTrace {
-            id: trace.id,
-            user_hash: trace.user_hash,
+            id,
+            user_hash: rec.user_hash,
             shard,
-            version: stamp.version,
+            version: rec.version,
             kind,
-            queue_depth: stamp.queue_depth,
+            queue_depth: rec.queue_depth,
             enqueue_wait_ns: stages.enqueue_wait,
             score_ns: stages.score,
             respond_ns: stages.respond,
         };
-        let admitted = reservoir.offer(exemplar, self.now_ns());
-        if admitted {
-            if let Some(sink) = &self.sink {
-                sink.event(
-                    "trace",
-                    &[
-                        ("trace_id", Json::U64(trace.id)),
-                        ("user_hash", Json::U64(trace.user_hash)),
-                        ("shard", Json::U64(shard as u64)),
-                        ("version", Json::U64(stamp.version)),
-                        ("kind", Json::Str(kind.to_string())),
-                        ("queue_depth", Json::U64(stamp.queue_depth)),
-                        ("enqueue_wait_ns", Json::U64(stages.enqueue_wait)),
-                        ("score_ns", Json::U64(stages.score)),
-                        ("respond_ns", Json::U64(stages.respond)),
-                        ("total_ns", Json::U64(total)),
-                    ],
-                );
-            }
+        if !reservoir.offer(exemplar.clone(), received) {
+            return;
+        }
+        if let (Some(sink), Json::Obj(fields)) = (&self.sink, exemplar.to_json()) {
+            let fields: Vec<(&str, Json)> = fields
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.clone()))
+                .collect();
+            sink.event("trace", &fields);
         }
     }
 }
@@ -561,31 +417,16 @@ pub(crate) struct UstateMetrics {
 
 impl UstateMetrics {
     fn register(registry: &Registry, shards: usize, window: WindowSpec) -> Self {
-        let shard_label: Vec<String> = (0..shards).map(|s| s.to_string()).collect();
-        let counters = |name: &str| -> Vec<Arc<Counter>> {
-            shard_label
-                .iter()
-                .map(|s| registry.counter_with(name, &[("shard", s)]))
-                .collect()
+        let counters =
+            |name: &str| per_shard(shards, |s| registry.counter_with(name, &[("shard", s)]));
+        let windowed = |name: &str| {
+            per_shard(shards, |s| {
+                registry.windowed_counter_with(name, &[("shard", s)], window)
+            })
         };
-        let windowed = |name: &str| -> Vec<Arc<WindowedCounter>> {
-            shard_label
-                .iter()
-                .map(|s| registry.windowed_counter_with(name, &[("shard", s)], window))
-                .collect()
-        };
-        let gauges = |name: &str| -> Vec<Arc<Gauge>> {
-            shard_label
-                .iter()
-                .map(|s| registry.gauge_with(name, &[("shard", s)]))
-                .collect()
-        };
-        let hists = |name: &str| -> Vec<Arc<Histogram>> {
-            shard_label
-                .iter()
-                .map(|s| registry.histogram_with(name, &[("shard", s)]))
-                .collect()
-        };
+        let gauges = |name: &str| per_shard(shards, |s| registry.gauge_with(name, &[("shard", s)]));
+        let hists =
+            |name: &str| per_shard(shards, |s| registry.histogram_with(name, &[("shard", s)]));
         UstateMetrics {
             hits: counters("ustate_cache_hits_total"),
             misses: counters("ustate_cache_misses_total"),
@@ -664,49 +505,41 @@ pub(crate) struct OverloadKindSeries {
 
 impl OverloadKindSeries {
     fn register(registry: &Registry, shards: usize, window: WindowSpec, kind: &str) -> Self {
-        let shard_label: Vec<String> = (0..shards).map(|s| s.to_string()).collect();
-        let counters = |name: &str| -> Vec<Arc<Counter>> {
-            shard_label
-                .iter()
-                .map(|s| registry.counter_with(name, &[("shard", s), ("kind", kind)]))
-                .collect()
+        let counters = |name: &str| {
+            per_shard(shards, |s| {
+                registry.counter_with(name, &[("shard", s), ("kind", kind)])
+            })
         };
-        let shed = |name: &str, reason: &str| -> Vec<Arc<Counter>> {
-            shard_label
-                .iter()
-                .map(|s| {
-                    registry.counter_with(name, &[("shard", s), ("kind", kind), ("reason", reason)])
-                })
-                .collect()
+        let shed = |reason: &str| {
+            per_shard(shards, |s| {
+                registry.counter_with(
+                    "serve_shed_total",
+                    &[("shard", s), ("kind", kind), ("reason", reason)],
+                )
+            })
         };
-        let shed_window = |reason: &str| -> Vec<Arc<WindowedCounter>> {
-            shard_label
-                .iter()
-                .map(|s| {
-                    registry.windowed_counter_with(
-                        "serve_shed_window",
-                        &[("shard", s), ("kind", kind), ("reason", reason)],
-                        window,
-                    )
-                })
-                .collect()
+        let shed_window = |reason: &str| {
+            per_shard(shards, |s| {
+                registry.windowed_counter_with(
+                    "serve_shed_window",
+                    &[("shard", s), ("kind", kind), ("reason", reason)],
+                    window,
+                )
+            })
         };
         OverloadKindSeries {
             offered: counters("serve_offered_total"),
             admitted: counters("serve_admitted_total"),
-            shed_queue: shed("serve_shed_total", "queue"),
-            shed_deadline: shed("serve_shed_total", "deadline"),
+            shed_queue: shed("queue"),
+            shed_deadline: shed("deadline"),
             deadline_miss: counters("serve_deadline_miss_total"),
-            offered_window: shard_label
-                .iter()
-                .map(|s| {
-                    registry.windowed_counter_with(
-                        "serve_offered_window",
-                        &[("shard", s), ("kind", kind)],
-                        window,
-                    )
-                })
-                .collect(),
+            offered_window: per_shard(shards, |s| {
+                registry.windowed_counter_with(
+                    "serve_offered_window",
+                    &[("shard", s), ("kind", kind)],
+                    window,
+                )
+            }),
             shed_queue_window: shed_window("queue"),
             shed_deadline_window: shed_window("deadline"),
         }
@@ -779,37 +612,50 @@ impl OverloadMetrics {
         }
     }
 
-    /// The shard's admission gate, or `None` when only deadlines (no
-    /// queue bound) are configured.
-    pub fn gate(&self, shard: usize) -> Option<&Arc<AdmissionGate>> {
-        self.gates.as_ref().map(|g| &g[shard])
-    }
-
-    /// Client side, on every data request before the gate decision.
-    pub fn on_offered(&self, shard: usize, kind: RequestKind) {
+    /// Client side, on every data request: count the offer and take a
+    /// queue slot. A `forced` request (the non-`try` entry points, which
+    /// promise the caller no shedding) takes its slot unconditionally —
+    /// it may transiently push the depth past the cap, but it stays in
+    /// the depth accounting so the shard-side release balances. `Err`
+    /// means the gate refused the request, which must not be enqueued.
+    fn offer(&self, shard: usize, kind: RequestKind, forced: bool) -> Result<(), ShedReason> {
         let s = self.series(kind);
         s.offered[shard].inc();
         s.offered_window[shard].add(1);
+        match &self.gates {
+            Some(gates) if forced => {
+                gates[shard].force_admit();
+                Ok(())
+            }
+            Some(gates) => gates[shard].try_admit(kind),
+            None => Ok(()),
+        }
     }
 
-    /// Client side, when the gate refuses a request (never enqueued).
-    pub fn on_shed_queue(&self, shard: usize, kind: RequestKind) {
-        let s = self.series(kind);
-        s.shed_queue[shard].inc();
-        s.shed_queue_window[shard].add(1);
+    /// Shard side, at dequeue: give back the slot the request held (every
+    /// enqueued data request took exactly one).
+    fn release(&self, shard: usize) {
+        if let Some(gates) = &self.gates {
+            gates[shard].release();
+        }
     }
 
-    /// Shard side, when an admitted request is actually served.
-    pub fn on_admitted(&self, shard: usize, kind: RequestKind) {
-        self.series(kind).admitted[shard].inc();
-    }
-
-    /// Shard side, when an admitted request expires at dequeue.
-    pub fn on_shed_deadline(&self, shard: usize, kind: RequestKind) {
-        let s = self.series(kind);
-        s.shed_deadline[shard].inc();
-        s.shed_deadline_window[shard].add(1);
-        s.deadline_miss[shard].inc();
+    /// Close an offered request's books. The record has one outcome, so
+    /// `offered == admitted + shed` holds once every record is finished.
+    fn close(&self, rec: &RequestRecord) {
+        let (s, shard) = (self.series(rec.kind), rec.shard);
+        match rec.outcome {
+            Ok(()) => s.admitted[shard].inc(),
+            Err(ShedReason::QueueFull) => {
+                s.shed_queue[shard].inc();
+                s.shed_queue_window[shard].add(1);
+            }
+            Err(ShedReason::Deadline) => {
+                s.shed_deadline[shard].inc();
+                s.shed_deadline_window[shard].add(1);
+                s.deadline_miss[shard].inc();
+            }
+        }
     }
 
     /// Windowed shed fraction (all kinds, all shards): shed / offered
@@ -913,12 +759,12 @@ pub(crate) struct EngineMetrics {
     pub recommend_latency: Arc<Histogram>,
     pub observe_latency: Arc<Histogram>,
     pub shards: Vec<ShardCounters>,
-    pub tracing: Option<TracingMetrics>,
-    pub forensics: Option<ForensicsMetrics>,
+    tracing: Option<TracingMetrics>,
+    forensics: Option<ForensicsMetrics>,
     pub slo: Option<SloMetrics>,
     pub quality: Option<QualityMetrics>,
     pub ustate: UstateMetrics,
-    pub overload: Option<OverloadMetrics>,
+    overload: Option<OverloadMetrics>,
     /// Per-shard tier budget (None = unbounded), echoed in the report.
     ustate_budget: Option<usize>,
     model_version: Arc<Gauge>,
@@ -959,6 +805,151 @@ impl EngineMetrics {
             uptime_ms: registry.gauge("serve_uptime_ms"),
             registry,
         }
+    }
+
+    /// Client side, before a data request enters `shard`'s channel: count
+    /// the offer, take its queue slot (see [`OverloadMetrics::offer`] for
+    /// `forced`), and — with tracing on — bump the queue-depth and
+    /// in-flight gauges and stamp the enqueue. `Err` means the request
+    /// was shed at the gate: it is fully accounted and must not be sent.
+    pub fn offered(
+        &self,
+        shard: usize,
+        kind: RequestKind,
+        forced: bool,
+    ) -> Result<Option<Enqueued>, ShedReason> {
+        if let Some(om) = &self.overload {
+            if let Err(reason) = om.offer(shard, kind, forced) {
+                let mut rec = RequestRecord::new(kind, shard);
+                rec.outcome = Err(reason);
+                self.finished(&rec, None);
+                return Err(reason);
+            }
+        }
+        Ok(self.tracing.as_ref().map(|t| {
+            t.queue_depth[shard].add(1);
+            t.inflight[shard].add(1);
+            Enqueued {
+                id: t.next_id.fetch_add(1, Ordering::Relaxed),
+                at: now_ns(),
+            }
+        }))
+    }
+
+    /// Shard side, right after pulling the request off the channel: give
+    /// back its queue slot and open its record — for a traced request,
+    /// drop the depth gauge, record the remaining depth (sampled
+    /// requests), and stamp the dequeue.
+    pub fn dequeued(
+        &self,
+        shard: usize,
+        kind: RequestKind,
+        user: UserId,
+        trace: Option<Enqueued>,
+    ) -> RequestRecord {
+        let mut rec = RequestRecord::new(kind, shard);
+        if let Some(om) = &self.overload {
+            om.release(shard);
+        }
+        if let (Some(t), Some(trace)) = (&self.tracing, trace) {
+            let depth = &t.queue_depth[shard];
+            depth.add(-1);
+            rec.queue_depth = depth.get().max(0) as u64;
+            if sampled(trace.id) {
+                t.queue_sampled[shard].record(rec.queue_depth);
+            }
+            rec.id = Some(trace.id);
+            rec.user_hash = mix64(user.0 as u64);
+            rec.enqueued = trace.at;
+            rec.dequeued = now_ns();
+        }
+        rec
+    }
+
+    /// Close the request, once, on the side that learns its outcome last:
+    /// the shard for a shed or fire-and-forget request, the caller that
+    /// waited `since` it started for a reply. Overload books, stage
+    /// histograms, forensics and the client latency histogram all read
+    /// the one record — only *served* requests have stages or a latency.
+    pub fn finished(&self, rec: &RequestRecord, since: Option<Instant>) {
+        if let Some(om) = &self.overload {
+            om.close(rec);
+        }
+        // A record has an id iff it was enqueued with tracing on, i.e.
+        // iff it was counted in flight.
+        if let (Some(t), Some(id)) = (&self.tracing, rec.id) {
+            t.inflight[rec.shard].add(-1);
+            match rec.outcome {
+                Ok(()) => self.served(t, id, rec, since.is_some()),
+                Err(reason) => self.flight(rec.shard, "shed", || {
+                    vec![
+                        ("kind", Json::Str(rec.kind.as_str().to_string())),
+                        ("reason", Json::Str(reason.as_str().to_string())),
+                    ]
+                }),
+            }
+        }
+        if let (Ok(()), Some(since)) = (rec.outcome, since) {
+            let latency = match rec.kind {
+                RequestKind::Observe => &self.observe_latency,
+                RequestKind::Recommend => &self.recommend_latency,
+            };
+            latency.record_duration(since.elapsed());
+        }
+    }
+
+    /// Stage accounting of one served, traced request. A request nobody
+    /// waited for closes at its processed stamp and has no `respond` leg
+    /// (that leg is only observable by a waiting client).
+    fn served(&self, t: &TracingMetrics, id: u64, rec: &RequestRecord, replied: bool) {
+        let shard = rec.shard;
+        let received = if replied { now_ns() } else { rec.processed };
+        let stages = rec.stages(received);
+        let at = instant_of(received);
+        let in_sample = sampled(id);
+        let legs = stages.legs().into_iter().take(2 + replied as usize);
+        for (leg, ns) in legs.enumerate() {
+            t.stages[shard][leg].record(ns);
+            if in_sample {
+                t.windows[shard][leg].record_at_instant(at, ns);
+            }
+        }
+        t.events_window[shard].add_at_instant(at, 1);
+        if let Some(fx) = &self.forensics {
+            fx.served(id, rec, &stages, replied, received);
+        }
+    }
+
+    /// Drop an event into `shard`'s flight ring (forensics on only;
+    /// `fields` is not built otherwise).
+    pub fn flight(
+        &self,
+        shard: usize,
+        kind: &'static str,
+        fields: impl FnOnce() -> Vec<(&'static str, Json)>,
+    ) {
+        if let Some(fx) = &self.forensics {
+            fx.flight[shard].record(kind, fields());
+        }
+    }
+
+    /// The per-shard flight rings, or `None` with forensics off.
+    pub fn flight_rings(&self) -> Option<&[Arc<FlightRecorder>]> {
+        self.forensics.as_ref().map(|fx| fx.flight.as_slice())
+    }
+
+    /// Shard side, after a request touched the user-state tier: drain the
+    /// tier's delta into the cache series and the flight ring.
+    pub fn tier_settled(&self, shard: usize, delta: &TierDelta) {
+        // Evictions and spills are rare, high-signal events — exactly
+        // what a post-incident flight dump should show.
+        for &u in &delta.evicted_users {
+            self.flight(shard, "eviction", || vec![("user", Json::U64(u as u64))]);
+        }
+        for &ns in &delta.spill_ns {
+            self.flight(shard, "spill", || vec![("spill_ns", Json::U64(ns))]);
+        }
+        self.ustate.record(shard, delta);
     }
 
     /// Record a model install: stamp the version/fingerprint gauges and
@@ -1034,11 +1025,15 @@ impl EngineMetrics {
                 t.stages
                     .iter()
                     .enumerate()
-                    .map(|(shard, h)| StageSummary {
-                        shard,
-                        enqueue_wait: LatencySummary::from(h.enqueue_wait.snapshot()),
-                        score: LatencySummary::from(h.score.snapshot()),
-                        respond: LatencySummary::from(h.respond.snapshot()),
+                    .map(|(shard, h)| {
+                        let [enqueue_wait, score, respond] =
+                            h.each_ref().map(|h| LatencySummary::from(h.snapshot()));
+                        StageSummary {
+                            shard,
+                            enqueue_wait,
+                            score,
+                            respond,
+                        }
                     })
                     .collect()
             })
@@ -1110,13 +1105,8 @@ impl EngineMetrics {
             let mut p99_exemplars = Vec::new();
             if let Some(t) = &self.tracing {
                 for (shard, hists) in t.stages.iter().enumerate() {
-                    let ex = &fx.exemplars[shard];
-                    let per_stage: [(&'static str, &Arc<Histogram>, &BucketExemplars); 3] = [
-                        ("enqueue_wait", &hists.enqueue_wait, &ex.enqueue_wait),
-                        ("score", &hists.score, &ex.score),
-                        ("respond", &hists.respond, &ex.respond),
-                    ];
-                    for (stage, hist, exemplars) in per_stage {
+                    let per_stage = STAGE_NAMES.iter().zip(hists).zip(&fx.exemplars[shard]);
+                    for ((&stage, hist), exemplars) in per_stage {
                         let Some(p99) = hist.snapshot().quantile(0.99) else {
                             continue;
                         };
@@ -1890,19 +1880,19 @@ mod tests {
                 deadline: None,
             },
         );
-        let om = bounded.overload.as_ref().unwrap();
         // Simulate: 3 observes offered on shard 0 (2 served, 1 queue
         // shed), 2 recommends on shard 1 (1 served, 1 deadline shed).
-        for _ in 0..3 {
-            om.on_offered(0, RequestKind::Observe);
-        }
-        om.on_admitted(0, RequestKind::Observe);
-        om.on_admitted(0, RequestKind::Observe);
-        om.on_shed_queue(0, RequestKind::Observe);
-        om.on_offered(1, RequestKind::Recommend);
-        om.on_offered(1, RequestKind::Recommend);
-        om.on_admitted(1, RequestKind::Recommend);
-        om.on_shed_deadline(1, RequestKind::Recommend);
+        let run = |shard: usize, kind: RequestKind, outcome: Result<(), ShedReason>| {
+            let trace = bounded.offered(shard, kind, false).unwrap();
+            let mut rec = bounded.dequeued(shard, kind, UserId(0), trace);
+            rec.outcome = outcome;
+            bounded.finished(&rec, None);
+        };
+        run(0, RequestKind::Observe, Ok(()));
+        run(0, RequestKind::Observe, Ok(()));
+        run(0, RequestKind::Observe, Err(ShedReason::QueueFull));
+        run(1, RequestKind::Recommend, Ok(()));
+        run(1, RequestKind::Recommend, Err(ShedReason::Deadline));
         let r = bounded.report(Duration::from_secs(1));
         let o = r.overload.as_ref().unwrap();
         assert_eq!(o.queue_cap, Some(8));
@@ -1915,6 +1905,7 @@ mod tests {
         assert_eq!(o.recommend.shed_deadline, 1);
         // Window saw 5 offered, 2 shed.
         assert!((o.shed_rate_window() - 0.4).abs() < 1e-9);
+        let om = bounded.overload.as_ref().unwrap();
         assert_eq!(om.shed_rate_window(), Some(0.4));
         let doc = Json::parse(&r.to_json().render()).unwrap();
         assert_eq!(

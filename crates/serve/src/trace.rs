@@ -1,52 +1,114 @@
-//! Request-scoped tracing: where inside a request does the time go?
-//!
-//! The engine's original latency histograms answer "how long did the
-//! request take end to end"; tail-latency work needs the breakdown. Every
-//! traced request carries a [`TraceCtx`] — a request id plus the
-//! monotonic enqueue stamp — through its shard channel. The shard stamps
-//! dequeue and end-of-processing, the client stamps receipt of the reply,
-//! and the four stamps decompose into three stages:
+//! The request record: one fixed-size, heap-free account of a data
+//! request, from the client's offer to whichever side closes it.
 //!
 //! ```text
 //! enqueued ──(enqueue_wait)── dequeued ──(score)── processed ──(respond)── received
 //! ```
 //!
-//! `enqueue_wait` is time spent queued behind the shard's other work,
-//! `score` is the shard's own processing (feature extraction, scoring,
-//! online SGD), and `respond` is the reply channel plus client wakeup.
-//! The decomposition itself is the pure [`StageNanos::from_stamps`]
-//! kernel, which clamps out-of-order stamps (an `Instant` race across
-//! threads) so every stage is non-negative and the stages sum exactly to
-//! the clamped end-to-end total — the property `tests/trace_stages.rs`
-//! checks for arbitrary stamp quadruples.
+//! The client stamps `enqueued` (which travels with the request as an
+//! `Enqueued`), the shard builds the record at dequeue and stamps
+//! `dequeued` and `processed`, and a caller that waits for the reply
+//! supplies `received`. `enqueue_wait` is time spent queued behind the shard's
+//! other work, `score` is the shard's own processing (feature
+//! extraction, scoring, online SGD), and `respond` is the reply channel
+//! plus client wakeup. The decomposition is the pure
+//! [`StageNanos::from_stamps`] kernel, which clamps out-of-order stamps
+//! (a clock race across threads) so every stage is non-negative and the
+//! stages sum exactly to the clamped end-to-end total — the property
+//! `tests/trace_stages.rs` checks for arbitrary stamps, on the kernel and
+//! on the record.
+//!
+//! The record's `outcome` is what keeps the books: every offered request
+//! ends served or shed with a reason, and the metrics layer counts it
+//! once, from that field (see `EngineMetrics::finished`).
 
-use std::time::Instant;
+use crate::overload::{RequestKind, ShedReason};
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
-/// Context attached to a traced request at enqueue time.
+/// The common monotonic axis of every stamp.
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
+/// Nanoseconds on the stamp axis, now.
+pub(crate) fn now_ns() -> u64 {
+    epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// The instant a stamp was taken at (for the rolling windows, which key
+/// their epochs by `Instant`).
+pub(crate) fn instant_of(stamp_ns: u64) -> Instant {
+    epoch() + Duration::from_nanos(stamp_ns)
+}
+
+/// What a traced request carries through its shard channel: the record's
+/// id and enqueue stamp. The shard builds the [`RequestRecord`] around them at
+/// dequeue, so a queued message stays as small as it can be.
 #[derive(Debug, Clone, Copy)]
-pub struct TraceCtx {
-    /// Engine-unique request id (monotonically assigned at enqueue).
+pub(crate) struct Enqueued {
     pub id: u64,
+    pub at: u64,
+}
+
+/// One data request's account. Untraced requests (`id == None`) carry no
+/// stamps: the kind, shard and outcome still balance the overload books.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestRecord {
+    /// Engine-unique trace id (assigned at enqueue), `None` when the
+    /// engine runs with tracing off.
+    pub id: Option<u64>,
+    pub kind: RequestKind,
     /// `mix64` of the requesting user id — a stable join key carried
     /// into exemplar traces without shipping the raw id.
     pub user_hash: u64,
-    /// When the client handed the request to the shard channel.
-    pub enqueued: Instant,
-}
-
-/// Stamps a shard embeds in a traced reply so the client can close the
-/// trace: the dequeue/processed instants for the stage decomposition,
-/// plus the forensic context only the shard could observe.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardStamp {
-    /// When the shard pulled the request off its channel.
-    pub dequeued: Instant,
-    /// When the shard finished processing (start of the respond leg).
-    pub processed: Instant,
-    /// Channel depth observed at dequeue.
-    pub queue_depth: u64,
+    pub shard: usize,
     /// Model version that served the request.
     pub version: u64,
+    /// When the client handed the request to the shard channel.
+    pub enqueued: u64,
+    /// When the shard pulled the request off its channel.
+    pub dequeued: u64,
+    /// When the shard finished processing (start of the respond leg).
+    pub processed: u64,
+    /// Channel depth observed at dequeue.
+    pub queue_depth: u64,
+    /// Served, or shed with the reason. Starts out `Ok`.
+    pub outcome: Result<(), ShedReason>,
+}
+
+impl RequestRecord {
+    /// An untraced, not yet shed record.
+    pub fn new(kind: RequestKind, shard: usize) -> RequestRecord {
+        RequestRecord {
+            id: None,
+            kind,
+            user_hash: 0,
+            shard,
+            version: 0,
+            enqueued: 0,
+            dequeued: 0,
+            processed: 0,
+            queue_depth: 0,
+            outcome: Ok(()),
+        }
+    }
+
+    /// Shard side, when the request has been served by model `version`:
+    /// the processed stamp (traced requests only).
+    pub(crate) fn served_by(&mut self, version: u64) {
+        self.version = version;
+        if self.id.is_some() {
+            self.processed = now_ns();
+        }
+    }
+
+    /// The stage decomposition of this request, closed at `received`.
+    /// A request nobody waited for closes at its own `processed` stamp.
+    pub fn stages(&self, received: u64) -> StageNanos {
+        StageNanos::from_stamps(self.enqueued, self.dequeued, self.processed, received)
+    }
 }
 
 /// One traced request's stage durations, in nanoseconds.
@@ -65,7 +127,7 @@ impl StageNanos {
     /// axis) into stage durations.
     ///
     /// Stamps are clamped forward (`dequeued ≥ enqueued`, and so on) so a
-    /// cross-thread `Instant` race can never produce a negative stage;
+    /// cross-thread clock race can never produce a negative stage;
     /// after clamping, `enqueue_wait + score + respond` equals the
     /// clamped end-to-end span exactly.
     pub fn from_stamps(enqueued: u64, dequeued: u64, processed: u64, received: u64) -> StageNanos {
@@ -79,25 +141,16 @@ impl StageNanos {
         }
     }
 
-    /// The [`Instant`]-based form used on the live path: `received` is
-    /// now. Saturates at `u64::MAX` nanoseconds per stage.
-    pub fn from_instants(enqueued: Instant, dequeued: Instant, processed: Instant) -> StageNanos {
-        let received = Instant::now();
-        let ns = |d: std::time::Duration| d.as_nanos().min(u64::MAX as u128) as u64;
-        // `duration_since` with saturation gives the same clamping as
-        // `from_stamps`: a later stamp never reads before an earlier one.
-        StageNanos {
-            enqueue_wait: ns(dequeued.saturating_duration_since(enqueued)),
-            score: ns(processed.saturating_duration_since(dequeued)),
-            respond: ns(received.saturating_duration_since(processed)),
-        }
-    }
-
     /// End-to-end nanoseconds (sum of the three stages, saturating).
     pub fn total(&self) -> u64 {
         self.enqueue_wait
             .saturating_add(self.score)
             .saturating_add(self.respond)
+    }
+
+    /// The stages in [`STAGE_NAMES`](crate::metrics::STAGE_NAMES) order.
+    pub(crate) fn legs(&self) -> [u64; 3] {
+        [self.enqueue_wait, self.score, self.respond]
     }
 }
 
@@ -117,7 +170,7 @@ mod tests {
     #[test]
     fn out_of_order_stamps_clamp_to_zero_stages() {
         // A dequeue stamp that reads before the enqueue stamp (cross-CPU
-        // Instant skew) collapses that stage to zero, not underflow.
+        // clock skew) collapses that stage to zero, not underflow.
         let s = StageNanos::from_stamps(500, 100, 600, 550);
         assert_eq!(s.enqueue_wait, 0);
         assert_eq!(s.score, 100);
@@ -126,12 +179,22 @@ mod tests {
     }
 
     #[test]
-    fn instant_form_matches_stamp_form_shape() {
-        let t0 = Instant::now();
-        let s = StageNanos::from_instants(t0, t0, t0);
-        assert_eq!(s.enqueue_wait, 0);
-        assert_eq!(s.score, 0);
-        // respond = now - t0: tiny but non-negative.
-        assert!(s.total() >= s.respond);
+    fn live_stamps_decompose_like_the_kernel() {
+        // Ports `instant_form_matches_stamp_form_shape`: stamps taken from
+        // the live clock are monotone, and a record closed at its own
+        // processed stamp has no respond leg.
+        let mut rec = RequestRecord::new(RequestKind::Observe, 0);
+        rec.id = Some(0);
+        rec.enqueued = now_ns();
+        rec.dequeued = now_ns();
+        rec.served_by(3);
+        assert!(rec.enqueued <= rec.dequeued && rec.dequeued <= rec.processed);
+        let s = rec.stages(rec.processed);
+        assert_eq!(s.respond, 0);
+        assert_eq!(s.total(), rec.processed - rec.enqueued);
+        assert_eq!(
+            instant_of(rec.processed),
+            instant_of(rec.enqueued + s.total())
+        );
     }
 }

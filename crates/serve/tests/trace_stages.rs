@@ -2,10 +2,13 @@
 //! stamp quadruples — including out-of-order ones from cross-thread
 //! `Instant` skew — every stage is non-negative (by type: `u64`) and the
 //! stages sum exactly to the forward-clamped end-to-end span. No traced
-//! request can ever report more (or less) stage time than it spent.
+//! request can ever report more (or less) stage time than it spent. The
+//! live path decomposes through `RequestRecord::stages`, held to the same
+//! property on the same stamps.
 
 use proptest::prelude::*;
-use rrc_serve::StageNanos;
+use rrc_serve::trace::RequestRecord;
+use rrc_serve::{RequestKind, StageNanos};
 
 /// The clamped end-to-end span: each stamp pulled forward to at least
 /// its predecessor, independently of the decomposition under test.
@@ -33,6 +36,15 @@ proptest! {
             "stages must sum to the clamped total without overflow"
         );
         prop_assert_eq!(s.total(), clamped_total(enqueued, dequeued, processed, received));
+
+        // The record the engine folds decomposes by the same kernel.
+        let mut record = RequestRecord::new(RequestKind::Observe, 0);
+        (record.enqueued, record.dequeued, record.processed) = (enqueued, dequeued, processed);
+        prop_assert_eq!(record.stages(received), s);
+        prop_assert_eq!(
+            record.stages(received).total(),
+            clamped_total(enqueued, dequeued, processed, received)
+        );
     }
 
     #[test]

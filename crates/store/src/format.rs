@@ -32,8 +32,8 @@
 //! new complete file; a torn write leaves only a temp file behind, and any
 //! in-place damage is caught by the per-section CRCs.
 
-use crate::crc32::crc32;
 use crate::error::{corrupt, StoreError};
+use rrc_obs::crc32::crc32;
 use rrc_obs::global;
 use std::fs::File;
 use std::io::{Read, Write as _};

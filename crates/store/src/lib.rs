@@ -3,7 +3,7 @@
 //! Everything the workspace writes to disk that must survive a crash goes
 //! through this crate:
 //!
-//! * [`format`] — the versioned little-endian container: a fixed header
+//! * [`mod@format`] — the versioned little-endian container: a fixed header
 //!   (magic, version, flags) followed by length-prefixed, CRC32-checked
 //!   sections, each 8-byte aligned so the reader can serve `&[f64]` views
 //!   straight out of one read buffer. Writes are atomic
@@ -23,7 +23,7 @@
 //!   user's live window, so a killed stream trainer resumes
 //!   bit-identically.
 //! * [`segment`] — the `USEG1` keyed record log backing the user-state
-//!   tier's cold spill: same framing and CRC discipline as [`format`],
+//!   tier's cold spill: same framing and CRC discipline as [`mod@format`],
 //!   but append-oriented with last-writer-wins keys and atomic compaction.
 //! * [`text`] — the legacy line-oriented text format, kept as a
 //!   human-readable debug export (moved here from `rrc-core`).
@@ -37,7 +37,6 @@
 #[cfg(target_endian = "big")]
 compile_error!("rrc-store's zero-copy reader requires a little-endian target; see DESIGN.md");
 
-mod crc32;
 mod error;
 
 pub mod checkpoint;
@@ -50,12 +49,12 @@ pub mod stream;
 pub mod text;
 
 pub use checkpoint::{load_checkpoint, save_checkpoint, Checkpointer};
-pub use crc32::crc32;
 pub use error::StoreError;
 pub use format::{StoreFile, Tag, Writer};
 pub use fpmc::{load_fpmc, save_fpmc};
 pub use model::{load_model, save_model, ModelView, META_FINGERPRINT};
 pub use registry::ModelRegistry;
+pub use rrc_obs::crc32::crc32;
 pub use segment::SegmentLog;
 pub use stream::{
     encode_stream_checkpoint, load_stream_checkpoint, save_stream_checkpoint, PrequentialCounters,

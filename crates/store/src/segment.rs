@@ -4,7 +4,7 @@
 //! parks their serialized state here. The file reuses the `RRCSTOR1`
 //! envelope — same 16-byte header, and every record is framed exactly like
 //! a container section (tag + reserved + length, payload, zero padding to
-//! 8 bytes, CRC-32, zero trailer) — but unlike [`StoreFile`] the same tag
+//! 8 bytes, CRC-32, zero trailer) — but unlike [`crate::StoreFile`] the same tag
 //! repeats: each `USEG` record holds one user's latest spill, and a later
 //! record for the same key supersedes the earlier one.
 //!
@@ -27,9 +27,9 @@
 //! rewrites the live set and swaps it in with the same atomic
 //! temp-file-then-rename [`commit`] the model store uses.
 
-use crate::crc32::crc32;
 use crate::error::{corrupt, StoreError};
 use crate::format::{commit, Tag, FORMAT_VERSION, MAGIC};
+use rrc_obs::crc32::crc32;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write as _};

@@ -7,6 +7,7 @@
 //! channel fed by a live workload ([`ChannelSource`]).
 
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
+use rrc_obs::Json;
 use rrc_sequence::{ItemId, UserId};
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -209,28 +210,16 @@ impl EventSource for FileFollowSource {
     }
 }
 
-/// Parse one `{"user":U,"item":V}` line. Hand-rolled (the workspace
-/// vendors no JSON parser): finds each quoted key and reads the unsigned
-/// integer after its colon. Extra whitespace and extra fields are fine;
-/// a missing key or a non-integer value is not.
+/// Parse one `{"user":U,"item":V}` line as strict JSON. Extra whitespace,
+/// extra fields and either key order are fine; a missing key, a value
+/// that is not an unsigned integer, or anything after the object is not.
 fn parse_event_line(line: &[u8]) -> Option<StreamEvent> {
-    let text = std::str::from_utf8(line).ok()?;
-    let user = field_u64(text, "user")?;
-    let item = field_u64(text, "item")?;
+    let doc = Json::parse(std::str::from_utf8(line).ok()?).ok()?;
+    let id = |key: &str| u32::try_from(doc.get(key)?.as_u64()?).ok();
     Some(StreamEvent {
-        user: UserId(u32::try_from(user).ok()?),
-        item: ItemId(u32::try_from(item).ok()?),
+        user: UserId(id("user")?),
+        item: ItemId(id("item")?),
     })
-}
-
-fn field_u64(text: &str, key: &str) -> Option<u64> {
-    let quoted = format!("\"{key}\"");
-    let after_key = &text[text.find(&quoted)? + quoted.len()..];
-    let after_colon = after_key.trim_start().strip_prefix(':')?.trim_start();
-    let digits: &str = &after_colon[..after_colon
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(after_colon.len())];
-    digits.parse().ok()
 }
 
 #[cfg(test)]
@@ -257,6 +246,15 @@ mod tests {
         assert_eq!(parse_event_line(br#"{"user":3}"#), None);
         assert_eq!(parse_event_line(br#"{"user":-1,"item":2}"#), None);
         assert_eq!(parse_event_line(b"garbage"), None);
+        // Malformed values are refused whole, never read as a prefix.
+        assert_eq!(parse_event_line(br#"{"user":1.5,"item":2}"#), None);
+        assert_eq!(parse_event_line(br#"{"user":12abc,"item":2}"#), None);
+        // A key inside a string value is not the key.
+        assert_eq!(parse_event_line(br#"{"note":"\"user\":7","item":2}"#), None);
+        assert_eq!(
+            parse_event_line(br#"{"note":"\"user\":7","user":3,"item":2}"#),
+            Some(ev(3, 2))
+        );
     }
 
     #[test]
@@ -285,11 +283,18 @@ mod tests {
         assert_eq!(src.poll(), Poll::Pending);
         f.write_all(b"\"item\":20}\n").unwrap();
         f.write_all(b"not json\n").unwrap();
+        for mis_parsable in [
+            r#"{"user":1.5,"item":2}"#,
+            r#"{"user":12abc,"item":2}"#,
+            r#"{"note":"\"user\":7","item":2}"#,
+        ] {
+            writeln!(f, "{mis_parsable}").unwrap();
+        }
         write_event_line(&mut f, ev(3, 30)).unwrap();
         f.sync_all().unwrap();
         assert_eq!(src.poll(), Poll::Event(ev(2, 20)));
         assert_eq!(src.poll(), Poll::Event(ev(3, 30)));
-        assert_eq!(src.parse_errors(), 1);
+        assert_eq!(src.parse_errors(), 4);
         src.stop_following();
         assert_eq!(src.poll(), Poll::End);
         std::fs::remove_dir_all(&dir).ok();
