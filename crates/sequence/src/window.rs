@@ -199,13 +199,18 @@ impl WindowState {
     /// and [`time`](Self::time): the multiplicity map is derivable from the
     /// window contents, but `last_seen` covers the *entire* pushed history.
     pub fn last_seen_entries(&self) -> Vec<(ItemId, usize)> {
-        let mut out: Vec<(ItemId, usize)> = self
-            .last_seen
-            .iter()
-            .map(|(&item, &step)| (item, step))
-            .collect();
-        out.sort_unstable_by_key(|&(item, _)| item);
+        let mut out = Vec::with_capacity(self.last_seen.len());
+        self.last_seen_entries_into(&mut out);
         out
+    }
+
+    /// [`last_seen_entries`](Self::last_seen_entries) into a buffer the
+    /// caller reuses: `out` is cleared first, and nothing is allocated once
+    /// it has grown to the history's distinct-item count.
+    pub fn last_seen_entries_into(&self, out: &mut Vec<(ItemId, usize)>) {
+        out.clear();
+        out.extend(self.last_seen.iter().map(|(&item, &step)| (item, step)));
+        out.sort_unstable_by_key(|&(item, _)| item);
     }
 
     /// Rebuild a window from serialized parts: the capacity, the time step,
@@ -228,6 +233,13 @@ impl WindowState {
         assert!(capacity > 0, "window capacity must be positive");
         assert!(events.len() <= capacity, "more events than capacity");
         assert!(t >= events.len(), "time precedes window contents");
+        // `counts` grows one insert at a time on purpose. Sizing it up front
+        // would save its regrowth allocations, but where colliding items
+        // land in the table, and so whether a later removal leaves a
+        // tombstone, follows the order they reached it. Tombstones lower
+        // `capacity()`, `approx_bytes` reads it, and byte-budgeted caches
+        // evict by that: a differently laid-out table is a different
+        // eviction sequence.
         let mut counts: IdHashMap<ItemId, u32> = IdHashMap::default();
         for &item in events {
             *counts.entry(item).or_insert(0) += 1;

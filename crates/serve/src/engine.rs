@@ -354,7 +354,8 @@ impl Shard {
         self.tier
             .note_access(user)
             .expect("user-state tier: spill evicted state");
-        self.metrics.tier_settled(self.id, &self.tier.take_delta());
+        self.tier
+            .drain_delta(|delta| self.metrics.tier_settled(self.id, delta));
         self.metrics.ustate.set_footprint(
             self.id,
             self.tier.resident_bytes(),

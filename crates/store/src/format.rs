@@ -446,6 +446,19 @@ impl StoreFile {
 /// same directory, fsync it, rename it into place, fsync the directory.
 /// Timed under the `store.save` span; adds to `store_bytes_written_total`.
 pub fn commit(path: impl AsRef<Path>, bytes: &[u8]) -> Result<(), StoreError> {
+    commit_with(path, |f| {
+        f.write_all(bytes)?;
+        Ok(bytes.len() as u64)
+    })
+}
+
+/// [`commit`] for content that is produced as it is written: `write` fills
+/// the temp file and returns how many bytes it wrote. If it fails the temp
+/// file is removed and `path` is untouched.
+pub(crate) fn commit_with(
+    path: impl AsRef<Path>,
+    write: impl FnOnce(&mut File) -> Result<u64, StoreError>,
+) -> Result<(), StoreError> {
     let _span = global().span("store.save");
     let path = path.as_ref();
     let file_name = path
@@ -460,27 +473,26 @@ pub fn commit(path: impl AsRef<Path>, bytes: &[u8]) -> Result<(), StoreError> {
         file_name.to_string_lossy(),
         std::process::id()
     ));
-    let write = (|| -> std::io::Result<()> {
+    let written = (|| {
         let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()
+        let written = write(&mut f)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        Ok(written)
     })();
-    if let Err(e) = write {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(StoreError::Io(e));
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(StoreError::Io(e));
-    }
+    let written = match written {
+        Ok(n) => n,
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
+    };
     // Make the rename itself durable. Directory fsync is best-effort:
     // some filesystems refuse to open directories for writing.
     if let Ok(d) = File::open(&dir) {
         let _ = d.sync_all();
     }
-    global()
-        .counter("store_bytes_written_total")
-        .add(bytes.len() as u64);
+    global().counter("store_bytes_written_total").add(written);
     Ok(())
 }
 

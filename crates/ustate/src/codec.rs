@@ -57,33 +57,68 @@ fn bad(detail: impl Into<String>) -> StoreError {
     }
 }
 
+/// Buffers the codec fills on every record and a caller keeps between
+/// records, so neither direction allocates for its intermediate lists.
+#[derive(Debug, Default)]
+pub(crate) struct CodecScratch {
+    events: Vec<ItemId>,
+    last_seen: Vec<(ItemId, usize)>,
+}
+
 /// Serialize one user's state.
 pub fn encode_record(version: u64, window: &WindowState, factors: Option<&UserFactors>) -> Vec<u8> {
-    let events: Vec<ItemId> = window.events().collect();
-    let last_seen = window.last_seen_entries();
+    let mut out = Vec::new();
+    encode_record_into(
+        &mut out,
+        &mut CodecScratch::default(),
+        version,
+        window,
+        factors,
+    );
+    out
+}
+
+/// [`encode_record`] appended to `out` (in the tier, the segment's tail).
+/// Alignment padding is relative to the record's first byte, whatever
+/// `out` already holds.
+pub(crate) fn encode_record_into(
+    out: &mut Vec<u8>,
+    scratch: &mut CodecScratch,
+    version: u64,
+    window: &WindowState,
+    factors: Option<&UserFactors>,
+) {
+    let last_seen = &mut scratch.last_seen;
+    window.last_seen_entries_into(last_seen);
     let (k, f) = factors.map_or((0usize, 0usize), |fx| {
         (fx.cur_u.len(), fx.cur_a.as_slice().len() / fx.cur_u.len())
     });
-    let mut out =
-        Vec::with_capacity(FIXED_LEN + 4 * events.len() + 12 * last_seen.len() + 16 * (k + k * f));
+    let start = out.len();
+    out.reserve(
+        FIXED_LEN
+            + (4 * window.len()).next_multiple_of(8)
+            + (4 * last_seen.len()).next_multiple_of(8)
+            + 8 * last_seen.len()
+            + 16 * (k + k * f),
+    );
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&(window.capacity() as u32).to_le_bytes());
     let flags = if factors.is_some() { FLAG_FACTORS } else { 0 };
     out.extend_from_slice(&flags.to_le_bytes());
     out.extend_from_slice(&(window.time() as u64).to_le_bytes());
-    out.extend_from_slice(&(events.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(window.len() as u32).to_le_bytes());
     out.extend_from_slice(&(last_seen.len() as u32).to_le_bytes());
     out.extend_from_slice(&(k as u32).to_le_bytes());
     out.extend_from_slice(&(f as u32).to_le_bytes());
-    for item in &events {
+    for item in window.events() {
         out.extend_from_slice(&item.0.to_le_bytes());
     }
-    pad8(&mut out);
-    for (item, _) in &last_seen {
+    pad8(out, start);
+    for (item, _) in last_seen.iter() {
         out.extend_from_slice(&item.0.to_le_bytes());
     }
-    pad8(&mut out);
-    for (_, step) in &last_seen {
+    pad8(out, start);
+    for (_, step) in last_seen.iter() {
         out.extend_from_slice(&(*step as u64).to_le_bytes());
     }
     if let Some(fx) = factors {
@@ -98,7 +133,6 @@ pub fn encode_record(version: u64, window: &WindowState, factors: Option<&UserFa
             }
         }
     }
-    out
 }
 
 /// Deserialize one user's state, validating the layout end to end.
@@ -108,6 +142,17 @@ pub fn decode_record(
     data: &[u8],
     expect_k: usize,
     expect_f: usize,
+) -> Result<SpillRecord, StoreError> {
+    decode_record_with(data, expect_k, expect_f, &mut CodecScratch::default())
+}
+
+/// [`decode_record`] through buffers the caller keeps: what it allocates
+/// is what the returned record owns.
+pub(crate) fn decode_record_with(
+    data: &[u8],
+    expect_k: usize,
+    expect_f: usize,
+    scratch: &mut CodecScratch,
 ) -> Result<SpillRecord, StoreError> {
     let mut r = Reader { data, off: 0 };
     if data.len() < FIXED_LEN {
@@ -133,19 +178,20 @@ pub fn decode_record(
     if t < buf_len {
         return Err(bad("time step precedes window contents"));
     }
-    let mut events = Vec::with_capacity(buf_len);
-    for _ in 0..buf_len {
-        events.push(ItemId(r.u32()?));
-    }
+    // The lists are sized only once the bytes they are read from are known
+    // to be there, never by a declared count alone.
+    let events = &mut scratch.events;
+    events.clear();
+    events.extend(r.u32s(buf_len)?.map(ItemId));
     r.pad8()?;
-    let mut items = Vec::with_capacity(ls_len);
-    for _ in 0..ls_len {
-        items.push(ItemId(r.u32()?));
-    }
+    let items = r.u32s(ls_len)?;
     r.pad8()?;
-    let mut last_seen = Vec::with_capacity(ls_len);
-    for item in items {
-        let step = r.u64()? as usize;
+    let steps = r.u64s(ls_len)?;
+    let last_seen = &mut scratch.last_seen;
+    last_seen.clear();
+    last_seen.reserve(ls_len);
+    for (item, step) in items.map(ItemId).zip(steps) {
+        let step = step as usize;
         if step >= t {
             return Err(bad("last-seen step at or past the current time"));
         }
@@ -176,7 +222,7 @@ pub fn decode_record(
     if r.off != data.len() {
         return Err(bad("trailing bytes after record"));
     }
-    let window = WindowState::from_parts(capacity, t, &events, &last_seen);
+    let window = WindowState::from_parts(capacity, t, events, last_seen);
     Ok(SpillRecord {
         version,
         window,
@@ -189,8 +235,8 @@ struct Reader<'a> {
     off: usize,
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], StoreError> {
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         let end = self
             .off
             .checked_add(n)
@@ -201,6 +247,18 @@ impl Reader<'_> {
         Ok(s)
     }
 
+    /// `n` elements of `N` bytes each, bounds-checked once.
+    fn array<const N: usize>(
+        &mut self,
+        n: usize,
+    ) -> Result<impl Iterator<Item = [u8; N]> + 'a, StoreError> {
+        let len = n.checked_mul(N).ok_or_else(|| bad("truncated record"))?;
+        Ok(self
+            .take(len)?
+            .chunks_exact(N)
+            .map(|c| c.try_into().unwrap()))
+    }
+
     fn u32(&mut self) -> Result<u32, StoreError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
@@ -209,12 +267,16 @@ impl Reader<'_> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    fn u32s(&mut self, n: usize) -> Result<impl Iterator<Item = u32> + 'a, StoreError> {
+        Ok(self.array(n)?.map(u32::from_le_bytes))
+    }
+
+    fn u64s(&mut self, n: usize) -> Result<impl Iterator<Item = u64> + 'a, StoreError> {
+        Ok(self.array(n)?.map(u64::from_le_bytes))
+    }
+
     fn f64s(&mut self, n: usize) -> Result<Vec<f64>, StoreError> {
-        let bytes = self.take(8 * n)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        Ok(self.array(n)?.map(f64::from_le_bytes).collect())
     }
 
     fn pad8(&mut self) -> Result<(), StoreError> {
@@ -226,14 +288,105 @@ impl Reader<'_> {
     }
 }
 
-fn pad8(out: &mut Vec<u8>) {
-    let pad = out.len().next_multiple_of(8) - out.len();
-    out.extend(std::iter::repeat_n(0u8, pad));
+/// Zero-pad `out` until the record that began at `start` is 8-aligned.
+fn pad8(out: &mut Vec<u8>, start: usize) {
+    let len = out.len() - start;
+    out.resize(start + len.next_multiple_of(8), 0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `encode_record` as it stood when it built every list and the record
+    /// in vectors of its own, frozen: the bytes a spill record must have.
+    fn reference_encode(
+        version: u64,
+        window: &WindowState,
+        factors: Option<&UserFactors>,
+    ) -> Vec<u8> {
+        fn pad8(out: &mut Vec<u8>) {
+            let pad = out.len().next_multiple_of(8) - out.len();
+            out.extend(std::iter::repeat_n(0u8, pad));
+        }
+        let events: Vec<ItemId> = window.events().collect();
+        let last_seen = window.last_seen_entries();
+        let (k, f) = factors.map_or((0usize, 0usize), |fx| {
+            (fx.cur_u.len(), fx.cur_a.as_slice().len() / fx.cur_u.len())
+        });
+        let mut out = Vec::new();
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&(window.capacity() as u32).to_le_bytes());
+        let flags = if factors.is_some() { FLAG_FACTORS } else { 0 };
+        out.extend_from_slice(&flags.to_le_bytes());
+        out.extend_from_slice(&(window.time() as u64).to_le_bytes());
+        out.extend_from_slice(&(events.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(last_seen.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(k as u32).to_le_bytes());
+        out.extend_from_slice(&(f as u32).to_le_bytes());
+        for item in &events {
+            out.extend_from_slice(&item.0.to_le_bytes());
+        }
+        pad8(&mut out);
+        for (item, _) in &last_seen {
+            out.extend_from_slice(&item.0.to_le_bytes());
+        }
+        pad8(&mut out);
+        for (_, step) in &last_seen {
+            out.extend_from_slice(&(*step as u64).to_le_bytes());
+        }
+        if let Some(fx) = factors {
+            for row in [&fx.cur_u, &fx.base_u] {
+                for x in row {
+                    out.extend_from_slice(&x.to_le_bytes());
+                }
+            }
+            for mat in [&fx.cur_a, &fx.base_a] {
+                for x in mat.as_slice() {
+                    out.extend_from_slice(&x.to_le_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// In place, behind any prefix and through a scratch another record
+        /// has used, the codec writes the frozen bytes and reads them back.
+        #[test]
+        fn in_place_codec_equals_the_reference(
+            capacity in 1usize..40,
+            pushes in proptest::collection::vec(0u32..60, 0..150),
+            dims in (0usize..5, 2usize..5),
+            prefix in proptest::collection::vec(any::<u8>(), 0..24),
+            version in any::<u64>(),
+        ) {
+            let mut window = WindowState::new(capacity);
+            for item in pushes {
+                window.push(ItemId(item));
+            }
+            // k = 0 stands for a user without factors.
+            let (k, f) = dims;
+            let factors = (k > 0).then(|| sample_factors(k, f));
+            let expected = reference_encode(version, &window, factors.as_ref());
+
+            let mut scratch = CodecScratch::default();
+            let other = encode_record(1, &sample_window(), None);
+            decode_record_with(&other, 1, 1, &mut scratch).unwrap();
+            let mut out = prefix.clone();
+            encode_record_into(&mut out, &mut scratch, version, &window, factors.as_ref());
+            prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+            prop_assert_eq!(&out[prefix.len()..], &expected[..]);
+            prop_assert_eq!(encode_record(version, &window, factors.as_ref()), expected);
+
+            let rec = decode_record_with(&out[prefix.len()..], k, f, &mut scratch).unwrap();
+            prop_assert_eq!(rec.version, version);
+            prop_assert_eq!(&rec.window, &window);
+            prop_assert_eq!(rec.window.last_seen_entries(), window.last_seen_entries());
+            prop_assert_eq!(rec.factors, factors);
+        }
+    }
 
     fn sample_window() -> WindowState {
         let mut w = WindowState::new(4);

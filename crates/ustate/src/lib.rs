@@ -18,9 +18,11 @@
 //!   that serves user rows from the tier entry and item rows from any
 //!   other parameter store (the shard's copy-on-write overlay), so the
 //!   exact same scoring/SGD code runs bounded and unbounded.
-//! * [`codec`] — the spill-record layout. Records store the *absolute*
-//!   current and base factor rows plus the model version they were
-//!   spilled under, so eviction + reload is **bit-identical** to
+//! * [`encode_record`] / [`decode_record`] — the spill-record layout.
+//!   Records store the *absolute* current and base factor rows plus the
+//!   model version they were spilled under, and the tier encodes them
+//!   straight into the segment's tail and decodes them from its read
+//!   buffer, so eviction + reload costs its bytes and is **bit-identical** to
 //!   never-evicted state: same-version reloads restore verbatim, and a
 //!   reload across one hot-swap replays the exact `cur = new_base +
 //!   (cur − base)` rebase arithmetic a resident row would have seen.

@@ -1,6 +1,8 @@
 //! The bounded cache proper: residency, eviction, spill, harvest.
 
-use crate::codec::{decode_record, encode_record};
+use crate::codec::{
+    decode_record, decode_record_with, encode_record, encode_record_into, CodecScratch,
+};
 use crate::entry::{UserEntry, UserFactors};
 use rrc_core::TsPprModel;
 use rrc_sequence::ids::IdHashMap;
@@ -110,6 +112,16 @@ impl TierDelta {
         self.hits == 0 && self.misses == 0 && self.evictions == 0
     }
 
+    /// Back to "nothing happened", keeping the sample buffers.
+    fn clear(&mut self) {
+        self.hits = 0;
+        self.misses = 0;
+        self.evictions = 0;
+        self.evicted_users.clear();
+        self.spill_ns.clear();
+        self.load_ns.clear();
+    }
+
     /// Fold another delta into this one.
     pub fn merge(&mut self, other: TierDelta) {
         self.hits += other.hits;
@@ -141,6 +153,8 @@ pub struct UserStateTier {
     window_capacity: usize,
     resident_bytes: usize,
     delta: TierDelta,
+    /// The codec's intermediate lists, reused by every spill and reload.
+    scratch: CodecScratch,
 }
 
 impl UserStateTier {
@@ -176,6 +190,7 @@ impl UserStateTier {
             window_capacity: config.window,
             resident_bytes: 0,
             delta: TierDelta::default(),
+            scratch: CodecScratch::default(),
         })
     }
 
@@ -332,9 +347,18 @@ impl UserStateTier {
         Ok(out)
     }
 
-    /// Drain the hit/miss/eviction counters and latency samples.
+    /// Drain the hit/miss/eviction counters and latency samples, giving
+    /// their buffers away with them.
     pub fn take_delta(&mut self) -> TierDelta {
         std::mem::take(&mut self.delta)
+    }
+
+    /// [`take_delta`](Self::take_delta) for a caller that only reads the
+    /// delta: `read` sees it, then it is reset in place, so the sample
+    /// buffers are not grown again by the next eviction.
+    pub fn drain_delta(&mut self, read: impl FnOnce(&TierDelta)) {
+        read(&self.delta);
+        self.delta.clear();
     }
 
     /// The snapshot reloads rebase against.
@@ -397,12 +421,12 @@ impl UserStateTier {
         let Some(seg) = &mut self.segment else {
             return Ok(None);
         };
-        let Some(data) = seg.get(id)? else {
+        let Some(data) = seg.read(id)? else {
             return Ok(None);
         };
         let _prof = rrc_obs::ProfGuard::enter("reload");
         let t0 = Instant::now();
-        let rec = decode_record(&data, self.base.k(), self.base.f_dim())?;
+        let rec = decode_record_with(data, self.base.k(), self.base.f_dim(), &mut self.scratch)?;
         let mut factors = rec.factors;
         if rec.version != self.version {
             // Exactly one hot-swap can have passed while spilled (each
@@ -420,42 +444,55 @@ impl UserStateTier {
         Ok(Some(UserEntry::new(rec.window, factors)))
     }
 
+    /// Spill the policy's next victim. The record is appended *before* the
+    /// entry leaves any structure, so a failed append (a full disk under a
+    /// tail flush) loses nothing: the victim stays resident, in its place
+    /// in the eviction order, and `resident_bytes` is untouched.
     fn evict_one(&mut self) -> Result<(), StoreError> {
         let victim = match self.policy {
             EvictionPolicy::Clock => loop {
-                let Some(id) = self.clock.pop_front() else {
+                let Some(&id) = self.clock.front() else {
                     return Err(StoreError::Schema {
                         detail: "eviction requested from an empty clock ring".to_string(),
                     });
                 };
                 match self.entries.get_mut(&id) {
-                    None => continue,
+                    None => {
+                        self.clock.pop_front();
+                    }
                     Some(e) if e.referenced => {
                         e.referenced = false;
-                        self.clock.push_back(id);
+                        self.clock.rotate_left(1);
                     }
                     Some(_) => break id,
                 }
             },
-            EvictionPolicy::Lru => {
-                let (&tick, &id) = self.lru.iter().next().expect("lru order nonempty");
-                self.lru.remove(&tick);
-                id
-            }
+            EvictionPolicy::Lru => *self.lru.values().next().expect("lru order nonempty"),
         };
-        let entry = self.entries.remove(&victim).expect("victim resident");
-        self.resident_bytes -= entry.bytes;
+        let entry = self.entries.get(&victim).expect("victim resident");
         let seg = self
             .segment
             .as_mut()
             .expect("bounded tier always has a segment");
         let _prof = rrc_obs::ProfGuard::enter("spill");
         let t0 = Instant::now();
-        let rec = encode_record(self.version, &entry.window, entry.factors.as_ref());
-        seg.append(victim, &rec)?;
+        let (version, scratch) = (self.version, &mut self.scratch);
+        seg.append_with(victim, |out| {
+            encode_record_into(out, scratch, version, &entry.window, entry.factors.as_ref())
+        })?;
         self.delta.spill_ns.push(t0.elapsed().as_nanos() as u64);
         self.delta.evictions += 1;
         self.delta.evicted_users.push(victim);
+        let entry = self.entries.remove(&victim).expect("victim resident");
+        self.resident_bytes -= entry.bytes;
+        match self.policy {
+            EvictionPolicy::Clock => {
+                self.clock.pop_front();
+            }
+            EvictionPolicy::Lru => {
+                self.lru.remove(&entry.tick);
+            }
+        }
         Ok(())
     }
 }

@@ -1,6 +1,8 @@
 //! Steady-state allocation counts of the per-event kernel, asserted with
 //! the profiler's counting allocator: an observe and an online SGD round
-//! allocate nothing, a recommend allocates the list it returns.
+//! allocate nothing, a recommend allocates the list it returns, a hit on
+//! the bounded user-state tier allocates nothing, and a miss that evicts
+//! allocates the reloaded window.
 //!
 //! A binary of its own, with one test: the allocator is process-wide and
 //! the profiler's on/off switch is global.
@@ -11,6 +13,8 @@ use repeat_rec::core::{observe_single, online_step_single, recommend_single};
 use repeat_rec::prelude::*;
 use repeat_rec::sequence::classify;
 use rrc_obs::profile::{self, CountingAlloc, ProfGuard};
+use rrc_ustate::{TierConfig, UserStateTier};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -18,12 +22,16 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 const WINDOW: usize = 30;
 const OMEGA: usize = 5;
 
-/// Allocations `f` makes on this thread, counted in a frame of its own.
+/// Allocations `f` makes on this thread, counted in a frame of its own
+/// (and the frames `f` enters inside it).
 fn allocations(frame: &'static str, f: impl FnOnce()) -> u64 {
-    let counted = || {
+    let counted = || -> u64 {
         profile::snapshot()
-            .entry(frame)
-            .map_or(0, |e| e.alloc_count)
+            .filtered(frame)
+            .entries
+            .iter()
+            .map(|e| e.alloc_count)
+            .sum()
     };
     // Entered once before measuring, so registering the frame is not
     // charged to it.
@@ -127,6 +135,7 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
             listed += u64::from(!top.is_empty());
         }
     });
+    tier_touches(&model, &windows);
     profile::disable();
 
     assert_eq!(observe, 0, "observe_single allocated");
@@ -134,4 +143,87 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
     assert_eq!(learn, 0, "online_step_single allocated");
     assert!(listed > 1000, "{listed} non-empty lists");
     assert_eq!(recommend, listed, "one allocation per returned list");
+}
+
+/// What a request costs the bounded tier in allocations once its own
+/// buffers have grown: a hit and its settle nothing, and a miss that
+/// pushes another user out (encode into the segment tail, read back,
+/// decode through the tier's scratch) exactly the buffers the reloaded
+/// `WindowState` owns.
+fn tier_touches(model: &TsPprModel, windows: &[WindowState]) {
+    // Room for about ten of the forty windows.
+    const BUDGET: usize = 40_000;
+    const HOT: u32 = 5;
+    let path = std::env::temp_dir().join(format!("rrc_kernel_alloc_{}.useg", std::process::id()));
+    let mut tier = UserStateTier::new(
+        TierConfig::bounded(WINDOW, BUDGET, path),
+        Arc::new(model.clone()),
+        0,
+    )
+    .expect("open the tier");
+    for (u, w) in windows.iter().enumerate() {
+        tier.seed_window(u as u32, w.clone());
+    }
+    tier.enforce_budget().expect("spill the seeded users");
+    let users = windows.len() as u32;
+    // A hot set that stays resident, and a scan of the rest that never is.
+    let user_at = |i: u32| {
+        if i.is_multiple_of(2) {
+            (i / 2) % HOT
+        } else {
+            HOT + (i / 2) % (users - HOT)
+        }
+    };
+    let (mut hits, mut misses, mut evicted) = (0u64, 0u64, 0u64);
+    let (mut compactions, mut rehashes) = (0u64, 0u64);
+    for i in 0..24 * users {
+        let user = UserId(user_at(i));
+        let resident = tier.is_resident(user.0);
+        let spill_file = tier.spill_file_bytes();
+        let mut distinct = 0;
+        let allocated = allocations("tier_touch", || {
+            let (window, _factors) = tier.get_or_load(user).expect("load");
+            distinct = window.distinct_len();
+            tier.note_access(user).expect("settle");
+            tier.drain_delta(|delta| evicted += delta.evictions);
+        });
+        // The first passes grow the tier's scratch, its delta buffers, the
+        // segment's read buffer and the eviction ring.
+        if i < 4 * users {
+            continue;
+        }
+        // A settle that compacted the segment built its new index and
+        // opened its new file: rare, and not the pair's cost.
+        if tier.spill_file_bytes() < spill_file {
+            compactions += 1;
+            continue;
+        }
+        if resident {
+            hits += 1;
+            assert_eq!(allocated, 0, "hit of {user} allocated");
+        } else {
+            misses += 1;
+            // The ring, the last-seen map, and the multiplicity map once
+            // per capacity it grows through: `from_parts` fills it one
+            // insert at a time (see there for why).
+            let counts_growth = [3, 7, 14, 28, 56]
+                .iter()
+                .position(|&capacity| distinct <= capacity)
+                .expect("|W| = 30") as u64
+                + 1;
+            // Keys enter and leave the segment's index on every pair, and
+            // now and then its hash map answers the churn by moving to a
+            // fresh table of the same size.
+            let rehashed = u64::from(allocated == 2 + counts_growth + 1);
+            rehashes += rehashed;
+            assert_eq!(allocated - rehashed, 2 + counts_growth, "reload of {user}");
+        }
+    }
+    assert!(hits > 100 && misses > 100, "{hits} hits, {misses} misses");
+    assert!(evicted >= misses, "{evicted} evictions");
+    assert!(
+        compactions > 0 && compactions < misses / 10,
+        "{compactions} compactions"
+    );
+    assert!(rehashes < misses / 50, "{rehashes} index rehashes");
 }
