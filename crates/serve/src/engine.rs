@@ -3,9 +3,10 @@
 //! # Architecture
 //!
 //! `ServeEngine::start` consumes a warmed [`OnlineTsPpr`] and partitions
-//! its per-user state across `N` shard threads by
-//! [`shard_for(user, N)`](crate::routing::shard_for). Each shard owns,
-//! exclusively and without locks:
+//! its per-user state across `N` shards by
+//! [`shard_for(user, N)`](crate::routing::shard_for). Each shard's state
+//! sits behind one lock that whoever serves the shard holds — its own
+//! thread, or a caller (below) — and is:
 //!
 //! * a [`UserStateTier`] holding every routed user's [`WindowState`] and
 //!   materialised factor rows — unbounded by default, or capped at a
@@ -19,17 +20,43 @@
 //!   overlay carries *item*-side deltas only; user rows (`u`, `A_u`)
 //!   live in the tier so they can be evicted with their window.
 //!
-//! Requests reach shards over per-shard FIFO channels; replies come back
-//! on per-request rendezvous channels. Because *every* message for a user
-//! — observe, recommend, flush, and both hot-swap phases — travels the
-//! same FIFO queue, a user's events can never be dropped or reordered,
-//! including across a model swap.
+//! Requests reach a shard through its one FIFO queue; replies come back
+//! through the caller's reply slot (`crate::port`). Because *every*
+//! message for a user — observe, recommend, flush, and both hot-swap
+//! phases — travels the same FIFO queue, a user's events can never be
+//! dropped or reordered, including across a model swap.
 //!
 //! Every data request, whichever public entry point it came through, is
-//! sent by one private `submit` and served by one arm of the shard loop;
+//! sent by one private `submit` and served by one arm of `Shard::serve`;
 //! its accounting is one [`RequestRecord`] that the metrics layer hears
 //! about when it is offered, dequeued and finished. Control messages go
 //! out through one private `broadcast`.
+//!
+//! # Who serves
+//!
+//! `Shard::serve` has two drivers. The shard's own thread takes the state
+//! lock whenever the queue is non-empty, serves until it is empty, lets go,
+//! and after a few yielding looks at an empty queue sleeps. A caller that
+//! is about to block for a reply tries the lock first: if it is free — the
+//! shard thread is idle — the caller enqueues its request without waking
+//! anyone and serves the queue itself, in order, up to and including its
+//! own request, then returns the reply it has just produced. No thread
+//! switch, no system call. If the lock is taken the caller enqueues, wakes
+//! the shard thread if that sleeps, and parks for the reply. Three rules
+//! keep this one path rather than two:
+//!
+//! * **Only the holder of the state lock pops.** Otherwise the shard
+//!   thread could hold a caller's dequeued request while that caller holds
+//!   the lock and waits for it.
+//! * **Fire-and-forget requests are only ever enqueued**, never served by
+//!   their caller: `observe_nowait` returns at once whatever is queued
+//!   ahead of it, and a backlog builds behind a slow request as it always
+//!   did.
+//! * **A request that panics takes its shard down, on whichever thread it
+//!   ran.** The queue is dropped (every waiting caller panics instead of
+//!   hanging), every later request to that shard panics with the shard's
+//!   id, other shards keep serving, and [`ServeEngine::shutdown`] reports
+//!   the shard thread's exit.
 //!
 //! # Hot swap
 //!
@@ -47,10 +74,10 @@
 use crate::metrics::{EngineMetrics, MetricsReport};
 use crate::overlay::{ModelDiff, ModelOverlay};
 use crate::overload::{Admission, OverloadOptions, RequestKind, ShedReason};
+use crate::port::{Inbox, Look, Replier, ReplySlot};
 use crate::quality::{self, micro, QualityConfig, QualityReport, ShardQuality, VersionQuality};
 use crate::routing::shard_for;
 use crate::trace::{Enqueued, RequestRecord};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rrc_core::{
@@ -66,7 +93,7 @@ use rrc_ustate::{EvictionPolicy, TierConfig, TierParams, UserStateTier};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -273,32 +300,30 @@ enum Request {
         user: UserId,
         op: Op,
         trace: Option<Enqueued>,
-        reply: Option<Sender<Reply>>,
+        reply: Option<Replier<Reply>>,
         /// Shed (not served) if still queued past this instant.
         deadline: Option<Instant>,
     },
     /// Barrier: reply once everything queued before this is processed.
-    Flush { reply: Sender<()> },
+    Flush { reply: Replier<()> },
     /// Hot-swap phase 1: extract the shard's accumulated online delta.
-    Harvest { reply: Sender<ModelDiff> },
+    Harvest { reply: Replier<ModelDiff> },
     /// Hot-swap phase 2: switch to the merged snapshot, which from now on
     /// serves as model `version` for quality attribution.
     Install {
         model: Arc<TsPprModel>,
         version: u64,
-        reply: Sender<()>,
+        reply: Replier<()>,
     },
     /// Clone out every window this shard owns (state inspection / tests).
     ExportWindows {
-        reply: Sender<Vec<(u32, WindowState)>>,
+        reply: Replier<Vec<(u32, WindowState)>>,
     },
     /// Export the shard's cumulative per-version online quality.
-    ExportQuality { reply: Sender<Vec<VersionQuality>> },
-    /// Drain and exit the shard thread.
-    Shutdown,
+    ExportQuality { reply: Replier<Vec<VersionQuality>> },
 }
 
-/// Everything one shard thread owns.
+/// Everything one shard owns, served by one thread at a time.
 struct Shard {
     id: usize,
     overlay: ModelOverlay,
@@ -384,12 +409,11 @@ impl Shard {
         if !self.knows_user(user) {
             config.negatives_per_event = 0;
         }
-        let base = self.tier.base().clone();
-        let (window, factors) = self
+        let (window, factors, base) = self
             .tier
-            .get_or_load(user)
+            .get_or_load_with_base(user)
             .expect("user-state tier: reload spilled state");
-        let mut params = TierParams::new(user, factors, &base, &mut self.overlay);
+        let mut params = TierParams::new(user, factors, base, &mut self.overlay);
         let out = observe_single(
             &mut params,
             &self.pipeline,
@@ -416,12 +440,11 @@ impl Shard {
         }
         let _p = ProfGuard::enter("score");
         self.stall_if_injected(user);
-        let base = self.tier.base().clone();
-        let (window, factors) = self
+        let (window, factors, base) = self
             .tier
-            .get_or_load(user)
+            .get_or_load_with_base(user)
             .expect("user-state tier: reload spilled state");
-        let params = TierParams::new(user, factors, &base, &mut self.overlay);
+        let params = TierParams::new(user, factors, base, &mut self.overlay);
         let recs = recommend_single(
             &params,
             &self.pipeline,
@@ -449,118 +472,210 @@ impl Shard {
         recs
     }
 
-    fn run(mut self, rx: Receiver<Request>) {
-        for req in rx.iter() {
-            match req {
-                Request::Data {
-                    user,
-                    op,
-                    trace,
-                    reply,
-                    deadline,
-                } => {
-                    // Profile frames cover only the *active* request body:
-                    // the blocking `rx.iter()` wait above reads as idle, so
-                    // shares measure work, not queue time.
-                    // (Literals: the profiler keys its path cache on the
-                    // promoted slice's address.)
-                    let _shard = ProfGuard::enter_path(match op {
-                        Op::Observe(_) => &["serve", "shard", "observe"],
-                        Op::Recommend(_) => &["serve", "shard", "recommend"],
-                    });
-                    let mut record = {
-                        let _p = ProfGuard::enter("dequeue");
-                        let mut record = self.metrics.dequeued(self.id, op.kind(), user, trace);
-                        if deadline.is_some_and(|d| Instant::now() > d) {
-                            // Sat in the queue past its deadline: shed
-                            // instead of served late.
-                            record.outcome = Err(ShedReason::Deadline);
-                            self.metrics.finished(&record, None);
-                            if let Some(reply) = reply {
-                                let _ = reply.send(Err(ShedReason::Deadline));
-                            }
-                            continue;
+    /// Serve one request: the one arm every data request goes through,
+    /// and the five control messages. Runs on whichever thread holds the
+    /// shard (see [`Port`]).
+    fn serve(&mut self, req: Request) {
+        match req {
+            Request::Data {
+                user,
+                op,
+                trace,
+                reply,
+                deadline,
+            } => {
+                // Profile frames cover only the *active* request body: a
+                // wait for requests or for the shard reads as idle, so
+                // shares measure work, not queue time.
+                // (Literals: the profiler keys its path cache on the
+                // promoted slice's address.)
+                let _shard = ProfGuard::enter_path(match op {
+                    Op::Observe(_) => &["serve", "shard", "observe"],
+                    Op::Recommend(_) => &["serve", "shard", "recommend"],
+                });
+                let mut record = {
+                    let _p = ProfGuard::enter("dequeue");
+                    let mut record = self.metrics.dequeued(self.id, op.kind(), user, trace);
+                    if deadline.is_some_and(|d| Instant::now() > d) {
+                        // Sat in the queue past its deadline: shed
+                        // instead of served late.
+                        record.outcome = Err(ShedReason::Deadline);
+                        self.metrics.finished(&record, None);
+                        if let Some(reply) = reply {
+                            reply.send(Err(ShedReason::Deadline));
                         }
-                        record
-                    };
-                    let (served, updates) = match op {
-                        Op::Observe(item) => {
-                            let (kind, updates) = self.observe(user, item);
-                            (Served::Kind(kind), updates)
-                        }
-                        Op::Recommend(n) => (Served::Items(self.recommend(user, n)), 0),
-                    };
-                    let _p = ProfGuard::enter("respond");
-                    let counters = &self.metrics.shards[self.id];
-                    match op {
-                        Op::Observe(_) => {
-                            counters.observes.inc();
-                            counters.online_updates.add(updates);
-                        }
-                        Op::Recommend(_) => counters.recommends.inc(),
+                        return;
                     }
-                    record.served_by(self.version);
-                    match reply {
-                        // The waiting caller closes the record: only it
-                        // sees the respond leg.
-                        Some(reply) => {
-                            let _ = reply.send(Ok((served, record)));
-                        }
-                        None => self.metrics.finished(&record, None),
+                    record
+                };
+                let (served, updates) = match op {
+                    Op::Observe(item) => {
+                        let (kind, updates) = self.observe(user, item);
+                        (Served::Kind(kind), updates)
                     }
+                    Op::Recommend(n) => (Served::Items(self.recommend(user, n)), 0),
+                };
+                let _p = ProfGuard::enter("respond");
+                let counters = &self.metrics.shards[self.id];
+                match op {
+                    Op::Observe(_) => {
+                        counters.observes.inc();
+                        counters.online_updates.add(updates);
+                    }
+                    Op::Recommend(_) => counters.recommends.inc(),
                 }
-                Request::Flush { reply } => {
-                    let _ = reply.send(());
+                record.served_by(self.version);
+                match reply {
+                    // The waiting caller closes the record: only it
+                    // sees the respond leg.
+                    Some(reply) => reply.send(Ok((served, record))),
+                    None => self.metrics.finished(&record, None),
                 }
-                Request::Harvest { reply } => {
-                    // Item-side deltas come from the overlay; user-side
-                    // (`u` rows and transforms) from the tier, which also
-                    // folds in deltas sitting in spilled records — the
-                    // delta-merge-before-evict rule means no online
-                    // learning is lost to an eviction.
-                    let mut diff = self.overlay.harvest();
-                    let (users, transforms) =
-                        self.tier.harvest().expect("user-state tier: harvest");
-                    debug_assert!(
-                        diff.users.is_empty() && diff.transforms.is_empty(),
-                        "user-side writes route through the tier"
-                    );
-                    diff.users = users;
-                    diff.transforms = transforms;
-                    let _ = reply.send(diff);
-                }
-                Request::Install {
-                    model,
-                    version,
-                    reply,
-                } => {
-                    self.overlay.install(model.clone());
-                    self.tier.install(model, version);
-                    self.version = version;
-                    self.metrics
-                        .flight(self.id, "swap", || vec![("version", Json::U64(version))]);
-                    self.metrics.shards[self.id].swaps.inc();
-                    let _ = reply.send(());
-                }
-                Request::ExportWindows { reply } => {
-                    let out = self
-                        .tier
-                        .export_windows()
-                        .expect("user-state tier: read spilled windows");
-                    let _ = reply.send(out);
-                }
-                Request::ExportQuality { reply } => {
-                    let out = self
-                        .quality
-                        .as_ref()
-                        .map(|q| q.export())
-                        .unwrap_or_default();
-                    let _ = reply.send(out);
-                }
-                Request::Shutdown => break,
+            }
+            Request::Flush { reply } => reply.send(()),
+            Request::Harvest { reply } => {
+                // Item-side deltas come from the overlay; user-side
+                // (`u` rows and transforms) from the tier, which also
+                // folds in deltas sitting in spilled records — the
+                // delta-merge-before-evict rule means no online
+                // learning is lost to an eviction.
+                let mut diff = self.overlay.harvest();
+                let (users, transforms) = self.tier.harvest().expect("user-state tier: harvest");
+                debug_assert!(
+                    diff.users.is_empty() && diff.transforms.is_empty(),
+                    "user-side writes route through the tier"
+                );
+                diff.users = users;
+                diff.transforms = transforms;
+                reply.send(diff);
+            }
+            Request::Install {
+                model,
+                version,
+                reply,
+            } => {
+                self.overlay.install(model.clone());
+                self.tier.install(model, version);
+                self.version = version;
+                self.metrics
+                    .flight(self.id, "swap", || vec![("version", Json::U64(version))]);
+                self.metrics.shards[self.id].swaps.inc();
+                reply.send(());
+            }
+            Request::ExportWindows { reply } => {
+                let out = self
+                    .tier
+                    .export_windows()
+                    .expect("user-state tier: read spilled windows");
+                reply.send(out);
+            }
+            Request::ExportQuality { reply } => {
+                let out = self
+                    .quality
+                    .as_ref()
+                    .map(|q| q.export())
+                    .unwrap_or_default();
+                reply.send(out);
             }
         }
     }
+}
+
+/// One shard as the engine handle and the shard thread share it: the FIFO
+/// queue anyone pushes to, and the state that whoever serves holds.
+struct Port {
+    id: usize,
+    inbox: Inbox<Request>,
+    shard: Mutex<Shard>,
+}
+
+/// The shard held for serving. Only a hold pops the inbox, so a request
+/// is never in the hands of a thread that cannot serve it; and a request
+/// that unwinds through a hold takes the shard down ([`Inbox::go_down`])
+/// instead of leaving a queue nobody will serve.
+struct Hold<'a> {
+    port: &'a Port,
+    shard: MutexGuard<'a, Shard>,
+    /// Taken while the thread was already unwinding (a request sent from a
+    /// destructor): dropping it then says nothing about the shard.
+    unwinding: bool,
+}
+
+impl<'a> Hold<'a> {
+    fn new(port: &'a Port, shard: MutexGuard<'a, Shard>) -> Self {
+        Hold {
+            port,
+            shard,
+            unwinding: std::thread::panicking(),
+        }
+    }
+
+    /// Serve the next queued request; `false` when there is none.
+    fn serve_next(&mut self) -> bool {
+        match self.port.inbox.pop() {
+            Some(req) => {
+                self.shard.serve(req);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+impl Drop for Hold<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() && !self.unwinding {
+            self.port.inbox.go_down();
+        }
+    }
+}
+
+impl Port {
+    /// The shard, if nobody is serving it right now. (A poisoned lock
+    /// reads as taken: the push that follows finds the shard down.)
+    fn try_hold(&self) -> Option<Hold<'_>> {
+        self.shard
+            .try_lock()
+            .ok()
+            .map(|shard| Hold::new(self, shard))
+    }
+
+    /// Enqueue; see [`Inbox::push`]. A shard that went down fails loudly.
+    fn push(&self, request: Request, wake: bool) -> usize {
+        self.inbox
+            .push(request, wake)
+            .unwrap_or_else(|_unserved| self.down())
+    }
+
+    fn down(&self) -> ! {
+        panic!(
+            "serve shard {} is down: a request panicked while it was served",
+            self.id
+        )
+    }
+
+    /// The shard thread: serve whatever is queued, then look, yield, and
+    /// sleep ([`Inbox::idle`]) until there is more, the engine handle is
+    /// gone, or a caller's request took the shard down.
+    fn run(&self) {
+        loop {
+            match self.inbox.idle() {
+                Look::Work => {
+                    let shard = self.shard.lock().unwrap_or_else(|_| self.down());
+                    let mut hold = Hold::new(self, shard);
+                    while hold.serve_next() {}
+                }
+                Look::Closed => return,
+                Look::Down => self.down(),
+            }
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's reply slot for data requests: a caller has at most
+    /// one outstanding, so one slot serves all its requests to all engines.
+    static REPLY: Arc<ReplySlot<Reply>> = ReplySlot::new();
 }
 
 /// Handle to a running sharded serving engine.
@@ -569,7 +684,7 @@ impl Shard {
 /// client-observed latency, and orchestrates hot swaps. Shards exit when
 /// the handle is dropped (or [`ServeEngine::shutdown`] is called).
 pub struct ServeEngine {
-    senders: Vec<Sender<Request>>,
+    ports: Vec<Arc<Port>>,
     handles: Vec<JoinHandle<()>>,
     metrics: Arc<EngineMetrics>,
     /// Last published snapshot. Behind a mutex (held for the whole
@@ -642,10 +757,9 @@ impl ServeEngine {
             std::fs::create_dir_all(dir).expect("create spill directory");
         }
 
-        let mut senders = Vec::with_capacity(shards);
+        let mut ports = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for (id, windows) in partitions.into_iter().enumerate() {
-            let (tx, rx) = unbounded();
             let spill_path = spill_dir
                 .as_ref()
                 .map(|d| d.join(format!("shard-{id}.useg")));
@@ -688,16 +802,24 @@ impl ServeEngine {
                 inject_slow: options.forensics.inject_slow,
                 fbuf: Vec::with_capacity(pipeline.len()),
             };
+            let port = Arc::new(Port {
+                id,
+                inbox: Inbox::new(),
+                shard: Mutex::new(shard),
+            });
             let handle = std::thread::Builder::new()
                 .name(format!("rrc-serve-shard-{id}"))
-                .spawn(move || shard.run(rx))
+                .spawn({
+                    let port = port.clone();
+                    move || port.run()
+                })
                 .expect("spawn shard thread");
-            senders.push(tx);
+            ports.push(port);
             handles.push(handle);
         }
 
         ServeEngine {
-            senders,
+            ports,
             handles,
             metrics,
             model: Mutex::new(model),
@@ -710,7 +832,7 @@ impl ServeEngine {
 
     /// Number of shard threads.
     pub fn num_shards(&self) -> usize {
-        self.senders.len()
+        self.ports.len()
     }
 
     /// The serving configuration (window size, omega, online-learning
@@ -726,21 +848,23 @@ impl ServeEngine {
         self.model.lock().expect("model lock").clone()
     }
 
-    /// The one way a data request reaches its shard. With `wait`, blocks
-    /// for the reply, closes the request's record and records the
-    /// client-observed latency — of served requests only; without,
-    /// returns [`Served::Queued`] at once.
+    /// The one way a data request reaches its shard. With `wait`, takes
+    /// the shard if it is free and serves its queue up to this request on
+    /// the calling thread, or else blocks for the shard thread's reply;
+    /// either way closes the request's record and records the
+    /// client-observed latency — of served requests only. Without,
+    /// enqueues and returns [`Served::Queued`] at once.
     fn submit(&self, user: UserId, op: Op, admit: Admit, wait: bool) -> Result<Served, ShedReason> {
         let start = wait.then(Instant::now);
-        let shard = shard_for(user, self.senders.len());
-        let (reply, reply_rx) = wait.then(|| bounded(1)).unzip();
-        {
-            // The enqueue frame covers routing + admission + send only;
-            // the blocking reply wait below is deliberately unprofiled
-            // (it is the *shard's* work, sampled on the shard thread).
+        let port = &*self.ports[shard_for(user, self.ports.len())];
+        let slot = wait.then(|| REPLY.with(Arc::clone));
+        let ahead = {
+            // The enqueue frame covers routing + admission + the push
+            // only; serving below has the shard's frames, on whichever
+            // thread it runs, and a blocking wait is unprofiled.
             let _p = ProfGuard::enter_path(&["serve", "enqueue"]);
             let forced = matches!(admit, Admit::Forced);
-            let trace = self.metrics.offered(shard, op.kind(), forced)?;
+            let trace = self.metrics.offered(port.id, op.kind(), forced)?;
             let deadline = match admit {
                 Admit::Forced => None,
                 // An explicit per-request deadline wins; otherwise the
@@ -749,20 +873,31 @@ impl ServeEngine {
                     deadline.or_else(|| self.default_deadline.map(|d| Instant::now() + d))
                 }
             };
-            self.senders[shard]
-                .send(Request::Data {
-                    user,
-                    op,
-                    trace,
-                    reply,
-                    deadline,
-                })
-                .expect("shard thread alive");
-        }
-        let Some(reply_rx) = reply_rx else {
+            let request = Request::Data {
+                user,
+                op,
+                trace,
+                reply: slot.as_ref().map(|slot| slot.replier()),
+                deadline,
+            };
+            // Only a caller that would block anyway serves: a
+            // fire-and-forget request is enqueued whoever holds the shard.
+            let hold = if wait { port.try_hold() } else { None };
+            // Whoever does not serve tells the shard thread.
+            let queued = port.push(request, hold.is_none());
+            hold.map(|hold| (queued, hold))
+        };
+        let Some(slot) = slot else {
             return Ok(Served::Queued);
         };
-        let (served, record) = reply_rx.recv().expect("shard replies to a data request")?;
+        if let Some((queued, mut hold)) = ahead {
+            // Nobody else pops while this thread holds the shard, so the
+            // request just pushed is the `queued`-th from the front.
+            for _ in 0..queued {
+                assert!(hold.serve_next(), "only the shard's holder pops");
+            }
+        }
+        let (served, record) = slot.wait().unwrap_or_else(|| port.down())?;
         self.metrics.finished(&record, start);
         Ok(served)
     }
@@ -843,20 +978,22 @@ impl ServeEngine {
 
     /// Send one control message to every shard and collect the replies,
     /// in shard order. Control messages travel the ordinary request
-    /// queues, behind whatever each shard already holds.
-    fn broadcast<T>(&self, message: impl Fn(Sender<T>) -> Request) -> Vec<T> {
-        let replies: Vec<Receiver<T>> = self
-            .senders
+    /// queues, behind whatever each shard already holds, and are served
+    /// by the shard threads, all shards at once.
+    fn broadcast<T>(&self, message: impl Fn(Replier<T>) -> Request) -> Vec<T> {
+        let slots: Vec<Arc<ReplySlot<T>>> = self
+            .ports
             .iter()
-            .map(|tx| {
-                let (reply_tx, reply_rx) = bounded(1);
-                tx.send(message(reply_tx)).expect("shard thread alive");
-                reply_rx
+            .map(|port| {
+                let slot = ReplySlot::new();
+                port.push(message(slot.replier()), true);
+                slot
             })
             .collect();
-        replies
-            .into_iter()
-            .map(|rx| rx.recv().expect("shard replies to a control message"))
+        slots
+            .iter()
+            .zip(&self.ports)
+            .map(|(slot, port)| slot.wait().unwrap_or_else(|| port.down()))
             .collect()
     }
 
@@ -993,7 +1130,7 @@ impl ServeEngine {
     /// added separately — [`rrc_obs::dump_flight_now`] stamps its own.)
     fn flight_meta(&self) -> Vec<(String, Json)> {
         vec![
-            ("shards".to_string(), Json::from(self.senders.len())),
+            ("shards".to_string(), Json::from(self.ports.len())),
             ("model_version".to_string(), Json::U64(self.model_version())),
             (
                 "uptime_ms".to_string(),
@@ -1049,18 +1186,28 @@ impl ServeEngine {
     }
 
     fn shutdown_inner(&mut self) {
-        for tx in self.senders.drain(..) {
-            let _ = tx.send(Request::Shutdown);
-        }
+        self.close();
         for handle in self.handles.drain(..) {
             handle.join().expect("shard thread panicked");
+        }
+    }
+
+    /// Tell every shard thread that no request will follow: each serves
+    /// what is queued and exits.
+    fn close(&self) {
+        for port in &self.ports {
+            port.inbox.close();
         }
     }
 }
 
 impl Drop for ServeEngine {
     fn drop(&mut self) {
-        if !self.handles.is_empty() && !std::thread::panicking() {
+        if std::thread::panicking() {
+            // No join (a second panic would abort), but always the close:
+            // a thread parked on its inbox does not notice a drop.
+            self.close();
+        } else {
             self.shutdown_inner();
         }
     }
@@ -1743,6 +1890,114 @@ mod tests {
         assert!(stats.events > 0);
         assert_eq!(rrc_obs::validate_flight_bundle(&path).unwrap(), stats);
         std::fs::remove_dir_all(&dir).ok();
+        engine.shutdown();
+    }
+
+    /// Join `handles` on a helper thread; `false` if that takes longer
+    /// than `limit` (the test fails instead of hanging).
+    fn joined_within(handles: Vec<JoinHandle<()>>, limit: Duration) -> bool {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let clean = handles.into_iter().all(|h| h.join().is_ok());
+            let _ = done_tx.send(clean);
+        });
+        done_rx.recv_timeout(limit) == Ok(true)
+    }
+
+    #[test]
+    fn a_handle_dropped_by_a_panicking_thread_still_stops_its_shards() {
+        let (mut engine, tests) = engine_fixture(0, 3);
+        for (u, events) in tests.iter().enumerate() {
+            for &item in events {
+                engine.observe_nowait(UserId(u as u32), item);
+            }
+        }
+        engine.flush();
+        // Give the shard threads time to run out of looks and park: a
+        // parked thread is the one a drop has to wake.
+        std::thread::sleep(Duration::from_millis(20));
+        let handles = std::mem::take(&mut engine.handles);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _engine = engine;
+            panic!("a client panics with the engine in hand");
+        }));
+        assert!(unwound.is_err());
+        assert!(
+            joined_within(handles, Duration::from_secs(10)),
+            "shard threads outlived a handle dropped during a panic"
+        );
+    }
+
+    /// The fallback is the shard thread's path, with the same books: with
+    /// every shard's state lock held by the test, callers can only enqueue
+    /// and park, and once the locks are released only the shard threads
+    /// are left to serve.
+    #[test]
+    fn a_taken_shard_leaves_every_request_to_the_shard_thread() {
+        const CLIENTS: u32 = 8;
+        let (engine, _) = engine_fixture(0, 2);
+        let served = std::thread::scope(|scope| {
+            let holds: Vec<_> = engine
+                .ports
+                .iter()
+                .map(|port| port.shard.lock().unwrap())
+                .collect();
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|u| {
+                    let engine = &engine;
+                    scope.spawn(move || {
+                        let user = UserId(u);
+                        engine.observe_nowait(user, ItemId(1));
+                        if u % 2 == 0 {
+                            Ok(engine.observe(user, ItemId(1)))
+                        } else {
+                            Err(engine.try_recommend(user, 5, None))
+                        }
+                    })
+                })
+                .collect();
+            // A client is past its failed `try_lock` once its blocking
+            // request is queued behind its fire-and-forget one.
+            while engine.ports.iter().map(|p| p.inbox.len()).sum::<usize>() < 2 * CLIENTS as usize {
+                std::thread::yield_now();
+            }
+            drop(holds);
+            clients
+                .into_iter()
+                .map(|c| c.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        for (u, answer) in served.into_iter().enumerate() {
+            match answer {
+                // The same item twice in a row: the second is a repeat
+                // inside the Ω-gap, whatever the window held.
+                Ok(kind) => assert_eq!(kind, ConsumptionKind::RecentRepeat, "user {u}"),
+                Err(recs) => {
+                    let recs = recs.expect("no deadline, no gate");
+                    assert!(recs.len() <= 5 && !recs.contains(&ItemId(1)), "user {u}");
+                }
+            }
+        }
+        let report = engine.metrics();
+        let half = (CLIENTS / 2) as u64;
+        assert_eq!(report.total_observes(), 3 * half);
+        assert_eq!(report.total_recommends(), half);
+        assert_eq!(report.observe_latency.count, half);
+        assert_eq!(report.recommend_latency.count, half);
+        let stage = |pick: fn(&crate::metrics::StageSummary) -> u64| -> u64 {
+            report.stages.iter().map(pick).sum()
+        };
+        assert_eq!(stage(|s| s.enqueue_wait.count), 4 * half);
+        assert_eq!(stage(|s| s.score.count), 4 * half);
+        // Replied-to requests only: not the fire-and-forget observes.
+        assert_eq!(stage(|s| s.respond.count), 2 * half);
+        let text = engine.metrics_text();
+        for shard in 0..2 {
+            for gauge in ["serve_queue_depth", "serve_inflight"] {
+                let line = format!("{gauge}{{shard=\"{shard}\"}} 0");
+                assert!(text.contains(&line), "{line} missing from {text}");
+            }
+        }
         engine.shutdown();
     }
 

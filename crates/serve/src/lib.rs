@@ -80,6 +80,7 @@ pub mod engine;
 pub mod metrics;
 pub mod overlay;
 pub mod overload;
+mod port;
 pub mod quality;
 pub mod routing;
 pub mod trace;

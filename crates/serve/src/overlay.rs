@@ -4,10 +4,13 @@
 //! Every shard serves from one immutable `Arc<TsPprModel>` snapshot. When
 //! online learning needs to *write* a row (a user factor, item factor, or
 //! per-user transform), the row is materialised into the shard-local
-//! overlay together with a copy of its base value; reads prefer the
-//! overlay. The overlay therefore *is* the shard's accumulated online SGD
-//! delta: `diff = current − base`, harvested at model-swap time and merged
-//! into the incoming model by the engine (see `crate::engine`).
+//! overlay; reads prefer the overlay. A materialised row keeps no copy of
+//! the value it started from: that is the snapshot's row, bit for bit,
+//! until [`ModelOverlay::install`] replaces the snapshot and rebases every
+//! row in the same pass. The overlay therefore *is* the shard's
+//! accumulated online SGD delta: `diff = current − snapshot`, harvested at
+//! model-swap time and merged into the incoming model by the engine (see
+//! `crate::engine`).
 //!
 //! [`ModelOverlay`] implements [`ModelParams`], so the exact same scoring
 //! and SGD code (`rrc_core::online`) runs against a plain model and
@@ -19,69 +22,15 @@ use rrc_sequence::ids::IdHashMap;
 use rrc_sequence::{ItemId, UserId};
 use std::sync::Arc;
 
-/// A materialised row: the base it was copied from and its current value.
-#[derive(Debug, Clone)]
-struct CowRow {
-    base: Vec<f64>,
-    cur: Vec<f64>,
+/// `cur − base`, element-wise: a materialised row's accumulated delta.
+fn diff(cur: &[f64], base: &[f64]) -> Vec<f64> {
+    cur.iter().zip(base).map(|(c, b)| c - b).collect()
 }
 
-impl CowRow {
-    fn new(base: &[f64]) -> Self {
-        CowRow {
-            base: base.to_vec(),
-            cur: base.to_vec(),
-        }
-    }
-
-    fn diff(&self) -> Vec<f64> {
-        self.cur
-            .iter()
-            .zip(&self.base)
-            .map(|(c, b)| c - b)
-            .collect()
-    }
-
-    /// Carry the accumulated delta onto a fresh base.
-    fn rebase(&mut self, new_base: &[f64]) {
-        for ((c, b), nb) in self.cur.iter_mut().zip(&mut self.base).zip(new_base) {
-            *c = *nb + (*c - *b);
-            *b = *nb;
-        }
-    }
-}
-
-/// A materialised transform: base and current `A_u`.
-#[derive(Debug, Clone)]
-struct CowMat {
-    base: DMatrix,
-    cur: DMatrix,
-}
-
-impl CowMat {
-    fn new(base: &DMatrix) -> Self {
-        CowMat {
-            base: base.clone(),
-            cur: base.clone(),
-        }
-    }
-
-    fn diff(&self) -> Vec<f64> {
-        self.cur
-            .as_slice()
-            .iter()
-            .zip(self.base.as_slice())
-            .map(|(c, b)| c - b)
-            .collect()
-    }
-
-    fn rebase(&mut self, new_base: &DMatrix) {
-        let cur = self.cur.as_mut_slice();
-        let base = self.base.as_mut_slice();
-        for ((c, b), nb) in cur.iter_mut().zip(base.iter_mut()).zip(new_base.as_slice()) {
-            *c = *nb + (*c - *b);
-            *b = *nb;
-        }
+/// Carry `cur`'s delta over `old` onto `new`.
+fn rebase(cur: &mut [f64], old: &[f64], new: &[f64]) {
+    for ((c, b), nb) in cur.iter_mut().zip(old).zip(new) {
+        *c = *nb + (*c - *b);
     }
 }
 
@@ -135,9 +84,10 @@ impl ModelDiff {
 #[derive(Debug)]
 pub struct ModelOverlay {
     base: Arc<TsPprModel>,
-    users: IdHashMap<u32, CowRow>,
-    items: IdHashMap<u32, CowRow>,
-    transforms: IdHashMap<u32, CowMat>,
+    /// Materialised rows, current values only (their base is `base`'s row).
+    users: IdHashMap<u32, Vec<f64>>,
+    items: IdHashMap<u32, Vec<f64>>,
+    transforms: IdHashMap<u32, DMatrix>,
 }
 
 impl ModelOverlay {
@@ -160,28 +110,29 @@ impl ModelOverlay {
     /// Rows whose delta is exactly zero (touched but unchanged) are
     /// dropped. Output is sorted by id so harvests are deterministic.
     pub fn harvest(&mut self) -> ModelDiff {
-        fn rows(map: &mut IdHashMap<u32, CowRow>) -> Vec<(u32, Vec<f64>)> {
-            let mut out: Vec<(u32, Vec<f64>)> = map
-                .drain()
-                .map(|(id, row)| (id, row.diff()))
+        fn rows(deltas: impl Iterator<Item = (u32, Vec<f64>)>) -> Vec<(u32, Vec<f64>)> {
+            let mut out: Vec<(u32, Vec<f64>)> = deltas
                 .filter(|(_, d)| d.iter().any(|&x| x != 0.0))
                 .collect();
             out.sort_by_key(|(id, _)| *id);
             out
         }
-        let users = rows(&mut self.users);
-        let items = rows(&mut self.items);
-        let mut transforms: Vec<(u32, Vec<f64>)> = self
-            .transforms
-            .drain()
-            .map(|(id, m)| (id, m.diff()))
-            .filter(|(_, d)| d.iter().any(|&x| x != 0.0))
-            .collect();
-        transforms.sort_by_key(|(id, _)| *id);
+        let base = &self.base;
         ModelDiff {
-            users,
-            items,
-            transforms,
+            users: rows(
+                self.users
+                    .drain()
+                    .map(|(id, cur)| (id, diff(&cur, base.user_factor(UserId(id))))),
+            ),
+            items: rows(
+                self.items
+                    .drain()
+                    .map(|(id, cur)| (id, diff(&cur, base.item_factor(ItemId(id))))),
+            ),
+            transforms: rows(self.transforms.drain().map(|(id, cur)| {
+                let base = base.transform(UserId(id));
+                (id, diff(cur.as_slice(), base.as_slice()))
+            })),
         }
     }
 
@@ -189,14 +140,22 @@ impl ModelOverlay {
     /// [`harvest`](ModelOverlay::harvest) are carried over (rebased onto
     /// the new weights) so no online learning is lost mid-swap.
     pub fn install(&mut self, new_base: Arc<TsPprModel>) {
-        for (id, row) in &mut self.users {
-            row.rebase(new_base.user_factor(UserId(*id)));
+        let old = &self.base;
+        for (&id, cur) in &mut self.users {
+            let user = UserId(id);
+            rebase(cur, old.user_factor(user), new_base.user_factor(user));
         }
-        for (id, row) in &mut self.items {
-            row.rebase(new_base.item_factor(ItemId(*id)));
+        for (&id, cur) in &mut self.items {
+            let item = ItemId(id);
+            rebase(cur, old.item_factor(item), new_base.item_factor(item));
         }
-        for (id, m) in &mut self.transforms {
-            m.rebase(new_base.transform(UserId(*id)));
+        for (&id, cur) in &mut self.transforms {
+            let user = UserId(id);
+            rebase(
+                cur.as_mut_slice(),
+                old.transform(user).as_slice(),
+                new_base.transform(user).as_slice(),
+            );
         }
         self.base = new_base;
     }
@@ -218,50 +177,44 @@ impl ModelParams for ModelOverlay {
 
     fn user_factor(&self, user: UserId) -> &[f64] {
         match self.users.get(&user.0) {
-            Some(row) => &row.cur,
+            Some(cur) => cur,
             None => self.base.user_factor(user),
         }
     }
 
     fn item_factor(&self, item: ItemId) -> &[f64] {
         match self.items.get(&item.0) {
-            Some(row) => &row.cur,
+            Some(cur) => cur,
             None => self.base.item_factor(item),
         }
     }
 
     fn transform(&self, user: UserId) -> &DMatrix {
         match self.transforms.get(&user.0) {
-            Some(m) => &m.cur,
+            Some(cur) => cur,
             None => self.base.transform(user),
         }
     }
 
     fn user_factor_mut(&mut self, user: UserId) -> &mut [f64] {
         let base = &self.base;
-        &mut self
-            .users
+        self.users
             .entry(user.0)
-            .or_insert_with(|| CowRow::new(base.user_factor(user)))
-            .cur
+            .or_insert_with(|| base.user_factor(user).to_vec())
     }
 
     fn item_factor_mut(&mut self, item: ItemId) -> &mut [f64] {
         let base = &self.base;
-        &mut self
-            .items
+        self.items
             .entry(item.0)
-            .or_insert_with(|| CowRow::new(base.item_factor(item)))
-            .cur
+            .or_insert_with(|| base.item_factor(item).to_vec())
     }
 
     fn transform_mut(&mut self, user: UserId) -> &mut DMatrix {
         let base = &self.base;
-        &mut self
-            .transforms
+        self.transforms
             .entry(user.0)
-            .or_insert_with(|| CowMat::new(base.transform(user)))
-            .cur
+            .or_insert_with(|| base.transform(user).clone())
     }
 }
 
@@ -353,6 +306,216 @@ mod tests {
         // And the delta is still harvestable exactly once.
         let diff = overlay.harvest();
         assert!((diff.users[0].1[0] - 0.75).abs() < 1e-12);
+    }
+
+    /// The parent's overlay, frozen: every materialised row carries the
+    /// base it was copied from and rebases against that copy.
+    mod two_copy {
+        use super::super::*;
+        use std::collections::BTreeMap;
+
+        #[derive(Debug, Clone)]
+        struct CowRow {
+            base: Vec<f64>,
+            cur: Vec<f64>,
+        }
+
+        impl CowRow {
+            fn new(base: &[f64]) -> Self {
+                CowRow {
+                    base: base.to_vec(),
+                    cur: base.to_vec(),
+                }
+            }
+
+            fn diff(&self) -> Vec<f64> {
+                self.cur
+                    .iter()
+                    .zip(&self.base)
+                    .map(|(c, b)| c - b)
+                    .collect()
+            }
+
+            fn rebase(&mut self, new_base: &[f64]) {
+                for ((c, b), nb) in self.cur.iter_mut().zip(&mut self.base).zip(new_base) {
+                    *c = *nb + (*c - *b);
+                    *b = *nb;
+                }
+            }
+        }
+
+        /// Which of the model's three row families a write lands in.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        pub enum Family {
+            User,
+            Item,
+            Transform,
+        }
+
+        fn row_of(model: &TsPprModel, family: Family, id: u32) -> &[f64] {
+            match family {
+                Family::User => model.user_factor(UserId(id)),
+                Family::Item => model.item_factor(ItemId(id)),
+                Family::Transform => model.transform(UserId(id)).as_slice(),
+            }
+        }
+
+        pub struct Overlay {
+            base: Arc<TsPprModel>,
+            rows: BTreeMap<(Family, u32), CowRow>,
+        }
+
+        impl Overlay {
+            pub fn new(base: Arc<TsPprModel>) -> Self {
+                Overlay {
+                    base,
+                    rows: BTreeMap::new(),
+                }
+            }
+
+            pub fn row(&self, family: Family, id: u32) -> &[f64] {
+                match self.rows.get(&(family, id)) {
+                    Some(row) => &row.cur,
+                    None => row_of(&self.base, family, id),
+                }
+            }
+
+            pub fn row_mut(&mut self, family: Family, id: u32) -> &mut [f64] {
+                let base = &self.base;
+                &mut self
+                    .rows
+                    .entry((family, id))
+                    .or_insert_with(|| CowRow::new(row_of(base, family, id)))
+                    .cur
+            }
+
+            pub fn harvest(&mut self) -> ModelDiff {
+                let mut diff = ModelDiff::default();
+                for ((family, id), row) in std::mem::take(&mut self.rows) {
+                    let d = row.diff();
+                    if d.iter().any(|&x| x != 0.0) {
+                        match family {
+                            Family::User => diff.users.push((id, d)),
+                            Family::Item => diff.items.push((id, d)),
+                            Family::Transform => diff.transforms.push((id, d)),
+                        }
+                    }
+                }
+                diff
+            }
+
+            pub fn install(&mut self, new_base: Arc<TsPprModel>) {
+                for (&(family, id), row) in &mut self.rows {
+                    row.rebase(row_of(&new_base, family, id));
+                }
+                self.base = new_base;
+            }
+        }
+    }
+
+    mod against_two_copy_rows {
+        use super::two_copy::{Family, Overlay};
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Step {
+            Write {
+                family: Family,
+                id: u32,
+                slot: usize,
+                delta: f64,
+            },
+            Harvest,
+            Install {
+                seed: u64,
+            },
+        }
+
+        fn steps() -> impl Strategy<Value = Vec<Step>> {
+            let step = (0u8..10, 0u8..3, 0u32..4, 0usize..12, -50i32..50, 1u64..500).prop_map(
+                |(kind, family, id, slot, delta, seed)| match kind {
+                    0 => Step::Harvest,
+                    1 => Step::Install { seed },
+                    _ => Step::Write {
+                        family: [Family::User, Family::Item, Family::Transform][family as usize],
+                        id,
+                        slot,
+                        delta: f64::from(delta) * 0.0173,
+                    },
+                },
+            );
+            proptest::collection::vec(step, 1..80)
+        }
+
+        fn row_mut(overlay: &mut ModelOverlay, family: Family, id: u32) -> &mut [f64] {
+            match family {
+                Family::User => overlay.user_factor_mut(UserId(id)),
+                Family::Item => overlay.item_factor_mut(ItemId(id)),
+                Family::Transform => overlay.transform_mut(UserId(id)).as_mut_slice(),
+            }
+        }
+
+        fn bits(diff: &ModelDiff) -> Vec<(u32, Vec<u64>)> {
+            diff.users
+                .iter()
+                .chain(&diff.items)
+                .chain(&diff.transforms)
+                .map(|(id, d)| (*id, d.iter().map(|x| x.to_bits()).collect()))
+                .collect()
+        }
+
+        proptest! {
+            /// Any order of writes, harvests and installs: the harvested
+            /// diffs and every row after every step are the two-copy
+            /// overlay's, bit for bit.
+            #[test]
+            fn single_copy_rows_equal_two_copy_rows(steps in steps()) {
+                let base = base_model();
+                let mut overlay = ModelOverlay::new(base.clone());
+                let mut reference = Overlay::new(base.clone());
+                for step in steps.iter().chain(&[Step::Harvest]) {
+                    match *step {
+                        Step::Write { family, id, slot, delta } => {
+                            let row = row_mut(&mut overlay, family, id);
+                            let slot = slot % row.len();
+                            row[slot] += delta;
+                            reference.row_mut(family, id)[slot] += delta;
+                        }
+                        Step::Harvest => {
+                            let (got, want) = (overlay.harvest(), reference.harvest());
+                            prop_assert_eq!(bits(&got), bits(&want));
+                            prop_assert_eq!(got.touched_rows(), want.touched_rows());
+                        }
+                        Step::Install { seed } => {
+                            let mut rng = StdRng::seed_from_u64(seed);
+                            let next = Arc::new(TsPprModel::init(&mut rng, 4, 6, 3, 4, 0.1, 0.05));
+                            overlay.install(next.clone());
+                            reference.install(next);
+                        }
+                    }
+                    for family in [Family::User, Family::Item, Family::Transform] {
+                        for id in 0..4 {
+                            let want: Vec<u64> =
+                                reference.row(family, id).iter().map(|x| x.to_bits()).collect();
+                            let got: Vec<u64> = row_of_overlay(&overlay, family, id)
+                                .iter()
+                                .map(|x| x.to_bits())
+                                .collect();
+                            prop_assert_eq!(got, want, "{:?} {}", family, id);
+                        }
+                    }
+                }
+            }
+        }
+
+        fn row_of_overlay(overlay: &ModelOverlay, family: Family, id: u32) -> &[f64] {
+            match family {
+                Family::User => overlay.user_factor(UserId(id)),
+                Family::Item => overlay.item_factor(ItemId(id)),
+                Family::Transform => overlay.transform(UserId(id)).as_slice(),
+            }
+        }
     }
 
     #[test]

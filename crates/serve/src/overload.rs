@@ -1,6 +1,6 @@
 //! Bounded admission and priority load-shedding for the serving engine.
 //!
-//! The shard channels themselves stay unbounded crossbeam FIFOs (control
+//! The shard queues themselves stay unbounded FIFOs (control
 //! messages — `Flush`, `Harvest`, `Install` — must never be refused or the
 //! hot-swap protocol deadlocks). Instead, *data* requests pass through a
 //! per-shard [`AdmissionGate`]: a CAS-maintained depth counter with two

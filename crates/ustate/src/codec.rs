@@ -23,7 +23,12 @@
 //! Factors are stored as **absolute** current *and* base rows (not the
 //! delta): a same-version reload restores them verbatim — bit-identical to
 //! never-evicted state — and a reload across one hot-swap rebases with the
-//! stored base exactly as a resident copy-on-write row would have.
+//! stored base exactly as a resident copy-on-write row would have. In
+//! memory a user keeps the current rows only ([`UserFactors`]); the base
+//! rows of a record are the published snapshot's, written from it by the
+//! tier and read back into its [`CodecScratch`], which is the one place
+//! they are needed after a decode (the rebase of a reload, the delta of a
+//! harvest).
 //! Floats round-trip through `to_le_bytes`/`from_le_bytes`, which is
 //! lossless for every bit pattern.
 //!
@@ -46,8 +51,18 @@ pub struct SpillRecord {
     pub version: u64,
     /// The reconstructed window (logically identical to the spilled one).
     pub window: WindowState,
-    /// Materialised factors, when the user had taken online-SGD writes.
+    /// Materialised factors (the current rows), when the user had taken
+    /// online-SGD writes.
     pub factors: Option<UserFactors>,
+}
+
+/// The factor rows one record stores: the user's current rows and the
+/// base rows they have diverged from (`A_u` flattened row-major).
+#[derive(Clone, Copy)]
+pub(crate) struct FactorRows<'a> {
+    pub(crate) cur: &'a UserFactors,
+    pub(crate) base_u: &'a [f64],
+    pub(crate) base_a: &'a [f64],
 }
 
 fn bad(detail: impl Into<String>) -> StoreError {
@@ -63,9 +78,14 @@ fn bad(detail: impl Into<String>) -> StoreError {
 pub(crate) struct CodecScratch {
     events: Vec<ItemId>,
     last_seen: Vec<(ItemId, usize)>,
+    /// The base rows of the last record decoded with factors.
+    pub(crate) base_u: Vec<f64>,
+    pub(crate) base_a: Vec<f64>,
 }
 
-/// Serialize one user's state.
+/// Serialize one user's state. With no snapshot at hand the base rows are
+/// written equal to the current ones, which is what they are for freshly
+/// materialised factors; the tier writes a victim's from its snapshot.
 pub fn encode_record(version: u64, window: &WindowState, factors: Option<&UserFactors>) -> Vec<u8> {
     let mut out = Vec::new();
     encode_record_into(
@@ -73,7 +93,11 @@ pub fn encode_record(version: u64, window: &WindowState, factors: Option<&UserFa
         &mut CodecScratch::default(),
         version,
         window,
-        factors,
+        factors.map(|cur| FactorRows {
+            cur,
+            base_u: &cur.cur_u,
+            base_a: cur.cur_a.as_slice(),
+        }),
     );
     out
 }
@@ -86,12 +110,13 @@ pub(crate) fn encode_record_into(
     scratch: &mut CodecScratch,
     version: u64,
     window: &WindowState,
-    factors: Option<&UserFactors>,
+    factors: Option<FactorRows<'_>>,
 ) {
     let last_seen = &mut scratch.last_seen;
     window.last_seen_entries_into(last_seen);
     let (k, f) = factors.map_or((0usize, 0usize), |fx| {
-        (fx.cur_u.len(), fx.cur_a.as_slice().len() / fx.cur_u.len())
+        let k = fx.cur.cur_u.len();
+        (k, fx.cur.cur_a.as_slice().len() / k)
     });
     let start = out.len();
     out.reserve(
@@ -122,13 +147,18 @@ pub(crate) fn encode_record_into(
         out.extend_from_slice(&(*step as u64).to_le_bytes());
     }
     if let Some(fx) = factors {
-        for row in [&fx.cur_u, &fx.base_u] {
+        debug_assert_eq!(
+            (fx.base_u.len(), fx.base_a.len()),
+            (k, k * f),
+            "base rows of the factors' shape"
+        );
+        for row in [
+            &fx.cur.cur_u[..],
+            fx.base_u,
+            fx.cur.cur_a.as_slice(),
+            fx.base_a,
+        ] {
             for x in row {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        for mat in [&fx.cur_a, &fx.base_a] {
-            for x in mat.as_slice() {
                 out.extend_from_slice(&x.to_le_bytes());
             }
         }
@@ -147,7 +177,8 @@ pub fn decode_record(
 }
 
 /// [`decode_record`] through buffers the caller keeps: what it allocates
-/// is what the returned record owns.
+/// is what the returned record owns. The base rows of a record with
+/// factors are left in `scratch.base_u` / `scratch.base_a`.
 pub(crate) fn decode_record_with(
     data: &[u8],
     expect_k: usize,
@@ -208,11 +239,11 @@ pub(crate) fn decode_record_with(
                 "factor dimensions {k}×{f} do not match the serving model {expect_k}×{expect_f}"
             )));
         }
-        let cur_u = r.f64s(k)?;
-        let base_u = r.f64s(k)?;
-        let cur_a = DMatrix::from_vec(k, f, r.f64s(k * f)?);
-        let base_a = DMatrix::from_vec(k, f, r.f64s(k * f)?);
-        Some(UserFactors::from_parts(cur_u, base_u, cur_a, base_a))
+        let cur_u = r.f64s(k)?.collect();
+        fill(&mut scratch.base_u, r.f64s(k)?);
+        let cur_a = DMatrix::from_vec(k, f, r.f64s(k * f)?.collect());
+        fill(&mut scratch.base_a, r.f64s(k * f)?);
+        Some(UserFactors { cur_u, cur_a })
     } else {
         if k != 0 || f != 0 {
             return Err(bad("factor dimensions declared without factors"));
@@ -275,8 +306,8 @@ impl<'a> Reader<'a> {
         Ok(self.array(n)?.map(u64::from_le_bytes))
     }
 
-    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, StoreError> {
-        Ok(self.array(n)?.map(f64::from_le_bytes).collect())
+    fn f64s(&mut self, n: usize) -> Result<impl Iterator<Item = f64> + 'a, StoreError> {
+        Ok(self.array(n)?.map(f64::from_le_bytes))
     }
 
     fn pad8(&mut self) -> Result<(), StoreError> {
@@ -288,6 +319,12 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Replace `buf`'s contents, keeping its allocation.
+fn fill(buf: &mut Vec<f64>, values: impl Iterator<Item = f64>) {
+    buf.clear();
+    buf.extend(values);
+}
+
 /// Zero-pad `out` until the record that began at `start` is 8-aligned.
 fn pad8(out: &mut Vec<u8>, start: usize) {
     let len = out.len() - start;
@@ -297,58 +334,25 @@ fn pad8(out: &mut Vec<u8>, start: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{reference_encode, RefFactors};
     use proptest::prelude::*;
 
-    /// `encode_record` as it stood when it built every list and the record
-    /// in vectors of its own, frozen: the bytes a spill record must have.
-    fn reference_encode(
+    /// The in-place encoder over a reference pair: its current rows as
+    /// `UserFactors`, its base rows as the snapshot rows the tier passes.
+    fn encode_pair(
+        out: &mut Vec<u8>,
+        scratch: &mut CodecScratch,
         version: u64,
         window: &WindowState,
-        factors: Option<&UserFactors>,
-    ) -> Vec<u8> {
-        fn pad8(out: &mut Vec<u8>) {
-            let pad = out.len().next_multiple_of(8) - out.len();
-            out.extend(std::iter::repeat_n(0u8, pad));
-        }
-        let events: Vec<ItemId> = window.events().collect();
-        let last_seen = window.last_seen_entries();
-        let (k, f) = factors.map_or((0usize, 0usize), |fx| {
-            (fx.cur_u.len(), fx.cur_a.as_slice().len() / fx.cur_u.len())
+        factors: Option<&RefFactors>,
+    ) {
+        let cur = factors.map(RefFactors::current);
+        let rows = factors.zip(cur.as_ref()).map(|(fx, cur)| FactorRows {
+            cur,
+            base_u: &fx.base_u,
+            base_a: fx.base_a.as_slice(),
         });
-        let mut out = Vec::new();
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&(window.capacity() as u32).to_le_bytes());
-        let flags = if factors.is_some() { FLAG_FACTORS } else { 0 };
-        out.extend_from_slice(&flags.to_le_bytes());
-        out.extend_from_slice(&(window.time() as u64).to_le_bytes());
-        out.extend_from_slice(&(events.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(last_seen.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(k as u32).to_le_bytes());
-        out.extend_from_slice(&(f as u32).to_le_bytes());
-        for item in &events {
-            out.extend_from_slice(&item.0.to_le_bytes());
-        }
-        pad8(&mut out);
-        for (item, _) in &last_seen {
-            out.extend_from_slice(&item.0.to_le_bytes());
-        }
-        pad8(&mut out);
-        for (_, step) in &last_seen {
-            out.extend_from_slice(&(*step as u64).to_le_bytes());
-        }
-        if let Some(fx) = factors {
-            for row in [&fx.cur_u, &fx.base_u] {
-                for x in row {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            for mat in [&fx.cur_a, &fx.base_a] {
-                for x in mat.as_slice() {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-        }
-        out
+        encode_record_into(out, scratch, version, window, rows);
     }
 
     proptest! {
@@ -375,17 +379,31 @@ mod tests {
             let other = encode_record(1, &sample_window(), None);
             decode_record_with(&other, 1, 1, &mut scratch).unwrap();
             let mut out = prefix.clone();
-            encode_record_into(&mut out, &mut scratch, version, &window, factors.as_ref());
+            encode_pair(&mut out, &mut scratch, version, &window, factors.as_ref());
             prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
             prop_assert_eq!(&out[prefix.len()..], &expected[..]);
-            prop_assert_eq!(encode_record(version, &window, factors.as_ref()), expected);
+            // Stand-alone, the base rows are the current ones.
+            let current = factors.as_ref().map(RefFactors::current);
+            let fresh = current.as_ref().map(|cur| RefFactors::new(cur.u(), cur.a()));
+            prop_assert_eq!(
+                encode_record(version, &window, current.as_ref()),
+                reference_encode(version, &window, fresh.as_ref())
+            );
 
             let rec = decode_record_with(&out[prefix.len()..], k, f, &mut scratch).unwrap();
             prop_assert_eq!(rec.version, version);
             prop_assert_eq!(&rec.window, &window);
             prop_assert_eq!(rec.window.last_seen_entries(), window.last_seen_entries());
-            prop_assert_eq!(rec.factors, factors);
+            prop_assert_eq!(&rec.factors, &current);
+            if let Some(fx) = &factors {
+                prop_assert_eq!(bits(&scratch.base_u), bits(&fx.base_u));
+                prop_assert_eq!(bits(&scratch.base_a), bits(fx.base_a.as_slice()));
+            }
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     fn sample_window() -> WindowState {
@@ -396,13 +414,20 @@ mod tests {
         w
     }
 
-    fn sample_factors(k: usize, f: usize) -> UserFactors {
+    fn sample_factors(k: usize, f: usize) -> RefFactors {
         let base_u: Vec<f64> = (0..k).map(|i| 0.1 * i as f64 - 0.3).collect();
         let base_a = DMatrix::from_vec(k, f, (0..k * f).map(|i| 0.01 * i as f64).collect());
-        let mut fx = UserFactors::new(&base_u, &base_a);
+        let mut fx = RefFactors::new(&base_u, &base_a);
         fx.cur_u[0] += 0.5;
         fx.cur_a.as_mut_slice()[1] -= 0.25;
         fx
+    }
+
+    /// A record with `fx`'s current and base rows.
+    fn encode_sample(version: u64, w: &WindowState, fx: &RefFactors) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_pair(&mut out, &mut CodecScratch::default(), version, w, Some(fx));
+        out
     }
 
     #[test]
@@ -424,21 +449,21 @@ mod tests {
     fn factors_round_trip_bitwise() {
         let w = sample_window();
         let fx = sample_factors(8, 4);
-        let bytes = encode_record(11, &w, Some(&fx));
-        let rec = decode_record(&bytes, 8, 4).unwrap();
+        let bytes = encode_sample(11, &w, &fx);
+        let mut scratch = CodecScratch::default();
+        let rec = decode_record_with(&bytes, 8, 4, &mut scratch).unwrap();
         let got = rec.factors.unwrap();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got.cur_u), bits(&fx.cur_u));
-        assert_eq!(bits(&got.base_u), bits(&fx.base_u));
+        assert_eq!(bits(&scratch.base_u), bits(&fx.base_u));
         assert_eq!(bits(got.cur_a.as_slice()), bits(fx.cur_a.as_slice()));
-        assert_eq!(bits(got.base_a.as_slice()), bits(fx.base_a.as_slice()));
+        assert_eq!(bits(&scratch.base_a), bits(fx.base_a.as_slice()));
     }
 
     #[test]
     fn dimension_mismatch_is_typed_error() {
         let w = sample_window();
         let fx = sample_factors(8, 4);
-        let bytes = encode_record(0, &w, Some(&fx));
+        let bytes = encode_sample(0, &w, &fx);
         assert!(matches!(
             decode_record(&bytes, 16, 4),
             Err(StoreError::Corrupt { .. })
@@ -449,7 +474,7 @@ mod tests {
     fn every_truncation_is_rejected() {
         let w = sample_window();
         let fx = sample_factors(4, 3);
-        let bytes = encode_record(9, &w, Some(&fx));
+        let bytes = encode_sample(9, &w, &fx);
         for cut in 0..bytes.len() {
             assert!(
                 decode_record(&bytes[..cut], 4, 3).is_err(),

@@ -3,41 +3,36 @@
 use rrc_linalg::DMatrix;
 use rrc_sequence::WindowState;
 
-/// A user's materialised factor rows: current and base copies of the
-/// latent `u` row and the transform `A_u`, mirroring the shard overlay's
-/// copy-on-write discipline. `cur − base` is the accumulated online-SGD
-/// delta awaiting the next harvest.
+/// A user's materialised factor rows: the current latent `u` row and
+/// transform `A_u`, copied from the published snapshot on the first SGD
+/// write, mirroring the shard overlay's copy-on-write discipline. The base
+/// they were copied from is not kept: for a resident row it is, bit for
+/// bit, the row of the snapshot the tier holds, so `cur − snapshot` is the
+/// accumulated online-SGD delta awaiting the next harvest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UserFactors {
-    pub(crate) base_u: Vec<f64>,
     pub(crate) cur_u: Vec<f64>,
-    pub(crate) base_a: DMatrix,
     pub(crate) cur_a: DMatrix,
+}
+
+/// `cur − base`, element-wise.
+pub(crate) fn diff(cur: &[f64], base: &[f64]) -> Vec<f64> {
+    cur.iter().zip(base).map(|(c, b)| c - b).collect()
+}
+
+/// Carry `cur`'s delta over `old` onto `new`.
+fn rebase(cur: &mut [f64], old: &[f64], new: &[f64]) {
+    for ((c, b), nb) in cur.iter_mut().zip(old).zip(new) {
+        *c = *nb + (*c - *b);
+    }
 }
 
 impl UserFactors {
     /// Materialise from base rows (first SGD write touching this user).
     pub fn new(base_u: &[f64], base_a: &DMatrix) -> Self {
         UserFactors {
-            base_u: base_u.to_vec(),
             cur_u: base_u.to_vec(),
-            base_a: base_a.clone(),
             cur_a: base_a.clone(),
-        }
-    }
-
-    /// Rebuild from absolute spilled rows.
-    pub(crate) fn from_parts(
-        cur_u: Vec<f64>,
-        base_u: Vec<f64>,
-        cur_a: DMatrix,
-        base_a: DMatrix,
-    ) -> Self {
-        UserFactors {
-            base_u,
-            cur_u,
-            base_a,
-            cur_a,
         }
     }
 
@@ -51,46 +46,18 @@ impl UserFactors {
         &self.cur_a
     }
 
-    /// `cur − base` for the `u` row.
-    pub(crate) fn diff_u(&self) -> Vec<f64> {
-        self.cur_u
-            .iter()
-            .zip(&self.base_u)
-            .map(|(c, b)| c - b)
-            .collect()
+    /// Carry the accumulated delta from the base rows it was taken over
+    /// (`old_*`; `A_u` flattened row-major) onto fresh ones — identical
+    /// arithmetic to the overlay's rebase, which is what makes a reloaded
+    /// row byte-equal to one that stayed resident across a swap.
+    pub(crate) fn rebase(&mut self, old_u: &[f64], old_a: &[f64], new_u: &[f64], new_a: &DMatrix) {
+        rebase(&mut self.cur_u, old_u, new_u);
+        rebase(self.cur_a.as_mut_slice(), old_a, new_a.as_slice());
     }
 
-    /// `cur − base` for `A_u`, flattened row-major.
-    pub(crate) fn diff_a(&self) -> Vec<f64> {
-        self.cur_a
-            .as_slice()
-            .iter()
-            .zip(self.base_a.as_slice())
-            .map(|(c, b)| c - b)
-            .collect()
-    }
-
-    /// Carry the accumulated delta onto fresh base rows — identical
-    /// arithmetic to the overlay's `CowRow::rebase`, which is what makes a
-    /// reloaded row byte-equal to one that stayed resident across a swap.
-    pub(crate) fn rebase(&mut self, new_u: &[f64], new_a: &DMatrix) {
-        for ((c, b), nb) in self.cur_u.iter_mut().zip(&mut self.base_u).zip(new_u) {
-            *c = *nb + (*c - *b);
-            *b = *nb;
-        }
-        let cur = self.cur_a.as_mut_slice();
-        let base = self.base_a.as_mut_slice();
-        for ((c, b), nb) in cur.iter_mut().zip(base.iter_mut()).zip(new_a.as_slice()) {
-            *c = *nb + (*c - *b);
-            *b = *nb;
-        }
-    }
-
-    /// Resident footprint of the four owned buffers.
+    /// Resident footprint of the two owned buffers.
     pub(crate) fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + 8 * (self.cur_u.len() + self.base_u.len())
-            + 8 * (self.cur_a.as_slice().len() + self.base_a.as_slice().len())
+        std::mem::size_of::<Self>() + 8 * (self.cur_u.len() + self.cur_a.as_slice().len())
     }
 }
 

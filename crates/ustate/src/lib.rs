@@ -26,6 +26,10 @@
 //!   never-evicted state: same-version reloads restore verbatim, and a
 //!   reload across one hot-swap replays the exact `cur = new_base +
 //!   (cur − base)` rebase arithmetic a resident row would have seen.
+//!   In memory a user's factors are the current rows only
+//!   ([`UserFactors`]): a resident row's base is the row of the snapshot
+//!   the tier holds, so the tier writes it into a victim's record from
+//!   there and drops a reloaded record's once the rebase has used it.
 //!
 //! Delta-merge-before-evict rule: a user's in-flight online-SGD delta
 //! (`cur − base`) is never dropped — eviction serializes it into the
@@ -36,6 +40,8 @@
 mod codec;
 mod entry;
 mod params;
+#[cfg(test)]
+mod reference;
 mod tier;
 
 pub use codec::{decode_record, encode_record, SpillRecord};

@@ -1,9 +1,9 @@
 //! The bounded cache proper: residency, eviction, spill, harvest.
 
 use crate::codec::{
-    decode_record, decode_record_with, encode_record, encode_record_into, CodecScratch,
+    decode_record, decode_record_with, encode_record, encode_record_into, CodecScratch, FactorRows,
 };
-use crate::entry::{UserEntry, UserFactors};
+use crate::entry::{diff, UserEntry, UserFactors};
 use rrc_core::TsPprModel;
 use rrc_sequence::ids::IdHashMap;
 use rrc_sequence::{UserId, WindowState};
@@ -146,7 +146,9 @@ pub struct UserStateTier {
     tick: u64,
     budget: Option<usize>,
     segment: Option<SegmentLog>,
-    /// The published snapshot spill records rebase against on reload.
+    /// The published snapshot: the base every resident factor row was
+    /// copied from or last rebased onto (so rows keep no base of their
+    /// own), and what spill records rebase against on reload.
     base: Arc<TsPprModel>,
     /// The shard's installed model version, stamped into spill records.
     version: u64,
@@ -202,7 +204,29 @@ impl UserStateTier {
         &mut self,
         user: UserId,
     ) -> Result<(&mut WindowState, &mut Option<UserFactors>), StoreError> {
-        let id = user.0;
+        self.fault_in(user.0)?;
+        let e = self.entries.get_mut(&user.0).expect("entry just ensured");
+        Ok((&mut e.window, &mut e.factors))
+    }
+
+    /// [`get_or_load`](Self::get_or_load) together with the snapshot the
+    /// factors materialise from, for a caller that builds a
+    /// [`TierParams`](crate::TierParams) over the entry: no clone of the
+    /// shared `Arc` per request.
+    #[allow(clippy::type_complexity)]
+    pub fn get_or_load_with_base(
+        &mut self,
+        user: UserId,
+    ) -> Result<(&mut WindowState, &mut Option<UserFactors>, &TsPprModel), StoreError> {
+        self.fault_in(user.0)?;
+        let e = self.entries.get_mut(&user.0).expect("entry just ensured");
+        Ok((&mut e.window, &mut e.factors, &self.base))
+    }
+
+    /// Make `id` resident (reloaded, or fresh), count the hit or miss, and
+    /// mark it recently used.
+    #[inline]
+    fn fault_in(&mut self, id: u32) -> Result<(), StoreError> {
         if self.entries.contains_key(&id) {
             self.delta.hits += 1;
         } else {
@@ -214,8 +238,7 @@ impl UserStateTier {
             self.insert_entry(id, entry);
         }
         self.touch(id);
-        let e = self.entries.get_mut(&id).expect("entry just ensured");
-        Ok((&mut e.window, &mut e.factors))
+        Ok(())
     }
 
     /// Mark `user` recently used without borrowing its state.
@@ -273,19 +296,25 @@ impl UserStateTier {
     pub fn harvest(&mut self) -> Result<(Vec<(u32, Vec<f64>)>, Vec<(u32, Vec<f64>)>), StoreError> {
         let mut users: Vec<(u32, Vec<f64>)> = Vec::new();
         let mut transforms: Vec<(u32, Vec<f64>)> = Vec::new();
-        let mut collect = |id: u32, fx: &UserFactors| {
-            let du = fx.diff_u();
+        let mut collect = |id: u32, fx: &UserFactors, base_u: &[f64], base_a: &[f64]| {
+            let du = diff(&fx.cur_u, base_u);
             if du.iter().any(|&x| x != 0.0) {
                 users.push((id, du));
             }
-            let da = fx.diff_a();
+            let da = diff(fx.cur_a.as_slice(), base_a);
             if da.iter().any(|&x| x != 0.0) {
                 transforms.push((id, da));
             }
         };
         for (&id, e) in self.entries.iter_mut() {
             if let Some(fx) = e.factors.take() {
-                collect(id, &fx);
+                let user = UserId(id);
+                collect(
+                    id,
+                    &fx,
+                    self.base.user_factor(user),
+                    self.base.transform(user).as_slice(),
+                );
                 let cost = e.cost();
                 self.resident_bytes = self.resident_bytes + cost - e.bytes;
                 e.bytes = cost;
@@ -297,10 +326,12 @@ impl UserStateTier {
                 let f = self.base.f_dim();
                 let mut rewritten = Vec::with_capacity(seg.len());
                 for (id, data) in seg.entries()? {
-                    let rec = decode_record(&data, k, f)?;
+                    let rec = decode_record_with(&data, k, f, &mut self.scratch)?;
                     match rec.factors {
+                        // The delta over the base the record was written
+                        // with, rebased or not since.
                         Some(fx) => {
-                            collect(id, &fx);
+                            collect(id, &fx, &self.scratch.base_u, &self.scratch.base_a);
                             rewritten.push((id, encode_record(rec.version, &rec.window, None)));
                         }
                         None => rewritten.push((id, data)),
@@ -321,7 +352,13 @@ impl UserStateTier {
     pub fn install(&mut self, base: Arc<TsPprModel>, version: u64) {
         for (&id, e) in self.entries.iter_mut() {
             if let Some(fx) = &mut e.factors {
-                fx.rebase(base.user_factor(UserId(id)), base.transform(UserId(id)));
+                let user = UserId(id);
+                fx.rebase(
+                    self.base.user_factor(user),
+                    self.base.transform(user).as_slice(),
+                    base.user_factor(user),
+                    base.transform(user),
+                );
             }
         }
         self.base = base;
@@ -434,11 +471,15 @@ impl UserStateTier {
             // current snapshot replays what a resident row would have done.
             if let Some(fx) = &mut factors {
                 fx.rebase(
+                    &self.scratch.base_u,
+                    &self.scratch.base_a,
                     self.base.user_factor(UserId(id)),
                     self.base.transform(UserId(id)),
                 );
             }
         }
+        // Either way the row's base is now the snapshot's, which is where
+        // a resident row keeps it: the record's copy goes no further.
         seg.remove(id);
         self.delta.load_ns.push(t0.elapsed().as_nanos() as u64);
         Ok(Some(UserEntry::new(rec.window, factors)))
@@ -477,8 +518,15 @@ impl UserStateTier {
         let _prof = rrc_obs::ProfGuard::enter("spill");
         let t0 = Instant::now();
         let (version, scratch) = (self.version, &mut self.scratch);
+        // A resident row's base is the snapshot's row; the record carries
+        // it for the reload that finds a newer snapshot.
+        let factors = entry.factors.as_ref().map(|cur| FactorRows {
+            cur,
+            base_u: self.base.user_factor(UserId(victim)),
+            base_a: self.base.transform(UserId(victim)).as_slice(),
+        });
         seg.append_with(victim, |out| {
-            encode_record_into(out, scratch, version, &entry.window, entry.factors.as_ref())
+            encode_record_into(out, scratch, version, &entry.window, factors)
         })?;
         self.delta.spill_ns.push(t0.elapsed().as_nanos() as u64);
         self.delta.evictions += 1;
@@ -494,5 +542,378 @@ impl UserStateTier {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The single-copy factor rows against the parent's two-copy ones
+    //! ([`RefFactors`], frozen): a tier that diffs and rebases against its
+    //! snapshot, writes a victim's base from it and drops a reloaded
+    //! record's, must produce the parent's bits — resident, and spilled
+    //! across exactly one install.
+
+    use super::*;
+    use crate::params::TierParams;
+    use crate::reference::{reference_encode, RefFactors};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use rrc_core::ModelParams;
+    use rrc_sequence::ItemId;
+    use std::collections::BTreeMap;
+
+    const USERS: usize = 5;
+    const ITEMS: usize = 4;
+    const K: usize = 3;
+    const F: usize = 2;
+    const WINDOW: usize = 6;
+
+    fn model(seed: u64) -> TsPprModel {
+        TsPprModel::init(
+            &mut StdRng::seed_from_u64(seed),
+            USERS,
+            ITEMS,
+            K,
+            F,
+            0.1,
+            0.05,
+        )
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    type Rows = Vec<(u32, Vec<u64>)>;
+
+    fn row_bits(rows: Vec<(u32, Vec<f64>)>) -> Rows {
+        rows.into_iter().map(|(id, v)| (id, bits(&v))).collect()
+    }
+
+    fn spill_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rrc_ustate_unit_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}.useg"));
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
+    /// A budget nothing fits: every settle spills every resident user.
+    fn spill_everything(name: &str, base: &Arc<TsPprModel>, version: u64) -> UserStateTier {
+        UserStateTier::new(
+            TierConfig::bounded(WINDOW, 1, spill_path(name)),
+            base.clone(),
+            version,
+        )
+        .unwrap()
+    }
+
+    /// The parent tier's factor bookkeeping, with its own arithmetic: a
+    /// resident row is rebased by `install`; a spilled one keeps the base
+    /// it was written with until its reload finds a newer version.
+    struct RefTier {
+        base: TsPprModel,
+        version: u64,
+        spilled: bool,
+        /// Factors and the version their record was written under.
+        users: BTreeMap<u32, (RefFactors, u64)>,
+    }
+
+    impl RefTier {
+        /// What a `get_or_load` does to the user's factors.
+        fn load(&mut self, user: u32) -> Option<&mut RefFactors> {
+            let (fx, written) = self.users.get_mut(&user)?;
+            if self.spilled && *written != self.version {
+                let id = UserId(user);
+                fx.rebase(self.base.user_factor(id), self.base.transform(id));
+            }
+            *written = self.version;
+            Some(fx)
+        }
+
+        fn write(&mut self, user: u32, slot: usize, delta: f64) {
+            if self.load(user).is_none() {
+                let id = UserId(user);
+                let fresh = RefFactors::new(self.base.user_factor(id), self.base.transform(id));
+                self.users.insert(user, (fresh, self.version));
+            }
+            let (fx, _) = self.users.get_mut(&user).unwrap();
+            match slot.checked_sub(K) {
+                None => fx.cur_u[slot] += delta,
+                Some(cell) => fx.cur_a.as_mut_slice()[cell] += delta,
+            }
+        }
+
+        /// Current rows as a request would read them.
+        fn rows(&mut self, user: u32) -> (Vec<u64>, Vec<u64>) {
+            let id = UserId(user);
+            match self.load(user) {
+                Some(fx) => (bits(&fx.cur_u), bits(fx.cur_a.as_slice())),
+                None => (
+                    bits(self.base.user_factor(id)),
+                    bits(self.base.transform(id).as_slice()),
+                ),
+            }
+        }
+
+        fn harvest(&mut self) -> (Rows, Rows) {
+            let moved = |d: &Vec<f64>| d.iter().any(|&x| x != 0.0);
+            let (mut users, mut transforms) = (Vec::new(), Vec::new());
+            for (id, (fx, _)) in std::mem::take(&mut self.users) {
+                users.push((id, fx.diff_u()));
+                transforms.push((id, fx.diff_a()));
+            }
+            users.retain(|(_, d)| moved(d));
+            transforms.retain(|(_, d)| moved(d));
+            (row_bits(users), row_bits(transforms))
+        }
+
+        fn install(&mut self, base: TsPprModel, version: u64) {
+            if !self.spilled {
+                for (&id, (fx, _)) in &mut self.users {
+                    fx.rebase(base.user_factor(UserId(id)), base.transform(UserId(id)));
+                }
+            }
+            self.base = base;
+            self.version = version;
+        }
+    }
+
+    /// One SGD-like write through the tier, as a shard makes it.
+    fn write(tier: &mut UserStateTier, items: &mut TsPprModel, user: u32, slot: usize, delta: f64) {
+        let id = UserId(user);
+        let (_window, factors, base) = tier.get_or_load_with_base(id).unwrap();
+        let mut params = TierParams::new(id, factors, base, items);
+        match slot.checked_sub(K) {
+            None => params.user_factor_mut(id)[slot] += delta,
+            Some(cell) => params.transform_mut(id).as_mut_slice()[cell] += delta,
+        }
+        tier.note_access(id).unwrap();
+    }
+
+    fn rows(tier: &mut UserStateTier, items: &mut TsPprModel, user: u32) -> (Vec<u64>, Vec<u64>) {
+        let id = UserId(user);
+        let (_window, factors, base) = tier.get_or_load_with_base(id).unwrap();
+        let params = TierParams::new(id, factors, base, items);
+        let out = (
+            bits(params.user_factor(id)),
+            bits(params.transform(id).as_slice()),
+        );
+        tier.note_access(id).unwrap();
+        out
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Write {
+            user: u32,
+            slot: usize,
+            delta: f64,
+        },
+        /// The next phase of a hot swap: harvest, then (writes later)
+        /// install — the engine never installs without a harvest before.
+        Swap {
+            seed: u64,
+        },
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        let step = (
+            0u8..8,
+            0..USERS as u32,
+            0..K + K * F,
+            -40i32..40,
+            1u64..1000,
+        )
+            .prop_map(|(kind, user, slot, delta, seed)| match kind {
+                0 => Step::Swap { seed },
+                _ => Step::Write {
+                    user,
+                    slot,
+                    delta: f64::from(delta) * 0.0137,
+                },
+            });
+        prop::collection::vec(step, 1..60)
+    }
+
+    fn tier_equals_the_reference(
+        steps: &[Step],
+        spilled: bool,
+        name: &str,
+    ) -> Result<(), TestCaseError> {
+        let base = Arc::new(model(7));
+        let mut tier = if spilled {
+            spill_everything(name, &base, 0)
+        } else {
+            UserStateTier::new(TierConfig::unbounded(WINDOW), base.clone(), 0).unwrap()
+        };
+        let mut reference = RefTier {
+            base: (*base).clone(),
+            version: 0,
+            spilled,
+            users: BTreeMap::new(),
+        };
+        let mut items = (*base).clone();
+        let (mut version, mut harvested) = (0u64, false);
+        let harvest = |tier: &mut UserStateTier| {
+            let (users, transforms) = tier.harvest().unwrap();
+            (row_bits(users), row_bits(transforms))
+        };
+        // A closing swap so every write is harvested and every row read.
+        let closing = [
+            Step::Swap { seed: 1 },
+            Step::Swap { seed: 2 },
+            Step::Swap { seed: 3 },
+        ];
+        for step in steps.iter().chain(&closing) {
+            match *step {
+                Step::Write { user, slot, delta } => {
+                    write(&mut tier, &mut items, user, slot, delta);
+                    reference.write(user, slot, delta);
+                    prop_assert_eq!(tier.is_resident(user), !spilled);
+                }
+                Step::Swap { .. } if !harvested => {
+                    prop_assert_eq!(harvest(&mut tier), reference.harvest());
+                    harvested = true;
+                }
+                Step::Swap { seed } => {
+                    version += 1;
+                    let next = model(seed);
+                    tier.install(Arc::new(next.clone()), version);
+                    reference.install(next, version);
+                    harvested = false;
+                    for user in 0..USERS as u32 {
+                        prop_assert_eq!(
+                            rows(&mut tier, &mut items, user),
+                            reference.rows(user),
+                            "user {} after install {}",
+                            user,
+                            version
+                        );
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn resident_rows_diff_and_rebase_like_two_copy_rows(steps in steps()) {
+            tier_equals_the_reference(&steps, false, "unused")?;
+        }
+
+        #[test]
+        fn spilled_rows_diff_and_rebase_like_two_copy_rows(steps in steps()) {
+            tier_equals_the_reference(&steps, true, "prop_spilled")?;
+        }
+    }
+
+    /// A learning user of the tier, written to and pushed to, next to the
+    /// two-copy factors the parent would hold for it.
+    fn learning_user(
+        tier: &mut UserStateTier,
+        base: &TsPprModel,
+        user: u32,
+    ) -> (WindowState, RefFactors) {
+        let id = UserId(user);
+        let mut items = base.clone();
+        let mut expected = RefFactors::new(base.user_factor(id), base.transform(id));
+        for (slot, delta) in [(0, 0.25), (2, -0.125), (K + 1, 0.0625), (K + 4, 1.5)] {
+            write(tier, &mut items, user, slot, delta);
+            match slot.checked_sub(K) {
+                None => expected.cur_u[slot] += delta,
+                Some(cell) => expected.cur_a.as_mut_slice()[cell] += delta,
+            }
+        }
+        let mut window = WindowState::new(WINDOW);
+        let (resident, _) = tier.get_or_load(id).unwrap();
+        for item in [3u32, 1, 3, 0, 2, 1, 1] {
+            resident.push(ItemId(item % ITEMS as u32));
+            window.push(ItemId(item % ITEMS as u32));
+        }
+        (window, expected)
+    }
+
+    #[test]
+    fn a_learning_victims_record_is_the_parents_byte_for_byte() {
+        let base = Arc::new(model(11));
+        let mut tier = spill_everything("golden_victim", &base, 4);
+        let (window, expected) = learning_user(&mut tier, &base, 2);
+        tier.note_access(UserId(2)).unwrap();
+        assert!(!tier.is_resident(2), "the budget spills everyone");
+        let record = tier.segment.as_mut().unwrap().get(2).unwrap().unwrap();
+        assert_eq!(record, reference_encode(4, &window, Some(&expected)));
+    }
+
+    #[test]
+    fn a_parent_written_record_reloads_to_the_parents_bits() {
+        let old = model(11);
+        let new = Arc::new(model(12));
+        // What the parent held for a user it spilled under version 4:
+        // rows that moved away from the old snapshot's.
+        let id = UserId(3);
+        let mut written = RefFactors::new(old.user_factor(id), old.transform(id));
+        written.cur_u[1] += 0.3;
+        written.cur_a.as_mut_slice()[2] -= 0.7;
+        let mut window = WindowState::new(WINDOW);
+        for item in [0u32, 1, 0, 2] {
+            window.push(ItemId(item));
+        }
+        let mut items = (*new).clone();
+        for (version, expect_rebase) in [(4, false), (5, true)] {
+            // Same version: the record's base is the snapshot the tier
+            // holds. A newer one: the parent rebased on reload.
+            let snapshot = if expect_rebase {
+                new.clone()
+            } else {
+                Arc::new(old.clone())
+            };
+            let mut tier = spill_everything("golden_reload", &snapshot, version);
+            tier.segment
+                .as_mut()
+                .unwrap()
+                .append(3, &reference_encode(4, &window, Some(&written)))
+                .unwrap();
+            let mut expected = written.clone();
+            if expect_rebase {
+                expected.rebase(new.user_factor(id), new.transform(id));
+            }
+            let (reloaded, factors) = tier.get_or_load(id).unwrap();
+            assert_eq!(*reloaded, window);
+            assert_eq!(factors.as_ref(), Some(&expected.current()));
+            // And its delta is the parent's, against the base it now has.
+            let got = rows(&mut tier, &mut items, 3);
+            assert_eq!(
+                got,
+                (bits(&expected.cur_u), bits(expected.cur_a.as_slice()))
+            );
+            let (users, transforms) = tier.harvest().unwrap();
+            assert_eq!(row_bits(users), vec![(3, bits(&expected.diff_u()))]);
+            assert_eq!(row_bits(transforms), vec![(3, bits(&expected.diff_a()))]);
+        }
+    }
+
+    /// What an entry with factors is charged: the current rows only, half
+    /// of the factor bytes a two-copy entry was charged. Who is evicted
+    /// when therefore changes on *learning* bounded tiers, and only there:
+    /// a frozen tier never materialises factors.
+    #[test]
+    fn an_entry_with_factors_is_charged_one_copy_of_its_rows() {
+        let base = model(5);
+        let id = UserId(1);
+        let factors = UserFactors::new(base.user_factor(id), base.transform(id));
+        let rows = 8 * (K + K * F);
+        assert_eq!(
+            factors.approx_bytes(),
+            std::mem::size_of::<UserFactors>() + rows
+        );
+        let window = WindowState::new(WINDOW);
+        let frozen = UserEntry::new(window.clone(), None).cost();
+        let learning = UserEntry::new(window.clone(), Some(factors)).cost();
+        assert_eq!(learning - frozen, std::mem::size_of::<UserFactors>() + rows);
     }
 }

@@ -2,7 +2,9 @@
 //! the profiler's counting allocator: an observe and an online SGD round
 //! allocate nothing, a recommend allocates the list it returns, a hit on
 //! the bounded user-state tier allocates nothing, and a miss that evicts
-//! allocates the reloaded window.
+//! allocates the reloaded window. Through the serving engine the same
+//! holds for the whole request: a blocking `recommend` allocates its list,
+//! a blocking `observe` and an `observe_nowait` nothing.
 //!
 //! A binary of its own, with one test: the allocator is process-wide and
 //! the profiler's on/off switch is global.
@@ -136,6 +138,16 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
         }
     });
     tier_touches(&model, &windows);
+    let mut online = OnlineTsPpr::new(
+        model.clone(),
+        FeaturePipeline::standard(),
+        TrainStats::compute(&split.train, WINDOW),
+        frozen,
+    );
+    for (u, w) in windows.iter().enumerate() {
+        *online.window_mut(UserId(u as u32)) = w.clone();
+    }
+    engine_touches(online, &events);
     profile::disable();
 
     assert_eq!(observe, 0, "observe_single allocated");
@@ -143,6 +155,79 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
     assert_eq!(learn, 0, "online_step_single allocated");
     assert!(listed > 1000, "{listed} non-empty lists");
     assert_eq!(recommend, listed, "one allocation per returned list");
+}
+
+/// What the engine adds to the kernel's allocations once warm: nothing.
+/// With the shard threads asleep a blocking call is served on the calling
+/// thread, so its whole cost (admission, queue, scoring, reply slot,
+/// record, metrics) is counted here; a fire-and-forget one is only
+/// enqueued here, into a queue that has held a longer backlog before.
+fn engine_touches(online: OnlineTsPpr, events: &[(UserId, ItemId)]) {
+    const BURST: usize = 64;
+    let engine = ServeEngine::start(online, 2);
+    // Nobody wakes a sleeping shard thread but a fire-and-forget push, a
+    // control message, or a caller that found the shard taken: after this
+    // pause every blocking call below serves itself.
+    let settle = |engine: &ServeEngine| {
+        engine.flush();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    // Warm: this thread's reply slot and scratch, each queue's capacity
+    // (a burst twice as long as any measured one), the metrics' series,
+    // and the engine's copies of the windows, churned through a full
+    // replay as the kernel's were.
+    for chunk in events.chunks(2 * BURST) {
+        for &(user, item) in chunk {
+            engine.observe_nowait(user, item);
+        }
+        engine.flush();
+    }
+    for &(user, item) in &events[..200] {
+        engine.observe(user, item);
+        engine.recommend(user, 10);
+    }
+    settle(&engine);
+    // One request of each kind inside its frame, uncounted: the profiler
+    // registers the engine's frames under a new parent on first entry.
+    let (user, item) = events[0];
+    allocations("engine_recommend", || {
+        engine.recommend(user, 10);
+    });
+    allocations("engine_observe", || {
+        engine.observe(user, item);
+    });
+    allocations("engine_observe_nowait", || {
+        engine.observe_nowait(user, item)
+    });
+    settle(&engine);
+
+    let mut listed = 0;
+    let recommend = allocations("engine_recommend", || {
+        for &(user, _) in events {
+            listed += u64::from(!engine.recommend(user, 10).is_empty());
+        }
+    });
+    let observe = allocations("engine_observe", || {
+        for &(user, item) in events {
+            engine.observe(user, item);
+        }
+    });
+    let mut nowait = 0;
+    for chunk in events.chunks(BURST) {
+        nowait += allocations("engine_observe_nowait", || {
+            for &(user, item) in chunk {
+                engine.observe_nowait(user, item);
+            }
+        });
+        // Outside the count: a flush makes its reply slots.
+        engine.flush();
+    }
+    engine.shutdown();
+
+    assert!(listed > 1000, "{listed} non-empty lists");
+    assert_eq!(recommend, listed, "a blocking recommend allocates its list");
+    assert_eq!(observe, 0, "a blocking observe allocated");
+    assert_eq!(nowait, 0, "observe_nowait allocated");
 }
 
 /// What a request costs the bounded tier in allocations once its own
