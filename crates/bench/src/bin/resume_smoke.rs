@@ -40,8 +40,7 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// FNV-1a over every parameter's bit pattern (same definition as
-/// train-bench's, so hashes are comparable across reports).
+/// FNV-1a over every parameter's bit pattern.
 fn param_hash(m: &TsPprModel) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |x: f64| {

@@ -3,10 +3,9 @@
 //! EXPERIMENTS.md for recorded paper-vs-measured outcomes.
 //!
 //! The `reproduce` binary (this crate's `src/bin/reproduce.rs`) dispatches
-//! to [`experiments`]; the Criterion benches under `benches/` measure the
-//! timing-sensitive pieces (per-instance recommendation latency — Fig. 13's
-//! measurement — plus training-step, feature-extraction, and
-//! window-maintenance throughput).
+//! to [`experiments`]. Timing lives in `benchmark/` (see `BENCHMARK.json`),
+//! not here; `reproduce fig13` reports the paper's online time per
+//! recommendation as an experiment outcome.
 
 pub mod experiments;
 pub mod report_sink;

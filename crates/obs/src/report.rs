@@ -4,9 +4,8 @@
 //! under, named result values, registry metrics (counters, gauges,
 //! histogram quantiles), and free-form sections such as a trainer's
 //! convergence trace — to a single pretty-printed JSON file. The
-//! `reproduce` and `loadgen` binaries emit these behind `--json <path>`,
-//! seeding the repo's `BENCH_*.json` perf trajectory; CI validates them
-//! with the `obs-check` binary from this crate.
+//! `reproduce` and `loadgen` binaries emit these behind `--json <path>`;
+//! CI validates them with the `obs-check` binary from this crate.
 //!
 //! The JSON shape is flat and stable:
 //!
@@ -23,9 +22,8 @@
 //!
 //! (`host` and `config` are always present; every other section is
 //! whatever the producer added, rendered in insertion order. `host`
-//! makes perf numbers self-describing — the committed `BENCH_*.json`
-//! baselines come from a 1-thread CI container, and that caveat should
-//! travel with the file, not live in tribal knowledge.)
+//! makes a report's rates self-describing: how many threads the host
+//! had travels with the file.)
 
 use crate::json::Json;
 use crate::registry::{snapshot_to_json, Registry};

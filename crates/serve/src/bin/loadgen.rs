@@ -21,10 +21,7 @@
 //!   model version that served it (combine with `--swap-every` to watch
 //!   attribution across hot-swaps), and the report gains a `quality`
 //!   section plus drift gauges.
-//! * `--no-tracing` disables request-scoped tracing; `--overhead` runs
-//!   the replay twice (all observability off, then tracing + quality on)
-//!   and reports both rates and their ratio — the tracing-overhead
-//!   number committed in BENCH_serve.json.
+//! * `--no-tracing` disables request-scoped tracing.
 //! * `--metrics-json PATH` writes a live run report atomically every
 //!   `--metrics-every` ms during the replay; point `rrc-top` at it for a
 //!   terminal dashboard.
@@ -46,12 +43,6 @@
 //!   report gains a `profile` section with per-path self/total shares
 //!   and allocation attribution. `--profile-hz N` sets the sampling rate
 //!   (default ~997 Hz — deliberately co-prime with common periodic work).
-//!   Combined with `--overhead`, the baseline leg runs with the profiler
-//!   off and the ratio is reported as `profiler_on_over_off` — the
-//!   BENCH_serve.json `profile_overhead` pair. `--overhead-reps N` runs
-//!   every overhead side N times (fresh engine per leg) and compares
-//!   best-of-N, the standard defense against scheduler noise on busy
-//!   hosts.
 //!
 //! Overload flags:
 //!
@@ -145,12 +136,6 @@ struct Args {
     quality: bool,
     /// Disable request-scoped tracing.
     no_tracing: bool,
-    /// Replay twice — observability off then on — and report the ratio.
-    overhead: bool,
-    /// Legs per overhead side; the ratio compares best-of-N, so one
-    /// noisy leg (scheduler hiccup on a loaded host) can't masquerade
-    /// as subsystem cost.
-    overhead_reps: usize,
     /// Live dashboard file, refreshed during the replay.
     metrics_json: Option<String>,
     /// Refresh period for `--metrics-json`, in milliseconds.
@@ -259,8 +244,6 @@ impl Default for Args {
             registry_poll_ms: 50,
             quality: false,
             no_tracing: false,
-            overhead: false,
-            overhead_reps: 1,
             metrics_json: None,
             metrics_every_ms: 500,
             memory_budget: None,
@@ -385,6 +368,24 @@ impl Args {
             ..ForensicsOptions::default()
         }
     }
+
+    /// The engine every leg runs on, the replay's and both continuous
+    /// ones: what the flags ask for, with quality monitoring forced on
+    /// under `--continuous` (its report compares the legs' hit@10).
+    fn engine_options(&self, trace_sink: Option<Arc<JsonlSink>>) -> EngineOptions {
+        EngineOptions {
+            tracing: !self.no_tracing,
+            quality: (self.quality || self.continuous).then(QualityConfig::default),
+            ustate: UstateOptions {
+                budget_bytes: self.memory_budget,
+                policy: self.evict,
+                spill_dir: self.spill_dir.as_ref().map(std::path::PathBuf::from),
+            },
+            forensics: self.forensics_options(trace_sink),
+            overload: self.overload_options(),
+            ..EngineOptions::default()
+        }
+    }
 }
 
 fn usage() -> ! {
@@ -393,7 +394,7 @@ fn usage() -> ! {
          [--clients N] [--topn N] [--recommend-every N] [--learn NEGATIVES] \
          [--swap-every MILLIS] [--seed N] [--json PATH] [--load-model PATH] \
          [--save-model PATH] [--registry DIR] [--registry-poll MILLIS] \
-         [--quality] [--no-tracing] [--overhead] [--overhead-reps N] \
+         [--quality] [--no-tracing] \
          [--metrics-json PATH] [--metrics-every MILLIS] \
          [--memory-budget BYTES] [--spill-dir DIR] [--evict clock|lru] \
          [--user-skew EXPONENT] [--k N] [--window N] \
@@ -414,15 +415,18 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The next argument parsed into the width of the field it fills; a
+/// missing, malformed or out-of-range value prints usage.
+fn num<T: std::str::FromStr>(it: &mut dyn Iterator<Item = String>) -> T {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
 fn parse_args() -> Args {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let num = |it: &mut dyn Iterator<Item = String>| -> usize {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage())
-        };
         let fnum = |it: &mut dyn Iterator<Item = String>| -> f64 {
             it.next()
                 .and_then(|v| v.parse().ok())
@@ -441,19 +445,17 @@ fn parse_args() -> Args {
             "--topn" => args.topn = num(&mut it),
             "--recommend-every" => args.recommend_every = num(&mut it),
             "--learn" => args.learn = num(&mut it),
-            "--swap-every" => args.swap_every_ms = num(&mut it) as u64,
-            "--seed" => args.seed = num(&mut it) as u64,
+            "--swap-every" => args.swap_every_ms = num(&mut it),
+            "--seed" => args.seed = num(&mut it),
             "--json" => args.json = Some(it.next().unwrap_or_else(|| usage())),
             "--load-model" => args.load_model = Some(it.next().unwrap_or_else(|| usage())),
             "--save-model" => args.save_model = Some(it.next().unwrap_or_else(|| usage())),
             "--registry" => args.registry = Some(it.next().unwrap_or_else(|| usage())),
-            "--registry-poll" => args.registry_poll_ms = num(&mut it) as u64,
+            "--registry-poll" => args.registry_poll_ms = num(&mut it),
             "--quality" => args.quality = true,
             "--no-tracing" => args.no_tracing = true,
-            "--overhead" => args.overhead = true,
-            "--overhead-reps" => args.overhead_reps = num(&mut it),
             "--metrics-json" => args.metrics_json = Some(it.next().unwrap_or_else(|| usage())),
-            "--metrics-every" => args.metrics_every_ms = num(&mut it) as u64,
+            "--metrics-every" => args.metrics_every_ms = num(&mut it),
             "--memory-budget" => args.memory_budget = Some(num(&mut it)),
             "--spill-dir" => args.spill_dir = Some(it.next().unwrap_or_else(|| usage())),
             "--evict" => {
@@ -474,11 +476,11 @@ fn parse_args() -> Args {
             "--forensics" => args.forensics = true,
             "--trace-out" => args.trace_out = Some(it.next().unwrap_or_else(|| usage())),
             "--dump-flight" => args.dump_flight = Some(it.next().unwrap_or_else(|| usage())),
-            "--inject-panic-after" => args.inject_panic_after = Some(num(&mut it) as u64),
-            "--inject-slow-user" => args.inject_slow_user = Some(num(&mut it) as u32),
-            "--inject-slow-us" => args.inject_slow_us = num(&mut it) as u64,
-            "--slo-observe-p99-us" => args.slo_observe_p99_us = Some(num(&mut it) as u64),
-            "--slo-recommend-p99-us" => args.slo_recommend_p99_us = Some(num(&mut it) as u64),
+            "--inject-panic-after" => args.inject_panic_after = Some(num(&mut it)),
+            "--inject-slow-user" => args.inject_slow_user = Some(num(&mut it)),
+            "--inject-slow-us" => args.inject_slow_us = num(&mut it),
+            "--slo-observe-p99-us" => args.slo_observe_p99_us = Some(num(&mut it)),
+            "--slo-recommend-p99-us" => args.slo_recommend_p99_us = Some(num(&mut it)),
             "--slo-quality-ratio" => {
                 args.slo_quality_ratio = it
                     .next()
@@ -486,28 +488,28 @@ fn parse_args() -> Args {
                     .filter(|r: &f64| *r > 0.0 && r.is_finite())
                     .or_else(|| usage());
             }
-            "--slo-tick" => args.slo_tick_ms = num(&mut it) as u64,
+            "--slo-tick" => args.slo_tick_ms = num(&mut it),
             "--arrival" => args.arrival = it.next().unwrap_or_else(|| usage()),
             "--rate" => args.rate = fnum(&mut it),
             "--burst-rate" => args.burst_rate = fnum(&mut it),
-            "--burst-every" => args.burst_every_ms = num(&mut it) as u64,
-            "--burst-ms" => args.burst_ms = num(&mut it) as u64,
-            "--diurnal-period" => args.diurnal_period_ms = num(&mut it) as u64,
+            "--burst-every" => args.burst_every_ms = num(&mut it),
+            "--burst-ms" => args.burst_ms = num(&mut it),
+            "--diurnal-period" => args.diurnal_period_ms = num(&mut it),
             "--diurnal-amplitude" => args.diurnal_amplitude = fnum(&mut it),
-            "--hot-users" => args.hot_users = num(&mut it) as u32,
+            "--hot-users" => args.hot_users = num(&mut it),
             "--hot-frac" => args.hot_frac = fnum(&mut it),
             "--queue-cap" => args.queue_cap = Some(num(&mut it)),
             "--observe-frac" => args.observe_frac = fnum(&mut it),
-            "--deadline-us" => args.deadline_us = Some(num(&mut it) as u64),
+            "--deadline-us" => args.deadline_us = Some(num(&mut it)),
             "--slo-shed-rate" => args.slo_shed_rate = Some(fnum(&mut it)),
             "--continuous" => args.continuous = true,
             "--drift" => args.drift = fnum(&mut it),
             "--drift-at" => args.drift_at = fnum(&mut it),
-            "--publish-every" => args.publish_every = num(&mut it) as u64,
+            "--publish-every" => args.publish_every = num(&mut it),
             "--stream-checkpoint" => {
                 args.stream_checkpoint = Some(it.next().unwrap_or_else(|| usage()))
             }
-            "--checkpoint-every" => args.checkpoint_every = num(&mut it) as u64,
+            "--checkpoint-every" => args.checkpoint_every = num(&mut it),
             "--profile-out" => args.profile_out = Some(it.next().unwrap_or_else(|| usage())),
             "--profile-hz" => args.profile_hz = fnum(&mut it),
             "--help" | "-h" => usage(),
@@ -517,7 +519,9 @@ fn parse_args() -> Args {
             }
         }
     }
-    if args.shards == 0
+    if args.users == 0
+        || args.items == 0
+        || args.shards == 0
         || args.clients == 0
         || args.events_lo > args.events_hi
         || args.k == 0
@@ -536,8 +540,6 @@ fn parse_args() -> Args {
         || !(0.0..=1.0).contains(&args.drift)
         || !(0.0..1.0).contains(&args.drift_at)
         || (args.continuous && args.publish_every == 0)
-        || (args.continuous && args.overhead)
-        || !(1..=20).contains(&args.overhead_reps)
         || (args.profile_enabled() && args.profile_hz <= 0.0)
     {
         usage();
@@ -582,10 +584,9 @@ fn per_client_spec(spec: &ArrivalSpec, clients: usize) -> ArrivalSpec {
 }
 
 /// Build the warmed online recommender (deterministic for a given seed,
-/// so `--overhead` and `--continuous` can rebuild an identical one for
-/// each leg). `learn` is the negatives-per-event of the *engine's* own
-/// online updates — the continuous legs pass 0 so the served model only
-/// changes via hot-swap.
+/// so `--continuous` can rebuild an identical one for each leg). `learn`
+/// is the negatives-per-event of the *engine's* own online updates — the
+/// continuous legs pass 0 so the served model only changes via hot-swap.
 fn build_online(args: &Args, data: &Dataset, split: &SplitDataset, learn: usize) -> OnlineTsPpr {
     let stats = TrainStats::compute(&split.train, args.window);
     let pipeline = FeaturePipeline::standard();
@@ -794,7 +795,7 @@ fn run_replay(
                                 }
                             }
                             ArrivalTarget::Hot(slot) => {
-                                let user = UserId(slot % args.users.max(1) as u32);
+                                let user = UserId(slot % args.users as u32);
                                 let _ = engine_ref.try_recommend(user, args.topn, None);
                             }
                         }
@@ -838,15 +839,6 @@ fn ustate_section(report: &rrc_serve::MetricsReport, args: &Args) -> Json {
     ])
 }
 
-/// The user-state tier options both engine legs share.
-fn ustate_options(args: &Args) -> UstateOptions {
-    UstateOptions {
-        budget_bytes: args.memory_budget,
-        policy: args.evict,
-        spill_dir: args.spill_dir.as_ref().map(std::path::PathBuf::from),
-    }
-}
-
 /// Tear down an engine whose only other handle-holders have exited.
 fn shutdown_engine(engine: Arc<ServeEngine>) {
     match Arc::try_unwrap(engine) {
@@ -886,19 +878,12 @@ impl LegQuality {
 
 /// An engine for a continuous leg: frozen online core (`learn = 0` — the
 /// served model changes *only* through registry hot-swaps, so the quality
-/// delta is attributable to the pipeline) with quality monitoring forced
-/// on.
+/// delta is attributable to the pipeline).
 fn continuous_engine(args: &Args, data: &Dataset, split: &SplitDataset) -> Arc<ServeEngine> {
     Arc::new(ServeEngine::start_with(
         build_online(args, data, split, 0),
         args.shards,
-        EngineOptions {
-            tracing: !args.no_tracing,
-            quality: Some(QualityConfig::default()),
-            ustate: ustate_options(args),
-            overload: args.overload_options(),
-            ..EngineOptions::default()
-        },
+        args.engine_options(None),
     ))
 }
 
@@ -1240,126 +1225,13 @@ fn main() {
     let total_events: usize = replay.iter().map(|(_, e)| e.len()).sum();
     let rate = |elapsed: Duration| total_events as f64 / elapsed.as_secs_f64().max(1e-9);
 
-    // `--overhead` baseline leg: identical replay with the measured
-    // subsystem off, so the two rates differ only by its cost. Plain
-    // `--overhead` measures tracing (baseline: everything off);
-    // `--overhead --forensics` measures forensics (baseline: tracing on,
-    // forensics off — the BENCH_serve.json forensics on/off pair);
-    // `--overhead --profile-out` measures the sampling profiler
-    // (baseline: everything the measured leg has, profiler off — the
-    // BENCH_serve.json profile_overhead pair).
-    let profile_pair = args.overhead && args.profile_enabled();
-    let forensic_pair = !profile_pair && args.overhead && args.forensics_enabled();
-    let baseline = args.overhead.then(|| {
-        eprintln!(
-            "overhead baseline: {}",
-            if profile_pair {
-                "everything on, profiler off"
-            } else if forensic_pair {
-                "tracing on, forensics off"
-            } else {
-                "tracing off"
-            }
-        );
-        // Best-of-N: each leg gets a fresh engine (identical seed and
-        // stream), and only the fastest leg counts — a one-off slow leg
-        // is scheduler noise, not subsystem cost.
-        let mut best: Option<Duration> = None;
-        for leg in 1..=args.overhead_reps {
-            let online = build_online(&args, &data, &split, args.learn);
-            let engine = Arc::new(ServeEngine::start_with(
-                online,
-                args.shards,
-                EngineOptions {
-                    tracing: forensic_pair || profile_pair,
-                    quality: args.quality.then(QualityConfig::default),
-                    ustate: ustate_options(&args),
-                    overload: args.overload_options(),
-                    forensics: if profile_pair {
-                        args.forensics_options(None)
-                    } else {
-                        ForensicsOptions::default()
-                    },
-                    ..EngineOptions::default()
-                },
-            ));
-            let elapsed = run_replay(&engine, &replay, &args, None, None);
-            eprintln!(
-                "overhead baseline leg {leg}/{}: {} events in {:.2?} ({:.0}/s)",
-                args.overhead_reps,
-                total_events,
-                elapsed,
-                rate(elapsed)
-            );
-            match Arc::try_unwrap(engine) {
-                Ok(engine) => engine.shutdown(),
-                Err(_) => unreachable!("no other engine handles exist"),
-            }
-            best = Some(best.map_or(elapsed, |b: Duration| b.min(elapsed)));
-        }
-        best.expect("at least one baseline leg")
-    });
-
-    // The measured side's extra legs (reps beyond the first): throwaway
-    // engines with the measured leg's exact options, folded into the
-    // best-of-N time. The *last* leg below stays the one that produces
-    // the report, the profile snapshot, and every side artifact.
-    let mut measured_best: Option<Duration> = None;
-    if args.overhead && args.overhead_reps > 1 {
-        for leg in 1..args.overhead_reps {
-            let online = build_online(&args, &data, &split, args.learn);
-            let engine = Arc::new(ServeEngine::start_with(
-                online,
-                args.shards,
-                EngineOptions {
-                    tracing: args.overhead || !args.no_tracing,
-                    quality: args.quality.then(QualityConfig::default),
-                    ustate: ustate_options(&args),
-                    forensics: args.forensics_options(None),
-                    overload: args.overload_options(),
-                    ..EngineOptions::default()
-                },
-            ));
-            let profiler = args
-                .profile_enabled()
-                .then(|| rrc_obs::Profiler::start(args.profile_hz));
-            let elapsed = run_replay(&engine, &replay, &args, None, None);
-            if let Some(p) = profiler {
-                let _ = p.stop();
-            }
-            // Discard the throwaway leg's samples so the published
-            // profile describes only the final leg.
-            rrc_obs::profile::reset();
-            eprintln!(
-                "overhead measured leg {leg}/{}: {} events in {:.2?} ({:.0}/s)",
-                args.overhead_reps,
-                total_events,
-                elapsed,
-                rate(elapsed)
-            );
-            match Arc::try_unwrap(engine) {
-                Ok(engine) => engine.shutdown(),
-                Err(_) => unreachable!("no other engine handles exist"),
-            }
-            measured_best = Some(measured_best.map_or(elapsed, |b: Duration| b.min(elapsed)));
-        }
-    }
-
-    // The measured engine. With `--overhead` this leg forces tracing on.
     let trace_sink = args.trace_out.as_ref().map(|path| {
         JsonlSink::to_file(path).unwrap_or_else(|e| {
             eprintln!("failed to open trace sink {path}: {e}");
             std::process::exit(1);
         })
     });
-    let options = EngineOptions {
-        tracing: args.overhead || !args.no_tracing,
-        quality: args.quality.then(QualityConfig::default),
-        ustate: ustate_options(&args),
-        forensics: args.forensics_options(trace_sink.clone()),
-        overload: args.overload_options(),
-        ..EngineOptions::default()
-    };
+    let options = args.engine_options(trace_sink.clone());
     let online = build_online(&args, &data, &split, args.learn);
     eprintln!(
         "starting engine: {} shards, {} clients, learn={}, tracing={}, quality={}, \
@@ -1470,25 +1342,6 @@ fn main() {
             q.versions.len()
         );
     }
-    let overhead = baseline.map(|base| {
-        let measured = measured_best.map_or(elapsed, |b| b.min(elapsed));
-        let ratio = rate(measured) / rate(base).max(1e-9);
-        let what = if profile_pair {
-            "profiler overhead"
-        } else if forensic_pair {
-            "forensics overhead"
-        } else {
-            "tracing overhead"
-        };
-        println!(
-            "{what}: {:.0}/s off -> {:.0}/s on (ratio {ratio:.3}, best of {} leg(s)/side)",
-            rate(base),
-            rate(measured),
-            args.overhead_reps
-        );
-        ratio
-    });
-
     if let (Some(path), Some(snap)) = (&args.profile_out, &profile_snap) {
         match std::fs::write(path, snap.collapsed()) {
             Ok(()) => eprintln!(
@@ -1558,7 +1411,7 @@ fn main() {
                 args.memory_budget.map_or(Json::Null, Json::from),
             )
             .config("evict", args.evict.to_string())
-            .config("tracing", args.overhead || !args.no_tracing)
+            .config("tracing", !args.no_tracing)
             .config("quality", args.quality)
             .config("forensics", args.forensics_enabled())
             .config("profile", args.profile_enabled())
@@ -1573,29 +1426,14 @@ fn main() {
                 args.deadline_us
                     .map_or(Json::Null, |us| Json::from(us as usize)),
             );
-        let mut results = vec![
-            ("events", Json::from(total_events)),
-            ("elapsed_s", Json::F64(elapsed.as_secs_f64())),
-            ("events_per_sec", Json::F64(rate(elapsed))),
-        ];
-        if let Some(ratio) = overhead {
-            results.push((
-                "baseline_events_per_sec",
-                Json::F64(rate(baseline.unwrap())),
-            ));
-            // Each pair's baseline leg already ran with everything
-            // *below* the measured layer enabled, so the ratio isolates
-            // that one layer.
-            let key = if profile_pair {
-                "profiler_on_over_off"
-            } else if forensic_pair {
-                "forensics_on_over_off"
-            } else {
-                "tracing_on_over_off"
-            };
-            results.push((key, Json::F64(ratio)));
-        }
-        run.add_section("results", Json::obj(results));
+        run.add_section(
+            "results",
+            Json::obj([
+                ("events", Json::from(total_events)),
+                ("elapsed_s", Json::F64(elapsed.as_secs_f64())),
+                ("events_per_sec", Json::F64(rate(elapsed))),
+            ]),
+        );
         if let Some(snap) = &profile_snap {
             run.add_section("profile", snap.to_json(10));
         }
@@ -1636,8 +1474,5 @@ fn main() {
     if let Some(watcher) = watcher {
         watcher.stop();
     }
-    match Arc::try_unwrap(engine) {
-        Ok(engine) => engine.shutdown(),
-        Err(_) => unreachable!("watcher stopped, no other engine handles exist"),
-    }
+    shutdown_engine(engine);
 }

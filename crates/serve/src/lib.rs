@@ -11,7 +11,7 @@
 //!   for a user lands on the shard that owns their window.
 //! * **Engine** ([`engine`]) — every data request (an observe or a
 //!   recommend, through any of the six entry points) is sent by one
-//!   function down its user's per-shard FIFO channel and served by one
+//!   function into its user's per-shard FIFO inbox and served by one
 //!   shard arm; control messages (flush, both hot-swap phases) travel
 //!   the same queues. FIFO delivery is the ordering guarantee: a user's
 //!   events are never dropped or reordered, even across a model hot-swap.

@@ -25,7 +25,7 @@ use rrc_core::parallel::mix64;
 use rrc_obs::{
     top_slowest, BucketExemplars, Counter, ExemplarTrace, FlightRecorder, Gauge, Histogram,
     HistogramSnapshot, Json, JsonlSink, Registry, SloEngine, SloState, SloVerdict, TraceReservoir,
-    WindowSpec, WindowedCounter, WindowedHistogram,
+    WindowSpec, WindowedCounter, WindowedHistogram, BUCKETS,
 };
 use rrc_sequence::UserId;
 use rrc_ustate::TierDelta;
@@ -43,9 +43,8 @@ pub const STAGE_NAMES: [&str; 3] = ["enqueue_wait", "score", "respond"];
 /// stage histograms, gauges, and the windowed event counter stay exact —
 /// sampling only thins the rolling quantile estimators, which still see
 /// thousands of samples per window at any realistic traffic level. This
-/// is a hot-path cost control: on a saturated single-core host the full
-/// per-event record set costs ~10% throughput; sampled, tracing fits in
-/// the ≤5% budget tracked by BENCH_serve.json.
+/// is a hot-path cost control; what tracing costs with it in place is
+/// the benchmark's `obs.tracing_on_over_off` (BENCHMARK.json).
 const WINDOW_SAMPLE_SHIFT: u32 = 2;
 
 /// True when this request id is in the 1-in-2^shift rolling sample.
@@ -67,7 +66,7 @@ pub struct ShardCounters {
     pub online_updates: Arc<Counter>,
     pub swaps: Arc<Counter>,
     /// Requests naming an item or user outside the model's shape, answered
-    /// without touching the model (see `Shard::run`).
+    /// without touching the model (see `Shard::serve`).
     pub skipped: Arc<Counter>,
 }
 
@@ -109,8 +108,8 @@ pub struct ShardCountersSnapshot {
 /// rolling-window, both per shard), queue-depth/in-flight gauges, and
 /// the windowed event counters behind the windowed-vs-cumulative
 /// throughput check. Everything recorded is a wait-free handle
-/// operation; when tracing is off none of it is touched, which is what
-/// BENCH_serve.json's tracing-overhead comparison measures.
+/// operation; when tracing is off none of it is touched, which is the
+/// difference the benchmark's `obs.tracing_on_over_off` measures.
 #[derive(Debug)]
 struct TracingMetrics {
     /// `serve_stage_duration_ns{shard=…,stage=…}`, cumulative.
@@ -118,8 +117,7 @@ struct TracingMetrics {
     /// `serve_stage_duration_window_ns{shard=…,stage=…}`. Sharded (rather
     /// than one global series per stage) so that the per-event record
     /// stays on a shard-private cache line: with a single global handle
-    /// every shard and client thread contends on the same bucket words,
-    /// which costs double-digit percent throughput under load.
+    /// every shard and client thread contends on the same bucket words.
     windows: Vec<[Arc<WindowedHistogram>; 3]>,
     queue_depth: Vec<Arc<Gauge>>,
     inflight: Vec<Arc<Gauge>>,
@@ -807,7 +805,7 @@ impl EngineMetrics {
         }
     }
 
-    /// Client side, before a data request enters `shard`'s channel: count
+    /// Client side, before a data request enters `shard`'s inbox: count
     /// the offer, take its queue slot (see [`OverloadMetrics::offer`] for
     /// `forced`), and — with tracing on — bump the queue-depth and
     /// in-flight gauges and stamp the enqueue. `Err` means the request
@@ -836,7 +834,7 @@ impl EngineMetrics {
         }))
     }
 
-    /// Shard side, right after pulling the request off the channel: give
+    /// Shard side, right after popping the request off the inbox: give
     /// back its queue slot and open its record — for a traced request,
     /// drop the depth gauge, record the remaining depth (sampled
     /// requests), and stamp the dequeue.
@@ -1067,19 +1065,18 @@ impl EngineMetrics {
         let sum_counters = |v: &[Arc<Counter>]| v.iter().map(|c| c.get()).sum::<u64>();
         let sum_gauges = |v: &[Arc<Gauge>]| v.iter().map(|g| g.get().max(0) as u64).sum::<u64>();
         let merge_hists = |v: &[Arc<Histogram>]| {
-            let mut total = LatencySummary::from(v[0].snapshot());
-            // Per-shard histograms share bucket boundaries; report the
-            // worst shard's tails and the summed count.
-            for h in &v[1..] {
-                let s = LatencySummary::from(h.snapshot());
-                total.count += s.count;
-                total.p50 = total.p50.max(s.p50);
-                total.p95 = total.p95.max(s.p95);
-                total.p99 = total.p99.max(s.p99);
-                total.mean = total.mean.max(s.mean);
-                total.max = total.max.max(s.max);
+            // Per-shard histograms share bucket boundaries: add them up
+            // bucket by bucket and summarise the one population.
+            let mut buckets = [0u64; BUCKETS];
+            let (mut sum, mut max) = (0u64, 0u64);
+            for s in v.iter().map(|h| h.snapshot()) {
+                for (acc, n) in buckets.iter_mut().zip(s.buckets()) {
+                    *acc += n;
+                }
+                sum = sum.wrapping_add(s.sum());
+                max = max.max(s.max().unwrap_or(0));
             }
-            total
+            LatencySummary::from(HistogramSnapshot::from_parts(buckets, sum, max))
         };
         let u = &self.ustate;
         let hits = sum_counters(&u.hits);
@@ -1463,11 +1460,11 @@ impl std::fmt::Display for LatencySummary {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageSummary {
     pub shard: usize,
-    /// Time queued in the shard channel.
+    /// Time queued in the shard's inbox.
     pub enqueue_wait: LatencySummary,
     /// Shard processing (feature extraction, scoring, online SGD).
     pub score: LatencySummary,
-    /// Reply channel transit plus client wakeup.
+    /// Reply slot transit plus client wakeup.
     pub respond: LatencySummary,
 }
 
@@ -1850,6 +1847,23 @@ mod tests {
         assert_eq!(r.budget_bytes, Some(4096));
         assert_eq!(r.spill.count, 2);
         assert_eq!(r.load.count, 1);
+
+        // Two shards of different latencies are one population: the mean
+        // is Σsum / Σcount, the median lies with the faster majority, and
+        // the maximum is the slower shard's.
+        let slow = rrc_ustate::TierDelta {
+            spill_ns: vec![1_000_000],
+            ..Default::default()
+        };
+        m.ustate.record(1, &slow);
+        let spill = m.report(Duration::from_secs(1)).ustate.spill;
+        assert_eq!(spill.count, 3);
+        assert_eq!(
+            spill.mean,
+            Some(Duration::from_nanos((1_000 + 2_000 + 1_000_000) / 3))
+        );
+        assert!(spill.p50 < Some(Duration::from_nanos(1_000_000)));
+        assert_eq!(spill.max, Some(Duration::from_nanos(1_000_000)));
         let doc = Json::parse(&r.to_json().render()).unwrap();
         assert_eq!(doc.at("cache.hit").and_then(Json::as_u64), Some(8));
         assert_eq!(

@@ -151,7 +151,7 @@ impl OverloadOptions {
 /// Per-shard bounded admission gate.
 ///
 /// Tracks the number of *data* requests currently sitting in the shard's
-/// channel. `try_admit` increments the depth only while it is below the
+/// inbox. `try_admit` increments the depth only while it is below the
 /// requesting kind's threshold (CAS loop — the cap is never exceeded,
 /// even transiently); `release` decrements it at dequeue.
 #[derive(Debug)]

@@ -10,7 +10,7 @@
 //! `dequeued` and `processed`, and a caller that waits for the reply
 //! supplies `received`. `enqueue_wait` is time spent queued behind the shard's
 //! other work, `score` is the shard's own processing (feature
-//! extraction, scoring, online SGD), and `respond` is the reply channel
+//! extraction, scoring, online SGD), and `respond` is the reply slot
 //! plus client wakeup. The decomposition is the pure
 //! [`StageNanos::from_stamps`] kernel, which clamps out-of-order stamps
 //! (a clock race across threads) so every stage is non-negative and the
@@ -43,7 +43,7 @@ pub(crate) fn instant_of(stamp_ns: u64) -> Instant {
     epoch() + Duration::from_nanos(stamp_ns)
 }
 
-/// What a traced request carries through its shard channel: the record's
+/// What a traced request carries through its shard's inbox: the record's
 /// id and enqueue stamp. The shard builds the [`RequestRecord`] around them at
 /// dequeue, so a queued message stays as small as it can be.
 #[derive(Debug, Clone, Copy)]
@@ -66,9 +66,9 @@ pub struct RequestRecord {
     pub shard: usize,
     /// Model version that served the request.
     pub version: u64,
-    /// When the client handed the request to the shard channel.
+    /// When the client handed the request to the shard's inbox.
     pub enqueued: u64,
-    /// When the shard pulled the request off its channel.
+    /// When the shard popped the request off its inbox.
     pub dequeued: u64,
     /// When the shard finished processing (start of the respond leg).
     pub processed: u64,
@@ -114,11 +114,11 @@ impl RequestRecord {
 /// One traced request's stage durations, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageNanos {
-    /// Time queued in the shard channel before the shard picked it up.
+    /// Time queued in the shard's inbox before the shard picked it up.
     pub enqueue_wait: u64,
     /// Shard processing time (scoring / online update).
     pub score: u64,
-    /// Reply channel transit plus client wakeup.
+    /// Reply slot transit plus client wakeup.
     pub respond: u64,
 }
 
