@@ -19,14 +19,9 @@
 use crate::transitions::{collect_transitions, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rrc_core::parallel::{
-    merge_item_updates, run_on_shards, shard_for, shard_stream_seed, split_block, ParallelConfig,
-    TrainMode,
-};
 use rrc_features::{RecContext, Recommender};
 use rrc_linalg::{sigmoid, DMatrix, GaussianSampler};
 use rrc_sequence::{Dataset, ItemId, UserId};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// FPMC hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,7 +175,9 @@ impl FpmcTrainer {
         FpmcTrainer { config }
     }
 
-    /// Extract transition events from the training split and run S-BPR.
+    /// Extract transition events from the training split and run S-BPR:
+    /// one serial loop of `max_sweeps · |transitions|` steps, counted in
+    /// `train_steps_total`.
     pub fn train(&self, train: &Dataset) -> FpmcModel {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -271,390 +268,6 @@ impl FpmcTrainer {
             }
         }
         model
-    }
-
-    /// Train under a [`ParallelConfig`] — the multi-threaded counterpart of
-    /// [`Self::train`], built on the shared machinery of
-    /// `rrc_core::parallel`. Sharded mode partitions transitions by their
-    /// user's shard ([`shard_for`]) and merges the three shared item
-    /// matrices (`IU`, `IL`, `LI`) at sweep barriers; with one shard it is
-    /// byte-identical to the serial trainer, and its output depends only on
-    /// `(seed, shards)`, never the thread count. Hogwild mode runs
-    /// lock-free over an atomic arena of all four matrices.
-    pub fn train_parallel(&self, train: &Dataset, par: &ParallelConfig) -> FpmcModel {
-        match par.mode {
-            TrainMode::Serial => self.train(train),
-            TrainMode::Sharded => self.train_sharded(train, par),
-            TrainMode::Hogwild => self.train_hogwild(train, par),
-        }
-    }
-
-    fn train_sharded(&self, train: &Dataset, par: &ParallelConfig) -> FpmcModel {
-        let cfg = &self.config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let transitions = self.transitions(train, &mut rng);
-        let model = FpmcModel::init(&mut rng, cfg.num_users, cfg.num_items, cfg.k);
-        if transitions.is_empty() {
-            return model;
-        }
-
-        let k = cfg.k;
-        let a = cfg.alpha;
-        let g = cfg.gamma;
-        let d = transitions.len();
-        let total_steps = cfg.max_sweeps * d;
-        rrc_obs::global()
-            .counter("train_steps_total")
-            .add(total_steps as u64);
-
-        /// One shard: its transitions, the `UI` rows of the users it owns,
-        /// and block-local copies of the three shared item matrices.
-        struct Shard {
-            trans: Vec<Transition>,
-            users: Vec<UserId>,
-            ui: DMatrix,
-            iu: DMatrix,
-            il: DMatrix,
-            li: DMatrix,
-            rng: StdRng,
-            eta: Vec<f64>,
-            ui_old: Vec<f64>,
-        }
-
-        let shards = par.shards;
-        let FpmcModel {
-            ui: mut ui_res,
-            mut iu,
-            mut il,
-            mut li,
-            ..
-        } = model;
-        let mut shard_trans: Vec<Vec<Transition>> = (0..shards).map(|_| Vec::new()).collect();
-        for tr in transitions {
-            shard_trans[shard_for(tr.user, shards)].push(tr);
-        }
-        let mut local_of = vec![u32::MAX; cfg.num_users];
-        let mut init_rng = Some(rng);
-        let mut states: Vec<Shard> = Vec::with_capacity(shards);
-        for (s, trans) in shard_trans.into_iter().enumerate() {
-            let mut users: Vec<UserId> = Vec::new();
-            for tr in &trans {
-                if local_of[tr.user.index()] == u32::MAX {
-                    local_of[tr.user.index()] = users.len() as u32;
-                    users.push(tr.user);
-                }
-            }
-            let mut su = DMatrix::zeros(users.len(), k);
-            for (row, &user) in users.iter().enumerate() {
-                su.row_mut(row).copy_from_slice(ui_res.row(user.index()));
-            }
-            let (siu, sil, sli) = if trans.is_empty() {
-                (
-                    DMatrix::zeros(0, 0),
-                    DMatrix::zeros(0, 0),
-                    DMatrix::zeros(0, 0),
-                )
-            } else {
-                (iu.clone(), il.clone(), li.clone())
-            };
-            states.push(Shard {
-                trans,
-                users,
-                ui: su,
-                iu: siu,
-                il: sil,
-                li: sli,
-                rng: match s {
-                    0 => init_rng.take().expect("init stream taken once"),
-                    _ => StdRng::seed_from_u64(shard_stream_seed(cfg.seed, s)),
-                },
-                eta: vec![0.0; k],
-                ui_old: vec![0.0; k],
-            });
-        }
-        let mut cum = vec![0u64; shards + 1];
-        for s in 0..shards {
-            cum[s + 1] = cum[s] + states[s].trans.len() as u64;
-        }
-
-        // One sweep (|transitions| draws) per synchronisation block.
-        let mut merge_scratch = Vec::new();
-        let mut step = 0usize;
-        while step < total_steps {
-            let block = d.min(total_steps - step);
-            let alloc = split_block(block, &cum);
-            {
-                let alloc = &alloc;
-                let local_of = &local_of;
-                let (iu_base, il_base, li_base) = (&iu, &il, &li);
-                run_on_shards(par.threads, &mut states, &|_w, s_idx, st| {
-                    let n = alloc[s_idx];
-                    if n == 0 {
-                        return;
-                    }
-                    st.iu.as_mut_slice().copy_from_slice(iu_base.as_slice());
-                    st.il.as_mut_slice().copy_from_slice(il_base.as_slice());
-                    st.li.as_mut_slice().copy_from_slice(li_base.as_slice());
-                    for _ in 0..n {
-                        let tr = &st.trans[st.rng.gen_range(0..st.trans.len())];
-                        let neg = tr.negs[st.rng.gen_range(0..tr.negs.len())];
-                        let urow = local_of[tr.user.index()] as usize;
-                        // score(pos) − score(neg), exactly as
-                        // FpmcModel::score computes them.
-                        let score = |item: ItemId| -> f64 {
-                            let mf = dot(st.ui.row(urow), st.iu.row(item.index()));
-                            if tr.basket.is_empty() {
-                                return mf;
-                            }
-                            let il_row = st.il.row(item.index());
-                            let mut fmc = 0.0;
-                            for &l in &tr.basket {
-                                fmc += dot(il_row, st.li.row(l.index()));
-                            }
-                            mf + fmc / tr.basket.len() as f64
-                        };
-                        let margin = score(tr.pos) - score(neg);
-                        let delta = 1.0 - sigmoid(margin);
-
-                        st.eta.iter_mut().for_each(|x| *x = 0.0);
-                        for &l in &tr.basket {
-                            let row = st.li.row(l.index());
-                            for (e, x) in st.eta.iter_mut().zip(row) {
-                                *e += x;
-                            }
-                        }
-                        let inv_b = 1.0 / tr.basket.len().max(1) as f64;
-                        st.eta.iter_mut().for_each(|x| *x *= inv_b);
-
-                        st.ui_old.copy_from_slice(st.ui.row(urow));
-                        {
-                            let iu_pos = st.iu.row(tr.pos.index()).to_vec();
-                            let iu_neg = st.iu.row(neg.index()).to_vec();
-                            let row = st.ui.row_mut(urow);
-                            for r in 0..k {
-                                row[r] += a * (delta * (iu_pos[r] - iu_neg[r]) - g * row[r]);
-                            }
-                        }
-                        {
-                            let row = st.iu.row_mut(tr.pos.index());
-                            for (x, u0) in row.iter_mut().zip(&st.ui_old) {
-                                *x += a * (delta * u0 - g * *x);
-                            }
-                        }
-                        {
-                            let row = st.iu.row_mut(neg.index());
-                            for (x, u0) in row.iter_mut().zip(&st.ui_old) {
-                                *x += a * (-delta * u0 - g * *x);
-                            }
-                        }
-                        let il_diff: Vec<f64>;
-                        {
-                            let pos_row = st.il.row(tr.pos.index()).to_vec();
-                            let neg_row = st.il.row(neg.index()).to_vec();
-                            il_diff = pos_row
-                                .iter()
-                                .zip(neg_row.iter())
-                                .map(|(p, n)| p - n)
-                                .collect();
-                            let row = st.il.row_mut(tr.pos.index());
-                            for (x, e) in row.iter_mut().zip(&st.eta) {
-                                *x += a * (delta * e - g * *x);
-                            }
-                        }
-                        {
-                            let row = st.il.row_mut(neg.index());
-                            for (x, e) in row.iter_mut().zip(&st.eta) {
-                                *x += a * (-delta * e - g * *x);
-                            }
-                        }
-                        for &l in &tr.basket {
-                            let row = st.li.row_mut(l.index());
-                            for r in 0..k {
-                                row[r] += a * (delta * il_diff[r] * inv_b - g * row[r]);
-                            }
-                        }
-                    }
-                });
-            }
-            for (base, pick) in [(&mut iu, 0usize), (&mut il, 1usize), (&mut li, 2usize)] {
-                let mut actives: Vec<&mut DMatrix> = states
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(s_idx, _)| alloc[*s_idx] > 0)
-                    .map(|(_, st)| match pick {
-                        0 => &mut st.iu,
-                        1 => &mut st.il,
-                        _ => &mut st.li,
-                    })
-                    .collect();
-                merge_item_updates(base, &mut actives, &mut merge_scratch);
-            }
-            step += block;
-        }
-
-        for st in states.iter() {
-            for (row, &user) in st.users.iter().enumerate() {
-                ui_res.row_mut(user.index()).copy_from_slice(st.ui.row(row));
-            }
-        }
-        FpmcModel {
-            k,
-            ui: ui_res,
-            iu,
-            il,
-            li,
-        }
-    }
-
-    fn train_hogwild(&self, train: &Dataset, par: &ParallelConfig) -> FpmcModel {
-        let cfg = &self.config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let transitions = self.transitions(train, &mut rng);
-        let model = FpmcModel::init(&mut rng, cfg.num_users, cfg.num_items, cfg.k);
-        if transitions.is_empty() {
-            return model;
-        }
-
-        let k = cfg.k;
-        let a = cfg.alpha;
-        let g = cfg.gamma;
-        let d = transitions.len();
-        let total_steps = cfg.max_sweeps * d;
-        rrc_obs::global()
-            .counter("train_steps_total")
-            .add(total_steps as u64);
-
-        // Flat atomic arena: UI | IU | IL | LI.
-        let cells: Vec<AtomicU64> = model
-            .ui
-            .as_slice()
-            .iter()
-            .chain(model.iu.as_slice())
-            .chain(model.il.as_slice())
-            .chain(model.li.as_slice())
-            .map(|x| AtomicU64::new(x.to_bits()))
-            .collect();
-        let cells = &cells[..];
-        let get = |i: usize| f64::from_bits(cells[i].load(Ordering::Relaxed));
-        let set = |i: usize, x: f64| cells[i].store(x.to_bits(), Ordering::Relaxed);
-        let nu = cfg.num_users;
-        let ni = cfg.num_items;
-        let ui_off = |u: UserId| u.index() * k;
-        let iu_off = |v: ItemId| (nu + v.index()) * k;
-        let il_off = |v: ItemId| (nu + ni + v.index()) * k;
-        let li_off = |v: ItemId| (nu + 2 * ni + v.index()) * k;
-
-        struct Worker {
-            rng: StdRng,
-            ui: Vec<f64>,
-            iu_pos: Vec<f64>,
-            iu_neg: Vec<f64>,
-            il_pos: Vec<f64>,
-            il_neg: Vec<f64>,
-            eta: Vec<f64>,
-        }
-        let threads = par.threads.max(1);
-        let mut workers: Vec<Worker> = (0..threads)
-            .map(|w| Worker {
-                rng: match w {
-                    0 => std::mem::replace(&mut rng, StdRng::seed_from_u64(0)),
-                    _ => StdRng::seed_from_u64(shard_stream_seed(cfg.seed, w)),
-                },
-                ui: vec![0.0; k],
-                iu_pos: vec![0.0; k],
-                iu_neg: vec![0.0; k],
-                il_pos: vec![0.0; k],
-                il_neg: vec![0.0; k],
-                eta: vec![0.0; k],
-            })
-            .collect();
-        let cum: Vec<u64> = (0..=threads as u64).collect();
-        let transitions = &transitions[..];
-
-        let mut step = 0usize;
-        while step < total_steps {
-            let block = d.min(total_steps - step);
-            let alloc = split_block(block, &cum);
-            let alloc = &alloc;
-            run_on_shards(threads, &mut workers, &|_t, w_idx, wk| {
-                let n = alloc[w_idx];
-                for _ in 0..n {
-                    let tr = &transitions[wk.rng.gen_range(0..transitions.len())];
-                    let neg = tr.negs[wk.rng.gen_range(0..tr.negs.len())];
-                    let (uo, ipo, ino, lpo, lno) = (
-                        ui_off(tr.user),
-                        iu_off(tr.pos),
-                        iu_off(neg),
-                        il_off(tr.pos),
-                        il_off(neg),
-                    );
-                    let inv_b = 1.0 / tr.basket.len().max(1) as f64;
-                    wk.eta.iter_mut().for_each(|x| *x = 0.0);
-                    for &l in &tr.basket {
-                        let lo = li_off(l);
-                        for r in 0..k {
-                            wk.eta[r] += get(lo + r);
-                        }
-                    }
-                    let mut margin = 0.0;
-                    for r in 0..k {
-                        wk.ui[r] = get(uo + r);
-                        wk.iu_pos[r] = get(ipo + r);
-                        wk.iu_neg[r] = get(ino + r);
-                        wk.il_pos[r] = get(lpo + r);
-                        wk.il_neg[r] = get(lno + r);
-                        // mf part + mean-basket transition part (η already
-                        // holds Σ_l v_l^{LI}; multiply by 1/|B| once).
-                        margin += wk.ui[r] * (wk.iu_pos[r] - wk.iu_neg[r]);
-                        if !tr.basket.is_empty() {
-                            margin += (wk.il_pos[r] - wk.il_neg[r]) * wk.eta[r] * inv_b;
-                        }
-                    }
-                    wk.eta.iter_mut().for_each(|x| *x *= inv_b);
-                    let delta = 1.0 - sigmoid(margin);
-                    for r in 0..k {
-                        set(
-                            uo + r,
-                            wk.ui[r] + a * (delta * (wk.iu_pos[r] - wk.iu_neg[r]) - g * wk.ui[r]),
-                        );
-                        set(
-                            ipo + r,
-                            wk.iu_pos[r] + a * (delta * wk.ui[r] - g * wk.iu_pos[r]),
-                        );
-                        set(
-                            ino + r,
-                            wk.iu_neg[r] + a * (-delta * wk.ui[r] - g * wk.iu_neg[r]),
-                        );
-                        set(
-                            lpo + r,
-                            wk.il_pos[r] + a * (delta * wk.eta[r] - g * wk.il_pos[r]),
-                        );
-                        set(
-                            lno + r,
-                            wk.il_neg[r] + a * (-delta * wk.eta[r] - g * wk.il_neg[r]),
-                        );
-                    }
-                    for &l in &tr.basket {
-                        let lo = li_off(l);
-                        for r in 0..k {
-                            let cur = get(lo + r);
-                            let diff = wk.il_pos[r] - wk.il_neg[r];
-                            set(lo + r, cur + a * (delta * diff * inv_b - g * cur));
-                        }
-                    }
-                }
-            });
-            step += block;
-        }
-
-        let read = |off: usize, len: usize| (off..off + len).map(get).collect::<Vec<f64>>();
-        FpmcModel {
-            k,
-            ui: DMatrix::from_vec(nu, k, read(0, nu * k)),
-            iu: DMatrix::from_vec(ni, k, read(nu * k, ni * k)),
-            il: DMatrix::from_vec(ni, k, read((nu + ni) * k, ni * k)),
-            li: DMatrix::from_vec(ni, k, read((nu + 2 * ni) * k, ni * k)),
-        }
     }
 
     fn transitions(&self, train: &Dataset, rng: &mut StdRng) -> Vec<Transition> {

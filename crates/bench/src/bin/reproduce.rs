@@ -6,34 +6,53 @@
 //! cargo run --release -p rrc-bench --bin reproduce -- fig9 --scale-gowalla 0.05
 //! ```
 
-use rrc_bench::experiments::{self, accuracy, ALL_EXPERIMENTS};
+use rrc_bench::experiments::{self, accuracy, PAPER_EXPERIMENTS};
 use rrc_bench::report_sink;
 use rrc_bench::setup::RunOptions;
 use rrc_obs::{Json, RunReport};
 
+/// Print the usage text and exit 2. Defaults come from
+/// [`RunOptions::default`] and experiment names from
+/// [`experiments::names`], the values the code runs with.
 fn usage() -> ! {
+    let d = RunOptions::default();
+    let names: Vec<&str> = std::iter::once("all").chain(experiments::names()).collect();
+    let experiments = names
+        .chunks(9)
+        .map(|line| line.join(", "))
+        .collect::<Vec<_>>()
+        .join(",\n             ");
     eprintln!(
         "usage: reproduce [EXPERIMENT ...] [OPTIONS]\n\n\
-         experiments: all, table2, fig4, fig5, fig6, table3, fig7, fig8, fig9,\n\
-         \x20            fig10, fig11, fig12, fig13, table5\n\n\
+         experiments: {experiments}\n\n\
          options:\n\
          \x20 --fast                 reduced scale & grids (smoke-test mode)\n\
-         \x20 --scale-gowalla <f>    Gowalla-like preset scale (default 0.02)\n\
-         \x20 --scale-lastfm <f>     Last.fm-like preset scale (default 0.05)\n\
-         \x20 --window <n>           window capacity |W| (default 100)\n\
-         \x20 --omega <n>            minimum gap Ω (default 10)\n\
-         \x20 --s <n>                negatives per positive S (default 10)\n\
-         \x20 --k <n>                latent dimension K (default 40)\n\
-         \x20 --sweeps <n>           TS-PPR sweep cap (default 40)\n\
+         \x20 --scale-gowalla <f>    Gowalla-like preset scale (default {})\n\
+         \x20 --scale-lastfm <f>     Last.fm-like preset scale (default {})\n\
+         \x20 --window <n>           window capacity |W| (default {})\n\
+         \x20 --omega <n>            minimum gap Ω (default {})\n\
+         \x20 --s <n>                negatives per positive S (default {})\n\
+         \x20 --k <n>                latent dimension K (default {})\n\
+         \x20 --sweeps <n>           TS-PPR sweep cap (default {})\n\
          \x20 --threads <n>          evaluation/training threads (default: all cores)\n\
-         \x20 --train-mode <m>       serial | sharded | hogwild (default serial)\n\
-         \x20 --seed <n>             base RNG seed\n\
+         \x20 --train-mode <m>       serial | sharded (default {})\n\
+         \x20 --seed <n>             base RNG seed (default {})\n\
          \x20 --json <path>          write a machine-readable RunReport here\n\
          \x20 --save-model <base>    save trained TS-PPR models to <base>.<dataset>.rrcm\n\
          \x20 --load-model <base>    load models from <base>.<dataset>.rrcm instead of training\n\
          \x20 --checkpoint-every <n> checkpoint training every n convergence checks\n\
-         \x20 --checkpoint-path <b>  checkpoint base path (default tsppr-checkpoint)\n\
-         \x20 --resume <base>        resume training from <base>.<dataset>.ckpt"
+         \x20 --checkpoint-path <b>  checkpoint base path (default {})\n\
+         \x20 --resume <base>        resume training from <base>.<dataset>.ckpt",
+        d.scale_gowalla,
+        d.scale_lastfm,
+        d.window,
+        d.omega,
+        d.s,
+        d.k,
+        d.max_sweeps,
+        d.train_mode,
+        d.seed,
+        d.checkpoint_path,
     );
     std::process::exit(2);
 }
@@ -88,10 +107,6 @@ fn parse_args() -> (Vec<String>, RunOptions, Option<String>) {
     if names.is_empty() {
         usage();
     }
-    if let Err(why) = opts.validate_persistence() {
-        eprintln!("error: {why}");
-        usage();
-    }
     (names, opts, json)
 }
 
@@ -113,10 +128,9 @@ fn main() {
     let expanded: Vec<String> = if names.iter().any(|n| n == "all") {
         // "all" covers every paper table/figure; extra experiment names on
         // the command line (ablation, mixture, ci, ...) are appended.
-        let mut list: Vec<String> = ALL_EXPERIMENTS
-            .iter()
-            .map(|s| s.to_string())
-            .chain(std::iter::once("table5".to_string()))
+        let mut list: Vec<String> = experiments::names()
+            .take(PAPER_EXPERIMENTS)
+            .map(String::from)
             .collect();
         for n in &names {
             if n != "all" && !list.contains(n) {
@@ -176,6 +190,7 @@ fn main() {
             .config("k", Json::from(opts.k))
             .config("max_sweeps", Json::from(opts.max_sweeps))
             .config("threads", Json::from(opts.threads))
+            .config("shards", Json::from(opts.parallel().shards))
             .config(
                 "train_mode",
                 Json::from(opts.train_mode.to_string().as_str()),

@@ -98,7 +98,6 @@ fn run_mode(
     let par = match mode {
         TrainMode::Serial => ParallelConfig::serial(),
         TrainMode::Sharded => ParallelConfig::sharded(shards).with_shards(shards),
-        TrainMode::Hogwild => unreachable!("hogwild is not checkpointable"),
     };
 
     eprintln!("# [{label}] uninterrupted run...");

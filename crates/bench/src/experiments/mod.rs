@@ -21,32 +21,42 @@ use crate::setup::RunOptions;
 /// The canonical Top-N values of the paper.
 pub const TOP_NS: [usize; 3] = [1, 5, 10];
 
-/// All experiment names, in paper order.
-pub const ALL_EXPERIMENTS: [&str; 12] = [
-    "table2", "fig4", "fig5", "fig6", "table3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-    "fig13",
+type Driver = fn(&RunOptions) -> String;
+
+/// Every experiment [`run`] accepts, with its driver: the paper's tables and
+/// figures in paper order (the first [`PAPER_EXPERIMENTS`] entries), then
+/// the extensions. `reproduce`'s usage text prints [`names`], so a name is
+/// accepted exactly when it is listed.
+const DRIVERS: [(&str, Driver); 16] = [
+    ("table2", table2::run),
+    ("fig4", fig4::run),
+    ("fig5", accuracy::run_fig5),
+    ("fig6", accuracy::run_fig6),
+    ("table3", accuracy::run_table3),
+    ("fig7", fig7::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("fig12", fig12::run),
+    ("fig13", fig13::run),
+    ("table5", table5::run),
+    ("ablation", ablation::run),
+    ("mixture", mixture::run),
+    ("ci", ci::run),
 ];
 
+/// How many of the [`names`] are the paper's own: what `reproduce all` runs.
+pub const PAPER_EXPERIMENTS: usize = 13;
+
+/// The names [`run`] accepts, in listing order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    DRIVERS.iter().map(|(name, _)| *name)
+}
+
 /// Run one experiment by name (`fig5`, `table3`, ...), returning the
-/// rendered report. `table5` is also accepted.
+/// rendered report, or `None` for a name not among [`names`].
 pub fn run(name: &str, opts: &RunOptions) -> Option<String> {
-    Some(match name {
-        "table2" => table2::run(opts),
-        "fig4" => fig4::run(opts),
-        "fig5" => accuracy::run_fig5(opts),
-        "fig6" => accuracy::run_fig6(opts),
-        "table3" => accuracy::run_table3(opts),
-        "fig7" => fig7::run(opts),
-        "fig8" => fig8::run(opts),
-        "fig9" => fig9::run(opts),
-        "fig10" => fig10::run(opts),
-        "fig11" => fig11::run(opts),
-        "fig12" => fig12::run(opts),
-        "fig13" => fig13::run(opts),
-        "table5" => table5::run(opts),
-        "ablation" => ablation::run(opts),
-        "mixture" => mixture::run(opts),
-        "ci" => ci::run(opts),
-        _ => return None,
-    })
+    let (_, driver) = DRIVERS.iter().find(|(n, _)| *n == name)?;
+    Some(driver(opts))
 }

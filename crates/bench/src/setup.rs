@@ -26,7 +26,7 @@ pub struct RunOptions {
     pub max_sweeps: usize,
     /// Threads for parallel evaluation and (non-serial) training.
     pub threads: usize,
-    /// How SGD training is executed (serial / sharded / hogwild).
+    /// How TS-PPR's SGD is executed (serial / sharded).
     pub train_mode: TrainMode,
     /// Base RNG seed.
     pub seed: u64,
@@ -42,6 +42,14 @@ pub struct RunOptions {
     /// Resume training from `{base}.{dataset}.ckpt` when the file exists.
     pub resume: Option<String>,
 }
+
+/// Shards of a `--train-mode sharded` run. The shard count, not the thread
+/// count, decides a sharded run's bytes and which checkpoints it can resume,
+/// so it is fixed here and `--threads` (which defaults to the host's core
+/// count) only schedules: the same command prints the same trace on any
+/// machine, and a checkpoint written on one resumes on another. Four is the
+/// count the benchmark's `PAR_SHARDS` and `resume-smoke` train with.
+pub const TRAIN_SHARDS: usize = 4;
 
 impl Default for RunOptions {
     fn default() -> Self {
@@ -86,7 +94,10 @@ impl RunOptions {
 
     /// The parallel-training configuration these options describe.
     pub fn parallel(&self) -> ParallelConfig {
-        ParallelConfig::new(self.train_mode, self.threads)
+        match self.train_mode {
+            TrainMode::Serial => ParallelConfig::serial(),
+            TrainMode::Sharded => ParallelConfig::sharded(self.threads).with_shards(TRAIN_SHARDS),
+        }
     }
 
     /// Model file for `kind` under the `--save-model`/`--load-model` base.
@@ -97,21 +108,6 @@ impl RunOptions {
     /// Checkpoint file for `kind` under a checkpoint base path.
     pub fn checkpoint_file(base: &str, kind: DatasetKind) -> String {
         format!("{base}.{kind}.ckpt")
-    }
-
-    /// Checkpointing and resume require a deterministic trainer; Hogwild
-    /// cannot honour the bit-identical resume contract.
-    pub fn validate_persistence(&self) -> Result<(), String> {
-        if self.train_mode == TrainMode::Hogwild
-            && (self.checkpoint_every > 0 || self.resume.is_some())
-        {
-            return Err(
-                "--checkpoint-every/--resume require a deterministic trainer; \
-                 use --train-mode serial or sharded"
-                    .to_string(),
-            );
-        }
-        Ok(())
     }
 }
 

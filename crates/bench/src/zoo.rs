@@ -35,7 +35,7 @@ impl ModelZoo {
             seed: opts.seed ^ 0xF,
             ..FpmcConfig::new(exp.data.num_users(), exp.data.num_items())
         })
-        .train_parallel(&exp.split.train, &opts.parallel());
+        .train(&exp.split.train);
         methods.push(("FPMC".into(), Box::new(FpmcRecommender::new(fpmc))));
 
         match SurvivalRecommender::fit(
@@ -157,9 +157,6 @@ pub fn train_tsppr(
     opts: &RunOptions,
     pipeline: &FeaturePipeline,
 ) -> (TsPprRecommender, TrainReport) {
-    if let Err(why) = opts.validate_persistence() {
-        panic!("{why}");
-    }
     let serving = clone_pipeline(pipeline);
 
     if let Some(model) = load_stored_model(exp, opts) {
@@ -206,9 +203,6 @@ pub fn train_tsppr_model(
     opts: &RunOptions,
     training: &TrainingSet,
 ) -> (TsPprModel, TrainReport) {
-    if let Err(why) = opts.validate_persistence() {
-        panic!("{why}");
-    }
     if let Some(model) = load_stored_model(exp, opts) {
         let report = TrainReport {
             steps: 0,
@@ -227,6 +221,12 @@ pub fn train_tsppr_model(
         let path = RunOptions::checkpoint_file(base, exp.kind);
         match rrc_store::load_checkpoint(&path) {
             Ok(ck) => {
+                // A snapshot of some other run (another --train-mode, --k,
+                // --seed, ...) is the caller's to fix, like a bad flag.
+                if let Err(why) = ck.compatible_with(&cfg, training, par.mode, par.shards) {
+                    eprintln!("error: cannot resume from {path}: {why}");
+                    std::process::exit(2);
+                }
                 eprintln!("# resuming from {path} (step {})", ck.step);
                 Some(ck)
             }

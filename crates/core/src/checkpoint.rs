@@ -20,8 +20,8 @@ use std::time::Duration;
 /// One resumable training snapshot.
 #[derive(Debug, Clone)]
 pub struct TrainCheckpoint {
-    /// Mode of the run that produced the snapshot ([`TrainMode::Hogwild`]
-    /// runs are not checkpointable — their schedule is nondeterministic).
+    /// Mode of the run that produced the snapshot; only a run in the same
+    /// mode can continue it.
     pub mode: TrainMode,
     /// Shard count of the producing run (1 for serial).
     pub shards: usize,

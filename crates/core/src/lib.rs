@@ -19,10 +19,13 @@
 //! quadruples `(u, v_i, v_j, t)` (Eq. 7) by stochastic gradient descent
 //! (Algorithm 1), with the paper's small-batch `Δr̃` convergence check.
 //!
-//! The crate also ships the plain [`ppr`] (BPR-style) model — the
-//! time-insensitive ancestor the paper argues cannot solve the RRC problem
-//! — as a like-for-like ablation, and [`checkpoint`] types so trainers can
-//! emit resumable snapshots (serialization lives in `rrc-store`).
+//! [`parallel`] runs the same loop user-sharded across threads, bit-identical
+//! for a fixed `(seed, shard count)` on any thread count. The crate also
+//! ships the plain [`ppr`] (BPR-style) model — the time-insensitive ancestor
+//! the paper argues cannot solve the RRC problem — as a like-for-like
+//! ablation with one serial loop, and [`checkpoint`] types so the TS-PPR
+//! trainers can emit resumable snapshots (serialization lives in
+//! `rrc-store`).
 //!
 //! ```no_run
 //! use rrc_core::{TsPprConfig, TsPprTrainer};

@@ -1,44 +1,30 @@
-//! Parallel SGD training for TS-PPR (and, via the same machinery, the
-//! plain-PPR ablation and the FPMC baseline).
+//! Sharded-deterministic SGD for TS-PPR: the multi-threaded way to run
+//! Algorithm 1, next to the serial [`TsPprTrainer`].
 //!
-//! Two modes, one trade-off:
+//! Users are partitioned by the same SplitMix64 hash the `rrc-serve` engine
+//! routes with ([`shard_for`]), so each shard *owns* its users' `u` rows and
+//! `A_u` transforms outright and mutates them lock-free. Every shard holds a
+//! copy of the shared item matrix `V`; at each block barrier the rows the
+//! shards wrote are merged back in fixed shard order and the copies
+//! re-synced. The result is a pure function of `(seed, shard count)` —
+//! byte-identical across runs and across *thread* counts, because threads
+//! only schedule shards. With one shard the machinery degenerates to exactly
+//! the serial trainer: same RNG stream, same update order, bit-identical
+//! parameters.
 //!
-//! * **Sharded-deterministic** ([`TrainMode::Sharded`]) — users are
-//!   partitioned by the same SplitMix64 hash the `rrc-serve` engine routes
-//!   with ([`shard_for`]), so each shard *owns* its users' `u` rows and
-//!   `A_u` transforms outright and mutates them lock-free. The shared item
-//!   matrix `V` is copied into each shard at the start of every
-//!   synchronisation block and the per-shard item updates are merged back
-//!   at the block barrier in fixed shard order ([`merge_item_updates`]).
-//!   The result is a pure function of `(seed, shard count)` — byte-identical
-//!   across runs and across *thread* counts, because threads only schedule
-//!   shards. With one shard the machinery degenerates to exactly the serial
-//!   trainer: same RNG stream, same update order, bit-identical parameters.
-//!
-//! * **Hogwild** ([`TrainMode::Hogwild`]) — all workers update one shared
-//!   parameter arena ([`ParamArena`]) with no locks at all, in the style of
-//!   Niu et al.'s HOGWILD!. BPR-family updates are sparse — one user row,
-//!   one `A_u`, two item rows per step — so collisions are rare and the
-//!   occasional lost update is statistical noise. Maximum throughput, no
-//!   reproducibility guarantee.
-//!
-//! Both modes keep the paper's training loop shape: steps are grouped into
-//! blocks of one convergence-check interval (`|D| · check_interval_fraction`
+//! The paper's training loop keeps its shape: steps are grouped into blocks
+//! of one convergence-check interval (`|D| · check_interval_fraction`
 //! draws), and the small-batch `Δr̃` check of §5.6.1 runs at every block
 //! barrier over the merged parameters, exactly as often as the serial
 //! trainer checks.
 
-mod hogwild;
 mod sharded;
-
-pub use hogwild::ParamArena;
 
 use crate::config::TsPprConfig;
 use crate::model::TsPprModel;
 use crate::params::ModelParams;
 use crate::train::{batch_partial, TrainReport, TsPprTrainer};
 use rrc_features::{Quadruple, TrainingSet};
-use rrc_linalg::DMatrix;
 use rrc_sequence::UserId;
 
 /// How to run the SGD loop.
@@ -50,8 +36,6 @@ pub enum TrainMode {
     /// merged at block barriers, byte-identical for a fixed seed and shard
     /// count regardless of thread count.
     Sharded,
-    /// Lock-free shared-memory updates tolerating benign races.
-    Hogwild,
 }
 
 impl std::fmt::Display for TrainMode {
@@ -59,7 +43,6 @@ impl std::fmt::Display for TrainMode {
         f.write_str(match self {
             TrainMode::Serial => "serial",
             TrainMode::Sharded => "sharded",
-            TrainMode::Hogwild => "hogwild",
         })
     }
 }
@@ -71,15 +54,14 @@ impl std::str::FromStr for TrainMode {
         match s {
             "serial" => Ok(TrainMode::Serial),
             "sharded" => Ok(TrainMode::Sharded),
-            "hogwild" => Ok(TrainMode::Hogwild),
             other => Err(format!(
-                "unknown train mode {other:?} (expected serial | sharded | hogwild)"
+                "unknown train mode {other:?} (expected serial | sharded)"
             )),
         }
     }
 }
 
-/// Parallelism settings shared by every parallel trainer in the workspace.
+/// Parallelism settings of a [`ParallelTrainer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Execution mode.
@@ -113,11 +95,6 @@ impl ParallelConfig {
     /// Sharded-deterministic with `threads` workers and shards.
     pub fn sharded(threads: usize) -> Self {
         Self::new(TrainMode::Sharded, threads)
-    }
-
-    /// Hogwild with `threads` workers.
-    pub fn hogwild(threads: usize) -> Self {
-        Self::new(TrainMode::Hogwild, threads)
     }
 
     /// Builder-style shard count override (sharded mode only).
@@ -164,16 +141,12 @@ impl ParallelTrainer {
     /// emit snapshots while running (see
     /// [`TsPprTrainer::train_with`](crate::TsPprTrainer::train_with)).
     ///
-    /// Supported for [`TrainMode::Serial`] (one RNG stream) and
-    /// [`TrainMode::Sharded`] (one stream per shard, snapshots at block
-    /// barriers) — the two modes with a bitwise-reproducibility guarantee.
+    /// A serial snapshot carries one RNG stream, a sharded one a stream per
+    /// shard, taken at a block barrier.
     ///
     /// # Panics
-    /// Panics for [`TrainMode::Hogwild`] when `resume` or `checkpoint` is
-    /// set: a hogwild schedule is nondeterministic, so a "resumed" run
-    /// could not honour the bit-identity contract these options promise.
-    /// Also panics when `resume` is incompatible with this configuration
-    /// (see [`crate::TrainCheckpoint::compatible_with`]).
+    /// Panics when `resume` is incompatible with this configuration (see
+    /// [`crate::TrainCheckpoint::compatible_with`]).
     pub fn train_with(
         &self,
         training: &TrainingSet,
@@ -187,14 +160,6 @@ impl ParallelTrainer {
             }
             TrainMode::Sharded => {
                 sharded::train_with(&self.config, &self.parallel, training, resume, checkpoint)
-            }
-            TrainMode::Hogwild => {
-                assert!(
-                    resume.is_none() && checkpoint.is_none(),
-                    "hogwild training is nondeterministic and cannot honour the \
-                     bit-identical checkpoint/resume contract; use serial or sharded mode"
-                );
-                hogwild::train(&self.config, &self.parallel, training)
             }
         };
         // Workspace-wide training counter (mode-agnostic), alongside the
@@ -228,10 +193,9 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The RNG stream seed of shard (or hogwild worker) `s`. Shard 0 does not
-/// use this: it inherits the initialisation stream, exactly as the serial
-/// trainer continues it — that inheritance is what makes the 1-shard case
-/// bit-identical to serial. Shared with the parallel PPR and FPMC trainers.
+/// The RNG stream seed of shard `s`. Shard 0 does not use this: it inherits
+/// the initialisation stream, exactly as the serial trainer continues it —
+/// that inheritance is what makes the 1-shard case bit-identical to serial.
 #[inline]
 pub fn shard_stream_seed(seed: u64, s: usize) -> u64 {
     debug_assert!(s > 0, "shard 0 inherits the init stream");
@@ -244,7 +208,7 @@ pub fn shard_stream_seed(seed: u64, s: usize) -> u64 {
 /// sum to exactly `block`, are deterministic, and a shard with zero weight
 /// receives zero steps. `cum` is the cumulative weight vector
 /// `[0, w₀, w₀+w₁, …]` (length `shards + 1`, last entry > 0).
-pub fn split_block(block: usize, cum: &[u64]) -> Vec<usize> {
+fn split_block(block: usize, cum: &[u64]) -> Vec<usize> {
     let total = *cum.last().expect("non-empty cumulative weights") as u128;
     assert!(total > 0, "cannot split a block over zero total weight");
     (0..cum.len() - 1)
@@ -260,19 +224,18 @@ pub fn split_block(block: usize, cum: &[u64]) -> Vec<usize> {
 /// at most `threads` threads (worker `w` owns states `w`, `w+T`, `w+2T`,
 /// …). States are mutated independently, so the result is the same under
 /// any thread count; with one thread (or one state) everything runs inline
-/// on the calling thread in index order. Shared with the parallel PPR and
-/// FPMC trainers.
+/// on the calling thread in index order.
 ///
 /// Worker 0 is the calling thread, so `threads` counts threads at work and
 /// `threads − 1` are spawned; every spawned worker is joined, not merely
-/// awaited, before this returns. The trainers call this once per block,
+/// awaited, before this returns. The trainer calls this once per block,
 /// back to back: a scope's implicit wait lets the next call spawn while the
 /// last call's threads are still exiting, and the allocator gives each
 /// thread that overlaps a live one a heap of its own, which it keeps. How
 /// many heaps a process ended up with, and which of them a later thread (a
 /// serving shard, say) grew, then depended on exit timing, and peak RSS
 /// differed by that thread's footprint from run to run.
-pub fn run_on_shards<S, F>(threads: usize, states: &mut [S], f: &F)
+fn run_on_shards<S, F>(threads: usize, states: &mut [S], f: &F)
 where
     S: Send,
     F: Fn(usize, usize, &mut S) + Sync,
@@ -317,42 +280,9 @@ fn join_all<T>(workers: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
         .collect()
 }
 
-/// Merge per-shard copies of a shared (item) matrix back into `base` at a
-/// block barrier.
-///
-/// The first local is adopted wholesale (its untouched rows are bitwise
-/// copies of `base`, so this is exact); every further local contributes its
-/// delta against the old base:
-///
-/// ```text
-/// base ← locals[0] + Σ_{s ≥ 1} (locals[s] − base_old)
-/// ```
-///
-/// Summation runs in shard order, so the result is deterministic; with a
-/// single shard the merge is an exact swap, which preserves the 1-shard ≡
-/// serial bit-identity. `scratch` is reused across calls to avoid
-/// reallocating the old-base snapshot.
-pub fn merge_item_updates(base: &mut DMatrix, locals: &mut [&mut DMatrix], scratch: &mut Vec<f64>) {
-    assert!(!locals.is_empty(), "need at least one shard-local matrix");
-    if locals.len() == 1 {
-        std::mem::swap(base, locals[0]);
-        return;
-    }
-    scratch.clear();
-    scratch.extend_from_slice(base.as_slice());
-    base.as_mut_slice().copy_from_slice(locals[0].as_slice());
-    for local in locals[1..].iter() {
-        let dst = base.as_mut_slice();
-        let src = local.as_slice();
-        for ((d, &l), &old) in dst.iter_mut().zip(src).zip(scratch.iter()) {
-            *d += l - old;
-        }
-    }
-}
-
 /// Contiguous chunk boundaries splitting `len` items into `chunks` pieces
 /// whose sizes telescope (so they sum to exactly `len`).
-pub(crate) fn chunk_bounds(len: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
+fn chunk_bounds(len: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
     let chunks = chunks.max(1).min(len.max(1));
     (0..chunks)
         .map(|c| (c * len / chunks)..((c + 1) * len / chunks))
@@ -413,6 +343,7 @@ pub(crate) fn batch_statistics_chunked<P: ModelParams + Sync + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn split_block_telescopes_exactly() {
@@ -423,6 +354,36 @@ mod tests {
             assert_eq!(alloc[1], 0, "zero-weight shard must get zero steps");
         }
         assert_eq!(split_block(10, &[0, 5]), vec![10]);
+    }
+
+    proptest! {
+        /// Block splitting conserves the step count exactly, gives
+        /// zero-weight shards zero steps, and deviates from the proportional
+        /// share by less than one step.
+        #[test]
+        fn split_block_conserves_steps_and_tracks_weights(
+            weights in proptest::collection::vec(0u64..1000, 1..17),
+            block in 0usize..100_000,
+        ) {
+            prop_assume!(weights.iter().sum::<u64>() > 0);
+            let mut cum = vec![0u64];
+            for &w in &weights {
+                cum.push(cum.last().unwrap() + w);
+            }
+            let total = *cum.last().unwrap() as f64;
+            let alloc = split_block(block, &cum);
+            prop_assert_eq!(alloc.iter().sum::<usize>(), block);
+            for (s, (&n, &w)) in alloc.iter().zip(&weights).enumerate() {
+                if w == 0 {
+                    prop_assert_eq!(n, 0, "zero-weight shard {s} got steps");
+                }
+                let ideal = block as f64 * w as f64 / total;
+                prop_assert!(
+                    (n as f64 - ideal).abs() < 1.0,
+                    "shard {s}: {n} steps vs ideal {ideal}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -454,32 +415,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_single_shard_is_exact_swap() {
-        let mut base = DMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let mut local = DMatrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
-        let expect = local.clone();
-        let mut scratch = Vec::new();
-        merge_item_updates(&mut base, &mut [&mut local], &mut scratch);
-        assert_eq!(base, expect);
-    }
-
-    #[test]
-    fn merge_sums_deltas_in_shard_order() {
-        let base0 = DMatrix::from_vec(1, 3, vec![1.0, 1.0, 1.0]);
-        let mut base = base0.clone();
-        let mut l0 = DMatrix::from_vec(1, 3, vec![2.0, 1.0, 1.0]); // +1 on col 0
-        let mut l1 = DMatrix::from_vec(1, 3, vec![1.0, 0.5, 1.0]); // −0.5 on col 1
-        let mut scratch = Vec::new();
-        merge_item_updates(&mut base, &mut [&mut l0, &mut l1], &mut scratch);
-        assert_eq!(base.as_slice(), &[2.0, 0.5, 1.0]);
-    }
-
-    #[test]
     fn mode_round_trips_through_strings() {
-        for mode in [TrainMode::Serial, TrainMode::Sharded, TrainMode::Hogwild] {
+        for mode in [TrainMode::Serial, TrainMode::Sharded] {
             assert_eq!(mode.to_string().parse::<TrainMode>(), Ok(mode));
         }
         assert!("turbo".parse::<TrainMode>().is_err());
+        // Anything else, lock-free `hogwild` included, is an error for the
+        // command line or checkpoint reader to report.
+        assert!("hogwild".parse::<TrainMode>().is_err());
     }
 
     #[test]

@@ -31,21 +31,17 @@
 //! ([`super::run_on_shards`]), so any thread count produces the same bytes
 //! for a fixed `(seed, shards)` pair.
 
-use super::{
-    batch_statistics_chunked, run_on_shards, shard_for, shard_stream_seed, split_block,
-    ParallelConfig, TrainMode,
-};
+use super::{run_on_shards, shard_for, split_block, ParallelConfig};
 use crate::checkpoint::{CheckpointOptions, TrainCheckpoint};
 use crate::config::TsPprConfig;
 use crate::model::TsPprModel;
 use crate::params::ModelParams;
-use crate::train::{sgd_step, ConvergencePoint, SgdConsts, SgdScratch, TrainReport};
+use crate::train::{sgd_step, RunControl, SgdConsts, SgdScratch, TrainReport};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use rrc_features::TrainingSet;
 use rrc_linalg::DMatrix;
 use rrc_sequence::{ItemId, UserId};
-use std::time::{Duration, Instant};
 
 /// One shard's private state: the users it owns, their `u` rows and `A_u`
 /// transforms, a block-local copy of the item matrix, and its RNG stream.
@@ -187,6 +183,99 @@ impl ModelParams for MergedView<'_> {
     }
 }
 
+impl MergedView<'_> {
+    /// The full model at a barrier, assembled *without* disturbing the
+    /// shard states — exactly what the final gather would produce if
+    /// training stopped here.
+    fn to_model(&self) -> TsPprModel {
+        let mut u = self.u_res.clone();
+        let a = (0..self.a_res.len())
+            .map(|i| {
+                let user = UserId(i as u32);
+                u.row_mut(i).copy_from_slice(self.user_factor(user));
+                self.transform(user).clone()
+            })
+            .collect();
+        TsPprModel::from_parts(self.k, self.f_dim, u, self.v.clone(), a)
+    }
+}
+
+/// The barrier merge's scratch, reused across blocks: `dirty` is the
+/// deduplicated union of the rows the active shards touched this block
+/// (`dirty_stamp[r] == epoch` ⟺ already listed), `old_row` a pre-merge copy
+/// of the global row that the deltas are taken against.
+struct MergeScratch {
+    dirty: Vec<u32>,
+    dirty_stamp: Vec<u32>,
+    epoch: u32,
+    old_row: Vec<f64>,
+}
+
+impl MergeScratch {
+    fn new(num_items: usize, k: usize) -> Self {
+        MergeScratch {
+            dirty: Vec::new(),
+            dirty_stamp: vec![0; num_items],
+            epoch: 0,
+            old_row: vec![0.0; k],
+        }
+    }
+}
+
+/// Merge the item rows the shards wrote this block into the global `v`, row
+/// by row, and re-sync every shard's copy on those rows. `alloc[s] > 0`
+/// marks the shards that ran; the others' `touched` lists are stale.
+///
+/// Invariant entering the block, restored on return: every non-empty
+/// shard's local `v` is a bitwise copy of the global `v`, so the global row
+/// pre-merge is exactly what each shard started from.
+fn merge_item_rows(
+    v: &mut DMatrix,
+    states: &mut [ShardState],
+    alloc: &[usize],
+    scratch: &mut MergeScratch,
+) {
+    let _prof = rrc_obs::ProfGuard::enter("merge");
+    let actives: Vec<usize> = (0..states.len()).filter(|&s| alloc[s] > 0).collect();
+    let Some((&a0, rest)) = actives.split_first() else {
+        return;
+    };
+    scratch.epoch += 1;
+    scratch.dirty.clear();
+    for &s in &actives {
+        for &r in &states[s].touched {
+            if scratch.dirty_stamp[r as usize] != scratch.epoch {
+                scratch.dirty_stamp[r as usize] = scratch.epoch;
+                scratch.dirty.push(r);
+            }
+        }
+    }
+    for &r in &scratch.dirty {
+        let r = r as usize;
+        scratch.old_row.copy_from_slice(v.row(r));
+        // Adopt the first active shard's row (bitwise — equal to `old_row`
+        // when that shard never wrote it), then add the other touchers'
+        // deltas in shard order.
+        v.row_mut(r).copy_from_slice(states[a0].v.row(r));
+        for &s in rest {
+            let st = &states[s];
+            if st.stamp[r] != st.epoch {
+                continue;
+            }
+            let deltas = st.v.row(r).iter().zip(&scratch.old_row);
+            for (b, (l, o)) in v.row_mut(r).iter_mut().zip(deltas) {
+                *b += l - o;
+            }
+        }
+    }
+    for st in states.iter_mut().filter(|st| !st.users.is_empty()) {
+        for &r in &scratch.dirty {
+            let r = r as usize;
+            st.v.row_mut(r).copy_from_slice(v.row(r));
+        }
+    }
+}
+
 /// Train under the sharded-deterministic regime — same contract as
 /// [`crate::TsPprTrainer::train_with`] — resuming from a snapshot and/or
 /// emitting snapshots at block barriers.
@@ -201,77 +290,17 @@ pub(super) fn train_with(
     par: &ParallelConfig,
     training: &TrainingSet,
     resume: Option<&TrainCheckpoint>,
-    mut checkpoint: Option<CheckpointOptions<'_>>,
+    checkpoint: Option<CheckpointOptions<'_>>,
 ) -> (TsPprModel, TrainReport) {
-    let obs = rrc_obs::global();
-    let _train_span = obs.span("tsppr.train.sharded");
-    let _train_prof = rrc_obs::ProfGuard::enter("train");
-    let block_hist = obs.span_histogram("tsppr.train.worker_block");
-    let check_hist = obs.span_histogram("tsppr.train.check");
-    let steps_total = obs.counter("tsppr_train_steps_total");
-    let train_start = Instant::now();
-
-    if let Some(ck) = resume {
-        ck.compatible_with(cfg, training, TrainMode::Sharded, par.shards)
-            .unwrap_or_else(|why| panic!("cannot resume sharded training: {why}"));
-    }
-    let elapsed_base = resume.map_or(Duration::ZERO, |ck| ck.elapsed);
-
-    // Initialisation is byte-identical to the serial trainer; a resumed
-    // run restarts from the snapshot parameters instead and never touches
-    // the init stream (its continuation lives in the snapshot's per-shard
-    // RNG states).
-    let (mut model, mut init_rng) = match resume {
-        Some(ck) => (ck.model.clone(), None),
-        None => {
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let model = TsPprModel::init(
-                &mut rng,
-                cfg.num_users,
-                cfg.num_items,
-                cfg.k,
-                training.f_dim().max(1),
-                cfg.gamma,
-                cfg.lambda,
-            );
-            (model, Some(rng))
-        }
-    };
-    let start_step = resume.map_or(0, |ck| ck.step);
-    let mut report = TrainReport {
-        steps: start_step,
-        converged: false,
-        elapsed: Duration::ZERO,
-        checks: resume.map_or_else(Vec::new, |ck| ck.checks.clone()),
-    };
-    if training.is_empty() {
-        report.elapsed = elapsed_base + train_start.elapsed();
-        return (model, report);
-    }
-    if cfg.identity_transform && resume.is_none() {
-        assert_eq!(
-            cfg.k,
-            training.f_dim(),
-            "identity_transform requires K == F (§4.2.1 case 2)"
-        );
-        for u in 0..cfg.num_users {
-            *model.transform_mut(UserId(u as u32)) = DMatrix::identity(cfg.k);
-        }
-    }
-
-    let d = training.num_quadruples();
-    let check_interval = ((d as f64 * cfg.check_interval_fraction) as usize).max(1);
-    let max_steps = cfg.max_sweeps.saturating_mul(d).max(check_interval);
-    let min_steps = cfg.min_sweeps.saturating_mul(d).min(max_steps);
-    let small_batch = training.small_batch(cfg.check_fraction);
+    let (mut run, model, rngs) = RunControl::start(cfg, *par, training, resume, checkpoint);
+    let block_hist = rrc_obs::global().span_histogram("tsppr.train.worker_block");
     let consts = SgdConsts::from_config(cfg);
-    let f_dim = training.f_dim().max(1);
 
     // Partition users-with-data by the canonical routing hash; the order
     // inside each shard follows users_with_data(), so one shard reproduces
     // the serial sampling list exactly.
     let shards = par.shards;
-    let (k, _, mut u_res, mut v, mut a_res) = model.into_parts();
+    let (k, f_dim, mut u_res, mut v, mut a_res) = model.into_parts();
     let mut shard_users: Vec<Vec<UserId>> = (0..shards).map(|_| Vec::new()).collect();
     for &user in training.users_with_data() {
         shard_users[shard_for(user, shards)].push(user);
@@ -279,7 +308,7 @@ pub(super) fn train_with(
     let mut owner = vec![u32::MAX; cfg.num_users];
     let mut local_of = vec![u32::MAX; cfg.num_users];
     let mut states: Vec<ShardState> = Vec::with_capacity(shards);
-    for (s, users) in shard_users.into_iter().enumerate() {
+    for ((s, users), rng) in shard_users.into_iter().enumerate().zip(rngs) {
         let mut su = DMatrix::zeros(users.len(), k);
         let mut sa = Vec::with_capacity(users.len());
         for (row, &user) in users.iter().enumerate() {
@@ -291,29 +320,17 @@ pub(super) fn train_with(
                 DMatrix::zeros(0, 0),
             ));
         }
-        let sv = if users.is_empty() {
-            DMatrix::zeros(0, 0)
+        let (sv, stamp) = if users.is_empty() {
+            (DMatrix::zeros(0, 0), Vec::new())
         } else {
-            v.clone()
-        };
-        let srng = match resume {
-            Some(ck) => StdRng::from_state(ck.rng_states[s]),
-            None => match s {
-                0 => init_rng.take().expect("init stream taken once"),
-                _ => StdRng::seed_from_u64(shard_stream_seed(cfg.seed, s)),
-            },
-        };
-        let stamp = if users.is_empty() {
-            Vec::new()
-        } else {
-            vec![0u32; cfg.num_items]
+            (v.clone(), vec![0u32; cfg.num_items])
         };
         states.push(ShardState {
             users,
             u: su,
             a: sa,
             v: sv,
-            rng: srng,
+            rng,
             scratch: SgdScratch::default(),
             stamp,
             touched: Vec::new(),
@@ -328,116 +345,54 @@ pub(super) fn train_with(
         cum[s + 1] = cum[s] + states[s].users.len() as u64;
     }
 
-    // Barrier-merge scratch: `dirty` is the deduplicated union of touched
-    // rows across active shards this block, `old_row` holds a pre-merge
-    // copy of the global row for delta computation.
-    let mut dirty: Vec<u32> = Vec::new();
-    let mut dirty_stamp = vec![0u32; cfg.num_items];
-    let mut dirty_epoch = 0u32;
-    let mut old_row = vec![0.0f64; k];
-    let fingerprint = TrainCheckpoint::fingerprint_of(cfg, training);
-    let mut prev_r_tilde: Option<f64> = resume.and_then(|ck| ck.prev_r_tilde);
-    // Snapshots are only taken at check barriers, so a resumed step count
-    // is always a multiple of the check interval and the block structure
-    // below realigns with the uninterrupted run.
-    let mut step = start_step;
-    'blocks: while step < max_steps {
-        let block = check_interval.min(max_steps - step);
+    let mut merge_scratch = MergeScratch::new(cfg.num_items, k);
+    // A resumed step count is a multiple of the check interval, so the
+    // block structure below realigns with the uninterrupted run.
+    let mut step = run.start_step;
+    while step < run.max_steps {
+        let block = run.check_interval.min(run.max_steps - step);
         let alloc = split_block(block, &cum);
-        {
-            let alloc = &alloc;
-            let local_of = &local_of;
-            run_on_shards(par.threads, &mut states, &|w, s_idx, st| {
-                let n = alloc[s_idx];
-                if n == 0 {
-                    return;
-                }
-                let _block_timer = block_hist.timer();
-                // Worker 0 is the caller, already inside `train`; the
-                // others are their own threads and restart the path.
-                let _prof = match w {
-                    0 => rrc_obs::ProfGuard::enter("block"),
-                    _ => rrc_obs::ProfGuard::enter_path(&["train", "block"]),
-                };
-                st.epoch += 1;
-                st.touched.clear();
-                let mut params = ShardParams {
-                    k,
-                    f_dim,
-                    local_of,
-                    u: &mut st.u,
-                    a: &mut st.a,
-                    v: &mut st.v,
-                    stamp: &mut st.stamp,
-                    touched: &mut st.touched,
-                    epoch: st.epoch,
-                };
-                for _ in 0..n {
-                    // TrainingSet::sample, restricted to this shard's users
-                    // — same three draws, same order.
-                    let user = st.users[st.rng.gen_range(0..st.users.len())];
-                    let positives = training.user_positives(user);
-                    let p = &positives[st.rng.gen_range(0..positives.len())];
-                    let negs = training.negatives_of(p);
-                    let neg = &negs[st.rng.gen_range(0..negs.len())];
-                    let q = training.quadruple(p, neg);
-                    sgd_step(&mut params, &q, &consts, &mut st.scratch);
-                }
-            });
-        }
-
-        // Row-sparse merge. Invariant entering the block: every non-empty
-        // shard's local `v` is a bitwise copy of the global `v`, so the
-        // global row pre-merge is exactly what each shard started from.
-        let merge_prof = rrc_obs::ProfGuard::enter("merge");
-        let actives: Vec<usize> = (0..shards).filter(|&s| alloc[s] > 0).collect();
-        dirty_epoch += 1;
-        dirty.clear();
-        for &s in &actives {
-            for &r in &states[s].touched {
-                if dirty_stamp[r as usize] != dirty_epoch {
-                    dirty_stamp[r as usize] = dirty_epoch;
-                    dirty.push(r);
-                }
+        run_on_shards(par.threads, &mut states, &|w, s_idx, st| {
+            let n = alloc[s_idx];
+            if n == 0 {
+                return;
             }
-        }
-        if let Some((&a0, rest)) = actives.split_first() {
-            for &r in &dirty {
-                let r = r as usize;
-                old_row.copy_from_slice(v.row(r));
-                // Adopt the first active shard's row (bitwise — equal to
-                // `old_row` when that shard never wrote it), then add the
-                // other touchers' deltas in shard order.
-                v.row_mut(r).copy_from_slice(states[a0].v.row(r));
-                for &s in rest {
-                    let st = &states[s];
-                    if st.stamp[r] != st.epoch {
-                        continue;
-                    }
-                    let local = st.v.row(r);
-                    for (b, (l, o)) in v.row_mut(r).iter_mut().zip(local.iter().zip(&old_row)) {
-                        *b += l - o;
-                    }
-                }
+            let _block_timer = block_hist.timer();
+            // Worker 0 is the caller, already inside `train`; the
+            // others are their own threads and restart the path.
+            let _prof = match w {
+                0 => rrc_obs::ProfGuard::enter("block"),
+                _ => rrc_obs::ProfGuard::enter_path(&["train", "block"]),
+            };
+            st.epoch += 1;
+            st.touched.clear();
+            let mut params = ShardParams {
+                k,
+                f_dim,
+                local_of: &local_of,
+                u: &mut st.u,
+                a: &mut st.a,
+                v: &mut st.v,
+                stamp: &mut st.stamp,
+                touched: &mut st.touched,
+                epoch: st.epoch,
+            };
+            for _ in 0..n {
+                // TrainingSet::sample, restricted to this shard's users
+                // — same three draws, same order.
+                let user = st.users[st.rng.gen_range(0..st.users.len())];
+                let positives = training.user_positives(user);
+                let p = &positives[st.rng.gen_range(0..positives.len())];
+                let negs = training.negatives_of(p);
+                let neg = &negs[st.rng.gen_range(0..negs.len())];
+                let q = training.quadruple(p, neg);
+                sgd_step(&mut params, &q, &consts, &mut st.scratch);
             }
-            // Re-sync every non-empty shard's local copy on the merged
-            // rows, restoring the invariant for the next block.
-            for st in states.iter_mut() {
-                if st.users.is_empty() {
-                    continue;
-                }
-                for &r in &dirty {
-                    let r = r as usize;
-                    st.v.row_mut(r).copy_from_slice(v.row(r));
-                }
-            }
-        }
-        drop(merge_prof);
+        });
+        merge_item_rows(&mut v, &mut states, &alloc, &mut merge_scratch);
         step += block;
-        report.steps = step;
 
-        if step.is_multiple_of(check_interval) {
-            let _prof = rrc_obs::ProfGuard::enter("check");
+        if step.is_multiple_of(run.check_interval) {
             let view = MergedView {
                 k,
                 f_dim,
@@ -448,44 +403,12 @@ pub(super) fn train_with(
                 a_res: &a_res,
                 v: &v,
             };
-            let (r_tilde, nll) = {
-                let _check_timer = check_hist.timer();
-                batch_statistics_chunked(&view, &small_batch, shards, par.threads)
+            let snapshot = || {
+                let rng_states = states.iter().map(|st| st.rng.state()).collect();
+                (view.to_model(), rng_states)
             };
-            report.checks.push(ConvergencePoint {
-                step,
-                r_tilde,
-                nll,
-                elapsed: elapsed_base + train_start.elapsed(),
-            });
-            if let Some(prev) = prev_r_tilde {
-                if step >= min_steps && (r_tilde - prev).abs() <= cfg.convergence_eps {
-                    report.converged = true;
-                    break;
-                }
-            }
-            prev_r_tilde = Some(r_tilde);
-            if let Some(opts) = checkpoint.as_mut() {
-                if opts.every_checks > 0 && report.checks.len().is_multiple_of(opts.every_checks) {
-                    let snapshot = TrainCheckpoint {
-                        mode: TrainMode::Sharded,
-                        shards,
-                        step,
-                        prev_r_tilde,
-                        elapsed: elapsed_base + train_start.elapsed(),
-                        checks: report.checks.clone(),
-                        rng_states: states.iter().map(|st| st.rng.state()).collect(),
-                        model: snapshot_model(
-                            k, f_dim, &states, &owner, &local_of, &u_res, &a_res, &v,
-                        ),
-                        fingerprint,
-                    };
-                    if !(opts.sink)(&snapshot) {
-                        // Simulated kill: stop mid-run; only the emitted
-                        // snapshots survive.
-                        break 'blocks;
-                    }
-                }
+            if run.barrier(step, &view, snapshot).is_break() {
+                break;
             }
         }
     }
@@ -499,38 +422,166 @@ pub(super) fn train_with(
     }
     let model = TsPprModel::from_parts(k, f_dim, u_res, v, a_res);
     debug_assert!(model.is_finite(), "parameters diverged");
-    steps_total.add((report.steps - start_step) as u64);
-    report.elapsed = elapsed_base + train_start.elapsed();
-    (model, report)
+    (model, run.finish(step))
 }
 
-/// Assemble the full model at a check barrier *without* disturbing the
-/// shard states: resident rows for unowned users, shard-local rows (and a
-/// clone of the merged `V`) for owned ones — exactly what the final gather
-/// would produce if training stopped here.
-#[allow(clippy::too_many_arguments)]
-fn snapshot_model(
-    k: usize,
-    f_dim: usize,
-    states: &[ShardState],
-    owner: &[u32],
-    local_of: &[u32],
-    u_res: &DMatrix,
-    a_res: &[DMatrix],
-    v: &DMatrix,
-) -> TsPprModel {
-    let mut u = u_res.clone();
-    let mut a = Vec::with_capacity(a_res.len());
-    for user in 0..a_res.len() {
-        match owner[user] {
-            u32::MAX => a.push(a_res[user].clone()),
-            s => {
-                let st = &states[s as usize];
-                let row = local_of[user] as usize;
-                u.row_mut(user).copy_from_slice(st.u.row(row));
-                a.push(st.a[row].clone());
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+
+    /// A shard holding a copy of `base`; `users == 0` makes it an empty one.
+    fn shard(base: &DMatrix, users: u32) -> ShardState {
+        let (v, stamp) = match users {
+            0 => (DMatrix::zeros(0, 0), Vec::new()),
+            _ => (base.clone(), vec![0; base.rows()]),
+        };
+        ShardState {
+            users: (0..users).map(UserId).collect(),
+            u: DMatrix::zeros(users as usize, base.cols()),
+            a: Vec::new(),
+            v,
+            rng: StdRng::seed_from_u64(0),
+            scratch: SgdScratch::default(),
+            stamp,
+            touched: Vec::new(),
+            epoch: 0,
+        }
+    }
+
+    /// One block on `st`: add `grad(r, c)` to every entry of each of `rows`
+    /// through the kernel's own write path, so the rows are stamped exactly
+    /// as an SGD step's are.
+    fn run_block(st: &mut ShardState, rows: &[usize], grad: impl Fn(usize, usize) -> f64) {
+        st.epoch += 1;
+        st.touched.clear();
+        let mut params = ShardParams {
+            k: st.v.cols(),
+            f_dim: 1,
+            local_of: &[],
+            u: &mut st.u,
+            a: &mut st.a,
+            v: &mut st.v,
+            stamp: &mut st.stamp,
+            touched: &mut st.touched,
+            epoch: st.epoch,
+        };
+        for &r in rows {
+            let row = params.item_factor_mut(ItemId(r as u32));
+            for (c, x) in row.iter_mut().enumerate() {
+                *x += grad(r, c);
             }
         }
     }
-    TsPprModel::from_parts(k, f_dim, u, v.clone(), a)
+
+    fn bits(m: &DMatrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn merge_adopts_the_first_active_shard_and_adds_the_rest_in_shard_order() {
+        let base = DMatrix::from_vec(3, 1, vec![1.0, 1.0, 1.0]);
+        let mut v = base.clone();
+        let mut states = vec![
+            shard(&base, 1),
+            shard(&base, 0), // owns nobody: no copy to read or re-sync
+            shard(&base, 1),
+            shard(&base, 1),
+        ];
+        let mut scratch = MergeScratch::new(3, 1);
+
+        run_block(&mut states[0], &[0], |_, _| 1.0);
+        run_block(&mut states[2], &[0, 1], |_, _| -0.5);
+        run_block(&mut states[3], &[2], |_, _| 9.0);
+        merge_item_rows(&mut v, &mut states, &[1, 0, 2, 1], &mut scratch);
+        assert_eq!(v.as_slice(), &[1.5, 0.5, 10.0]);
+
+        // Next block only shard 0 runs; shards 2 and 3 still list the rows
+        // they touched last time, and those stale lists must not count.
+        run_block(&mut states[0], &[1], |_, _| 2.0);
+        merge_item_rows(&mut v, &mut states, &[3, 0, 0, 0], &mut scratch);
+        assert_eq!(v.as_slice(), &[1.5, 2.5, 10.0]);
+        for s in [0, 2, 3] {
+            assert_eq!(bits(&states[s].v), bits(&v), "shard {s} not re-synced");
+        }
+    }
+
+    proptest! {
+        /// Shards that each add their own gradient to some rows of a private
+        /// copy merge to the serial sum of all deltas within 1e-12; a row no
+        /// shard wrote keeps its bits; every copy leaves equal to the merge.
+        #[test]
+        fn merged_item_accumulation_equals_serial_sum(
+            rows in 1usize..5,
+            cols in 1usize..5,
+            base_vals in proptest::collection::vec(-1.0f64..1.0, 1..17),
+            shard_grads in proptest::collection::vec(
+                (proptest::collection::vec(-0.1f64..0.1, 1..17), 0u8..16),
+                1..7,
+            ),
+        ) {
+            let cell = |vals: &[f64], r: usize, c: usize| vals[(r * cols + c) % vals.len()];
+            let base = DMatrix::from_vec(
+                rows,
+                cols,
+                (0..rows * cols).map(|i| base_vals[i % base_vals.len()]).collect(),
+            );
+            let touched_rows = |mask: u8| -> Vec<usize> {
+                (0..rows).filter(|r| mask & (1 << r) != 0).collect()
+            };
+
+            let mut serial = base.clone();
+            let mut states = Vec::new();
+            let mut alloc = Vec::new();
+            for (grad, mask) in &shard_grads {
+                let mut st = shard(&base, 1);
+                let mine = touched_rows(*mask);
+                if !mine.is_empty() {
+                    run_block(&mut st, &mine, |r, c| cell(grad, r, c));
+                }
+                for &r in &mine {
+                    for (c, x) in serial.row_mut(r).iter_mut().enumerate() {
+                        *x += cell(grad, r, c);
+                    }
+                }
+                alloc.push(mine.len());
+                states.push(st);
+            }
+
+            let mut merged = base.clone();
+            let mut scratch = MergeScratch::new(rows, cols);
+            merge_item_rows(&mut merged, &mut states, &alloc, &mut scratch);
+
+            for (m, s) in merged.as_slice().iter().zip(serial.as_slice()) {
+                prop_assert!((m - s).abs() <= 1e-12, "merged {m} vs serial {s}");
+            }
+            let written = shard_grads.iter().fold(0u8, |all, (_, mask)| all | mask);
+            for r in (0..rows).filter(|r| written & (1 << r) == 0) {
+                prop_assert_eq!(
+                    merged.row(r).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    base.row(r).iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                );
+            }
+            for st in &states {
+                prop_assert_eq!(bits(&st.v), bits(&merged));
+            }
+        }
+
+        /// A single shard's merge is exact adoption — bit-for-bit, which is
+        /// what keeps one shard identical to the serial trainer.
+        #[test]
+        fn single_shard_merge_is_bitwise_adoption(
+            vals in proptest::collection::vec(-1.0f64..1.0, 4),
+            upd in proptest::collection::vec(-1.0f64..1.0, 4),
+        ) {
+            let base = DMatrix::from_vec(2, 2, vals);
+            let mut merged = base.clone();
+            let mut states = vec![shard(&base, 1)];
+            run_block(&mut states[0], &[0, 1], |r, c| upd[r * 2 + c]);
+            let expect = bits(&states[0].v);
+            merge_item_rows(&mut merged, &mut states, &[2], &mut MergeScratch::new(2, 2));
+            prop_assert_eq!(bits(&merged), expect);
+        }
+    }
 }

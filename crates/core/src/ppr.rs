@@ -9,16 +9,11 @@
 //! vectors.
 
 use crate::config::TsPprConfig;
-use crate::parallel::{
-    merge_item_updates, run_on_shards, shard_for, shard_stream_seed, split_block, ParallelConfig,
-    TrainMode,
-};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rrc_features::{RecContext, Recommender, TrainingSet};
 use rrc_linalg::{sigmoid, DMatrix, GaussianSampler};
 use rrc_sequence::{ItemId, UserId};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hyper-parameters for plain PPR. A trimmed-down [`TsPprConfig`] (no λ:
 /// there are no transforms).
@@ -127,7 +122,8 @@ impl PprTrainer {
         PprTrainer { config }
     }
 
-    /// Train on the quadruples, ignoring their features.
+    /// Train on the quadruples, ignoring their features: one serial loop of
+    /// `max_sweeps · |D|` steps, counted in `train_steps_total`.
     pub fn train(&self, training: &TrainingSet) -> PprModel {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -136,6 +132,9 @@ impl PprTrainer {
             return model;
         }
         let steps = cfg.max_sweeps * training.num_quadruples();
+        rrc_obs::global()
+            .counter("train_steps_total")
+            .add(steps as u64);
         let decay = 1.0 - cfg.alpha * cfg.gamma;
         let mut u_old = vec![0.0; cfg.k];
         for _ in 0..steps {
@@ -165,253 +164,6 @@ impl PprTrainer {
             }
         }
         model
-    }
-
-    /// Train under a [`ParallelConfig`] — the multi-threaded counterpart of
-    /// [`Self::train`]. Sharded mode is byte-identical to the serial
-    /// trainer at one shard and deterministic under a fixed `(seed,
-    /// shards)` pair at any thread count; Hogwild mode trades
-    /// reproducibility for throughput (see [`crate::parallel`]).
-    pub fn train_parallel(&self, training: &TrainingSet, par: &ParallelConfig) -> PprModel {
-        let model = match par.mode {
-            TrainMode::Serial => self.train(training),
-            TrainMode::Sharded => self.train_sharded(training, par),
-            TrainMode::Hogwild => self.train_hogwild(training, par),
-        };
-        let steps = self.config.max_sweeps * training.num_quadruples();
-        rrc_obs::global()
-            .counter("train_steps_total")
-            .add(steps as u64);
-        model
-    }
-
-    /// Sharded-deterministic PPR: users partitioned by
-    /// [`shard_for`], item matrix merged at sweep barriers. The arithmetic
-    /// and RNG consumption per step replay [`Self::train`] exactly, so one
-    /// shard reproduces it bit-for-bit.
-    fn train_sharded(&self, training: &TrainingSet, par: &ParallelConfig) -> PprModel {
-        let cfg = &self.config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let model = PprModel::init(&mut rng, cfg.num_users, cfg.num_items, cfg.k, cfg.gamma);
-        if training.is_empty() {
-            return model;
-        }
-        let d = training.num_quadruples();
-        let total_steps = cfg.max_sweeps * d;
-        let alpha = cfg.alpha;
-        let decay = 1.0 - alpha * cfg.gamma;
-        let k = cfg.k;
-
-        struct Shard {
-            users: Vec<UserId>,
-            u: DMatrix,
-            v: DMatrix,
-            rng: StdRng,
-            u_old: Vec<f64>,
-        }
-
-        let shards = par.shards;
-        let PprModel {
-            u: u_res, mut v, ..
-        } = model;
-        let mut shard_users: Vec<Vec<UserId>> = (0..shards).map(|_| Vec::new()).collect();
-        for &user in training.users_with_data() {
-            shard_users[shard_for(user, shards)].push(user);
-        }
-        let mut local_of = vec![u32::MAX; cfg.num_users];
-        let mut init_rng = Some(rng);
-        let mut states: Vec<Shard> = Vec::with_capacity(shards);
-        for (s, users) in shard_users.into_iter().enumerate() {
-            let mut su = DMatrix::zeros(users.len(), k);
-            for (row, &user) in users.iter().enumerate() {
-                local_of[user.index()] = row as u32;
-                su.row_mut(row).copy_from_slice(u_res.row(user.index()));
-            }
-            let sv = if users.is_empty() {
-                DMatrix::zeros(0, 0)
-            } else {
-                v.clone()
-            };
-            states.push(Shard {
-                users,
-                u: su,
-                v: sv,
-                rng: match s {
-                    0 => init_rng.take().expect("init stream taken once"),
-                    _ => StdRng::seed_from_u64(shard_stream_seed(cfg.seed, s)),
-                },
-                u_old: vec![0.0; k],
-            });
-        }
-        let mut cum = vec![0u64; shards + 1];
-        for s in 0..shards {
-            cum[s + 1] = cum[s] + states[s].users.len() as u64;
-        }
-
-        // One sweep (|D| draws) per synchronisation block — PPR has no
-        // convergence checks, so sweeps are the natural barrier.
-        let mut merge_scratch = Vec::new();
-        let mut step = 0usize;
-        while step < total_steps {
-            let block = d.min(total_steps - step);
-            let alloc = split_block(block, &cum);
-            {
-                let v_base = &v;
-                let alloc = &alloc;
-                let local_of = &local_of;
-                run_on_shards(par.threads, &mut states, &|_w, s_idx, st| {
-                    let n = alloc[s_idx];
-                    if n == 0 {
-                        return;
-                    }
-                    st.v.as_mut_slice().copy_from_slice(v_base.as_slice());
-                    for _ in 0..n {
-                        let user = st.users[st.rng.gen_range(0..st.users.len())];
-                        let positives = training.user_positives(user);
-                        let p = &positives[st.rng.gen_range(0..positives.len())];
-                        let negs = training.negatives_of(p);
-                        let neg = &negs[st.rng.gen_range(0..negs.len())].item;
-                        let row = local_of[user.index()] as usize;
-                        // score(pos) − score(neg), summed exactly as
-                        // PprModel::score does.
-                        let margin: f64 =
-                            st.u.row(row)
-                                .iter()
-                                .zip(st.v.row(p.item.index()))
-                                .map(|(a, b)| a * b)
-                                .sum::<f64>()
-                                - st.u
-                                    .row(row)
-                                    .iter()
-                                    .zip(st.v.row(neg.index()))
-                                    .map(|(a, b)| a * b)
-                                    .sum::<f64>();
-                        let coef = alpha * (1.0 - sigmoid(margin));
-                        st.u_old.copy_from_slice(st.u.row(row));
-                        {
-                            let vi = st.v.row(p.item.index()).to_vec();
-                            let vj = st.v.row(neg.index()).to_vec();
-                            let u = st.u.row_mut(row);
-                            for r in 0..k {
-                                u[r] = decay * u[r] + coef * (vi[r] - vj[r]);
-                            }
-                        }
-                        {
-                            let vi = st.v.row_mut(p.item.index());
-                            for (x, u0) in vi.iter_mut().zip(&st.u_old) {
-                                *x = decay * *x + coef * u0;
-                            }
-                        }
-                        {
-                            let vj = st.v.row_mut(neg.index());
-                            for (x, u0) in vj.iter_mut().zip(&st.u_old) {
-                                *x = decay * *x - coef * u0;
-                            }
-                        }
-                    }
-                });
-            }
-            let mut actives: Vec<&mut DMatrix> = states
-                .iter_mut()
-                .enumerate()
-                .filter(|(s_idx, _)| alloc[*s_idx] > 0)
-                .map(|(_, st)| &mut st.v)
-                .collect();
-            merge_item_updates(&mut v, &mut actives, &mut merge_scratch);
-            step += block;
-        }
-
-        let mut u_res = u_res;
-        for st in states.iter() {
-            for (row, &user) in st.users.iter().enumerate() {
-                u_res.row_mut(user.index()).copy_from_slice(st.u.row(row));
-            }
-        }
-        PprModel { k, u: u_res, v }
-    }
-
-    /// Hogwild PPR: lock-free updates against a flat `U | V` arena of
-    /// atomic `f64` bit patterns (same construction as
-    /// [`crate::parallel::ParamArena`], minus the transforms).
-    fn train_hogwild(&self, training: &TrainingSet, par: &ParallelConfig) -> PprModel {
-        let cfg = &self.config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let model = PprModel::init(&mut rng, cfg.num_users, cfg.num_items, cfg.k, cfg.gamma);
-        if training.is_empty() {
-            return model;
-        }
-        let d = training.num_quadruples();
-        let total_steps = cfg.max_sweeps * d;
-        let k = cfg.k;
-        let alpha = cfg.alpha;
-        let decay = 1.0 - alpha * cfg.gamma;
-
-        let cells: Vec<AtomicU64> = model
-            .u
-            .as_slice()
-            .iter()
-            .chain(model.v.as_slice())
-            .map(|x| AtomicU64::new(x.to_bits()))
-            .collect();
-        let cells = &cells[..];
-        let get = |i: usize| f64::from_bits(cells[i].load(Ordering::Relaxed));
-        let set = |i: usize, x: f64| cells[i].store(x.to_bits(), Ordering::Relaxed);
-        let u_off = |user: UserId| user.index() * k;
-        let v_off = |item: ItemId| (cfg.num_users + item.index()) * k;
-
-        struct Worker {
-            rng: StdRng,
-            u: Vec<f64>,
-            vi: Vec<f64>,
-            vj: Vec<f64>,
-        }
-        let threads = par.threads.max(1);
-        let mut workers: Vec<Worker> = (0..threads)
-            .map(|w| Worker {
-                rng: match w {
-                    0 => std::mem::replace(&mut rng, StdRng::seed_from_u64(0)),
-                    _ => StdRng::seed_from_u64(shard_stream_seed(cfg.seed, w)),
-                },
-                u: vec![0.0; k],
-                vi: vec![0.0; k],
-                vj: vec![0.0; k],
-            })
-            .collect();
-        let cum: Vec<u64> = (0..=threads as u64).collect();
-
-        let mut step = 0usize;
-        while step < total_steps {
-            let block = d.min(total_steps - step);
-            let alloc = split_block(block, &cum);
-            let alloc = &alloc;
-            run_on_shards(threads, &mut workers, &|_t, w_idx, wk| {
-                let n = alloc[w_idx];
-                for _ in 0..n {
-                    let q = training.sample(&mut wk.rng).expect("non-empty");
-                    let (uo, vio, vjo) = (u_off(q.user), v_off(q.pos), v_off(q.neg));
-                    for r in 0..k {
-                        wk.u[r] = get(uo + r);
-                        wk.vi[r] = get(vio + r);
-                        wk.vj[r] = get(vjo + r);
-                    }
-                    let margin: f64 = (0..k).map(|r| wk.u[r] * (wk.vi[r] - wk.vj[r])).sum();
-                    let coef = alpha * (1.0 - sigmoid(margin));
-                    for r in 0..k {
-                        set(uo + r, decay * wk.u[r] + coef * (wk.vi[r] - wk.vj[r]));
-                        set(vio + r, decay * wk.vi[r] + coef * wk.u[r]);
-                        set(vjo + r, decay * wk.vj[r] - coef * wk.u[r]);
-                    }
-                }
-            });
-            step += block;
-        }
-
-        let read = |off: usize, len: usize| (off..off + len).map(get).collect::<Vec<f64>>();
-        PprModel {
-            k,
-            u: DMatrix::from_vec(cfg.num_users, k, read(0, cfg.num_users * k)),
-            v: DMatrix::from_vec(cfg.num_items, k, read(cfg.num_users * k, cfg.num_items * k)),
-        }
     }
 }
 

@@ -4,12 +4,14 @@
 use crate::checkpoint::{CheckpointOptions, TrainCheckpoint};
 use crate::config::TsPprConfig;
 use crate::model::TsPprModel;
-use crate::parallel::TrainMode;
+use crate::parallel::{batch_statistics_chunked, shard_stream_seed, ParallelConfig, TrainMode};
 use crate::params::ModelParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rrc_features::{Quadruple, TrainingSet};
 use rrc_linalg::{ln_sigmoid, sigmoid};
+use std::ops::ControlFlow;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One convergence-check measurement.
@@ -92,31 +94,125 @@ impl TsPprTrainer {
         &self,
         training: &TrainingSet,
         resume: Option<&TrainCheckpoint>,
-        mut checkpoint: Option<CheckpointOptions<'_>>,
+        checkpoint: Option<CheckpointOptions<'_>>,
     ) -> (TsPprModel, TrainReport) {
-        // Instrumentation: the whole run is a span, each sweep of |D|
-        // steps and each convergence check land in their own
-        // span-duration histograms on the global registry (handles are
-        // pre-registered so the SGD loop stays lock-free).
-        let obs = rrc_obs::global();
-        let _train_span = obs.span("tsppr.train");
-        let _train_prof = rrc_obs::ProfGuard::enter("train");
-        let sweep_hist = obs.span_histogram("tsppr.train.sweep");
-        let check_hist = obs.span_histogram("tsppr.train.check");
-        let steps_total = obs.counter("tsppr_train_steps_total");
-        let train_start = Instant::now();
-
         let cfg = &self.config;
-        if let Some(ck) = resume {
-            ck.compatible_with(cfg, training, TrainMode::Serial, 1)
-                .unwrap_or_else(|why| panic!("cannot resume serial training: {why}"));
-        }
-        // The accumulated wall clock of the interrupted run(s), so the
-        // resumed report's time axis stays monotone.
-        let elapsed_base = resume.map_or(Duration::ZERO, |ck| ck.elapsed);
+        let (mut run, mut model, mut rngs) =
+            RunControl::start(cfg, ParallelConfig::serial(), training, resume, checkpoint);
+        let mut rng = rngs.pop().expect("a serial run has one RNG stream");
+        // Each sweep of |D| steps lands in its own span-duration histogram
+        // (the handle is pre-registered so the SGD loop stays lock-free).
+        let sweep_hist = rrc_obs::global().span_histogram("tsppr.train.sweep");
+        let d = training.num_quadruples();
 
-        let (mut model, mut rng) = match resume {
-            Some(ck) => (ck.model.clone(), StdRng::from_state(ck.rng_states[0])),
+        let mut scratch = SgdScratch::default();
+        let consts = SgdConsts::from_config(cfg);
+        let mut sweep_started = Instant::now();
+        let mut steps = run.start_step;
+
+        for step in (run.start_step + 1)..=run.max_steps {
+            {
+                let _p = rrc_obs::ProfGuard::enter("sweep");
+                let q = training
+                    .sample(&mut rng)
+                    .expect("non-empty training set always samples");
+                sgd_step(&mut model, &q, &consts, &mut scratch);
+            }
+
+            steps = step;
+            if step % d == 0 {
+                sweep_hist.record_duration(sweep_started.elapsed());
+                sweep_started = Instant::now();
+            }
+            if step % run.check_interval == 0 {
+                debug_assert!(model.is_finite(), "parameters diverged at step {step}");
+                let snapshot = || (model.clone(), vec![rng.state()]);
+                if run.barrier(step, &model, snapshot).is_break() {
+                    break;
+                }
+            }
+        }
+        (model, run.finish(steps))
+    }
+}
+
+/// The part of a TS-PPR training run that does not depend on how its steps
+/// are executed, written once for the serial step loop above and the
+/// sharded block loop of [`crate::parallel`]: whether a checkpoint may be
+/// resumed, the parameters and RNG streams a run starts from, the schedule
+/// (check cadence, step cap, minimum before the `Δr̃` stop) and what happens
+/// at a barrier — the small-batch check, the stop test, checkpoint emission.
+/// A loop takes its own steps and shows this type its parameters at every
+/// barrier.
+pub(crate) struct RunControl<'t, 'c> {
+    par: ParallelConfig,
+    /// Steps already taken by the run this one resumes (0 for a fresh run).
+    pub(crate) start_step: usize,
+    /// Steps between two barriers. Snapshots are only taken at barriers, so
+    /// `start_step` is always a multiple of it.
+    pub(crate) check_interval: usize,
+    /// The step cap; `start_step` when there is nothing to learn from, so
+    /// that either loop takes no step.
+    pub(crate) max_steps: usize,
+    min_steps: usize,
+    convergence_eps: f64,
+    small_batch: Vec<Quadruple<'t>>,
+    fingerprint: u64,
+    prev_r_tilde: Option<f64>,
+    checkpoint: Option<CheckpointOptions<'c>>,
+    report: TrainReport,
+    started: Instant,
+    /// The accumulated wall clock of the interrupted run(s), so a resumed
+    /// report's time axis stays monotone.
+    elapsed_base: Duration,
+    check_hist: Arc<rrc_obs::Histogram>,
+    // The whole run is a span and a profile frame; both close with `finish`.
+    _span: rrc_obs::Span,
+    _prof: rrc_obs::ProfGuard,
+}
+
+impl<'t, 'c> RunControl<'t, 'c> {
+    /// Open a run: returns its control, the parameters it starts from and
+    /// one RNG stream per shard of `par` (one for a serial run).
+    ///
+    /// A fresh run draws the parameters from the seed's stream and stream 0
+    /// *continues* that stream — as shard 0 of a sharded run exactly as the
+    /// serial loop does, which is what makes one shard bit-identical to
+    /// serial; every further shard gets a stream of its own. A resumed run
+    /// takes parameters and streams from the snapshot and never touches the
+    /// seed.
+    ///
+    /// # Panics
+    /// Panics when `resume` is incompatible with the run (see
+    /// [`TrainCheckpoint::compatible_with`]), and under
+    /// `identity_transform` unless `K == F`.
+    pub(crate) fn start(
+        cfg: &TsPprConfig,
+        par: ParallelConfig,
+        training: &'t TrainingSet,
+        resume: Option<&TrainCheckpoint>,
+        checkpoint: Option<CheckpointOptions<'c>>,
+    ) -> (Self, TsPprModel, Vec<StdRng>) {
+        let obs = rrc_obs::global();
+        let span = obs.span(match par.mode {
+            TrainMode::Serial => "tsppr.train",
+            TrainMode::Sharded => "tsppr.train.sharded",
+        });
+        let prof = rrc_obs::ProfGuard::enter("train");
+        let started = Instant::now();
+
+        if let Some(ck) = resume {
+            ck.compatible_with(cfg, training, par.mode, par.shards)
+                .unwrap_or_else(|why| panic!("cannot resume {} training: {why}", par.mode));
+        }
+        let (mut model, rngs): (TsPprModel, Vec<StdRng>) = match resume {
+            Some(ck) => (
+                ck.model.clone(),
+                ck.rng_states
+                    .iter()
+                    .map(|&state| StdRng::from_state(state))
+                    .collect(),
+            ),
             None => {
                 let mut rng = StdRng::seed_from_u64(cfg.seed);
                 let model = TsPprModel::init(
@@ -128,21 +224,12 @@ impl TsPprTrainer {
                     cfg.gamma,
                     cfg.lambda,
                 );
-                (model, rng)
+                let further =
+                    (1..par.shards).map(|s| StdRng::seed_from_u64(shard_stream_seed(cfg.seed, s)));
+                (model, std::iter::once(rng).chain(further).collect())
             }
         };
-        let start_step = resume.map_or(0, |ck| ck.step);
-        let mut report = TrainReport {
-            steps: start_step,
-            converged: false,
-            elapsed: Duration::ZERO,
-            checks: resume.map_or_else(Vec::new, |ck| ck.checks.clone()),
-        };
-        if training.is_empty() {
-            report.elapsed = elapsed_base + train_start.elapsed();
-            return (model, report);
-        }
-        if cfg.identity_transform && resume.is_none() {
+        if cfg.identity_transform && resume.is_none() && !training.is_empty() {
             assert_eq!(
                 cfg.k,
                 training.f_dim(),
@@ -154,85 +241,112 @@ impl TsPprTrainer {
             }
         }
 
+        let start_step = resume.map_or(0, |ck| ck.step);
         let d = training.num_quadruples();
         let check_interval = ((d as f64 * cfg.check_interval_fraction) as usize).max(1);
-        let max_steps = cfg.max_sweeps.saturating_mul(d).max(check_interval);
-        let min_steps = cfg.min_sweeps.saturating_mul(d).min(max_steps);
-        let small_batch = training.small_batch(cfg.check_fraction);
-        let fingerprint = TrainCheckpoint::fingerprint_of(cfg, training);
+        let max_steps = if training.is_empty() {
+            start_step
+        } else {
+            cfg.max_sweeps.saturating_mul(d).max(check_interval)
+        };
+        let run = RunControl {
+            par,
+            start_step,
+            check_interval,
+            max_steps,
+            min_steps: cfg.min_sweeps.saturating_mul(d).min(max_steps),
+            convergence_eps: cfg.convergence_eps,
+            small_batch: training.small_batch(cfg.check_fraction),
+            fingerprint: TrainCheckpoint::fingerprint_of(cfg, training),
+            prev_r_tilde: resume.and_then(|ck| ck.prev_r_tilde),
+            checkpoint,
+            report: TrainReport {
+                steps: start_step,
+                converged: false,
+                elapsed: Duration::ZERO,
+                checks: resume.map_or_else(Vec::new, |ck| ck.checks.clone()),
+            },
+            started,
+            elapsed_base: resume.map_or(Duration::ZERO, |ck| ck.elapsed),
+            check_hist: obs.span_histogram("tsppr.train.check"),
+            _span: span,
+            _prof: prof,
+        };
+        (run, model, rngs)
+    }
 
-        let mut scratch = SgdScratch::default();
-        let consts = SgdConsts::from_config(cfg);
-        let mut prev_r_tilde: Option<f64> = resume.and_then(|ck| ck.prev_r_tilde);
-        let mut sweep_started = Instant::now();
-
-        'sgd: for step in (start_step + 1)..=max_steps {
-            {
-                let _p = rrc_obs::ProfGuard::enter("sweep");
-                let q = training
-                    .sample(&mut rng)
-                    .expect("non-empty training set always samples");
-                sgd_step(&mut model, &q, &consts, &mut scratch);
+    /// The barrier after `step` steps: measure the small batch on `params`
+    /// (summed in one chunk per shard, so a serial run's is the plain sum),
+    /// record the point, and stop the run — `Break` — once `|Δr̃| ≤ ε` past
+    /// the minimum, or when the checkpoint sink says so. `snapshot` is asked
+    /// for the full model and the RNG state of every shard only when a
+    /// checkpoint is due.
+    pub(crate) fn barrier<P: ModelParams + Sync + ?Sized>(
+        &mut self,
+        step: usize,
+        params: &P,
+        snapshot: impl FnOnce() -> (TsPprModel, Vec<[u64; 4]>),
+    ) -> ControlFlow<()> {
+        let _prof = rrc_obs::ProfGuard::enter("check");
+        let (r_tilde, nll) = {
+            let _check_timer = self.check_hist.timer();
+            batch_statistics_chunked(params, &self.small_batch, self.par.shards, self.par.threads)
+        };
+        self.report.checks.push(ConvergencePoint {
+            step,
+            r_tilde,
+            nll,
+            elapsed: self.elapsed(),
+        });
+        if let Some(prev) = self.prev_r_tilde {
+            if step >= self.min_steps && (r_tilde - prev).abs() <= self.convergence_eps {
+                self.report.converged = true;
+                return ControlFlow::Break(());
             }
-
-            report.steps = step;
-            if step % d == 0 {
-                sweep_hist.record_duration(sweep_started.elapsed());
-                sweep_started = Instant::now();
-            }
-            if step % check_interval == 0 {
-                let _prof = rrc_obs::ProfGuard::enter("check");
-                let (r_tilde, nll) = {
-                    let _check_timer = check_hist.timer();
-                    batch_statistics(&model, &small_batch)
-                };
-                report.checks.push(ConvergencePoint {
+        }
+        self.prev_r_tilde = Some(r_tilde);
+        if let Some(opts) = self.checkpoint.as_mut() {
+            if opts.every_checks > 0 && self.report.checks.len().is_multiple_of(opts.every_checks) {
+                let (model, rng_states) = snapshot();
+                let snapshot = TrainCheckpoint {
+                    mode: self.par.mode,
+                    shards: self.par.shards,
                     step,
-                    r_tilde,
-                    nll,
-                    elapsed: elapsed_base + train_start.elapsed(),
-                });
-                debug_assert!(model.is_finite(), "parameters diverged at step {step}");
-                if let Some(prev) = prev_r_tilde {
-                    if step >= min_steps && (r_tilde - prev).abs() <= cfg.convergence_eps {
-                        report.converged = true;
-                        break;
-                    }
-                }
-                prev_r_tilde = Some(r_tilde);
-                if let Some(opts) = checkpoint.as_mut() {
-                    if opts.every_checks > 0
-                        && report.checks.len().is_multiple_of(opts.every_checks)
-                    {
-                        let snapshot = TrainCheckpoint {
-                            mode: TrainMode::Serial,
-                            shards: 1,
-                            step,
-                            prev_r_tilde,
-                            elapsed: elapsed_base + train_start.elapsed(),
-                            checks: report.checks.clone(),
-                            rng_states: vec![rng.state()],
-                            model: model.clone(),
-                            fingerprint,
-                        };
-                        if !(opts.sink)(&snapshot) {
-                            // Simulated kill: stop mid-run; only the
-                            // emitted snapshots survive.
-                            break 'sgd;
-                        }
-                    }
+                    prev_r_tilde: self.prev_r_tilde,
+                    elapsed: self.elapsed_base + self.started.elapsed(),
+                    checks: self.report.checks.clone(),
+                    rng_states,
+                    model,
+                    fingerprint: self.fingerprint,
+                };
+                if !(opts.sink)(&snapshot) {
+                    // Simulated kill: stop mid-run; only the emitted
+                    // snapshots survive.
+                    return ControlFlow::Break(());
                 }
             }
         }
-        steps_total.add((report.steps - start_step) as u64);
-        report.elapsed = elapsed_base + train_start.elapsed();
-        (model, report)
+        ControlFlow::Continue(())
+    }
+
+    /// Close the run after `steps` steps in all and hand back its report.
+    pub(crate) fn finish(mut self, steps: usize) -> TrainReport {
+        self.report.steps = steps;
+        rrc_obs::global()
+            .counter("tsppr_train_steps_total")
+            .add((steps - self.start_step) as u64);
+        self.report.elapsed = self.elapsed();
+        self.report
+    }
+
+    fn elapsed(&self) -> Duration {
+        self.elapsed_base + self.started.elapsed()
     }
 }
 
 /// Per-step scratch buffers reused across SGD steps, shared between the
-/// serial trainer, every shard/worker of the parallel trainers and the
-/// online step. [`sgd_step`] sizes them, so one value serves any `K`, `F`.
+/// serial trainer, every shard of the sharded trainer and the online step.
+/// [`sgd_step`] sizes them, so one value serves any `K`, `F`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SgdScratch {
     u_old: Vec<f64>,
@@ -351,9 +465,9 @@ pub(crate) fn sgd_step<P: ModelParams + ?Sized>(
 }
 
 /// Partial sums `(Σ margin, Σ −ln σ(margin))` over a slice of quadruples —
-/// the additive kernel behind [`batch_statistics`]. The parallel trainers
-/// compute one partial per chunk and combine them in a fixed order, so a
-/// single-chunk evaluation reproduces the serial sum bit-for-bit.
+/// the additive kernel of the convergence check. A barrier computes one
+/// partial per chunk and combines them in a fixed order, so a single-chunk
+/// evaluation is the plain sum.
 pub(crate) fn batch_partial<P: ModelParams + ?Sized>(
     params: &P,
     batch: &[Quadruple<'_>],
@@ -366,19 +480,6 @@ pub(crate) fn batch_partial<P: ModelParams + ?Sized>(
         sum_nll -= ln_sigmoid(m);
     }
     (sum_margin, sum_nll)
-}
-
-/// Mean margin `r̃` and mean `−ln σ(margin)` over a batch of quadruples.
-pub(crate) fn batch_statistics<P: ModelParams + ?Sized>(
-    params: &P,
-    batch: &[Quadruple<'_>],
-) -> (f64, f64) {
-    if batch.is_empty() {
-        return (0.0, 0.0);
-    }
-    let (sum_margin, sum_nll) = batch_partial(params, batch);
-    let n = batch.len() as f64;
-    (sum_margin / n, sum_nll / n)
 }
 
 #[inline]

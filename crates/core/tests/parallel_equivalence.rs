@@ -1,14 +1,14 @@
-//! Equivalence guarantees of the parallel trainers:
+//! Equivalence guarantees of the sharded trainer:
 //!
-//! * sharded-deterministic at **one shard** is *byte-identical* (bit
-//!   patterns, not just `==`) to the serial `TsPprTrainer` / `PprTrainer`;
-//! * sharded-deterministic output depends only on `(seed, shards)` — never
-//!   on the thread count, never on the run;
-//! * Hogwild produces finite parameters that actually learn.
+//! * at **one shard** it is *byte-identical* (bit patterns, not just `==`)
+//!   to the serial `TsPprTrainer`;
+//! * its output depends only on `(seed, shards)` — never on the thread
+//!   count, never on the run;
+//! * a run killed at a barrier resumes to the uninterrupted run's bytes.
 
 use rrc_core::{
-    CheckpointOptions, ParallelConfig, ParallelTrainer, PprConfig, PprModel, PprTrainer,
-    TrainCheckpoint, TrainMode, TrainReport, TsPprConfig, TsPprModel, TsPprTrainer,
+    CheckpointOptions, ParallelConfig, ParallelTrainer, TrainCheckpoint, TrainReport, TsPprConfig,
+    TsPprModel, TsPprTrainer,
 };
 use rrc_datagen::GeneratorConfig;
 use rrc_features::{FeaturePipeline, SamplingConfig, TrainStats, TrainingSet};
@@ -172,105 +172,4 @@ fn sharded_resume_is_bit_identical_to_uninterrupted_run() {
         "resumed sharded model must be bit-identical"
     );
     assert_eq!(report_trace(&uninterrupted.1), report_trace(&resumed.1));
-}
-
-#[test]
-#[should_panic(expected = "hogwild training is nondeterministic")]
-fn hogwild_refuses_checkpointing() {
-    let (data, training) = fixture();
-    let cfg = config(&data);
-    let mut sink = |_: &TrainCheckpoint| true;
-    ParallelTrainer::new(cfg, ParallelConfig::hogwild(2)).train_with(
-        &training,
-        None,
-        Some(CheckpointOptions {
-            every_checks: 1,
-            sink: &mut sink,
-        }),
-    );
-}
-
-#[test]
-fn hogwild_learns_and_stays_finite() {
-    let (data, training) = fixture();
-    let cfg = config(&data);
-    let (model, report) = ParallelTrainer::new(cfg, ParallelConfig::hogwild(4)).train(&training);
-    assert!(model.is_finite(), "racy writes must never produce NaN/Inf");
-    assert!(report.steps > 0);
-    assert!(
-        report.final_r_tilde() > 0.0,
-        "hogwild failed to learn: final r̃ = {}",
-        report.final_r_tilde()
-    );
-}
-
-/// Scores over a grid of (user, item) pairs as bit patterns — PPR's
-/// parameters are private, but equal rows give bit-equal scores.
-fn ppr_score_bits(m: &PprModel, data: &Dataset) -> Vec<u64> {
-    let mut bits = Vec::new();
-    for u in 0..data.num_users() {
-        for v in 0..data.num_items() {
-            bits.push(m.score(UserId(u as u32), ItemId(v as u32)).to_bits());
-        }
-    }
-    bits
-}
-
-#[test]
-fn ppr_sharded_one_shard_is_byte_identical_to_serial() {
-    let (data, training) = fixture();
-    let cfg = PprConfig {
-        k: 8,
-        max_sweeps: 10,
-        ..PprConfig::new(data.num_users(), data.num_items())
-    };
-    let trainer = PprTrainer::new(cfg);
-    let serial = trainer.train(&training);
-    let par = trainer.train_parallel(&training, &ParallelConfig::sharded(1));
-    assert_eq!(serial, par, "PPR 1-shard must equal serial");
-    assert_eq!(ppr_score_bits(&serial, &data), ppr_score_bits(&par, &data));
-}
-
-#[test]
-fn ppr_sharded_runs_are_reproducible_and_thread_invariant() {
-    let (data, training) = fixture();
-    let cfg = PprConfig {
-        k: 8,
-        max_sweeps: 10,
-        ..PprConfig::new(data.num_users(), data.num_items())
-    };
-    let trainer = PprTrainer::new(cfg);
-    let reference = trainer.train_parallel(&training, &ParallelConfig::sharded(1).with_shards(4));
-    for threads in [2, 4, 8] {
-        let run =
-            trainer.train_parallel(&training, &ParallelConfig::sharded(threads).with_shards(4));
-        assert_eq!(
-            ppr_score_bits(&reference, &data),
-            ppr_score_bits(&run, &data),
-            "PPR threads={threads} diverged"
-        );
-    }
-}
-
-#[test]
-fn ppr_hogwild_stays_finite_and_learns() {
-    let (data, training) = fixture();
-    let cfg = PprConfig {
-        k: 8,
-        max_sweeps: 10,
-        ..PprConfig::new(data.num_users(), data.num_items())
-    };
-    let model =
-        PprTrainer::new(cfg).train_parallel(&training, &ParallelConfig::new(TrainMode::Hogwild, 4));
-    assert!(model.is_finite());
-    let mut wins = 0usize;
-    let mut total = 0usize;
-    for q in training.iter_quadruples() {
-        if model.score(q.user, q.pos) > model.score(q.user, q.neg) {
-            wins += 1;
-        }
-        total += 1;
-    }
-    let acc = wins as f64 / total as f64;
-    assert!(acc > 0.6, "hogwild PPR pairwise accuracy {acc}");
 }

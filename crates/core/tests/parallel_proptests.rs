@@ -1,11 +1,10 @@
-//! Property-based tests for the parallel-training machinery: shard routing
-//! partitions users completely and disjointly, block splitting conserves
-//! steps, and merged per-shard item-gradient accumulation tracks the serial
-//! sum.
+//! Property-based tests for shard routing, the one piece of the sharded
+//! trainer other crates call: it partitions users completely and
+//! disjointly. Block splitting and the barrier merge are private to
+//! `rrc_core::parallel` and carry their properties beside their code.
 
 use proptest::prelude::*;
-use rrc_core::parallel::{merge_item_updates, shard_for, split_block};
-use rrc_linalg::DMatrix;
+use rrc_core::parallel::shard_for;
 use rrc_sequence::UserId;
 use std::collections::HashMap;
 
@@ -38,96 +37,5 @@ proptest! {
     #[test]
     fn routing_single_shard_is_total(u in any::<u32>()) {
         prop_assert_eq!(shard_for(UserId(u), 1), 0);
-    }
-
-    /// Block splitting conserves the step count exactly, gives zero-weight
-    /// shards zero steps, and deviates from the proportional share by less
-    /// than one step.
-    #[test]
-    fn split_block_conserves_steps_and_tracks_weights(
-        weights in proptest::collection::vec(0u64..1000, 1..17),
-        block in 0usize..100_000,
-    ) {
-        prop_assume!(weights.iter().sum::<u64>() > 0);
-        let mut cum = vec![0u64];
-        for &w in &weights {
-            cum.push(cum.last().unwrap() + w);
-        }
-        let total = *cum.last().unwrap() as f64;
-        let alloc = split_block(block, &cum);
-        prop_assert_eq!(alloc.iter().sum::<usize>(), block);
-        for (s, (&n, &w)) in alloc.iter().zip(&weights).enumerate() {
-            if w == 0 {
-                prop_assert_eq!(n, 0, "zero-weight shard {s} got steps");
-            }
-            let ideal = block as f64 * w as f64 / total;
-            prop_assert!(
-                (n as f64 - ideal).abs() < 1.0,
-                "shard {s}: {n} steps vs ideal {ideal}"
-            );
-        }
-    }
-
-    /// Merging per-shard item updates equals the serial sum of all deltas
-    /// within 1e-12 on random gradients.
-    #[test]
-    fn merged_item_accumulation_equals_serial_sum(
-        rows in 1usize..5,
-        cols in 1usize..5,
-        base_vals in proptest::collection::vec(-1.0f64..1.0, 1..17),
-        shard_grads in proptest::collection::vec(
-            proptest::collection::vec(-0.1f64..0.1, 1..17),
-            1..7,
-        ),
-    ) {
-        let n = rows * cols;
-        let take = |vals: &[f64]| -> Vec<f64> {
-            (0..n).map(|i| vals[i % vals.len()]).collect()
-        };
-        let base = DMatrix::from_vec(rows, cols, take(&base_vals));
-
-        // Each shard applies its own gradient to a private copy of base.
-        let mut locals: Vec<DMatrix> = shard_grads
-            .iter()
-            .map(|g| {
-                let mut m = base.clone();
-                for (x, d) in m.as_mut_slice().iter_mut().zip(take(g)) {
-                    *x += d;
-                }
-                m
-            })
-            .collect();
-
-        // Serial reference: base + Σ_s grad_s.
-        let mut serial = base.clone();
-        for g in &shard_grads {
-            for (x, d) in serial.as_mut_slice().iter_mut().zip(take(g)) {
-                *x += d;
-            }
-        }
-
-        let mut merged = base.clone();
-        let mut refs: Vec<&mut DMatrix> = locals.iter_mut().collect();
-        let mut scratch = Vec::new();
-        merge_item_updates(&mut merged, &mut refs, &mut scratch);
-
-        for (m, s) in merged.as_slice().iter().zip(serial.as_slice()) {
-            prop_assert!((m - s).abs() <= 1e-12, "merged {m} vs serial {s}");
-        }
-    }
-
-    /// A single shard's merge is exact adoption — bit-for-bit.
-    #[test]
-    fn single_shard_merge_is_bitwise_adoption(
-        vals in proptest::collection::vec(-1.0f64..1.0, 4),
-        upd in proptest::collection::vec(-1.0f64..1.0, 4),
-    ) {
-        let mut base = DMatrix::from_vec(2, 2, vals);
-        let mut local = DMatrix::from_vec(2, 2, upd);
-        let expect: Vec<u64> = local.as_slice().iter().map(|x| x.to_bits()).collect();
-        let mut scratch = Vec::new();
-        merge_item_updates(&mut base, &mut [&mut local], &mut scratch);
-        let got: Vec<u64> = base.as_slice().iter().map(|x| x.to_bits()).collect();
-        prop_assert_eq!(got, expect);
     }
 }
