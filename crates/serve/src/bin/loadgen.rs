@@ -49,13 +49,13 @@
 //! * `--arrival poisson|burst|diurnal` switches the replay from the
 //!   historical closed loop to a seeded open-loop arrival schedule at
 //!   `--rate` events/second (burst trains via `--burst-rate` /
-//!   `--burst-every` / `--burst-ms`, diurnal ramps via
-//!   `--diurnal-period` / `--diurnal-amplitude`). `--hot-users` /
+//!   `--burst-every` / `--burst-ms`; the diurnal ramp swings ±80 % over
+//!   a one-second period). `--hot-users` /
 //!   `--hot-frac` overlay a flash crowd of recommends aimed at a few
 //!   hot users. Open-loop clients never wait for replies.
 //! * `--queue-cap N` bounds each shard's admission queue: excess
 //!   requests get a typed `Shed` answer, observes shed strictly before
-//!   recommends (`--observe-frac`). `--deadline-us` sheds requests that
+//!   recommends (at 75 % of the cap). `--deadline-us` sheds requests that
 //!   would be served past their deadline. The report gains an
 //!   `engine.overload` section whose counters obey the conservation law
 //!   `offered == admitted + shed`; `--slo-shed-rate` turns the windowed
@@ -85,12 +85,11 @@ use rrc_obs::{Json, JsonlSink, RunReport};
 use rrc_sequence::{Dataset, ItemId, SplitDataset, UserId};
 use rrc_serve::arrival::{self, ArrivalProcess, ArrivalSpec, ArrivalTarget};
 use rrc_serve::{
-    EngineOptions, ForensicsOptions, OverloadOptions, QualityConfig, RegistryWatcher, ServeEngine,
-    SloOptions, SwapLog, UstateOptions,
+    EngineOptions, ForensicsOptions, OverloadOptions, RegistryWatcher, ServeEngine, SloOptions,
+    SwapLog, UstateOptions,
 };
 use rrc_store::ModelRegistry;
 use rrc_stream::{ChannelSource, StreamConfig, StreamEvent, StreamTrainer};
-use rrc_ustate::EvictionPolicy;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -99,6 +98,14 @@ use std::time::{Duration, Instant};
 type EventTap = crossbeam::channel::Sender<StreamEvent>;
 
 const OMEGA: usize = 10;
+
+/// Length of every requested list. The quality monitor ranks inside the
+/// served list, so its hit@10 is hit@10 only of lists this long.
+const TOPN: usize = 10;
+
+/// Per-user changepoint position for `--drift`, as a fraction of the
+/// sequence: inside the replayed test suffix (the last 30 %).
+const DRIFT_AT: f64 = 0.75;
 
 /// Opt in to allocation attribution: every allocation this process makes
 /// is (while profiling is enabled) credited to the allocating thread's
@@ -114,7 +121,6 @@ struct Args {
     events_hi: usize,
     shards: usize,
     clients: usize,
-    topn: usize,
     recommend_every: usize,
     /// Negatives per observed eligible repeat; 0 freezes the model.
     learn: usize,
@@ -144,8 +150,6 @@ struct Args {
     memory_budget: Option<usize>,
     /// Spill directory for bounded runs (temp dir when unset).
     spill_dir: Option<String>,
-    /// Eviction policy for bounded runs.
-    evict: EvictionPolicy,
     /// Zipf exponent of per-user activity skew in the generated stream.
     user_skew: f64,
     /// Latent dimension K of the served model.
@@ -184,18 +188,12 @@ struct Args {
     burst_every_ms: u64,
     /// Burst duration within each period, in milliseconds.
     burst_ms: u64,
-    /// Diurnal period for `--arrival diurnal`, in milliseconds.
-    diurnal_period_ms: u64,
-    /// Diurnal modulation amplitude (0 = flat, 1 = full swing).
-    diurnal_amplitude: f64,
     /// Flash-crowd hot-user slots (0 disables the overlay).
     hot_users: u32,
     /// Probability an arrival is a flash-crowd recommend at a hot user.
     hot_frac: f64,
     /// Bounded per-shard admission queue; None = unbounded (classic).
     queue_cap: Option<usize>,
-    /// Observe admission threshold as a fraction of `--queue-cap`.
-    observe_frac: f64,
     /// Default per-request deadline for open-loop traffic, microseconds.
     deadline_us: Option<u64>,
     /// SLO: max windowed shed fraction (shed / offered).
@@ -205,9 +203,6 @@ struct Args {
     continuous: bool,
     /// Distribution drift magnitude of the generated stream (0..=1).
     drift: f64,
-    /// Per-user changepoint position for `--drift`, as a fraction of the
-    /// sequence (default lands inside the replayed test suffix).
-    drift_at: f64,
     /// Continuous trainer: publish to the registry every N events.
     publish_every: u64,
     /// Continuous trainer: durable checkpoint path.
@@ -232,7 +227,6 @@ impl Default for Args {
             events_hi: 200,
             shards: 4,
             clients: 4,
-            topn: 10,
             recommend_every: 10,
             learn: 0,
             swap_every_ms: 0,
@@ -248,7 +242,6 @@ impl Default for Args {
             metrics_every_ms: 500,
             memory_budget: None,
             spill_dir: None,
-            evict: EvictionPolicy::default(),
             user_skew: 0.0,
             k: 16,
             window: 100,
@@ -267,17 +260,13 @@ impl Default for Args {
             burst_rate: 400_000.0,
             burst_every_ms: 200,
             burst_ms: 50,
-            diurnal_period_ms: 1_000,
-            diurnal_amplitude: 0.8,
             hot_users: 0,
             hot_frac: 0.1,
             queue_cap: None,
-            observe_frac: 0.75,
             deadline_us: None,
             slo_shed_rate: None,
             continuous: false,
             drift: 0.0,
-            drift_at: 0.75,
             publish_every: 2_000,
             stream_checkpoint: None,
             checkpoint_every: 0,
@@ -310,15 +299,14 @@ impl Args {
             recommend_p99_ns: self.slo_recommend_p99_us.map(|us| us.saturating_mul(1_000)),
             quality_ratio: self.slo_quality_ratio,
             shed_rate: self.slo_shed_rate,
-            ..SloOptions::default()
         }
     }
 
     fn overload_options(&self) -> OverloadOptions {
         OverloadOptions {
             queue_cap: self.queue_cap,
-            observe_fraction: self.observe_frac,
             deadline: self.deadline_us.map(Duration::from_micros),
+            ..OverloadOptions::default()
         }
     }
 
@@ -337,8 +325,8 @@ impl Args {
             },
             "diurnal" => ArrivalProcess::Diurnal {
                 rate: self.rate,
-                period_ns: ms(self.diurnal_period_ms),
-                amplitude: self.diurnal_amplitude,
+                period_ns: ms(1_000),
+                amplitude: 0.8,
             },
             other => {
                 eprintln!("unknown arrival process: {other}");
@@ -365,7 +353,6 @@ impl Args {
             inject_slow: self
                 .inject_slow_user
                 .map(|u| (u, Duration::from_micros(self.inject_slow_us))),
-            ..ForensicsOptions::default()
         }
     }
 
@@ -375,15 +362,14 @@ impl Args {
     fn engine_options(&self, trace_sink: Option<Arc<JsonlSink>>) -> EngineOptions {
         EngineOptions {
             tracing: !self.no_tracing,
-            quality: (self.quality || self.continuous).then(QualityConfig::default),
+            quality: self.quality || self.continuous,
             ustate: UstateOptions {
                 budget_bytes: self.memory_budget,
-                policy: self.evict,
                 spill_dir: self.spill_dir.as_ref().map(std::path::PathBuf::from),
+                ..UstateOptions::default()
             },
             forensics: self.forensics_options(trace_sink),
             overload: self.overload_options(),
-            ..EngineOptions::default()
         }
     }
 }
@@ -391,12 +377,12 @@ impl Args {
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--users N] [--items N] [--events LO HI] [--shards N] \
-         [--clients N] [--topn N] [--recommend-every N] [--learn NEGATIVES] \
+         [--clients N] [--recommend-every N] [--learn NEGATIVES] \
          [--swap-every MILLIS] [--seed N] [--json PATH] [--load-model PATH] \
          [--save-model PATH] [--registry DIR] [--registry-poll MILLIS] \
          [--quality] [--no-tracing] \
          [--metrics-json PATH] [--metrics-every MILLIS] \
-         [--memory-budget BYTES] [--spill-dir DIR] [--evict clock|lru] \
+         [--memory-budget BYTES] [--spill-dir DIR] \
          [--user-skew EXPONENT] [--k N] [--window N] \
          [--forensics] [--trace-out PATH] [--dump-flight PATH] \
          [--inject-panic-after N] [--inject-slow-user U] [--inject-slow-us MICROS] \
@@ -404,11 +390,10 @@ fn usage() -> ! {
          [--slo-quality-ratio F] [--slo-tick MILLIS] \
          [--arrival closed|poisson|burst|diurnal] [--rate EV_PER_SEC] \
          [--burst-rate EV_PER_SEC] [--burst-every MILLIS] [--burst-ms MILLIS] \
-         [--diurnal-period MILLIS] [--diurnal-amplitude F] \
          [--hot-users N] [--hot-frac F] \
-         [--queue-cap N] [--observe-frac F] [--deadline-us MICROS] \
+         [--queue-cap N] [--deadline-us MICROS] \
          [--slo-shed-rate F] \
-         [--continuous] [--drift F] [--drift-at F] [--publish-every N] \
+         [--continuous] [--drift F] [--publish-every N] \
          [--stream-checkpoint PATH] [--checkpoint-every N] \
          [--profile-out PATH] [--profile-hz N]"
     );
@@ -442,7 +427,6 @@ fn parse_args() -> Args {
             }
             "--shards" => args.shards = num(&mut it),
             "--clients" => args.clients = num(&mut it),
-            "--topn" => args.topn = num(&mut it),
             "--recommend-every" => args.recommend_every = num(&mut it),
             "--learn" => args.learn = num(&mut it),
             "--swap-every" => args.swap_every_ms = num(&mut it),
@@ -458,12 +442,6 @@ fn parse_args() -> Args {
             "--metrics-every" => args.metrics_every_ms = num(&mut it),
             "--memory-budget" => args.memory_budget = Some(num(&mut it)),
             "--spill-dir" => args.spill_dir = Some(it.next().unwrap_or_else(|| usage())),
-            "--evict" => {
-                args.evict = it
-                    .next()
-                    .and_then(|v| EvictionPolicy::parse(&v))
-                    .unwrap_or_else(|| usage());
-            }
             "--user-skew" => {
                 args.user_skew = it
                     .next()
@@ -494,17 +472,13 @@ fn parse_args() -> Args {
             "--burst-rate" => args.burst_rate = fnum(&mut it),
             "--burst-every" => args.burst_every_ms = num(&mut it),
             "--burst-ms" => args.burst_ms = num(&mut it),
-            "--diurnal-period" => args.diurnal_period_ms = num(&mut it),
-            "--diurnal-amplitude" => args.diurnal_amplitude = fnum(&mut it),
             "--hot-users" => args.hot_users = num(&mut it),
             "--hot-frac" => args.hot_frac = fnum(&mut it),
             "--queue-cap" => args.queue_cap = Some(num(&mut it)),
-            "--observe-frac" => args.observe_frac = fnum(&mut it),
             "--deadline-us" => args.deadline_us = Some(num(&mut it)),
             "--slo-shed-rate" => args.slo_shed_rate = Some(fnum(&mut it)),
             "--continuous" => args.continuous = true,
             "--drift" => args.drift = fnum(&mut it),
-            "--drift-at" => args.drift_at = fnum(&mut it),
             "--publish-every" => args.publish_every = num(&mut it),
             "--stream-checkpoint" => {
                 args.stream_checkpoint = Some(it.next().unwrap_or_else(|| usage()))
@@ -525,12 +499,12 @@ fn parse_args() -> Args {
         || args.clients == 0
         || args.events_lo > args.events_hi
         || args.k == 0
-        || args.window == 0
+        // `OnlineTsPpr` needs a window longer than the Ω-gap.
+        || args.window <= OMEGA
         || args.memory_budget == Some(0)
         || args.queue_cap == Some(0)
         || args.deadline_us == Some(0)
         || !(0.0..=1.0).contains(&args.hot_frac)
-        || !(0.0..=1.0).contains(&args.observe_frac)
         || !matches!(
             args.arrival.as_str(),
             "closed" | "poisson" | "burst" | "diurnal"
@@ -538,7 +512,6 @@ fn parse_args() -> Args {
         || (args.arrival != "closed" && args.rate <= 0.0)
         || (args.arrival == "burst" && args.burst_rate <= 0.0)
         || !(0.0..=1.0).contains(&args.drift)
-        || !(0.0..1.0).contains(&args.drift_at)
         || (args.continuous && args.publish_every == 0)
         || (args.profile_enabled() && args.profile_hz <= 0.0)
     {
@@ -749,7 +722,7 @@ fn run_replay(
                                 if args.recommend_every > 0 {
                                     until_recommend -= 1;
                                     if until_recommend == 0 {
-                                        let _ = engine_ref.recommend(*user, args.topn);
+                                        let _ = engine_ref.recommend(*user, TOPN);
                                         until_recommend = args.recommend_every;
                                     }
                                 }
@@ -789,14 +762,14 @@ fn run_replay(
                                 if args.recommend_every > 0 {
                                     until_recommend -= 1;
                                     if until_recommend == 0 {
-                                        let _ = engine_ref.try_recommend(user, args.topn, None);
+                                        let _ = engine_ref.try_recommend(user, TOPN, None);
                                         until_recommend = args.recommend_every;
                                     }
                                 }
                             }
                             ArrivalTarget::Hot(slot) => {
                                 let user = UserId(slot % args.users as u32);
-                                let _ = engine_ref.try_recommend(user, args.topn, None);
+                                let _ = engine_ref.try_recommend(user, TOPN, None);
                             }
                         }
                     }
@@ -921,7 +894,7 @@ fn stream_config(args: &Args, learn: usize) -> StreamConfig {
             ..OnlineConfig::default()
         },
         shards: args.shards,
-        eval_n: args.topn.max(10),
+        eval_n: TOPN,
         publish_every: args.publish_every,
         checkpoint_every: args.checkpoint_every,
         ..StreamConfig::default()
@@ -1115,7 +1088,7 @@ fn run_continuous(args: &Args, data: &Dataset, split: &SplitDataset) {
             .config("events_hi", args.events_hi)
             .config("shards", args.shards)
             .config("clients", args.clients)
-            .config("topn", args.topn)
+            .config("topn", TOPN)
             .config("recommend_every", args.recommend_every)
             .config("learn", trainer_learn)
             .config("seed", args.seed)
@@ -1123,7 +1096,7 @@ fn run_continuous(args: &Args, data: &Dataset, split: &SplitDataset) {
             .config("k", args.k)
             .config("omega", OMEGA)
             .config("drift", args.drift)
-            .config("drift_at", args.drift_at)
+            .config("drift_at", DRIFT_AT)
             .config("publish_every", Json::from(args.publish_every))
             .config("registry_poll_ms", Json::from(args.registry_poll_ms))
             .config("arrival", args.arrival.clone())
@@ -1208,7 +1181,7 @@ fn main() {
         .with_events_per_user(args.events_lo, args.events_hi)
         .with_user_skew(args.user_skew)
         .with_drift(args.drift)
-        .with_drift_at(args.drift_at)
+        .with_drift_at(DRIFT_AT)
         .with_seed(args.seed)
         .generate();
     let split = data.split(0.7);
@@ -1240,12 +1213,9 @@ fn main() {
         args.clients,
         args.learn,
         options.tracing,
-        options.quality.is_some(),
+        options.quality,
         args.memory_budget
-            .map_or("unbounded".to_string(), |b| format!(
-                "{b}B/shard ({})",
-                args.evict
-            )),
+            .map_or("unbounded".to_string(), |b| format!("{b}B/shard")),
         args.arrival,
         args.queue_cap
             .map_or("unbounded".to_string(), |c| format!("cap {c}")),
@@ -1397,7 +1367,7 @@ fn main() {
             .config("events_hi", args.events_hi)
             .config("shards", args.shards)
             .config("clients", args.clients)
-            .config("topn", args.topn)
+            .config("topn", TOPN)
             .config("recommend_every", args.recommend_every)
             .config("learn", args.learn)
             .config("swap_every_ms", args.swap_every_ms)
@@ -1410,7 +1380,6 @@ fn main() {
                 "memory_budget",
                 args.memory_budget.map_or(Json::Null, Json::from),
             )
-            .config("evict", args.evict.to_string())
             .config("tracing", !args.no_tracing)
             .config("quality", args.quality)
             .config("forensics", args.forensics_enabled())

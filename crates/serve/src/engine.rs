@@ -15,10 +15,10 @@
 //! * a deterministic [`StdRng`] for online negative sampling
 //!   (seed = `config.seed + shard_id`, so shard 0 of a 1-shard engine
 //!   draws the exact stream [`OnlineTsPpr`] would), and
-//! * a [`ModelOverlay`] — copy-on-write SGD deltas over the shared
-//!   immutable `Arc<TsPprModel>` snapshot. With the tier in place the
-//!   overlay carries *item*-side deltas only; user rows (`u`, `A_u`)
-//!   live in the tier so they can be evicted with their window.
+//! * a [`ModelOverlay`] — copy-on-write *item* rows over the shared
+//!   immutable `Arc<TsPprModel>` snapshot, and nothing else: user rows
+//!   (`u`, `A_u`) live in the tier so they can be evicted with their
+//!   window, and a request sees both through one `TierParams` view.
 //!
 //! Requests reach a shard through its one FIFO queue; replies come back
 //! through the caller's reply slot (`crate::port`). Because *every*
@@ -75,9 +75,9 @@ use crate::metrics::{EngineMetrics, MetricsReport};
 use crate::overlay::{ModelDiff, ModelOverlay};
 use crate::overload::{Admission, OverloadOptions, RequestKind, ShedReason};
 use crate::port::{Inbox, Look, Replier, ReplySlot};
-use crate::quality::{self, micro, QualityConfig, QualityReport, ShardQuality, VersionQuality};
+use crate::quality::{self, micro, QualityReport, ShardQuality, VersionQuality};
 use crate::routing::shard_for;
-use crate::trace::{Enqueued, RequestRecord};
+use crate::trace::{now_ns, Enqueued, RequestRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rrc_core::{
@@ -85,8 +85,7 @@ use rrc_core::{
 };
 use rrc_features::{FeatureContext, FeaturePipeline, TrainStats};
 use rrc_obs::{
-    BurnConfig, FlightBundleStats, FlightDumpTarget, FlightRecorder, Json, JsonlSink, ProfGuard,
-    SloState, WindowSpec,
+    FlightBundleStats, FlightDumpTarget, FlightRecorder, Json, JsonlSink, ProfGuard, SloState,
 };
 use rrc_sequence::{ConsumptionKind, ItemId, UserId, WindowState};
 use rrc_ustate::{EvictionPolicy, TierConfig, TierParams, UserStateTier};
@@ -108,7 +107,10 @@ use std::time::{Duration, Instant};
 pub struct UstateOptions {
     /// Per-shard resident byte budget. `None` = unbounded.
     pub budget_bytes: Option<usize>,
-    /// Eviction policy for cold users (CLOCK by default).
+    /// Eviction policy for cold users. CLOCK is the only one; the field
+    /// stays, with [`EvictionPolicy`]'s one variant, solely because
+    /// `benchmark/src/sut.rs` spells it out, until the next `[benchmark]`
+    /// PR.
     pub policy: EvictionPolicy,
     /// Directory for the per-shard spill segments (`shard-<id>.useg`).
     /// Ignored when unbounded; defaults to a temp directory.
@@ -117,8 +119,9 @@ pub struct UstateOptions {
 
 /// Declarative service-level objectives, evaluated by
 /// [`ServeEngine::slo_tick`] over the rolling windowed series with
-/// multi-window burn rates. Every objective is optional; with none set
-/// the SLO engine is not constructed at all.
+/// multi-window burn rates (`rrc_obs::BurnConfig`'s defaults). Every
+/// objective is optional; with none set the SLO engine is not
+/// constructed at all.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SloOptions {
     /// Max acceptable windowed observe p99 (max across shards), in ns.
@@ -135,23 +138,16 @@ pub struct SloOptions {
     /// ([`OverloadOptions::enabled`]); freezes while no traffic is
     /// offered.
     pub shed_rate: Option<f64>,
-    /// Burn-rate window shape shared by every objective.
-    pub burn: BurnConfig,
 }
 
 /// Forensic observability: tail-sampled exemplar traces, per-shard
 /// flight-recorder rings, and the SLO burn-rate engine. Off by default —
 /// and inert without `tracing`, which provides the stage stamps exemplar
 /// traces are made of.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ForensicsOptions {
     /// Master switch for reservoirs, exemplars, and flight rings.
     pub enabled: bool,
-    /// Per-shard reservoir size: the K slowest and K most recent
-    /// completed traces are retained per rolling window.
-    pub reservoir_k: usize,
-    /// Per-shard flight-recorder ring capacity, in events.
-    pub flight_capacity: usize,
     /// Sink receiving one JSONL `trace` event per reservoir admission
     /// (tail-based sampling: admission *is* the sampling decision).
     pub trace_sink: Option<Arc<JsonlSink>>,
@@ -165,19 +161,6 @@ pub struct ForensicsOptions {
     pub inject_slow: Option<(u32, Duration)>,
 }
 
-impl Default for ForensicsOptions {
-    fn default() -> Self {
-        ForensicsOptions {
-            enabled: false,
-            reservoir_k: 8,
-            flight_capacity: 256,
-            trace_sink: None,
-            slo: SloOptions::default(),
-            inject_slow: None,
-        }
-    }
-}
-
 impl PartialEq for ForensicsOptions {
     fn eq(&self, other: &Self) -> bool {
         let sink_eq = match (&self.trace_sink, &other.trace_sink) {
@@ -187,8 +170,6 @@ impl PartialEq for ForensicsOptions {
         };
         sink_eq
             && self.enabled == other.enabled
-            && self.reservoir_k == other.reservoir_k
-            && self.flight_capacity == other.flight_capacity
             && self.slo == other.slo
             && self.inject_slow == other.inject_slow
     }
@@ -205,9 +186,7 @@ pub struct EngineOptions {
     /// next eligible repeat, attributed to the serve-time model version,
     /// plus drift gauges). Off by default: it retains the last served
     /// list per user.
-    pub quality: Option<QualityConfig>,
-    /// Rolling window for the tracing subsystem's windowed series.
-    pub window: WindowSpec,
+    pub quality: bool,
     /// User-state tier sizing (unbounded by default).
     pub ustate: UstateOptions,
     /// Forensic observability (exemplar traces, flight recorder, SLOs).
@@ -221,8 +200,7 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             tracing: true,
-            quality: None,
-            window: WindowSpec::default(),
+            quality: false,
             ustate: UstateOptions::default(),
             forensics: ForensicsOptions::default(),
             overload: OverloadOptions::default(),
@@ -299,7 +277,7 @@ enum Request {
     Data {
         user: UserId,
         op: Op,
-        trace: Option<Enqueued>,
+        trace: Enqueued,
         reply: Option<Replier<Reply>>,
         /// Shed (not served) if still queued past this instant.
         deadline: Option<Instant>,
@@ -539,15 +517,12 @@ impl Shard {
                 // folds in deltas sitting in spilled records — the
                 // delta-merge-before-evict rule means no online
                 // learning is lost to an eviction.
-                let mut diff = self.overlay.harvest();
                 let (users, transforms) = self.tier.harvest().expect("user-state tier: harvest");
-                debug_assert!(
-                    diff.users.is_empty() && diff.transforms.is_empty(),
-                    "user-side writes route through the tier"
-                );
-                diff.users = users;
-                diff.transforms = transforms;
-                reply.send(diff);
+                reply.send(ModelDiff {
+                    users,
+                    items: self.overlay.harvest(),
+                    transforms,
+                });
             }
             Request::Install {
                 model,
@@ -719,15 +694,7 @@ impl ServeEngine {
         let model = Arc::new(model);
         let pipeline = Arc::new(pipeline);
         let stats = Arc::new(stats);
-        let metrics = Arc::new(EngineMetrics::new(
-            shards,
-            options.tracing,
-            options.window,
-            options.quality,
-            options.ustate.budget_bytes,
-            &options.forensics,
-            &options.overload,
-        ));
+        let metrics = Arc::new(EngineMetrics::new(shards, &options));
 
         // Partition per-user windows by the routing function, in user
         // order — tier seeding (and thus the eviction scan order under a
@@ -770,7 +737,6 @@ impl ServeEngine {
                 TierConfig {
                     window: config.window,
                     budget_bytes: options.ustate.budget_bytes,
-                    policy: options.ustate.policy,
                     spill_path,
                     remove_spill_on_drop: true,
                 },
@@ -851,11 +817,11 @@ impl ServeEngine {
     /// The one way a data request reaches its shard. With `wait`, takes
     /// the shard if it is free and serves its queue up to this request on
     /// the calling thread, or else blocks for the shard thread's reply;
-    /// either way closes the request's record and records the
-    /// client-observed latency — of served requests only. Without,
-    /// enqueues and returns [`Served::Queued`] at once.
+    /// either way stamps the reply's arrival and closes the request's
+    /// record with it, which records the client-observed latency — of
+    /// served requests only. Without, enqueues and returns
+    /// [`Served::Queued`] at once.
     fn submit(&self, user: UserId, op: Op, admit: Admit, wait: bool) -> Result<Served, ShedReason> {
-        let start = wait.then(Instant::now);
         let port = &*self.ports[shard_for(user, self.ports.len())];
         let slot = wait.then(|| REPLY.with(Arc::clone));
         let ahead = {
@@ -864,7 +830,7 @@ impl ServeEngine {
             // thread it runs, and a blocking wait is unprofiled.
             let _p = ProfGuard::enter_path(&["serve", "enqueue"]);
             let forced = matches!(admit, Admit::Forced);
-            let trace = self.metrics.offered(port.id, op.kind(), forced)?;
+            let trace = self.metrics.offered(port.id, op.kind(), forced, wait)?;
             let deadline = match admit {
                 Admit::Forced => None,
                 // An explicit per-request deadline wins; otherwise the
@@ -898,7 +864,7 @@ impl ServeEngine {
             }
         }
         let (served, record) = slot.wait().unwrap_or_else(|| port.down())?;
-        self.metrics.finished(&record, start);
+        self.metrics.finished(&record, Some(now_ns()));
         Ok(served)
     }
 
@@ -1573,7 +1539,7 @@ mod tests {
             online,
             2,
             EngineOptions {
-                quality: Some(QualityConfig::default()),
+                quality: true,
                 ..EngineOptions::default()
             },
         );
@@ -1810,7 +1776,6 @@ mod tests {
                     ..SloOptions::default()
                 },
                 inject_slow: Some((slow_user, Duration::from_millis(20))),
-                ..ForensicsOptions::default()
             },
             ..EngineOptions::default()
         };

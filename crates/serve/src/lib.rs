@@ -16,8 +16,9 @@
 //!   the same queues. FIFO delivery is the ordering guarantee: a user's
 //!   events are never dropped or reordered, even across a model hot-swap.
 //! * **Hot swap** ([`overlay`]) — shards serve from a shared immutable
-//!   `Arc<TsPprModel>` snapshot and accumulate online SGD deltas in a
-//!   copy-on-write overlay. [`ServeEngine::swap_model`] harvests every
+//!   `Arc<TsPprModel>` snapshot and accumulate online SGD deltas in
+//!   copy-on-write rows: item rows in the overlay, user rows in the
+//!   user-state tier. [`ServeEngine::swap_model`] harvests every
 //!   shard's delta, merges them into the incoming model, and installs the
 //!   result — all in-band, without stopping traffic.
 //! * **Deployment** ([`watcher`]) — [`RegistryWatcher`] polls an
@@ -32,8 +33,9 @@
 //!   outcome — that the metrics layer hears about when the request is
 //!   offered, dequeued and finished; with tracing on (the default) its
 //!   enqueue-wait / score / respond stage durations land in per-shard
-//!   histograms, next to queue-depth and in-flight gauges and rolling
-//!   windowed counterparts.
+//!   histograms, next to queue-depth and in-flight gauges and a rolling
+//!   event counter. The record's four stamps are the request's only
+//!   clock reads, and the client latency is their span.
 //! * **Overload** ([`overload`]) — opt-in
 //!   ([`EngineOptions::overload`]): bounded per-shard admission gates
 //!   with a typed `Admit`/`Shed` decision at enqueue, priority shedding
@@ -95,9 +97,7 @@ pub use metrics::{
 };
 pub use overlay::{ModelDiff, ModelOverlay};
 pub use overload::{Admission, AdmissionGate, OverloadOptions, RequestKind, ShedReason};
-pub use quality::{
-    DriftValues, QualityConfig, QualityReport, VersionQuality, VersionQualityReport, QUALITY_AT,
-};
+pub use quality::{DriftValues, QualityReport, VersionQuality, VersionQualityReport, QUALITY_AT};
 pub use routing::shard_for;
 pub use trace::StageNanos;
 pub use watcher::{RegistryWatcher, SwapLog};

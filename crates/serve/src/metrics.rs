@@ -15,37 +15,50 @@
 //! `EngineMetrics` hears about at most three times: `offered` at the
 //! client, `dequeued` at the shard, `finished` on whichever side closes
 //! it. Tracing, forensics and overload accounting each fold that record;
-//! the engine never asks which of them is on.
+//! the engine never asks which of them is on. The record's stamps are
+//! the only clock reads a request makes, one per boundary it crosses,
+//! and the client latency is their span: `serve_*_latency_ns` equals the
+//! three `serve_stage_duration_ns` legs to the nanosecond.
+//!
+//! Every series registered here has a reader (a [`MetricsReport`]
+//! section, the SLO tick, `rrc-top`, a CI `obs-check` gate); the list is
+//! pinned by `tests/accounting.rs`.
 
-use crate::engine::ForensicsOptions;
+use crate::engine::{EngineOptions, SloOptions};
 use crate::overload::{AdmissionGate, OverloadOptions, RequestKind, ShedReason};
-use crate::quality::{DriftAccum, QualityConfig};
+use crate::quality::DriftAccum;
 use crate::trace::{instant_of, now_ns, Enqueued, RequestRecord, StageNanos};
 use rrc_core::parallel::mix64;
 use rrc_obs::{
-    top_slowest, BucketExemplars, Counter, ExemplarTrace, FlightRecorder, Gauge, Histogram,
-    HistogramSnapshot, Json, JsonlSink, Registry, SloEngine, SloState, SloVerdict, TraceReservoir,
-    WindowSpec, WindowedCounter, WindowedHistogram, BUCKETS,
+    top_slowest, BucketExemplars, BurnConfig, Counter, ExemplarTrace, FlightRecorder, Gauge,
+    Histogram, HistogramSnapshot, Json, JsonlSink, Registry, SloEngine, SloState, SloVerdict,
+    TraceReservoir, WindowSpec, WindowedCounter, WindowedHistogram, BUCKETS,
 };
 use rrc_sequence::UserId;
 use rrc_ustate::TierDelta;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Names of the three traced request stages, in pipeline order. Per-stage
 /// state is an array in this order.
 pub const STAGE_NAMES: [&str; 3] = ["enqueue_wait", "score", "respond"];
 
-/// Rolling-window stage quantiles and queue-depth samples are recorded
-/// for one request in `1 << WINDOW_SAMPLE_SHIFT` (selected by request
-/// id, so the sample is unbiased w.r.t. shard and client). Cumulative
-/// stage histograms, gauges, and the windowed event counter stay exact —
-/// sampling only thins the rolling quantile estimators, which still see
-/// thousands of samples per window at any realistic traffic level. This
-/// is a hot-path cost control; what tracing costs with it in place is
-/// the benchmark's `obs.tracing_on_over_off` (BENCHMARK.json).
+/// Forensics folds one request in `1 << WINDOW_SAMPLE_SHIFT` (selected by
+/// request id, so the sample is unbiased w.r.t. shard and client) into
+/// its stage exemplars, flight ring and rolling request-latency windows.
+/// Everything tracing itself records (stage histograms, gauges, the
+/// windowed event counter) is exact; sampling only thins what forensics
+/// adds per request, and its rolling quantile estimators still see
+/// thousands of samples per window at any realistic traffic level.
 const WINDOW_SAMPLE_SHIFT: u32 = 2;
+
+/// Per-shard reservoir size: the K slowest and K most recent completed
+/// traces are retained per rolling window.
+const RESERVOIR_K: usize = 8;
+
+/// Per-shard flight-recorder ring capacity, in events.
+const FLIGHT_CAPACITY: usize = 256;
 
 /// True when this request id is in the 1-in-2^shift rolling sample.
 #[inline]
@@ -104,24 +117,18 @@ pub struct ShardCountersSnapshot {
     pub skipped: u64,
 }
 
-/// Request-scoped tracing state: stage histograms (cumulative and
-/// rolling-window, both per shard), queue-depth/in-flight gauges, and
-/// the windowed event counters behind the windowed-vs-cumulative
-/// throughput check. Everything recorded is a wait-free handle
-/// operation; when tracing is off none of it is touched, which is the
-/// difference the benchmark's `obs.tracing_on_over_off` measures.
+/// Request-scoped tracing state: per-shard stage histograms,
+/// queue-depth/in-flight gauges, and the windowed event counters behind
+/// the windowed-vs-cumulative throughput check. Everything recorded is a
+/// wait-free handle operation; when tracing is off none of it is
+/// touched, which is the difference the benchmark's
+/// `obs.tracing_on_over_off` measures.
 #[derive(Debug)]
 struct TracingMetrics {
     /// `serve_stage_duration_ns{shard=…,stage=…}`, cumulative.
     stages: Vec<[Arc<Histogram>; 3]>,
-    /// `serve_stage_duration_window_ns{shard=…,stage=…}`. Sharded (rather
-    /// than one global series per stage) so that the per-event record
-    /// stays on a shard-private cache line: with a single global handle
-    /// every shard and client thread contends on the same bucket words.
-    windows: Vec<[Arc<WindowedHistogram>; 3]>,
     queue_depth: Vec<Arc<Gauge>>,
     inflight: Vec<Arc<Gauge>>,
-    queue_sampled: Vec<Arc<Histogram>>,
     events_window: Vec<Arc<WindowedCounter>>,
     next_id: AtomicU64,
 }
@@ -137,23 +144,11 @@ impl TracingMetrics {
                     )
                 })
             }),
-            windows: per_shard(shards, |s| {
-                STAGE_NAMES.map(|stage| {
-                    registry.windowed_histogram_with(
-                        "serve_stage_duration_window_ns",
-                        &[("shard", s), ("stage", stage)],
-                        window,
-                    )
-                })
-            }),
             queue_depth: per_shard(shards, |s| {
                 registry.gauge_with("serve_queue_depth", &[("shard", s)])
             }),
             inflight: per_shard(shards, |s| {
                 registry.gauge_with("serve_inflight", &[("shard", s)])
-            }),
-            queue_sampled: per_shard(shards, |s| {
-                registry.histogram_with("serve_queue_depth_sampled", &[("shard", s)])
             }),
             events_window: per_shard(shards, |s| {
                 registry.windowed_counter_with("serve_events_window", &[("shard", s)], window)
@@ -198,7 +193,7 @@ impl ForensicsMetrics {
         registry: &Registry,
         shards: usize,
         window: WindowSpec,
-        opts: &ForensicsOptions,
+        sink: Option<Arc<JsonlSink>>,
     ) -> Self {
         let window_ns = window.window().as_nanos().min(u64::MAX as u128) as u64;
         let latency = |kind: &str| {
@@ -212,17 +207,17 @@ impl ForensicsMetrics {
         };
         ForensicsMetrics {
             reservoirs: (0..shards)
-                .map(|_| Arc::new(TraceReservoir::new(opts.reservoir_k, window_ns)))
+                .map(|_| Arc::new(TraceReservoir::new(RESERVOIR_K, window_ns)))
                 .collect(),
             exemplars: (0..shards)
                 .map(|_| STAGE_NAMES.map(|_| BucketExemplars::new()))
                 .collect(),
             flight: (0..shards)
-                .map(|s| Arc::new(FlightRecorder::new(s, opts.flight_capacity)))
+                .map(|s| Arc::new(FlightRecorder::new(s, FLIGHT_CAPACITY)))
                 .collect(),
             observe_window: latency("observe"),
             recommend_window: latency("recommend"),
-            sink: opts.trace_sink.clone(),
+            sink,
         }
     }
 
@@ -330,7 +325,7 @@ impl std::fmt::Debug for SloMetrics {
 }
 
 impl SloMetrics {
-    fn register(registry: &Registry, opts: &crate::engine::SloOptions) -> Option<Self> {
+    fn register(registry: &Registry, opts: &SloOptions) -> Option<Self> {
         let mut objectives = Vec::new();
         let mut wants = Vec::new();
         if let Some(ns) = opts.observe_p99_ns {
@@ -357,7 +352,7 @@ impl SloMetrics {
             .map(|o| registry.gauge_with("slo_state", &[("objective", &o.name)]))
             .collect();
         Some(SloMetrics {
-            engine: Mutex::new(SloEngine::new(objectives, opts.burn)),
+            engine: Mutex::new(SloEngine::new(objectives, BurnConfig::default())),
             wants,
             state_gauges,
             worst_gauge: registry.gauge("slo_worst"),
@@ -389,9 +384,8 @@ impl SloMetrics {
     }
 }
 
-/// Per-shard user-state-tier instrumentation: cumulative *and*
-/// rolling-window cache counters (`ustate_cache_hits_total{shard=…}`,
-/// `ustate_cache_hits_window{shard=…}`, …), resident-footprint gauges,
+/// Per-shard user-state-tier instrumentation: cumulative cache counters
+/// (`ustate_cache_hits_total{shard=…}`, …), resident-footprint gauges,
 /// and spill/load latency histograms. Shards drain their tier's
 /// [`TierDelta`](rrc_ustate::TierDelta) into these handles after each
 /// request; the drain is a handful of wait-free adds when nothing
@@ -401,9 +395,6 @@ pub(crate) struct UstateMetrics {
     pub hits: Vec<Arc<Counter>>,
     pub misses: Vec<Arc<Counter>>,
     pub evictions: Vec<Arc<Counter>>,
-    pub hits_window: Vec<Arc<WindowedCounter>>,
-    pub misses_window: Vec<Arc<WindowedCounter>>,
-    pub evictions_window: Vec<Arc<WindowedCounter>>,
     pub resident_bytes: Vec<Arc<Gauge>>,
     pub resident_users: Vec<Arc<Gauge>>,
     pub spilled_users: Vec<Arc<Gauge>>,
@@ -414,14 +405,9 @@ pub(crate) struct UstateMetrics {
 }
 
 impl UstateMetrics {
-    fn register(registry: &Registry, shards: usize, window: WindowSpec) -> Self {
+    fn register(registry: &Registry, shards: usize) -> Self {
         let counters =
             |name: &str| per_shard(shards, |s| registry.counter_with(name, &[("shard", s)]));
-        let windowed = |name: &str| {
-            per_shard(shards, |s| {
-                registry.windowed_counter_with(name, &[("shard", s)], window)
-            })
-        };
         let gauges = |name: &str| per_shard(shards, |s| registry.gauge_with(name, &[("shard", s)]));
         let hists =
             |name: &str| per_shard(shards, |s| registry.histogram_with(name, &[("shard", s)]));
@@ -429,9 +415,6 @@ impl UstateMetrics {
             hits: counters("ustate_cache_hits_total"),
             misses: counters("ustate_cache_misses_total"),
             evictions: counters("ustate_cache_evictions_total"),
-            hits_window: windowed("ustate_cache_hits_window"),
-            misses_window: windowed("ustate_cache_misses_window"),
-            evictions_window: windowed("ustate_cache_evictions_window"),
             resident_bytes: gauges("ustate_resident_bytes"),
             resident_users: gauges("ustate_resident_users"),
             spilled_users: gauges("ustate_spilled_users"),
@@ -442,20 +425,16 @@ impl UstateMetrics {
         }
     }
 
-    /// Drain one shard's tier delta into the cumulative and windowed
-    /// series. Cheap when the delta is empty (the common, all-hit case).
-    pub fn record(&self, shard: usize, delta: &rrc_ustate::TierDelta) {
+    /// Drain one shard's tier delta into the cache series.
+    pub fn record(&self, shard: usize, delta: &TierDelta) {
         if delta.hits > 0 {
             self.hits[shard].add(delta.hits);
-            self.hits_window[shard].add(delta.hits);
         }
         if delta.misses > 0 {
             self.misses[shard].add(delta.misses);
-            self.misses_window[shard].add(delta.misses);
         }
         if delta.evictions > 0 {
             self.evictions[shard].add(delta.evictions);
-            self.evictions_window[shard].add(delta.evictions);
         }
         for &ns in &delta.spill_ns {
             self.spill_ns[shard].record(ns);
@@ -495,7 +474,6 @@ pub(crate) struct OverloadKindSeries {
     pub admitted: Vec<Arc<Counter>>,
     pub shed_queue: Vec<Arc<Counter>>,
     pub shed_deadline: Vec<Arc<Counter>>,
-    pub deadline_miss: Vec<Arc<Counter>>,
     pub offered_window: Vec<Arc<WindowedCounter>>,
     pub shed_queue_window: Vec<Arc<WindowedCounter>>,
     pub shed_deadline_window: Vec<Arc<WindowedCounter>>,
@@ -530,7 +508,6 @@ impl OverloadKindSeries {
             admitted: counters("serve_admitted_total"),
             shed_queue: shed("queue"),
             shed_deadline: shed("deadline"),
-            deadline_miss: counters("serve_deadline_miss_total"),
             offered_window: per_shard(shards, |s| {
                 registry.windowed_counter_with(
                     "serve_offered_window",
@@ -651,7 +628,6 @@ impl OverloadMetrics {
             Err(ShedReason::Deadline) => {
                 s.shed_deadline[shard].inc();
                 s.shed_deadline_window[shard].add(1);
-                s.deadline_miss[shard].inc();
             }
         }
     }
@@ -732,10 +708,10 @@ pub(crate) struct QualityMetrics {
 }
 
 impl QualityMetrics {
-    fn register(registry: &Registry, cfg: QualityConfig) -> Self {
+    fn register(registry: &Registry, spec: WindowSpec) -> Self {
         QualityMetrics {
-            spec: cfg.window,
-            drift: Arc::new(DriftAccum::new(cfg.window)),
+            spec,
+            drift: Arc::new(DriftAccum::new(spec)),
             drift_score: registry.gauge("serve_drift_score_micro"),
             drift_feature: registry.gauge("serve_drift_feature_micro"),
         }
@@ -771,15 +747,16 @@ pub(crate) struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    pub fn new(
-        shards: usize,
-        tracing: bool,
-        window: WindowSpec,
-        quality: Option<QualityConfig>,
-        ustate_budget: Option<usize>,
-        forensics: &ForensicsOptions,
-        overload: &OverloadOptions,
-    ) -> Self {
+    pub fn new(shards: usize, options: &EngineOptions) -> Self {
+        let EngineOptions {
+            tracing,
+            quality,
+            ustate,
+            forensics,
+            overload,
+        } = options;
+        // The rolling window of every windowed series, one minute.
+        let window = WindowSpec::default();
         let registry = Registry::new();
         registry.gauge("serve_shards").set(shards as i64);
         EngineMetrics {
@@ -791,13 +768,14 @@ impl EngineMetrics {
             tracing: tracing.then(|| TracingMetrics::register(&registry, shards, window)),
             // Forensics rides on tracing — without stage stamps there is
             // nothing to put in an exemplar trace.
-            forensics: (forensics.enabled && tracing)
-                .then(|| ForensicsMetrics::register(&registry, shards, window, forensics)),
+            forensics: (forensics.enabled && *tracing).then(|| {
+                ForensicsMetrics::register(&registry, shards, window, forensics.trace_sink.clone())
+            }),
             slo: SloMetrics::register(&registry, &forensics.slo),
-            quality: quality.map(|cfg| QualityMetrics::register(&registry, cfg)),
-            ustate: UstateMetrics::register(&registry, shards, window),
+            quality: quality.then(|| QualityMetrics::register(&registry, window)),
+            ustate: UstateMetrics::register(&registry, shards),
             overload: OverloadMetrics::register(&registry, shards, window, overload),
-            ustate_budget,
+            ustate_budget: ustate.budget_bytes,
             model_version: registry.gauge("serve_model_version"),
             model_fingerprint: registry.gauge("serve_model_fingerprint"),
             uptime_ms: registry.gauge("serve_uptime_ms"),
@@ -807,15 +785,18 @@ impl EngineMetrics {
 
     /// Client side, before a data request enters `shard`'s inbox: count
     /// the offer, take its queue slot (see [`OverloadMetrics::offer`] for
-    /// `forced`), and — with tracing on — bump the queue-depth and
-    /// in-flight gauges and stamp the enqueue. `Err` means the request
-    /// was shed at the gate: it is fully accounted and must not be sent.
+    /// `forced`), with tracing on bump the queue-depth and in-flight
+    /// gauges and mint the id, and stamp the enqueue if anything will read
+    /// the stamp: the stage histograms, or the latency of a caller that
+    /// `waits`. `Err` means the request was shed at the gate: it is fully
+    /// accounted and must not be sent.
     pub fn offered(
         &self,
         shard: usize,
         kind: RequestKind,
         forced: bool,
-    ) -> Result<Option<Enqueued>, ShedReason> {
+        waits: bool,
+    ) -> Result<Enqueued, ShedReason> {
         if let Some(om) = &self.overload {
             if let Err(reason) = om.offer(shard, kind, forced) {
                 let mut rec = RequestRecord::new(kind, shard);
@@ -824,41 +805,37 @@ impl EngineMetrics {
                 return Err(reason);
             }
         }
-        Ok(self.tracing.as_ref().map(|t| {
+        let id = self.tracing.as_ref().map(|t| {
             t.queue_depth[shard].add(1);
             t.inflight[shard].add(1);
-            Enqueued {
-                id: t.next_id.fetch_add(1, Ordering::Relaxed),
-                at: now_ns(),
-            }
-        }))
+            t.next_id.fetch_add(1, Ordering::Relaxed)
+        });
+        let at = if id.is_some() || waits { now_ns() } else { 0 };
+        Ok(Enqueued { id, at })
     }
 
     /// Shard side, right after popping the request off the inbox: give
     /// back its queue slot and open its record — for a traced request,
-    /// drop the depth gauge, record the remaining depth (sampled
-    /// requests), and stamp the dequeue.
+    /// drop the depth gauge, note the remaining depth, and stamp the
+    /// dequeue.
     pub fn dequeued(
         &self,
         shard: usize,
         kind: RequestKind,
         user: UserId,
-        trace: Option<Enqueued>,
+        trace: Enqueued,
     ) -> RequestRecord {
         let mut rec = RequestRecord::new(kind, shard);
+        rec.enqueued = trace.at;
         if let Some(om) = &self.overload {
             om.release(shard);
         }
-        if let (Some(t), Some(trace)) = (&self.tracing, trace) {
+        if let (Some(t), Some(id)) = (&self.tracing, trace.id) {
             let depth = &t.queue_depth[shard];
             depth.add(-1);
             rec.queue_depth = depth.get().max(0) as u64;
-            if sampled(trace.id) {
-                t.queue_sampled[shard].record(rec.queue_depth);
-            }
-            rec.id = Some(trace.id);
+            rec.id = Some(id);
             rec.user_hash = mix64(user.0 as u64);
-            rec.enqueued = trace.at;
             rec.dequeued = now_ns();
         }
         rec
@@ -866,55 +843,56 @@ impl EngineMetrics {
 
     /// Close the request, once, on the side that learns its outcome last:
     /// the shard for a shed or fire-and-forget request, the caller that
-    /// waited `since` it started for a reply. Overload books, stage
-    /// histograms, forensics and the client latency histogram all read
-    /// the one record — only *served* requests have stages or a latency.
-    pub fn finished(&self, rec: &RequestRecord, since: Option<Instant>) {
+    /// waited for a reply, with the stamp it `received` it at. Overload
+    /// books, stage histograms, forensics and the client latency
+    /// histogram all read the one record — only *served* requests have
+    /// stages or a latency, and the latency is the stages' sum.
+    pub fn finished(&self, rec: &RequestRecord, received: Option<u64>) {
         if let Some(om) = &self.overload {
             om.close(rec);
         }
         // A record has an id iff it was enqueued with tracing on, i.e.
         // iff it was counted in flight.
-        if let (Some(t), Some(id)) = (&self.tracing, rec.id) {
+        let traced = self.tracing.as_ref().zip(rec.id);
+        if let Some((t, _)) = traced {
             t.inflight[rec.shard].add(-1);
-            match rec.outcome {
-                Ok(()) => self.served(t, id, rec, since.is_some()),
-                Err(reason) => self.flight(rec.shard, "shed", || {
-                    vec![
-                        ("kind", Json::Str(rec.kind.as_str().to_string())),
-                        ("reason", Json::Str(reason.as_str().to_string())),
-                    ]
-                }),
+        }
+        match rec.outcome {
+            Ok(()) => {
+                // A request nobody waited for closes at its processed
+                // stamp and has no `respond` leg (that leg is only
+                // observable by a waiting client).
+                let replied = received.is_some();
+                let closed = received.unwrap_or(rec.processed);
+                let stages = rec.stages(closed);
+                if let Some((t, id)) = traced {
+                    let legs = stages.legs().into_iter().take(2 + replied as usize);
+                    for (hist, ns) in t.stages[rec.shard].iter().zip(legs) {
+                        hist.record(ns);
+                    }
+                    t.events_window[rec.shard].add_at_instant(instant_of(closed), 1);
+                    if let Some(fx) = &self.forensics {
+                        fx.served(id, rec, &stages, replied, closed);
+                    }
+                }
+                if replied {
+                    let latency = match rec.kind {
+                        RequestKind::Observe => &self.observe_latency,
+                        RequestKind::Recommend => &self.recommend_latency,
+                    };
+                    latency.record(stages.total());
+                }
             }
-        }
-        if let (Ok(()), Some(since)) = (rec.outcome, since) {
-            let latency = match rec.kind {
-                RequestKind::Observe => &self.observe_latency,
-                RequestKind::Recommend => &self.recommend_latency,
-            };
-            latency.record_duration(since.elapsed());
-        }
-    }
-
-    /// Stage accounting of one served, traced request. A request nobody
-    /// waited for closes at its processed stamp and has no `respond` leg
-    /// (that leg is only observable by a waiting client).
-    fn served(&self, t: &TracingMetrics, id: u64, rec: &RequestRecord, replied: bool) {
-        let shard = rec.shard;
-        let received = if replied { now_ns() } else { rec.processed };
-        let stages = rec.stages(received);
-        let at = instant_of(received);
-        let in_sample = sampled(id);
-        let legs = stages.legs().into_iter().take(2 + replied as usize);
-        for (leg, ns) in legs.enumerate() {
-            t.stages[shard][leg].record(ns);
-            if in_sample {
-                t.windows[shard][leg].record_at_instant(at, ns);
+            Err(reason) => {
+                if traced.is_some() {
+                    self.flight(rec.shard, "shed", || {
+                        vec![
+                            ("kind", Json::Str(rec.kind.as_str().to_string())),
+                            ("reason", Json::Str(reason.as_str().to_string())),
+                        ]
+                    });
+                }
             }
-        }
-        t.events_window[shard].add_at_instant(at, 1);
-        if let Some(fx) = &self.forensics {
-            fx.served(id, rec, &stages, replied, received);
         }
     }
 
@@ -1738,16 +1716,15 @@ impl std::fmt::Display for MetricsReport {
 mod tests {
     use super::*;
 
+    fn untraced(options: EngineOptions) -> EngineOptions {
+        EngineOptions {
+            tracing: false,
+            ..options
+        }
+    }
+
     fn plain(shards: usize) -> EngineMetrics {
-        EngineMetrics::new(
-            shards,
-            false,
-            WindowSpec::default(),
-            None,
-            None,
-            &ForensicsOptions::default(),
-            &OverloadOptions::default(),
-        )
+        EngineMetrics::new(shards, &untraced(EngineOptions::default()))
     }
 
     #[test]
@@ -1806,12 +1783,13 @@ mod tests {
     fn ustate_report_aggregates_shards() {
         let m = EngineMetrics::new(
             2,
-            false,
-            WindowSpec::default(),
-            None,
-            Some(4096),
-            &ForensicsOptions::default(),
-            &OverloadOptions::default(),
+            &untraced(EngineOptions {
+                ustate: crate::UstateOptions {
+                    budget_bytes: Some(4096),
+                    ..Default::default()
+                },
+                ..EngineOptions::default()
+            }),
         );
         m.ustate.record(
             0,
@@ -1883,21 +1861,19 @@ mod tests {
 
         let bounded = EngineMetrics::new(
             2,
-            false,
-            WindowSpec::default(),
-            None,
-            None,
-            &ForensicsOptions::default(),
-            &OverloadOptions {
-                queue_cap: Some(8),
-                observe_fraction: 0.75,
-                deadline: None,
-            },
+            &untraced(EngineOptions {
+                overload: OverloadOptions {
+                    queue_cap: Some(8),
+                    observe_fraction: 0.75,
+                    deadline: None,
+                },
+                ..EngineOptions::default()
+            }),
         );
         // Simulate: 3 observes offered on shard 0 (2 served, 1 queue
         // shed), 2 recommends on shard 1 (1 served, 1 deadline shed).
         let run = |shard: usize, kind: RequestKind, outcome: Result<(), ShedReason>| {
-            let trace = bounded.offered(shard, kind, false).unwrap();
+            let trace = bounded.offered(shard, kind, false, false).unwrap();
             let mut rec = bounded.dequeued(shard, kind, UserId(0), trace);
             rec.outcome = outcome;
             bounded.finished(&rec, None);

@@ -32,14 +32,6 @@ use std::sync::Arc;
 /// Hit@k cutoffs tracked by the monitor.
 pub const QUALITY_AT: [usize; 3] = [1, 5, 10];
 
-/// Settings for the online quality monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QualityConfig {
-    /// Rolling window for the per-version windowed quality series and the
-    /// drift means.
-    pub window: WindowSpec,
-}
-
 /// Clamping f64 → integer micro-units conversion.
 pub(crate) fn micro(x: f64) -> i64 {
     let scaled = x * 1e6;

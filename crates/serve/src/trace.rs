@@ -8,7 +8,10 @@
 //! The client stamps `enqueued` (which travels with the request as an
 //! `Enqueued`), the shard builds the record at dequeue and stamps
 //! `dequeued` and `processed`, and a caller that waits for the reply
-//! supplies `received`. `enqueue_wait` is time spent queued behind the shard's
+//! supplies `received`: one clock read per boundary, and no other on the
+//! request path. The client-observed latency is `received − enqueued`,
+//! so it equals the three stages' sum to the nanosecond.
+//! `enqueue_wait` is time spent queued behind the shard's
 //! other work, `score` is the shard's own processing (feature
 //! extraction, scoring, online SGD), and `respond` is the reply slot
 //! plus client wakeup. The decomposition is the pure
@@ -43,17 +46,20 @@ pub(crate) fn instant_of(stamp_ns: u64) -> Instant {
     epoch() + Duration::from_nanos(stamp_ns)
 }
 
-/// What a traced request carries through its shard's inbox: the record's
-/// id and enqueue stamp. The shard builds the [`RequestRecord`] around them at
-/// dequeue, so a queued message stays as small as it can be.
+/// What a request carries through its shard's inbox: the record's id
+/// (`None` with tracing off) and enqueue stamp (0 when nothing will read
+/// it: tracing off and nobody waiting). The shard builds the
+/// [`RequestRecord`] around them at dequeue, so a queued message stays
+/// as small as it can be.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Enqueued {
-    pub id: u64,
+    pub id: Option<u64>,
     pub at: u64,
 }
 
-/// One data request's account. Untraced requests (`id == None`) carry no
-/// stamps: the kind, shard and outcome still balance the overload books.
+/// One data request's account. An untraced request (`id == None`) carries
+/// no stamp but the `enqueued` its waiting caller measures latency from:
+/// the kind, shard and outcome still balance the overload books.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestRecord {
     /// Engine-unique trace id (assigned at enqueue), `None` when the
@@ -66,7 +72,8 @@ pub struct RequestRecord {
     pub shard: usize,
     /// Model version that served the request.
     pub version: u64,
-    /// When the client handed the request to the shard's inbox.
+    /// When the client handed the request to the shard's inbox: the
+    /// start of `enqueue_wait` and of the client-observed latency.
     pub enqueued: u64,
     /// When the shard popped the request off its inbox.
     pub dequeued: u64,

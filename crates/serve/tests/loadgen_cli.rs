@@ -94,6 +94,23 @@ fn json_report_carries_the_keys_ci_requires() {
 #[test]
 fn a_removed_flag_is_an_unknown_flag() {
     assert_usage(&["--overhead"]);
+    for (flag, value) in [
+        ("--evict", "clock"),
+        ("--topn", "3"),
+        ("--drift-at", "0.5"),
+        ("--observe-frac", "0.5"),
+        ("--diurnal-amplitude", "0.5"),
+        ("--diurnal-period", "500"),
+    ] {
+        assert_usage(&["--users", "20", flag, value]);
+    }
+}
+
+#[test]
+fn a_window_no_longer_than_the_omega_gap_prints_usage() {
+    // Refused here, not by `OnlineTsPpr::new`'s assertion.
+    assert_usage(&["--users", "20", "--window", "10"]);
+    assert_usage(&["--users", "20", "--window", "0"]);
 }
 
 #[test]

@@ -10,16 +10,18 @@
 //! round-tripping.
 
 use crate::error::{corrupt, schema, StoreError};
-use crate::format::{commit, encode_meta, StoreFile, Tag, Writer};
-use crate::model::{check_matrix_len, model_dims, push_model_sections};
-use rrc_core::{ConvergencePoint, TrainCheckpoint, TrainMode, TsPprModel};
-use rrc_linalg::DMatrix;
+use crate::format::{commit, encode_meta, parse_hex_u64, StoreFile, Tag, Writer};
+use crate::model::{push_model_sections, read_model_sections};
+use rrc_core::{ConvergencePoint, TrainCheckpoint, TrainMode};
 use rrc_obs::global;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// `META` kind for checkpoint files.
 pub const KIND_CHECKPOINT: &str = "tsppr-checkpoint";
+
+/// What a missing metadata field is reported missing from.
+const WHAT: &str = "checkpoint";
 
 /// Serialize a checkpoint into container bytes.
 pub fn encode_checkpoint(ck: &TrainCheckpoint) -> Vec<u8> {
@@ -76,76 +78,11 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<TrainCheckpoint, StoreE
     decode_checkpoint(&StoreFile::open(path)?)
 }
 
-fn meta_field(file: &StoreFile, key: &str) -> Result<String, StoreError> {
-    file.meta_value(key)?
-        .ok_or_else(|| schema(format!("checkpoint is missing the {key:?} metadata field")))
-}
-
-fn parse_u64(key: &str, value: &str) -> Result<u64, StoreError> {
-    value
-        .parse::<u64>()
-        .map_err(|_| schema(format!("bad {key} value {value:?}")))
-}
-
-/// Decode a parsed container as a checkpoint.
-pub fn decode_checkpoint(file: &StoreFile) -> Result<TrainCheckpoint, StoreError> {
-    match file.meta_value("kind")? {
-        Some(kind) if kind == KIND_CHECKPOINT => {}
-        Some(kind) => {
-            return Err(schema(format!(
-                "expected a {KIND_CHECKPOINT} file, found {kind:?}"
-            )))
-        }
-        None => {
-            return Err(schema(format!(
-                "no kind metadata; expected {KIND_CHECKPOINT}"
-            )))
-        }
-    }
-    let mode: TrainMode = meta_field(file, "mode")?
-        .parse()
-        .map_err(|e: String| schema(e))?;
-    let shards = parse_u64("shards", &meta_field(file, "shards")?)? as usize;
-    if shards == 0 {
-        return Err(schema("checkpoint declares zero shards".to_string()));
-    }
-    let step = parse_u64("step", &meta_field(file, "step")?)? as usize;
-    let prev_r_tilde = match meta_field(file, "prev_r_tilde_bits")?.as_str() {
-        "none" => None,
-        hex => Some(f64::from_bits(u64::from_str_radix(hex, 16).map_err(
-            |_| schema(format!("bad prev_r_tilde_bits value {hex:?}")),
-        )?)),
-    };
-    let elapsed_ns = meta_field(file, "elapsed_ns")?;
-    let elapsed = Duration::from_nanos(
-        elapsed_ns
-            .parse::<u128>()
-            .map_err(|_| schema(format!("bad elapsed_ns value {elapsed_ns:?}")))?
-            .min(u64::MAX as u128) as u64,
-    );
-    let fp_hex = meta_field(file, "fingerprint")?;
-    let fingerprint = u64::from_str_radix(&fp_hex, 16)
-        .map_err(|_| schema(format!("bad fingerprint value {fp_hex:?}")))?;
-
-    // Model sections, validated exactly like a model file.
-    let (k, f_dim, users, items) = model_dims(file)?;
-    check_matrix_len(file, Tag::UMAT, users, k)?;
-    check_matrix_len(file, Tag::VMAT, items, k)?;
-    check_matrix_len(file, Tag::AMAT, users * k, f_dim)?;
-    let u = file.f64_section(Tag::UMAT)?;
-    let v = file.f64_section(Tag::VMAT)?;
-    let a = file.f64_section(Tag::AMAT)?;
-    let stride = k * f_dim;
-    let model = TsPprModel::from_parts(
-        k,
-        f_dim,
-        DMatrix::from_vec(users, k, u.to_vec()),
-        DMatrix::from_vec(items, k, v.to_vec()),
-        (0..users)
-            .map(|i| DMatrix::from_vec(k, f_dim, a[i * stride..(i + 1) * stride].to_vec()))
-            .collect(),
-    );
-
+/// The `RNGS` section: one xoshiro256++ state per shard stream.
+pub(crate) fn read_rng_states(
+    file: &StoreFile,
+    shards: usize,
+) -> Result<Vec<[u64; 4]>, StoreError> {
     let rngs = file.u64_section(Tag::RNGS)?;
     if rngs.len() != shards * 4 {
         return Err(corrupt(
@@ -157,8 +94,7 @@ pub fn decode_checkpoint(file: &StoreFile) -> Result<TrainCheckpoint, StoreError
             ),
         ));
     }
-    let rng_states: Vec<[u64; 4]> = rngs
-        .chunks_exact(4)
+    rngs.chunks_exact(4)
         .map(|c| {
             let state = [c[0], c[1], c[2], c[3]];
             if state == [0; 4] {
@@ -169,7 +105,36 @@ pub fn decode_checkpoint(file: &StoreFile) -> Result<TrainCheckpoint, StoreError
             }
             Ok(state)
         })
-        .collect::<Result<_, _>>()?;
+        .collect()
+}
+
+/// Decode a parsed container as a checkpoint.
+pub fn decode_checkpoint(file: &StoreFile) -> Result<TrainCheckpoint, StoreError> {
+    file.expect_kind(KIND_CHECKPOINT)?;
+    let mode: TrainMode = file
+        .meta_field(WHAT, "mode")?
+        .parse()
+        .map_err(|e: String| schema(e))?;
+    let shards = file.meta_u64(WHAT, "shards")? as usize;
+    if shards == 0 {
+        return Err(schema("checkpoint declares zero shards".to_string()));
+    }
+    let step = file.meta_u64(WHAT, "step")? as usize;
+    let prev_r_tilde = match file.meta_field(WHAT, "prev_r_tilde_bits")?.as_str() {
+        "none" => None,
+        hex => Some(f64::from_bits(parse_hex_u64("prev_r_tilde_bits", hex)?)),
+    };
+    let elapsed_ns = file.meta_field(WHAT, "elapsed_ns")?;
+    let elapsed = Duration::from_nanos(
+        elapsed_ns
+            .parse::<u128>()
+            .map_err(|_| schema(format!("bad elapsed_ns value {elapsed_ns:?}")))?
+            .min(u64::MAX as u128) as u64,
+    );
+    let fingerprint = file.meta_hex_u64(WHAT, "fingerprint")?;
+
+    let model = read_model_sections(file)?;
+    let rng_states = read_rng_states(file, shards)?;
 
     let trace = file.u64_section(Tag::TRCE)?;
     let Some((&count, entries)) = trace.split_first() else {
@@ -264,6 +229,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rrc_core::TsPprModel;
 
     fn checkpoint() -> TrainCheckpoint {
         let model = TsPprModel::init(&mut StdRng::seed_from_u64(2), 3, 4, 2, 2, 0.1, 0.1);

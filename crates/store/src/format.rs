@@ -32,7 +32,7 @@
 //! new complete file; a torn write leaves only a temp file behind, and any
 //! in-place damage is caught by the per-section CRCs.
 
-use crate::error::{corrupt, StoreError};
+use crate::error::{corrupt, schema, StoreError};
 use rrc_obs::crc32::crc32;
 use rrc_obs::global;
 use std::fs::File;
@@ -440,6 +440,40 @@ impl StoreFile {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v))
     }
+
+    /// Require the `kind` metadata value every typed container starts with.
+    pub fn expect_kind(&self, kind: &str) -> Result<(), StoreError> {
+        match self.meta_value("kind")? {
+            Some(found) if found == kind => Ok(()),
+            Some(found) => Err(schema(format!("expected a {kind} file, found {found:?}"))),
+            None => Err(schema(format!("no kind metadata; expected {kind}"))),
+        }
+    }
+
+    /// A metadata value that a `what` (the file's kind, in prose) must carry.
+    pub fn meta_field(&self, what: &str, key: &str) -> Result<String, StoreError> {
+        self.meta_value(key)?
+            .ok_or_else(|| schema(format!("{what} is missing the {key:?} metadata field")))
+    }
+
+    /// [`meta_field`](Self::meta_field), parsed as a decimal `u64`.
+    pub fn meta_u64(&self, what: &str, key: &str) -> Result<u64, StoreError> {
+        let value = self.meta_field(what, key)?;
+        value
+            .parse()
+            .map_err(|_| schema(format!("bad {key} value {value:?}")))
+    }
+
+    /// [`meta_field`](Self::meta_field), parsed as a hex `u64` (how `f64`
+    /// bit patterns and fingerprints are stored).
+    pub fn meta_hex_u64(&self, what: &str, key: &str) -> Result<u64, StoreError> {
+        parse_hex_u64(key, &self.meta_field(what, key)?)
+    }
+}
+
+/// The hex `u64` stored under metadata key `key`.
+pub(crate) fn parse_hex_u64(key: &str, value: &str) -> Result<u64, StoreError> {
+    u64::from_str_radix(value, 16).map_err(|_| schema(format!("bad {key} value {value:?}")))
 }
 
 /// Atomically replace `path` with `bytes`: write a hidden temp file in the

@@ -57,15 +57,7 @@ pub fn load_fpmc(path: impl AsRef<Path>) -> Result<FpmcModel, StoreError> {
 
 /// Decode a parsed container as an FPMC model.
 pub fn decode_fpmc(file: &StoreFile) -> Result<FpmcModel, StoreError> {
-    match file.meta_value("kind")? {
-        Some(kind) if kind == KIND_FPMC => {}
-        Some(kind) => {
-            return Err(schema(format!(
-                "expected a {KIND_FPMC} file, found {kind:?}"
-            )))
-        }
-        None => return Err(schema(format!("no kind metadata; expected {KIND_FPMC}"))),
-    }
+    file.expect_kind(KIND_FPMC)?;
     let dims = file.u64_section(Tag::DIMS)?;
     let &[k, users, items, _reserved] = dims else {
         return Err(corrupt(

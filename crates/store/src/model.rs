@@ -81,8 +81,11 @@ pub struct ModelView {
     items: usize,
 }
 
+/// `(K, F, users, items)`.
+type Dims = (usize, usize, usize, usize);
+
 /// The `DIMS` quad of a model-shaped container, validated.
-pub(crate) fn model_dims(file: &StoreFile) -> Result<(usize, usize, usize, usize), StoreError> {
+fn model_dims(file: &StoreFile) -> Result<Dims, StoreError> {
     let dims = file.u64_section(Tag::DIMS)?;
     let &[k, f_dim, users, items] = dims else {
         return Err(corrupt(
@@ -124,6 +127,38 @@ pub(crate) fn check_matrix_len(
     Ok(())
 }
 
+/// Validate the `DIMS`/`UMAT`/`VMAT`/`AMAT` sections every model-shaped
+/// container (model file, batch checkpoint, stream checkpoint) carries.
+fn check_model_sections(file: &StoreFile) -> Result<Dims, StoreError> {
+    let (k, f_dim, users, items) = model_dims(file)?;
+    check_matrix_len(file, Tag::UMAT, users, k)?;
+    check_matrix_len(file, Tag::VMAT, items, k)?;
+    check_matrix_len(file, Tag::AMAT, users * k, f_dim)?;
+    Ok((k, f_dim, users, items))
+}
+
+/// An owned model out of checked sections (one copy of each).
+fn model_from_sections(file: &StoreFile, (k, f_dim, users, items): Dims) -> TsPprModel {
+    let section = |tag: Tag| file.f64_section(tag).expect("section revalidation");
+    let a = section(Tag::AMAT);
+    let stride = k * f_dim;
+    TsPprModel::from_parts(
+        k,
+        f_dim,
+        DMatrix::from_vec(users, k, section(Tag::UMAT).to_vec()),
+        DMatrix::from_vec(items, k, section(Tag::VMAT).to_vec()),
+        (0..users)
+            .map(|i| DMatrix::from_vec(k, f_dim, a[i * stride..(i + 1) * stride].to_vec()))
+            .collect(),
+    )
+}
+
+/// Validate and materialise the model sections of `file` — the reader
+/// beside [`push_model_sections`], shared with both checkpoint decoders.
+pub(crate) fn read_model_sections(file: &StoreFile) -> Result<TsPprModel, StoreError> {
+    Ok(model_from_sections(file, check_model_sections(file)?))
+}
+
 impl ModelView {
     /// Open and fully validate the model file at `path`.
     pub fn open(path: impl AsRef<Path>) -> Result<ModelView, StoreError> {
@@ -137,19 +172,8 @@ impl ModelView {
 
     /// Validate a parsed container as a TS-PPR model.
     pub fn from_file(file: StoreFile) -> Result<ModelView, StoreError> {
-        match file.meta_value("kind")? {
-            Some(kind) if kind == KIND_TSPPR => {}
-            Some(kind) => {
-                return Err(schema(format!(
-                    "expected a {KIND_TSPPR} file, found {kind:?}"
-                )))
-            }
-            None => return Err(schema(format!("no kind metadata; expected {KIND_TSPPR}"))),
-        }
-        let (k, f_dim, users, items) = model_dims(&file)?;
-        check_matrix_len(&file, Tag::UMAT, users, k)?;
-        check_matrix_len(&file, Tag::VMAT, items, k)?;
-        check_matrix_len(&file, Tag::AMAT, users * k, f_dim)?;
+        file.expect_kind(KIND_TSPPR)?;
+        let (k, f_dim, users, items) = check_model_sections(&file)?;
         Ok(ModelView {
             file,
             k,
@@ -221,21 +245,7 @@ impl ModelView {
 
     /// Materialise an owned [`TsPprModel`] (one copy of each section).
     pub fn to_model(&self) -> TsPprModel {
-        let u = self.file.f64_section(Tag::UMAT).expect("UMAT revalidation");
-        let v = self.file.f64_section(Tag::VMAT).expect("VMAT revalidation");
-        let a = self.file.f64_section(Tag::AMAT).expect("AMAT revalidation");
-        let stride = self.k * self.f_dim;
-        TsPprModel::from_parts(
-            self.k,
-            self.f_dim,
-            DMatrix::from_vec(self.users, self.k, u.to_vec()),
-            DMatrix::from_vec(self.items, self.k, v.to_vec()),
-            (0..self.users)
-                .map(|i| {
-                    DMatrix::from_vec(self.k, self.f_dim, a[i * stride..(i + 1) * stride].to_vec())
-                })
-                .collect(),
-        )
+        model_from_sections(&self.file, (self.k, self.f_dim, self.users, self.items))
     }
 }
 

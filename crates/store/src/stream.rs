@@ -14,17 +14,20 @@
 //! oldest first), and `ls_len` `(item, step)` pairs — the full last-seen
 //! history, sorted by item id so the encoding is canonical.
 
+use crate::checkpoint::read_rng_states;
 use crate::error::{corrupt, schema, StoreError};
 use crate::format::{commit, encode_meta, StoreFile, Tag, Writer};
-use crate::model::{check_matrix_len, model_dims, push_model_sections};
+use crate::model::{push_model_sections, read_model_sections};
 use rrc_core::TsPprModel;
-use rrc_linalg::DMatrix;
 use rrc_obs::global;
 use rrc_sequence::{ItemId, WindowState};
 use std::path::Path;
 
 /// `META` kind for stream-checkpoint files.
 pub const KIND_STREAM: &str = "tsppr-stream-checkpoint";
+
+/// What a missing metadata field is reported missing from.
+const WHAT: &str = "stream checkpoint";
 
 /// Cumulative prequential counters, checkpointed so a resumed trainer
 /// reports the same evaluation totals as an uninterrupted one.
@@ -144,107 +147,32 @@ pub fn load_stream_checkpoint(path: impl AsRef<Path>) -> Result<StreamCheckpoint
     decode_stream_checkpoint(&StoreFile::open(path)?)
 }
 
-fn meta_field(file: &StoreFile, key: &str) -> Result<String, StoreError> {
-    file.meta_value(key)?.ok_or_else(|| {
-        schema(format!(
-            "stream checkpoint is missing the {key:?} metadata field"
-        ))
-    })
-}
-
-fn parse_u64(key: &str, value: &str) -> Result<u64, StoreError> {
-    value
-        .parse::<u64>()
-        .map_err(|_| schema(format!("bad {key} value {value:?}")))
-}
-
 /// Decode a parsed container as a stream checkpoint.
 pub fn decode_stream_checkpoint(file: &StoreFile) -> Result<StreamCheckpoint, StoreError> {
-    match file.meta_value("kind")? {
-        Some(kind) if kind == KIND_STREAM => {}
-        Some(kind) => {
-            return Err(schema(format!(
-                "expected a {KIND_STREAM} file, found {kind:?}"
-            )))
-        }
-        None => return Err(schema(format!("no kind metadata; expected {KIND_STREAM}"))),
-    }
-    let shards = parse_u64("shards", &meta_field(file, "shards")?)? as usize;
+    file.expect_kind(KIND_STREAM)?;
+    let shards = file.meta_u64(WHAT, "shards")? as usize;
     if shards == 0 {
         return Err(schema("stream checkpoint declares zero shards".to_string()));
     }
-    let events_processed = parse_u64("events", &meta_field(file, "events")?)?;
-    let events_trained = parse_u64("trained", &meta_field(file, "trained")?)?;
-    let updates = parse_u64("updates", &meta_field(file, "updates")?)?;
-    let publishes = parse_u64("publishes", &meta_field(file, "publishes")?)?;
+    let events_processed = file.meta_u64(WHAT, "events")?;
+    let events_trained = file.meta_u64(WHAT, "trained")?;
+    let updates = file.meta_u64(WHAT, "updates")?;
+    let publishes = file.meta_u64(WHAT, "publishes")?;
     let preq = PrequentialCounters {
-        opportunities: parse_u64(
-            "preq_opportunities",
-            &meta_field(file, "preq_opportunities")?,
-        )?,
+        opportunities: file.meta_u64(WHAT, "preq_opportunities")?,
         hits: [
-            parse_u64("preq_hits1", &meta_field(file, "preq_hits1")?)?,
-            parse_u64("preq_hits5", &meta_field(file, "preq_hits5")?)?,
-            parse_u64("preq_hits10", &meta_field(file, "preq_hits10")?)?,
+            file.meta_u64(WHAT, "preq_hits1")?,
+            file.meta_u64(WHAT, "preq_hits5")?,
+            file.meta_u64(WHAT, "preq_hits10")?,
         ],
-        rr_sum: {
-            let hex = meta_field(file, "preq_rr_bits")?;
-            f64::from_bits(
-                u64::from_str_radix(&hex, 16)
-                    .map_err(|_| schema(format!("bad preq_rr_bits value {hex:?}")))?,
-            )
-        },
+        rr_sum: f64::from_bits(file.meta_hex_u64(WHAT, "preq_rr_bits")?),
     };
-    let capacity = parse_u64("window", &meta_field(file, "window")?)? as usize;
-    let fp_hex = meta_field(file, "fingerprint")?;
-    let fingerprint = u64::from_str_radix(&fp_hex, 16)
-        .map_err(|_| schema(format!("bad fingerprint value {fp_hex:?}")))?;
+    let capacity = file.meta_u64(WHAT, "window")? as usize;
+    let fingerprint = file.meta_hex_u64(WHAT, "fingerprint")?;
 
-    // Model sections, validated exactly like a model file.
-    let (k, f_dim, users, items) = model_dims(file)?;
-    check_matrix_len(file, Tag::UMAT, users, k)?;
-    check_matrix_len(file, Tag::VMAT, items, k)?;
-    check_matrix_len(file, Tag::AMAT, users * k, f_dim)?;
-    let u = file.f64_section(Tag::UMAT)?;
-    let v = file.f64_section(Tag::VMAT)?;
-    let a = file.f64_section(Tag::AMAT)?;
-    let stride = k * f_dim;
-    let model = TsPprModel::from_parts(
-        k,
-        f_dim,
-        DMatrix::from_vec(users, k, u.to_vec()),
-        DMatrix::from_vec(items, k, v.to_vec()),
-        (0..users)
-            .map(|i| DMatrix::from_vec(k, f_dim, a[i * stride..(i + 1) * stride].to_vec()))
-            .collect(),
-    );
-
-    let rngs = file.u64_section(Tag::RNGS)?;
-    if rngs.len() != shards * 4 {
-        return Err(corrupt(
-            Tag::RNGS.name(),
-            format!(
-                "expected {} RNG words for {shards} shard(s), found {}",
-                shards * 4,
-                rngs.len()
-            ),
-        ));
-    }
-    let rng_states: Vec<[u64; 4]> = rngs
-        .chunks_exact(4)
-        .map(|c| {
-            let state = [c[0], c[1], c[2], c[3]];
-            if state == [0; 4] {
-                return Err(corrupt(
-                    Tag::RNGS.name(),
-                    "all-zero xoshiro state is unreachable",
-                ));
-            }
-            Ok(state)
-        })
-        .collect::<Result<_, _>>()?;
-
-    let windows = decode_windows(file, users, capacity)?;
+    let model = read_model_sections(file)?;
+    let rng_states = read_rng_states(file, shards)?;
+    let windows = decode_windows(file, model.num_users(), capacity)?;
 
     Ok(StreamCheckpoint {
         shards,

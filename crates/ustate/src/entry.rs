@@ -15,13 +15,15 @@ pub struct UserFactors {
     pub(crate) cur_a: DMatrix,
 }
 
-/// `cur − base`, element-wise.
-pub(crate) fn diff(cur: &[f64], base: &[f64]) -> Vec<f64> {
+/// `cur − base`, element-wise: a materialised row's accumulated delta.
+/// One definition for every copy-on-write row, the tier's user rows and
+/// the shard overlay's item rows, so both harvest the same bits.
+pub fn diff(cur: &[f64], base: &[f64]) -> Vec<f64> {
     cur.iter().zip(base).map(|(c, b)| c - b).collect()
 }
 
-/// Carry `cur`'s delta over `old` onto `new`.
-fn rebase(cur: &mut [f64], old: &[f64], new: &[f64]) {
+/// Carry `cur`'s delta over `old` onto `new` (see [`diff`]).
+pub fn rebase(cur: &mut [f64], old: &[f64], new: &[f64]) {
     for ((c, b), nb) in cur.iter_mut().zip(old).zip(new) {
         *c = *nb + (*c - *b);
     }
@@ -47,9 +49,9 @@ impl UserFactors {
     }
 
     /// Carry the accumulated delta from the base rows it was taken over
-    /// (`old_*`; `A_u` flattened row-major) onto fresh ones — identical
-    /// arithmetic to the overlay's rebase, which is what makes a reloaded
-    /// row byte-equal to one that stayed resident across a swap.
+    /// (`old_*`; `A_u` flattened row-major) onto fresh ones: the one
+    /// [`rebase`] an install applies to a resident row, which is what makes
+    /// a reloaded row byte-equal to one that stayed resident across a swap.
     pub(crate) fn rebase(&mut self, old_u: &[f64], old_a: &[f64], new_u: &[f64], new_a: &DMatrix) {
         rebase(&mut self.cur_u, old_u, new_u);
         rebase(self.cur_a.as_mut_slice(), old_a, new_a.as_slice());
@@ -70,8 +72,6 @@ pub(crate) struct UserEntry {
     pub(crate) factors: Option<UserFactors>,
     /// CLOCK second-chance bit, set on every touch.
     pub(crate) referenced: bool,
-    /// LRU recency stamp (tier-global monotonic tick).
-    pub(crate) tick: u64,
     /// Cached cost from the last accounting pass.
     pub(crate) bytes: usize,
 }
@@ -82,7 +82,6 @@ impl UserEntry {
             window,
             factors,
             referenced: true,
-            tick: 0,
             bytes: 0,
         };
         e.bytes = e.cost();

@@ -12,12 +12,12 @@
 //! * [`UserStateTier`] — the cache: [`get_or_load`](UserStateTier::get_or_load)
 //!   returns a user's window + factors, faulting them in from the spill
 //!   file when cold; [`enforce_budget`](UserStateTier::enforce_budget)
-//!   evicts by CLOCK (default) or strict LRU until resident bytes fit the
-//!   configured budget.
+//!   evicts by CLOCK until resident bytes fit the configured budget.
 //! * [`TierParams`] — a [`ModelParams`](rrc_core::ModelParams) adapter
 //!   that serves user rows from the tier entry and item rows from any
-//!   other parameter store (the shard's copy-on-write overlay), so the
-//!   exact same scoring/SGD code runs bounded and unbounded.
+//!   [`ItemRows`] store (the shard's copy-on-write overlay), so the exact
+//!   same scoring/SGD code runs bounded and unbounded. [`diff`] and
+//!   [`rebase`] are the copy-on-write row arithmetic of both stores.
 //! * [`encode_record`] / [`decode_record`] — the spill-record layout.
 //!   Records store the *absolute* current and base factor rows plus the
 //!   model version they were spilled under, and the tier encodes them
@@ -45,6 +45,6 @@ mod reference;
 mod tier;
 
 pub use codec::{decode_record, encode_record, SpillRecord};
-pub use entry::UserFactors;
-pub use params::TierParams;
+pub use entry::{diff, rebase, UserFactors};
+pub use params::{ItemRows, TierParams};
 pub use tier::{EvictionPolicy, TierConfig, TierDelta, UserStateTier};

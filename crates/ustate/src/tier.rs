@@ -8,41 +8,21 @@ use rrc_core::TsPprModel;
 use rrc_sequence::ids::IdHashMap;
 use rrc_sequence::{UserId, WindowState};
 use rrc_store::{SegmentLog, StoreError};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Which entry goes first when the budget is exceeded.
+/// Which entry goes first when the budget is exceeded. CLOCK is the only
+/// policy; the enum keeps its one variant, and `rrc-serve`'s
+/// `UstateOptions::policy` its field, solely because
+/// `benchmark/src/sut.rs` names both, until the next `[benchmark]` PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
     /// CLOCK second-chance: one ref bit per entry, a rotating hand. O(1)
     /// amortised and scan-resistant enough for skewed replay traffic.
     #[default]
     Clock,
-    /// Strict least-recently-used (ordered by touch tick). O(log n) per
-    /// touch; mostly a reference policy for experiments.
-    Lru,
-}
-
-impl EvictionPolicy {
-    /// Parse a CLI-style name.
-    pub fn parse(s: &str) -> Option<EvictionPolicy> {
-        match s.to_ascii_lowercase().as_str() {
-            "clock" => Some(EvictionPolicy::Clock),
-            "lru" => Some(EvictionPolicy::Lru),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for EvictionPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EvictionPolicy::Clock => "clock",
-            EvictionPolicy::Lru => "lru",
-        })
-    }
 }
 
 /// Tier construction parameters.
@@ -53,8 +33,6 @@ pub struct TierConfig {
     /// Resident byte budget; `None` means unbounded (no spill file, the
     /// tier degenerates to a plain map — the classic serving path).
     pub budget_bytes: Option<usize>,
-    /// Eviction order under pressure.
-    pub policy: EvictionPolicy,
     /// Where the spill segment lives. Required when a budget is set.
     pub spill_path: Option<PathBuf>,
     /// Delete the segment file when the tier drops (spill files are
@@ -68,7 +46,6 @@ impl TierConfig {
         TierConfig {
             window,
             budget_bytes: None,
-            policy: EvictionPolicy::default(),
             spill_path: None,
             remove_spill_on_drop: true,
         }
@@ -79,7 +56,6 @@ impl TierConfig {
         TierConfig {
             window,
             budget_bytes: Some(budget_bytes),
-            policy: EvictionPolicy::default(),
             spill_path: Some(spill_path),
             remove_spill_on_drop: true,
         }
@@ -140,10 +116,6 @@ pub struct UserStateTier {
     entries: IdHashMap<u32, UserEntry>,
     /// CLOCK hand order: every resident user id exactly once.
     clock: VecDeque<u32>,
-    /// LRU order: touch tick → user id (only maintained under `Lru`).
-    lru: BTreeMap<u64, u32>,
-    policy: EvictionPolicy,
-    tick: u64,
     budget: Option<usize>,
     segment: Option<SegmentLog>,
     /// The published snapshot: the base every resident factor row was
@@ -182,9 +154,6 @@ impl UserStateTier {
         Ok(UserStateTier {
             entries: IdHashMap::default(),
             clock: VecDeque::new(),
-            lru: BTreeMap::new(),
-            policy: config.policy,
-            tick: 0,
             budget: config.budget_bytes,
             segment,
             base,
@@ -243,15 +212,8 @@ impl UserStateTier {
 
     /// Mark `user` recently used without borrowing its state.
     pub fn touch(&mut self, id: u32) {
-        let Some(e) = self.entries.get_mut(&id) else {
-            return;
-        };
-        e.referenced = true;
-        if self.policy == EvictionPolicy::Lru {
-            self.lru.remove(&e.tick);
-            self.tick += 1;
-            e.tick = self.tick;
-            self.lru.insert(e.tick, id);
+        if let Some(e) = self.entries.get_mut(&id) {
+            e.referenced = true;
         }
     }
 
@@ -441,17 +403,8 @@ impl UserStateTier {
     fn insert_entry(&mut self, id: u32, entry: UserEntry) {
         self.resident_bytes += entry.bytes;
         self.clock.push_back(id);
-        if self.policy == EvictionPolicy::Lru {
-            self.tick += 1;
-            let mut entry = entry;
-            entry.tick = self.tick;
-            self.lru.insert(self.tick, id);
-            let old = self.entries.insert(id, entry);
-            debug_assert!(old.is_none(), "entry {id} inserted twice");
-        } else {
-            let old = self.entries.insert(id, entry);
-            debug_assert!(old.is_none(), "entry {id} inserted twice");
-        }
+        let old = self.entries.insert(id, entry);
+        debug_assert!(old.is_none(), "entry {id} inserted twice");
     }
 
     fn load_spilled(&mut self, id: u32) -> Result<Option<UserEntry>, StoreError> {
@@ -485,30 +438,27 @@ impl UserStateTier {
         Ok(Some(UserEntry::new(rec.window, factors)))
     }
 
-    /// Spill the policy's next victim. The record is appended *before* the
+    /// Spill the clock hand's next victim. The record is appended *before* the
     /// entry leaves any structure, so a failed append (a full disk under a
     /// tail flush) loses nothing: the victim stays resident, in its place
     /// in the eviction order, and `resident_bytes` is untouched.
     fn evict_one(&mut self) -> Result<(), StoreError> {
-        let victim = match self.policy {
-            EvictionPolicy::Clock => loop {
-                let Some(&id) = self.clock.front() else {
-                    return Err(StoreError::Schema {
-                        detail: "eviction requested from an empty clock ring".to_string(),
-                    });
-                };
-                match self.entries.get_mut(&id) {
-                    None => {
-                        self.clock.pop_front();
-                    }
-                    Some(e) if e.referenced => {
-                        e.referenced = false;
-                        self.clock.rotate_left(1);
-                    }
-                    Some(_) => break id,
+        let victim = loop {
+            let Some(&id) = self.clock.front() else {
+                return Err(StoreError::Schema {
+                    detail: "eviction requested from an empty clock ring".to_string(),
+                });
+            };
+            match self.entries.get_mut(&id) {
+                None => {
+                    self.clock.pop_front();
                 }
-            },
-            EvictionPolicy::Lru => *self.lru.values().next().expect("lru order nonempty"),
+                Some(e) if e.referenced => {
+                    e.referenced = false;
+                    self.clock.rotate_left(1);
+                }
+                Some(_) => break id,
+            }
         };
         let entry = self.entries.get(&victim).expect("victim resident");
         let seg = self
@@ -533,14 +483,7 @@ impl UserStateTier {
         self.delta.evicted_users.push(victim);
         let entry = self.entries.remove(&victim).expect("victim resident");
         self.resident_bytes -= entry.bytes;
-        match self.policy {
-            EvictionPolicy::Clock => {
-                self.clock.pop_front();
-            }
-            EvictionPolicy::Lru => {
-                self.lru.remove(&entry.tick);
-            }
-        }
+        self.clock.pop_front();
         Ok(())
     }
 }

@@ -19,7 +19,7 @@ use rrc_core::{observe_single, recommend_single, OnlineConfig, TsPprModel};
 use rrc_features::{FeaturePipeline, TrainStats};
 use rrc_sequence::{Dataset, ItemId, Sequence, UserId};
 use rrc_store::StoreError;
-use rrc_ustate::{EvictionPolicy, TierConfig, TierParams, UserStateTier};
+use rrc_ustate::{TierConfig, TierParams, UserStateTier};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -218,63 +218,50 @@ fn failed_spill_keeps_the_victim_resident() {
         return;
     }
     let pushed = |u: u32| (0..5u32).map(move |i| ItemId((u + 3 * i) % ITEMS as u32));
-    for policy in [EvictionPolicy::Clock, EvictionPolicy::Lru] {
-        let (model, _pipeline, _stats, _cfg) = fixture();
-        let mut config = TierConfig::bounded(WINDOW, 4_000, full.clone());
-        config.policy = policy;
-        // The "spill file" is a device node; dropping the tier must not
-        // unlink it.
-        config.remove_spill_on_drop = false;
-        let mut tier = UserStateTier::new(config, model, 1).unwrap();
-        // Every user is touched once, so nothing is reloaded, no record
-        // dies, and the only write is the tail flush.
-        let mut evictions = 0;
-        let mut fed = 0u32;
-        let err = loop {
-            let (window, _) = tier.get_or_load(UserId(fed)).unwrap();
-            pushed(fed).for_each(|item| window.push(item));
-            fed += 1;
-            match tier.note_access(UserId(fed - 1)) {
-                Ok(()) => evictions += tier.take_delta().evictions,
-                Err(e) => break e,
-            }
-            assert!(fed < 50_000, "the segment tail never filled");
-        };
-        assert!(matches!(err, StoreError::Io(_)), "{policy}: {err}");
-        evictions += tier.take_delta().evictions;
-        assert_eq!(tier.spilled_users() as u64, evictions, "{policy}");
-        assert_eq!(
-            tier.total_users(),
-            fed as usize,
-            "{policy}: a user is neither resident nor spilled"
-        );
-        // Retrying fails the same way, more often than there are
-        // residents: a victim that had left the eviction order would run
-        // it dry, one that had left the map would shrink it.
-        let state = (tier.resident_users(), tier.resident_bytes());
-        assert!(state.1 > tier.budget_bytes().unwrap());
-        for _ in 0..state.0 + 2 {
-            let again = tier.enforce_budget();
-            assert!(
-                matches!(again, Err(StoreError::Io(_))),
-                "{policy}: {again:?}"
-            );
-            assert_eq!((tier.resident_users(), tier.resident_bytes()), state);
+    let (model, _pipeline, _stats, _cfg) = fixture();
+    let mut config = TierConfig::bounded(WINDOW, 4_000, full);
+    // The "spill file" is a device node; dropping the tier must not
+    // unlink it.
+    config.remove_spill_on_drop = false;
+    let mut tier = UserStateTier::new(config, model, 1).unwrap();
+    // Every user is touched once, so nothing is reloaded, no record
+    // dies, and the only write is the tail flush.
+    let mut evictions = 0;
+    let mut fed = 0u32;
+    let err = loop {
+        let (window, _) = tier.get_or_load(UserId(fed)).unwrap();
+        pushed(fed).for_each(|item| window.push(item));
+        fed += 1;
+        match tier.note_access(UserId(fed - 1)) {
+            Ok(()) => evictions += tier.take_delta().evictions,
+            Err(e) => break e,
         }
-        assert!(tier.take_delta().evicted_users.is_empty());
-        // Under LRU the refused victim is known: the oldest resident.
-        let residents: Vec<u32> = (0..fed).filter(|&u| tier.is_resident(u)).collect();
-        assert_eq!(residents.len(), state.0);
-        for &u in &residents {
-            let (window, _) = tier.get_or_load(UserId(u)).unwrap();
-            assert!(window.events().eq(pushed(u)), "{policy}: user {u}");
-        }
-        if policy == EvictionPolicy::Lru {
-            assert_eq!(
-                residents[0] as u64, evictions,
-                "users were evicted in id order"
-            );
-        }
+        assert!(fed < 50_000, "the segment tail never filled");
+    };
+    assert!(matches!(err, StoreError::Io(_)), "{err}");
+    evictions += tier.take_delta().evictions;
+    assert_eq!(tier.spilled_users() as u64, evictions);
+    assert_eq!(
+        tier.total_users(),
+        fed as usize,
+        "a user is neither resident nor spilled"
+    );
+    // Retrying fails the same way, more often than there are
+    // residents: a victim that had left the eviction order would run
+    // it dry, one that had left the map would shrink it.
+    let state = (tier.resident_users(), tier.resident_bytes());
+    assert!(state.1 > tier.budget_bytes().unwrap());
+    for _ in 0..state.0 + 2 {
+        let again = tier.enforce_budget();
+        assert!(matches!(again, Err(StoreError::Io(_))), "{again:?}");
+        assert_eq!((tier.resident_users(), tier.resident_bytes()), state);
+    }
+    assert!(tier.take_delta().evicted_users.is_empty());
+    let residents: Vec<u32> = (0..fed).filter(|&u| tier.is_resident(u)).collect();
+    assert_eq!(residents.len(), state.0);
+    for &u in &residents {
+        let (window, _) = tier.get_or_load(UserId(u)).unwrap();
+        assert!(window.events().eq(pushed(u)), "user {u}");
     }
 }
 
