@@ -13,7 +13,7 @@
 //! The latent weights `(w_q, w_r)` are learned by maximising the
 //! log-likelihood of the observed choices with full-batch gradient ascent —
 //! matching the paper's description of DYRC as "a mixed weighted scheme
-//! [that] learns the latent weights of item popularity and recency gap by
+//! \[that\] learns the latent weights of item popularity and recency gap by
 //! maximizing a log-likelihood function".
 
 use rrc_features::{RecContext, Recommender, TrainStats};

@@ -1,5 +1,5 @@
 //! A personalized interest-forgetting Markov recommender — the paper's
-//! reference [14] (Chen, Wang & Wang, AAAI 2015), whose finding that
+//! reference \[14\] (Chen, Wang & Wang, AAAI 2015), whose finding that
 //! *hyperbolic* decay models interest forgetting best is why Eq. 19 uses
 //! `1/gap`.
 //!

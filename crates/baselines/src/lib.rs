@@ -8,7 +8,7 @@
 //! | [`DyrcModel`] / [`DyrcRecommender`] | Anderson et al.'s mixed-weight quality × recency choice model, weights fit by maximum likelihood |
 //! | [`FpmcModel`] / [`FpmcRecommender`] | factorized personalized Markov chains (Rendle et al. 2010), adapted to score window→item transitions, trained with S-BPR |
 //! | [`MarkovChainModel`] / [`MarkovRecommender`] | unfactorised first-order Markov chain (ablation for FPMC, not in the paper's table) |
-//! | [`ForgettingMarkovModel`] / [`ForgettingMarkovRecommender`] | hyperbolic interest-forgetting Markov (the paper's ref [14]; ablation) |
+//! | [`ForgettingMarkovModel`] / [`ForgettingMarkovRecommender`] | hyperbolic interest-forgetting Markov (the paper's ref \[14\]; ablation) |
 //! | [`TuckerFpmcModel`] / [`TuckerFpmcRecommender`] | the full Tucker-core FPMC the paper describes; verifies Rendle's claim that the pairwise special case suffices |
 //!
 //! The **Survival** baseline lives in its own crate (`rrc-survival`) because

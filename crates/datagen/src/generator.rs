@@ -147,7 +147,8 @@ fn generate_user(
         let item = if is_repeat {
             candidates.clear();
             candidates.extend(window.distinct_items());
-            candidates.sort_unstable(); // determinism: HashMap order varies
+            // The draw below picks by position: order by id, not by table slot.
+            candidates.sort_unstable();
             weights.clear();
             let t = window.time() as f64;
             let mut max_score = f64::NEG_INFINITY;

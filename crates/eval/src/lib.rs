@@ -14,10 +14,10 @@
 //!   (Eq. 22).
 //!
 //! [`evaluate_multi`] walks each sequence once and scores every requested
-//! `N` simultaneously; [`parallel`] fans users out over threads with
-//! crossbeam's scoped threads. [`timing`] measures mean per-instance online
-//! recommendation latency (Fig. 13), and [`combined`] implements the
-//! STREC × TS-PPR pipeline of Table 5.
+//! `N` simultaneously; [`evaluate_multi_parallel`] fans users out over
+//! threads with crossbeam's scoped threads. [`timing`] measures mean
+//! per-instance online recommendation latency (Fig. 13), and [`combined`]
+//! implements the STREC × TS-PPR pipeline of Table 5.
 
 pub mod bootstrap;
 pub mod combined;

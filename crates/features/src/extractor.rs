@@ -52,7 +52,7 @@ impl Feature for ReconsumptionRatio {
 }
 
 /// Which decay shape the recency feature uses. The paper defaults to the
-/// hyperbolic form (found superior in its ref. [14]) and offers the
+/// hyperbolic form (found superior in its ref. \[14\]) and offers the
 /// exponential as the alternative of Eq. 20.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RecencyKind {

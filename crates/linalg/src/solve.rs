@@ -1,6 +1,6 @@
 //! Small dense linear solvers: LU with partial pivoting and Cholesky.
 //!
-//! The Cox proportional-hazards trainer ([`rrc-survival`]) takes
+//! The Cox proportional-hazards trainer (`rrc-survival`) takes
 //! Newton–Raphson steps `β ← β + H⁻¹ g`, and STREC's IRLS option solves a
 //! weighted normal system; both systems are tiny (F ≤ a dozen covariates),
 //! so an O(n³) direct solve is the right tool.

@@ -11,9 +11,11 @@
 //!   builders, the paper's `|S_u| × 70% ≥ |W|` filter, and the 70/30
 //!   train/test split.
 //! * [`WindowState`] — an incrementally-maintained time window `W_{ut}`
-//!   (Definition 1): O(1) amortised push, O(1) membership/count/last-seen
-//!   queries, and enumeration of the *eligible* reconsumption candidates
-//!   (in-window, but not within the last Ω steps).
+//!   (Definition 1), the last `|W|` events and nothing older: O(1)
+//!   amortised push, O(1) membership/count/last-seen queries about window
+//!   items (an item outside the window has no last-seen step), and
+//!   enumeration of the *eligible* reconsumption candidates (in-window, but
+//!   not within the last Ω steps).
 //! * [`RepeatScan`] — walks a sequence and classifies every event as novel,
 //!   a recent repeat (inside Ω), or an eligible repeat (the events the RRC
 //!   problem trains and evaluates on).

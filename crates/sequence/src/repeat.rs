@@ -85,12 +85,12 @@ impl<'a> RepeatScan<'a> {
 
 /// Classify one prospective consumption against a window state.
 pub fn classify(window: &WindowState, item: ItemId, omega: usize) -> ConsumptionKind {
-    if !window.contains(item) {
-        ConsumptionKind::Novel
-    } else if window.in_last(item, omega) {
-        ConsumptionKind::RecentRepeat
-    } else {
-        ConsumptionKind::EligibleRepeat
+    // One lookup: an item has a last-seen step exactly when the window
+    // holds it.
+    match window.last_seen(item) {
+        None => ConsumptionKind::Novel,
+        Some(last) if last + omega >= window.time() => ConsumptionKind::RecentRepeat,
+        Some(_) => ConsumptionKind::EligibleRepeat,
     }
 }
 

@@ -4,20 +4,25 @@
 //! Every model in the workspace walks consumption sequences while asking the
 //! same queries at each step — "is this item in the window?", "how many
 //! times?", "when was it last consumed?", "which window items are at least Ω
-//! steps old?" — so this structure keeps:
+//! steps old?" — and the paper asks them of window items only: Eqs. 19–21
+//! are valued for candidates, and candidates and SGD negatives are window
+//! items (§4.2.2, §5.1). So a window is `(capacity, t, last |W| events)` and
+//! nothing else, kept as:
 //!
 //! * a ring buffer of the last `capacity` events (the window contents),
-//! * a multiplicity map over the window (for O(1) membership / counts, and
-//!   the dynamic-familiarity feature of Eq. 21),
-//! * a *global* last-seen map over the whole pushed history (for the
-//!   recency features of Eqs. 19–20, which look back past the window).
+//! * one row per distinct window item, derived from the ring: its
+//!   multiplicity (membership, counts, the dynamic-familiarity feature of
+//!   Eq. 21) and the step of its newest occurrence (the recency features of
+//!   Eqs. 19–20). A row leaves with the item's last occurrence, so the state
+//!   is bounded by `|W|` however long the stream.
 //!
-//! Both maps are [`IdHashMap`]s: one multiplication per lookup, and the
+//! The rows are an [`IdHashMap`]: one multiplication per lookup, and the
 //! same iteration order in every process. `push` is O(1) amortised and
-//! allocates only when a map or the ring grows; all queries are O(1)
-//! except candidate enumeration, which is O(d log d) in the `d` distinct
-//! window items (it sorts by id) and allocates nothing when the caller
-//! brings the buffer ([`WindowState::eligible_candidates_into`]).
+//! allocates only when the map (or a rebuilt, part-filled ring) grows; all
+//! queries are O(1) except candidate enumeration, which is O(d log d) in
+//! the `d` distinct window items (it sorts by id) and allocates nothing
+//! when the caller brings the buffer
+//! ([`WindowState::eligible_candidates_into`]).
 
 use crate::ids::{IdHashMap, ItemId};
 use std::collections::VecDeque;
@@ -27,8 +32,9 @@ use std::collections::VecDeque;
 pub struct WindowState {
     capacity: usize,
     buf: VecDeque<ItemId>,
-    counts: IdHashMap<ItemId, u32>,
-    last_seen: IdHashMap<ItemId, usize>,
+    /// Per distinct item of `buf`: how often it occurs there, and the step
+    /// of its newest occurrence.
+    rows: IdHashMap<ItemId, (u32, usize)>,
     t: usize,
 }
 
@@ -43,8 +49,7 @@ impl WindowState {
         WindowState {
             capacity,
             buf: VecDeque::with_capacity(capacity),
-            counts: IdHashMap::default(),
-            last_seen: IdHashMap::default(),
+            rows: IdHashMap::default(),
             t: 0,
         }
     }
@@ -53,16 +58,19 @@ impl WindowState {
     pub fn push(&mut self, item: ItemId) {
         if self.buf.len() == self.capacity {
             let evicted = self.buf.pop_front().expect("non-empty at capacity");
-            match self.counts.get_mut(&evicted) {
-                Some(c) if *c > 1 => *c -= 1,
+            match self.rows.get_mut(&evicted) {
+                Some((count, _)) if *count > 1 => *count -= 1,
                 _ => {
-                    self.counts.remove(&evicted);
+                    self.rows.remove(&evicted);
                 }
             }
+        } else if self.buf.len() == self.buf.capacity() {
+            // A rebuilt ring holds its events exactly; it grows once, to |W|.
+            self.buf.reserve_exact(self.capacity - self.buf.len());
         }
         self.buf.push_back(item);
-        *self.counts.entry(item).or_insert(0) += 1;
-        self.last_seen.insert(item, self.t);
+        let row = self.rows.entry(item).or_insert((0, 0));
+        *row = (row.0 + 1, self.t);
         self.t += 1;
     }
 
@@ -95,43 +103,43 @@ impl WindowState {
     /// True iff `item` occurs in the current window.
     #[inline]
     pub fn contains(&self, item: ItemId) -> bool {
-        self.counts.contains_key(&item)
+        self.rows.contains_key(&item)
     }
 
     /// Multiplicity of `item` in the current window (0 if absent) — the
     /// numerator of the dynamic-familiarity feature.
     #[inline]
     pub fn count(&self, item: ItemId) -> u32 {
-        self.counts.get(&item).copied().unwrap_or(0)
+        self.rows.get(&item).map_or(0, |&(count, _)| count)
     }
 
-    /// The time step of the user's most recent consumption of `item`
-    /// anywhere in the pushed history (not just the window), or `None` if
-    /// never consumed. This is `l_ut(v)` of Eq. 19.
+    /// The time step of the newest occurrence of `item` in the window, or
+    /// `None` if the window does not hold it. This is `l_ut(v)` of Eq. 19,
+    /// which the paper values for candidates only, and candidates are
+    /// window items: what the user consumed before the last `|W|` events is
+    /// not part of the state.
     #[inline]
     pub fn last_seen(&self, item: ItemId) -> Option<usize> {
-        self.last_seen.get(&item).copied()
+        self.rows.get(&item).map(|&(_, last)| last)
     }
 
     /// True iff `item` was consumed within the last `omega` pushed events,
-    /// i.e. at a step `≥ t − omega`.
+    /// i.e. at a step `≥ t − omega` (`omega ≤ |W|`: older events are gone).
     #[inline]
     pub fn in_last(&self, item: ItemId, omega: usize) -> bool {
-        match self.last_seen(item) {
-            Some(step) => step + omega >= self.t,
-            None => false,
-        }
+        self.last_seen(item)
+            .is_some_and(|step| step + omega >= self.t)
     }
 
     /// Iterate over the distinct items currently in the window, in an
     /// arbitrary order (the same in every process for the same pushes).
     pub fn distinct_items(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.counts.keys().copied()
+        self.rows.keys().copied()
     }
 
     /// Number of distinct items currently in the window.
     pub fn distinct_len(&self) -> usize {
-        self.counts.len()
+        self.rows.len()
     }
 
     /// The *eligible* reconsumption candidates at the current time: distinct
@@ -141,7 +149,7 @@ impl WindowState {
     ///
     /// The result is sorted by item id for determinism.
     pub fn eligible_candidates(&self, omega: usize) -> Vec<ItemId> {
-        let mut out = Vec::with_capacity(self.counts.len());
+        let mut out = Vec::with_capacity(self.rows.len());
         self.eligible_candidates_into(omega, &mut out);
         out
     }
@@ -152,16 +160,16 @@ impl WindowState {
     pub fn eligible_candidates_into(&self, omega: usize, out: &mut Vec<ItemId>) {
         out.clear();
         out.extend(
-            self.counts
-                .keys()
-                .copied()
-                .filter(|&v| !self.in_last(v, omega)),
+            self.rows
+                .iter()
+                .filter(|&(_, &(_, last))| last + omega < self.t)
+                .map(|(&item, _)| item),
         );
         out.sort_unstable();
     }
 
     /// The window contents, oldest to newest.
-    pub fn events(&self) -> impl Iterator<Item = ItemId> + '_ {
+    pub fn events(&self) -> impl ExactSizeIterator<Item = ItemId> + '_ {
         self.buf.iter().copied()
     }
 
@@ -175,14 +183,6 @@ impl WindowState {
         }
     }
 
-    /// Reset to an empty window at time 0, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.counts.clear();
-        self.last_seen.clear();
-        self.t = 0;
-    }
-
     /// Warm-start a window by pushing an event slice (e.g. the tail of a
     /// training sequence before walking the test sequence).
     pub fn warmed(capacity: usize, history: &[ItemId]) -> Self {
@@ -193,78 +193,64 @@ impl WindowState {
         w
     }
 
-    /// The full last-seen history as `(item, step)` pairs, sorted by item id.
+    /// Rebuild a window from what defines it: the capacity, the time step
+    /// and the window contents oldest-to-newest ([`events`](Self::events)).
+    /// The result is `==` the window the three were taken from, answers
+    /// every query the same and costs the same
+    /// [`approx_bytes`](Self::approx_bytes).
     ///
-    /// This is everything a serializer needs beyond [`events`](Self::events)
-    /// and [`time`](Self::time): the multiplicity map is derivable from the
-    /// window contents, but `last_seen` covers the *entire* pushed history.
-    pub fn last_seen_entries(&self) -> Vec<(ItemId, usize)> {
-        let mut out = Vec::with_capacity(self.last_seen.len());
-        self.last_seen_entries_into(&mut out);
-        out
-    }
-
-    /// [`last_seen_entries`](Self::last_seen_entries) into a buffer the
-    /// caller reuses: `out` is cleared first, and nothing is allocated once
-    /// it has grown to the history's distinct-item count.
-    pub fn last_seen_entries_into(&self, out: &mut Vec<(ItemId, usize)>) {
-        out.clear();
-        out.extend(self.last_seen.iter().map(|(&item, &step)| (item, step)));
-        out.sort_unstable_by_key(|&(item, _)| item);
-    }
-
-    /// Rebuild a window from serialized parts: the capacity, the time step,
-    /// the window contents oldest-to-newest, and the full last-seen history.
-    /// The multiplicity map is reconstructed from `events`.
-    ///
-    /// The result is logically identical to the window the parts were taken
-    /// from: every query (`contains`, `count`, `last_seen`, `in_last`,
-    /// `eligible_candidates`, `familiarity`, …) answers the same.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`, if `events` is longer than `capacity`, or
-    /// if an event lies outside the pushed history (`t < events.len()`).
-    pub fn from_parts(
-        capacity: usize,
-        t: usize,
-        events: &[ItemId],
-        last_seen: &[(ItemId, usize)],
-    ) -> Self {
-        assert!(capacity > 0, "window capacity must be positive");
-        assert!(events.len() <= capacity, "more events than capacity");
-        assert!(t >= events.len(), "time precedes window contents");
-        // `counts` grows one insert at a time on purpose. Sizing it up front
-        // would save its regrowth allocations, but where colliding items
-        // land in the table, and so whether a later removal leaves a
-        // tombstone, follows the order they reached it. Tombstones lower
-        // `capacity()`, `approx_bytes` reads it, and byte-budgeted caches
-        // evict by that: a differently laid-out table is a different
-        // eviction sequence.
-        let mut counts: IdHashMap<ItemId, u32> = IdHashMap::default();
-        for &item in events {
-            *counts.entry(item).or_insert(0) += 1;
+    /// The three may come from a file, so what is wrong with them is
+    /// returned, not asserted: `capacity == 0`, more events than `capacity`,
+    /// or an event outside the pushed history (`t < events.len()`).
+    pub fn from_events<I>(capacity: usize, t: usize, events: I) -> Result<Self, &'static str>
+    where
+        I: ExactSizeIterator<Item = ItemId>,
+    {
+        let len = events.len();
+        if capacity == 0 {
+            return Err("zero window capacity");
         }
-        WindowState {
+        if len > capacity {
+            return Err("more window events than capacity");
+        }
+        if t < len {
+            return Err("time step precedes window contents");
+        }
+        // Two allocations, both sized by the events in hand: the ring for
+        // them, the rows for as many distinct items as they can be.
+        let mut buf = VecDeque::with_capacity(len);
+        buf.extend(events);
+        let mut rows = IdHashMap::with_capacity_and_hasher(len, Default::default());
+        for (i, &item) in buf.iter().enumerate() {
+            let row = rows.entry(item).or_insert((0, 0));
+            *row = (row.0 + 1, t - len + i);
+        }
+        Ok(WindowState {
             capacity,
-            buf: events.iter().copied().collect(),
-            counts,
-            last_seen: last_seen.iter().copied().collect(),
+            buf,
+            rows,
             t,
-        }
+        })
     }
 
     /// A deterministic estimate of this window's resident heap footprint in
-    /// bytes. Used by byte-budgeted caches; intentionally an *estimate* (it
-    /// models allocator-rounded map/ring capacities, not `malloc` internals)
-    /// but stable for a given logical state, so budget accounting is
-    /// reproducible across runs.
+    /// bytes, for byte-budgeted caches. It is a function of what the window
+    /// holds, its capacity and its event count, and of nothing a container
+    /// grew through on the way there, so a pushed window and its
+    /// [`from_events`](Self::from_events) twin cost the same and budget
+    /// accounting repeats across runs. It charges what the twin allocates:
+    /// the ring at `|W|` ids, and a hash table with room for one row per
+    /// event (24-byte rows and a control byte per bucket, a power-of-two
+    /// bucket count at most 7/8 full and never below 4, one 16-byte control
+    /// group). A pushed window's table grew with its distinct items, of
+    /// which it never held more than it has events.
     pub fn approx_bytes(&self) -> usize {
-        const ENTRY_U32: usize = 4 + 4 + 8; // key + value + control overhead
-        const ENTRY_USIZE: usize = 4 + 8 + 8;
-        let ring = self.buf.capacity() * std::mem::size_of::<ItemId>();
-        let counts = self.counts.capacity() * ENTRY_U32;
-        let last_seen = self.last_seen.capacity() * ENTRY_USIZE;
-        std::mem::size_of::<Self>() + ring + counts + last_seen
+        const ROW: usize = std::mem::size_of::<(ItemId, (u32, usize))>();
+        let table = match self.buf.len() {
+            0 => 0,
+            len => (len * 8).div_ceil(7).next_power_of_two().max(4) * (ROW + 1) + 16,
+        };
+        std::mem::size_of::<Self>() + self.capacity * std::mem::size_of::<ItemId>() + table
     }
 }
 
@@ -306,11 +292,12 @@ mod tests {
     }
 
     #[test]
-    fn last_seen_survives_eviction() {
+    fn last_seen_ends_with_the_window() {
         let mut w = WindowState::new(2);
-        push_all(&mut w, &[7, 1, 2]); // 7 evicted from window at t=2
+        push_all(&mut w, &[7, 1, 2]); // 7 left the window at t=2
         assert!(!w.contains(ItemId(7)));
-        assert_eq!(w.last_seen(ItemId(7)), Some(0)); // but history remembers
+        assert_eq!(w.last_seen(ItemId(7)), None); // and its row went with it
+        assert_eq!(w.distinct_len(), 2);
         assert_eq!(w.last_seen(ItemId(2)), Some(2));
         assert_eq!(w.last_seen(ItemId(99)), None);
     }
@@ -383,61 +370,47 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let mut w = WindowState::new(3);
-        push_all(&mut w, &[1, 2]);
-        w.clear();
-        assert_eq!(w.time(), 0);
-        assert!(w.is_empty());
-        assert_eq!(w.last_seen(ItemId(1)), None);
-        assert_eq!(w.capacity(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         WindowState::new(0);
     }
 
     #[test]
-    fn from_parts_round_trips_all_queries() {
-        let mut w = WindowState::new(4);
-        push_all(&mut w, &[7, 1, 2, 1, 9, 2]); // 7 and the first 1 evicted
-        let events: Vec<ItemId> = w.events().collect();
-        let last_seen = w.last_seen_entries();
-        let r = WindowState::from_parts(w.capacity(), w.time(), &events, &last_seen);
-        assert_eq!(r.time(), w.time());
-        assert_eq!(r.len(), w.len());
-        assert_eq!(r.events().collect::<Vec<_>>(), events);
-        for item in [7u32, 1, 2, 9, 42] {
-            let item = ItemId(item);
-            assert_eq!(r.count(item), w.count(item));
-            assert_eq!(r.last_seen(item), w.last_seen(item));
-            assert_eq!(r.familiarity(item), w.familiarity(item));
-        }
-        for omega in 0..8 {
-            assert_eq!(r.eligible_candidates(omega), w.eligible_candidates(omega));
-        }
-    }
-
-    #[test]
-    fn pushed_window_equals_its_rebuilt_parts() {
-        // Long enough that both maps grow, churn and rehash on the pushed
-        // side, while `from_parts` inserts each key once.
-        let mut w = WindowState::new(16);
+    fn pushed_window_equals_its_rebuilt_twin() {
+        // Long enough that the pushed side's table grows through every
+        // size up to |W| = 100's and churns, while each twin's is made once.
+        let mut w = WindowState::new(100);
         let mut x = 12345u32;
-        for _ in 0..2000 {
+        for step in 0..2000 {
             x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
             w.push(ItemId((x >> 16) % 97));
-            let events: Vec<ItemId> = w.events().collect();
-            let r =
-                WindowState::from_parts(w.capacity(), w.time(), &events, &w.last_seen_entries());
-            assert_eq!(r, w);
-            assert_eq!(r.last_seen_entries(), w.last_seen_entries());
+            let twin = WindowState::from_events(w.capacity(), w.time(), w.events()).unwrap();
+            assert_eq!(twin, w);
+            assert_eq!(twin.approx_bytes(), w.approx_bytes());
+            // The estimate covers what either one's containers really
+            // took, by their own account.
+            for held in [&twin, &w] {
+                let buckets = (held.rows.capacity() * 8).div_ceil(7);
+                let bytes = std::mem::size_of::<WindowState>()
+                    + held.buf.capacity() * std::mem::size_of::<ItemId>()
+                    + buckets * (std::mem::size_of::<(ItemId, (u32, usize))>() + 1)
+                    + 16;
+                assert!(w.approx_bytes() >= bytes, "{bytes} B held at step {step}");
+            }
         }
         let mut a: Vec<ItemId> = w.distinct_items().collect();
         a.sort_unstable();
         assert_eq!(a, w.eligible_candidates(0));
+    }
+
+    #[test]
+    fn a_rebuilt_ring_grows_once_to_its_capacity() {
+        let mut w = WindowState::from_events(30, 9, (0..5).map(ItemId)).unwrap();
+        assert_eq!(w.buf.capacity(), 5);
+        for i in 0..60 {
+            w.push(ItemId(i));
+            assert_eq!(w.buf.capacity(), 30);
+        }
     }
 
     #[test]
@@ -452,9 +425,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "time precedes")]
-    fn from_parts_rejects_impossible_time() {
-        WindowState::from_parts(4, 1, &[ItemId(1), ItemId(2)], &[]);
+    fn from_events_returns_the_reason_as_a_value() {
+        let two = [ItemId(1), ItemId(2)];
+        let rebuilt = |capacity, t| WindowState::from_events(capacity, t, two.iter().copied());
+        assert_eq!(rebuilt(0, 2), Err("zero window capacity"));
+        assert_eq!(rebuilt(1, 2), Err("more window events than capacity"));
+        assert_eq!(rebuilt(4, 1), Err("time step precedes window contents"));
+        assert_eq!(rebuilt(2, 2), Ok(WindowState::warmed(2, &two)));
     }
 
     #[test]

@@ -41,31 +41,37 @@ proptest! {
         }
     }
 
+    /// Every query against a naive scan of the last `w` events: nothing
+    /// before them is part of the state, so an item outside them has no
+    /// count and no last-seen step.
     #[test]
-    fn window_counts_match_naive(events in event_stream(), w in 1usize..30) {
+    fn window_counts_match_naive(events in event_stream(), w in 1usize..30, omega in 0usize..30) {
         let mut win = WindowState::new(w);
         for (t, &e) in events.iter().enumerate() {
             win.push(ItemId(e));
             // After pushing event t, window covers events [t+1-w, t].
             let lo = (t + 1).saturating_sub(w);
             let slice = &events[lo..=t];
+            let mut candidates = Vec::new();
+            let mut distinct = 0;
             for probe in 0u32..20 {
+                let item = ItemId(probe);
                 let naive = slice.iter().filter(|&&x| x == probe).count() as u32;
-                prop_assert_eq!(win.count(ItemId(probe)), naive);
+                let last = slice.iter().rposition(|&x| x == probe).map(|i| lo + i);
+                let recent = last.is_some_and(|step| step + omega > t);
+                prop_assert_eq!(win.count(item), naive);
+                prop_assert_eq!(win.contains(item), naive > 0);
+                prop_assert_eq!(win.last_seen(item), last);
+                prop_assert_eq!(win.in_last(item, omega), recent);
+                prop_assert_eq!(win.familiarity(item), naive as f64 / slice.len() as f64);
+                distinct += usize::from(naive > 0);
+                if naive > 0 && !recent {
+                    candidates.push(item);
+                }
             }
             prop_assert_eq!(win.len(), slice.len());
-        }
-    }
-
-    #[test]
-    fn last_seen_matches_naive(events in event_stream(), w in 1usize..10) {
-        let mut win = WindowState::new(w);
-        for (t, &e) in events.iter().enumerate() {
-            win.push(ItemId(e));
-            for probe in 0u32..20 {
-                let naive = events[..=t].iter().rposition(|&x| x == probe);
-                prop_assert_eq!(win.last_seen(ItemId(probe)), naive);
-            }
+            prop_assert_eq!(win.distinct_len(), distinct);
+            prop_assert_eq!(win.eligible_candidates(omega), candidates);
         }
     }
 

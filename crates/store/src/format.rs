@@ -76,8 +76,8 @@ impl Tag {
     pub const FPIL: Tag = Tag(*b"FPIL");
     /// FPMC basket→item factors, basket-item side.
     pub const FPLI: Tag = Tag(*b"FPLI");
-    /// Stream-checkpoint per-user live windows (see `stream`).
-    pub const WNDS: Tag = Tag(*b"WNDS");
+    /// Stream-checkpoint per-user live windows' events (see `stream`).
+    pub const WEVT: Tag = Tag(*b"WEVT");
 
     /// Printable form: ASCII when clean, hex otherwise.
     pub fn name(&self) -> String {

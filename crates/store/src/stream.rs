@@ -2,17 +2,20 @@
 //!
 //! A stream checkpoint is a model file (`META`/`DIMS`/`UMAT`/`VMAT`/
 //! `AMAT`) plus `RNGS` (the per-shard negative-sampling RNG streams,
-//! `shards × 4` words) and `WNDS` — every user's live window, the part of
+//! `shards × 4` words) and `WEVT` — every user's live window, the part of
 //! the trainer's state the batch checkpoint never needed. Together they
 //! pin the *entire* deterministic state of the incremental trainer:
 //! resuming from a checkpoint and replaying the remaining stream yields a
 //! model bit-identical to the uninterrupted run, exactly as
 //! [`crate::checkpoint`] established for batch training.
 //!
-//! `WNDS` layout (u64 words): `[users]`, then per user
-//! `[t, buf_len, ls_len]`, `buf_len` item ids (the window contents,
-//! oldest first), and `ls_len` `(item, step)` pairs — the full last-seen
-//! history, sorted by item id so the encoding is canonical.
+//! `WEVT` layout (u64 words): `[users]`, then per user `[t, len]` and
+//! `len` item ids (the window contents, oldest first). A window is its
+//! capacity (the `window` metadata field), its time step and its events;
+//! the rest of a [`WindowState`] is derived from them on load. Checkpoints
+//! written before the window shed its whole-history last-seen list carry a
+//! `WNDS` section in its place and are refused as
+//! [`StoreError::Missing`], never mis-read.
 
 use crate::checkpoint::read_rng_states;
 use crate::error::{corrupt, schema, StoreError};
@@ -108,21 +111,12 @@ pub fn encode_stream_checkpoint(ck: &StreamCheckpoint) -> Vec<u8> {
         w.push_u64s(state);
     }
     w.end();
-    w.begin(Tag::WNDS);
+    w.begin(Tag::WEVT);
     w.push_u64s(&[ck.windows.len() as u64]);
     for window in &ck.windows {
-        let events: Vec<ItemId> = window.events().collect();
-        let last_seen = window.last_seen_entries();
-        w.push_u64s(&[
-            window.time() as u64,
-            events.len() as u64,
-            last_seen.len() as u64,
-        ]);
-        for item in &events {
+        w.push_u64s(&[window.time() as u64, window.len() as u64]);
+        for item in window.events() {
             w.push_u64s(&[item.0 as u64]);
-        }
-        for (item, step) in &last_seen {
-            w.push_u64s(&[item.0 as u64, *step as u64]);
         }
     }
     w.end();
@@ -172,7 +166,7 @@ pub fn decode_stream_checkpoint(file: &StoreFile) -> Result<StreamCheckpoint, St
 
     let model = read_model_sections(file)?;
     let rng_states = read_rng_states(file, shards)?;
-    let windows = decode_windows(file, model.num_users(), capacity)?;
+    let windows = decode_windows(file, &model, capacity)?;
 
     Ok(StreamCheckpoint {
         shards,
@@ -188,74 +182,56 @@ pub fn decode_stream_checkpoint(file: &StoreFile) -> Result<StreamCheckpoint, St
     })
 }
 
+/// Every count the section declares is compared with the words that are
+/// left before anything is sliced or sized by it, and every item id with
+/// the model the windows will index.
 fn decode_windows(
     file: &StoreFile,
-    users: usize,
+    model: &TsPprModel,
     capacity: usize,
 ) -> Result<Vec<WindowState>, StoreError> {
-    let bad = |msg: String| corrupt(Tag::WNDS.name(), msg);
-    let words = file.u64_section(Tag::WNDS)?;
-    let mut at = 0usize;
-    let mut next = |n: usize| -> Result<&[u64], StoreError> {
-        let slice = words
-            .get(at..at + n)
-            .ok_or_else(|| bad("window section truncated".to_string()))?;
-        at += n;
-        Ok(slice)
-    };
-    let declared = next(1)?[0] as usize;
-    if declared != users {
+    let bad = |msg: String| corrupt(Tag::WEVT.name(), msg);
+    let truncated = || bad("window section truncated".to_string());
+    let users = model.num_users();
+    // An `ItemId` is 32 bits: no window indexes a model past that.
+    let items = (model.num_items() as u64).min(u64::from(u32::MAX) + 1);
+    let (&declared, mut rest) = file
+        .u64_section(Tag::WEVT)?
+        .split_first()
+        .ok_or_else(truncated)?;
+    if declared != users as u64 {
         return Err(bad(format!(
             "checkpoint covers {declared} users, model has {users}"
         )));
     }
-    if capacity == 0 && users > 0 {
-        return Err(bad("zero window capacity".to_string()));
-    }
     let mut windows = Vec::with_capacity(users);
     for user in 0..users {
-        let header = next(3)?;
-        let (t, buf_len, ls_len) = (header[0] as usize, header[1] as usize, header[2] as usize);
-        if buf_len > capacity || t < buf_len {
+        let [t, len, tail @ ..] = rest else {
+            return Err(truncated());
+        };
+        let len = usize::try_from(*len)
+            .ok()
+            .filter(|&len| len <= tail.len())
+            .ok_or_else(truncated)?;
+        let (ids, after) = tail.split_at(len);
+        if let Some(id) = ids.iter().find(|&&id| id >= items) {
             return Err(bad(format!(
-                "user {user}: {buf_len} events in a capacity-{capacity} window at time {t}"
+                "user {user}: item id {id} outside the model's {items} items"
             )));
         }
-        let events: Vec<ItemId> = next(buf_len)?
-            .iter()
-            .map(|&w| {
-                u32::try_from(w)
-                    .map(ItemId)
-                    .map_err(|_| bad(format!("user {user}: item id {w} overflows u32")))
-            })
-            .collect::<Result<_, _>>()?;
-        let pairs = next(ls_len * 2)?;
-        let mut last_seen = Vec::with_capacity(ls_len);
-        let mut prev: Option<u64> = None;
-        for pair in pairs.chunks_exact(2) {
-            let (item, step) = (pair[0], pair[1] as usize);
-            if prev.is_some_and(|p| item <= p) {
-                return Err(bad(format!(
-                    "user {user}: last-seen entries not strictly sorted by item"
-                )));
-            }
-            if step >= t {
-                return Err(bad(format!(
-                    "user {user}: last-seen step {step} not before time {t}"
-                )));
-            }
-            prev = Some(item);
-            let item = u32::try_from(item)
-                .map(ItemId)
-                .map_err(|_| bad(format!("user {user}: item id {item} overflows u32")))?;
-            last_seen.push((item, step));
-        }
-        windows.push(WindowState::from_parts(capacity, t, &events, &last_seen));
+        let t = usize::try_from(*t)
+            .map_err(|_| bad(format!("user {user}: time step {t} overflows usize")))?;
+        let events = ids.iter().map(|&id| ItemId(id as u32));
+        windows.push(
+            WindowState::from_events(capacity, t, events)
+                .map_err(|why| bad(format!("user {user}: {why}")))?,
+        );
+        rest = after;
     }
-    if at != words.len() {
+    if !rest.is_empty() {
         return Err(bad(format!(
             "{} trailing words after the last window",
-            words.len() - at
+            rest.len()
         )));
     }
     Ok(windows)
@@ -309,16 +285,7 @@ mod tests {
         assert_eq!(back.rng_states, ck.rng_states);
         assert_eq!(back.model, ck.model);
         assert_eq!(back.fingerprint, ck.fingerprint);
-        assert_eq!(back.windows.len(), ck.windows.len());
-        for (a, b) in back.windows.iter().zip(&ck.windows) {
-            assert_eq!(a.time(), b.time());
-            assert_eq!(a.capacity(), b.capacity());
-            assert_eq!(
-                a.events().collect::<Vec<_>>(),
-                b.events().collect::<Vec<_>>()
-            );
-            assert_eq!(a.last_seen_entries(), b.last_seen_entries());
-        }
+        assert_eq!(back.windows, ck.windows);
     }
 
     #[test]
@@ -335,38 +302,27 @@ mod tests {
         let bytes = encode_stream_checkpoint(&ck);
         let err = decode_stream_checkpoint(&StoreFile::from_bytes(&bytes).unwrap()).unwrap_err();
         assert!(
-            matches!(err, StoreError::Corrupt { ref section, .. } if section == "WNDS"),
+            matches!(err, StoreError::Corrupt { ref section, .. } if section == "WEVT"),
             "{err}"
         );
     }
 
     #[test]
     fn truncated_window_section_is_rejected() {
-        // Rebuild the container with one word shaved off WNDS: every other
+        // Rebuild the container with one word shaved off WEVT: every other
         // section is intact, so the failure must come from window parsing.
-        let ck = checkpoint();
-        let clean = encode_stream_checkpoint(&ck);
+        let clean = encode_stream_checkpoint(&checkpoint());
         let file = StoreFile::from_bytes(&clean).unwrap();
-        let words = file.u64_section(Tag::WNDS).unwrap();
-        assert!(words.len() > 4);
         let mut writer = Writer::new();
-        for tag in [
-            Tag::META,
-            Tag::DIMS,
-            Tag::UMAT,
-            Tag::VMAT,
-            Tag::AMAT,
-            Tag::RNGS,
-        ] {
-            writer.section(tag, file.section(tag).unwrap());
+        for tag in file.tags() {
+            let payload = file.section(tag).unwrap();
+            let kept = payload.len() - if tag == Tag::WEVT { 8 } else { 0 };
+            writer.section(tag, &payload[..kept]);
         }
-        writer.begin(Tag::WNDS);
-        writer.push_u64s(&words[..words.len() - 1]);
-        writer.end();
         let err = decode_stream_checkpoint(&StoreFile::from_bytes(&writer.finish()).unwrap())
             .unwrap_err();
         assert!(
-            matches!(err, StoreError::Corrupt { ref section, .. } if section == "WNDS"),
+            matches!(err, StoreError::Corrupt { ref section, .. } if section == "WEVT"),
             "{err}"
         );
     }

@@ -1,16 +1,20 @@
 //! Corruption-injection tests over *real* artifacts: a trained-model file
 //! and a checkpoint file, each attacked by flipping one byte inside every
-//! section's payload region and by truncation at every section boundary.
-//! Every attack must surface as a typed [`StoreError`] — the load paths
-//! must never hand back parameters built from damaged bytes.
+//! section's payload region and by truncation at every section boundary,
+//! and a stream checkpoint whose window section is rewritten under a valid
+//! checksum. Every attack must surface as a typed [`StoreError`] — the
+//! load paths must never hand back parameters built from damaged bytes.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rrc_core::{ConvergencePoint, TrainCheckpoint, TrainMode, TsPprModel};
+use rrc_sequence::{ItemId, WindowState};
 use rrc_store::checkpoint::{decode_checkpoint, encode_checkpoint};
+use rrc_store::format::Writer;
 use rrc_store::format::{StoreFile, Tag};
 use rrc_store::model::{encode_model, load_model, ModelView};
-use rrc_store::StoreError;
+use rrc_store::stream::decode_stream_checkpoint;
+use rrc_store::{encode_stream_checkpoint, StoreError, StreamCheckpoint};
 use std::time::Duration;
 
 fn model() -> TsPprModel {
@@ -162,4 +166,93 @@ fn wrong_magic_and_version_are_distinct_errors() {
         StoreFile::from_bytes(&bad_version).unwrap_err(),
         StoreError::UnsupportedVersion(0x7F)
     ));
+}
+
+/// Three users over a 4-item model: windows of 1, 4 and 5 (full) events.
+fn stream_checkpoint() -> StreamCheckpoint {
+    let ids: Vec<ItemId> = (0..7).map(|i| ItemId(i % 4)).collect();
+    StreamCheckpoint {
+        shards: 1,
+        events_processed: 12,
+        events_trained: 3,
+        updates: 9,
+        publishes: 0,
+        preq: Default::default(),
+        rng_states: vec![[1, 2, 3, 4]],
+        model: TsPprModel::init(&mut StdRng::seed_from_u64(3), 3, 4, 2, 2, 0.1, 0.1),
+        windows: [1, 4, 7].map(|n| WindowState::warmed(5, &ids[..n])).into(),
+        fingerprint: 7,
+    }
+}
+
+/// Decode the stream checkpoint with its window section's words edited and
+/// written back under `tag` with a fresh checksum: damage no CRC catches.
+/// The words are `[users]`, then per user `[t, len]` and its events: user
+/// 0's one event is word 3, user 1's `[t, len]` words 4 and 5.
+fn with_window_words(tag: Tag, edit: impl Fn(&mut Vec<u64>)) -> Result<(), StoreError> {
+    let clean = encode_stream_checkpoint(&stream_checkpoint());
+    let file = StoreFile::from_bytes(&clean).unwrap();
+    let mut writer = Writer::new();
+    for section in file.tags() {
+        if section == Tag::WEVT {
+            let mut words = file.u64_section(section).unwrap().to_vec();
+            edit(&mut words);
+            writer.u64_section(tag, &words);
+        } else {
+            writer.section(section, file.section(section).unwrap());
+        }
+    }
+    decode_stream_checkpoint(&StoreFile::from_bytes(&writer.finish()).unwrap()).map(|_| ())
+}
+
+/// `Corrupt`, blamed on the window section, with `about` in the detail.
+fn corrupt_windows(err: &StoreError, about: &str) -> bool {
+    matches!(err, StoreError::Corrupt { section, detail }
+        if section == "WEVT" && detail.contains(about))
+}
+
+#[test]
+fn a_window_item_outside_the_model_is_rejected_at_decode() {
+    with_window_words(Tag::WEVT, |_| {}).expect("the unedited section decodes");
+    let err = with_window_words(Tag::WEVT, |words| words[3] = 9_999).unwrap_err();
+    assert!(corrupt_windows(&err, "user 0: item id 9999"), "{err}");
+    // The last event of the last user, and the first id past the model.
+    let err = with_window_words(Tag::WEVT, |words| *words.last_mut().unwrap() = 4).unwrap_err();
+    assert!(corrupt_windows(&err, "user 2: item id 4"), "{err}");
+}
+
+#[test]
+fn absurd_window_counts_are_corruption_not_arithmetic() {
+    // `users`, user 0's `len`, user 1's `len`.
+    for at in [0, 2, 5] {
+        for count in [u64::MAX, 1 << 63, u64::MAX / 2, 6] {
+            let err = with_window_words(Tag::WEVT, |words| words[at] = count).unwrap_err();
+            assert!(corrupt_windows(&err, ""), "word {at} = {count}: {err}");
+        }
+    }
+    // A time step before the window's own events is the window's to refuse.
+    let err = with_window_words(Tag::WEVT, |words| words[4] = 2).unwrap_err();
+    assert!(corrupt_windows(&err, "user 1: time step precedes"), "{err}");
+}
+
+#[test]
+fn a_checkpoint_with_the_former_window_section_is_refused_as_missing() {
+    // What the previous layout wrote: `WNDS`, per user `[t, len, history]`,
+    // the events, then `history` (item, step) pairs.
+    let former = |words: &mut Vec<u64>| {
+        let mut out = vec![words[0]];
+        let mut rest = &words[1..];
+        while let [t, len, tail @ ..] = rest {
+            let (events, after) = tail.split_at(*len as usize);
+            out.extend([*t, *len, 0]);
+            out.extend(events);
+            rest = after;
+        }
+        *words = out;
+    };
+    let err = with_window_words(Tag(*b"WNDS"), former).unwrap_err();
+    assert!(
+        matches!(err, StoreError::Missing { ref section } if section == "WEVT"),
+        "{err}"
+    );
 }

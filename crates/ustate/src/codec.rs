@@ -10,15 +10,19 @@
 //!     12     4  flags (bit 0: factors present)
 //!     16     8  window time step `t` (u64)
 //!     24     4  window event count (u32)
-//!     28     4  last-seen entry count (u32)
+//!     28     4  reserved, must be zero
 //!     32     4  latent dimension K (u32; 0 when no factors)
 //!     36     4  feature dimension F (u32; 0 when no factors)
 //!     40     …  window events, oldest→newest (u32 each), zero-pad to 8
-//!      …     …  last-seen item ids, sorted (u32 each), zero-pad to 8
-//!      …     …  last-seen steps, same order (u64 each)
 //!      …     …  factors when flagged: cur_u, base_u (K f64s each),
 //!               then cur_a, base_a (K·F f64s each, row-major)
 //! ```
+//!
+//! The window is its capacity, its time step and its events: every other
+//! part of a [`WindowState`] is derived from those, so a record of a user
+//! without factors is 40 bytes and 4 per window event, however long the
+//! user's history. Spill files are deleted when an engine starts, so no
+//! record written under an earlier layout is ever read.
 //!
 //! Factors are stored as **absolute** current *and* base rows (not the
 //! delta): a same-version reload restores them verbatim — bit-identical to
@@ -72,13 +76,10 @@ fn bad(detail: impl Into<String>) -> StoreError {
     }
 }
 
-/// Buffers the codec fills on every record and a caller keeps between
-/// records, so neither direction allocates for its intermediate lists.
+/// The base rows of the last record decoded with factors, in buffers a
+/// caller keeps between records.
 #[derive(Debug, Default)]
 pub(crate) struct CodecScratch {
-    events: Vec<ItemId>,
-    last_seen: Vec<(ItemId, usize)>,
-    /// The base rows of the last record decoded with factors.
     pub(crate) base_u: Vec<f64>,
     pub(crate) base_a: Vec<f64>,
 }
@@ -90,7 +91,6 @@ pub fn encode_record(version: u64, window: &WindowState, factors: Option<&UserFa
     let mut out = Vec::new();
     encode_record_into(
         &mut out,
-        &mut CodecScratch::default(),
         version,
         window,
         factors.map(|cur| FactorRows {
@@ -107,45 +107,29 @@ pub fn encode_record(version: u64, window: &WindowState, factors: Option<&UserFa
 /// `out` already holds.
 pub(crate) fn encode_record_into(
     out: &mut Vec<u8>,
-    scratch: &mut CodecScratch,
     version: u64,
     window: &WindowState,
     factors: Option<FactorRows<'_>>,
 ) {
-    let last_seen = &mut scratch.last_seen;
-    window.last_seen_entries_into(last_seen);
     let (k, f) = factors.map_or((0usize, 0usize), |fx| {
         let k = fx.cur.cur_u.len();
         (k, fx.cur.cur_a.as_slice().len() / k)
     });
     let start = out.len();
-    out.reserve(
-        FIXED_LEN
-            + (4 * window.len()).next_multiple_of(8)
-            + (4 * last_seen.len()).next_multiple_of(8)
-            + 8 * last_seen.len()
-            + 16 * (k + k * f),
-    );
+    out.reserve(FIXED_LEN + (4 * window.len()).next_multiple_of(8) + 16 * (k + k * f));
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&(window.capacity() as u32).to_le_bytes());
     let flags = if factors.is_some() { FLAG_FACTORS } else { 0 };
     out.extend_from_slice(&flags.to_le_bytes());
     out.extend_from_slice(&(window.time() as u64).to_le_bytes());
     out.extend_from_slice(&(window.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(last_seen.len() as u32).to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes());
     out.extend_from_slice(&(k as u32).to_le_bytes());
     out.extend_from_slice(&(f as u32).to_le_bytes());
     for item in window.events() {
         out.extend_from_slice(&item.0.to_le_bytes());
     }
     pad8(out, start);
-    for (item, _) in last_seen.iter() {
-        out.extend_from_slice(&item.0.to_le_bytes());
-    }
-    pad8(out, start);
-    for (_, step) in last_seen.iter() {
-        out.extend_from_slice(&(*step as u64).to_le_bytes());
-    }
     if let Some(fx) = factors {
         debug_assert_eq!(
             (fx.base_u.len(), fx.base_a.len()),
@@ -197,42 +181,15 @@ pub(crate) fn decode_record_with(
     }
     let t = r.u64()? as usize;
     let buf_len = r.u32()? as usize;
-    let ls_len = r.u32()? as usize;
+    if r.u32()? != 0 {
+        return Err(bad("nonzero reserved word"));
+    }
     let k = r.u32()? as usize;
     let f = r.u32()? as usize;
-    if capacity == 0 {
-        return Err(bad("zero window capacity"));
-    }
-    if buf_len > capacity {
-        return Err(bad("more window events than capacity"));
-    }
-    if t < buf_len {
-        return Err(bad("time step precedes window contents"));
-    }
-    // The lists are sized only once the bytes they are read from are known
-    // to be there, never by a declared count alone.
-    let events = &mut scratch.events;
-    events.clear();
-    events.extend(r.u32s(buf_len)?.map(ItemId));
+    // Bounds-checked here; the window is built from them last, once the
+    // rest of the record is known to be sound.
+    let events = r.array(buf_len)?.map(|id| ItemId(u32::from_le_bytes(id)));
     r.pad8()?;
-    let items = r.u32s(ls_len)?;
-    r.pad8()?;
-    let steps = r.u64s(ls_len)?;
-    let last_seen = &mut scratch.last_seen;
-    last_seen.clear();
-    last_seen.reserve(ls_len);
-    for (item, step) in items.map(ItemId).zip(steps) {
-        let step = step as usize;
-        if step >= t {
-            return Err(bad("last-seen step at or past the current time"));
-        }
-        if let Some(&(prev, _)) = last_seen.last() {
-            if item <= prev {
-                return Err(bad("last-seen items not strictly sorted"));
-            }
-        }
-        last_seen.push((item, step));
-    }
     let factors = if flags & FLAG_FACTORS != 0 {
         if k != expect_k || f != expect_f {
             return Err(bad(format!(
@@ -253,7 +210,7 @@ pub(crate) fn decode_record_with(
     if r.off != data.len() {
         return Err(bad("trailing bytes after record"));
     }
-    let window = WindowState::from_parts(capacity, t, events, last_seen);
+    let window = WindowState::from_events(capacity, t, events).map_err(bad)?;
     Ok(SpillRecord {
         version,
         window,
@@ -282,7 +239,7 @@ impl<'a> Reader<'a> {
     fn array<const N: usize>(
         &mut self,
         n: usize,
-    ) -> Result<impl Iterator<Item = [u8; N]> + 'a, StoreError> {
+    ) -> Result<impl ExactSizeIterator<Item = [u8; N]> + 'a, StoreError> {
         let len = n.checked_mul(N).ok_or_else(|| bad("truncated record"))?;
         Ok(self
             .take(len)?
@@ -296,14 +253,6 @@ impl<'a> Reader<'a> {
 
     fn u64(&mut self) -> Result<u64, StoreError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn u32s(&mut self, n: usize) -> Result<impl Iterator<Item = u32> + 'a, StoreError> {
-        Ok(self.array(n)?.map(u32::from_le_bytes))
-    }
-
-    fn u64s(&mut self, n: usize) -> Result<impl Iterator<Item = u64> + 'a, StoreError> {
-        Ok(self.array(n)?.map(u64::from_le_bytes))
     }
 
     fn f64s(&mut self, n: usize) -> Result<impl Iterator<Item = f64> + 'a, StoreError> {
@@ -341,7 +290,6 @@ mod tests {
     /// `UserFactors`, its base rows as the snapshot rows the tier passes.
     fn encode_pair(
         out: &mut Vec<u8>,
-        scratch: &mut CodecScratch,
         version: u64,
         window: &WindowState,
         factors: Option<&RefFactors>,
@@ -352,7 +300,7 @@ mod tests {
             base_u: &fx.base_u,
             base_a: fx.base_a.as_slice(),
         });
-        encode_record_into(out, scratch, version, window, rows);
+        encode_record_into(out, version, window, rows);
     }
 
     proptest! {
@@ -379,7 +327,7 @@ mod tests {
             let other = encode_record(1, &sample_window(), None);
             decode_record_with(&other, 1, 1, &mut scratch).unwrap();
             let mut out = prefix.clone();
-            encode_pair(&mut out, &mut scratch, version, &window, factors.as_ref());
+            encode_pair(&mut out, version, &window, factors.as_ref());
             prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
             prop_assert_eq!(&out[prefix.len()..], &expected[..]);
             // Stand-alone, the base rows are the current ones.
@@ -393,7 +341,6 @@ mod tests {
             let rec = decode_record_with(&out[prefix.len()..], k, f, &mut scratch).unwrap();
             prop_assert_eq!(rec.version, version);
             prop_assert_eq!(&rec.window, &window);
-            prop_assert_eq!(rec.window.last_seen_entries(), window.last_seen_entries());
             prop_assert_eq!(&rec.factors, &current);
             if let Some(fx) = &factors {
                 prop_assert_eq!(bits(&scratch.base_u), bits(&fx.base_u));
@@ -426,7 +373,7 @@ mod tests {
     /// A record with `fx`'s current and base rows.
     fn encode_sample(version: u64, w: &WindowState, fx: &RefFactors) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_pair(&mut out, &mut CodecScratch::default(), version, w, Some(fx));
+        encode_pair(&mut out, version, w, Some(fx));
         out
     }
 
@@ -437,12 +384,19 @@ mod tests {
         let rec = decode_record(&bytes, 8, 4).unwrap();
         assert_eq!(rec.version, 3);
         assert!(rec.factors.is_none());
-        assert_eq!(rec.window.time(), w.time());
-        assert_eq!(
-            rec.window.events().collect::<Vec<_>>(),
-            w.events().collect::<Vec<_>>()
-        );
-        assert_eq!(rec.window.last_seen_entries(), w.last_seen_entries());
+        assert_eq!(rec.window, w);
+        // The header and the events, whatever came before the window.
+        assert_eq!(bytes.len(), 40 + (4 * w.len()).next_multiple_of(8));
+    }
+
+    #[test]
+    fn a_nonzero_reserved_word_is_corrupt() {
+        let mut bytes = encode_record(3, &sample_window(), None);
+        bytes[28] = 1;
+        assert!(matches!(
+            decode_record(&bytes, 8, 4),
+            Err(StoreError::Corrupt { section, .. }) if section == "USEG"
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! The parent's two-copy factor rows and record encoder, frozen: what the
-//! single-copy [`UserFactors`](crate::UserFactors), the tier's diffs and
-//! rebases against its snapshot, and the in-place codec must reproduce
-//! bit for bit.
+//! Two-copy factor rows and a record encoder that builds every part in a
+//! vector of its own: what the single-copy
+//! [`UserFactors`](crate::UserFactors), the tier's diffs and rebases
+//! against its snapshot, and the in-place codec must reproduce bit for bit.
 
 use crate::entry::UserFactors;
 use rrc_linalg::DMatrix;
@@ -65,8 +65,8 @@ impl RefFactors {
     }
 }
 
-/// `encode_record` as it stood when it built every list and the record in
-/// vectors of its own: the bytes a spill record must have.
+/// The bytes a spill record must have, written out field by field from
+/// the layout table in [`codec`](crate::codec).
 pub(crate) fn reference_encode(
     version: u64,
     window: &WindowState,
@@ -77,7 +77,6 @@ pub(crate) fn reference_encode(
         out.extend(std::iter::repeat_n(0u8, pad));
     }
     let events: Vec<ItemId> = window.events().collect();
-    let last_seen = window.last_seen_entries();
     let (k, f) = factors.map_or((0usize, 0usize), |fx| {
         (fx.cur_u.len(), fx.cur_a.as_slice().len() / fx.cur_u.len())
     });
@@ -88,20 +87,13 @@ pub(crate) fn reference_encode(
     out.extend_from_slice(&flags.to_le_bytes());
     out.extend_from_slice(&(window.time() as u64).to_le_bytes());
     out.extend_from_slice(&(events.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(last_seen.len() as u32).to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes());
     out.extend_from_slice(&(k as u32).to_le_bytes());
     out.extend_from_slice(&(f as u32).to_le_bytes());
     for item in &events {
         out.extend_from_slice(&item.0.to_le_bytes());
     }
     pad8(&mut out);
-    for (item, _) in &last_seen {
-        out.extend_from_slice(&item.0.to_le_bytes());
-    }
-    pad8(&mut out);
-    for (_, step) in &last_seen {
-        out.extend_from_slice(&(*step as u64).to_le_bytes());
-    }
     if let Some(fx) = factors {
         for row in [&fx.cur_u, &fx.base_u] {
             for x in row {

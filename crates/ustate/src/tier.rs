@@ -127,7 +127,7 @@ pub struct UserStateTier {
     window_capacity: usize,
     resident_bytes: usize,
     delta: TierDelta,
-    /// The codec's intermediate lists, reused by every spill and reload.
+    /// Where a decoded record's base rows go, reused by every reload.
     scratch: CodecScratch,
 }
 
@@ -467,7 +467,6 @@ impl UserStateTier {
             .expect("bounded tier always has a segment");
         let _prof = rrc_obs::ProfGuard::enter("spill");
         let t0 = Instant::now();
-        let (version, scratch) = (self.version, &mut self.scratch);
         // A resident row's base is the snapshot's row; the record carries
         // it for the reload that finds a newer snapshot.
         let factors = entry.factors.as_ref().map(|cur| FactorRows {
@@ -476,7 +475,7 @@ impl UserStateTier {
             base_a: self.base.transform(UserId(victim)).as_slice(),
         });
         seg.append_with(victim, |out| {
-            encode_record_into(out, scratch, version, &entry.window, factors)
+            encode_record_into(out, self.version, &entry.window, factors)
         })?;
         self.delta.spill_ns.push(t0.elapsed().as_nanos() as u64);
         self.delta.evictions += 1;

@@ -58,8 +58,8 @@ fn fixture() -> (Arc<TsPprModel>, FeaturePipeline, TrainStats, OnlineConfig) {
 /// Replay `ops` through a tier, returning a complete bitwise fingerprint:
 /// per-event recommendations, final windows, harvested deltas, and the
 /// item-side store.
-/// (user, len, events, last-seen entries) — one exported window.
-type WindowDump = (u32, usize, Vec<u32>, Vec<(u32, usize)>);
+/// (user, time, events) — one exported window, all that determines it.
+type WindowDump = (u32, usize, Vec<u32>);
 
 struct RunOutcome {
     recs: Vec<Vec<u32>>,
@@ -118,17 +118,7 @@ fn run(ops: &[(u32, u32)], budget: Option<usize>, learn: bool, spill_name: &str)
         .export_windows()
         .unwrap()
         .into_iter()
-        .map(|(id, w)| {
-            (
-                id,
-                w.time(),
-                w.events().map(|i| i.0).collect(),
-                w.last_seen_entries()
-                    .into_iter()
-                    .map(|(i, s)| (i.0, s))
-                    .collect(),
-            )
-        })
+        .map(|(id, w)| (id, w.time(), w.events().map(|i| i.0).collect()))
         .collect();
     let (users, transforms) = tier.harvest().unwrap();
     let bits = |rows: Vec<(u32, Vec<f64>)>| {

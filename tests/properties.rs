@@ -112,3 +112,41 @@ proptest! {
         }
     }
 }
+
+/// A user's state is its last |W| events, in memory and in both files that
+/// carry it: after 100 000 distinct items none of the three is larger than
+/// it was when the window first filled.
+#[test]
+fn window_is_bounded_by_its_capacity() {
+    use rand::{rngs::StdRng, SeedableRng};
+    use repeat_rec::store::{encode_stream_checkpoint, StoreFile, StreamCheckpoint, Tag};
+
+    const W: u32 = 30;
+    let model = TsPprModel::init(&mut StdRng::seed_from_u64(1), 1, 1, 1, 1, 0.1, 0.1);
+    let sizes = |window: &WindowState| {
+        let checkpoint = encode_stream_checkpoint(&StreamCheckpoint {
+            shards: 1,
+            events_processed: 0,
+            events_trained: 0,
+            updates: 0,
+            publishes: 0,
+            preq: Default::default(),
+            rng_states: vec![[0; 4]],
+            model: model.clone(),
+            windows: vec![window.clone()],
+            fingerprint: 0,
+        });
+        let section = StoreFile::from_bytes(&checkpoint).unwrap();
+        (
+            window.approx_bytes(),
+            rrc_ustate::encode_record(0, window, None).len(),
+            section.section(Tag::WEVT).unwrap().len(),
+        )
+    };
+    let mut window = WindowState::new(W as usize);
+    (0..W).for_each(|item| window.push(ItemId(item)));
+    let full = sizes(&window);
+    (W..100_000).for_each(|item| window.push(ItemId(item)));
+    assert_eq!(sizes(&window), full);
+    assert_eq!(full.1, 40 + 4 * W as usize);
+}
