@@ -2,7 +2,7 @@
 //! removed.
 
 use crate::setup::{prepare, RunOptions};
-use crate::zoo::{build_training_set_with_pipeline_seed, clone_pipeline, tsppr_config};
+use crate::zoo::{build_training_set_with_pipeline_seed, tsppr_config};
 use rrc_core::{TsPprRecommender, TsPprTrainer};
 use rrc_datagen::DatasetKind;
 use rrc_eval::{evaluate_multi_parallel, format_table, EvalConfig};
@@ -44,7 +44,7 @@ pub fn run(opts: &RunOptions) -> String {
                 let training = build_training_set_with_pipeline_seed(&exp, opts, &pipeline, rep);
                 let config = tsppr_config(&exp, opts).with_seed(opts.seed ^ 0x75 ^ rep);
                 let (model, _) = TsPprTrainer::new(config).train(&training);
-                let rec = TsPprRecommender::new(model, clone_pipeline(&pipeline));
+                let rec = TsPprRecommender::new(model, pipeline.clone());
                 let results = evaluate_multi_parallel(
                     &rec,
                     &exp.split,

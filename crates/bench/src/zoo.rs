@@ -157,7 +157,7 @@ pub fn train_tsppr(
     opts: &RunOptions,
     pipeline: &FeaturePipeline,
 ) -> (TsPprRecommender, TrainReport) {
-    let serving = clone_pipeline(pipeline);
+    let serving = pipeline.clone();
 
     if let Some(model) = load_stored_model(exp, opts) {
         let report = TrainReport {
@@ -277,16 +277,4 @@ pub fn train_tsppr_model(
     }
 
     (model, report)
-}
-
-/// Rebuild a pipeline consisting of standard features (by name).
-pub fn clone_pipeline(pipeline: &FeaturePipeline) -> FeaturePipeline {
-    let mut p = FeaturePipeline::standard();
-    for name in ["IP", "IR", "RE", "DF"] {
-        if !pipeline.names().contains(&name) {
-            p = p.without(name);
-        }
-    }
-    assert_eq!(p.names(), pipeline.names(), "non-standard pipeline");
-    p
 }

@@ -59,7 +59,9 @@ pub mod train;
 pub use checkpoint::{CheckpointOptions, TrainCheckpoint};
 pub use config::TsPprConfig;
 pub use model::TsPprModel;
-pub use online::{observe_single, online_step_single, recommend_single, OnlineConfig, OnlineTsPpr};
+pub use online::{
+    observe_single, online_step_single, recommend_into, recommend_single, OnlineConfig, OnlineTsPpr,
+};
 pub use parallel::{shard_for, ParallelConfig, ParallelTrainer, TrainMode};
 pub use params::ModelParams;
 pub use ppr::{PprConfig, PprModel, PprRecommender, PprTrainer};

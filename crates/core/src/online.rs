@@ -13,6 +13,7 @@ use crate::scratch::{with_scratch, Scratch};
 use crate::train::{sgd_step, SgdConsts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rrc_features::recommend::top_n_into;
 use rrc_features::{FeatureContext, FeaturePipeline, Quadruple, TrainStats};
 use rrc_sequence::{classify, ConsumptionKind, Dataset, ItemId, UserId, WindowState};
 
@@ -58,12 +59,8 @@ impl Default for OnlineConfig {
 /// ([`TsPprRecommender`](crate::TsPprRecommender)) share exactly this code
 /// path.
 ///
-/// Eq. 5 is evaluated regrouped (see [`crate::params`]): `u`, `A_u` and
-/// the fold `A_uᵀu` are fetched and computed once per request, each
-/// candidate then costs one item-row fetch and `K + F` multiply-adds, and
-/// every score has the bits [`ModelParams::score`] gives that candidate.
-/// The buffers are the calling thread's (see `scratch`), so the returned
-/// list is the only allocation.
+/// The `Vec`-returning form of [`recommend_into`]: the returned list is
+/// its only allocation.
 pub fn recommend_single<M: ModelParams + ?Sized>(
     model: &M,
     pipeline: &FeaturePipeline,
@@ -73,27 +70,58 @@ pub fn recommend_single<M: ModelParams + ?Sized>(
     window: &WindowState,
     n: usize,
 ) -> Vec<ItemId> {
+    let mut out = Vec::new();
+    recommend_into(model, pipeline, stats, omega, user, window, n, &mut out);
+    out
+}
+
+/// [`recommend_single`] into a list the caller reuses (cleared first).
+///
+/// One pass over the window's eligible rows, in the window's own order:
+/// each row gives its candidate and the inputs of every standard feature
+/// ([`FeaturePipeline::extract_row`]), so no candidate list is built and
+/// no item is looked up twice. Eq. 5 is evaluated regrouped (see
+/// [`crate::params`]): `u`, `A_u` and the fold `A_uᵀu` are fetched and
+/// computed once per request, each candidate then costs one item-row
+/// fetch and `K + F` multiply-adds, and every score has the bits
+/// [`ModelParams::score`] gives that candidate. Nothing is sorted but the
+/// `n` best: [`top_n_into`]'s order is total, so the order candidates are
+/// scored in cannot change the list. The buffers are the calling thread's
+/// (see `scratch`), so once `out` has held `n` items this allocates
+/// nothing.
+#[allow(clippy::too_many_arguments)]
+pub fn recommend_into<M: ModelParams + ?Sized>(
+    model: &M,
+    pipeline: &FeaturePipeline,
+    stats: &TrainStats,
+    omega: usize,
+    user: UserId,
+    window: &WindowState,
+    n: usize,
+    out: &mut Vec<ItemId>,
+) {
+    out.clear();
+    let mut rows = window.eligible_rows(omega).peekable();
+    if rows.peek().is_none() {
+        return;
+    }
     with_scratch(|s| {
         let Scratch {
-            candidates,
-            fbuf,
-            w,
-            scored,
-            ..
+            fbuf, w, scored, ..
         } = s;
-        window.eligible_candidates_into(omega, candidates);
-        if candidates.is_empty() {
-            return Vec::new();
-        }
         let fctx = FeatureContext { window, stats };
         let u = model.user_factor(user);
         fold_transform(u, model.transform(user), w);
+        fbuf.resize(pipeline.len(), 0.0);
         scored.clear();
-        for &v in candidates.iter() {
-            pipeline.extract_into(&fctx, v, fbuf);
-            scored.push((score_folded(u, model.item_factor(v), w, fbuf), v));
+        for row in rows {
+            pipeline.extract_row(&fctx, &row, fbuf);
+            scored.push((
+                score_folded(u, model.item_factor(row.item), w, fbuf),
+                row.item,
+            ));
         }
-        rrc_features::recommend::top_n(scored, n)
+        top_n_into(scored, n, out);
     })
 }
 
@@ -144,40 +172,44 @@ pub fn online_step_single<M: ModelParams + ?Sized>(
 ) -> u64 {
     with_scratch(|s| {
         let Scratch {
-            candidates,
-            fbuf,
+            rows,
             features,
             sgd,
             ..
         } = s;
-        // Sample negatives from the current eligible candidates.
-        window.eligible_candidates_into(cfg.omega, candidates);
-        candidates.retain(|&v| v != pos);
-        if candidates.is_empty() {
+        // Sample negatives from the current eligible candidates, in id
+        // order: the draws below pick by position in it.
+        rows.clear();
+        rows.extend(
+            window
+                .eligible_rows(cfg.omega)
+                .filter(|row| row.item != pos),
+        );
+        if rows.is_empty() {
             return 0;
         }
+        rows.sort_unstable_by_key(|row| row.item);
         // Feature rows: the positive's, then one per sampled negative.
         let fctx = FeatureContext { window, stats };
-        pipeline.extract_into(&fctx, pos, fbuf);
+        let f_dim = pipeline.len();
+        let negatives = cfg.negatives_per_event.min(rows.len());
         features.clear();
-        features.extend_from_slice(fbuf);
-        let negatives = cfg.negatives_per_event.min(candidates.len());
+        features.resize((1 + negatives) * f_dim, 0.0);
+        let (f_pos, f_negs) = features.split_at_mut(f_dim);
+        pipeline.extract_row(&fctx, &window.row(pos), f_pos);
         for k in 0..negatives {
-            let j = rng.gen_range(k..candidates.len());
-            candidates.swap(k, j);
-            pipeline.extract_into(&fctx, candidates[k], fbuf);
-            features.extend_from_slice(fbuf);
+            let j = rng.gen_range(k..rows.len());
+            rows.swap(k, j);
+            pipeline.extract_row(&fctx, &rows[k], &mut f_negs[k * f_dim..(k + 1) * f_dim]);
         }
 
         let consts = SgdConsts::for_online(cfg, model.k());
         let t = window.time();
-        let f_dim = pipeline.len();
-        let (f_pos, f_negs) = features.split_at(f_dim);
-        for (k, &neg) in candidates[..negatives].iter().enumerate() {
+        for (k, neg) in rows[..negatives].iter().enumerate() {
             let q = Quadruple {
                 user,
                 pos,
-                neg,
+                neg: neg.item,
                 t,
                 f_pos,
                 f_neg: &f_negs[k * f_dim..(k + 1) * f_dim],

@@ -1,20 +1,20 @@
 //! The buffers one request borrows, kept per thread.
 //!
-//! A recommend needs a candidate list, one feature vector, the fold
-//! `A_uᵀu` and a scored list; an online step needs the candidate list, a
-//! feature row per sampled item and the SGD temporaries. All of them are
-//! as large as the last request made them, so a thread that serves
-//! requests (a shard, the stream trainer, an evaluation walk) stops
-//! allocating for them after its first few.
+//! A recommend needs one feature vector, the fold `A_uᵀu` and a scored
+//! list; an online step needs the candidate rows, a feature row per
+//! sampled item and the SGD temporaries. All of them are as large as the
+//! last request made them, so a thread that serves requests (a shard, the
+//! stream trainer, an evaluation walk) stops allocating for them after its
+//! first few.
 
 use crate::train::SgdScratch;
-use rrc_sequence::ItemId;
+use rrc_sequence::{ItemId, WindowRow};
 use std::cell::Cell;
 
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// Eligible candidates, sorted by id.
-    pub(crate) candidates: Vec<ItemId>,
+    /// Eligible candidates' window rows, sorted by id.
+    pub(crate) rows: Vec<WindowRow>,
     /// One extracted feature vector (length `F`).
     pub(crate) fbuf: Vec<f64>,
     /// Feature rows of an online step: the positive's, then one per

@@ -18,8 +18,9 @@
 //!   training split;
 //! * the [`Feature`] trait and [`FeaturePipeline`] — an extensible feature
 //!   registry whose [`FeaturePipeline::standard`] instance is the paper's
-//!   `f = {q̄_v, r_v, c_vt, m_vt}ᵀ`, with [`FeaturePipeline::without`] for
-//!   the Fig. 7 ablations and room for domain-specific additions;
+//!   `f = {q̄_v, r_v, c_vt, m_vt}ᵀ`, computed from a candidate's window row
+//!   with no lookup and no virtual call, with [`FeaturePipeline::without`]
+//!   for the Fig. 7 ablations and room for domain-specific additions;
 //! * [`Recommender`] / [`RecContext`] — the trait every model in the
 //!   workspace implements;
 //! * [`TrainingSet`] — the pre-sampled quadruples `(u, v_i, v_j, t)` with

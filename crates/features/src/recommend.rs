@@ -57,16 +57,31 @@ pub trait Recommender {
 ///
 /// The order is total: a NaN score ranks below every number (so a model
 /// that diverged on one item cannot push it into a list), and `-0.0` ties
-/// with `0.0`. Only the head is sorted: the `n` best are selected first,
-/// which is what matters on catalog-wide lists.
+/// with `0.0`. So the list is a function of the *set* of pairs: the order
+/// they come in cannot change it, and a caller may score candidates in any
+/// order. Only the head is sorted: the `n` best are selected first, which
+/// is what matters on catalog-wide lists.
 pub fn top_n(scored: &mut [(f64, ItemId)], n: usize) -> Vec<ItemId> {
+    best_head(scored, n).iter().map(|&(_, v)| v).collect()
+}
+
+/// [`top_n`] into a list the caller reuses (cleared first), which
+/// allocates nothing once `out` has held `n` items.
+pub fn top_n_into(scored: &mut [(f64, ItemId)], n: usize, out: &mut Vec<ItemId>) {
+    out.clear();
+    out.extend(best_head(scored, n).iter().map(|&(_, v)| v));
+}
+
+/// Moves the `n` best pairs to the front of `scored`, sorted best first,
+/// and returns them.
+fn best_head(scored: &mut [(f64, ItemId)], n: usize) -> &[(f64, ItemId)] {
     let n = n.min(scored.len());
     if (1..scored.len()).contains(&n) {
         scored.select_nth_unstable_by(n - 1, best_first);
     }
     let head = &mut scored[..n];
     head.sort_unstable_by(best_first);
-    head.iter().map(|&(_, v)| v).collect()
+    head
 }
 
 /// Descending score, then ascending id.

@@ -1,6 +1,9 @@
 //! Property-based tests for feature extraction and training-set sampling.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rrc_features::recommend::{top_n, top_n_into};
 use rrc_features::{FeatureContext, FeaturePipeline, SamplingConfig, TrainStats, TrainingSet};
 use rrc_sequence::{Dataset, ItemId, Sequence, WindowState};
 
@@ -108,5 +111,74 @@ proptest! {
         prop_assert!(b01 <= b05);
         prop_assert!(b05 <= b10);
         prop_assert_eq!(b10, set.num_quadruples());
+    }
+}
+
+/// The scores `top_n` must order totally: both NaNs, both zeros, the
+/// infinities and two plain values, so small inputs are full of ties.
+const SCORES: [f64; 8] = [
+    f64::NAN,
+    -f64::NAN,
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1.0,
+    0.5,
+];
+
+fn scored_list(max_len: usize) -> impl Strategy<Value = Vec<(usize, u32)>> {
+    prop::collection::vec((0usize..SCORES.len(), 0u32..6), 0..max_len)
+}
+
+/// Heap's algorithm: `f` sees every permutation of `xs` once.
+fn each_permutation<T: Clone>(xs: &mut [T], k: usize, f: &mut impl FnMut(&[T])) {
+    if k <= 1 {
+        f(xs);
+        return;
+    }
+    for i in 0..k - 1 {
+        each_permutation(xs, k - 1, f);
+        xs.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+    }
+    each_permutation(xs, k - 1, f);
+}
+
+proptest! {
+    /// `top_n` is a function of the set of `(score, id)` pairs, not of
+    /// their order: the request path scores candidates in the window's
+    /// map order and relies on this for its lists.
+    #[test]
+    fn top_n_ignores_input_order(codes in scored_list(7)) {
+        let mut scored: Vec<(f64, ItemId)> =
+            codes.iter().map(|&(s, id)| (SCORES[s], ItemId(id))).collect();
+        for n in 0..=scored.len() + 1 {
+            let want = top_n(&mut scored.clone(), n);
+            let mut differ = 0;
+            each_permutation(&mut scored, codes.len(), &mut |perm| {
+                differ += usize::from(top_n(&mut perm.to_vec(), n) != want);
+            });
+            prop_assert_eq!(differ, 0, "n = {}", n);
+        }
+    }
+
+    /// The same on lists too long to permute exhaustively, shuffled.
+    #[test]
+    fn top_n_ignores_the_order_of_long_lists(codes in scored_list(80), seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scored: Vec<(f64, ItemId)> =
+            codes.iter().map(|&(s, id)| (SCORES[s], ItemId(id))).collect();
+        for n in [1, 5, 10, scored.len()] {
+            let want = top_n(&mut scored.clone(), n);
+            for _ in 0..8 {
+                for i in (1..scored.len()).rev() {
+                    scored.swap(i, rng.gen_range(0..=i));
+                }
+                let mut into = vec![ItemId(99); 3];
+                top_n_into(&mut scored.clone(), n, &mut into);
+                prop_assert_eq!(&into, &want);
+                prop_assert_eq!(top_n(&mut scored.clone(), n), want.clone());
+            }
+        }
     }
 }

@@ -13,9 +13,10 @@
 //! * [`WindowState`] — an incrementally-maintained time window `W_{ut}`
 //!   (Definition 1), the last `|W|` events and nothing older: O(1)
 //!   amortised push, O(1) membership/count/last-seen queries about window
-//!   items (an item outside the window has no last-seen step), and
-//!   enumeration of the *eligible* reconsumption candidates (in-window, but
-//!   not within the last Ω steps).
+//!   items (an item outside the window has no last-seen step), each of
+//!   which reads one [`WindowRow`], and enumeration of the *eligible*
+//!   reconsumption candidates (in-window, but not within the last Ω steps)
+//!   as rows or as sorted ids.
 //! * [`RepeatScan`] — walks a sequence and classifies every event as novel,
 //!   a recent repeat (inside Ω), or an eligible repeat (the events the RRC
 //!   problem trains and evaluates on).
@@ -49,4 +50,4 @@ pub use ids::{ItemId, UserId};
 pub use repeat::{classify, ConsumptionKind, RepeatScan, RepeatSummary};
 pub use sequence::Sequence;
 pub use stats::DatasetStats;
-pub use window::WindowState;
+pub use window::{WindowRow, WindowState};

@@ -19,13 +19,30 @@
 //! The rows are an [`IdHashMap`]: one multiplication per lookup, and the
 //! same iteration order in every process. `push` is O(1) amortised and
 //! allocates only when the map (or a rebuilt, part-filled ring) grows; all
-//! queries are O(1) except candidate enumeration, which is O(d log d) in
-//! the `d` distinct window items (it sorts by id) and allocates nothing
-//! when the caller brings the buffer
+//! queries are O(1) except enumeration. A row is handed out whole, as a
+//! [`WindowRow`]: [`WindowState::row`] is one lookup, and
+//! [`WindowState::eligible_rows`] walks the map in O(d) for the `d`
+//! distinct window items, in no particular order, so a caller that values
+//! every candidate needs no lookup at all. The id-sorted
+//! [`WindowState::eligible_candidates`] is that walk plus an O(d log d)
+//! sort, and allocates nothing when the caller brings the buffer
 //! ([`WindowState::eligible_candidates_into`]).
 
 use crate::ids::{IdHashMap, ItemId};
 use std::collections::VecDeque;
+
+/// One item as the window sees it: the inputs of the window features
+/// (Eqs. 19–21). An item the window does not hold is the row with
+/// `count == 0` (and a meaningless `last`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowRow {
+    /// The item.
+    pub item: ItemId,
+    /// Its multiplicity in the window.
+    pub count: u32,
+    /// The step of its newest occurrence, `l_ut(v)`, when `count > 0`.
+    pub last: usize,
+}
 
 /// An incrementally-maintained time window over a consumption stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,7 +127,15 @@ impl WindowState {
     /// numerator of the dynamic-familiarity feature.
     #[inline]
     pub fn count(&self, item: ItemId) -> u32 {
-        self.rows.get(&item).map_or(0, |&(count, _)| count)
+        self.row(item).count
+    }
+
+    /// `item`'s row, in one lookup: `count == 0` when the window does not
+    /// hold it.
+    #[inline]
+    pub fn row(&self, item: ItemId) -> WindowRow {
+        let (count, last) = self.rows.get(&item).copied().unwrap_or((0, 0));
+        WindowRow { item, count, last }
     }
 
     /// The time step of the newest occurrence of `item` in the window, or
@@ -159,13 +184,18 @@ impl WindowState {
     /// it has grown to the window's distinct-item count.
     pub fn eligible_candidates_into(&self, omega: usize, out: &mut Vec<ItemId>) {
         out.clear();
-        out.extend(
-            self.rows
-                .iter()
-                .filter(|&(_, &(_, last))| last + omega < self.t)
-                .map(|(&item, _)| item),
-        );
+        out.extend(self.eligible_rows(omega).map(|row| row.item));
         out.sort_unstable();
+    }
+
+    /// The rows of the [eligible candidates](Self::eligible_candidates), in
+    /// the map's order (the same in every process for the same pushes, and
+    /// unrelated to ids).
+    pub fn eligible_rows(&self, omega: usize) -> impl Iterator<Item = WindowRow> + '_ {
+        self.rows
+            .iter()
+            .filter(move |&(_, &(_, last))| last + omega < self.t)
+            .map(|(&item, &(count, last))| WindowRow { item, count, last })
     }
 
     /// The window contents, oldest to newest.

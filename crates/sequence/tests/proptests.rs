@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rrc_sequence::{
-    ConsumptionKind, Dataset, ItemId, RepeatScan, RepeatSummary, Sequence, WindowState,
+    ConsumptionKind, Dataset, ItemId, RepeatScan, RepeatSummary, Sequence, WindowRow, WindowState,
 };
 
 fn event_stream() -> impl Strategy<Value = Vec<u32>> {
@@ -62,6 +62,9 @@ proptest! {
                 prop_assert_eq!(win.count(item), naive);
                 prop_assert_eq!(win.contains(item), naive > 0);
                 prop_assert_eq!(win.last_seen(item), last);
+                let row = win.row(item);
+                prop_assert_eq!((row.item, row.count), (item, naive));
+                prop_assert_eq!((naive > 0).then_some(row.last), last);
                 prop_assert_eq!(win.in_last(item, omega), recent);
                 prop_assert_eq!(win.familiarity(item), naive as f64 / slice.len() as f64);
                 distinct += usize::from(naive > 0);
@@ -71,7 +74,11 @@ proptest! {
             }
             prop_assert_eq!(win.len(), slice.len());
             prop_assert_eq!(win.distinct_len(), distinct);
-            prop_assert_eq!(win.eligible_candidates(omega), candidates);
+            prop_assert_eq!(&win.eligible_candidates(omega), &candidates);
+            let mut rows: Vec<WindowRow> = win.eligible_rows(omega).collect();
+            rows.sort_unstable_by_key(|row| row.item);
+            let want: Vec<WindowRow> = candidates.iter().map(|&v| win.row(v)).collect();
+            prop_assert_eq!(rows, want);
         }
     }
 

@@ -17,10 +17,10 @@ use crate::source::{EventSource, Poll, StreamEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rrc_core::parallel::{mix64, shard_stream_seed};
-use rrc_core::{online_step_single, recommend_single, shard_for, OnlineConfig, TsPprModel};
+use rrc_core::{online_step_single, recommend_into, shard_for, OnlineConfig, TsPprModel};
 use rrc_features::{FeaturePipeline, TrainStats};
 use rrc_obs::{Counter, Json, Registry};
-use rrc_sequence::{classify, ConsumptionKind, Dataset, UserId, WindowState};
+use rrc_sequence::{classify, ConsumptionKind, Dataset, ItemId, UserId, WindowState};
 use rrc_store::{
     save_stream_checkpoint, ModelRegistry, PrequentialCounters, StoreError, StreamCheckpoint,
     META_FINGERPRINT,
@@ -198,6 +198,8 @@ pub struct StreamTrainer {
     preq: PrequentialCounters,
     /// Ranks of the most recent `eval_window` opportunities.
     recent: VecDeque<Option<usize>>,
+    /// The prequential top-`eval_n`, reused from event to event.
+    eval_top: Vec<ItemId>,
     registry: Option<ModelRegistry>,
     publish_log: Vec<(u64, Instant)>,
     checkpoint_path: Option<PathBuf>,
@@ -249,6 +251,7 @@ impl StreamTrainer {
             publishes: 0,
             preq: PrequentialCounters::default(),
             recent: VecDeque::new(),
+            eval_top: Vec::new(),
             registry: None,
             publish_log: Vec::new(),
             checkpoint_path: None,
@@ -348,7 +351,7 @@ impl StreamTrainer {
         if kind == ConsumptionKind::EligibleRepeat {
             {
                 let _p = rrc_obs::ProfGuard::enter("evaluate");
-                let top = recommend_single(
+                recommend_into(
                     &self.model,
                     &self.pipeline,
                     &self.stats,
@@ -356,8 +359,9 @@ impl StreamTrainer {
                     ev.user,
                     &self.windows[ev.user.index()],
                     self.cfg.eval_n,
+                    &mut self.eval_top,
                 );
-                rank = top.iter().position(|&v| v == ev.item);
+                rank = self.eval_top.iter().position(|&v| v == ev.item);
                 self.record_opportunity(rank);
             }
             if self.cfg.online.negatives_per_event > 0 {

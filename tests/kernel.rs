@@ -1,19 +1,24 @@
 //! The per-event kernel across crates: one candidate scored alone agrees
 //! with the same candidate scored by the request path, on a plain model
-//! and on the serving stack's copy-on-write view of one.
+//! and on the serving stack's copy-on-write view of one, for custom,
+//! standard and mixed feature pipelines.
 //!
 //! `ModelParams::score` and `recommend_single` evaluate Eq. 5 in the same
 //! operation order (see `rrc_core::params`). The request path's scores
 //! are not public, its ranking is; so the catalog here is built to make
 //! the ranking depend on the last bit: half of the items share one factor
-//! row up to a few ulps and every candidate has the same features, so two
-//! evaluation orders that round differently rank that family differently.
+//! row up to a few ulps, and under the custom `Parity` columns every
+//! candidate of one parity has the same features, so two evaluation
+//! orders that round differently rank that family differently. The
+//! standard columns come from the window row the request path scans,
+//! where the reference below looks each candidate up.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use repeat_rec::core::{online_step_single, recommend_single, ModelParams};
 use repeat_rec::features::recommend::top_n;
+use repeat_rec::features::RecencyKind;
 use repeat_rec::prelude::*;
 use repeat_rec::serve::ModelOverlay;
 use rrc_ustate::{TierParams, UserFactors};
@@ -50,9 +55,28 @@ struct Fixture {
     windows: Vec<WindowState>,
 }
 
+/// The pipelines the request path is held to: custom columns only, the
+/// standard ones in both recency shapes, an ablation of them, and both
+/// kinds in one vector.
+fn pipelines() -> [FeaturePipeline; 7] {
+    [
+        parity_pipeline(1),
+        parity_pipeline(4),
+        parity_pipeline(5),
+        FeaturePipeline::standard(),
+        FeaturePipeline::standard_with_recency(RecencyKind::Exponential),
+        FeaturePipeline::standard().without("RE"),
+        FeaturePipeline::standard().with(Parity(0.3)),
+    ]
+}
+
 fn fixture(k: usize, f_dim: usize, seed: u64) -> Fixture {
+    fixture_with(k, parity_pipeline(f_dim), seed)
+}
+
+fn fixture_with(k: usize, pipeline: FeaturePipeline, seed: u64) -> Fixture {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut model = TsPprModel::init(&mut rng, USERS, ITEMS, k, f_dim, 0.1, 0.05);
+    let mut model = TsPprModel::init(&mut rng, USERS, ITEMS, k, pipeline.len(), 0.1, 0.05);
     // Items 1..20 are item 0 plus `i` ulps on one coordinate.
     let row0 = model.item_factor(ItemId(0)).to_vec();
     for i in 1..(ITEMS / 2) as u32 {
@@ -71,7 +95,7 @@ fn fixture(k: usize, f_dim: usize, seed: u64) -> Fixture {
         .collect();
     Fixture {
         model,
-        pipeline: parity_pipeline(f_dim),
+        pipeline,
         stats: TrainStats::compute(&data, WINDOW),
         windows,
     }
@@ -109,72 +133,74 @@ proptest! {
     #[test]
     fn score_ranks_exactly_like_the_request_path_on_a_model(
         k in 0usize..4,
-        f_dim in 0usize..3,
         seed in 0u64..1_000_000,
     ) {
-        let fx = fixture([1, 3, 8, 40][k], [1, 4, 5][f_dim], seed);
-        for user in (0..USERS as u32).map(UserId) {
-            let all = whole(&fx.model, &fx, user, usize::MAX);
-            prop_assert!(all.len() > 10, "{} candidates", all.len());
-            prop_assert_eq!(&all, &ranked_by_score(&fx.model, &fx, user, usize::MAX));
-            prop_assert_eq!(whole(&fx.model, &fx, user, 10), &all[..10]);
+        for pipeline in pipelines() {
+            let fx = fixture_with([1, 3, 8, 40][k], pipeline, seed);
+            for user in (0..USERS as u32).map(UserId) {
+                let all = whole(&fx.model, &fx, user, usize::MAX);
+                prop_assert!(all.len() > 10, "{} candidates", all.len());
+                prop_assert_eq!(&all, &ranked_by_score(&fx.model, &fx, user, usize::MAX));
+                prop_assert_eq!(whole(&fx.model, &fx, user, 10), &all[..10]);
+            }
         }
     }
 
     #[test]
     fn score_ranks_exactly_like_the_request_path_on_dirty_tier_params(
         k in 0usize..4,
-        f_dim in 0usize..3,
         seed in 0u64..1_000_000,
     ) {
-        let fx = fixture([1, 3, 8, 40][k], [1, 4, 5][f_dim], seed);
-        let base = Arc::new(fx.model.clone());
-        let mut overlay = ModelOverlay::new(base.clone());
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xd1e7);
-        let cfg = OnlineConfig {
-            window: WINDOW,
-            omega: OMEGA,
-            negatives_per_event: 4,
-            ..OnlineConfig::default()
-        };
-        for user in (0..USERS as u32).map(UserId) {
-            // Dirty rows: `u`, `A_u` in the tier entry and item rows in the
-            // overlay, written by real SGD steps; user 2 stays clean and
-            // reads through to the snapshot.
-            let mut factors: Option<UserFactors> = None;
-            let mut params = TierParams::new(user, &mut factors, &base, &mut overlay);
-            if user.0 < 2 {
-                let window = &fx.windows[user.index()];
-                let pos = window.eligible_candidates(OMEGA)[0];
-                let steps = online_step_single(
-                    &mut params, &fx.pipeline, &fx.stats, &cfg, user, window, &mut rng, pos,
-                );
-                prop_assert_eq!(steps, 4);
-            }
-            prop_assert_eq!(factors.is_some(), user.0 < 2);
+        for pipeline in pipelines() {
+            let fx = fixture_with([1, 3, 8, 40][k], pipeline, seed);
+            let base = Arc::new(fx.model.clone());
+            let mut overlay = ModelOverlay::new(base.clone());
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xd1e7);
+            let cfg = OnlineConfig {
+                window: WINDOW,
+                omega: OMEGA,
+                negatives_per_event: 4,
+                ..OnlineConfig::default()
+            };
+            for user in (0..USERS as u32).map(UserId) {
+                // Dirty rows: `u`, `A_u` in the tier entry and item rows in the
+                // overlay, written by real SGD steps; user 2 stays clean and
+                // reads through to the snapshot.
+                let mut factors: Option<UserFactors> = None;
+                let mut params = TierParams::new(user, &mut factors, &base, &mut overlay);
+                if user.0 < 2 {
+                    let window = &fx.windows[user.index()];
+                    let pos = window.eligible_candidates(OMEGA)[0];
+                    let steps = online_step_single(
+                        &mut params, &fx.pipeline, &fx.stats, &cfg, user, window, &mut rng, pos,
+                    );
+                    prop_assert_eq!(steps, 4);
+                }
+                prop_assert_eq!(factors.is_some(), user.0 < 2);
 
-            let params = TierParams::new(user, &mut factors, &base, &mut overlay);
-            let all = whole(&params, &fx, user, usize::MAX);
-            prop_assert_eq!(&all, &ranked_by_score(&params, &fx, user, usize::MAX));
+                let params = TierParams::new(user, &mut factors, &base, &mut overlay);
+                let all = whole(&params, &fx, user, usize::MAX);
+                prop_assert_eq!(&all, &ranked_by_score(&params, &fx, user, usize::MAX));
 
-            // The same rows in a plain model score to the same bits: the
-            // view changes where a row lives, not how it is used.
-            let mut plain = fx.model.clone();
-            ModelParams::user_factor_mut(&mut plain, user)
-                .copy_from_slice(params.user_factor(user));
-            *ModelParams::transform_mut(&mut plain, user) = params.transform(user).clone();
-            for v in (0..ITEMS as u32).map(ItemId) {
-                ModelParams::item_factor_mut(&mut plain, v)
-                    .copy_from_slice(params.item_factor(v));
+                // The same rows in a plain model score to the same bits: the
+                // view changes where a row lives, not how it is used.
+                let mut plain = fx.model.clone();
+                ModelParams::user_factor_mut(&mut plain, user)
+                    .copy_from_slice(params.user_factor(user));
+                *ModelParams::transform_mut(&mut plain, user) = params.transform(user).clone();
+                for v in (0..ITEMS as u32).map(ItemId) {
+                    ModelParams::item_factor_mut(&mut plain, v)
+                        .copy_from_slice(params.item_factor(v));
+                }
+                let f: Vec<f64> = (0..fx.pipeline.len()).map(|_| rng.gen_range(0.0..1.0)).collect();
+                for v in (0..ITEMS as u32).map(ItemId) {
+                    prop_assert_eq!(
+                        params.score(user, v, &f).to_bits(),
+                        ModelParams::score(&plain, user, v, &f).to_bits()
+                    );
+                }
+                prop_assert_eq!(all, whole(&plain, &fx, user, usize::MAX));
             }
-            let f: Vec<f64> = (0..fx.pipeline.len()).map(|_| rng.gen_range(0.0..1.0)).collect();
-            for v in (0..ITEMS as u32).map(ItemId) {
-                prop_assert_eq!(
-                    params.score(user, v, &f).to_bits(),
-                    ModelParams::score(&plain, user, v, &f).to_bits()
-                );
-            }
-            prop_assert_eq!(all, whole(&plain, &fx, user, usize::MAX));
         }
     }
 }

@@ -1,17 +1,18 @@
 //! Steady-state allocation counts of the per-event kernel, asserted with
-//! the profiler's counting allocator: an observe and an online SGD round
-//! allocate nothing, a recommend allocates the list it returns, a hit on
-//! the bounded user-state tier allocates nothing, and a miss that evicts
-//! allocates the reloaded window. Through the serving engine the same
-//! holds for the whole request: a blocking `recommend` allocates its list,
-//! a blocking `observe` and an `observe_nowait` nothing.
+//! the profiler's counting allocator: an observe, an online SGD round and
+//! a `recommend_into` a reused list allocate nothing, `recommend_single`
+//! allocates the list it returns and nothing else, a hit on the bounded
+//! user-state tier allocates nothing, and a miss that evicts allocates the
+//! reloaded window. Through the serving engine the same holds for the
+//! whole request: a blocking `recommend` allocates its list, a blocking
+//! `observe` and an `observe_nowait` nothing.
 //!
 //! A binary of its own, with one test: the allocator is process-wide and
 //! the profiler's on/off switch is global.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use repeat_rec::core::{observe_single, online_step_single, recommend_single};
+use repeat_rec::core::{observe_single, online_step_single, recommend_into, recommend_single};
 use repeat_rec::prelude::*;
 use repeat_rec::sequence::classify;
 use rrc_obs::profile::{self, CountingAlloc, ProfGuard};
@@ -136,6 +137,13 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
             listed += u64::from(!top.is_empty());
         }
     });
+    let mut top = Vec::with_capacity(10);
+    let recommend_into_reused = allocations("kernel_recommend_into", || {
+        for &(user, _) in &events {
+            let window = &windows[user.index()];
+            recommend_into(&model, &pipeline, &stats, OMEGA, user, window, 10, &mut top);
+        }
+    });
     tier_touches(&model, &windows);
     let mut online = OnlineTsPpr::new(
         model.clone(),
@@ -154,6 +162,7 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
     assert_eq!(learn, 0, "online_step_single allocated");
     assert!(listed > 1000, "{listed} non-empty lists");
     assert_eq!(recommend, listed, "one allocation per returned list");
+    assert_eq!(recommend_into_reused, 0, "recommend_into allocated");
 }
 
 /// What the engine adds to the kernel's allocations once warm: nothing.
