@@ -3,14 +3,14 @@
 //!
 //! Users are partitioned by the same SplitMix64 hash the `rrc-serve` engine
 //! routes with ([`shard_for`]), so each shard *owns* its users' `u` rows and
-//! `A_u` transforms outright and mutates them lock-free. Every shard holds a
-//! copy of the shared item matrix `V`; at each block barrier the rows the
-//! shards wrote are merged back in fixed shard order and the copies
-//! re-synced. The result is a pure function of `(seed, shard count)` —
-//! byte-identical across runs and across *thread* counts, because threads
-//! only schedule shards. With one shard the machinery degenerates to exactly
-//! the serial trainer: same RNG stream, same update order, bit-identical
-//! parameters.
+//! `A_u` transforms outright and mutates them lock-free. The shared item
+//! matrix `V` exists once: during a block every shard reads it and keeps
+//! its own copy of only the rows it writes, and at each block barrier those
+//! rows are merged into `V` in fixed shard order. The result is a pure
+//! function of `(seed, shard count)` — byte-identical across runs and
+//! across *thread* counts, because threads only schedule shards. With one
+//! shard the machinery degenerates to exactly the serial trainer: same RNG
+//! stream, same update order, bit-identical parameters.
 //!
 //! The paper's training loop keeps its shape: steps are grouped into blocks
 //! of one convergence-check interval (`|D| · check_interval_fraction`

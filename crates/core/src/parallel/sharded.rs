@@ -13,15 +13,17 @@
 //!    `gen_range` draws verbatim, restricted to the shard's user list. With
 //!    one shard that list *is* `users_with_data()` in the same order, so
 //!    every draw lands on the same quadruple.
-//! 3. **Updates** go through the one shared [`sgd_step`] kernel, applied to
-//!    shard-local rows that were bitwise copies of the global parameters.
-//! 4. **Merging** is row-sparse: each shard records which item rows its
-//!    steps touched, and only those rows are merged — adopt the first
-//!    active shard's row, then add the remaining touchers' deltas in fixed
-//!    shard order. Rows a shard never wrote are bitwise copies of the
-//!    global matrix (the merge re-syncs every shard's local copy), so
-//!    skipping them is exact, and with a single active shard adoption *is*
-//!    the serial update.
+//! 3. **Updates** go through the one shared [`sgd_step`] kernel. A shard
+//!    reads the one global `V`, which nobody writes during a block; the
+//!    first time it writes item row `r` it copies that row into its own
+//!    arena and from then on reads and writes the copy. Every value a step
+//!    sees therefore has the bits it would have in a private copy of `V`.
+//! 4. **Merging** is row-sparse: only the rows the shards wrote are merged
+//!    — adopt the first active shard's row (the global row, when that
+//!    shard did not write it), then add the other writers' deltas against
+//!    the global row in fixed shard order. A row nobody wrote is the global
+//!    row untouched, and with a single active shard adoption *is* the
+//!    serial update.
 //! 5. **Convergence checks** run at the serial cadence (every
 //!    `|D| · check_interval_fraction` steps) over the merged parameters,
 //!    with the batch summed in `shards` fixed chunks — one chunk being the
@@ -44,35 +46,109 @@ use rrc_linalg::DMatrix;
 use rrc_sequence::{ItemId, UserId};
 
 /// One shard's private state: the users it owns, their `u` rows and `A_u`
-/// transforms, a block-local copy of the item matrix, and its RNG stream.
-/// `stamp`/`touched` record which item rows the current block's SGD steps
-/// wrote (`stamp[r] == epoch` ⟺ touched), so the barrier merge can stay
-/// row-sparse instead of walking the full item matrix.
+/// transforms, the item rows it wrote this block, and its RNG stream. It
+/// holds no copy of `V`.
 struct ShardState {
     users: Vec<UserId>,
     u: DMatrix,
     a: Vec<DMatrix>,
-    v: DMatrix,
+    rows: WrittenRows,
     rng: StdRng,
     scratch: SgdScratch,
-    stamp: Vec<u32>,
+}
+
+impl ShardState {
+    fn new(users: Vec<UserId>, u: DMatrix, a: Vec<DMatrix>, rng: StdRng, items: usize) -> Self {
+        let k = u.cols();
+        // A shard that owns nobody never runs a block.
+        let items = if users.is_empty() { 0 } else { items };
+        ShardState {
+            users,
+            u,
+            a,
+            rows: WrittenRows::new(items, k),
+            rng,
+            scratch: SgdScratch::default(),
+        }
+    }
+}
+
+/// The item rows one shard wrote in its current block, over the one global
+/// `V` that every shard reads and nobody writes until the barrier.
+/// With `marks[r] = (stamp, slot)`, row `r` was written this block iff
+/// `stamp == epoch`, and its copy is arena row `slot`; the pair shares one
+/// load, because every item lookup of a step asks both. `touched[slot]` is
+/// the row of each arena row, in first-write order. A step writes two item
+/// rows, so a block of `n` steps needs at most `min(2n, items)` arena rows,
+/// reserved when the block begins.
+struct WrittenRows {
+    k: usize,
+    marks: Vec<(u32, u32)>,
     touched: Vec<u32>,
+    arena: Vec<f64>,
     epoch: u32,
 }
 
-/// [`ModelParams`] over one shard's storage, used by the shared
-/// [`sgd_step`] kernel. User lookups go through the global→local row map;
-/// a shard only ever samples users it owns, so the map is total here.
+impl WrittenRows {
+    fn new(items: usize, k: usize) -> Self {
+        WrittenRows {
+            k,
+            marks: vec![(0, 0); items],
+            touched: Vec::new(),
+            arena: Vec::new(),
+            epoch: 0,
+        }
+    }
+
+    /// Forget the last block's rows and make room for a block of `steps`.
+    fn begin(&mut self, steps: usize) {
+        self.epoch += 1;
+        self.touched.clear();
+        self.arena.clear();
+        let rows = steps.saturating_mul(2).min(self.marks.len());
+        self.arena.reserve_exact(rows * self.k);
+    }
+
+    /// Row `r` as written this block, if it was.
+    #[inline]
+    fn written(&self, r: usize) -> Option<&[f64]> {
+        let (stamp, slot) = self.marks[r];
+        (stamp == self.epoch).then(|| {
+            let at = slot as usize * self.k;
+            &self.arena[at..at + self.k]
+        })
+    }
+
+    /// Row `r` as this shard sees it: its own write, else the global row.
+    #[inline]
+    fn row<'a>(&'a self, v: &'a DMatrix, r: usize) -> &'a [f64] {
+        self.written(r).unwrap_or_else(|| v.row(r))
+    }
+
+    /// Row `r` to write, copied from the global row on the first write.
+    #[inline]
+    fn row_mut(&mut self, v: &DMatrix, r: usize) -> &mut [f64] {
+        if self.marks[r].0 != self.epoch {
+            self.marks[r] = (self.epoch, self.touched.len() as u32);
+            self.touched.push(r as u32);
+            self.arena.extend_from_slice(v.row(r));
+        }
+        let at = self.marks[r].1 as usize * self.k;
+        &mut self.arena[at..at + self.k]
+    }
+}
+
+/// [`ModelParams`] over one shard's storage and the global `V`, used by the
+/// shared [`sgd_step`] kernel. User lookups go through the global→local row
+/// map; a shard only ever samples users it owns, so the map is total here.
 struct ShardParams<'a> {
     k: usize,
     f_dim: usize,
     local_of: &'a [u32],
     u: &'a mut DMatrix,
     a: &'a mut [DMatrix],
-    v: &'a mut DMatrix,
-    stamp: &'a mut [u32],
-    touched: &'a mut Vec<u32>,
-    epoch: u32,
+    v: &'a DMatrix,
+    rows: &'a mut WrittenRows,
 }
 
 impl ModelParams for ShardParams<'_> {
@@ -93,7 +169,7 @@ impl ModelParams for ShardParams<'_> {
 
     #[inline]
     fn item_factor(&self, item: ItemId) -> &[f64] {
-        self.v.row(item.index())
+        self.rows.row(self.v, item.index())
     }
 
     #[inline]
@@ -108,12 +184,7 @@ impl ModelParams for ShardParams<'_> {
 
     #[inline]
     fn item_factor_mut(&mut self, item: ItemId) -> &mut [f64] {
-        let r = item.index();
-        if self.stamp[r] != self.epoch {
-            self.stamp[r] = self.epoch;
-            self.touched.push(r as u32);
-        }
-        self.v.row_mut(r)
+        self.rows.row_mut(self.v, item.index())
     }
 
     #[inline]
@@ -200,78 +271,43 @@ impl MergedView<'_> {
     }
 }
 
-/// The barrier merge's scratch, reused across blocks: `dirty` is the
-/// deduplicated union of the rows the active shards touched this block
-/// (`dirty_stamp[r] == epoch` ⟺ already listed), `old_row` a pre-merge copy
-/// of the global row that the deltas are taken against.
-struct MergeScratch {
-    dirty: Vec<u32>,
-    dirty_stamp: Vec<u32>,
-    epoch: u32,
-    old_row: Vec<f64>,
-}
-
-impl MergeScratch {
-    fn new(num_items: usize, k: usize) -> Self {
-        MergeScratch {
-            dirty: Vec::new(),
-            dirty_stamp: vec![0; num_items],
-            epoch: 0,
-            old_row: vec![0.0; k],
-        }
-    }
-}
-
-/// Merge the item rows the shards wrote this block into the global `v`, row
-/// by row, and re-sync every shard's copy on those rows. `alloc[s] > 0`
-/// marks the shards that ran; the others' `touched` lists are stale.
+/// Merge the item rows the shards wrote this block into the global `v`.
+/// `alloc[s] > 0` marks the shards that ran; the others' written rows are
+/// from an older block and do not count.
 ///
-/// Invariant entering the block, restored on return: every non-empty
-/// shard's local `v` is a bitwise copy of the global `v`, so the global row
-/// pre-merge is exactly what each shard started from.
-fn merge_item_rows(
-    v: &mut DMatrix,
-    states: &mut [ShardState],
-    alloc: &[usize],
-    scratch: &mut MergeScratch,
-) {
+/// Each row is merged once, when the first active shard that wrote it comes
+/// up: adopt the first active shard's row — the global row itself when
+/// that shard did not write it — then add every later writer's delta
+/// against the global row in shard order. Every shard started the block
+/// from that global row, so this is the sum a private copy per shard
+/// would give, to the bit.
+fn merge_item_rows(v: &mut DMatrix, states: &[ShardState], alloc: &[usize]) {
     let _prof = rrc_obs::ProfGuard::enter("merge");
-    let actives: Vec<usize> = (0..states.len()).filter(|&s| alloc[s] > 0).collect();
-    let Some((&a0, rest)) = actives.split_first() else {
-        return;
-    };
-    scratch.epoch += 1;
-    scratch.dirty.clear();
-    for &s in &actives {
-        for &r in &states[s].touched {
-            if scratch.dirty_stamp[r as usize] != scratch.epoch {
-                scratch.dirty_stamp[r as usize] = scratch.epoch;
-                scratch.dirty.push(r);
-            }
-        }
-    }
-    for &r in &scratch.dirty {
-        let r = r as usize;
-        scratch.old_row.copy_from_slice(v.row(r));
-        // Adopt the first active shard's row (bitwise — equal to `old_row`
-        // when that shard never wrote it), then add the other touchers'
-        // deltas in shard order.
-        v.row_mut(r).copy_from_slice(states[a0].v.row(r));
-        for &s in rest {
-            let st = &states[s];
-            if st.stamp[r] != st.epoch {
-                continue;
-            }
-            let deltas = st.v.row(r).iter().zip(&scratch.old_row);
-            for (b, (l, o)) in v.row_mut(r).iter_mut().zip(deltas) {
-                *b += l - o;
-            }
-        }
-    }
-    for st in states.iter_mut().filter(|st| !st.users.is_empty()) {
-        for &r in &scratch.dirty {
+    let actives: Vec<&WrittenRows> = states
+        .iter()
+        .zip(alloc)
+        .filter(|&(_, &n)| n > 0)
+        .map(|(st, _)| &st.rows)
+        .collect();
+    let mut old = vec![0.0; v.cols()];
+    for (i, shard) in actives.iter().enumerate() {
+        for &r in &shard.touched {
             let r = r as usize;
-            st.v.row_mut(r).copy_from_slice(v.row(r));
+            if actives[..i].iter().any(|a| a.written(r).is_some()) {
+                continue; // merged with an earlier writer
+            }
+            old.copy_from_slice(v.row(r));
+            let row = v.row_mut(r);
+            let mut later = &actives[i..];
+            if i == 0 {
+                row.copy_from_slice(shard.written(r).expect("a touched row is written"));
+                later = &actives[1..];
+            }
+            for l in later.iter().filter_map(|a| a.written(r)) {
+                for (b, (l, o)) in row.iter_mut().zip(l.iter().zip(&old)) {
+                    *b += l - o;
+                }
+            }
         }
     }
 }
@@ -280,11 +316,11 @@ fn merge_item_rows(
 /// [`crate::TsPprTrainer::train_with`] — resuming from a snapshot and/or
 /// emitting snapshots at block barriers.
 ///
-/// Snapshots are taken only at convergence-check barriers, where the
-/// invariant "every non-empty shard's local `V` is a bitwise copy of the
-/// merged global `V`" holds — so a resumed run rebuilds shard state from
-/// the snapshot model exactly as the uninterrupted run left it, and only
-/// the per-shard RNG streams carry history.
+/// Snapshots are taken only at convergence-check barriers, where every row
+/// a shard wrote is merged into the global `V` and the next block starts
+/// from that `V` alone — so a resumed run rebuilds shard state from the
+/// snapshot model exactly as the uninterrupted run left it, and only the
+/// per-shard RNG streams carry history.
 pub(super) fn train_with(
     cfg: &TsPprConfig,
     par: &ParallelConfig,
@@ -320,22 +356,7 @@ pub(super) fn train_with(
                 DMatrix::zeros(0, 0),
             ));
         }
-        let (sv, stamp) = if users.is_empty() {
-            (DMatrix::zeros(0, 0), Vec::new())
-        } else {
-            (v.clone(), vec![0u32; cfg.num_items])
-        };
-        states.push(ShardState {
-            users,
-            u: su,
-            a: sa,
-            v: sv,
-            rng,
-            scratch: SgdScratch::default(),
-            stamp,
-            touched: Vec::new(),
-            epoch: 0,
-        });
+        states.push(ShardState::new(users, su, sa, rng, cfg.num_items));
     }
 
     // Block steps split proportionally to shard user counts — the serial
@@ -345,7 +366,6 @@ pub(super) fn train_with(
         cum[s + 1] = cum[s] + states[s].users.len() as u64;
     }
 
-    let mut merge_scratch = MergeScratch::new(cfg.num_items, k);
     // A resumed step count is a multiple of the check interval, so the
     // block structure below realigns with the uninterrupted run.
     let mut step = run.start_step;
@@ -364,18 +384,15 @@ pub(super) fn train_with(
                 0 => rrc_obs::ProfGuard::enter("block"),
                 _ => rrc_obs::ProfGuard::enter_path(&["train", "block"]),
             };
-            st.epoch += 1;
-            st.touched.clear();
+            st.rows.begin(n);
             let mut params = ShardParams {
                 k,
                 f_dim,
                 local_of: &local_of,
                 u: &mut st.u,
                 a: &mut st.a,
-                v: &mut st.v,
-                stamp: &mut st.stamp,
-                touched: &mut st.touched,
-                epoch: st.epoch,
+                v: &v,
+                rows: &mut st.rows,
             };
             for _ in 0..n {
                 // TrainingSet::sample, restricted to this shard's users
@@ -389,7 +406,7 @@ pub(super) fn train_with(
                 sgd_step(&mut params, &q, &consts, &mut st.scratch);
             }
         });
-        merge_item_rows(&mut v, &mut states, &alloc, &mut merge_scratch);
+        merge_item_rows(&mut v, &states, &alloc);
         step += block;
 
         if step.is_multiple_of(run.check_interval) {
@@ -431,42 +448,41 @@ mod tests {
     use proptest::prelude::*;
     use rand::SeedableRng;
 
-    /// A shard holding a copy of `base`; `users == 0` makes it an empty one.
-    fn shard(base: &DMatrix, users: u32) -> ShardState {
-        let (v, stamp) = match users {
-            0 => (DMatrix::zeros(0, 0), Vec::new()),
-            _ => (base.clone(), vec![0; base.rows()]),
-        };
-        ShardState {
-            users: (0..users).map(UserId).collect(),
-            u: DMatrix::zeros(users as usize, base.cols()),
-            a: Vec::new(),
-            v,
-            rng: StdRng::seed_from_u64(0),
-            scratch: SgdScratch::default(),
-            stamp,
-            touched: Vec::new(),
-            epoch: 0,
-        }
+    /// A shard over `items` item rows of width `k`; `users == 0` makes it
+    /// an empty one.
+    fn shard(items: usize, k: usize, users: u32) -> ShardState {
+        ShardState::new(
+            (0..users).map(UserId).collect(),
+            DMatrix::zeros(users as usize, k),
+            Vec::new(),
+            StdRng::seed_from_u64(0),
+            items,
+        )
     }
 
-    /// One block on `st`: add `grad(r, c)` to every entry of each of `rows`
-    /// through the kernel's own write path, so the rows are stamped exactly
-    /// as an SGD step's are.
-    fn run_block(st: &mut ShardState, rows: &[usize], grad: impl Fn(usize, usize) -> f64) {
-        st.epoch += 1;
-        st.touched.clear();
-        let mut params = ShardParams {
-            k: st.v.cols(),
+    fn params<'a>(st: &'a mut ShardState, v: &'a DMatrix) -> ShardParams<'a> {
+        ShardParams {
+            k: v.cols(),
             f_dim: 1,
             local_of: &[],
             u: &mut st.u,
             a: &mut st.a,
-            v: &mut st.v,
-            stamp: &mut st.stamp,
-            touched: &mut st.touched,
-            epoch: st.epoch,
-        };
+            v,
+            rows: &mut st.rows,
+        }
+    }
+
+    /// One block on `st` over the global `v`: add `grad(r, c)` to every
+    /// entry of each of `rows` through the kernel's own write path, so the
+    /// rows are copied and stamped exactly as an SGD step's are.
+    fn run_block(
+        st: &mut ShardState,
+        v: &DMatrix,
+        rows: &[usize],
+        grad: impl Fn(usize, usize) -> f64,
+    ) {
+        st.rows.begin(rows.len());
+        let mut params = params(st, v);
         for &r in rows {
             let row = params.item_factor_mut(ItemId(r as u32));
             for (c, x) in row.iter_mut().enumerate() {
@@ -475,42 +491,94 @@ mod tests {
         }
     }
 
-    fn bits(m: &DMatrix) -> Vec<u64> {
-        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    fn bits(m: &[f64]) -> Vec<u64> {
+        m.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
     fn merge_adopts_the_first_active_shard_and_adds_the_rest_in_shard_order() {
-        let base = DMatrix::from_vec(3, 1, vec![1.0, 1.0, 1.0]);
-        let mut v = base.clone();
+        let mut v = DMatrix::from_vec(3, 1, vec![1.0, 1.0, 1.0]);
         let mut states = vec![
-            shard(&base, 1),
-            shard(&base, 0), // owns nobody: no copy to read or re-sync
-            shard(&base, 1),
-            shard(&base, 1),
+            shard(3, 1, 1),
+            shard(3, 1, 0), // owns nobody: never runs, holds nothing
+            shard(3, 1, 1),
+            shard(3, 1, 1),
         ];
-        let mut scratch = MergeScratch::new(3, 1);
 
-        run_block(&mut states[0], &[0], |_, _| 1.0);
-        run_block(&mut states[2], &[0, 1], |_, _| -0.5);
-        run_block(&mut states[3], &[2], |_, _| 9.0);
-        merge_item_rows(&mut v, &mut states, &[1, 0, 2, 1], &mut scratch);
+        run_block(&mut states[0], &v, &[0], |_, _| 1.0);
+        run_block(&mut states[2], &v, &[0, 1], |_, _| -0.5);
+        run_block(&mut states[3], &v, &[2], |_, _| 9.0);
+        merge_item_rows(&mut v, &states, &[1, 0, 2, 1]);
         assert_eq!(v.as_slice(), &[1.5, 0.5, 10.0]);
 
         // Next block only shard 0 runs; shards 2 and 3 still list the rows
-        // they touched last time, and those stale lists must not count.
-        run_block(&mut states[0], &[1], |_, _| 2.0);
-        merge_item_rows(&mut v, &mut states, &[3, 0, 0, 0], &mut scratch);
+        // they wrote last time, and those stale rows must not count.
+        run_block(&mut states[0], &v, &[1], |_, _| 2.0);
+        merge_item_rows(&mut v, &states, &[3, 0, 0, 0]);
         assert_eq!(v.as_slice(), &[1.5, 2.5, 10.0]);
-        for s in [0, 2, 3] {
-            assert_eq!(bits(&states[s].v), bits(&v), "shard {s} not re-synced");
+        assert_eq!(states[2].rows.touched, [0, 1], "stale list kept");
+    }
+
+    #[test]
+    fn a_shard_reads_its_own_write_and_the_untouched_global_row_otherwise() {
+        let v = DMatrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let mut st = shard(3, 2, 1);
+        run_block(&mut st, &v, &[1], |_, c| c as f64 + 0.5);
+        let params = params(&mut st, &v);
+        assert_eq!(params.item_factor(ItemId(1)), &[3.5, 5.5]);
+        for r in [0, 2] {
+            // Not a copy: the global row itself.
+            assert!(std::ptr::eq(
+                params.item_factor(ItemId(r)),
+                v.row(r as usize)
+            ));
         }
+        assert_eq!(v.row(1), &[3.0, 4.0], "the global row is not written");
+    }
+
+    #[test]
+    fn an_empty_shard_allocates_no_per_item_arrays() {
+        let st = shard(10_000, 8, 0);
+        assert_eq!(st.rows.marks.capacity(), 0);
+        assert_eq!(st.rows.arena.capacity(), 0);
+        // A shard that owns a user gets one stamp and one slot per item,
+        // and still no arena before its first block.
+        let st = shard(10_000, 8, 1);
+        assert_eq!(st.rows.marks.len(), 10_000);
+        assert_eq!(st.rows.arena.capacity(), 0);
     }
 
     proptest! {
-        /// Shards that each add their own gradient to some rows of a private
-        /// copy merge to the serial sum of all deltas within 1e-12; a row no
-        /// shard wrote keeps its bits; every copy leaves equal to the merge.
+        /// Blocks of `n` steps that each write two item rows, as
+        /// `sgd_step` does, never grow the arena past `min(2n, items)·K`
+        /// values, and it holds exactly the rows written.
+        #[test]
+        fn the_arena_never_exceeds_two_rows_per_step(
+            items in 1usize..40,
+            k in 1usize..9,
+            blocks in proptest::collection::vec(
+                proptest::collection::vec((0usize..1000, 0usize..1000), 0..30),
+                1..6,
+            ),
+        ) {
+            let v = DMatrix::zeros(items, k);
+            let mut st = shard(items, k, 1);
+            let most = blocks.iter().map(Vec::len).max().unwrap_or(0);
+            for steps in &blocks {
+                st.rows.begin(steps.len());
+                let mut params = params(&mut st, &v);
+                for &(pos, neg) in steps {
+                    params.item_factor_mut(ItemId((pos % items) as u32))[0] += 1.0;
+                    params.item_factor_mut(ItemId((neg % items) as u32))[0] -= 1.0;
+                }
+                prop_assert!(st.rows.arena.capacity() <= (2 * most).min(items) * k);
+                prop_assert_eq!(st.rows.arena.len(), st.rows.touched.len() * k);
+            }
+        }
+
+        /// Shards that each add their own gradient to some rows merge to the
+        /// serial sum of all deltas within 1e-12; a row no shard wrote keeps
+        /// its bits.
         #[test]
         fn merged_item_accumulation_equals_serial_sum(
             rows in 1usize..5,
@@ -535,10 +603,10 @@ mod tests {
             let mut states = Vec::new();
             let mut alloc = Vec::new();
             for (grad, mask) in &shard_grads {
-                let mut st = shard(&base, 1);
+                let mut st = shard(rows, cols, 1);
                 let mine = touched_rows(*mask);
                 if !mine.is_empty() {
-                    run_block(&mut st, &mine, |r, c| cell(grad, r, c));
+                    run_block(&mut st, &base, &mine, |r, c| cell(grad, r, c));
                 }
                 for &r in &mine {
                     for (c, x) in serial.row_mut(r).iter_mut().enumerate() {
@@ -550,21 +618,14 @@ mod tests {
             }
 
             let mut merged = base.clone();
-            let mut scratch = MergeScratch::new(rows, cols);
-            merge_item_rows(&mut merged, &mut states, &alloc, &mut scratch);
+            merge_item_rows(&mut merged, &states, &alloc);
 
             for (m, s) in merged.as_slice().iter().zip(serial.as_slice()) {
                 prop_assert!((m - s).abs() <= 1e-12, "merged {m} vs serial {s}");
             }
             let written = shard_grads.iter().fold(0u8, |all, (_, mask)| all | mask);
             for r in (0..rows).filter(|r| written & (1 << r) == 0) {
-                prop_assert_eq!(
-                    merged.row(r).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    base.row(r).iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-                );
-            }
-            for st in &states {
-                prop_assert_eq!(bits(&st.v), bits(&merged));
+                prop_assert_eq!(bits(merged.row(r)), bits(base.row(r)));
             }
         }
 
@@ -577,11 +638,11 @@ mod tests {
         ) {
             let base = DMatrix::from_vec(2, 2, vals);
             let mut merged = base.clone();
-            let mut states = vec![shard(&base, 1)];
-            run_block(&mut states[0], &[0, 1], |r, c| upd[r * 2 + c]);
-            let expect = bits(&states[0].v);
-            merge_item_rows(&mut merged, &mut states, &[2], &mut MergeScratch::new(2, 2));
-            prop_assert_eq!(bits(&merged), expect);
+            let mut states = vec![shard(2, 2, 1)];
+            run_block(&mut states[0], &base, &[0, 1], |r, c| upd[r * 2 + c]);
+            let expect: Vec<u64> = (0..2).flat_map(|r| bits(states[0].rows.written(r).unwrap())).collect();
+            merge_item_rows(&mut merged, &states, &[2]);
+            prop_assert_eq!(bits(merged.as_slice()), expect);
         }
     }
 }

@@ -80,7 +80,8 @@ pub fn poll_once(
             current.num_items()
         ));
     }
-    engine.swap_model_tagged(view.to_model(), view.fingerprint());
+    let fingerprint = view.fingerprint();
+    engine.swap_model_tagged(view.into_model(), fingerprint);
     *last_seen = Some(version);
     Ok(Some(version))
 }

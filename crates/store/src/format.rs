@@ -21,10 +21,11 @@
 //!      …     4  trailer padding (must be 0)
 //! ```
 //!
-//! Every payload therefore starts 8-byte aligned, and the read buffer is
-//! itself 8-byte aligned, so `f64`/`u64` payloads are served zero-copy as
-//! typed slices. All multi-byte values are little-endian; the crate
-//! refuses to compile on big-endian targets.
+//! The reader keeps every payload in an 8-byte-aligned buffer of its own,
+//! so `f64`/`u64` payloads are served zero-copy as typed slices, and an
+//! owned model can take the `UMAT` / `VMAT` buffers without a copy. All
+//! multi-byte values are little-endian; the crate refuses to compile on
+//! big-endian targets.
 //!
 //! **Atomic commit**: [`commit`] writes to a hidden temp file in the
 //! destination directory, fsyncs it, renames it over the target, then
@@ -37,7 +38,6 @@ use rrc_obs::crc32::crc32;
 use rrc_obs::global;
 use std::fs::File;
 use std::io::{Read, Write as _};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// First eight bytes of every store file.
@@ -260,6 +260,8 @@ pub fn decode_meta(payload: &[u8]) -> Result<Vec<(String, String)>, StoreError> 
 
 /// An 8-byte-aligned owned byte buffer (backed by `u64` storage), so
 /// aligned payloads can be reinterpreted as `&[f64]`/`&[u64]` in place.
+/// Its words cover the payload and the zero padding that rounds it to 8
+/// bytes.
 #[derive(Debug)]
 struct AlignedBuf {
     words: Vec<u64>,
@@ -275,23 +277,42 @@ impl AlignedBuf {
     }
 
     fn bytes(&self) -> &[u8] {
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast(), self.len) }
+        &self.padded()[..self.len]
     }
 
-    fn bytes_mut(&mut self) -> &mut [u8] {
-        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast(), self.len) }
+    /// The payload and its alignment padding.
+    fn padded(&self) -> &[u8] {
+        // SAFETY: the words are `words.len() * 8` initialised bytes, and a
+        // byte slice needs no alignment.
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast(), self.words.len() * 8) }
+    }
+
+    fn padded_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as in `padded`; every byte pattern is a valid `u64`.
+        unsafe {
+            std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast(), self.words.len() * 8)
+        }
+    }
+
+    /// The words as `f64`s, moving the storage instead of copying it.
+    fn into_f64s(self) -> Vec<f64> {
+        let mut words = std::mem::ManuallyDrop::new(self.words);
+        // SAFETY: the pointer, length and capacity come from a live
+        // `Vec<u64>` that is never dropped; `u64` and `f64` have the same
+        // size and alignment, so the allocation's layout is unchanged, and
+        // every bit pattern is a valid `f64`.
+        unsafe { Vec::from_raw_parts(words.as_mut_ptr().cast(), words.len(), words.capacity()) }
     }
 }
 
-/// A parsed, checksum-verified container held in one aligned buffer.
+/// A parsed, checksum-verified container, one aligned buffer per section.
 ///
 /// Parsing validates the whole file up front — magic, version, every
 /// section frame and CRC — so accessors afterwards are infallible except
 /// for [`StoreError::Missing`] / element-count checks.
 #[derive(Debug)]
 pub struct StoreFile {
-    buf: AlignedBuf,
-    sections: Vec<(Tag, Range<usize>)>,
+    sections: Vec<(Tag, AlignedBuf)>,
 }
 
 impl StoreFile {
@@ -302,24 +323,25 @@ impl StoreFile {
         let mut f = File::open(path)?;
         let len = f.metadata()?.len();
         let len = usize::try_from(len).map_err(|_| corrupt("header", "file too large"))?;
-        let mut buf = AlignedBuf::new(len);
-        f.read_exact(buf.bytes_mut())?;
-        StoreFile::parse(buf)
+        StoreFile::parse(&mut f, len)
     }
 
-    /// Verify a container already held in memory (copies once into an
-    /// aligned buffer).
+    /// Verify a container already held in memory (copies each section once
+    /// into an aligned buffer).
     pub fn from_bytes(bytes: &[u8]) -> Result<StoreFile, StoreError> {
-        let mut buf = AlignedBuf::new(bytes.len());
-        buf.bytes_mut().copy_from_slice(bytes);
-        StoreFile::parse(buf)
+        let mut reader = bytes;
+        StoreFile::parse(&mut reader, bytes.len())
     }
 
-    fn parse(buf: AlignedBuf) -> Result<StoreFile, StoreError> {
-        let b = buf.bytes();
-        if b.len() < HEADER_LEN {
+    /// Parse `file_len` bytes from `r`, a piece at a time: a section's
+    /// payload and padding are read straight into its own buffer, and only
+    /// after its frame is known to fit inside `file_len`.
+    fn parse(r: &mut impl Read, file_len: usize) -> Result<StoreFile, StoreError> {
+        if file_len < HEADER_LEN {
             return Err(corrupt("header", "file shorter than the fixed header"));
         }
+        let mut b = [0u8; HEADER_LEN];
+        r.read_exact(&mut b)?;
         if b[..8] != MAGIC {
             return Err(StoreError::BadMagic);
         }
@@ -332,18 +354,20 @@ impl StoreFile {
             return Err(corrupt("header", format!("unsupported flags {flags:#x}")));
         }
 
-        let mut sections: Vec<(Tag, Range<usize>)> = Vec::new();
+        let mut sections: Vec<(Tag, AlignedBuf)> = Vec::new();
         let mut off = HEADER_LEN;
-        while off < b.len() {
-            if b.len() - off < SECTION_HEADER_LEN {
+        while off < file_len {
+            if file_len - off < SECTION_HEADER_LEN {
                 return Err(corrupt("frame", "truncated section header"));
             }
-            let tag = Tag(b[off..off + 4].try_into().unwrap());
-            let reserved = u32::from_le_bytes(b[off + 4..off + 8].try_into().unwrap());
-            if reserved != 0 {
+            let mut h = [0u8; SECTION_HEADER_LEN];
+            r.read_exact(&mut h)?;
+            let [t0, t1, t2, t3, r0, r1, r2, r3, len64 @ ..] = h;
+            let tag = Tag([t0, t1, t2, t3]);
+            if u32::from_le_bytes([r0, r1, r2, r3]) != 0 {
                 return Err(corrupt(tag.name(), "nonzero reserved field"));
             }
-            let len64 = u64::from_le_bytes(b[off + 8..off + 16].try_into().unwrap());
+            let len64 = u64::from_le_bytes(len64);
             let len = usize::try_from(len64)
                 .ok()
                 .filter(|l| l.checked_next_multiple_of(8).is_some())
@@ -353,19 +377,21 @@ impl StoreFile {
             let after = padded
                 .checked_add(SECTION_TRAILER_LEN)
                 .and_then(|n| start.checked_add(n))
-                .filter(|&end| end <= b.len())
+                .filter(|&end| end <= file_len)
                 .ok_or_else(|| corrupt(tag.name(), "section extends past end of file"))?;
-            let payload = &b[start..start + len];
-            if b[start + len..start + padded].iter().any(|&p| p != 0) {
+            let mut payload = AlignedBuf::new(len);
+            r.read_exact(payload.padded_mut())?;
+            if payload.padded()[len..].iter().any(|&p| p != 0) {
                 return Err(corrupt(tag.name(), "nonzero alignment padding"));
             }
-            let stored =
-                u32::from_le_bytes(b[start + padded..start + padded + 4].try_into().unwrap());
-            let trailer_pad = u32::from_le_bytes(b[start + padded + 4..after].try_into().unwrap());
-            if trailer_pad != 0 {
+            let mut t = [0u8; SECTION_TRAILER_LEN];
+            r.read_exact(&mut t)?;
+            let [c0, c1, c2, c3, trailer_pad @ ..] = t;
+            let stored = u32::from_le_bytes([c0, c1, c2, c3]);
+            if u32::from_le_bytes(trailer_pad) != 0 {
                 return Err(corrupt(tag.name(), "nonzero trailer padding"));
             }
-            let actual = crc32(payload);
+            let actual = crc32(payload.bytes());
             if actual != stored {
                 return Err(corrupt(
                     tag.name(),
@@ -375,10 +401,10 @@ impl StoreFile {
             if sections.iter().any(|(t, _)| *t == tag) {
                 return Err(corrupt(tag.name(), "duplicate section"));
             }
-            sections.push((tag, start..start + len));
+            sections.push((tag, payload));
             off = after;
         }
-        Ok(StoreFile { buf, sections })
+        Ok(StoreFile { sections })
     }
 
     /// Whether section `tag` is present.
@@ -396,14 +422,14 @@ impl StoreFile {
         self.sections
             .iter()
             .find(|(t, _)| *t == tag)
-            .map(|(_, r)| &self.buf.bytes()[r.clone()])
+            .map(|(_, buf)| buf.bytes())
             .ok_or_else(|| StoreError::Missing {
                 section: tag.name(),
             })
     }
 
     /// Borrow section `tag` as an `f64` slice — zero-copy: the slice
-    /// aliases the read buffer.
+    /// aliases the section's buffer.
     pub fn f64_section(&self, tag: Tag) -> Result<&[f64], StoreError> {
         let bytes = self.section(tag)?;
         if bytes.len() % 8 != 0 {
@@ -421,6 +447,15 @@ impl StoreFile {
         }
         debug_assert_eq!(bytes.as_ptr() as usize % 8, 0, "payload misaligned");
         Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u64>(), bytes.len() / 8) })
+    }
+
+    /// Take section `tag` out of the file as owned `f64`s, moving its
+    /// buffer rather than copying it.
+    pub(crate) fn take_f64_section(&mut self, tag: Tag) -> Result<Vec<f64>, StoreError> {
+        self.f64_section(tag)?;
+        let at = self.sections.iter().position(|(t, _)| *t == tag);
+        let (_, buf) = self.sections.remove(at.expect("checked above"));
+        Ok(buf.into_f64s())
     }
 
     /// Decode the `META` section (empty when absent).
@@ -618,6 +653,35 @@ mod tests {
                 "truncation to {cut} bytes went undetected"
             );
         }
+    }
+
+    #[test]
+    fn every_truncation_on_disk_fails_as_it_does_in_memory() {
+        // `open` reads the file a piece at a time; `from_bytes` reads a
+        // slice. Every cut must fail the same way through both.
+        let bytes = two_section_file();
+        let dir = std::env::temp_dir().join(format!("rrc_store_cut_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cut.rrcs");
+        let read_all = |f: StoreFile| -> Result<(), StoreError> {
+            f.u64_section(Tag::DIMS)?;
+            f.section(Tag::META)?;
+            f.f64_section(Tag::UMAT)?;
+            Ok(())
+        };
+        for cut in 0..=bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let on_disk = StoreFile::open(&path).and_then(read_all);
+            let in_memory = StoreFile::from_bytes(&bytes[..cut]).and_then(read_all);
+            let on_disk = on_disk.map_err(|e| e.to_string());
+            assert_eq!(
+                on_disk,
+                in_memory.map_err(|e| e.to_string()),
+                "cut at {cut}"
+            );
+            assert_eq!(on_disk.is_ok(), cut == bytes.len(), "cut at {cut}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

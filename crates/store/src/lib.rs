@@ -5,8 +5,8 @@
 //!
 //! * [`mod@format`] — the versioned little-endian container: a fixed header
 //!   (magic, version, flags) followed by length-prefixed, CRC32-checked
-//!   sections, each 8-byte aligned so the reader can serve `&[f64]` views
-//!   straight out of one read buffer. Writes are atomic
+//!   sections, each read into an 8-byte-aligned buffer of its own so the
+//!   reader can serve `&[f64]` views straight out of it. Writes are atomic
 //!   (temp + fsync + rename); torn or corrupted files are rejected with a
 //!   typed [`StoreError`], never returned as garbage parameters.
 //! * [`model`] — save/load for [`rrc_core::TsPprModel`] plus the zero-copy
@@ -31,7 +31,7 @@
 //! Instrumented with `rrc-obs`: `store_bytes_written_total`,
 //! `store.save`/`store.load` spans, and a checkpoint-interval histogram.
 
-// The zero-copy reader hands out `&[f64]` views of the raw read buffer and
+// The zero-copy reader hands out `&[f64]` views of the raw section buffers and
 // the writer memcpys `f64` slices directly; both are only correct when the
 // in-memory byte order matches the (little-endian) file format.
 #[cfg(target_endian = "big")]

@@ -3,8 +3,9 @@
 //! A model file carries `META` (`kind = "tsppr-model"` plus caller
 //! metadata), `DIMS` (`[K, F, users, items]`), `UMAT`, `VMAT` and `AMAT`
 //! (all `A_u` concatenated). [`ModelView`] validates everything up front
-//! and then serves factor rows zero-copy out of the single read buffer;
-//! [`load_model`] materialises an owned [`TsPprModel`].
+//! and then serves factor rows zero-copy out of the sections' buffers;
+//! [`load_model`] turns it into an owned [`TsPprModel`] that takes over the
+//! `UMAT` / `VMAT` buffers.
 
 use crate::error::{corrupt, schema, StoreError};
 use crate::format::{commit, encode_meta, StoreFile, Tag, Writer};
@@ -67,11 +68,11 @@ pub fn save_model(
 /// Load an owned model from `path`, rejecting anything malformed.
 pub fn load_model(path: impl AsRef<Path>) -> Result<TsPprModel, StoreError> {
     let _prof = rrc_obs::ProfGuard::enter("store_load");
-    Ok(ModelView::open(path)?.to_model())
+    Ok(ModelView::open(path)?.into_model())
 }
 
 /// Validated zero-copy view of a stored TS-PPR model: row accessors
-/// borrow directly from the read buffer.
+/// borrow directly from the sections' buffers.
 #[derive(Debug)]
 pub struct ModelView {
     file: StoreFile,
@@ -137,26 +138,38 @@ fn check_model_sections(file: &StoreFile) -> Result<Dims, StoreError> {
     Ok((k, f_dim, users, items))
 }
 
-/// An owned model out of checked sections (one copy of each).
-fn model_from_sections(file: &StoreFile, (k, f_dim, users, items): Dims) -> TsPprModel {
-    let section = |tag: Tag| file.f64_section(tag).expect("section revalidation");
-    let a = section(Tag::AMAT);
+/// An owned model out of checked sections, given its `U` and `V` values.
+/// Every `A_u` is copied out of `AMAT`, one matrix per user.
+fn model_from_sections(
+    file: &StoreFile,
+    (k, f_dim, users, items): Dims,
+    u: Vec<f64>,
+    v: Vec<f64>,
+) -> TsPprModel {
+    let a = file.f64_section(Tag::AMAT).expect("AMAT revalidation");
     let stride = k * f_dim;
     TsPprModel::from_parts(
         k,
         f_dim,
-        DMatrix::from_vec(users, k, section(Tag::UMAT).to_vec()),
-        DMatrix::from_vec(items, k, section(Tag::VMAT).to_vec()),
+        DMatrix::from_vec(users, k, u),
+        DMatrix::from_vec(items, k, v),
         (0..users)
             .map(|i| DMatrix::from_vec(k, f_dim, a[i * stride..(i + 1) * stride].to_vec()))
             .collect(),
     )
 }
 
+/// [`model_from_sections`] with copies of `UMAT` and `VMAT`.
+fn copy_model_sections(file: &StoreFile, dims: Dims) -> TsPprModel {
+    let section = |tag: Tag| file.f64_section(tag).expect("section revalidation");
+    let (u, v) = (section(Tag::UMAT).to_vec(), section(Tag::VMAT).to_vec());
+    model_from_sections(file, dims, u, v)
+}
+
 /// Validate and materialise the model sections of `file` — the reader
 /// beside [`push_model_sections`], shared with both checkpoint decoders.
 pub(crate) fn read_model_sections(file: &StoreFile) -> Result<TsPprModel, StoreError> {
-    Ok(model_from_sections(file, check_model_sections(file)?))
+    Ok(copy_model_sections(file, check_model_sections(file)?))
 }
 
 impl ModelView {
@@ -221,14 +234,14 @@ impl ModelView {
         u64::from_str_radix(hex.trim(), 16).ok()
     }
 
-    /// User `u`'s latent factor, borrowed from the read buffer.
+    /// User `u`'s latent factor, borrowed from its section's buffer.
     pub fn user_row(&self, user: usize) -> &[f64] {
         assert!(user < self.users, "user {user} out of range");
         let m = self.file.f64_section(Tag::UMAT).expect("UMAT revalidation");
         &m[user * self.k..(user + 1) * self.k]
     }
 
-    /// Item `v`'s latent factor, borrowed from the read buffer.
+    /// Item `v`'s latent factor, borrowed from its section's buffer.
     pub fn item_row(&self, item: usize) -> &[f64] {
         assert!(item < self.items, "item {item} out of range");
         let m = self.file.f64_section(Tag::VMAT).expect("VMAT revalidation");
@@ -243,9 +256,24 @@ impl ModelView {
         &m[user * stride..(user + 1) * stride]
     }
 
-    /// Materialise an owned [`TsPprModel`] (one copy of each section).
+    fn dims(&self) -> Dims {
+        (self.k, self.f_dim, self.users, self.items)
+    }
+
+    /// Materialise an owned [`TsPprModel`] and keep the view (one copy of
+    /// each section).
     pub fn to_model(&self) -> TsPprModel {
-        model_from_sections(&self.file, (self.k, self.f_dim, self.users, self.items))
+        copy_model_sections(&self.file, self.dims())
+    }
+
+    /// Turn the view into an owned [`TsPprModel`]: `U` and `V` take over
+    /// the view's buffers, and only the `A_u` are copied. Read anything
+    /// else the view holds, such as [`Self::fingerprint`], first.
+    pub fn into_model(mut self) -> TsPprModel {
+        let u = self.file.take_f64_section(Tag::UMAT);
+        let v = self.file.take_f64_section(Tag::VMAT);
+        let (u, v) = (u.expect("UMAT revalidation"), v.expect("VMAT revalidation"));
+        model_from_sections(&self.file, self.dims(), u, v)
     }
 }
 
@@ -293,6 +321,36 @@ mod tests {
             std::fs::read(&path).unwrap(),
             std::fs::read(&again).unwrap()
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_model_equals_the_copying_view_bit_for_bit() {
+        let dir = std::env::temp_dir().join(format!("rrc_store_into_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.rrcm");
+        // Values `==` cannot tell apart: a negative zero and a NaN payload.
+        let (k, f_dim, mut u, mut v, a) = model().into_parts();
+        v.row_mut(1)[0] = -0.0;
+        u.row_mut(0)[1] = f64::from_bits(0x7ff8_0000_0000_0001);
+        let m = TsPprModel::from_parts(k, f_dim, u, v, a);
+        save_model(&m, &[], &path).unwrap();
+        let bits = |m: &TsPprModel| -> Vec<u64> {
+            let transforms = m.transforms().iter().flat_map(|a| a.as_slice());
+            m.u_matrix()
+                .as_slice()
+                .iter()
+                .chain(m.v_matrix().as_slice())
+                .chain(transforms)
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        let moved = load_model(&path).unwrap();
+        let copied = ModelView::open(&path).unwrap().to_model();
+        assert_eq!(bits(&moved), bits(&copied));
+        assert_eq!(bits(&moved), bits(&m));
+        let shape = |m: &TsPprModel| (m.k(), m.f_dim(), m.num_users(), m.num_items());
+        assert_eq!(shape(&moved), shape(&copied));
         std::fs::remove_dir_all(&dir).ok();
     }
 
