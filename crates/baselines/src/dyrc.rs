@@ -17,7 +17,7 @@
 //! maximizing a log-likelihood function".
 
 use rrc_features::{RecContext, Recommender, TrainStats};
-use rrc_sequence::{classify, ConsumptionKind, Dataset, ItemId, WindowState};
+use rrc_sequence::{classify, ConsumptionKind, Dataset, WindowRow, WindowState};
 
 /// Training parameters for DYRC.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -189,12 +189,13 @@ impl Recommender for DyrcRecommender {
         "DYRC"
     }
 
-    fn score(&self, ctx: &RecContext<'_>, item: ItemId) -> f64 {
-        let recency = match ctx.window.last_seen(item) {
-            None => 0.0,
-            Some(last) => 1.0 / ((ctx.window.time() - last) as f64).max(1.0),
+    fn score_row(&self, ctx: &RecContext<'_>, row: &WindowRow) -> f64 {
+        let recency = if row.count == 0 {
+            0.0
+        } else {
+            1.0 / ((ctx.window.time() - row.last) as f64).max(1.0)
         };
-        self.model.logit(ctx.stats.quality(item), recency)
+        self.model.logit(ctx.stats.quality(row.item), recency)
     }
 }
 
@@ -202,7 +203,7 @@ impl Recommender for DyrcRecommender {
 mod tests {
     use super::*;
     use rrc_datagen::GeneratorConfig;
-    use rrc_sequence::{Sequence, UserId};
+    use rrc_sequence::{ItemId, Sequence, UserId};
 
     fn small_config() -> DyrcConfig {
         DyrcConfig {
@@ -272,9 +273,10 @@ mod tests {
             omega: 1,
         };
         // item 0: quality 1.0 (most frequent), gap 5 → 1.0 + 0.2.
-        assert!((rec.score(&ctx, ItemId(0)) - 1.2).abs() < 1e-12);
+        assert!((rec.score_row(&ctx, &w.row(ItemId(0))) - 1.2).abs() < 1e-12);
         // never-consumed item: recency 0, quality from stats.
-        assert!((rec.score(&ctx, ItemId(3)) - stats.quality(ItemId(3))).abs() < 1e-12);
+        let out = rec.score_row(&ctx, &w.row(ItemId(3)));
+        assert!((out - stats.quality(ItemId(3))).abs() < 1e-12);
         assert_eq!(rec.name(), "DYRC");
         assert_eq!(rec.model().w_quality, 1.0);
     }

@@ -18,7 +18,7 @@
 
 use crate::markov::MarkovChainModel;
 use rrc_features::{RecContext, Recommender};
-use rrc_sequence::{Dataset, ItemId};
+use rrc_sequence::{Dataset, ItemId, WindowRow};
 
 /// Markov transitions weighted by hyperbolic interest forgetting.
 #[derive(Debug, Clone)]
@@ -79,7 +79,7 @@ impl Recommender for ForgettingMarkovRecommender {
         "IF-Markov"
     }
 
-    fn score(&self, ctx: &RecContext<'_>, item: ItemId) -> f64 {
+    fn score_row(&self, ctx: &RecContext<'_>, row: &WindowRow) -> f64 {
         let now = ctx.window.time();
         let sources = ctx.window.distinct_items().map(|s| {
             (
@@ -87,7 +87,7 @@ impl Recommender for ForgettingMarkovRecommender {
                 ctx.window.last_seen(s).expect("window item has last_seen"),
             )
         });
-        self.model.score_from_window(sources, now, item)
+        self.model.score_from_window(sources, now, row.item)
     }
 }
 
@@ -140,7 +140,7 @@ mod tests {
             stats: &stats,
             omega: 1,
         };
-        assert!(rec.score(&ctx, ItemId(3)) > rec.score(&ctx, ItemId(1)));
+        assert!(rec.score_row(&ctx, &w.row(ItemId(3))) > rec.score_row(&ctx, &w.row(ItemId(1))));
         assert_eq!(rec.name(), "IF-Markov");
         assert!(rec.model().chain().num_observed_transitions() > 0);
     }
@@ -157,6 +157,6 @@ mod tests {
             stats: &stats,
             omega: 0,
         };
-        assert_eq!(rec.score(&ctx, ItemId(2)), 0.0);
+        assert_eq!(rec.score_row(&ctx, &w.row(ItemId(2))), 0.0);
     }
 }

@@ -16,12 +16,13 @@
 //! (next-item, sampled-negative) pairs, with negatives drawn — as in the
 //! RRC adaptation — from the same window's eligible candidates.
 
-use crate::transitions::{collect_transitions, Transition};
+use crate::transitions::{basket, collect_transitions, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rrc_features::recommend::top_n_into;
 use rrc_features::{RecContext, Recommender};
 use rrc_linalg::{sigmoid, DMatrix, GaussianSampler};
-use rrc_sequence::{Dataset, ItemId, UserId};
+use rrc_sequence::{Dataset, ItemId, UserId, WindowRow};
 
 /// FPMC hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -305,22 +306,20 @@ impl Recommender for FpmcRecommender {
         "FPMC"
     }
 
-    fn score(&self, ctx: &RecContext<'_>, item: ItemId) -> f64 {
-        let mut basket: Vec<ItemId> = ctx.window.distinct_items().collect();
-        basket.sort_unstable();
-        self.model.score(ctx.user, item, &basket)
+    fn score_row(&self, ctx: &RecContext<'_>, row: &WindowRow) -> f64 {
+        self.model.score(ctx.user, row.item, &basket(ctx.window))
     }
 
-    fn recommend(&self, ctx: &RecContext<'_>, n: usize) -> Vec<ItemId> {
-        // Build the basket once for all candidates.
-        let mut basket: Vec<ItemId> = ctx.window.distinct_items().collect();
-        basket.sort_unstable();
-        let mut scored: Vec<(f64, ItemId)> = ctx
-            .candidates()
-            .into_iter()
-            .map(|v| (self.model.score(ctx.user, v, &basket), v))
-            .collect();
-        rrc_features::recommend::top_n(&mut scored, n)
+    /// The provided pass, with the basket built once for all candidates.
+    fn recommend_into(&self, ctx: &RecContext<'_>, n: usize, out: &mut Vec<ItemId>) {
+        let basket = basket(ctx.window);
+        let mut scored = Vec::with_capacity(ctx.window.distinct_len());
+        scored.extend(
+            ctx.window
+                .eligible_rows(ctx.omega)
+                .map(|row| (self.model.score(ctx.user, row.item, &basket), row.item)),
+        );
+        top_n_into(&mut scored, n, out);
     }
 }
 
@@ -411,10 +410,16 @@ mod tests {
             omega: 3,
         };
         let top = rec.recommend(&ctx, 5);
-        let candidates = ctx.candidates();
+        let candidates = window.eligible_candidates(3);
         for v in &top {
             assert!(candidates.contains(v));
         }
+        // A candidate scored alone has the bits the one-basket pass gives it.
+        let mut scored: Vec<(f64, ItemId)> = candidates
+            .iter()
+            .map(|&v| (rec.score_row(&ctx, &window.row(v)), v))
+            .collect();
+        assert_eq!(top, rrc_features::recommend::top_n(&mut scored, 5));
         assert_eq!(rec.name(), "FPMC");
         assert!(rec.model().is_finite());
     }

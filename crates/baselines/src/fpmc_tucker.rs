@@ -17,12 +17,13 @@
 //! (`reproduce ablation` compares them indirectly, and the unit tests here
 //! check the special-case equivalence directly).
 
-use crate::transitions::{collect_transitions, Transition};
+use crate::transitions::{basket, collect_transitions, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rrc_features::recommend::top_n_into;
 use rrc_features::{RecContext, Recommender};
 use rrc_linalg::{sigmoid, DMatrix, GaussianSampler, Tensor3};
-use rrc_sequence::{Dataset, ItemId, UserId};
+use rrc_sequence::{Dataset, ItemId, UserId, WindowRow};
 
 /// Tucker-FPMC hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,9 +133,13 @@ impl TuckerFpmcModel {
     /// trilinear contraction is linear in `z`, so averaging the basket
     /// factors first is exact.
     pub fn score(&self, user: UserId, item: ItemId, basket: &[ItemId]) -> f64 {
-        let z = self.basket_mean(basket);
+        self.score_with_mean(user, item, &self.basket_mean(basket))
+    }
+
+    /// [`Self::score`] given the basket mean `z̄`.
+    fn score_with_mean(&self, user: UserId, item: ItemId, z: &[f64]) -> f64 {
         self.core
-            .contract(self.u.row(user.index()), self.v.row(item.index()), &z)
+            .contract(self.u.row(user.index()), self.v.row(item.index()), z)
     }
 
     /// True iff every parameter is finite.
@@ -274,21 +279,21 @@ impl Recommender for TuckerFpmcRecommender {
         "Tucker-FPMC"
     }
 
-    fn score(&self, ctx: &RecContext<'_>, item: ItemId) -> f64 {
-        let mut basket: Vec<ItemId> = ctx.window.distinct_items().collect();
-        basket.sort_unstable();
-        self.model.score(ctx.user, item, &basket)
+    fn score_row(&self, ctx: &RecContext<'_>, row: &WindowRow) -> f64 {
+        self.model.score(ctx.user, row.item, &basket(ctx.window))
     }
 
-    fn recommend(&self, ctx: &RecContext<'_>, n: usize) -> Vec<ItemId> {
-        let mut basket: Vec<ItemId> = ctx.window.distinct_items().collect();
-        basket.sort_unstable();
-        let mut scored: Vec<(f64, ItemId)> = ctx
-            .candidates()
-            .into_iter()
-            .map(|v| (self.model.score(ctx.user, v, &basket), v))
-            .collect();
-        rrc_features::recommend::top_n(&mut scored, n)
+    /// The provided pass, with the basket mean built once for all
+    /// candidates.
+    fn recommend_into(&self, ctx: &RecContext<'_>, n: usize, out: &mut Vec<ItemId>) {
+        let z = self.model.basket_mean(&basket(ctx.window));
+        let mut scored = Vec::with_capacity(ctx.window.distinct_len());
+        scored.extend(
+            ctx.window
+                .eligible_rows(ctx.omega)
+                .map(|row| (self.model.score_with_mean(ctx.user, row.item, &z), row.item)),
+        );
+        top_n_into(&mut scored, n, out);
     }
 }
 
@@ -408,12 +413,17 @@ mod tests {
             omega: 3,
         };
         let top = rec.recommend(&ctx, 5);
-        let candidates = ctx.candidates();
+        let candidates = window.eligible_candidates(3);
         for v in &top {
             assert!(candidates.contains(v));
         }
+        // A candidate scored alone has the bits the one-mean pass gives it.
+        let mut scored: Vec<(f64, ItemId)> = candidates
+            .iter()
+            .map(|&v| (rec.score_row(&ctx, &window.row(v)), v))
+            .collect();
+        assert_eq!(top, rrc_features::recommend::top_n(&mut scored, 5));
         assert_eq!(rec.name(), "Tucker-FPMC");
         assert!(rec.model().is_finite());
     }
-    // temporary probe appended to fpmc_tucker tests
 }

@@ -7,7 +7,7 @@
 //! models on the RRC task.
 
 use rrc_features::{RecContext, Recommender};
-use rrc_sequence::{Dataset, ItemId};
+use rrc_sequence::{Dataset, ItemId, WindowRow};
 use std::collections::HashMap;
 
 /// Empirical item→item transition model with additive smoothing.
@@ -81,10 +81,10 @@ impl Recommender for MarkovRecommender {
         "Markov"
     }
 
-    fn score(&self, ctx: &RecContext<'_>, item: ItemId) -> f64 {
+    fn score_row(&self, ctx: &RecContext<'_>, row: &WindowRow) -> f64 {
         match ctx.window.events().last() {
             None => 0.0,
-            Some(prev) => self.model.transition_prob(prev, item),
+            Some(prev) => self.model.transition_prob(prev, row.item),
         }
     }
 }
@@ -140,8 +140,8 @@ mod tests {
             stats: &stats,
             omega: 1,
         };
-        assert!((rec.score(&ctx, ItemId(0)) - 0.5).abs() < 1e-12);
-        assert!((rec.score(&ctx, ItemId(2)) - 0.5).abs() < 1e-12);
+        assert!((rec.score_row(&ctx, &w.row(ItemId(0))) - 0.5).abs() < 1e-12);
+        assert!((rec.score_row(&ctx, &w.row(ItemId(2))) - 0.5).abs() < 1e-12);
         assert_eq!(rec.name(), "Markov");
     }
 
@@ -157,6 +157,6 @@ mod tests {
             stats: &stats,
             omega: 1,
         };
-        assert_eq!(rec.score(&ctx, ItemId(0)), 0.0);
+        assert_eq!(rec.score_row(&ctx, &w.row(ItemId(0))), 0.0);
     }
 }

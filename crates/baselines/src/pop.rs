@@ -3,7 +3,7 @@
 //! consumption in Anderson et al. 2014).
 
 use rrc_features::{RecContext, Recommender};
-use rrc_sequence::ItemId;
+use rrc_sequence::WindowRow;
 
 /// Ranks eligible candidates by their training-set log-frequency. Stateless
 /// — the popularity table lives in the shared [`rrc_features::TrainStats`].
@@ -15,8 +15,8 @@ impl Recommender for PopRecommender {
         "Pop"
     }
 
-    fn score(&self, ctx: &RecContext<'_>, item: ItemId) -> f64 {
-        ctx.stats.log_popularity(item)
+    fn score_row(&self, ctx: &RecContext<'_>, row: &WindowRow) -> f64 {
+        ctx.stats.log_popularity(row.item)
     }
 }
 
@@ -24,7 +24,7 @@ impl Recommender for PopRecommender {
 mod tests {
     use super::*;
     use rrc_features::TrainStats;
-    use rrc_sequence::{Dataset, Sequence, UserId, WindowState};
+    use rrc_sequence::{Dataset, ItemId, Sequence, UserId, WindowState};
 
     #[test]
     fn ranks_by_training_frequency() {
@@ -60,6 +60,6 @@ mod tests {
             stats: &stats,
             omega: 1,
         };
-        assert_eq!(PopRecommender.score(&ctx, ItemId(3)), 0.0);
+        assert_eq!(PopRecommender.score_row(&ctx, &w.row(ItemId(3))), 0.0);
     }
 }

@@ -3,7 +3,7 @@
 //! (§5.2).
 
 use rrc_features::{RecContext, Recommender};
-use rrc_sequence::ItemId;
+use rrc_sequence::WindowRow;
 
 /// Ranks eligible candidates by `e^{−Δt}` — most-recently-consumed first.
 ///
@@ -19,14 +19,12 @@ impl Recommender for RecencyRecommender {
         "Recency"
     }
 
-    fn score(&self, ctx: &RecContext<'_>, item: ItemId) -> f64 {
-        match ctx.window.last_seen(item) {
-            None => 0.0,
-            Some(last) => {
-                let gap = (ctx.window.time() - last) as f64;
-                (-gap).exp()
-            }
+    fn score_row(&self, ctx: &RecContext<'_>, row: &WindowRow) -> f64 {
+        if row.count == 0 {
+            return 0.0;
         }
+        let gap = (ctx.window.time() - row.last) as f64;
+        (-gap).exp()
     }
 }
 
@@ -34,7 +32,7 @@ impl Recommender for RecencyRecommender {
 mod tests {
     use super::*;
     use rrc_features::TrainStats;
-    use rrc_sequence::{Dataset, Sequence, UserId, WindowState};
+    use rrc_sequence::{Dataset, ItemId, Sequence, UserId, WindowState};
 
     #[test]
     fn fresher_items_rank_higher() {
@@ -64,8 +62,9 @@ mod tests {
             stats: &stats,
             omega: 1,
         };
-        let s = RecencyRecommender.score(&ctx, ItemId(0));
+        let s = RecencyRecommender.score_row(&ctx, &w.row(ItemId(0)));
         assert!((s - (-4.0f64).exp()).abs() < 1e-15);
-        assert_eq!(RecencyRecommender.score(&ctx, ItemId(3)), 0.0);
+        // Out of the window: no recency, whatever `last` holds.
+        assert_eq!(RecencyRecommender.score_row(&ctx, &w.row(ItemId(3))), 0.0);
     }
 }

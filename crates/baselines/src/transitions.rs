@@ -37,13 +37,11 @@ pub fn collect_transitions(
                         let j = rng.gen_range(k..candidates.len());
                         candidates.swap(k, j);
                     }
-                    let mut basket: Vec<ItemId> = win.distinct_items().collect();
-                    basket.sort_unstable();
                     out.push(Transition {
                         user,
                         pos: item,
                         negs: candidates[..s].to_vec(),
-                        basket,
+                        basket: basket(&win),
                     });
                 }
             }
@@ -51,6 +49,14 @@ pub fn collect_transitions(
         }
     }
     out
+}
+
+/// The basket `B`: the distinct items of the window, sorted by id so a sum
+/// over it is the same whatever order the window keeps them in.
+pub(crate) fn basket(window: &WindowState) -> Vec<ItemId> {
+    let mut basket: Vec<ItemId> = window.distinct_items().collect();
+    basket.sort_unstable();
+    basket
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use crate::zoo::{train_tsppr, tsppr_config};
 use rrc_baselines::PopRecommender;
 use rrc_core::{TsPprRecommender, TsPprTrainer};
 use rrc_datagen::DatasetKind;
-use rrc_eval::{evaluate_novel, evaluate_unified_with_threshold, format_table, EvalConfig};
+use rrc_eval::{evaluate_novel, evaluate_unified, format_table, EvalConfig};
 use rrc_features::{build_novel_training_set, FeaturePipeline, NovelSamplingConfig};
 use rrc_strec::{LassoConfig, StrecClassifier};
 
@@ -79,7 +79,7 @@ pub fn run(opts: &RunOptions) -> String {
             opts.window,
             &LassoConfig::default(),
         ) {
-            let unified = evaluate_unified_with_threshold(
+            let unified = evaluate_unified(
                 &gate,
                 &repeat_rec,
                 &novel_rec,

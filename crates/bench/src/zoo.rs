@@ -13,17 +13,17 @@ use rrc_survival::{CoxConfig, SurvivalRecommender};
 
 /// All trained methods, in the paper's presentation order.
 pub struct ModelZoo {
-    methods: Vec<(String, Box<dyn Recommender + Sync>)>,
+    methods: Vec<Box<dyn Recommender + Sync>>,
 }
 
 impl ModelZoo {
     /// Train the full comparison (Random, Pop, Recency, FPMC, Survival,
     /// DYRC, TS-PPR) on the prepared data.
     pub fn full(exp: &ExperimentData, opts: &RunOptions) -> Self {
-        let mut methods: Vec<(String, Box<dyn Recommender + Sync>)> = vec![
-            ("Random".into(), Box::new(RandomRecommender::default())),
-            ("Pop".into(), Box::new(PopRecommender)),
-            ("Recency".into(), Box::new(RecencyRecommender)),
+        let mut methods: Vec<Box<dyn Recommender + Sync>> = vec![
+            Box::new(RandomRecommender::default()),
+            Box::new(PopRecommender),
+            Box::new(RecencyRecommender),
         ];
 
         let fpmc = FpmcTrainer::new(FpmcConfig {
@@ -36,7 +36,7 @@ impl ModelZoo {
             ..FpmcConfig::new(exp.data.num_users(), exp.data.num_items())
         })
         .train(&exp.split.train);
-        methods.push(("FPMC".into(), Box::new(FpmcRecommender::new(fpmc))));
+        methods.push(Box::new(FpmcRecommender::new(fpmc)));
 
         match SurvivalRecommender::fit(
             &exp.split.train,
@@ -44,7 +44,7 @@ impl ModelZoo {
             opts.window,
             &CoxConfig::default(),
         ) {
-            Ok(s) => methods.push(("Survival".into(), Box::new(s))),
+            Ok(s) => methods.push(Box::new(s)),
             Err(e) => eprintln!("warning: Survival baseline skipped: {e}"),
         }
 
@@ -54,19 +54,17 @@ impl ModelZoo {
             ..DyrcConfig::default()
         })
         .train(&exp.split.train, &exp.stats);
-        methods.push(("DYRC".into(), Box::new(DyrcRecommender::new(dyrc))));
+        methods.push(Box::new(DyrcRecommender::new(dyrc)));
 
         let (tsppr, _) = train_tsppr(exp, opts, &FeaturePipeline::standard());
-        methods.push(("TS-PPR".into(), Box::new(tsppr)));
+        methods.push(Box::new(tsppr));
 
         ModelZoo { methods }
     }
 
-    /// Iterate `(name, recommender)` pairs.
+    /// Iterate `(name, recommender)` pairs, named by [`Recommender::name`].
     pub fn iter(&self) -> impl Iterator<Item = (&str, &(dyn Recommender + Sync))> {
-        self.methods
-            .iter()
-            .map(|(n, r)| (n.as_str(), r.as_ref() as &(dyn Recommender + Sync)))
+        self.methods.iter().map(|r| (r.name(), r.as_ref()))
     }
 
     /// Number of methods.

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rrc_features::{RecContext, Recommender, TrainingSet};
 use rrc_linalg::{sigmoid, DMatrix, GaussianSampler};
-use rrc_sequence::{ItemId, UserId};
+use rrc_sequence::{ItemId, UserId, WindowRow};
 
 /// Hyper-parameters for plain PPR. A trimmed-down [`TsPprConfig`] (no λ:
 /// there are no transforms).
@@ -190,8 +190,8 @@ impl Recommender for PprRecommender {
         "PPR"
     }
 
-    fn score(&self, ctx: &RecContext<'_>, item: ItemId) -> f64 {
-        self.model.score(ctx.user, item)
+    fn score_row(&self, ctx: &RecContext<'_>, row: &WindowRow) -> f64 {
+        self.model.score(ctx.user, row.item)
     }
 }
 

@@ -1,9 +1,9 @@
 //! [`Recommender`] adapter for a trained TS-PPR model (§4.3).
 
 use crate::model::TsPprModel;
-use crate::online::recommend_single;
+use crate::online::recommend_into;
 use rrc_features::{FeatureContext, FeaturePipeline, RecContext, Recommender};
-use rrc_sequence::ItemId;
+use rrc_sequence::{ItemId, WindowRow};
 
 /// Wraps a trained [`TsPprModel`] together with the feature pipeline it was
 /// trained with, extracting `f_{uvt}` on the fly at recommendation time and
@@ -43,20 +43,21 @@ impl Recommender for TsPprRecommender {
         "TS-PPR"
     }
 
-    fn score(&self, ctx: &RecContext<'_>, item: ItemId) -> f64 {
+    fn score_row(&self, ctx: &RecContext<'_>, row: &WindowRow) -> f64 {
         let fctx = FeatureContext {
             window: ctx.window,
             stats: ctx.stats,
         };
-        let f = self.pipeline.extract(&fctx, item);
-        self.model.score(ctx.user, item, &f)
+        let mut f = vec![0.0; self.pipeline.len()];
+        self.pipeline.extract_row(&fctx, row, &mut f);
+        self.model.score(ctx.user, row.item, &f)
     }
 
-    /// The serving path itself ([`recommend_single`]): what the paper's
-    /// Fig. 13 times per instance, and what an engine shard runs, so an
-    /// offline evaluation ranks with the code that serves.
-    fn recommend(&self, ctx: &RecContext<'_>, n: usize) -> Vec<ItemId> {
-        recommend_single(
+    /// The serving path itself ([`recommend_into`]): the fold `A_uᵀu` once
+    /// per request, then one pass, so an offline evaluation ranks with the
+    /// code an engine shard runs.
+    fn recommend_into(&self, ctx: &RecContext<'_>, n: usize, out: &mut Vec<ItemId>) {
+        recommend_into(
             &self.model,
             &self.pipeline,
             ctx.stats,
@@ -64,7 +65,8 @@ impl Recommender for TsPprRecommender {
             ctx.user,
             ctx.window,
             n,
-        )
+            out,
+        );
     }
 }
 
@@ -108,11 +110,11 @@ mod tests {
             omega: 5,
         };
         let fast = rec.recommend(&ctx, 5);
-        // Compare with the default trait path (per-item `score`).
-        let mut scored: Vec<(f64, ItemId)> = ctx
-            .candidates()
+        // Compare with candidates scored one at a time, in id order.
+        let mut scored: Vec<(f64, ItemId)> = window
+            .eligible_candidates(5)
             .into_iter()
-            .map(|v| (rec.score(&ctx, v), v))
+            .map(|v| (rec.score_row(&ctx, &window.row(v)), v))
             .collect();
         let slow = rrc_features::recommend::top_n(&mut scored, 5);
         assert_eq!(fast, slow);

@@ -6,11 +6,12 @@
 //! classification accuracy and the recommender's MaAP@N conditional on
 //! correct classification; their product estimates end-to-end accuracy.
 
-use crate::harness::EvalConfig;
-use crate::metrics::{EvalResult, UserOutcome};
-use rrc_features::{RecContext, Recommender, TrainStats};
-use rrc_sequence::{classify, ConsumptionKind, SplitDataset, UserId, WindowState};
-use rrc_strec::{StrecClassifier, StrecFeatureState};
+use crate::harness::{walk, EvalConfig, Outcomes};
+use crate::metrics::EvalResult;
+use rrc_features::{Recommender, TrainStats};
+use rrc_sequence::{ConsumptionKind, SplitDataset};
+use rrc_strec::StrecClassifier;
+use std::ops::ControlFlow::Continue;
 
 /// Table 5's measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,89 +52,38 @@ pub fn evaluate_combined<R: Recommender + ?Sized>(
     cfg: &EvalConfig,
     ns: &[usize],
 ) -> CombinedResult {
-    assert!(!ns.is_empty(), "at least one N required");
-    let max_n = ns.iter().copied().max().unwrap_or(0);
-    let mut per_n: Vec<Vec<UserOutcome>> = ns.iter().map(|_| Vec::new()).collect();
+    let mut outcomes = Outcomes::new(ns, split.num_users());
+    let max_n = outcomes.max_n();
+    let mut list = Vec::with_capacity(max_n);
     let mut strec_correct = 0u64;
     let mut strec_total = 0u64;
-
-    for u in 0..split.num_users() {
-        let user = UserId(u as u32);
-        let train_events = split.train.sequence(user).events();
-        let mut window = WindowState::warmed(cfg.window, train_events);
-        // Replay the training stream through the STREC state so the
-        // "last repeat" feature is warm too.
-        let mut state = StrecFeatureState::default();
-        {
-            let mut warm = WindowState::new(cfg.window);
-            for (step, &item) in train_events.iter().enumerate() {
-                state.observe(step, warm.contains(item));
-                warm.push(item);
-            }
+    walk(split, stats, cfg, 0..split.num_users(), |step| {
+        let window = step.ctx.window;
+        if window.is_empty() {
+            return Continue(());
         }
-        let mut outcomes = vec![UserOutcome::default(); ns.len()];
-        for &item in split.test_sequence(user).events() {
-            let mut predicted_repeat = false;
-            if !window.is_empty() {
-                predicted_repeat = classifier.predict(&window, stats, &state);
-                let actual_repeat = window.contains(item);
-                if predicted_repeat == actual_repeat {
-                    strec_correct += 1;
-                }
-                strec_total += 1;
-            }
-            let kind = classify(&window, item, cfg.omega);
-            if kind == ConsumptionKind::EligibleRepeat && predicted_repeat {
-                let ctx = RecContext {
-                    user,
-                    window: &window,
-                    stats,
-                    omega: cfg.omega,
-                };
-                let list = rec.recommend(&ctx, max_n);
-                let hit_rank = list.iter().position(|&v| v == item);
-                for (slot, &n) in outcomes.iter_mut().zip(ns) {
-                    slot.opportunities += 1;
-                    if matches!(hit_rank, Some(r) if r < n) {
-                        slot.hits += 1;
-                    }
-                }
-            }
-            state.observe(window.time(), window.contains(item));
-            window.push(item);
+        let predicted_repeat = classifier.predict(window, stats, step.strec);
+        strec_correct += u64::from(predicted_repeat == (step.kind != ConsumptionKind::Novel));
+        strec_total += 1;
+        if predicted_repeat && step.kind == ConsumptionKind::EligibleRepeat {
+            rec.recommend_into(&step.ctx, max_n, &mut list);
+            outcomes.record(step.ctx.user, &list, step.item);
         }
-        for (bucket, o) in per_n.iter_mut().zip(outcomes) {
-            bucket.push(o);
-        }
-    }
-
+        Continue(())
+    });
     CombinedResult {
         strec_correct,
         strec_total,
-        conditional: ns
-            .iter()
-            .zip(per_n)
-            .map(|(&n, per_user)| EvalResult { top_n: n, per_user })
-            .collect(),
+        conditional: outcomes.into_results(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrc_features::RecContext as Ctx;
-    use rrc_sequence::{Dataset, ItemId, Sequence};
+    use crate::harness::tests::{cfg, ByIdAsc};
+    use rrc_sequence::{Dataset, Sequence};
     use rrc_strec::LassoConfig;
-
-    struct ById;
-    impl Recommender for ById {
-        fn name(&self) -> &str {
-            "by-id"
-        }
-        fn score(&self, _: &Ctx<'_>, item: ItemId) -> f64 {
-            -(item.0 as f64)
-        }
-    }
 
     fn split() -> (SplitDataset, TrainStats) {
         // Repetitive training streams so STREC has signal.
@@ -156,16 +106,13 @@ mod tests {
         let (split, stats) = split();
         let clf = StrecClassifier::fit(&split.train, &stats, 10, &LassoConfig::default())
             .expect("examples exist");
-        let cfg = EvalConfig {
-            window: 10,
-            omega: 2,
-        };
-        let result = evaluate_combined(&clf, &ById, &split, &stats, &cfg, &[1, 5]);
+        let cfg = cfg();
+        let result = evaluate_combined(&clf, &ByIdAsc, &split, &stats, &cfg, &[1, 5]);
         assert!(result.strec_total > 0);
         assert!(result.strec_accuracy() > 0.4, "{}", result.strec_accuracy());
         assert_eq!(result.conditional.len(), 2);
         // Gated opportunities cannot exceed the ungated eligible repeats.
-        let ungated = crate::harness::evaluate(&ById, &split, &stats, &cfg, 1);
+        let ungated = crate::harness::evaluate(&ByIdAsc, &split, &stats, &cfg, 1);
         assert!(result.conditional[0].opportunities() <= ungated.opportunities());
         // MaAP monotone in N; end-to-end <= conditional.
         assert!(result.conditional[0].maap() <= result.conditional[1].maap());
@@ -180,11 +127,8 @@ mod tests {
         };
         let stats = TrainStats::compute(&s.train, 10);
         let clf = StrecClassifier::fit(&s.train, &stats, 10, &LassoConfig::default()).unwrap();
-        let cfg = EvalConfig {
-            window: 10,
-            omega: 2,
-        };
-        let r = evaluate_combined(&clf, &ById, &s, &stats, &cfg, &[1]);
+        let cfg = cfg();
+        let r = evaluate_combined(&clf, &ByIdAsc, &s, &stats, &cfg, &[1]);
         assert_eq!(r.strec_total, 0);
         assert_eq!(r.strec_accuracy(), 0.0);
         assert_eq!(r.conditional[0].opportunities(), 0);

@@ -1,8 +1,11 @@
-//! The sequential test-walk harness.
+//! The sequential test walk of §5.3, once, and the evaluators of MaAP /
+//! MiAP built on it.
 
 use crate::metrics::{EvalResult, UserOutcome};
 use rrc_features::{RecContext, Recommender, TrainStats};
-use rrc_sequence::{classify, ConsumptionKind, SplitDataset, UserId, WindowState};
+use rrc_sequence::{classify, ConsumptionKind, ItemId, SplitDataset, UserId, WindowState};
+use rrc_strec::StrecFeatureState;
+use std::ops::ControlFlow::{self, Continue};
 
 /// Evaluation protocol parameters (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,39 +25,139 @@ impl Default for EvalConfig {
     }
 }
 
-/// Evaluate one user's test suffix, scoring all requested `N`s from a
-/// single walk. Returns one [`UserOutcome`] per `N`.
-fn walk_user<R: Recommender + ?Sized>(
-    rec: &R,
-    user: UserId,
+/// One test event as the walk hands it to an evaluator.
+pub(crate) struct Step<'a> {
+    /// The request context before the event: the window is `W_{u,t-1}`.
+    pub ctx: RecContext<'a>,
+    /// STREC's streaming state, warmed over the same events as the window.
+    pub strec: &'a StrecFeatureState,
+    /// The consumption `x_t`.
+    pub item: ItemId,
+    /// `item` against the window: an eligible repeat is an opportunity.
+    pub kind: ConsumptionKind,
+}
+
+/// The protocol every evaluator shares (§5.1, §5.3). For each of `users`
+/// (dense ids), a window of capacity `|W|` and STREC's state are warmed
+/// over the training prefix; then each event of the test suffix is handed
+/// to `visit` and only then pushed. The walk ends early when `visit`
+/// breaks.
+///
+/// # Panics
+/// Panics unless `cfg.omega < cfg.window`.
+pub(crate) fn walk(
     split: &SplitDataset,
     stats: &TrainStats,
     cfg: &EvalConfig,
-    ns: &[usize],
-) -> Vec<UserOutcome> {
-    let mut outcomes = vec![UserOutcome::default(); ns.len()];
-    let max_n = ns.iter().copied().max().unwrap_or(0);
-    let train_events = split.train.sequence(user).events();
-    let mut window = WindowState::warmed(cfg.window, train_events);
-    for &item in split.test_sequence(user).events() {
-        if classify(&window, item, cfg.omega) == ConsumptionKind::EligibleRepeat {
-            let ctx = RecContext {
-                user,
-                window: &window,
-                stats,
-                omega: cfg.omega,
-            };
-            let list = rec.recommend(&ctx, max_n);
-            let hit_rank = list.iter().position(|&v| v == item);
-            for (slot, &n) in outcomes.iter_mut().zip(ns) {
-                slot.opportunities += 1;
-                if matches!(hit_rank, Some(r) if r < n) {
-                    slot.hits += 1;
+    users: impl IntoIterator<Item = usize>,
+    mut visit: impl FnMut(&Step<'_>) -> ControlFlow<()>,
+) {
+    assert!(cfg.omega < cfg.window, "omega must be < window");
+    for u in users {
+        let user = UserId(u as u32);
+        let train = split.train.sequence(user).events();
+        let test = split.test_sequence(user).events();
+        let mut window = WindowState::new(cfg.window);
+        let mut strec = StrecFeatureState::default();
+        for (t, &item) in train.iter().chain(test).enumerate() {
+            let kind = classify(&window, item, cfg.omega);
+            if t >= train.len() {
+                let ctx = RecContext {
+                    user,
+                    window: &window,
+                    stats,
+                    omega: cfg.omega,
+                };
+                let step = Step {
+                    ctx,
+                    strec: &strec,
+                    item,
+                    kind,
+                };
+                if visit(&step).is_break() {
+                    return;
                 }
             }
+            strec.observe(t, kind != ConsumptionKind::Novel);
+            window.push(item);
         }
-        window.push(item);
     }
+}
+
+/// Every user's outcome at each requested `N` (Eq. 22's counts), filled
+/// as the walk goes: the fold behind every evaluator that reports
+/// [`EvalResult`]s.
+pub(crate) struct Outcomes<'n> {
+    ns: &'n [usize],
+    /// `per_n[i][u]`: user `u` at `ns[i]`.
+    per_n: Vec<Vec<UserOutcome>>,
+}
+
+impl<'n> Outcomes<'n> {
+    /// No opportunities yet for any of `users` users.
+    pub(crate) fn new(ns: &'n [usize], users: usize) -> Self {
+        assert!(!ns.is_empty(), "at least one N required");
+        Outcomes {
+            ns,
+            per_n: vec![vec![UserOutcome::default(); users]; ns.len()],
+        }
+    }
+
+    /// The list length that serves every `N` from one list.
+    pub(crate) fn max_n(&self) -> usize {
+        self.ns.iter().copied().max().unwrap_or(0)
+    }
+
+    /// One opportunity of `user`: `list` was served and `item` consumed.
+    pub(crate) fn record(&mut self, user: UserId, list: &[ItemId], item: ItemId) {
+        let rank = list.iter().position(|&v| v == item);
+        for (per_user, &n) in self.per_n.iter_mut().zip(self.ns) {
+            let outcome = &mut per_user[user.index()];
+            outcome.opportunities += 1;
+            outcome.hits += u64::from(rank.is_some_and(|r| r < n));
+        }
+    }
+
+    /// Add the outcomes of users walked elsewhere.
+    fn merge(&mut self, other: &Outcomes<'_>) {
+        for (mine, theirs) in self.per_n.iter_mut().zip(&other.per_n) {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                a.hits += b.hits;
+                a.opportunities += b.opportunities;
+            }
+        }
+    }
+
+    /// One [`EvalResult`] per `N`, in the order they were requested.
+    pub(crate) fn into_results(self) -> Vec<EvalResult> {
+        self.ns
+            .iter()
+            .zip(self.per_n)
+            .map(|(&top_n, per_user)| EvalResult { top_n, per_user })
+            .collect()
+    }
+}
+
+/// `rec`'s outcomes over `users`: every eligible repeat is an opportunity,
+/// and one list of the largest `N` scores every `N`.
+fn outcomes<'n, R: Recommender + ?Sized>(
+    rec: &R,
+    split: &SplitDataset,
+    stats: &TrainStats,
+    cfg: &EvalConfig,
+    ns: &'n [usize],
+    users: impl IntoIterator<Item = usize>,
+) -> Outcomes<'n> {
+    let mut outcomes = Outcomes::new(ns, split.num_users());
+    let max_n = outcomes.max_n();
+    let mut list = Vec::with_capacity(max_n);
+    walk(split, stats, cfg, users, |step| {
+        if step.kind == ConsumptionKind::EligibleRepeat {
+            rec.recommend_into(&step.ctx, max_n, &mut list);
+            outcomes.record(step.ctx.user, &list, step.item);
+        }
+        Continue(())
+    });
     outcomes
 }
 
@@ -79,31 +182,17 @@ pub fn evaluate_multi<R: Recommender + ?Sized>(
     cfg: &EvalConfig,
     ns: &[usize],
 ) -> Vec<EvalResult> {
-    assert!(!ns.is_empty(), "at least one N required");
-    assert!(cfg.omega < cfg.window, "omega must be < window");
     // Whole-walk tracing span: lands in the global registry's
     // span_duration_ns{span="eval.walk"} histogram, so reproduce-run
     // reports carry evaluation wall-clock per recommender sweep.
     let _span = rrc_obs::global().span("eval.walk");
-    let mut per_n: Vec<Vec<UserOutcome>> = ns
-        .iter()
-        .map(|_| Vec::with_capacity(split.num_users()))
-        .collect();
-    for u in 0..split.num_users() {
-        let outcomes = walk_user(rec, UserId(u as u32), split, stats, cfg, ns);
-        for (bucket, o) in per_n.iter_mut().zip(outcomes) {
-            bucket.push(o);
-        }
-    }
-    ns.iter()
-        .zip(per_n)
-        .map(|(&n, per_user)| EvalResult { top_n: n, per_user })
-        .collect()
+    outcomes(rec, split, stats, cfg, ns, 0..split.num_users()).into_results()
 }
 
 /// Parallel [`evaluate_multi`]: users are striped across `threads` scoped
 /// worker threads. Results are identical to the serial version (each user's
-/// walk is independent and deterministic).
+/// walk is independent and deterministic), and a worker's panic reaches
+/// the caller as it was raised.
 pub fn evaluate_multi_parallel<R: Recommender + Sync + ?Sized>(
     rec: &R,
     split: &SplitDataset,
@@ -112,57 +201,41 @@ pub fn evaluate_multi_parallel<R: Recommender + Sync + ?Sized>(
     ns: &[usize],
     threads: usize,
 ) -> Vec<EvalResult> {
-    assert!(!ns.is_empty(), "at least one N required");
-    assert!(cfg.omega < cfg.window, "omega must be < window");
     let _span = rrc_obs::global().span("eval.walk");
     let threads = threads.max(1);
     let num_users = split.num_users();
-    let mut all: Vec<Vec<UserOutcome>> = vec![Vec::new(); num_users];
-
+    let mut all = Outcomes::new(ns, num_users);
     crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            handles.push(scope.spawn(move |_| {
-                let mut local: Vec<(usize, Vec<UserOutcome>)> = Vec::new();
-                let mut u = t;
-                while u < num_users {
-                    local.push((u, walk_user(rec, UserId(u as u32), split, stats, cfg, ns)));
-                    u += threads;
-                }
-                local
-            }));
-        }
-        for h in handles {
-            for (u, outcomes) in h.join().expect("worker panicked") {
-                all[u] = outcomes;
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let stripe = (t..num_users).step_by(threads);
+                scope.spawn(move |_| outcomes(rec, split, stats, cfg, ns, stripe))
+            })
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(stripe) => all.merge(&stripe),
+                Err(panic) => std::panic::resume_unwind(panic),
             }
         }
     })
-    .expect("evaluation scope");
-
-    ns.iter()
-        .enumerate()
-        .map(|(ni, &n)| EvalResult {
-            top_n: n,
-            per_user: all.iter().map(|o| o[ni]).collect(),
-        })
-        .collect()
+    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    all.into_results()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use rrc_features::RecContext;
-    use rrc_sequence::{Dataset, ItemId, Sequence};
+    use rrc_sequence::{Dataset, Sequence, WindowRow};
 
     /// Oracle that knows nothing: always ranks by ascending item id.
-    struct ByIdAsc;
+    pub(crate) struct ByIdAsc;
     impl Recommender for ByIdAsc {
         fn name(&self) -> &str {
             "by-id-asc"
         }
-        fn score(&self, _: &RecContext<'_>, item: ItemId) -> f64 {
-            -(item.0 as f64)
+        fn score_row(&self, _: &RecContext<'_>, row: &WindowRow) -> f64 {
+            -(row.item.0 as f64)
         }
     }
 
@@ -173,9 +246,9 @@ mod tests {
         fn name(&self) -> &str {
             "oracle"
         }
-        fn score(&self, _: &RecContext<'_>, item: ItemId) -> f64 {
+        fn score_row(&self, _: &RecContext<'_>, row: &WindowRow) -> f64 {
             // In the fixture the reconsumed item is always item 0.
-            if item == ItemId(0) {
+            if row.item == ItemId(0) {
                 1.0
             } else {
                 0.0
@@ -187,17 +260,15 @@ mod tests {
     /// t=4: 0 seen at step 0, gap 4 > 2 → eligible repeat (opportunity);
     /// t=5: 4 novel; t=6: 0 seen at step 4, gap 2 → recent repeat (skip).
     fn fixture() -> (SplitDataset, TrainStats) {
-        let full = Dataset::new(vec![Sequence::from_raw(vec![0, 1, 2, 3, 0, 4, 0])], 5);
         let split = SplitDataset {
             train: Dataset::new(vec![Sequence::from_raw(vec![0, 1, 2, 3])], 5),
             test: vec![Sequence::from_raw(vec![0, 4, 0])],
         };
         let stats = TrainStats::compute(&split.train, 10);
-        let _ = full;
         (split, stats)
     }
 
-    fn cfg() -> EvalConfig {
+    pub(crate) fn cfg() -> EvalConfig {
         EvalConfig {
             window: 10,
             omega: 2,
@@ -226,8 +297,8 @@ mod tests {
             fn name(&self) -> &str {
                 "anti"
             }
-            fn score(&self, _: &RecContext<'_>, item: ItemId) -> f64 {
-                item.0 as f64
+            fn score_row(&self, _: &RecContext<'_>, row: &WindowRow) -> f64 {
+                row.item.0 as f64
             }
         }
         let hit = evaluate(&FixtureOracle, &split, &stats, &cfg(), 1);
@@ -292,19 +363,54 @@ mod tests {
         assert_eq!(r.maap(), 0.0);
     }
 
+    /// Every public entry point refuses `Ω ≥ |W|`, and runs with a good
+    /// configuration (so the panic is the check, not something else).
     #[test]
-    #[should_panic(expected = "omega must be < window")]
     fn bad_config_rejected() {
+        use rrc_strec::{LassoConfig, StrecClassifier};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
         let (split, stats) = fixture();
-        evaluate(
-            &ByIdAsc,
-            &split,
-            &stats,
-            &EvalConfig {
-                window: 5,
-                omega: 5,
-            },
-            1,
-        );
+        let gate = StrecClassifier::fit(&split.train, &stats, 10, &LassoConfig::default())
+            .expect("examples exist");
+        let (s, st, r) = (&split, &stats, &ByIdAsc);
+        let bad = EvalConfig {
+            window: 5,
+            omega: 5,
+        };
+        let rejects_bad = |name: &str, run: &dyn Fn(&EvalConfig)| {
+            run(&cfg());
+            let panic = catch_unwind(AssertUnwindSafe(|| run(&bad)))
+                .expect_err(&format!("{name} accepted omega = window"));
+            let message = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+            assert_eq!(message, Some("omega must be < window"), "{name}");
+        };
+        rejects_bad("evaluate", &|c| {
+            evaluate(r, s, st, c, 1);
+        });
+        rejects_bad("evaluate_multi", &|c| {
+            evaluate_multi(r, s, st, c, &[1]);
+        });
+        rejects_bad("evaluate_multi_parallel", &|c| {
+            evaluate_multi_parallel(r, s, st, c, &[1], 2);
+        });
+        rejects_bad("evaluate_ranking", &|c| {
+            crate::evaluate_ranking(r, s, st, c, 1);
+        });
+        rejects_bad("measure_latency", &|c| {
+            crate::measure_latency(r, s, st, c, 1, 10);
+        });
+        rejects_bad("evaluate_combined", &|c| {
+            crate::evaluate_combined(&gate, r, s, st, c, &[1]);
+        });
+        rejects_bad("evaluate_novel", &|c| {
+            crate::evaluate_novel(r, s, st, c, &[1]);
+        });
+        rejects_bad("evaluate_unified", &|c| {
+            crate::evaluate_unified(&gate, r, r, s, st, c, &[1], 0.5);
+        });
     }
 }

@@ -13,11 +13,14 @@
 //! * **MiAP@N** (Eq. 24) — the unweighted mean of per-user precisions
 //!   (Eq. 22).
 //!
-//! [`evaluate_multi`] walks each sequence once and scores every requested
-//! `N` simultaneously; [`evaluate_multi_parallel`] fans users out over
-//! threads with crossbeam's scoped threads. [`timing`] measures mean
-//! per-instance online recommendation latency (Fig. 13), and [`combined`]
-//! implements the STREC × TS-PPR pipeline of Table 5.
+//! The walk is written once ([`harness`]: warm-up, the `Ω < |W|` check,
+//! the test loop, the push), every evaluator is a fold over it, and every
+//! list comes from the one ranking path each model serves with,
+//! [`Recommender::recommend_into`](rrc_features::Recommender::recommend_into).
+//! [`evaluate_multi`] scores every `N` from one list ([`evaluate_multi_parallel`]
+//! stripes users over threads), [`ranking`] adds MRR / nDCG, [`timing`]
+//! measures the per-instance latency of Fig. 13, [`combined`] is the STREC ×
+//! TS-PPR pipeline of Table 5, and [`novel`] ranks unseen items.
 
 pub mod bootstrap;
 pub mod combined;
@@ -33,7 +36,7 @@ pub use bootstrap::{bootstrap_metrics, BootstrapResult, ConfidenceInterval};
 pub use combined::{evaluate_combined, CombinedResult};
 pub use harness::{evaluate, evaluate_multi, evaluate_multi_parallel, EvalConfig};
 pub use metrics::{EvalResult, UserOutcome};
-pub use novel::{evaluate_novel, evaluate_unified, evaluate_unified_with_threshold, UnifiedResult};
+pub use novel::{evaluate_novel, evaluate_unified, UnifiedResult};
 pub use ranking::{evaluate_ranking, RankingResult};
 pub use report::{format_table, percent};
 pub use significance::{permutation_test, PermutationTest};

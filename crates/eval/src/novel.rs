@@ -2,26 +2,59 @@
 //! paper's §4.3 application and its stated future work ("mixing the results
 //! of recommendations for both novel consumption and repeat consumption").
 
-use crate::harness::EvalConfig;
-use crate::metrics::{EvalResult, UserOutcome};
+use crate::harness::{walk, EvalConfig, Outcomes};
+use crate::metrics::EvalResult;
+use rrc_features::recommend::top_n_into;
 use rrc_features::{RecContext, Recommender, TrainStats};
-use rrc_sequence::{ItemId, SplitDataset, UserId, WindowState};
-use rrc_strec::{StrecClassifier, StrecFeatureState};
+use rrc_sequence::{ItemId, SplitDataset, UserId};
+use rrc_strec::StrecClassifier;
+use std::ops::ControlFlow::Continue;
 
 /// Top-`n` over the *unseen* item universe (the classical novel-item
-/// candidate set `V − {v : v ∈ S_u}`).
+/// candidate set `V − {v : v ∈ S_u}`) into `out`. An unseen item is not in
+/// the window, so each is scored from its `count == 0` row.
 fn recommend_novel<R: Recommender + ?Sized>(
     rec: &R,
     ctx: &RecContext<'_>,
     seen: &[bool],
     n: usize,
-) -> Vec<ItemId> {
+    out: &mut Vec<ItemId>,
+) {
     let mut scored: Vec<(f64, ItemId)> = (0..seen.len() as u32)
         .map(ItemId)
         .filter(|v| !seen[v.index()])
-        .map(|v| (rec.score(ctx, v), v))
+        .map(|v| (rec.score_row(ctx, &ctx.window.row(v)), v))
         .collect();
-    rrc_features::recommend::top_n(&mut scored, n)
+    top_n_into(&mut scored, n, out);
+}
+
+/// Which items the walk's current user has consumed: the training prefix,
+/// then the test events the walk has passed.
+struct Seen {
+    user: Option<UserId>,
+    items: Vec<bool>,
+}
+
+impl Seen {
+    fn new(num_items: usize) -> Self {
+        Seen {
+            user: None,
+            items: vec![false; num_items],
+        }
+    }
+
+    /// `user`'s set, rebuilt from their training prefix when the walk has
+    /// moved on to them.
+    fn of(&mut self, split: &SplitDataset, user: UserId) -> &mut [bool] {
+        if self.user != Some(user) {
+            self.user = Some(user);
+            self.items.fill(false);
+            for &item in split.train.sequence(user).events() {
+                self.items[item.index()] = true;
+            }
+        }
+        &mut self.items
+    }
 }
 
 /// Evaluate a recommender on **novel** consumptions: for each first-time
@@ -34,48 +67,20 @@ pub fn evaluate_novel<R: Recommender + ?Sized>(
     cfg: &EvalConfig,
     ns: &[usize],
 ) -> Vec<EvalResult> {
-    assert!(!ns.is_empty(), "at least one N required");
-    let max_n = ns.iter().copied().max().unwrap_or(0);
-    let num_items = split.train.num_items();
-    let mut per_n: Vec<Vec<UserOutcome>> = ns.iter().map(|_| Vec::new()).collect();
-
-    for u in 0..split.num_users() {
-        let user = UserId(u as u32);
-        let train_events = split.train.sequence(user).events();
-        let mut window = WindowState::warmed(cfg.window, train_events);
-        let mut seen = vec![false; num_items];
-        for &item in train_events {
-            seen[item.index()] = true;
+    let mut outcomes = Outcomes::new(ns, split.num_users());
+    let max_n = outcomes.max_n();
+    let mut seen = Seen::new(split.train.num_items());
+    let mut list = Vec::with_capacity(max_n);
+    walk(split, stats, cfg, 0..split.num_users(), |step| {
+        let seen = seen.of(split, step.ctx.user);
+        if !seen[step.item.index()] {
+            recommend_novel(rec, &step.ctx, seen, max_n, &mut list);
+            outcomes.record(step.ctx.user, &list, step.item);
+            seen[step.item.index()] = true;
         }
-        let mut outcomes = vec![UserOutcome::default(); ns.len()];
-        for &item in split.test_sequence(user).events() {
-            if !seen[item.index()] {
-                let ctx = RecContext {
-                    user,
-                    window: &window,
-                    stats,
-                    omega: cfg.omega,
-                };
-                let list = recommend_novel(rec, &ctx, &seen, max_n);
-                let hit_rank = list.iter().position(|&v| v == item);
-                for (slot, &n) in outcomes.iter_mut().zip(ns) {
-                    slot.opportunities += 1;
-                    if matches!(hit_rank, Some(r) if r < n) {
-                        slot.hits += 1;
-                    }
-                }
-                seen[item.index()] = true;
-            }
-            window.push(item);
-        }
-        for (bucket, o) in per_n.iter_mut().zip(outcomes) {
-            bucket.push(o);
-        }
-    }
-    ns.iter()
-        .zip(per_n)
-        .map(|(&n, per_user)| EvalResult { top_n: n, per_user })
-        .collect()
+        Continue(())
+    });
+    outcomes.into_results()
 }
 
 /// Unified next-item evaluation over **all** test events: STREC routes each
@@ -92,29 +97,13 @@ pub struct UnifiedResult {
     pub routed_novel: u64,
 }
 
-/// Run the unified pipeline with the default 0.5 routing threshold.
-pub fn evaluate_unified<RR, NR>(
-    gate: &StrecClassifier,
-    repeat_rec: &RR,
-    novel_rec: &NR,
-    split: &SplitDataset,
-    stats: &TrainStats,
-    cfg: &EvalConfig,
-    ns: &[usize],
-) -> UnifiedResult
-where
-    RR: Recommender + ?Sized,
-    NR: Recommender + ?Sized,
-{
-    evaluate_unified_with_threshold(gate, repeat_rec, novel_rec, split, stats, cfg, ns, 0.5)
-}
-
-/// Run the unified pipeline routing at an explicit gate threshold. With
-/// heavily repeat-dominated data (the normal regime) a threshold at the
-/// training base rate routes only *above-average* repeat propensities to
-/// the repeat arm.
+/// Run the unified pipeline, routing an event to the repeat arm when the
+/// gate's repeat probability is at least `threshold`. With heavily
+/// repeat-dominated data (the normal regime) every probability clears 0.5;
+/// a threshold at the training base rate routes only *above-average*
+/// repeat propensities to the repeat arm.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_unified_with_threshold<RR, NR>(
+pub fn evaluate_unified<RR, NR>(
     gate: &StrecClassifier,
     repeat_rec: &RR,
     novel_rec: &NR,
@@ -128,70 +117,32 @@ where
     RR: Recommender + ?Sized,
     NR: Recommender + ?Sized,
 {
-    assert!(!ns.is_empty(), "at least one N required");
-    let max_n = ns.iter().copied().max().unwrap_or(0);
-    let num_items = split.train.num_items();
-    let mut per_n: Vec<Vec<UserOutcome>> = ns.iter().map(|_| Vec::new()).collect();
+    let mut outcomes = Outcomes::new(ns, split.num_users());
+    let max_n = outcomes.max_n();
+    let mut seen = Seen::new(split.train.num_items());
+    let mut list = Vec::with_capacity(max_n);
     let mut routed_repeat = 0u64;
     let mut routed_novel = 0u64;
-
-    for u in 0..split.num_users() {
-        let user = UserId(u as u32);
-        let train_events = split.train.sequence(user).events();
-        let mut window = WindowState::warmed(cfg.window, train_events);
-        let mut seen = vec![false; num_items];
-        for &item in train_events {
-            seen[item.index()] = true;
-        }
-        let mut state = StrecFeatureState::default();
-        {
-            let mut warm = WindowState::new(cfg.window);
-            for (step, &item) in train_events.iter().enumerate() {
-                state.observe(step, warm.contains(item));
-                warm.push(item);
+    walk(split, stats, cfg, 0..split.num_users(), |step| {
+        let seen = seen.of(split, step.ctx.user);
+        let window = step.ctx.window;
+        if !window.is_empty() {
+            if gate.predict_with_threshold(window, stats, step.strec, threshold) {
+                routed_repeat += 1;
+                repeat_rec.recommend_into(&step.ctx, max_n, &mut list);
+            } else {
+                routed_novel += 1;
+                recommend_novel(novel_rec, &step.ctx, seen, max_n, &mut list);
             }
+            // Score against the actual consumption whatever it was —
+            // the unified pipeline is judged on the true next item.
+            outcomes.record(step.ctx.user, &list, step.item);
         }
-        let mut outcomes = vec![UserOutcome::default(); ns.len()];
-        for &item in split.test_sequence(user).events() {
-            if !window.is_empty() {
-                let ctx = RecContext {
-                    user,
-                    window: &window,
-                    stats,
-                    omega: cfg.omega,
-                };
-                let predict_repeat = gate.predict_with_threshold(&window, stats, &state, threshold);
-                let list = if predict_repeat {
-                    routed_repeat += 1;
-                    repeat_rec.recommend(&ctx, max_n)
-                } else {
-                    routed_novel += 1;
-                    recommend_novel(novel_rec, &ctx, &seen, max_n)
-                };
-                // Score against the actual consumption whatever it was —
-                // the unified pipeline is judged on the true next item.
-                let hit_rank = list.iter().position(|&v| v == item);
-                for (slot, &n) in outcomes.iter_mut().zip(ns) {
-                    slot.opportunities += 1;
-                    if matches!(hit_rank, Some(r) if r < n) {
-                        slot.hits += 1;
-                    }
-                }
-            }
-            state.observe(window.time(), window.contains(item));
-            seen[item.index()] = true;
-            window.push(item);
-        }
-        for (bucket, o) in per_n.iter_mut().zip(outcomes) {
-            bucket.push(o);
-        }
-    }
+        seen[step.item.index()] = true;
+        Continue(())
+    });
     UnifiedResult {
-        results: ns
-            .iter()
-            .zip(per_n)
-            .map(|(&n, per_user)| EvalResult { top_n: n, per_user })
-            .collect(),
+        results: outcomes.into_results(),
         routed_repeat,
         routed_novel,
     }
@@ -200,7 +151,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrc_sequence::{Dataset, Sequence};
+    use crate::harness::tests::cfg;
+    use rrc_sequence::{Dataset, Sequence, WindowRow, WindowState};
     use rrc_strec::LassoConfig;
 
     struct ByQuality;
@@ -208,8 +160,8 @@ mod tests {
         fn name(&self) -> &str {
             "by-quality"
         }
-        fn score(&self, ctx: &RecContext<'_>, item: ItemId) -> f64 {
-            ctx.stats.quality(item)
+        fn score_row(&self, ctx: &RecContext<'_>, row: &WindowRow) -> f64 {
+            ctx.stats.quality(row.item)
         }
     }
 
@@ -244,10 +196,7 @@ mod tests {
     #[test]
     fn novel_eval_counts_first_time_items_only() {
         let (split, stats) = fixture();
-        let cfg = EvalConfig {
-            window: 10,
-            omega: 2,
-        };
+        let cfg = cfg();
         let results = evaluate_novel(&ByQuality, &split, &stats, &cfg, &[1, 4]);
         // Each user consumes 4 distinct novel items (6..10) once each...
         // every first occurrence is an opportunity.
@@ -271,7 +220,8 @@ mod tests {
         };
         let mut seen = vec![false; 10];
         seen[..6].fill(true);
-        let list = recommend_novel(&ByQuality, &ctx, &seen, 10);
+        let mut list = Vec::new();
+        recommend_novel(&ByQuality, &ctx, &seen, 10, &mut list);
         assert_eq!(list.len(), 4);
         for v in list {
             assert!(v.0 >= 6);
@@ -283,11 +233,17 @@ mod tests {
         let (split, stats) = fixture();
         let gate = StrecClassifier::fit(&split.train, &stats, 10, &LassoConfig::default())
             .expect("examples exist");
-        let cfg = EvalConfig {
-            window: 10,
-            omega: 2,
-        };
-        let unified = evaluate_unified(&gate, &ByQuality, &ByQuality, &split, &stats, &cfg, &[5]);
+        let cfg = cfg();
+        let unified = evaluate_unified(
+            &gate,
+            &ByQuality,
+            &ByQuality,
+            &split,
+            &stats,
+            &cfg,
+            &[5],
+            0.5,
+        );
         let total_events: u64 = split.test.iter().map(|s| s.len() as u64).sum();
         assert_eq!(unified.routed_repeat + unified.routed_novel, total_events);
         assert_eq!(unified.results[0].opportunities(), total_events);

@@ -2,12 +2,13 @@
 //!
 //! The paper evaluates with average precision only; these are standard
 //! extensions for downstream users who want rank-aware quality (a hit at
-//! rank 1 is worth more than a hit at rank 10). They reuse the same
-//! test-walk protocol as [`crate::harness`].
+//! rank 1 is worth more than a hit at rank 10). They are folded over the
+//! same test walk as [`crate::harness`].
 
-use crate::harness::EvalConfig;
-use rrc_features::{RecContext, Recommender, TrainStats};
-use rrc_sequence::{classify, ConsumptionKind, SplitDataset, UserId, WindowState};
+use crate::harness::{walk, EvalConfig};
+use rrc_features::{Recommender, TrainStats};
+use rrc_sequence::{ConsumptionKind, SplitDataset};
+use std::ops::ControlFlow::Continue;
 
 /// Rank-aware results over all recommendation opportunities.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -86,43 +87,23 @@ pub fn evaluate_ranking<R: Recommender + ?Sized>(
     cfg: &EvalConfig,
     top_n: usize,
 ) -> RankingResult {
-    assert!(cfg.omega < cfg.window, "omega must be < window");
     let mut result = RankingResult::default();
-    for u in 0..split.num_users() {
-        let user = UserId(u as u32);
-        let mut window = WindowState::warmed(cfg.window, split.train.sequence(user).events());
-        for &item in split.test_sequence(user).events() {
-            if classify(&window, item, cfg.omega) == ConsumptionKind::EligibleRepeat {
-                let ctx = RecContext {
-                    user,
-                    window: &window,
-                    stats,
-                    omega: cfg.omega,
-                };
-                let list = rec.recommend(&ctx, top_n);
-                result.record(list.iter().position(|&v| v == item).map(|pos| pos + 1));
-            }
-            window.push(item);
+    let mut list = Vec::with_capacity(top_n);
+    walk(split, stats, cfg, 0..split.num_users(), |step| {
+        if step.kind == ConsumptionKind::EligibleRepeat {
+            rec.recommend_into(&step.ctx, top_n, &mut list);
+            result.record(list.iter().position(|&v| v == step.item).map(|pos| pos + 1));
         }
-    }
+        Continue(())
+    });
     result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrc_features::RecContext as Ctx;
-    use rrc_sequence::{Dataset, ItemId, Sequence};
-
-    struct ById;
-    impl Recommender for ById {
-        fn name(&self) -> &str {
-            "by-id"
-        }
-        fn score(&self, _: &Ctx<'_>, item: ItemId) -> f64 {
-            -(item.0 as f64) // ascending ids
-        }
-    }
+    use crate::harness::tests::{cfg, ByIdAsc};
+    use rrc_sequence::{Dataset, Sequence};
 
     fn fixture() -> (SplitDataset, TrainStats) {
         let split = SplitDataset {
@@ -137,15 +118,12 @@ mod tests {
     #[test]
     fn mrr_and_ndcg_match_hand_computation() {
         let (split, stats) = fixture();
-        let cfg = EvalConfig {
-            window: 10,
-            omega: 2,
-        };
-        let r = evaluate_ranking(&ById, &split, &stats, &cfg, 10);
+        let cfg = cfg();
+        let r = evaluate_ranking(&ByIdAsc, &split, &stats, &cfg, 10);
         assert_eq!(r.opportunities, 2);
         assert_eq!(r.hits, 2);
         // Event 1: window has 0..=5, t=6, Ω=2 excludes items at steps >= 4
-        // (4, 5). Candidates [0,1,2,3]; ById ranks ascending: 1 at rank 2.
+        // (4, 5). Candidates [0,1,2,3]; ByIdAsc ranks ascending: 1 at rank 2.
         // Event 2: window now 0..=5 + 1 at t=6. Ω excludes steps >= 5: item
         // 5 and 1(just consumed at 6). Candidates [0,2,3,4]: 3 at rank 3.
         let expected_mrr = (1.0 / 2.0 + 1.0 / 3.0) / 2.0;
@@ -158,11 +136,8 @@ mod tests {
     #[test]
     fn misses_contribute_zero() {
         let (split, stats) = fixture();
-        let cfg = EvalConfig {
-            window: 10,
-            omega: 2,
-        };
-        let r = evaluate_ranking(&ById, &split, &stats, &cfg, 1);
+        let cfg = cfg();
+        let r = evaluate_ranking(&ByIdAsc, &split, &stats, &cfg, 1);
         // At N=1 neither repeat is the top candidate.
         assert_eq!(r.hits, 0);
         assert_eq!(r.mrr(), 0.0);
@@ -180,11 +155,8 @@ mod tests {
     #[test]
     fn streaming_record_and_merge_match_batch_walk() {
         let (split, stats) = fixture();
-        let cfg = EvalConfig {
-            window: 10,
-            omega: 2,
-        };
-        let batch = evaluate_ranking(&ById, &split, &stats, &cfg, 10);
+        let cfg = cfg();
+        let batch = evaluate_ranking(&ByIdAsc, &split, &stats, &cfg, 10);
         // The same two opportunities recorded one at a time (ranks from
         // the hand computation in `mrr_and_ndcg_match_hand_computation`),
         // split across two accumulators then merged.
@@ -203,11 +175,8 @@ mod tests {
     #[test]
     fn mrr_bounded_by_hit_rate() {
         let (split, stats) = fixture();
-        let cfg = EvalConfig {
-            window: 10,
-            omega: 2,
-        };
-        let r = evaluate_ranking(&ById, &split, &stats, &cfg, 10);
+        let cfg = cfg();
+        let r = evaluate_ranking(&ByIdAsc, &split, &stats, &cfg, 10);
         assert!(r.mrr() <= r.hit_rate() + 1e-12);
         assert!(r.ndcg() <= r.hit_rate() + 1e-12);
         assert!(r.mrr() <= r.ndcg() + 1e-12); // 1/r <= 1/log2(r+1) for r >= 1

@@ -1,8 +1,9 @@
 //! Online recommendation latency measurement (Fig. 13 of the paper).
 
-use crate::harness::EvalConfig;
-use rrc_features::{RecContext, Recommender, TrainStats};
-use rrc_sequence::{classify, ConsumptionKind, SplitDataset, UserId, WindowState};
+use crate::harness::{walk, EvalConfig};
+use rrc_features::{Recommender, TrainStats};
+use rrc_sequence::{ConsumptionKind, SplitDataset};
+use std::ops::ControlFlow::{Break, Continue};
 use std::time::{Duration, Instant};
 
 /// Latency statistics over measured recommendation instances.
@@ -35,7 +36,8 @@ impl LatencyReport {
 }
 
 /// Walk the test suffixes exactly as the accuracy harness does, but time
-/// each `recommend` call, stopping after `max_instances` measurements.
+/// each request (`recommend_into` a reused list, as a server makes it),
+/// stopping after `max_instances` measurements.
 pub fn measure_latency<R: Recommender + ?Sized>(
     rec: &R,
     split: &SplitDataset,
@@ -53,58 +55,43 @@ pub fn measure_latency<R: Recommender + ?Sized>(
     // p50/p95/p99 on top of this report's mean (Fig. 13 reports means;
     // the registry keeps the whole distribution).
     let instance_hist = rrc_obs::global().span_histogram("eval.recommend");
-    'users: for u in 0..split.num_users() {
-        let user = UserId(u as u32);
-        let mut window = WindowState::warmed(cfg.window, split.train.sequence(user).events());
-        for &item in split.test_sequence(user).events() {
-            if classify(&window, item, cfg.omega) == ConsumptionKind::EligibleRepeat {
-                let ctx = RecContext {
-                    user,
-                    window: &window,
-                    stats,
-                    omega: cfg.omega,
-                };
-                let start = Instant::now();
-                let list = rec.recommend(&ctx, top_n);
-                let elapsed = start.elapsed();
-                std::hint::black_box(&list);
-                instance_hist.record_duration(elapsed);
-                report.total += elapsed;
-                report.instances += 1;
-                if report.instances >= max_instances {
-                    break 'users;
-                }
-            }
-            window.push(item);
+    let mut list = Vec::with_capacity(top_n);
+    walk(split, stats, cfg, 0..split.num_users(), |step| {
+        if step.kind != ConsumptionKind::EligibleRepeat {
+            return Continue(());
         }
-    }
+        let start = Instant::now();
+        rec.recommend_into(&step.ctx, top_n, &mut list);
+        let elapsed = start.elapsed();
+        std::hint::black_box(&list);
+        instance_hist.record_duration(elapsed);
+        report.total += elapsed;
+        report.instances += 1;
+        if report.instances >= max_instances {
+            Break(())
+        } else {
+            Continue(())
+        }
+    });
     report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrc_sequence::{Dataset, ItemId, Sequence};
-
-    struct Fast;
-    impl Recommender for Fast {
-        fn name(&self) -> &str {
-            "fast"
-        }
-        fn score(&self, _: &RecContext<'_>, item: ItemId) -> f64 {
-            item.0 as f64
-        }
-    }
+    use crate::harness::tests::{cfg, ByIdAsc as Fast};
+    use rrc_features::RecContext;
+    use rrc_sequence::{Dataset, Sequence, WindowRow};
 
     struct Slow;
     impl Recommender for Slow {
         fn name(&self) -> &str {
             "slow"
         }
-        fn score(&self, _: &RecContext<'_>, item: ItemId) -> f64 {
+        fn score_row(&self, _: &RecContext<'_>, row: &WindowRow) -> f64 {
             // Busy-work proportional to nothing useful: the point is only
             // to be measurably slower than `Fast`.
-            let mut acc = item.0 as f64;
+            let mut acc = row.item.0 as f64;
             for i in 0..20_000 {
                 acc = (acc + i as f64).sin();
             }
@@ -127,10 +114,7 @@ mod tests {
     #[test]
     fn measures_instances_up_to_cap() {
         let (split, stats) = fixture();
-        let cfg = EvalConfig {
-            window: 10,
-            omega: 2,
-        };
+        let cfg = cfg();
         let full = measure_latency(&Fast, &split, &stats, &cfg, 5, usize::MAX);
         assert!(full.instances > 0);
         let capped = measure_latency(&Fast, &split, &stats, &cfg, 5, 2);
@@ -140,10 +124,7 @@ mod tests {
     #[test]
     fn slower_recommender_measures_slower() {
         let (split, stats) = fixture();
-        let cfg = EvalConfig {
-            window: 10,
-            omega: 2,
-        };
+        let cfg = cfg();
         let fast = measure_latency(&Fast, &split, &stats, &cfg, 5, 20);
         let slow = measure_latency(&Slow, &split, &stats, &cfg, 5, 20);
         assert!(

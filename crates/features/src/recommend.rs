@@ -1,7 +1,7 @@
 //! The [`Recommender`] trait implemented by every model in the workspace.
 
 use crate::train_stats::TrainStats;
-use rrc_sequence::{ItemId, UserId, WindowState};
+use rrc_sequence::{ItemId, UserId, WindowRow, WindowState};
 
 /// The context available when a recommendation is requested: which user,
 /// their window state as of the current time, the training statistics, and
@@ -19,36 +19,45 @@ pub struct RecContext<'a> {
     pub omega: usize,
 }
 
-impl<'a> RecContext<'a> {
-    /// The eligible candidate set for this request (in-window, at least Ω
-    /// steps old), sorted by item id.
-    pub fn candidates(&self) -> Vec<ItemId> {
-        self.window.eligible_candidates(self.omega)
-    }
-}
-
 /// A repeat-consumption recommender.
 ///
-/// Implementations provide a scoring function; the default `recommend`
-/// ranks the eligible candidates by score (descending), breaking ties by
-/// item id for determinism, and returns the top `n`.
+/// A model values one candidate from its window row
+/// ([`score_row`](Self::score_row)). The provided
+/// [`recommend_into`](Self::recommend_into) ranks the eligible candidates in
+/// one pass over the window's rows, in the window's own order, and keeps
+/// the `n` best by [`top_n_into`]: descending score, ties by ascending item
+/// id. That order is total, so the order candidates are scored in cannot
+/// change the list. A model with per-request setup overrides
+/// `recommend_into`; its list must be the one the provided method gives.
 pub trait Recommender {
     /// Human-readable name used in experiment reports.
     fn name(&self) -> &str;
 
-    /// Preference score of `item` for the context's user at the current
-    /// time — the model's `r_uvt`. Higher is better. Only called for items
-    /// in the eligible candidate set.
-    fn score(&self, ctx: &RecContext<'_>, item: ItemId) -> f64;
+    /// Preference score of `row.item` for the context's user at the current
+    /// time — the model's `r_uvt`. Higher is better. `row` is the context
+    /// window's row for its item, as [`WindowState::eligible_rows`] or
+    /// [`WindowState::row`] give it: `count == 0` means the window does not
+    /// hold the item, and its `last` is then meaningless.
+    fn score_row(&self, ctx: &RecContext<'_>, row: &WindowRow) -> f64;
 
-    /// Top-`n` recommendation list over the eligible candidates.
+    /// Top-`n` eligible candidates (in-window, at least Ω steps old) into
+    /// `out`, which is cleared first. The scored list is the only
+    /// allocation once `out` has held `n` items.
+    fn recommend_into(&self, ctx: &RecContext<'_>, n: usize, out: &mut Vec<ItemId>) {
+        let mut scored = Vec::with_capacity(ctx.window.distinct_len());
+        scored.extend(
+            ctx.window
+                .eligible_rows(ctx.omega)
+                .map(|row| (self.score_row(ctx, &row), row.item)),
+        );
+        top_n_into(&mut scored, n, out);
+    }
+
+    /// [`recommend_into`](Self::recommend_into) a fresh list.
     fn recommend(&self, ctx: &RecContext<'_>, n: usize) -> Vec<ItemId> {
-        let mut scored: Vec<(f64, ItemId)> = ctx
-            .candidates()
-            .into_iter()
-            .map(|v| (self.score(ctx, v), v))
-            .collect();
-        top_n(&mut scored, n)
+        let mut out = Vec::new();
+        self.recommend_into(ctx, n, &mut out);
+        out
     }
 }
 
@@ -102,8 +111,8 @@ mod tests {
         fn name(&self) -> &str {
             "by-id"
         }
-        fn score(&self, _: &RecContext<'_>, item: ItemId) -> f64 {
-            item.0 as f64
+        fn score_row(&self, _: &RecContext<'_>, row: &WindowRow) -> f64 {
+            row.item.0 as f64
         }
     }
 
@@ -125,10 +134,10 @@ mod tests {
             omega: 3,
         };
         // t = 8, Ω = 3 → steps >= 5 excluded: items 5, 6, 7 out.
-        assert_eq!(
-            ctx.candidates(),
-            vec![ItemId(0), ItemId(1), ItemId(2), ItemId(3), ItemId(4)]
-        );
+        let mut all = ById.recommend(&ctx, usize::MAX);
+        all.sort_unstable();
+        assert_eq!(all, window.eligible_candidates(3));
+        assert_eq!(all, [0, 1, 2, 3, 4].map(ItemId));
     }
 
     #[test]
@@ -144,6 +153,10 @@ mod tests {
         assert_eq!(top, vec![ItemId(4), ItemId(3), ItemId(2)]);
         // Asking for more than exist returns all candidates.
         assert_eq!(ById.recommend(&ctx, 100).len(), 5);
+        // Into a reused list: cleared first, same list.
+        let mut out = vec![ItemId(99); 7];
+        ById.recommend_into(&ctx, 3, &mut out);
+        assert_eq!(out, top);
     }
 
     #[test]

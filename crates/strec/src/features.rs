@@ -1,7 +1,7 @@
 //! Window-level features for repeat-vs-novel classification.
 
 use rrc_features::TrainStats;
-use rrc_sequence::{Dataset, ItemId, WindowState};
+use rrc_sequence::{Dataset, WindowState};
 
 /// Names of the four STREC features, in vector order.
 pub const STREC_FEATURE_NAMES: [&str; 4] = [
@@ -82,31 +82,10 @@ pub fn strec_examples(
     (xs, ys)
 }
 
-/// Extract examples continuing from a warmed window (used to score the test
-/// suffix with training-derived state).
-pub fn strec_examples_from(
-    events: &[ItemId],
-    stats: &TrainStats,
-    mut window: WindowState,
-    mut state: StrecFeatureState,
-) -> (Vec<Vec<f64>>, Vec<bool>) {
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for &item in events {
-        if !window.is_empty() {
-            xs.push(window_features(&window, stats, &state));
-            ys.push(window.contains(item));
-        }
-        state.observe(window.time(), window.contains(item));
-        window.push(item);
-    }
-    (xs, ys)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrc_sequence::Sequence;
+    use rrc_sequence::{ItemId, Sequence};
 
     fn stats_for(d: &Dataset) -> TrainStats {
         TrainStats::compute(d, 10)
@@ -161,17 +140,5 @@ mod tests {
             assert_eq!(x.len(), 4);
             assert!(x.iter().all(|v| (0.0..=1.0).contains(v)));
         }
-    }
-
-    #[test]
-    fn examples_from_warm_window_continue_state() {
-        let d = Dataset::new(vec![Sequence::from_raw(vec![0, 1])], 3);
-        let stats = stats_for(&d);
-        let warm = WindowState::warmed(10, &[0, 1].map(ItemId));
-        let test_events = [ItemId(0), ItemId(2)];
-        let (xs, ys) =
-            strec_examples_from(&test_events, &stats, warm, StrecFeatureState::default());
-        assert_eq!(ys, vec![true, false]);
-        assert_eq!(xs.len(), 2);
     }
 }

@@ -4,7 +4,7 @@
 use crate::cox::{CoxConfig, CoxError, CoxModel};
 use crate::data::{gap_observations, live_covariates};
 use rrc_features::{RecContext, Recommender, TrainStats};
-use rrc_sequence::{Dataset, ItemId};
+use rrc_sequence::{Dataset, ItemId, WindowRow};
 
 /// Ranks candidates by the estimated probability that the user has returned
 /// to the item by now:
@@ -55,17 +55,17 @@ impl Recommender for SurvivalRecommender {
         "Survival"
     }
 
-    fn score(&self, ctx: &RecContext<'_>, item: ItemId) -> f64 {
-        let elapsed = match ctx.window.last_seen(item) {
-            None => return 0.0,
-            Some(last) => (ctx.window.time() - last) as f64,
-        };
+    fn score_row(&self, ctx: &RecContext<'_>, row: &WindowRow) -> f64 {
+        if row.count == 0 {
+            return 0.0;
+        }
+        let elapsed = (ctx.window.time() - row.last) as f64;
         let history = self
             .histories
             .get(ctx.user.index())
             .map(|h| h.as_slice())
             .unwrap_or(&[]);
-        let x = live_covariates(history, item, ctx.stats, ctx.window);
+        let x = live_covariates(history, row.item, ctx.stats, ctx.window);
         1.0 - self.model.survival(elapsed, &x)
     }
 }
@@ -102,14 +102,14 @@ mod tests {
             stats: &stats,
             omega: 3,
         };
-        for v in ctx.candidates() {
-            let s = rec.score(&ctx, v);
-            assert!((0.0..=1.0).contains(&s), "score {s} for {v}");
+        for row in window.eligible_rows(3) {
+            let s = rec.score_row(&ctx, &row);
+            assert!((0.0..=1.0).contains(&s), "score {s} for {}", row.item);
         }
-        // A never-consumed item scores 0.
+        // An item the window does not hold scores 0.
         let unseen = ItemId((data.num_items() - 1) as u32);
-        if window.last_seen(unseen).is_none() {
-            assert_eq!(rec.score(&ctx, unseen), 0.0);
+        if !window.contains(unseen) {
+            assert_eq!(rec.score_row(&ctx, &window.row(unseen)), 0.0);
         }
     }
 
@@ -129,7 +129,7 @@ mod tests {
                 stats: &stats,
                 omega: 3,
             };
-            let s1 = rec.score(&ctx1, v);
+            let s1 = rec.score_row(&ctx1, &w1.row(v));
             // Push unrelated filler to make v staler.
             let mut w2 = w1.clone();
             let filler = ItemId((data.num_items() - 1) as u32);
@@ -143,7 +143,7 @@ mod tests {
                     stats: &stats,
                     omega: 3,
                 };
-                let s2 = rec.score(&ctx2, v);
+                let s2 = rec.score_row(&ctx2, &w2.row(v));
                 // Familiarity covariate shrinks slightly as the window
                 // grows, so allow equality but the hazard term dominates.
                 assert!(s2 >= s1 * 0.5, "s1={s1} s2={s2}");
@@ -163,7 +163,7 @@ mod tests {
             omega: 3,
         };
         let top = rec.recommend(&ctx, 10);
-        let candidates = ctx.candidates();
+        let candidates = window.eligible_candidates(3);
         for v in top {
             assert!(candidates.contains(&v));
         }

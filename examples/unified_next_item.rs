@@ -83,7 +83,16 @@ fn main() {
     );
 
     // The unified pipeline over every test event.
-    let unified = evaluate_unified(&gate, &repeat_rec, &novel_rec, &split, &stats, &cfg, &ns);
+    let unified = evaluate_unified(
+        &gate,
+        &repeat_rec,
+        &novel_rec,
+        &split,
+        &stats,
+        &cfg,
+        &ns,
+        0.5,
+    );
     println!(
         "\nunified next-item accuracy (ALL {} test events, {} routed repeat / {} novel):",
         unified.results[0].opportunities(),

@@ -167,7 +167,7 @@ fn all_methods_produce_valid_recommendations() {
             stats: &stats,
             omega: OMEGA,
         };
-        let candidates = ctx.candidates();
+        let candidates = window.eligible_candidates(OMEGA);
         for rec in &methods {
             let list = rec.recommend(&ctx, 10);
             // Lists only contain eligible candidates, without duplicates.
@@ -181,6 +181,22 @@ fn all_methods_produce_valid_recommendations() {
                 assert!(seen.insert(*v), "{} duplicated {v}", rec.name());
             }
             assert!(list.len() <= 10.min(candidates.len()));
+            // The list is the one the candidates give scored one at a time,
+            // in id order: the pass's order and any per-request setup a
+            // model does cannot change it.
+            for n in [1, 5, 10, candidates.len()] {
+                let mut scored: Vec<(f64, ItemId)> = candidates
+                    .iter()
+                    .map(|&v| (rec.score_row(&ctx, &window.row(v)), v))
+                    .collect();
+                let reference = repeat_rec::features::recommend::top_n(&mut scored, n);
+                assert_eq!(
+                    rec.recommend(&ctx, n),
+                    reference,
+                    "{} at n = {n}",
+                    rec.name()
+                );
+            }
         }
     }
 }

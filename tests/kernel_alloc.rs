@@ -1,7 +1,9 @@
 //! Steady-state allocation counts of the per-event kernel, asserted with
 //! the profiler's counting allocator: an observe, an online SGD round and
 //! a `recommend_into` a reused list allocate nothing, `recommend_single`
-//! allocates the list it returns and nothing else, a hit on the bounded
+//! allocates the list it returns and nothing else, a baseline's
+//! `Recommender::recommend_into` a reused list allocates its scored list
+//! (and FPMC its basket) and nothing else, a hit on the bounded
 //! user-state tier allocates nothing, and a miss that evicts allocates the
 //! reloaded window. Through the serving engine the same holds for the
 //! whole request: a blocking `recommend` allocates its list, a blocking
@@ -12,6 +14,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use repeat_rec::baselines::{DyrcModel, FpmcModel};
 use repeat_rec::core::{observe_single, online_step_single, recommend_into, recommend_single};
 use repeat_rec::prelude::*;
 use repeat_rec::sequence::classify;
@@ -144,6 +147,35 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
             recommend_into(&model, &pipeline, &stats, OMEGA, user, window, 10, &mut top);
         }
     });
+    // A baseline through the trait's one pass allocates its scored list,
+    // and FPMC its basket too.
+    let fpmc = FpmcModel::init(&mut rng, data.num_users(), data.num_items(), 8);
+    let fpmc = FpmcRecommender::new(fpmc);
+    let dyrc = DyrcRecommender::new(DyrcModel {
+        w_quality: 1.0,
+        w_recency: 1.0,
+    });
+    let baselines: [(&dyn Recommender, u64); 4] = [
+        (&PopRecommender, 1),
+        (&RecencyRecommender, 1),
+        (&dyrc, 1),
+        (&fpmc, 2),
+    ];
+    let baselines = baselines.map(|(rec, per_request)| {
+        let allocated = allocations("baseline_recommend_into", || {
+            for &(user, _) in &events {
+                let window = &windows[user.index()];
+                let ctx = RecContext {
+                    user,
+                    window,
+                    stats: &stats,
+                    omega: OMEGA,
+                };
+                rec.recommend_into(&ctx, 10, &mut top);
+            }
+        });
+        (rec.name(), allocated, per_request * events.len() as u64)
+    });
     tier_touches(&model, &windows);
     let mut online = OnlineTsPpr::new(
         model.clone(),
@@ -163,6 +195,9 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
     assert!(listed > 1000, "{listed} non-empty lists");
     assert_eq!(recommend, listed, "one allocation per returned list");
     assert_eq!(recommend_into_reused, 0, "recommend_into allocated");
+    for (name, allocated, expected) in baselines {
+        assert_eq!(allocated, expected, "{name} allocated");
+    }
 }
 
 /// What the engine adds to the kernel's allocations once warm: nothing.

@@ -146,6 +146,7 @@ fn novel_and_repeat_pipelines_partition_events() {
         &f.stats,
         &cfg(),
         &[10],
+        0.5,
     );
     // The unified walk sees every test event; repeat/novel opportunities are
     // each strict subsets (eligible repeats ∪ first-time novelties do not

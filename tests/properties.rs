@@ -107,8 +107,8 @@ proptest! {
         let user = UserId(0);
         let window = WindowState::warmed(20, data.sequence(user).events());
         let ctx = RecContext { user, window: &window, stats: &stats, omega: 4 };
-        for v in ctx.candidates() {
-            prop_assert!(rec.score(&ctx, v).is_finite());
+        for row in window.eligible_rows(4) {
+            prop_assert!(rec.score_row(&ctx, &row).is_finite());
         }
     }
 }
