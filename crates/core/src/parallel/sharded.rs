@@ -282,7 +282,6 @@ impl MergedView<'_> {
 /// from that global row, so this is the sum a private copy per shard
 /// would give, to the bit.
 fn merge_item_rows(v: &mut DMatrix, states: &[ShardState], alloc: &[usize]) {
-    let _prof = rrc_obs::ProfGuard::enter("merge");
     let actives: Vec<&WrittenRows> = states
         .iter()
         .zip(alloc)
@@ -372,18 +371,12 @@ pub(super) fn train_with(
     while step < run.max_steps {
         let block = run.check_interval.min(run.max_steps - step);
         let alloc = split_block(block, &cum);
-        run_on_shards(par.threads, &mut states, &|w, s_idx, st| {
+        run_on_shards(par.threads, &mut states, &|_, s_idx, st| {
             let n = alloc[s_idx];
             if n == 0 {
                 return;
             }
             let _block_timer = block_hist.timer();
-            // Worker 0 is the caller, already inside `train`; the
-            // others are their own threads and restart the path.
-            let _prof = match w {
-                0 => rrc_obs::ProfGuard::enter("block"),
-                _ => rrc_obs::ProfGuard::enter_path(&["train", "block"]),
-            };
             st.rows.begin(n);
             let mut params = ShardParams {
                 k,

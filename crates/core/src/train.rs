@@ -111,13 +111,10 @@ impl TsPprTrainer {
         let mut steps = run.start_step;
 
         for step in (run.start_step + 1)..=run.max_steps {
-            {
-                let _p = rrc_obs::ProfGuard::enter("sweep");
-                let q = training
-                    .sample(&mut rng)
-                    .expect("non-empty training set always samples");
-                sgd_step(&mut model, &q, &consts, &mut scratch);
-            }
+            let q = training
+                .sample(&mut rng)
+                .expect("non-empty training set always samples");
+            sgd_step(&mut model, &q, &consts, &mut scratch);
 
             steps = step;
             if step % d == 0 {
@@ -166,9 +163,8 @@ pub(crate) struct RunControl<'t, 'c> {
     /// report's time axis stays monotone.
     elapsed_base: Duration,
     check_hist: Arc<rrc_obs::Histogram>,
-    // The whole run is a span and a profile frame; both close with `finish`.
+    // The whole run is a span; it closes with `finish`.
     _span: rrc_obs::Span,
-    _prof: rrc_obs::ProfGuard,
 }
 
 impl<'t, 'c> RunControl<'t, 'c> {
@@ -198,7 +194,6 @@ impl<'t, 'c> RunControl<'t, 'c> {
             TrainMode::Serial => "tsppr.train",
             TrainMode::Sharded => "tsppr.train.sharded",
         });
-        let prof = rrc_obs::ProfGuard::enter("train");
         let started = Instant::now();
 
         if let Some(ck) = resume {
@@ -270,7 +265,6 @@ impl<'t, 'c> RunControl<'t, 'c> {
             elapsed_base: resume.map_or(Duration::ZERO, |ck| ck.elapsed),
             check_hist: obs.span_histogram("tsppr.train.check"),
             _span: span,
-            _prof: prof,
         };
         (run, model, rngs)
     }
@@ -287,7 +281,6 @@ impl<'t, 'c> RunControl<'t, 'c> {
         params: &P,
         snapshot: impl FnOnce() -> (TsPprModel, Vec<[u64; 4]>),
     ) -> ControlFlow<()> {
-        let _prof = rrc_obs::ProfGuard::enter("check");
         let (r_tilde, nll) = {
             let _check_timer = self.check_hist.timer();
             batch_statistics_chunked(params, &self.small_batch, self.par.shards, self.par.threads)

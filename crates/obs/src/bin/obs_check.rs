@@ -7,8 +7,7 @@
 //!
 //! ```text
 //! obs-check REPORT.json [--require PATH]... [--min PATH VALUE]... [--max PATH VALUE]...
-//!           [--histogram-quantile 'name{labels}' pQQ MAX]...
-//!           [--profile-share 'path' MAX]... [--flight BUNDLE.jsonl]...
+//!           [--histogram-quantile 'name{labels}' pQQ MAX]... [--flight BUNDLE.jsonl]...
 //! ```
 //!
 //! * `--require a.b.c`  — the path must exist and not be `null`
@@ -27,13 +26,6 @@
 //!   next `--flag`. Wildcarded addends sum over every match, so
 //!   `--eq-sum engine.overload.total.offered engine.overload.total.admitted
 //!   engine.overload.total.shed` asserts `offered == admitted + shed`.
-//! * `--profile-share 'path' MAX` — profiler regression ceiling: every
-//!   profile path matching the `*`-glob must have a **self** share
-//!   `<= MAX` (a fraction in `[0, 1]`). The input may be a report JSON
-//!   with a `profile` section *or* a collapsed-stack file written by
-//!   `--profile-out`; like `--histogram-quantile`, the check fails when
-//!   no path matches, so a gate can't silently pass because a stage was
-//!   renamed or the profiler was left disabled.
 //! * `--flight BUNDLE.jsonl` — validate a flight-recorder bundle: header
 //!   magic, event ordering, footer count, and CRC32 over the bytes.
 //!
@@ -62,8 +54,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: obs-check REPORT.json [--require PATH]... [--min PATH VALUE]... \
          [--max PATH VALUE]... [--eq-sum TARGET ADDEND...]... \
-         [--histogram-quantile 'name{{labels}}' pQQ MAX]... \
-         [--profile-share 'path' MAX]... [--flight BUNDLE.jsonl]..."
+         [--histogram-quantile 'name{{labels}}' pQQ MAX]... [--flight BUNDLE.jsonl]..."
     );
     std::process::exit(2);
 }
@@ -166,43 +157,6 @@ struct QuantileCheck {
     spec: String,
     q: f64,
     max: f64,
-}
-
-/// A `--profile-share` assertion: every profile path matching the glob
-/// must spend at most `max` of the sampled work time in its own frame.
-struct ProfileShareCheck {
-    pattern: String,
-    max: f64,
-}
-
-/// Run one `--profile-share` assertion against parsed profile entries
-/// (from either a report's `profile.shares` section or a collapsed
-/// file). A ceiling check with no matching path is a failure: the gate
-/// must notice when the stage it guards disappears from the profile.
-fn check_profile_share(
-    entries: &[rrc_obs::ProfileEntry],
-    check: &ProfileShareCheck,
-    failures: &mut Vec<String>,
-) {
-    let mut matched = 0usize;
-    for entry in entries {
-        if !rrc_obs::profile::glob_match(&check.pattern, &entry.path) {
-            continue;
-        }
-        matched += 1;
-        if entry.self_share > check.max {
-            failures.push(format!(
-                "profile path {} self share = {:.4} above allowed maximum {}",
-                entry.path, entry.self_share, check.max
-            ));
-        }
-    }
-    if matched == 0 {
-        failures.push(format!(
-            "no profile path matches {} (for self share <= {})",
-            check.pattern, check.max
-        ));
-    }
 }
 
 /// An `--eq-sum` assertion: the target path must equal the sum of the
@@ -317,7 +271,6 @@ fn main() {
     let mut bounds: Vec<(String, Bound)> = Vec::new();
     let mut quantiles: Vec<QuantileCheck> = Vec::new();
     let mut eq_sums: Vec<EqSumCheck> = Vec::new();
-    let mut profile_shares: Vec<ProfileShareCheck> = Vec::new();
     let mut flights: Vec<String> = Vec::new();
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -368,15 +321,6 @@ fn main() {
                 }
                 eq_sums.push(EqSumCheck { target, addends });
             }
-            "--profile-share" => {
-                let pattern = args.next().unwrap_or_else(|| usage());
-                let max = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| v.is_finite() && (0.0..=1.0).contains(v))
-                    .unwrap_or_else(|| usage());
-                profile_shares.push(ProfileShareCheck { pattern, max });
-            }
             "--flight" => flights.push(args.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
             other => {
@@ -387,7 +331,7 @@ fn main() {
     }
     let report_checks =
         requires.len() > 3 || !bounds.is_empty() || !quantiles.is_empty() || !eq_sums.is_empty();
-    if path.is_none() && (flights.is_empty() || report_checks || !profile_shares.is_empty()) {
+    if path.is_none() && (flights.is_empty() || report_checks) {
         usage();
     }
 
@@ -401,37 +345,16 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        // A collapsed-stack profile (`--profile-out`) is plain text, not
-        // JSON; accept it directly when only profile gates were asked for.
-        let collapsed_profile =
-            !report_checks && !profile_shares.is_empty() && !text.trim_start().starts_with('{');
-        if !profile_shares.is_empty() {
-            checked += profile_shares.len();
-            match rrc_obs::profile::parse_profile_text(&text) {
-                Ok(entries) => {
-                    for check in &profile_shares {
-                        check_profile_share(&entries, check, &mut failures);
-                    }
-                }
-                Err(e) => failures.push(format!("cannot parse profile from {path}: {e}")),
-            }
-        }
-        if collapsed_profile {
-            if failures.is_empty() {
-                println!("obs-check: {path} OK (collapsed profile)");
-            }
-        } else {
-            run_report_checks(
-                path,
-                &text,
-                &requires,
-                &bounds,
-                &quantiles,
-                &eq_sums,
-                &mut checked,
-                &mut failures,
-            );
-        }
+        run_report_checks(
+            path,
+            &text,
+            &requires,
+            &bounds,
+            &quantiles,
+            &eq_sums,
+            &mut checked,
+            &mut failures,
+        );
     }
 
     for bundle in &flights {

@@ -379,48 +379,6 @@ fn render(doc: &Json) -> String {
         }
     }
 
-    // Hot-paths panel: the profiler's top self-share paths with their
-    // allocation pressure, normalized to bytes/s so runs of different
-    // lengths compare.
-    if let Some(p) = doc.get("profile").filter(|s| !s.is_null()) {
-        let secs = p.get("duration_s").and_then(Json::as_f64).unwrap_or(0.0);
-        let per_sec = |b: Option<f64>| {
-            if secs > 0.0 {
-                bytes(b.map(|x| x / secs)) + "/s"
-            } else {
-                "-".to_string()
-            }
-        };
-        if let Some(Json::Arr(top)) = p.get("top") {
-            if !top.is_empty() {
-                out.push_str(&format!(
-                    "\n  {:<14} {:>7} {:>7} {:>9} {:>12}  path\n",
-                    "hot path", "self", "total", "samples", "alloc"
-                ));
-                for entry in top.iter().take(5) {
-                    let f = |k: &str| entry.get(k).and_then(Json::as_f64);
-                    out.push_str(&format!(
-                        "  {:<14} {:>6.1}% {:>6.1}% {:>9} {:>12}  {}\n",
-                        "",
-                        f("self").unwrap_or(0.0) * 100.0,
-                        f("total").unwrap_or(0.0) * 100.0,
-                        count(f("samples")),
-                        per_sec(f("alloc_bytes")),
-                        entry.get("path").and_then(Json::as_str).unwrap_or("?"),
-                    ));
-                }
-            }
-        }
-        let f = |k: &str| p.at(k).and_then(Json::as_f64);
-        out.push_str(&format!(
-            "  profile: {} work / {} idle samples @ {:.0}Hz · alloc {}\n",
-            count(f("samples")),
-            count(f("idle_samples")),
-            f("effective_hz").unwrap_or(0.0),
-            per_sec(f("alloc.bytes")),
-        ));
-    }
-
     // Optional-section footer: say which panels this report can't show,
     // so a blank dashboard region reads as "not enabled" rather than
     // "broken".
@@ -430,7 +388,6 @@ fn render(doc: &Json) -> String {
         ("overload", doc.at("engine.overload")),
         ("slo", doc.at("engine.slo")),
         ("forensics", doc.at("engine.forensics")),
-        ("profile", doc.get("profile")),
     ]
     .into_iter()
     .filter(|(_, v)| v.is_none_or(Json::is_null))
@@ -545,7 +502,7 @@ mod tests {
         let frame = render(&doc);
         assert!(frame.contains("rrc-top · report \"bare\""));
         assert!(
-            frame.contains("(not enabled: ustate, quality, overload, slo, forensics, profile)"),
+            frame.contains("(not enabled: ustate, quality, overload, slo, forensics)"),
             "footer must name every absent section, got:\n{frame}"
         );
         assert!(
@@ -599,54 +556,6 @@ mod tests {
         assert!(
             !frame.contains("overload, "),
             "present section must not be listed absent:\n{frame}"
-        );
-    }
-
-    /// The hot-paths panel lists the profiler's top self-share paths
-    /// with allocation pressure normalized to bytes/s, and the section
-    /// drops out of the "not enabled" footer once present.
-    #[test]
-    fn profile_panel_renders_hot_paths_and_alloc_rate() {
-        let doc = Json::parse(
-            r#"{
-                "report": "prof",
-                "engine": {"uptime_ms": 1000.0},
-                "profile": {
-                    "ticks": 2000,
-                    "samples": 900,
-                    "idle_samples": 1100,
-                    "duration_s": 2.0,
-                    "effective_hz": 1000.0,
-                    "alloc": {"count": 5000, "bytes": 4194304},
-                    "shares": {
-                        "serve/shard/score": {"samples": 600, "total_samples": 600,
-                                              "self": 0.667, "total": 0.667,
-                                              "alloc_count": 4000, "alloc_bytes": 2097152},
-                        "serve/enqueue": {"samples": 300, "total_samples": 300,
-                                          "self": 0.333, "total": 0.333,
-                                          "alloc_count": 1000, "alloc_bytes": 1048576}
-                    },
-                    "top": [
-                        {"path": "serve/shard/score", "self": 0.667, "total": 0.667,
-                         "samples": 600, "alloc_bytes": 2097152},
-                        {"path": "serve/enqueue", "self": 0.333, "total": 0.333,
-                         "samples": 300, "alloc_bytes": 1048576}
-                    ]
-                }
-            }"#,
-        )
-        .unwrap();
-        let frame = render(&doc);
-        assert!(frame.contains("hot path"), "panel header missing:\n{frame}");
-        assert!(frame.contains("serve/shard/score"));
-        assert!(frame.contains("66.7%"), "self share missing:\n{frame}");
-        // 2 MiB over 2 s -> 1 MiB/s for the top path, 2 MiB/s overall.
-        assert!(frame.contains("1.0MiB/s"), "alloc rate missing:\n{frame}");
-        assert!(frame.contains("2.0MiB/s"), "total alloc rate:\n{frame}");
-        assert!(frame.contains("900 work / 1100 idle samples @ 1000Hz"));
-        assert!(
-            frame.contains("(not enabled: ustate, quality, overload, slo, forensics)"),
-            "present profile section must not be listed absent:\n{frame}"
         );
     }
 }

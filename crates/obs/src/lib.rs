@@ -38,11 +38,10 @@
 //!   SIGTERM, or demand.
 //! * **SLOs** ([`slo`]) — declarative objectives judged tick-by-tick
 //!   with multi-window burn rates ([`SloEngine`]: ok → warn → page).
-//! * **Profiling** ([`profile`]) — the cooperative sampling profiler:
-//!   scoped [`ProfGuard`] path frames, a ~1 kHz sampler over per-thread
-//!   slots, allocation attribution via the opt-in [`CountingAlloc`]
-//!   global allocator, collapsed-stack + JSON export, and the
-//!   `rrc-prof` differential CLI (`top` / `diff --fail-on-grow`).
+//! * **Allocation counts** ([`alloc`]) — [`CountingAlloc`], a
+//!   pass-through global allocator with per-thread totals, and
+//!   [`thread_allocations`], the `(count, bytes)` a closure allocated on
+//!   the calling thread: what the allocation tests assert with.
 //! * **CRC-32** ([`crc32`]) — the zlib-compatible checksum shared by
 //!   `rrc-store` sections and flight bundles.
 //!
@@ -66,17 +65,18 @@
 //! let _ = Json::parse(&reg.to_json().render()).unwrap();
 //! ```
 
+pub mod alloc;
 pub mod crc32;
 pub mod forensics;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod registry;
 pub mod report;
 pub mod slo;
 pub mod span;
 pub mod window;
 
+pub use alloc::{thread_allocations, CountingAlloc, ProfGuard};
 pub use forensics::{
     dump_flight_now, install_flight_dump, top_slowest, validate_flight_bundle, write_flight_bundle,
     BucketExemplars, ExemplarTrace, FlightBundleStats, FlightDumpTarget, FlightEvent,
@@ -84,7 +84,6 @@ pub use forensics::{
 };
 pub use json::{Json, JsonError};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramTimer, BUCKETS};
-pub use profile::{CountingAlloc, ProfGuard, ProfileEntry, ProfileSnapshot, Profiler};
 pub use registry::{
     global, histogram_to_json, snapshot_to_json, Metric, MetricId, MetricValue, Registry,
     RegistrySnapshot, WindowedCounterValue,

@@ -37,12 +37,6 @@
 //! * `--inject-slow-user U` (with `--inject-slow-us`) stalls one user's
 //!   requests to manufacture a known-slow trace; `--inject-panic-after N`
 //!   panics a client mid-replay to exercise the crash dump (CI smoke).
-//! * `--profile-out PATH` turns on the cooperative sampling profiler for
-//!   the measured replay and writes the collapsed-stack file there
-//!   (flamegraph.pl/inferno input, `rrc-prof top/diff` input); the JSON
-//!   report gains a `profile` section with per-path self/total shares
-//!   and allocation attribution. `--profile-hz N` sets the sampling rate
-//!   (default ~997 Hz — deliberately co-prime with common periodic work).
 //!
 //! Overload flags:
 //!
@@ -106,13 +100,6 @@ const TOPN: usize = 10;
 /// Per-user changepoint position for `--drift`, as a fraction of the
 /// sequence: inside the replayed test suffix (the last 30 %).
 const DRIFT_AT: f64 = 0.75;
-
-/// Opt in to allocation attribution: every allocation this process makes
-/// is (while profiling is enabled) credited to the allocating thread's
-/// innermost profile frame. Pass-through to the system allocator, one
-/// relaxed atomic load of cost, when profiling is off.
-#[global_allocator]
-static ALLOC: rrc_obs::CountingAlloc = rrc_obs::CountingAlloc::new();
 
 struct Args {
     users: usize,
@@ -210,11 +197,6 @@ struct Args {
     /// Continuous trainer: checkpoint every N events (0 = only the flag
     /// path's final write).
     checkpoint_every: u64,
-    /// Enable the sampling profiler and write the collapsed-stack file
-    /// here after the measured replay.
-    profile_out: Option<String>,
-    /// Profiler sampling rate in walks/second.
-    profile_hz: f64,
 }
 
 impl Default for Args {
@@ -270,10 +252,6 @@ impl Default for Args {
             publish_every: 2_000,
             stream_checkpoint: None,
             checkpoint_every: 0,
-            profile_out: None,
-            // Not a round number on purpose: co-prime with millisecond
-            // periodic work, so samples don't phase-lock to timers.
-            profile_hz: 997.0,
         }
     }
 }
@@ -281,10 +259,6 @@ impl Default for Args {
 impl Args {
     /// Forensics turns on when asked for directly or implied by any
     /// forensic flag that needs its plumbing.
-    fn profile_enabled(&self) -> bool {
-        self.profile_out.is_some()
-    }
-
     fn forensics_enabled(&self) -> bool {
         self.forensics
             || self.trace_out.is_some()
@@ -394,8 +368,7 @@ fn usage() -> ! {
          [--queue-cap N] [--deadline-us MICROS] \
          [--slo-shed-rate F] \
          [--continuous] [--drift F] [--publish-every N] \
-         [--stream-checkpoint PATH] [--checkpoint-every N] \
-         [--profile-out PATH] [--profile-hz N]"
+         [--stream-checkpoint PATH] [--checkpoint-every N]"
     );
     std::process::exit(2);
 }
@@ -484,8 +457,6 @@ fn parse_args() -> Args {
                 args.stream_checkpoint = Some(it.next().unwrap_or_else(|| usage()))
             }
             "--checkpoint-every" => args.checkpoint_every = num(&mut it),
-            "--profile-out" => args.profile_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--profile-hz" => args.profile_hz = fnum(&mut it),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag: {other}");
@@ -513,7 +484,6 @@ fn parse_args() -> Args {
         || (args.arrival == "burst" && args.burst_rate <= 0.0)
         || !(0.0..=1.0).contains(&args.drift)
         || (args.continuous && args.publish_every == 0)
-        || (args.profile_enabled() && args.profile_hz <= 0.0)
     {
         usage();
     }
@@ -980,15 +950,9 @@ fn run_continuous(args: &Args, data: &Dataset, split: &SplitDataset) {
     let (tx, source) = ChannelSource::unbounded();
     let trainer_thread = spawn_trainer(trainer, source, "stream-trainer");
 
-    // Profile the stream-trained leg: serving shards *and* the trainer
-    // thread's evaluate/learn/publish phases land in one profile.
-    let profiler = args
-        .profile_enabled()
-        .then(|| rrc_obs::Profiler::start(args.profile_hz));
     let stream_elapsed = run_replay(&engine, &replay, args, None, Some(&tx));
     drop(tx); // stream over: the trainer drains its backlog and returns
     let mut trainer = trainer_thread.join().expect("stream trainer thread");
-    let profile_snap = profiler.map(rrc_obs::Profiler::stop);
     watcher.stop();
     let stream = LegQuality::of(&engine);
     let report = engine.metrics();
@@ -1137,9 +1101,6 @@ fn run_continuous(args: &Args, data: &Dataset, split: &SplitDataset) {
                 ("trainer", trainer.report()),
             ]),
         );
-        if let Some(snap) = &profile_snap {
-            run.add_section("profile", snap.to_json(10));
-        }
         run.add_section("ustate", ustate_section(&report, args));
         run.add_section("engine", report.to_json());
         run.add_section("quality", quality.to_json());
@@ -1148,19 +1109,6 @@ fn run_continuous(args: &Args, data: &Dataset, split: &SplitDataset) {
             Ok(()) => eprintln!("wrote run report to {path}"),
             Err(e) => {
                 eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let (Some(path), Some(snap)) = (&args.profile_out, &profile_snap) {
-        match std::fs::write(path, snap.collapsed()) {
-            Ok(()) => eprintln!(
-                "profile: {} work samples over {} paths -> {path}",
-                snap.work_samples,
-                snap.entries.len()
-            ),
-            Err(e) => {
-                eprintln!("failed to write profile {path}: {e}");
                 std::process::exit(1);
             }
         }
@@ -1264,18 +1212,7 @@ fn main() {
         )
     });
 
-    // Profile only the replay itself: the sampler starts after warmup
-    // and engine spin-up, so shares describe serving work.
-    let profiler = args
-        .profile_enabled()
-        .then(|| rrc_obs::Profiler::start(args.profile_hz));
-    if let Some(p) = &profiler {
-        eprintln!("profiler on: sampling every thread at {:.0} Hz", p.hz());
-    }
-
     let elapsed = run_replay(&engine, &replay, &args, args.inject_panic_after, None);
-
-    let profile_snap = profiler.map(rrc_obs::Profiler::stop);
     let report = engine.metrics();
     println!("{report}");
     println!(
@@ -1312,29 +1249,6 @@ fn main() {
             q.versions.len()
         );
     }
-    if let (Some(path), Some(snap)) = (&args.profile_out, &profile_snap) {
-        match std::fs::write(path, snap.collapsed()) {
-            Ok(()) => eprintln!(
-                "profile: {} work samples over {} paths ({} idle) -> {path}",
-                snap.work_samples,
-                snap.entries.len(),
-                snap.idle_samples
-            ),
-            Err(e) => {
-                eprintln!("failed to write profile {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        if let Some(top) = snap.entries.first() {
-            eprintln!(
-                "profile: hottest path {} (self {:.1}%, {} allocs)",
-                top.path,
-                top.self_share * 100.0,
-                top.alloc_count
-            );
-        }
-    }
-
     // Drain the exemplar-trace sink and take the on-demand flight dump
     // now that the replay is over.
     if let Some(sink) = &trace_sink {
@@ -1383,8 +1297,6 @@ fn main() {
             .config("tracing", !args.no_tracing)
             .config("quality", args.quality)
             .config("forensics", args.forensics_enabled())
-            .config("profile", args.profile_enabled())
-            .config("profile_hz", args.profile_hz)
             .config("arrival", args.arrival.clone())
             .config("rate", args.rate)
             .config("hot_users", args.hot_users as usize)
@@ -1403,9 +1315,6 @@ fn main() {
                 ("events_per_sec", Json::F64(rate(elapsed))),
             ]),
         );
-        if let Some(snap) = &profile_snap {
-            run.add_section("profile", snap.to_json(10));
-        }
         run.add_section("ustate", ustate_section(&report, &args));
         // Request quantiles, per-stage breakdown + per-shard counters (the
         // acceptance surface), then the raw registry snapshot for

@@ -84,9 +84,7 @@ use rrc_core::{
     observe_single, recommend_single, ModelParams, OnlineConfig, OnlineTsPpr, TsPprModel,
 };
 use rrc_features::{FeatureContext, FeaturePipeline, TrainStats};
-use rrc_obs::{
-    FlightBundleStats, FlightDumpTarget, FlightRecorder, Json, JsonlSink, ProfGuard, SloState,
-};
+use rrc_obs::{FlightBundleStats, FlightDumpTarget, FlightRecorder, Json, JsonlSink, SloState};
 use rrc_sequence::{ConsumptionKind, ItemId, UserId, WindowState};
 use rrc_ustate::{EvictionPolicy, TierConfig, TierParams, UserStateTier};
 use std::io;
@@ -330,10 +328,6 @@ impl Shard {
     fn stall_if_injected(&self, user: UserId) {
         if let Some((target, dur)) = self.inject_slow {
             if user.0 == target {
-                // Deliberately profiled: the stall shows up as its own
-                // path under `score`, so `rrc-prof diff --fail-on-grow`
-                // can prove it catches an injected regression.
-                let _p = ProfGuard::enter("inject_stall");
                 std::thread::sleep(dur);
             }
         }
@@ -379,7 +373,6 @@ impl Shard {
             self.metrics.shards[self.id].skipped.inc();
             return (ConsumptionKind::Novel, 0);
         }
-        let _p = ProfGuard::enter("score");
         self.stall_if_injected(user);
         // A user the model has no row for still gets a window; there is
         // nothing to take an SGD step on.
@@ -416,7 +409,6 @@ impl Shard {
             self.metrics.shards[self.id].skipped.inc();
             return Vec::new();
         }
-        let _p = ProfGuard::enter("score");
         self.stall_if_injected(user);
         let (window, factors, base) = self
             .tier
@@ -462,30 +454,17 @@ impl Shard {
                 reply,
                 deadline,
             } => {
-                // Profile frames cover only the *active* request body: a
-                // wait for requests or for the shard reads as idle, so
-                // shares measure work, not queue time.
-                // (Literals: the profiler keys its path cache on the
-                // promoted slice's address.)
-                let _shard = ProfGuard::enter_path(match op {
-                    Op::Observe(_) => &["serve", "shard", "observe"],
-                    Op::Recommend(_) => &["serve", "shard", "recommend"],
-                });
-                let mut record = {
-                    let _p = ProfGuard::enter("dequeue");
-                    let mut record = self.metrics.dequeued(self.id, op.kind(), user, trace);
-                    if deadline.is_some_and(|d| Instant::now() > d) {
-                        // Sat in the queue past its deadline: shed
-                        // instead of served late.
-                        record.outcome = Err(ShedReason::Deadline);
-                        self.metrics.finished(&record, None);
-                        if let Some(reply) = reply {
-                            reply.send(Err(ShedReason::Deadline));
-                        }
-                        return;
+                let mut record = self.metrics.dequeued(self.id, op.kind(), user, trace);
+                if deadline.is_some_and(|d| Instant::now() > d) {
+                    // Sat in the queue past its deadline: shed instead
+                    // of served late.
+                    record.outcome = Err(ShedReason::Deadline);
+                    self.metrics.finished(&record, None);
+                    if let Some(reply) = reply {
+                        reply.send(Err(ShedReason::Deadline));
                     }
-                    record
-                };
+                    return;
+                }
                 let (served, updates) = match op {
                     Op::Observe(item) => {
                         let (kind, updates) = self.observe(user, item);
@@ -493,7 +472,6 @@ impl Shard {
                     }
                     Op::Recommend(n) => (Served::Items(self.recommend(user, n)), 0),
                 };
-                let _p = ProfGuard::enter("respond");
                 let counters = &self.metrics.shards[self.id];
                 match op {
                     Op::Observe(_) => {
@@ -824,39 +802,32 @@ impl ServeEngine {
     fn submit(&self, user: UserId, op: Op, admit: Admit, wait: bool) -> Result<Served, ShedReason> {
         let port = &*self.ports[shard_for(user, self.ports.len())];
         let slot = wait.then(|| REPLY.with(Arc::clone));
-        let ahead = {
-            // The enqueue frame covers routing + admission + the push
-            // only; serving below has the shard's frames, on whichever
-            // thread it runs, and a blocking wait is unprofiled.
-            let _p = ProfGuard::enter_path(&["serve", "enqueue"]);
-            let forced = matches!(admit, Admit::Forced);
-            let trace = self.metrics.offered(port.id, op.kind(), forced, wait)?;
-            let deadline = match admit {
-                Admit::Forced => None,
-                // An explicit per-request deadline wins; otherwise the
-                // engine-wide default (measured from now) applies.
-                Admit::Gated(deadline) => {
-                    deadline.or_else(|| self.default_deadline.map(|d| Instant::now() + d))
-                }
-            };
-            let request = Request::Data {
-                user,
-                op,
-                trace,
-                reply: slot.as_ref().map(|slot| slot.replier()),
-                deadline,
-            };
-            // Only a caller that would block anyway serves: a
-            // fire-and-forget request is enqueued whoever holds the shard.
-            let hold = if wait { port.try_hold() } else { None };
-            // Whoever does not serve tells the shard thread.
-            let queued = port.push(request, hold.is_none());
-            hold.map(|hold| (queued, hold))
+        let forced = matches!(admit, Admit::Forced);
+        let trace = self.metrics.offered(port.id, op.kind(), forced, wait)?;
+        let deadline = match admit {
+            Admit::Forced => None,
+            // An explicit per-request deadline wins; otherwise the
+            // engine-wide default (measured from now) applies.
+            Admit::Gated(deadline) => {
+                deadline.or_else(|| self.default_deadline.map(|d| Instant::now() + d))
+            }
         };
+        let request = Request::Data {
+            user,
+            op,
+            trace,
+            reply: slot.as_ref().map(|slot| slot.replier()),
+            deadline,
+        };
+        // Only a caller that would block anyway serves: a
+        // fire-and-forget request is enqueued whoever holds the shard.
+        let hold = if wait { port.try_hold() } else { None };
+        // Whoever does not serve tells the shard thread.
+        let queued = port.push(request, hold.is_none());
         let Some(slot) = slot else {
             return Ok(Served::Queued);
         };
-        if let Some((queued, mut hold)) = ahead {
+        if let Some(mut hold) = hold {
             // Nobody else pops while this thread holds the shard, so the
             // request just pushed is the `queued`-th from the front.
             for _ in 0..queued {

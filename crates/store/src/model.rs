@@ -59,7 +59,6 @@ pub fn save_model(
     extra_meta: &[(String, String)],
     path: impl AsRef<Path>,
 ) -> Result<u64, StoreError> {
-    let _prof = rrc_obs::ProfGuard::enter("store_save");
     let bytes = encode_model(model, extra_meta);
     commit(path, &bytes)?;
     Ok(bytes.len() as u64)
@@ -67,7 +66,6 @@ pub fn save_model(
 
 /// Load an owned model from `path`, rejecting anything malformed.
 pub fn load_model(path: impl AsRef<Path>) -> Result<TsPprModel, StoreError> {
-    let _prof = rrc_obs::ProfGuard::enter("store_load");
     Ok(ModelView::open(path)?.into_model())
 }
 

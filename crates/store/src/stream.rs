@@ -128,7 +128,6 @@ pub fn save_stream_checkpoint(
     ck: &StreamCheckpoint,
     path: impl AsRef<Path>,
 ) -> Result<u64, StoreError> {
-    let _prof = rrc_obs::ProfGuard::enter("store_save");
     let bytes = encode_stream_checkpoint(ck);
     commit(path, &bytes)?;
     global().counter("store_stream_checkpoints_total").inc();
@@ -137,7 +136,6 @@ pub fn save_stream_checkpoint(
 
 /// Load and fully validate a stream checkpoint.
 pub fn load_stream_checkpoint(path: impl AsRef<Path>) -> Result<StreamCheckpoint, StoreError> {
-    let _prof = rrc_obs::ProfGuard::enter("store_load");
     decode_stream_checkpoint(&StoreFile::open(path)?)
 }
 

@@ -1,39 +1,18 @@
-//! What a model load allocates, counted by the profiler's allocator:
+//! What a model load allocates, counted by a per-thread counting allocator:
 //! the file's bytes once (each section in its own buffer, `U` and `V`
 //! then moved into the model) plus one copy of every `A_u`, and nothing
 //! proportional to `U` or `V` beyond that.
 //!
-//! A binary of its own, with one test: the allocator is process-wide and
-//! the profiler's on/off switch is global.
+//! A binary of its own: the allocator is process-wide.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rrc_core::TsPprModel;
-use rrc_obs::profile::{self, CountingAlloc, ProfGuard};
+use rrc_obs::{thread_allocations, CountingAlloc};
 use rrc_store::{load_model, save_model};
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
-
-/// Bytes `f` allocates on this thread, in a frame of its own and the
-/// frames `f` enters inside it.
-fn allocated_bytes(frame: &'static str, f: impl FnOnce()) -> u64 {
-    let counted = || -> u64 {
-        profile::snapshot()
-            .filtered(frame)
-            .entries
-            .iter()
-            .map(|e| e.alloc_bytes)
-            .sum()
-    };
-    drop(ProfGuard::enter(frame));
-    let before = counted();
-    {
-        let _frame = ProfGuard::enter(frame);
-        f();
-    }
-    counted() - before
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn load_model_allocates_the_file_and_the_transforms_once() {
@@ -54,12 +33,10 @@ fn load_model_allocates_the_file_and_the_transforms_once() {
     let path = dir.join("m.rrcm");
     let file_len = save_model(&model, &[], &path).unwrap();
 
-    profile::enable();
-    // Once unmeasured, so registering spans and frames is not charged.
+    // Once unmeasured, so registering the load's span is not charged.
     assert_eq!(load_model(&path).unwrap(), model);
     let mut loaded = None;
-    let bytes = allocated_bytes("load_alloc", || loaded = Some(load_model(&path).unwrap()));
-    profile::disable();
+    let (_, bytes) = thread_allocations(|| loaded = Some(load_model(&path).unwrap()));
     assert_eq!(loaded.unwrap(), model);
 
     let transforms = (users * k * f_dim * 8) as u64;

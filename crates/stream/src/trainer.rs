@@ -343,29 +343,24 @@ impl StreamTrainer {
             self.metrics.skipped.inc();
             return Ok(None);
         }
-        let _prof = rrc_obs::ProfGuard::enter("stream");
         let omega = self.cfg.online.omega;
         let kind = classify(&self.windows[ev.user.index()], ev.item, omega);
         let mut rank = None;
         let mut updates = 0;
         if kind == ConsumptionKind::EligibleRepeat {
-            {
-                let _p = rrc_obs::ProfGuard::enter("evaluate");
-                recommend_into(
-                    &self.model,
-                    &self.pipeline,
-                    &self.stats,
-                    omega,
-                    ev.user,
-                    &self.windows[ev.user.index()],
-                    self.cfg.eval_n,
-                    &mut self.eval_top,
-                );
-                rank = self.eval_top.iter().position(|&v| v == ev.item);
-                self.record_opportunity(rank);
-            }
+            recommend_into(
+                &self.model,
+                &self.pipeline,
+                &self.stats,
+                omega,
+                ev.user,
+                &self.windows[ev.user.index()],
+                self.cfg.eval_n,
+                &mut self.eval_top,
+            );
+            rank = self.eval_top.iter().position(|&v| v == ev.item);
+            self.record_opportunity(rank);
             if self.cfg.online.negatives_per_event > 0 {
-                let _p = rrc_obs::ProfGuard::enter("learn");
                 let shard = shard_for(ev.user, self.cfg.shards);
                 updates = online_step_single(
                     &mut self.model,
@@ -447,7 +442,6 @@ impl StreamTrainer {
         let Some(registry) = self.registry.as_mut() else {
             return Ok(None);
         };
-        let _prof = rrc_obs::ProfGuard::enter("publish");
         let meta = vec![
             (
                 META_FINGERPRINT.to_string(),
@@ -471,7 +465,6 @@ impl StreamTrainer {
         let Some(path) = self.checkpoint_path.clone() else {
             return Ok(());
         };
-        let _prof = rrc_obs::ProfGuard::enter("checkpoint");
         save_stream_checkpoint(&self.checkpoint(), path)?;
         self.metrics.checkpoints.inc();
         Ok(())

@@ -414,7 +414,6 @@ impl UserStateTier {
         let Some(data) = seg.read(id)? else {
             return Ok(None);
         };
-        let _prof = rrc_obs::ProfGuard::enter("reload");
         let t0 = Instant::now();
         let rec = decode_record_with(data, self.base.k(), self.base.f_dim(), &mut self.scratch)?;
         let mut factors = rec.factors;
@@ -465,7 +464,6 @@ impl UserStateTier {
             .segment
             .as_mut()
             .expect("bounded tier always has a segment");
-        let _prof = rrc_obs::ProfGuard::enter("spill");
         let t0 = Instant::now();
         // A resident row's base is the snapshot's row; the record carries
         // it for the reload that finds a newer snapshot.

@@ -1,5 +1,5 @@
 //! Steady-state allocation counts of the per-event kernel, asserted with
-//! the profiler's counting allocator: an observe, an online SGD round and
+//! a per-thread counting allocator: an observe, an online SGD round and
 //! a `recommend_into` a reused list allocate nothing, `recommend_single`
 //! allocates the list it returns and nothing else, a baseline's
 //! `Recommender::recommend_into` a reused list allocates its scored list
@@ -9,8 +9,10 @@
 //! whole request: a blocking `recommend` allocates its list, a blocking
 //! `observe` and an `observe_nowait` nothing.
 //!
-//! A binary of its own, with one test: the allocator is process-wide and
-//! the profiler's on/off switch is global.
+//! A binary of its own: the allocator is process-wide.
+//! Counts are per thread, so the engine's own threads are not counted;
+//! a blocking call on an idle shard is served on the calling thread and
+//! is.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,36 +20,19 @@ use repeat_rec::baselines::{DyrcModel, FpmcModel};
 use repeat_rec::core::{observe_single, online_step_single, recommend_into, recommend_single};
 use repeat_rec::prelude::*;
 use repeat_rec::sequence::classify;
-use rrc_obs::profile::{self, CountingAlloc, ProfGuard};
+use rrc_obs::{thread_allocations, CountingAlloc};
 use rrc_ustate::{TierConfig, UserStateTier};
 use std::sync::Arc;
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const WINDOW: usize = 30;
 const OMEGA: usize = 5;
 
-/// Allocations `f` makes on this thread, counted in a frame of its own
-/// (and the frames `f` enters inside it).
-fn allocations(frame: &'static str, f: impl FnOnce()) -> u64 {
-    let counted = || -> u64 {
-        profile::snapshot()
-            .filtered(frame)
-            .entries
-            .iter()
-            .map(|e| e.alloc_count)
-            .sum()
-    };
-    // Entered once before measuring, so registering the frame is not
-    // charged to it.
-    drop(ProfGuard::enter(frame));
-    let before = counted();
-    {
-        let _frame = ProfGuard::enter(frame);
-        f();
-    }
-    counted() - before
+/// Allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    thread_allocations(f).0
 }
 
 #[test]
@@ -104,8 +89,7 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
         }
     }
 
-    profile::enable();
-    let observe = allocations("kernel_observe", || {
+    let observe = allocations(|| {
         for &(user, item) in &events {
             let w = &mut windows[user.index()];
             observe_single(
@@ -114,7 +98,7 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
         }
     });
     let mut updates = 0;
-    let learn = allocations("kernel_online_step", || {
+    let learn = allocations(|| {
         for &(user, item) in &events {
             let w = &mut windows[user.index()];
             if classify(w, item, OMEGA) == ConsumptionKind::EligibleRepeat {
@@ -126,7 +110,7 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
         }
     });
     let mut listed = 0;
-    let recommend = allocations("kernel_recommend", || {
+    let recommend = allocations(|| {
         for &(user, _) in &events {
             let top = recommend_single(
                 &model,
@@ -141,7 +125,7 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
         }
     });
     let mut top = Vec::with_capacity(10);
-    let recommend_into_reused = allocations("kernel_recommend_into", || {
+    let recommend_into_reused = allocations(|| {
         for &(user, _) in &events {
             let window = &windows[user.index()];
             recommend_into(&model, &pipeline, &stats, OMEGA, user, window, 10, &mut top);
@@ -162,7 +146,7 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
         (&fpmc, 2),
     ];
     let baselines = baselines.map(|(rec, per_request)| {
-        let allocated = allocations("baseline_recommend_into", || {
+        let allocated = allocations(|| {
             for &(user, _) in &events {
                 let window = &windows[user.index()];
                 let ctx = RecContext {
@@ -187,7 +171,6 @@ fn steady_state_kernel_allocates_only_the_returned_list() {
         *online.window_mut(UserId(u as u32)) = w.clone();
     }
     engine_touches(online, &events);
-    profile::disable();
 
     assert_eq!(observe, 0, "observe_single allocated");
     assert!(updates > 1000, "{updates} SGD updates");
@@ -230,34 +213,21 @@ fn engine_touches(online: OnlineTsPpr, events: &[(UserId, ItemId)]) {
         engine.recommend(user, 10);
     }
     settle(&engine);
-    // One request of each kind inside its frame, uncounted: the profiler
-    // registers the engine's frames under a new parent on first entry.
-    let (user, item) = events[0];
-    allocations("engine_recommend", || {
-        engine.recommend(user, 10);
-    });
-    allocations("engine_observe", || {
-        engine.observe(user, item);
-    });
-    allocations("engine_observe_nowait", || {
-        engine.observe_nowait(user, item)
-    });
-    settle(&engine);
 
     let mut listed = 0;
-    let recommend = allocations("engine_recommend", || {
+    let recommend = allocations(|| {
         for &(user, _) in events {
             listed += u64::from(!engine.recommend(user, 10).is_empty());
         }
     });
-    let observe = allocations("engine_observe", || {
+    let observe = allocations(|| {
         for &(user, item) in events {
             engine.observe(user, item);
         }
     });
     let mut nowait = 0;
     for chunk in events.chunks(BURST) {
-        nowait += allocations("engine_observe_nowait", || {
+        nowait += allocations(|| {
             for &(user, item) in chunk {
                 engine.observe_nowait(user, item);
             }
@@ -310,7 +280,7 @@ fn tier_touches(model: &TsPprModel, windows: &[WindowState]) {
         let user = UserId(user_at(i));
         let resident = tier.is_resident(user.0);
         let spill_file = tier.spill_file_bytes();
-        let allocated = allocations("tier_touch", || {
+        let allocated = allocations(|| {
             tier.get_or_load(user).expect("load");
             tier.note_access(user).expect("settle");
             tier.drain_delta(|delta| evicted += delta.evictions);
