@@ -808,4 +808,96 @@ mod tests {
         let acc = wins as f64 / total as f64;
         assert!(acc > 0.7, "pairwise training accuracy {acc}");
     }
+
+    /// Alg. 1 is gradient ascent on Eq. 11's objective for one
+    /// quadruple, `J = ln σ(m) − γ/2 (‖u‖² + ‖v_i‖² + ‖v_j‖²) − λ/2 ‖A_u‖²_F`:
+    /// the change `sgd_step` makes to every coordinate of `u`, `v_i`, `v_j`
+    /// and `A_u` is α × ∂J at the old point, here measured by central
+    /// differences. With `h = 1e-6` their error is about
+    /// `h²·|J‴| + ε·|J|/h`, below 1e-9, so the tolerance is
+    /// `1e-8 · (1 + |α·∂J|)`: a sign, index or factor-of-two error misses
+    /// it by orders of magnitude. Under the identity-transform
+    /// simplification `A_u` is frozen instead.
+    #[test]
+    fn sgd_step_is_alpha_times_the_gradient_of_eq_11() {
+        use rand::Rng;
+        const H: f64 = 1e-6;
+        const BLOCKS: [&str; 4] = ["u", "v_i", "v_j", "A_u"];
+        fn block<'m>(m: &'m mut TsPprModel, q: &Quadruple<'_>, name: &str) -> &'m mut [f64] {
+            match name {
+                "u" => ModelParams::user_factor_mut(m, q.user),
+                "v_i" => ModelParams::item_factor_mut(m, q.pos),
+                "v_j" => ModelParams::item_factor_mut(m, q.neg),
+                _ => ModelParams::transform_mut(m, q.user).as_mut_slice(),
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(14);
+        for case in 0..40 {
+            let identity_transform = case % 2 == 1;
+            let k = rng.gen_range(1..=5usize);
+            // The identity simplification needs a square A_u.
+            let f_dim = if identity_transform {
+                k
+            } else {
+                rng.gen_range(1..=4usize)
+            };
+            let alpha: f64 = rng.gen_range(0.01..0.2);
+            let gamma: f64 = rng.gen_range(0.0..0.2);
+            let lambda: f64 = rng.gen_range(0.0..0.2);
+            let model = TsPprModel::init(&mut rng, 3, 4, k, f_dim, 0.5, 0.5);
+            let mut features =
+                || -> Vec<f64> { (0..f_dim).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+            let (f_pos, f_neg) = (features(), features());
+            let pos = rng.gen_range(0..4u32);
+            let q = Quadruple {
+                user: UserId(rng.gen_range(0..3u32)),
+                pos: ItemId(pos),
+                neg: ItemId((pos + rng.gen_range(1..4u32)) % 4),
+                t: 0,
+                f_pos: &f_pos,
+                f_neg: &f_neg,
+            };
+            let objective = |m: &TsPprModel| {
+                let sq = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
+                ln_sigmoid(m.margin(q.user, q.pos, q.neg, q.f_pos, q.f_neg))
+                    - gamma / 2.0
+                        * (sq(m.user_factor(q.user))
+                            + sq(m.item_factor(q.pos))
+                            + sq(m.item_factor(q.neg)))
+                    - lambda / 2.0 * m.transform(q.user).frobenius_norm_sq()
+            };
+            let consts = SgdConsts {
+                k,
+                alpha,
+                decay_factor: 1.0 - alpha * gamma,
+                decay_transform: 1.0 - alpha * lambda,
+                identity_transform,
+            };
+            let mut stepped = model.clone();
+            sgd_step(&mut stepped, &q, &consts, &mut SgdScratch::default());
+            let mut probe = model;
+            for name in BLOCKS {
+                let frozen = identity_transform && name == "A_u";
+                for i in 0..block(&mut probe, &q, name).len() {
+                    let x = block(&mut probe, &q, name)[i];
+                    block(&mut probe, &q, name)[i] = x + H;
+                    let up = objective(&probe);
+                    block(&mut probe, &q, name)[i] = x - H;
+                    let down = objective(&probe);
+                    block(&mut probe, &q, name)[i] = x;
+                    let want = if frozen {
+                        0.0
+                    } else {
+                        alpha * (up - down) / (2.0 * H)
+                    };
+                    let moved = block(&mut stepped, &q, name)[i] - x;
+                    assert!(
+                        (moved - want).abs() <= 1e-8 * (1.0 + want.abs()),
+                        "case {case} (K={k} F={f_dim} identity={identity_transform}): \
+                         {name}[{i}] moved {moved:e}, α·∂J = {want:e}"
+                    );
+                }
+            }
+        }
+    }
 }

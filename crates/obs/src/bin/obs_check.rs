@@ -7,7 +7,8 @@
 //!
 //! ```text
 //! obs-check REPORT.json [--require PATH]... [--min PATH VALUE]... [--max PATH VALUE]...
-//!           [--histogram-quantile 'name{labels}' pQQ MAX]... [--flight BUNDLE.jsonl]...
+//!           [--between EXPR MIN MAX]... [--histogram-quantile 'name{labels}' pQQ MAX]...
+//!           [--flight BUNDLE.jsonl]...
 //! ```
 //!
 //! * `--require a.b.c`  — the path must exist and not be `null`
@@ -20,12 +21,16 @@
 //!   quantiles (`p99.9`) because it reads the raw buckets, and it fails
 //!   when no histogram matches — a regression gate that can't silently
 //!   pass because a series disappeared.
-//! * `--eq-sum TARGET A [B]...` — conservation-law gate: the value at
-//!   `TARGET` must equal the sum of the values at the addend paths
-//!   (within a tiny float tolerance). Addends are consumed until the
-//!   next `--flag`. Wildcarded addends sum over every match, so
-//!   `--eq-sum engine.overload.total.offered engine.overload.total.admitted
-//!   engine.overload.total.shed` asserts `offered == admitted + shed`.
+//! * `--between EXPR MIN MAX` — a number derived from series must lie in
+//!   `[MIN, MAX]` (`inf` is a valid bound). `EXPR` is a `+`/`-` sum of
+//!   paths, optionally divided by a second such sum (`A+B/C-D` reads
+//!   `(A+B)/(C-D)`); a wildcarded path sums every match. A term matching
+//!   nothing or holding a non-number fails, and so does a zero
+//!   denominator — a gate must not pass because a series disappeared.
+//!   This is where a report's derived numbers live instead of being
+//!   stored: a conservation law is
+//!   `--between 'offered{kind=*}-admitted{kind=*}-shed{kind=*,reason=*}' 0 0`,
+//!   a hit rate is `hits{shard=*}/hits{shard=*}+misses{shard=*}`.
 //! * `--flight BUNDLE.jsonl` — validate a flight-recorder bundle: header
 //!   magic, event ordering, footer count, and CRC32 over the bytes.
 //!
@@ -48,101 +53,15 @@
 //!
 //! [`RunReport`]: rrc_obs::RunReport
 
-use rrc_obs::Json;
+use rrc_obs::{histogram_from_json, Json};
 
 fn usage() -> ! {
     eprintln!(
         "usage: obs-check REPORT.json [--require PATH]... [--min PATH VALUE]... \
-         [--max PATH VALUE]... [--eq-sum TARGET ADDEND...]... \
+         [--max PATH VALUE]... [--between EXPR MIN MAX]... \
          [--histogram-quantile 'name{{labels}}' pQQ MAX]... [--flight BUNDLE.jsonl]..."
     );
     std::process::exit(2);
-}
-
-/// `*`-wildcard match (the only metacharacter; everything else literal).
-fn glob_match(pattern: &str, text: &str) -> bool {
-    let (p, t): (Vec<char>, Vec<char>) = (pattern.chars().collect(), text.chars().collect());
-    // Classic two-pointer glob with backtracking over the last `*`.
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let (mut star, mut star_t) = (None::<usize>, 0usize);
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '*' {
-            star = Some(pi);
-            star_t = ti;
-            pi += 1;
-        } else if let Some(s) = star {
-            pi = s + 1;
-            star_t += 1;
-            ti = star_t;
-        } else {
-            return false;
-        }
-    }
-    while pi < p.len() && p[pi] == '*' {
-        pi += 1;
-    }
-    pi == p.len()
-}
-
-/// Does `segment` (possibly wildcarded) select this object key? Metric
-/// keys carry quoted label values (`shard="0"`); patterns match against
-/// the quote-stripped form so CLI globs stay shell-friendly.
-fn segment_matches(segment: &str, key: &str) -> bool {
-    if segment == key {
-        return true;
-    }
-    let stripped: String = key.chars().filter(|&c| c != '"').collect();
-    if segment == stripped {
-        return true;
-    }
-    segment.contains('*') && (glob_match(segment, key) || glob_match(segment, &stripped))
-}
-
-/// All values selected by a dotted path whose segments may contain `*`
-/// wildcards, with matched paths (concrete keys) for error messages.
-fn resolve<'a>(doc: &'a Json, path: &str) -> Vec<(String, &'a Json)> {
-    let mut frontier: Vec<(String, &Json)> = vec![(String::new(), doc)];
-    for seg in path.split('.') {
-        let mut next = Vec::new();
-        for (at, node) in frontier {
-            let join = |k: &str| {
-                if at.is_empty() {
-                    k.to_string()
-                } else {
-                    format!("{at}.{k}")
-                }
-            };
-            match node {
-                Json::Obj(pairs) => {
-                    for (k, v) in pairs {
-                        if segment_matches(seg, k) {
-                            next.push((join(k), v));
-                        }
-                    }
-                }
-                Json::Arr(items) => {
-                    if seg == "*" {
-                        for (i, v) in items.iter().enumerate() {
-                            next.push((join(&i.to_string()), v));
-                        }
-                    } else if let Ok(i) = seg.parse::<usize>() {
-                        if let Some(v) = items.get(i) {
-                            next.push((join(seg), v));
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    frontier
 }
 
 enum Bound {
@@ -159,19 +78,68 @@ struct QuantileCheck {
     max: f64,
 }
 
-/// An `--eq-sum` assertion: the target path must equal the sum of the
-/// addend paths. This is how CI states conservation laws
-/// (`offered == admitted + shed`) without a `jq` dependency.
-struct EqSumCheck {
-    target: String,
-    addends: Vec<String>,
+/// One side of a `--between` expression: signed paths to add up.
+type SignedSum = Vec<(f64, String)>;
+
+/// A `--between` assertion: `num` (divided by `den` when present) must
+/// lie in `[min, max]`.
+struct BetweenCheck {
+    expr: String,
+    num: SignedSum,
+    den: Option<SignedSum>,
+    min: f64,
+    max: f64,
+}
+
+/// Split `expr` at `sep` characters outside `{…}` label sets (label
+/// values may hold `-`, `+` or `/`), keeping each piece's separator.
+fn split_top(expr: &str, seps: &[char]) -> Vec<(Option<char>, String)> {
+    let mut parts = vec![(None, String::new())];
+    let mut depth = 0i32;
+    for c in expr.chars() {
+        match c {
+            '{' => depth += 1,
+            '}' => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 && seps.contains(&c) {
+            parts.push((Some(c), String::new()));
+        } else {
+            parts.last_mut().expect("never empty").1.push(c);
+        }
+    }
+    parts
+}
+
+/// Parse `A+B-C` into signed paths; `None` on an empty term.
+fn parse_sum(text: &str) -> Option<SignedSum> {
+    let mut terms = split_top(text, &['+', '-']);
+    // A leading sign leaves an empty first piece.
+    if terms.len() > 1 && terms[0].1.is_empty() {
+        terms.remove(0);
+    }
+    terms
+        .into_iter()
+        .map(|(sep, path)| {
+            (!path.is_empty()).then(|| (if sep == Some('-') { -1.0 } else { 1.0 }, path))
+        })
+        .collect()
+}
+
+/// Parse `NUM` or `NUM/DEN`; `None` on a malformed expression.
+fn parse_between(expr: &str) -> Option<(SignedSum, Option<SignedSum>)> {
+    match split_top(expr, &['/']).as_slice() {
+        [(_, num)] => Some((parse_sum(num)?, None)),
+        [(_, num), (_, den)] => Some((parse_sum(num)?, Some(parse_sum(den)?))),
+        _ => None,
+    }
 }
 
 /// Sum every numeric value a path resolves to; an empty or non-numeric
 /// resolution is an error, not a zero — a conservation gate must not
 /// silently pass because a counter disappeared.
 fn sum_path(doc: &Json, path: &str, failures: &mut Vec<String>) -> Option<f64> {
-    let matches = resolve(doc, path);
+    let matches = doc.select(path);
     if matches.is_empty() {
         failures.push(format!("missing key: {path}"));
         return None;
@@ -189,70 +157,40 @@ fn sum_path(doc: &Json, path: &str, failures: &mut Vec<String>) -> Option<f64> {
     Some(total)
 }
 
-/// Run one `--eq-sum` assertion. Counters arrive as exact integers but
-/// travel as JSON numbers, so equality allows a relative 1e-9 slack.
-fn check_eq_sum(doc: &Json, check: &EqSumCheck, failures: &mut Vec<String>) {
-    let Some(target) = sum_path(doc, &check.target, failures) else {
-        return;
-    };
-    let mut sum = 0.0;
-    for addend in &check.addends {
-        match sum_path(doc, addend, failures) {
-            Some(x) => sum += x,
-            None => return,
-        }
+/// The value of one signed sum of paths.
+fn eval_sum(doc: &Json, sum: &SignedSum, failures: &mut Vec<String>) -> Option<f64> {
+    let mut total = 0.0;
+    for (sign, path) in sum {
+        total += sign * sum_path(doc, path, failures)?;
     }
-    let tolerance = 1e-9 * target.abs().max(sum.abs()).max(1.0);
-    if (target - sum).abs() > tolerance {
+    Some(total)
+}
+
+/// Run one `--between` assertion; `None` once a failure is recorded.
+/// Counters are integers well inside f64's exact range, so sums and a
+/// `0 0` conservation bound compare exactly.
+fn check_between(doc: &Json, check: &BetweenCheck, failures: &mut Vec<String>) -> Option<()> {
+    let num = eval_sum(doc, &check.num, failures)?;
+    let den = match &check.den {
+        Some(den) => eval_sum(doc, den, failures)?,
+        None => 1.0,
+    };
+    let value = num / den;
+    if den == 0.0 {
+        failures.push(format!("{}: zero denominator", check.expr));
+    } else if !(check.min..=check.max).contains(&value) {
         failures.push(format!(
-            "conservation violated: {} = {target} but {} sums to {sum}",
-            check.target,
-            check.addends.join(" + ")
+            "{} = {value} outside [{}, {}]",
+            check.expr, check.min, check.max
         ));
     }
+    Some(())
 }
 
 /// Parse `p99` / `p99.9` / `p50` into a quantile in `[0, 1]`.
 fn parse_quantile(spec: &str) -> Option<f64> {
     let pct: f64 = spec.strip_prefix('p')?.parse().ok()?;
     (0.0..=100.0).contains(&pct).then_some(pct / 100.0)
-}
-
-/// Recompute a quantile from an exported histogram object
-/// (`{"count":…, "max":…, "buckets":[[lower_bound, count],…]}`) using
-/// the same rank + geometric-bucket-midpoint rule as the live
-/// `HistogramSnapshot::quantile`.
-fn quantile_from_buckets(hist: &Json, q: f64) -> Option<f64> {
-    let count = hist.get("count").and_then(Json::as_u64)?;
-    if count == 0 {
-        return None;
-    }
-    let max = hist.get("max").and_then(Json::as_u64)?;
-    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-    if rank == count {
-        return Some(max as f64);
-    }
-    let buckets = match hist.get("buckets") {
-        Some(Json::Arr(items)) => items,
-        _ => return None,
-    };
-    let mut seen = 0u64;
-    for entry in buckets {
-        let (lo, c) = match entry {
-            Json::Arr(pair) if pair.len() == 2 => (
-                pair[0].as_u64()?, //
-                pair[1].as_u64()?,
-            ),
-            _ => return None,
-        };
-        seen += c;
-        if seen >= rank {
-            // Geometric mean of the power-of-two bucket [lo, 2·lo).
-            let mid = lo as f64 * std::f64::consts::SQRT_2;
-            return Some(mid.min(max as f64));
-        }
-    }
-    None
 }
 
 fn main() {
@@ -270,7 +208,7 @@ fn main() {
     ];
     let mut bounds: Vec<(String, Bound)> = Vec::new();
     let mut quantiles: Vec<QuantileCheck> = Vec::new();
-    let mut eq_sums: Vec<EqSumCheck> = Vec::new();
+    let mut betweens: Vec<BetweenCheck> = Vec::new();
     let mut flights: Vec<String> = Vec::new();
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -306,20 +244,23 @@ fn main() {
                     max,
                 });
             }
-            "--eq-sum" => {
-                let target = args.next().unwrap_or_else(|| usage());
-                let mut addends = Vec::new();
-                // Addends run until the next `--flag` (or the end).
-                while let Some(next) = args.peek() {
-                    if next.starts_with("--") {
-                        break;
-                    }
-                    addends.push(args.next().unwrap());
-                }
-                if addends.is_empty() {
-                    usage();
-                }
-                eq_sums.push(EqSumCheck { target, addends });
+            "--between" => {
+                let expr = args.next().unwrap_or_else(|| usage());
+                let (num, den) = parse_between(&expr).unwrap_or_else(|| usage());
+                let mut bound = || -> f64 {
+                    args.next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|v: &f64| !v.is_nan())
+                        .unwrap_or_else(|| usage())
+                };
+                let (min, max) = (bound(), bound());
+                betweens.push(BetweenCheck {
+                    expr,
+                    num,
+                    den,
+                    min,
+                    max,
+                });
             }
             "--flight" => flights.push(args.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
@@ -330,7 +271,7 @@ fn main() {
         }
     }
     let report_checks =
-        requires.len() > 3 || !bounds.is_empty() || !quantiles.is_empty() || !eq_sums.is_empty();
+        requires.len() > 3 || !bounds.is_empty() || !quantiles.is_empty() || !betweens.is_empty();
     if path.is_none() && (flights.is_empty() || report_checks) {
         usage();
     }
@@ -351,7 +292,7 @@ fn main() {
             &requires,
             &bounds,
             &quantiles,
-            &eq_sums,
+            &betweens,
             &mut checked,
             &mut failures,
         );
@@ -386,7 +327,7 @@ fn run_report_checks(
     requires: &[String],
     bounds: &[(String, Bound)],
     quantiles: &[QuantileCheck],
-    eq_sums: &[EqSumCheck],
+    betweens: &[BetweenCheck],
     checked: &mut usize,
     failures: &mut Vec<String>,
 ) {
@@ -399,9 +340,9 @@ fn run_report_checks(
         }
     };
 
-    *checked += requires.len() + bounds.len() + quantiles.len() + eq_sums.len();
+    *checked += requires.len() + bounds.len() + quantiles.len() + betweens.len();
     for p in requires {
-        let matches = resolve(&doc, p);
+        let matches = doc.select(p);
         if matches.is_empty() {
             failures.push(format!("missing key: {p}"));
         }
@@ -412,7 +353,7 @@ fn run_report_checks(
         }
     }
     for (p, bound) in bounds {
-        let matches = resolve(&doc, p);
+        let matches = doc.select(p);
         if matches.is_empty() {
             failures.push(format!("missing key: {p}"));
         }
@@ -437,8 +378,8 @@ fn run_report_checks(
     for check in quantiles {
         check_quantile(&doc, check, failures);
     }
-    for check in eq_sums {
-        check_eq_sum(&doc, check, failures);
+    for check in betweens {
+        check_between(&doc, check, failures);
     }
 
     if failures.is_empty() {
@@ -448,21 +389,15 @@ fn run_report_checks(
 }
 
 /// Run one `--histogram-quantile` assertion against the report's
-/// cumulative and windowed histogram sections.
+/// cumulative and windowed histogram sections, recomputing the quantile
+/// from the exported buckets with the live snapshot's own rule.
 fn check_quantile(doc: &Json, check: &QuantileCheck, failures: &mut Vec<String>) {
     let mut matched = 0usize;
     for section in ["metrics.histograms", "metrics.windowed_histograms"] {
-        let hists = match doc.at(section) {
-            Some(Json::Obj(pairs)) => pairs,
-            _ => continue,
-        };
-        for (key, hist) in hists {
-            if !segment_matches(&check.pattern, key) {
-                continue;
-            }
+        for (at, hist) in doc.select(&format!("{section}.{}", check.pattern)) {
             matched += 1;
-            let at = format!("{section}.{key}");
-            match quantile_from_buckets(hist, check.q) {
+            let quantile = histogram_from_json(hist).and_then(|h| h.quantile(check.q));
+            match quantile.map(|q| q as f64) {
                 None => failures.push(format!(
                     "{at}: cannot compute {} (empty histogram or malformed buckets)",
                     check.spec

@@ -4,11 +4,16 @@
 //! `loadgen --metrics-json /tmp/live.json`) and it renders the engine's
 //! request quantiles, per-shard per-stage latency breakdown, queue
 //! depths, user-state cache traffic (hit/miss/evict, resident footprint,
-//! spill/load latency), per-model-version online quality, SLO burn-rate
-//! verdicts, and the slowest exemplar traces on record, redrawing every
-//! `--interval` ms. Optional sections (ustate, quality, slo, forensics)
-//! degrade gracefully: an absent section is listed in a "not enabled"
-//! footer instead of crashing or rendering an empty panel:
+//! spill/load latency), per-model-version online quality, overload
+//! books, SLO burn-rate verdicts, and the slowest exemplar traces on
+//! record, redrawing every `--interval` ms. Every number that is a
+//! series is read by name from the report's `metrics` section (the
+//! registry snapshot), with the same label globs `obs-check` takes;
+//! ratios such as the hit rate or windowed ÷ cumulative throughput are
+//! computed here. Optional panels (ustate, quality, overload, slo,
+//! forensics) degrade gracefully: one whose series or section is absent
+//! is listed in a "not enabled" footer instead of crashing or rendering
+//! an empty panel:
 //!
 //! ```text
 //! rrc-top /tmp/live.json              # live, redraw every 500 ms
@@ -28,7 +33,7 @@
 //! "UI" is plain ANSI clear-screen + aligned text, so it works in any
 //! terminal and its `--once` output pastes directly into docs.
 
-use rrc_obs::Json;
+use rrc_obs::{histogram_from_json, HistogramSnapshot, Json};
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -65,43 +70,6 @@ fn count(v: Option<f64>) -> String {
     }
 }
 
-/// One latency-summary row (count + quantiles) from an `engine` section
-/// node shaped like `{count, p50_ns, p95_ns, p99_ns, mean_ns, max_ns}`.
-fn latency_row(label: &str, node: Option<&Json>) -> String {
-    let f = |k: &str| node.and_then(|n| n.get(k)).and_then(Json::as_f64);
-    format!(
-        "  {label:<14} {:>9} {} {} {} {} {}",
-        count(f("count")),
-        ns(f("p50_ns")),
-        ns(f("p95_ns")),
-        ns(f("p99_ns")),
-        ns(f("mean_ns")),
-        ns(f("max_ns")),
-    )
-}
-
-/// Look up a labeled series in a registry-snapshot section: the snapshot
-/// keys series Prometheus-style (`serve_queue_depth{shard="0"}`), so the
-/// exact key is reconstructed from the label pairs.
-fn series<'a>(
-    doc: &'a Json,
-    section: &str,
-    name: &str,
-    labels: &[(&str, &str)],
-) -> Option<&'a Json> {
-    let key = if labels.is_empty() {
-        name.to_string()
-    } else {
-        let body: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-        format!("{name}{{{}}}", body.join(","))
-    };
-    doc.at(&format!("metrics.{section}"))?.get(&key)
-}
-
-fn gauge(doc: &Json, name: &str, labels: &[(&str, &str)]) -> Option<i64> {
-    series(doc, "gauges", name, labels).and_then(Json::as_i64)
-}
-
 /// Byte counts, humanized to a short cell.
 fn bytes(v: Option<f64>) -> String {
     const KIB: f64 = 1024.0;
@@ -123,31 +91,89 @@ fn pct(v: Option<f64>) -> String {
     }
 }
 
+/// The numbers a series path selects under `metrics.` (label globs fan
+/// out over a family, as in `obs-check`).
+fn values(doc: &Json, path: &str) -> Vec<f64> {
+    doc.select(&format!("metrics.{path}"))
+        .into_iter()
+        .filter_map(|(_, v)| v.as_f64())
+        .collect()
+}
+
+/// The selected numbers summed, or `None` when nothing matches.
+fn sum(doc: &Json, path: &str) -> Option<f64> {
+    let v = values(doc, path);
+    (!v.is_empty()).then(|| v.iter().sum())
+}
+
+fn max(doc: &Json, path: &str) -> Option<f64> {
+    values(doc, path).into_iter().reduce(f64::max)
+}
+
+fn gauge(doc: &Json, name: &str) -> Option<f64> {
+    sum(doc, &format!("gauges.{name}"))
+}
+
+/// `a / b`, undefined while `b` is zero.
+fn ratio(a: Option<f64>, b: Option<f64>) -> Option<f64> {
+    Some(a? / b.filter(|&b| b > 0.0)?)
+}
+
+/// The cumulative histograms a series path selects, merged bucket by
+/// bucket into one population (so a shard glob is the engine-wide view).
+fn histogram(doc: &Json, series: &str) -> Option<HistogramSnapshot> {
+    doc.select(&format!("metrics.histograms.{series}"))
+        .into_iter()
+        .filter_map(|(_, h)| histogram_from_json(h))
+        .reduce(|mut a, b| {
+            a.merge(&b);
+            a
+        })
+}
+
+/// The n, p50, p95, p99, mean and max cells of a (merged) histogram.
+fn latency_cells(h: Option<HistogramSnapshot>) -> [String; 6] {
+    let h = h.as_ref();
+    let q = |q: f64| h.and_then(|h| h.quantile(q)).map(|v| v as f64);
+    [
+        format!("{:>9}", count(h.map(|h| h.count() as f64))),
+        ns(q(0.50)),
+        ns(q(0.95)),
+        ns(q(0.99)),
+        ns(h.and_then(HistogramSnapshot::mean)),
+        ns(h.and_then(HistogramSnapshot::max).map(|v| v as f64)),
+    ]
+}
+
+fn latency_row(label: &str, h: Option<HistogramSnapshot>) -> String {
+    format!("  {label:<14} {}\n", latency_cells(h).join(" "))
+}
+
+/// An SLO state gauge (0 ok / 1 warn / 2 page) as its name.
+fn slo_state(v: Option<f64>) -> &'static str {
+    v.and_then(|x| ["ok", "warn", "page"].get(x as usize).copied())
+        .unwrap_or("?")
+}
+
 /// Render one full frame from a parsed report.
 fn render(doc: &Json) -> String {
     let mut out = String::new();
     let name = doc.get("report").and_then(Json::as_str).unwrap_or("?");
-    let uptime_ms = doc.at("engine.uptime_ms").and_then(Json::as_f64);
-    let version = gauge(doc, "serve_model_version", &[]);
+    let shards = gauge(doc, "serve_shards").unwrap_or(0.0) as usize;
     // 0 = no fingerprinted model installed yet (real fingerprints are
     // 64 random-looking bits).
-    let fingerprint = gauge(doc, "serve_model_fingerprint", &[])
+    let fingerprint = doc
+        .at("metrics.gauges.serve_model_fingerprint")
+        .and_then(Json::as_i64)
         .map(|v| v as u64)
         .filter(|&v| v != 0);
-    let shards = doc
-        .at("engine.shards")
-        .map(|s| match s {
-            Json::Arr(a) => a.len(),
-            _ => 0,
-        })
-        .unwrap_or(0);
 
     out.push_str(&format!("rrc-top · report \"{name}\""));
-    if let Some(ms) = uptime_ms {
+    if let Some(ms) = gauge(doc, "serve_uptime_ms") {
         out.push_str(&format!(" · uptime {:.1}s", ms / 1e3));
     }
     out.push_str(&format!(" · {shards} shard(s)"));
-    if let Some(v) = version {
+    if let Some(v) = gauge(doc, "serve_model_version") {
         out.push_str(&format!(" · model v{v}"));
     }
     if let Some(fp) = fingerprint {
@@ -155,14 +181,15 @@ fn render(doc: &Json) -> String {
     }
     out.push('\n');
 
-    let w = doc.at("engine.windowed");
-    if let Some(w) = w.filter(|w| !w.is_null()) {
-        let g = |k: &str| w.get(k).and_then(Json::as_f64);
+    let window = "windowed_counters.serve_events_window{shard=*}";
+    if let Some(events) = sum(doc, &format!("{window}.total")) {
+        let served = sum(doc, "counters.serve_observes_total{shard=*}").unwrap_or(0.0)
+            + sum(doc, "counters.serve_recommends_total{shard=*}").unwrap_or(0.0);
         out.push_str(&format!(
             "throughput    windowed {:>8}/s over {:>6.1}s · windowed/cumulative {}\n",
-            count(g("rate_per_sec")),
-            g("covered_ms").map(|x| x / 1e3).unwrap_or(0.0),
-            pct(g("over_cumulative")),
+            count(sum(doc, &format!("{window}.rate_per_sec"))),
+            max(doc, &format!("{window}.covered_ms")).unwrap_or(0.0) / 1e3,
+            pct(ratio(Some(events), Some(served))),
         ));
     }
 
@@ -170,84 +197,78 @@ fn render(doc: &Json) -> String {
         "\n  {:<14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
         "requests", "n", "p50", "p95", "p99", "mean", "max"
     ));
-    out.push_str(&latency_row("observe", doc.at("engine.requests.observe")));
-    out.push('\n');
-    out.push_str(&latency_row(
-        "recommend",
-        doc.at("engine.requests.recommend"),
-    ));
-    out.push('\n');
+    for kind in ["observe", "recommend"] {
+        let series = format!("serve_{kind}_latency_ns");
+        out.push_str(&latency_row(kind, histogram(doc, &series)));
+    }
 
-    if let Some(Json::Arr(stages)) = doc.at("engine.stages") {
-        if !stages.is_empty() {
-            out.push_str(&format!(
-                "\n  {:<14} {:>9} {:>9} {:>9} {:>9} {:>7} {:>8}\n",
-                "shard/stage", "n", "p50", "p95", "p99", "queue", "inflight"
-            ));
-        }
-        for st in stages {
-            let shard = st.get("shard").and_then(Json::as_u64).unwrap_or(0);
-            let label = shard.to_string();
-            let depth = gauge(doc, "serve_queue_depth", &[("shard", &label)]);
-            let inflight = gauge(doc, "serve_inflight", &[("shard", &label)]);
+    if histogram(doc, "serve_stage_duration_ns{shard=*,stage=*}").is_some() {
+        out.push_str(&format!(
+            "\n  {:<14} {:>9} {:>9} {:>9} {:>9} {:>7} {:>8}\n",
+            "shard/stage", "n", "p50", "p95", "p99", "queue", "inflight"
+        ));
+        for shard in 0..shards {
+            let per_shard = |name: &str| gauge(doc, &format!("{name}{{shard={shard}}}"));
             for (i, stage) in ["enqueue_wait", "score", "respond"].iter().enumerate() {
-                let node = st.get(stage);
-                let f = |k: &str| node.and_then(|n| n.get(k)).and_then(Json::as_f64);
-                let tail = if i == 0 {
-                    format!(
+                let series = format!("serve_stage_duration_ns{{shard={shard},stage={stage}}}");
+                // Stage rows trade the mean and max columns for the gauges.
+                let cells = latency_cells(histogram(doc, &series));
+                let label = format!("{shard}/{stage}");
+                let mut row = format!("  {label:<14} {}", cells[..4].join(" "));
+                if i == 0 {
+                    row.push_str(&format!(
                         " {:>7} {:>8}",
-                        depth.map_or("-".into(), |d| d.to_string()),
-                        inflight.map_or("-".into(), |d| d.to_string()),
-                    )
-                } else {
-                    String::new()
-                };
-                out.push_str(&format!(
-                    "  {:<14} {:>9} {} {} {}{tail}\n",
-                    format!("{shard}/{stage}"),
-                    count(f("count")),
-                    ns(f("p50_ns")),
-                    ns(f("p95_ns")),
-                    ns(f("p99_ns")),
-                ));
+                        count(per_shard("serve_queue_depth")),
+                        count(per_shard("serve_inflight")),
+                    ));
+                }
+                out.push_str(&row);
+                out.push('\n');
             }
         }
     }
 
     // User-state tier panel: only drawn once the cache has seen traffic,
     // so unbounded runs without a tier workload stay uncluttered.
-    let ustate = doc.at("engine.ustate").filter(|u| !u.is_null());
-    if let Some(u) = ustate {
-        let f = |k: &str| u.at(k).and_then(Json::as_f64);
-        if f("cache.hit").unwrap_or(0.0) + f("cache.miss").unwrap_or(0.0) > 0.0 {
-            out.push_str(&format!(
-                "\n  {:<14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
-                "cache", "hit", "miss", "evict", "hitrate", "resident", "spilled"
-            ));
-            out.push_str(&format!(
-                "  {:<14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
-                "users",
-                count(f("cache.hit")),
-                count(f("cache.miss")),
-                count(f("cache.evict")),
-                f("cache.hit_rate").map_or("-".to_string(), |x| format!("{x:.3}")),
-                count(f("resident_users")),
-                count(f("spilled_users")),
-            ));
-            out.push_str(&format!(
-                "  resident {} · spill file {}",
-                bytes(f("resident_bytes")),
-                bytes(f("spill_file_bytes")),
-            ));
-            if let Some(b) = f("budget_bytes_per_shard") {
-                out.push_str(&format!(" · budget {}/shard", bytes(Some(b))));
-            }
-            out.push('\n');
-            out.push_str(&latency_row("spill", u.get("spill")));
-            out.push('\n');
-            out.push_str(&latency_row("load", u.get("load")));
-            out.push('\n');
+    let tier = |name: &str, kind: &str| sum(doc, &format!("{kind}.ustate_{name}{{shard=*}}"));
+    let (hits, misses) = (
+        tier("cache_hits_total", "counters"),
+        tier("cache_misses_total", "counters"),
+    );
+    let lookups = hits.unwrap_or(0.0) + misses.unwrap_or(0.0);
+    if lookups > 0.0 {
+        out.push_str(&format!(
+            "\n  {:<14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
+            "cache", "hit", "miss", "evict", "hitrate", "resident", "spilled"
+        ));
+        out.push_str(&format!(
+            "  {:<14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
+            "users",
+            count(hits),
+            count(misses),
+            count(tier("cache_evictions_total", "counters")),
+            pct(ratio(hits, Some(lookups))).trim_start(),
+            count(tier("resident_users", "gauges")),
+            count(tier("spilled_users", "gauges")),
+        ));
+        out.push_str(&format!(
+            "  resident {} · spill file {}",
+            bytes(tier("resident_bytes", "gauges")),
+            bytes(tier("spill_file_bytes", "gauges")),
+        ));
+        // Every shard gets the same budget; 0 means unbounded.
+        if let Some(b) = max(doc, "gauges.ustate_budget_bytes{shard=*}").filter(|&b| b > 0.0) {
+            out.push_str(&format!(" · budget {}/shard", bytes(Some(b))));
         }
+        out.push('\n');
+        out.push_str(&latency_row(
+            "spill",
+            histogram(doc, "ustate_spill_ns{shard=*}"),
+        ));
+        out.push_str(&latency_row(
+            "load",
+            histogram(doc, "ustate_load_ns{shard=*}"),
+        ));
     }
 
     if let Some(q) = doc.get("quality").filter(|q| !q.is_null()) {
@@ -279,13 +300,13 @@ fn render(doc: &Json) -> String {
             out.push_str(&qrow("overall".to_string(), overall));
         }
         if let Some(d) = q.get("drift") {
-            let f = |k: &str| d.get(k).and_then(Json::as_f64);
+            let n = |k: &str| count(d.get(k).and_then(Json::as_f64));
             out.push_str(&format!(
                 "drift         score {:+.3} · feature {:+.3} (window n={}, since install n={})\n",
-                f("score_micro").unwrap_or(0.0) / 1e6,
-                f("feature_micro").unwrap_or(0.0) / 1e6,
-                count(f("window_samples")),
-                count(f("samples_since_install")),
+                gauge(doc, "serve_drift_score_micro").unwrap_or(0.0) / 1e6,
+                gauge(doc, "serve_drift_feature_micro").unwrap_or(0.0) / 1e6,
+                n("window_samples"),
+                n("samples_since_install"),
             ));
         }
     }
@@ -293,8 +314,7 @@ fn render(doc: &Json) -> String {
     // Overload panel: the conservation-law books (offered = admitted +
     // shed, split by kind and reason), queue bounds, and the windowed
     // shed rate an operator watches during an incident.
-    if let Some(o) = doc.at("engine.overload").filter(|s| !s.is_null()) {
-        let f = |k: &str| o.at(k).and_then(Json::as_f64);
+    if let Some(cap) = gauge(doc, "serve_queue_cap") {
         out.push_str(&format!(
             "\n  {:<14} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
             "overload", "offered", "admitted", "shed", "queue", "deadline"
@@ -302,95 +322,118 @@ fn render(doc: &Json) -> String {
         for (label, kind) in [
             ("observe", "observe"),
             ("recommend", "recommend"),
-            ("total", "total"),
+            ("total", "*"),
         ] {
-            let g = |k: &str| f(&format!("{kind}.{k}"));
+            let books = |name: &str, reason: &str| {
+                let series = format!("counters.serve_{name}_total{{shard=*,kind={kind}{reason}}}");
+                sum(doc, &series).unwrap_or(0.0)
+            };
+            let (queue, deadline) = (
+                books("shed", ",reason=queue"),
+                books("shed", ",reason=deadline"),
+            );
             out.push_str(&format!(
                 "  {label:<14} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
-                count(g("offered")),
-                count(g("admitted")),
-                count(g("shed")),
-                count(g("shed_queue")),
-                count(g("shed_deadline")),
+                books("offered", ""),
+                books("admitted", ""),
+                queue + deadline,
+                queue,
+                deadline,
             ));
         }
-        let cap = f("queue_cap").map_or("unbounded".to_string(), |c| format!("{c:.0}"));
-        let ocap = f("observe_cap").map_or("-".to_string(), |c| format!("{c:.0}"));
+        let bound = |v: Option<f64>, none: &str| match v {
+            Some(c) if c > 0.0 => format!("{c:.0}"),
+            _ => none.to_string(),
+        };
+        let window = |name: &str| {
+            sum(
+                doc,
+                &format!("windowed_counters.serve_{name}_window{{shard=*,kind=*}}.total"),
+            )
+        };
+        let shed_window = sum(
+            doc,
+            "windowed_counters.serve_shed_window{shard=*,kind=*,reason=*}.total",
+        );
         out.push_str(&format!(
-            "  cap {cap} (observe {ocap}) · peak depth {} · windowed shed rate {}\n",
-            count(f("peak_depth")),
-            f("window.shed_rate").map_or("-".to_string(), |r| format!("{r:.3}")),
+            "  cap {} (observe {}) · peak depth {} · windowed shed rate {}\n",
+            bound(Some(cap), "unbounded"),
+            bound(gauge(doc, "serve_queue_observe_cap"), "-"),
+            count(max(doc, "gauges.serve_queue_peak{shard=*}")),
+            ratio(shed_window, window("offered")).map_or("-".to_string(), |r| format!("{r:.3}")),
         ));
     }
 
     // SLO panel: worst state up top (the thing an operator scans for),
     // then per-objective burn rates.
-    if let Some(slo) = doc.at("engine.slo").filter(|s| !s.is_null()) {
-        let worst = slo.get("worst").and_then(Json::as_str).unwrap_or("?");
+    if let Some(worst) = gauge(doc, "slo_worst") {
         out.push_str(&format!(
             "\n  {:<22} {:>7} {:>12} {:>7} {:>7} {:>6}   worst: {}\n",
-            "slo objective", "state", "target", "short", "long", "ticks", worst,
+            "slo objective",
+            "state",
+            "target",
+            "short",
+            "long",
+            "ticks",
+            slo_state(Some(worst)),
         ));
-        if let Some(Json::Arr(objectives)) = slo.get("objectives") {
-            for o in objectives {
-                let s = |k: &str| o.get(k).and_then(Json::as_str).unwrap_or("?");
-                let f = |k: &str| o.get(k).and_then(Json::as_f64);
-                out.push_str(&format!(
-                    "  {:<22} {:>7} {:>12} {:>7.2} {:>7.2} {:>6}{}\n",
-                    s("name"),
-                    s("state"),
-                    format!("{} {}", s("cmp"), count(f("bound"))),
-                    f("short_burn").unwrap_or(0.0),
-                    f("long_burn").unwrap_or(0.0),
-                    count(f("ticks")),
-                    if o.get("breached_now").and_then(Json::as_bool) == Some(true) {
-                        "  BREACHED"
-                    } else {
-                        ""
-                    },
-                ));
-            }
+        for o in doc.get("slo").and_then(Json::as_array).unwrap_or_default() {
+            let s = |k: &str| o.get(k).and_then(Json::as_str).unwrap_or("?");
+            let f = |k: &str| o.get(k).and_then(Json::as_f64);
+            let state = gauge(doc, &format!("slo_state{{objective={}}}", s("name")));
+            out.push_str(&format!(
+                "  {:<22} {:>7} {:>12} {:>7.2} {:>7.2} {:>6}{}\n",
+                s("name"),
+                slo_state(state),
+                format!("{} {}", s("cmp"), count(f("bound"))),
+                f("short_burn").unwrap_or(0.0),
+                f("long_burn").unwrap_or(0.0),
+                count(f("ticks")),
+                if o.get("breached_now").and_then(Json::as_bool) == Some(true) {
+                    "  BREACHED"
+                } else {
+                    ""
+                },
+            ));
         }
     }
 
     // Forensics panel: the slowest exemplar traces on record — the ids
     // an operator greps for in the trace sink.
-    if let Some(fx) = doc.at("engine.forensics").filter(|s| !s.is_null()) {
-        if let Some(Json::Arr(slowest)) = fx.get("slowest") {
-            if !slowest.is_empty() {
-                out.push_str(&format!(
-                    "\n  {:<14} {:>7} {:>10} {:>9} {:>9} {:>9} {:>9}\n",
-                    "slow trace", "shard", "kind", "total", "wait", "score", "respond"
-                ));
-                for t in slowest.iter().take(3) {
-                    let f = |k: &str| t.get(k).and_then(Json::as_f64);
-                    out.push_str(&format!(
-                        "  id={:<11} {:>7} {:>10} {} {} {} {}\n",
-                        count(f("trace_id")),
-                        count(f("shard")),
-                        t.get("kind").and_then(Json::as_str).unwrap_or("?"),
-                        ns(f("total_ns")),
-                        ns(f("enqueue_wait_ns")),
-                        ns(f("score_ns")),
-                        ns(f("respond_ns")),
-                    ));
-                }
-            }
+    let slowest = doc.at("forensics.slowest").and_then(Json::as_array);
+    if let Some(slowest) = slowest.filter(|s| !s.is_empty()) {
+        out.push_str(&format!(
+            "\n  {:<14} {:>7} {:>10} {:>9} {:>9} {:>9} {:>9}\n",
+            "slow trace", "shard", "kind", "total", "wait", "score", "respond"
+        ));
+        for t in slowest.iter().take(3) {
+            let f = |k: &str| t.get(k).and_then(Json::as_f64);
+            out.push_str(&format!(
+                "  id={:<11} {:>7} {:>10} {} {} {} {}\n",
+                count(f("trace_id")),
+                count(f("shard")),
+                t.get("kind").and_then(Json::as_str).unwrap_or("?"),
+                ns(f("total_ns")),
+                ns(f("enqueue_wait_ns")),
+                ns(f("score_ns")),
+                ns(f("respond_ns")),
+            ));
         }
     }
 
-    // Optional-section footer: say which panels this report can't show,
+    // Optional-panel footer: say which panels this report can't show,
     // so a blank dashboard region reads as "not enabled" rather than
     // "broken".
+    let section = |k: &str| doc.get(k).is_some_and(|v| !v.is_null());
     let absent: Vec<&str> = [
-        ("ustate", doc.at("engine.ustate")),
-        ("quality", doc.get("quality")),
-        ("overload", doc.at("engine.overload")),
-        ("slo", doc.at("engine.slo")),
-        ("forensics", doc.at("engine.forensics")),
+        ("ustate", hits.is_some()),
+        ("quality", section("quality")),
+        ("overload", gauge(doc, "serve_queue_cap").is_some()),
+        ("slo", gauge(doc, "slo_worst").is_some()),
+        ("forensics", section("forensics")),
     ]
     .into_iter()
-    .filter(|(_, v)| v.is_none_or(Json::is_null))
+    .filter(|&(_, present)| !present)
     .map(|(k, _)| k)
     .collect();
     if !absent.is_empty() {
@@ -493,69 +536,81 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// A report with no optional sections at all renders cleanly and
-    /// lists every missing panel — including overload — in the footer
-    /// instead of crashing or drawing an empty table.
+    /// A report with no optional panels at all renders cleanly and lists
+    /// every missing panel — including overload — in the footer instead
+    /// of crashing or drawing an empty table.
     #[test]
     fn absent_optional_sections_land_in_the_footer() {
-        let doc = Json::parse(r#"{"report": "bare", "engine": {"uptime_ms": 12.5}}"#).unwrap();
+        let doc =
+            Json::parse(r#"{"report": "bare", "metrics": {"gauges": {"serve_uptime_ms": 12500}}}"#)
+                .unwrap();
         let frame = render(&doc);
-        assert!(frame.contains("rrc-top · report \"bare\""));
+        assert!(frame.contains("rrc-top · report \"bare\" · uptime 12.5s"));
         assert!(
             frame.contains("(not enabled: ustate, quality, overload, slo, forensics)"),
             "footer must name every absent section, got:\n{frame}"
         );
         assert!(
             !frame.contains("\n  overload"),
-            "no overload panel without the section"
+            "no overload panel without the series"
         );
     }
 
-    /// An explicit `null` section (the writer's way of saying "feature
-    /// off") is treated exactly like a missing one.
+    /// An explicit `null` (a writer's way of saying "feature off") is
+    /// treated exactly like a missing section, for a top-level section
+    /// and for the registry snapshot the overload panel reads.
     #[test]
     fn null_overload_section_counts_as_absent() {
-        let doc =
-            Json::parse(r#"{"report": "x", "engine": {"overload": null, "slo": null}}"#).unwrap();
+        let doc = Json::parse(r#"{"report": "x", "metrics": null, "forensics": null}"#).unwrap();
         let frame = render(&doc);
-        assert!(frame.contains("overload, slo"));
+        assert!(frame.contains("overload, slo, forensics"), "{frame}");
         assert!(!frame.contains("windowed shed rate"));
     }
 
-    /// With the section present, the panel shows the per-kind books and
-    /// the cap/peak/shed-rate summary line, and leaves the footer alone.
+    /// With the overload series present, the panel shows the per-kind
+    /// books, summed over shards and reasons, and the cap/peak/shed-rate
+    /// line, all computed from series; the footer leaves it alone.
     #[test]
     fn overload_panel_renders_the_conservation_books() {
         let doc = Json::parse(
             r#"{
                 "report": "hot",
-                "engine": {
-                    "overload": {
-                        "queue_cap": 64,
-                        "observe_cap": 48,
-                        "peak_depth": 17,
-                        "observe": {"offered": 100, "admitted": 80, "shed": 20,
-                                    "shed_queue": 15, "shed_deadline": 5},
-                        "recommend": {"offered": 10, "admitted": 10, "shed": 0,
-                                      "shed_queue": 0, "shed_deadline": 0},
-                        "total": {"offered": 110, "admitted": 90, "shed": 20,
-                                  "shed_queue": 15, "shed_deadline": 5},
-                        "window": {"offered": 40, "shed": 10, "shed_rate": 0.25}
+                "metrics": {
+                    "counters": {
+                        "serve_offered_total{shard=\"0\",kind=\"observe\"}": 60,
+                        "serve_offered_total{shard=\"1\",kind=\"observe\"}": 40,
+                        "serve_offered_total{shard=\"0\",kind=\"recommend\"}": 10,
+                        "serve_admitted_total{shard=\"0\",kind=\"observe\"}": 45,
+                        "serve_admitted_total{shard=\"1\",kind=\"observe\"}": 35,
+                        "serve_admitted_total{shard=\"0\",kind=\"recommend\"}": 10,
+                        "serve_shed_total{shard=\"0\",kind=\"observe\",reason=\"queue\"}": 15,
+                        "serve_shed_total{shard=\"1\",kind=\"observe\",reason=\"deadline\"}": 5
+                    },
+                    "gauges": {
+                        "serve_queue_cap": 64,
+                        "serve_queue_observe_cap": 48,
+                        "serve_queue_peak{shard=\"0\"}": 17,
+                        "serve_queue_peak{shard=\"1\"}": 9
+                    },
+                    "windowed_counters": {
+                        "serve_offered_window{shard=\"0\",kind=\"observe\"}": {"total": 40},
+                        "serve_shed_window{shard=\"0\",kind=\"observe\",reason=\"queue\"}": {"total": 10}
                     }
                 }
             }"#,
         )
         .unwrap();
         let frame = render(&doc);
-        assert!(frame.contains("overload"));
-        assert!(frame.contains("cap 64 (observe 48)"));
-        assert!(frame.contains("peak depth 17"));
-        assert!(frame.contains("windowed shed rate 0.250"));
-        // The total row carries the full books.
-        assert!(frame.contains("110"), "total offered missing:\n{frame}");
+        assert!(frame.contains("cap 64 (observe 48)"), "{frame}");
+        assert!(frame.contains("peak depth 17"), "{frame}");
+        assert!(frame.contains("windowed shed rate 0.250"), "{frame}");
+        // The total row carries the full books: 110 = 90 + 20 (15 + 5).
+        let total = frame.lines().find(|l| l.trim_start().starts_with("total"));
+        let cells: Vec<&str> = total.expect("total row").split_whitespace().collect();
+        assert_eq!(cells, ["total", "110", "90", "20", "15", "5"], "{frame}");
         assert!(
             !frame.contains("overload, "),
-            "present section must not be listed absent:\n{frame}"
+            "present panel must not be listed absent:\n{frame}"
         );
     }
 }

@@ -112,6 +112,52 @@ impl Json {
         Some(cur)
     }
 
+    /// [`Json::at`] with `*` wildcards: every value the dotted path
+    /// selects, with its concrete path. A wildcard segment matches any
+    /// object key it globs and, as a bare `*`, every array element.
+    /// Metric keys carry quoted label values (`serve_queue_depth{shard="0"}`);
+    /// a segment also matches the key with its quotes stripped, so
+    /// `serve_queue_depth{shard=*}` selects every shard's series without
+    /// shell-hostile `"` characters. This is how `obs-check` and `rrc-top`
+    /// address a labelled series family in a report's `metrics` section.
+    pub fn select(&self, path: &str) -> Vec<(String, &Json)> {
+        let mut frontier: Vec<(String, &Json)> = vec![(String::new(), self)];
+        for seg in path.split('.') {
+            let mut next = Vec::new();
+            for (at, node) in frontier {
+                let join = |k: &str| {
+                    if at.is_empty() {
+                        k.to_string()
+                    } else {
+                        format!("{at}.{k}")
+                    }
+                };
+                match node {
+                    Json::Obj(pairs) => next.extend(
+                        pairs
+                            .iter()
+                            .filter(|(k, _)| segment_matches(seg, k))
+                            .map(|(k, v)| (join(k), v)),
+                    ),
+                    Json::Arr(items) if seg == "*" => next.extend(
+                        items
+                            .iter()
+                            .enumerate()
+                            .map(|(i, v)| (join(&i.to_string()), v)),
+                    ),
+                    Json::Arr(items) => {
+                        if let Some(v) = seg.parse::<usize>().ok().and_then(|i| items.get(i)) {
+                            next.push((join(seg), v));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            frontier = next;
+        }
+        frontier
+    }
+
     pub fn is_null(&self) -> bool {
         matches!(self, Json::Null)
     }
@@ -506,6 +552,44 @@ impl<'a> Parser<'a> {
             .map(Json::F64)
             .map_err(|_| self.err("invalid number"))
     }
+}
+
+/// Does path segment `seg` (possibly wildcarded) select object key `key`,
+/// as is or with the key's quotes stripped? See [`Json::select`].
+fn segment_matches(seg: &str, key: &str) -> bool {
+    if seg == key {
+        return true;
+    }
+    let stripped: String = key.chars().filter(|&c| c != '"').collect();
+    seg == stripped || (seg.contains('*') && (glob_match(seg, key) || glob_match(seg, &stripped)))
+}
+
+/// `*`-wildcard match (the only metacharacter; everything else literal).
+fn glob_match(pattern: &str, text: &str) -> bool {
+    let (p, t): (Vec<char>, Vec<char>) = (pattern.chars().collect(), text.chars().collect());
+    // Classic two-pointer glob with backtracking over the last `*`.
+    let (mut pi, mut ti) = (0usize, 0usize);
+    let (mut star, mut star_t) = (None::<usize>, 0usize);
+    while ti < t.len() {
+        if pi < p.len() && p[pi] == t[ti] {
+            pi += 1;
+            ti += 1;
+        } else if pi < p.len() && p[pi] == '*' {
+            star = Some(pi);
+            star_t = ti;
+            pi += 1;
+        } else if let Some(s) = star {
+            pi = s + 1;
+            star_t += 1;
+            ti = star_t;
+        } else {
+            return false;
+        }
+    }
+    while pi < p.len() && p[pi] == '*' {
+        pi += 1;
+    }
+    pi == p.len()
 }
 
 /// Convert a `BTreeMap` into an ordered JSON object.

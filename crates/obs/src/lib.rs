@@ -85,8 +85,8 @@ pub use forensics::{
 pub use json::{Json, JsonError};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramTimer, BUCKETS};
 pub use registry::{
-    global, histogram_to_json, snapshot_to_json, Metric, MetricId, MetricValue, Registry,
-    RegistrySnapshot, WindowedCounterValue,
+    global, histogram_from_json, histogram_to_json, snapshot_to_json, Metric, MetricId,
+    MetricValue, Registry, RegistrySnapshot, WindowedCounterValue,
 };
 pub use report::RunReport;
 pub use slo::{BurnConfig, Cmp, Objective, SloEngine, SloState, SloVerdict};

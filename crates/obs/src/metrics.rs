@@ -224,6 +224,17 @@ impl HistogramSnapshot {
         }
     }
 
+    /// Fold another population into this one, bucket by bucket — how
+    /// per-shard series of one quantity become the engine-wide one.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (acc, n) in self.buckets.iter_mut().zip(&other.buckets) {
+            *acc = acc.saturating_add(*n);
+        }
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
     /// Samples captured.
     pub fn count(&self) -> u64 {
         self.count

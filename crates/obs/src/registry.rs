@@ -132,6 +132,19 @@ pub struct RegistrySnapshot {
     pub entries: Vec<(MetricId, MetricValue)>,
 }
 
+impl MetricValue {
+    /// A counter's value, a gauge's (negative reads 0) or a windowed
+    /// counter's live-window total; `None` for histograms.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            MetricValue::Counter(v) => Some(*v),
+            MetricValue::Gauge(v) => Some((*v).max(0) as u64),
+            MetricValue::WindowedCounter(w) => Some(w.total),
+            MetricValue::Histogram(_) | MetricValue::WindowedHistogram { .. } => None,
+        }
+    }
+}
+
 impl RegistrySnapshot {
     /// Look up one captured value by identity.
     pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
@@ -140,6 +153,47 @@ impl RegistrySnapshot {
             .iter()
             .find(|(eid, _)| *eid == id)
             .map(|(_, v)| v)
+    }
+
+    /// Every captured series named `name` that carries each of `labels`
+    /// (and any others): `&[]` selects the whole family.
+    pub fn matching<'a>(
+        &'a self,
+        name: &'a str,
+        labels: &'a [(&'a str, &'a str)],
+    ) -> impl Iterator<Item = &'a MetricValue> + 'a {
+        self.entries
+            .iter()
+            .filter(move |(id, _)| {
+                id.name == name
+                    && labels
+                        .iter()
+                        .all(|&(k, v)| id.labels.iter().any(|(ik, iv)| ik == k && iv == v))
+            })
+            .map(|(_, value)| value)
+    }
+
+    /// [`MetricValue::as_u64`] summed over [`RegistrySnapshot::matching`]:
+    /// a labelled family rolled up, `0` when nothing matches.
+    pub fn sum(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
+        self.matching(name, labels)
+            .filter_map(MetricValue::as_u64)
+            .sum()
+    }
+
+    /// The cumulative histograms among [`RegistrySnapshot::matching`],
+    /// merged into one population (`None` when none match): exact
+    /// labels select one series, fewer roll a family up.
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistogramSnapshot> {
+        self.matching(name, labels)
+            .filter_map(|value| match value {
+                MetricValue::Histogram(h) => Some(HistogramSnapshot::clone(h)),
+                _ => None,
+            })
+            .reduce(|mut all, h| {
+                all.merge(&h);
+                all
+            })
     }
 }
 
@@ -545,6 +599,28 @@ pub fn histogram_to_json(h: &HistogramSnapshot) -> Json {
             ),
         ),
     ])
+}
+
+/// The inverse of [`histogram_to_json`]: the snapshot an exported
+/// histogram's buckets, sum and max describe, or `None` when the object
+/// is not that shape (or its counts overflow). A report's reader
+/// recomputes quantiles, or merges labelled series bucket by bucket,
+/// with the live snapshot's own rules.
+pub fn histogram_from_json(h: &Json) -> Option<HistogramSnapshot> {
+    let (mut buckets, mut total) = ([0u64; crate::metrics::BUCKETS], 0u64);
+    for pair in h.get("buckets")?.as_array()? {
+        let [lo, count] = pair.as_array()? else {
+            return None;
+        };
+        let lo = lo.as_u64().filter(|lo| lo.is_power_of_two())?;
+        let count = count.as_u64()?;
+        total = total.checked_add(count)?;
+        buckets[lo.trailing_zeros() as usize] += count;
+    }
+    let sum = h.get("sum")?.as_u64()?;
+    // An empty histogram exports `max: null`.
+    let max = h.get("max").and_then(Json::as_u64).unwrap_or(0);
+    Some(HistogramSnapshot::from_parts(buckets, sum, max))
 }
 
 /// The process-wide registry. Library code that is not handed an

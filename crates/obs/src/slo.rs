@@ -260,18 +260,6 @@ impl SloEngine {
             .max()
             .unwrap_or(SloState::Ok)
     }
-
-    /// Machine-readable section for reports:
-    /// `{"worst": "...", "objectives": [ ... ]}`.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("worst", Json::Str(self.worst().as_str().to_string())),
-            (
-                "objectives",
-                Json::Arr(self.tracked.iter().map(|t| t.verdict.to_json()).collect()),
-            ),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -375,14 +363,10 @@ mod tests {
         assert_eq!(e.verdicts()[0].state, SloState::Ok);
         assert_eq!(e.verdicts()[1].state, SloState::Page);
         assert_eq!(e.worst(), SloState::Page);
-        let json = e.to_json();
-        assert_eq!(json.get("worst").and_then(Json::as_str), Some("page"));
-        assert_eq!(
-            json.get("objectives")
-                .and_then(Json::as_array)
-                .map(<[Json]>::len),
-            Some(2)
-        );
+        let json = e.verdicts()[1].to_json();
+        assert_eq!(json.get("name").and_then(Json::as_str), Some("b"));
+        assert_eq!(json.get("state").and_then(Json::as_str), Some("page"));
+        assert_eq!(json.get("short_burn").and_then(Json::as_f64), Some(1.0));
     }
 
     #[test]

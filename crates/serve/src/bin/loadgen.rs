@@ -5,10 +5,10 @@
 //! concurrent client threads: every event is a synchronous `observe`, and
 //! every `--recommend-every`-th event also requests Top-N. Optionally a
 //! background thread hot-swaps the model every `--swap-every` ms to
-//! exercise swap-under-load. Finishes by printing the engine's
-//! [`MetricsReport`](rrc_serve::MetricsReport) (p50/p95/p99 latency,
-//! per-stage breakdown, per-shard traffic) and the end-to-end replay
-//! rate.
+//! exercise swap-under-load. Finishes by printing the end-to-end replay
+//! rate; `--json PATH` writes the run report, whose `metrics` section is
+//! the engine's registry snapshot (latency histograms, per-stage and
+//! per-shard series; `rrc-top --once PATH` renders it).
 //!
 //! ```text
 //! cargo run --release -p rrc-serve --bin loadgen -- --shards 4 --clients 8 --learn 3
@@ -50,8 +50,9 @@
 //! * `--queue-cap N` bounds each shard's admission queue: excess
 //!   requests get a typed `Shed` answer, observes shed strictly before
 //!   recommends (at 75 % of the cap). `--deadline-us` sheds requests that
-//!   would be served past their deadline. The report gains an
-//!   `engine.overload` section whose counters obey the conservation law
+//!   would be served past their deadline. The report's `metrics` section
+//!   gains the `serve_offered_total` / `serve_admitted_total` /
+//!   `serve_shed_total` series, which obey the conservation law
 //!   `offered == admitted + shed`; `--slo-shed-rate` turns the windowed
 //!   shed fraction into an SLO objective.
 //!
@@ -75,12 +76,12 @@ use rand::SeedableRng;
 use rrc_core::{OnlineConfig, OnlineTsPpr, TsPprModel};
 use rrc_datagen::GeneratorConfig;
 use rrc_features::{FeaturePipeline, TrainStats};
-use rrc_obs::{Json, JsonlSink, RunReport};
+use rrc_obs::{snapshot_to_json, Json, JsonlSink, MetricValue, RunReport, SloVerdict};
 use rrc_sequence::{Dataset, ItemId, SplitDataset, UserId};
 use rrc_serve::arrival::{self, ArrivalProcess, ArrivalSpec, ArrivalTarget};
 use rrc_serve::{
-    EngineOptions, ForensicsOptions, OverloadOptions, RegistryWatcher, ServeEngine, SloOptions,
-    SwapLog, UstateOptions,
+    EngineOptions, ForensicsOptions, MetricsReport, OverloadOptions, RegistryWatcher, ServeEngine,
+    SloOptions, SwapLog, UstateOptions,
 };
 use rrc_store::ModelRegistry;
 use rrc_stream::{ChannelSource, StreamConfig, StreamEvent, StreamTrainer};
@@ -594,13 +595,10 @@ fn write_live_report(engine: &ServeEngine, args: &Args, path: &str) {
         .config("shards", args.shards)
         .config("clients", args.clients)
         .config("seed", args.seed);
-    let report = engine.metrics();
-    run.add_section("ustate", ustate_section(&report, args));
-    run.add_section("engine", report.to_json());
     if let Some(q) = engine.quality_report() {
         run.add_section("quality", q.to_json());
     }
-    run.add_metrics(engine.metrics_registry());
+    add_engine_sections(&mut run, &engine.metrics());
     let tmp = format!("{path}.tmp");
     let write = std::fs::write(&tmp, run.render()).and_then(|()| std::fs::rename(&tmp, path));
     if let Err(e) = write {
@@ -756,30 +754,19 @@ fn run_replay(
     replay_start.elapsed()
 }
 
-/// The ISSUE-shaped convenience block summarising the user-state tier:
-/// total users, resident footprint, and cache traffic. The full per-shard
-/// series are still in the `engine` section / registry snapshot.
-fn ustate_section(report: &rrc_serve::MetricsReport, args: &Args) -> Json {
-    let u = &report.ustate;
-    Json::obj([
-        ("users", Json::from(args.users)),
-        ("resident_users", Json::from(u.resident_users)),
-        ("spilled_users", Json::from(u.spilled_users)),
-        ("resident_bytes", Json::from(u.resident_bytes)),
-        (
-            "budget_bytes_per_shard",
-            u.budget_bytes.map_or(Json::Null, Json::from),
-        ),
-        (
-            "cache",
-            Json::obj([
-                ("hit", Json::from(u.hits)),
-                ("miss", Json::from(u.misses)),
-                ("evict", Json::from(u.evictions)),
-                ("hit_rate", Json::F64(u.hit_rate)),
-            ]),
-        ),
-    ])
+/// The engine's part of a run report: the digests that are not series,
+/// exemplar traces (`forensics`) and SLO burn rates (`slo`), each once,
+/// and the registry snapshot as `metrics`, which holds every number that
+/// is a series.
+fn add_engine_sections(run: &mut RunReport, report: &MetricsReport) {
+    if let Some(fx) = &report.forensics {
+        run.add_section("forensics", fx.to_json());
+    }
+    if !report.slo_verdicts.is_empty() {
+        let verdicts = report.slo_verdicts.iter().map(SloVerdict::to_json);
+        run.add_section("slo", Json::Arr(verdicts.collect()));
+    }
+    run.add_section("metrics", snapshot_to_json(&report.snapshot));
 }
 
 /// Tear down an engine whose only other handle-holders have exited.
@@ -1009,7 +996,6 @@ fn run_continuous(args: &Args, data: &Dataset, split: &SplitDataset) {
     let preq_gain_windowed = trainer.windowed_hit_rate(2) - evaluator.windowed_hit_rate(2);
     let trainer_rate = trainer.events_processed() as f64 / stream_elapsed.as_secs_f64().max(1e-9);
 
-    println!("{report}");
     println!(
         "continuous: prequential hit@10 frozen {:.3} -> stream-trained {:.3} \
          (gain {:+.3}, windowed {:+.3}) over {} opportunities (drift {})",
@@ -1101,10 +1087,8 @@ fn run_continuous(args: &Args, data: &Dataset, split: &SplitDataset) {
                 ("trainer", trainer.report()),
             ]),
         );
-        run.add_section("ustate", ustate_section(&report, args));
-        run.add_section("engine", report.to_json());
         run.add_section("quality", quality.to_json());
-        run.add_metrics(engine.metrics_registry());
+        add_engine_sections(&mut run, &report);
         match run.write_to(path) {
             Ok(()) => eprintln!("wrote run report to {path}"),
             Err(e) => {
@@ -1214,7 +1198,6 @@ fn main() {
 
     let elapsed = run_replay(&engine, &replay, &args, args.inject_panic_after, None);
     let report = engine.metrics();
-    println!("{report}");
     println!(
         "replayed {} events in {:.2?}: {:.0} events/sec ({} clients -> {} shards)",
         total_events,
@@ -1223,16 +1206,19 @@ fn main() {
         args.clients,
         args.shards
     );
-    if let Some(o) = &report.overload {
-        let t = o.total();
+    // The same snapshot the run report's `metrics` section renders.
+    let snap = &report.snapshot;
+    if snap.get("serve_queue_cap", &[]).is_some() {
+        let shed = |reason| snap.sum("serve_shed_total", &[("reason", reason)]);
+        let (queue, deadline) = (shed("queue"), shed("deadline"));
+        let peak = snap.matching("serve_queue_peak", &[]);
         println!(
-            "overload: offered {} = admitted {} + shed {} (queue {}, deadline {}), peak depth {}",
-            t.offered,
-            t.admitted,
-            t.shed(),
-            t.shed_queue,
-            t.shed_deadline,
-            o.peak_depth
+            "overload: offered {} = admitted {} + shed {} (queue {queue}, deadline {deadline}), \
+             peak depth {}",
+            snap.sum("serve_offered_total", &[]),
+            snap.sum("serve_admitted_total", &[]),
+            queue + deadline,
+            peak.filter_map(MetricValue::as_u64).max().unwrap_or(0)
         );
     }
     let quality = engine.quality_report();
@@ -1315,15 +1301,10 @@ fn main() {
                 ("events_per_sec", Json::F64(rate(elapsed))),
             ]),
         );
-        run.add_section("ustate", ustate_section(&report, &args));
-        // Request quantiles, per-stage breakdown + per-shard counters (the
-        // acceptance surface), then the raw registry snapshot for
-        // everything else.
-        run.add_section("engine", report.to_json());
         if let Some(q) = &quality {
             run.add_section("quality", q.to_json());
         }
-        run.add_metrics(engine.metrics_registry());
+        add_engine_sections(&mut run, &report);
         match run.write_to(path) {
             Ok(()) => eprintln!("wrote run report to {path}"),
             Err(e) => {

@@ -1031,7 +1031,9 @@ impl ServeEngine {
         ))
     }
 
-    /// Point-in-time traffic and latency report.
+    /// Point-in-time report: one refreshed capture of the engine's
+    /// registry, the counters read off it, and the forensic and SLO
+    /// digests that are not series.
     pub fn metrics(&self) -> MetricsReport {
         self.metrics.report(self.started.elapsed())
     }
@@ -1105,13 +1107,15 @@ impl ServeEngine {
     /// and per-shard traffic counters (`serve_observes_total{shard="0"}`,
     /// …). Ready to serve on a `/metrics` endpoint.
     pub fn metrics_text(&self) -> String {
-        self.metrics.touch_uptime(self.started.elapsed());
+        self.metrics.refresh(self.started.elapsed());
         self.metrics.registry.prometheus_text()
     }
 
     /// The engine's private metrics registry (each engine owns one, so
     /// concurrent engines never share series). Use it to attach a
-    /// [`rrc_obs::JsonlSink`] or export a JSON snapshot.
+    /// [`rrc_obs::JsonlSink`] or to register another component's series
+    /// beside the engine's; [`ServeEngine::metrics`] is its refreshed
+    /// capture.
     pub fn metrics_registry(&self) -> &rrc_obs::Registry {
         &self.metrics.registry
     }
@@ -1349,8 +1353,12 @@ mod tests {
             before + 8,
             "only real items advance the window"
         );
-        let shard = engine.metrics().shards[0];
-        assert_eq!((shard.observes, shard.skipped), (16, 8));
+        let snap = engine.metrics().snapshot;
+        let count = |name| snap.sum(name, &[("shard", "0")]);
+        assert_eq!(
+            (count("serve_observes_total"), count("serve_skipped_total")),
+            (16, 8)
+        );
         engine.shutdown();
     }
 
@@ -1370,7 +1378,7 @@ mod tests {
         assert!(engine.recommend(ghost, 5).is_empty());
         let report = engine.metrics();
         assert_eq!(report.total_online_updates(), 0);
-        assert_eq!(report.shards[0].skipped, 2);
+        assert_eq!(report.snapshot.sum("serve_skipped_total", &[]), 2);
         // The shard is alive and everyone else is served as before.
         assert!(!engine.recommend(UserId(0), 5).is_empty());
         engine.shutdown();
@@ -1391,23 +1399,19 @@ mod tests {
         engine.flush();
         let report = engine.metrics();
         assert_eq!(report.stages.len(), 2, "one stage row per shard");
-        let score_count: u64 = report.stages.iter().map(|s| s.score.count).sum();
+        let snap = &report.snapshot;
+        let stage_count = |stage| {
+            let hist = snap.histogram("serve_stage_duration_ns", &[("stage", stage)]);
+            hist.map_or(0, |h| h.count())
+        };
         let total = report.total_observes() + report.total_recommends();
-        assert_eq!(score_count, total, "every traced request scores");
+        assert_eq!(stage_count("score"), total, "every traced request scores");
         // Only replied-to requests have a respond leg.
-        let respond_count: u64 = report.stages.iter().map(|s| s.respond.count).sum();
-        assert_eq!(respond_count, report.total_recommends());
-        let w = report
-            .windowed
-            .expect("windowed throughput with tracing on");
-        assert_eq!(w.events, total);
-        // Short test: the rolling window covers the whole run, so windowed
-        // and cumulative rates agree tightly.
-        assert!(
-            (w.over_cumulative - 1.0).abs() < 0.05,
-            "windowed/cumulative ratio {}",
-            w.over_cumulative
-        );
+        assert_eq!(stage_count("respond"), report.total_recommends());
+        // Short test: the rolling window covers the whole run, so the
+        // windowed count is the cumulative one (CI's windowed/cumulative
+        // gate reads exactly these two sums).
+        assert_eq!(snap.sum("serve_events_window", &[]), total);
         // Quiescent after flush: depth and in-flight gauges back to zero.
         let text = engine.metrics_text();
         assert!(text.contains("serve_queue_depth{shard=\"0\"} 0"), "{text}");
@@ -1458,7 +1462,8 @@ mod tests {
         let _ = engine.recommend(UserId(0), 5);
         let report = engine.metrics();
         assert!(report.stages.is_empty());
-        assert!(report.windowed.is_none());
+        let windowed = report.snapshot.matching("serve_events_window", &[]);
+        assert_eq!(windowed.count(), 0);
         assert!(!engine.metrics_text().contains("serve_stage_duration_ns"));
         engine.shutdown();
     }
@@ -1684,12 +1689,19 @@ mod tests {
         }
         engine.flush();
         let report = engine.metrics();
-        let u = &report.ustate;
+        let (u, snap) = (&report.ustate, &report.snapshot);
         assert!(u.hits > 0 && u.hits + u.misses > 0);
-        assert_eq!(u.budget_bytes, Some(TIGHT_BUDGET as u64));
-        assert!(u.resident_users > 0);
+        let budget = [("shard", "1")];
+        assert_eq!(
+            snap.sum("ustate_budget_bytes", &budget),
+            TIGHT_BUDGET as u64
+        );
+        assert!(snap.sum("ustate_resident_users", &[]) > 0);
         if u.evictions > 0 {
-            assert!(u.spill.count > 0, "evictions must time spills: {u:?}");
+            let spills = snap
+                .histogram("ustate_spill_ns", &[])
+                .map_or(0, |h| h.count());
+            assert!(spills > 0, "evictions must time spills: {u:?}");
         }
         let text = engine.metrics_text();
         assert!(
@@ -1700,15 +1712,13 @@ mod tests {
             text.contains("ustate_resident_bytes{shard=\"1\"}"),
             "{text}"
         );
-        // JSON view carries the ustate block.
-        let doc = rrc_obs::Json::parse(&report.to_json().render()).unwrap();
-        assert!(
-            doc.at("ustate.cache.hit")
-                .and_then(rrc_obs::Json::as_u64)
-                .unwrap()
-                > 0
-        );
-        assert!(doc.at("ustate.cache.hit_rate").unwrap().as_f64().is_some());
+        // The run report's JSON view of the same capture carries the
+        // cache series CI's bounded step gates on.
+        let doc = rrc_obs::snapshot_to_json(snap);
+        let hits = doc.select("counters.ustate_cache_hits_total{shard=*}");
+        assert_eq!(hits.len(), 2);
+        let hits: u64 = hits.iter().filter_map(|(_, v)| v.as_u64()).sum();
+        assert_eq!(hits, u.hits);
         engine.shutdown();
     }
 
@@ -1918,15 +1928,19 @@ mod tests {
         let half = (CLIENTS / 2) as u64;
         assert_eq!(report.total_observes(), 3 * half);
         assert_eq!(report.total_recommends(), half);
-        assert_eq!(report.observe_latency.count, half);
-        assert_eq!(report.recommend_latency.count, half);
-        let stage = |pick: fn(&crate::metrics::StageSummary) -> u64| -> u64 {
-            report.stages.iter().map(pick).sum()
+        let count = |name, labels: &[(&str, &str)]| {
+            report
+                .snapshot
+                .histogram(name, labels)
+                .map_or(0, |h| h.count())
         };
-        assert_eq!(stage(|s| s.enqueue_wait.count), 4 * half);
-        assert_eq!(stage(|s| s.score.count), 4 * half);
+        assert_eq!(count("serve_observe_latency_ns", &[]), half);
+        assert_eq!(count("serve_recommend_latency_ns", &[]), half);
+        let stage = |stage| count("serve_stage_duration_ns", &[("stage", stage)]);
+        assert_eq!(stage("enqueue_wait"), 4 * half);
+        assert_eq!(stage("score"), 4 * half);
         // Replied-to requests only: not the fire-and-forget observes.
-        assert_eq!(stage(|s| s.respond.count), 2 * half);
+        assert_eq!(stage("respond"), 2 * half);
         let text = engine.metrics_text();
         for shard in 0..2 {
             for gauge in ["serve_queue_depth", "serve_inflight"] {
@@ -1943,7 +1957,7 @@ mod tests {
         let _ = engine.recommend(UserId(0), 5);
         let report = engine.metrics();
         assert!(report.forensics.is_none());
-        assert!(report.slo.is_none());
+        assert!(report.slo_verdicts.is_empty());
         assert!(engine.slo_tick().is_none());
         assert!(engine.flight_recorders().is_empty());
         assert!(engine

@@ -27,7 +27,8 @@
 //! * **Observability** ([`metrics`], [`trace`]) — every engine owns a
 //!   private [`rrc_obs::Registry`]: wait-free power-of-two latency
 //!   histograms (p50/p95/p99/mean/max) and per-shard traffic counters,
-//!   snapshotted as a [`MetricsReport`] or exposed as Prometheus text via
+//!   captured as a [`MetricsReport`] (the registry snapshot a run report
+//!   carries as its `metrics` section) or exposed as Prometheus text via
 //!   [`ServeEngine::metrics_text`]. Every data request is accounted for
 //!   by one fixed-size [`trace::RequestRecord`] — kind, shard, stamps,
 //!   outcome — that the metrics layer hears about when the request is
@@ -42,8 +43,8 @@
 //!   (observes shed strictly before recommends), per-request deadlines
 //!   enforced at dequeue (late requests are shed, not served late), and
 //!   conservation-law accounting `offered == admitted + shed` per shard
-//!   and kind — counted from the record's one outcome — surfaced as an
-//!   `engine.overload` report section. The
+//!   and kind — counted from the record's one outcome — in the
+//!   `serve_{offered,admitted,shed}_total` series. The
 //!   [`arrival`] module gives `loadgen` matching open-loop arrival
 //!   processes (Poisson, burst trains, flash crowds, diurnal ramps).
 //! * **Online quality** ([`quality`]) — opt-in
@@ -69,13 +70,14 @@
 //! let mut engine = ServeEngine::start(online, 4);
 //! engine.observe_nowait(UserId(3), ItemId(17));
 //! let top = engine.recommend(UserId(3), 10);
-//! println!("{}", engine.metrics());
+//! println!("{} observes", engine.metrics().total_observes());
+//! println!("{}", engine.metrics_text());
 //! engine.shutdown();
 //! # let _ = top;
 //! ```
 //!
 //! The `loadgen` binary replays an `rrc-datagen` stream against the
-//! engine at configurable concurrency and prints the metrics report.
+//! engine at configurable concurrency and writes its run report (`--json`).
 
 pub mod arrival;
 pub mod engine;
@@ -91,9 +93,8 @@ pub mod watcher;
 pub use arrival::{Arrival, ArrivalProcess, ArrivalSpec, ArrivalTarget};
 pub use engine::{EngineOptions, ForensicsOptions, ServeEngine, SloOptions, UstateOptions};
 pub use metrics::{
-    ForensicsReport, LatencySummary, MetricsReport, OverloadKindStats, OverloadReport,
-    OverloadShardStats, P99Exemplar, ShardCountersSnapshot, SloSection, StageSummary,
-    WindowedThroughput,
+    ForensicsReport, LatencySummary, MetricsReport, P99Exemplar, ShardCountersSnapshot,
+    StageSummary,
 };
 pub use overlay::{ModelDiff, ModelOverlay};
 pub use overload::{Admission, AdmissionGate, OverloadOptions, RequestKind, ShedReason};

@@ -6,10 +6,12 @@
 //! the client handle record through pre-registered `Arc` handles —
 //! request latency into power-of-two [`Histogram`]s
 //! (`serve_recommend_latency_ns`, `serve_observe_latency_ns`), traffic
-//! into per-shard counters (`serve_observes_total{shard="0"}`, …). Reads
-//! snapshot into a [`MetricsReport`] without stopping traffic, and
+//! into per-shard counters (`serve_observes_total{shard="0"}`, …). A read
+//! captures the registry once, without stopping traffic, into a
+//! [`MetricsReport`] (a run report's `metrics` section is that capture);
 //! [`ServeEngine::metrics_text`](crate::ServeEngine::metrics_text)
-//! exposes the same registry as Prometheus text.
+//! renders it as Prometheus text. Ratios and conservation laws over
+//! series are computed by their readers (`obs-check --between`, `rrc-top`).
 //!
 //! A data request is accounted for by one [`RequestRecord`], which
 //! `EngineMetrics` hears about at most three times: `offered` at the
@@ -20,9 +22,9 @@
 //! and the client latency is their span: `serve_*_latency_ns` equals the
 //! three `serve_stage_duration_ns` legs to the nanosecond.
 //!
-//! Every series registered here has a reader (a [`MetricsReport`]
-//! section, the SLO tick, `rrc-top`, a CI `obs-check` gate); the list is
-//! pinned by `tests/accounting.rs`.
+//! Every series registered here has a reader (a CI `obs-check` gate, an
+//! `rrc-top` panel, the SLO tick, or the benchmark through
+//! [`MetricsReport`]); the list is pinned by `tests/accounting.rs`.
 
 use crate::engine::{EngineOptions, SloOptions};
 use crate::overload::{AdmissionGate, OverloadOptions, RequestKind, ShedReason};
@@ -31,8 +33,8 @@ use crate::trace::{instant_of, now_ns, Enqueued, RequestRecord, StageNanos};
 use rrc_core::parallel::mix64;
 use rrc_obs::{
     top_slowest, BucketExemplars, BurnConfig, Counter, ExemplarTrace, FlightRecorder, Gauge,
-    Histogram, HistogramSnapshot, Json, JsonlSink, Registry, SloEngine, SloState, SloVerdict,
-    TraceReservoir, WindowSpec, WindowedCounter, WindowedHistogram, BUCKETS,
+    Histogram, Json, JsonlSink, Registry, RegistrySnapshot, SloEngine, SloState, SloVerdict,
+    TraceReservoir, WindowSpec, WindowedCounter, WindowedHistogram,
 };
 use rrc_sequence::UserId;
 use rrc_ustate::TierDelta;
@@ -95,26 +97,6 @@ impl ShardCounters {
             skipped: registry.counter_with("serve_skipped_total", labels),
         }
     }
-
-    pub fn snapshot(&self) -> ShardCountersSnapshot {
-        ShardCountersSnapshot {
-            observes: self.observes.get(),
-            recommends: self.recommends.get(),
-            online_updates: self.online_updates.get(),
-            swaps: self.swaps.get(),
-            skipped: self.skipped.get(),
-        }
-    }
-}
-
-/// Plain-data copy of one shard's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardCountersSnapshot {
-    pub observes: u64,
-    pub recommends: u64,
-    pub online_updates: u64,
-    pub swaps: u64,
-    pub skipped: u64,
 }
 
 /// Request-scoped tracing state: per-shard stage histograms,
@@ -375,12 +357,8 @@ impl SloMetrics {
         worst
     }
 
-    fn section(&self) -> SloSection {
-        let engine = self.engine.lock().expect("slo engine lock");
-        SloSection {
-            worst: engine.worst(),
-            verdicts: engine.verdicts(),
-        }
+    fn verdicts(&self) -> Vec<SloVerdict> {
+        self.engine.lock().expect("slo engine lock").verdicts()
     }
 }
 
@@ -519,15 +497,6 @@ impl OverloadKindSeries {
             shed_deadline_window: shed_window("deadline"),
         }
     }
-
-    fn shard_stats(&self, shard: usize) -> OverloadKindStats {
-        OverloadKindStats {
-            offered: self.offered[shard].get(),
-            admitted: self.admitted[shard].get(),
-            shed_queue: self.shed_queue[shard].get(),
-            shed_deadline: self.shed_deadline[shard].get(),
-        }
-    }
 }
 
 /// Overload accounting shared by the engine handle (offered / enqueue
@@ -540,8 +509,6 @@ pub(crate) struct OverloadMetrics {
     observe: OverloadKindSeries,
     recommend: OverloadKindSeries,
     queue_peak: Vec<Arc<Gauge>>,
-    queue_cap: Option<u64>,
-    observe_cap: Option<u64>,
 }
 
 impl OverloadMetrics {
@@ -575,8 +542,6 @@ impl OverloadMetrics {
             queue_peak: (0..shards)
                 .map(|s| registry.gauge_with("serve_queue_peak", &[("shard", &s.to_string())]))
                 .collect(),
-            queue_cap: opts.queue_cap.map(|c| c as u64),
-            observe_cap: observe_cap.map(|c| c as u64),
         })
     }
 
@@ -648,51 +613,13 @@ impl OverloadMetrics {
         Some(shed as f64 / offered as f64)
     }
 
-    /// Snapshot the overload section, refreshing the per-shard peak
-    /// gauges from the live gates on the way.
-    fn section(&self) -> OverloadReport {
-        let shards = self.queue_peak.len();
-        let mut per_shard = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let peak = self
-                .gates
-                .as_ref()
-                .map_or(0, |g| g[shard].peak().min(i64::MAX as u64));
-            self.queue_peak[shard].set(peak as i64);
-            per_shard.push(OverloadShardStats {
-                shard,
-                peak_depth: peak,
-                observe: self.observe.shard_stats(shard),
-                recommend: self.recommend.shard_stats(shard),
-            });
-        }
-        let fold = |pick: fn(&OverloadShardStats) -> OverloadKindStats| -> OverloadKindStats {
-            per_shard.iter().fold(OverloadKindStats::default(), |a, s| {
-                let k = pick(s);
-                OverloadKindStats {
-                    offered: a.offered + k.offered,
-                    admitted: a.admitted + k.admitted,
-                    shed_queue: a.shed_queue + k.shed_queue,
-                    shed_deadline: a.shed_deadline + k.shed_deadline,
-                }
-            })
-        };
-        let sum_w = |v: &[Arc<WindowedCounter>]| v.iter().map(|c| c.window_total()).sum::<u64>();
-        let offered_window =
-            sum_w(&self.observe.offered_window) + sum_w(&self.recommend.offered_window);
-        let shed_window = sum_w(&self.observe.shed_queue_window)
-            + sum_w(&self.observe.shed_deadline_window)
-            + sum_w(&self.recommend.shed_queue_window)
-            + sum_w(&self.recommend.shed_deadline_window);
-        OverloadReport {
-            queue_cap: self.queue_cap,
-            observe_cap: self.observe_cap,
-            peak_depth: per_shard.iter().map(|s| s.peak_depth).max().unwrap_or(0),
-            observe: fold(|s| s.observe),
-            recommend: fold(|s| s.recommend),
-            offered_window,
-            shed_window,
-            shards: per_shard,
+    /// Copy each live gate's high-water mark into its
+    /// `serve_queue_peak` gauge (0 without a queue bound): the gates
+    /// keep the peak, the gauge only shows it.
+    fn refresh_peaks(&self) {
+        for (shard, gauge) in self.queue_peak.iter().enumerate() {
+            let peak = self.gates.as_ref().map_or(0, |g| g[shard].peak());
+            gauge.set(peak.min(i64::MAX as u64) as i64);
         }
     }
 }
@@ -739,8 +666,6 @@ pub(crate) struct EngineMetrics {
     pub quality: Option<QualityMetrics>,
     pub ustate: UstateMetrics,
     overload: Option<OverloadMetrics>,
-    /// Per-shard tier budget (None = unbounded), echoed in the report.
-    ustate_budget: Option<usize>,
     model_version: Arc<Gauge>,
     model_fingerprint: Arc<Gauge>,
     uptime_ms: Arc<Gauge>,
@@ -751,7 +676,9 @@ impl EngineMetrics {
         let EngineOptions {
             tracing,
             quality,
-            ustate,
+            // The tier's budget reaches the registry through each
+            // shard's `ustate_budget_bytes` gauge.
+            ustate: _,
             forensics,
             overload,
         } = options;
@@ -775,7 +702,6 @@ impl EngineMetrics {
             quality: quality.then(|| QualityMetrics::register(&registry, window)),
             ustate: UstateMetrics::register(&registry, shards),
             overload: OverloadMetrics::register(&registry, shards, window, overload),
-            ustate_budget: ustate.budget_bytes,
             model_version: registry.gauge("serve_model_version"),
             model_fingerprint: registry.gauge("serve_model_fingerprint"),
             uptime_ms: registry.gauge("serve_uptime_ms"),
@@ -982,120 +908,80 @@ impl EngineMetrics {
         Some(slo.tick(&values))
     }
 
-    /// Refresh the uptime gauge (called at every exposition).
-    pub fn touch_uptime(&self, uptime: Duration) {
+    /// Bring the read-side gauges (uptime, drift, queue peaks) up to date.
+    /// Every exposition calls it first, so a scrape and a report agree.
+    pub fn refresh(&self, uptime: Duration) {
         self.uptime_ms
             .set(uptime.as_millis().min(i64::MAX as u128) as i64);
         if let Some(q) = &self.quality {
             q.refresh();
         }
+        if let Some(o) = &self.overload {
+            o.refresh_peaks();
+        }
     }
 
+    /// Refresh, capture the registry once, and read the typed counters
+    /// off that capture.
     pub fn report(&self, uptime: Duration) -> MetricsReport {
-        self.touch_uptime(uptime);
-        let shards: Vec<ShardCountersSnapshot> = self.shards.iter().map(|s| s.snapshot()).collect();
-        let stages = self
-            .tracing
-            .as_ref()
-            .map(|t| {
-                t.stages
-                    .iter()
-                    .enumerate()
-                    .map(|(shard, h)| {
-                        let [enqueue_wait, score, respond] =
-                            h.each_ref().map(|h| LatencySummary::from(h.snapshot()));
-                        StageSummary {
-                            shard,
-                            enqueue_wait,
-                            score,
-                            respond,
-                        }
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let windowed = self.tracing.as_ref().map(|t| {
-            let events: u64 = t.events_window.iter().map(|c| c.window_total()).sum();
-            // The ring's origin is metric registration, a moment before the
-            // engine's own start stamp (shard spawn happens in between);
-            // clamp so the ratio compares rates over the same span.
-            let covered = t
-                .events_window
-                .iter()
-                .map(|c| c.covered())
-                .max()
-                .unwrap_or_default()
-                .min(uptime);
-            let rate_per_sec = events as f64 / covered.as_secs_f64().max(1e-9);
-            let cum: u64 = shards.iter().map(|s| s.observes + s.recommends).sum();
-            let cum_rate = cum as f64 / uptime.as_secs_f64().max(1e-9);
-            WindowedThroughput {
-                events,
-                rate_per_sec,
-                covered,
-                over_cumulative: if cum_rate > 0.0 {
-                    rate_per_sec / cum_rate
-                } else {
-                    0.0
-                },
-            }
-        });
-        let sum_counters = |v: &[Arc<Counter>]| v.iter().map(|c| c.get()).sum::<u64>();
-        let sum_gauges = |v: &[Arc<Gauge>]| v.iter().map(|g| g.get().max(0) as u64).sum::<u64>();
-        let merge_hists = |v: &[Arc<Histogram>]| {
-            // Per-shard histograms share bucket boundaries: add them up
-            // bucket by bucket and summarise the one population.
-            let mut buckets = [0u64; BUCKETS];
-            let (mut sum, mut max) = (0u64, 0u64);
-            for s in v.iter().map(|h| h.snapshot()) {
-                for (acc, n) in buckets.iter_mut().zip(s.buckets()) {
-                    *acc += n;
+        self.refresh(uptime);
+        let snapshot = self.registry.snapshot();
+        let shards = (0..self.shards.len())
+            .map(|s| {
+                let s = s.to_string();
+                let count = |name| snapshot.sum(name, &[("shard", s.as_str())]);
+                ShardCountersSnapshot {
+                    observes: count("serve_observes_total"),
+                    recommends: count("serve_recommends_total"),
+                    online_updates: count("serve_online_updates_total"),
+                    swaps: count("serve_swaps_total"),
                 }
-                sum = sum.wrapping_add(s.sum());
-                max = max.max(s.max().unwrap_or(0));
-            }
-            LatencySummary::from(HistogramSnapshot::from_parts(buckets, sum, max))
-        };
-        let u = &self.ustate;
-        let hits = sum_counters(&u.hits);
-        let misses = sum_counters(&u.misses);
+            })
+            .collect();
+        // Stage series exist only with tracing on.
+        let traced = self.tracing.as_ref().map_or(0, |_| self.shards.len());
+        let stages = (0..traced)
+            .map(|s| {
+                let s = s.to_string();
+                let [enqueue_wait, score, respond] = STAGE_NAMES.map(|stage| {
+                    let labels = [("shard", s.as_str()), ("stage", stage)];
+                    let hist = snapshot.histogram("serve_stage_duration_ns", &labels);
+                    let mean = hist.and_then(|h| h.mean());
+                    LatencySummary {
+                        mean: mean.map(|ns| Duration::from_nanos(ns as u64)),
+                    }
+                });
+                StageSummary {
+                    enqueue_wait,
+                    score,
+                    respond,
+                }
+            })
+            .collect();
         let ustate = UstateReport {
-            hits,
-            misses,
-            evictions: sum_counters(&u.evictions),
-            hit_rate: if hits + misses > 0 {
-                hits as f64 / (hits + misses) as f64
-            } else {
-                0.0
-            },
-            resident_bytes: sum_gauges(&u.resident_bytes),
-            resident_users: sum_gauges(&u.resident_users),
-            spilled_users: sum_gauges(&u.spilled_users),
-            spill_file_bytes: sum_gauges(&u.spill_file_bytes),
-            budget_bytes: self.ustate_budget.map(|b| b as u64),
-            spill: merge_hists(&u.spill_ns),
-            load: merge_hists(&u.load_ns),
+            hits: snapshot.sum("ustate_cache_hits_total", &[]),
+            misses: snapshot.sum("ustate_cache_misses_total", &[]),
+            evictions: snapshot.sum("ustate_cache_evictions_total", &[]),
+            resident_bytes: snapshot.sum("ustate_resident_bytes", &[]),
+            spill_file_bytes: snapshot.sum("ustate_spill_file_bytes", &[]),
         };
         let forensics = self.forensics.as_ref().map(|fx| {
-            let mut p99_exemplars = Vec::new();
-            if let Some(t) = &self.tracing {
-                for (shard, hists) in t.stages.iter().enumerate() {
+            let stages = self.tracing.iter().flat_map(|t| &t.stages).enumerate();
+            let p99_exemplars = stages
+                .flat_map(|(shard, hists)| {
                     let per_stage = STAGE_NAMES.iter().zip(hists).zip(&fx.exemplars[shard]);
-                    for ((&stage, hist), exemplars) in per_stage {
-                        let Some(p99) = hist.snapshot().quantile(0.99) else {
-                            continue;
-                        };
-                        if let Some(trace_id) = exemplars.exemplar_for_value(p99) {
-                            p99_exemplars.push(P99Exemplar {
-                                shard,
-                                stage,
-                                p99_ns: p99,
-                                trace_id,
-                            });
-                        }
-                    }
-                }
-            }
+                    per_stage.filter_map(move |((&stage, hist), exemplars)| {
+                        let p99_ns = hist.snapshot().quantile(0.99)?;
+                        let trace_id = exemplars.exemplar_for_value(p99_ns)?;
+                        Some(P99Exemplar {
+                            shard,
+                            stage,
+                            p99_ns,
+                            trace_id,
+                        })
+                    })
+                })
+                .collect();
             ForensicsReport {
                 slowest: top_slowest(fx.reservoirs.iter().map(|r| r.as_ref()), 10),
                 p99_exemplars,
@@ -1103,16 +989,12 @@ impl EngineMetrics {
             }
         });
         MetricsReport {
-            uptime,
-            recommend_latency: LatencySummary::from(self.recommend_latency.snapshot()),
-            observe_latency: LatencySummary::from(self.observe_latency.snapshot()),
             shards,
             stages,
-            windowed,
             ustate,
             forensics,
-            overload: self.overload.as_ref().map(|o| o.section()),
-            slo: self.slo.as_ref().map(|s| s.section()),
+            slo_verdicts: self.slo.iter().flat_map(SloMetrics::verdicts).collect(),
+            snapshot,
         }
     }
 }
@@ -1130,20 +1012,10 @@ pub struct P99Exemplar {
     pub trace_id: u64,
 }
 
-impl P99Exemplar {
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("shard", Json::from(self.shard)),
-            ("stage", Json::Str(self.stage.to_string())),
-            ("p99_ns", Json::U64(self.p99_ns)),
-            ("trace_id", Json::U64(self.trace_id)),
-        ])
-    }
-}
-
 /// Forensic digest inside a [`MetricsReport`]: the engine-wide slowest
 /// exemplar traces, the p99 bucket exemplars per shard × stage, and the
-/// lifetime flight-recorder event count.
+/// lifetime flight-recorder event count. None of it is a series, so a
+/// run report carries it as its own `forensics` section.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForensicsReport {
     /// Slowest completed traces across all shard reservoirs, slowest
@@ -1156,288 +1028,55 @@ pub struct ForensicsReport {
 
 impl ForensicsReport {
     pub fn to_json(&self) -> Json {
+        let p99 = |e: &P99Exemplar| {
+            Json::obj([
+                ("shard", Json::from(e.shard)),
+                ("stage", Json::from(e.stage)),
+                ("p99_ns", Json::U64(e.p99_ns)),
+                ("trace_id", Json::U64(e.trace_id)),
+            ])
+        };
+        let slowest = self.slowest.iter().map(ExemplarTrace::to_json);
         Json::obj([
-            (
-                "slowest",
-                Json::Arr(self.slowest.iter().map(ExemplarTrace::to_json).collect()),
-            ),
+            ("slowest", Json::Arr(slowest.collect())),
             (
                 "p99_exemplars",
-                Json::Arr(
-                    self.p99_exemplars
-                        .iter()
-                        .map(P99Exemplar::to_json)
-                        .collect(),
-                ),
+                Json::Arr(self.p99_exemplars.iter().map(p99).collect()),
             ),
             ("flight_events", Json::U64(self.flight_events)),
         ])
     }
 }
 
-/// One request kind's overload accounting (per shard, or summed across
-/// shards). The conservation law every quiescent engine satisfies:
-/// `offered == admitted + shed_queue + shed_deadline`.
+/// One shard's traffic counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OverloadKindStats {
-    /// Data requests presented to the engine (before any gate decision).
-    pub offered: u64,
-    /// Requests actually served to completion.
-    pub admitted: u64,
-    /// Requests refused at enqueue (bounded queue at threshold).
-    pub shed_queue: u64,
-    /// Requests admitted but expired in the queue (shed at dequeue).
-    pub shed_deadline: u64,
+pub struct ShardCountersSnapshot {
+    pub observes: u64,
+    pub recommends: u64,
+    pub online_updates: u64,
+    pub swaps: u64,
 }
 
-impl OverloadKindStats {
-    /// Total sheds, both reasons.
-    pub fn shed(&self) -> u64 {
-        self.shed_queue + self.shed_deadline
-    }
-
-    /// `offered == admitted + shed` — true at quiescence (after a
-    /// flush, with no clients mid-request).
-    pub fn conserved(&self) -> bool {
-        self.offered == self.admitted + self.shed()
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("offered", Json::U64(self.offered)),
-            ("admitted", Json::U64(self.admitted)),
-            ("shed", Json::U64(self.shed())),
-            ("shed_queue", Json::U64(self.shed_queue)),
-            ("shed_deadline", Json::U64(self.shed_deadline)),
-        ])
-    }
-}
-
-/// One shard's overload accounting, split by request kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverloadShardStats {
-    pub shard: usize,
-    /// High-water mark of the shard's gated queue depth (0 without a
-    /// queue bound).
-    pub peak_depth: u64,
-    pub observe: OverloadKindStats,
-    pub recommend: OverloadKindStats,
-}
-
-impl OverloadShardStats {
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("shard", Json::from(self.shard)),
-            ("peak_depth", Json::U64(self.peak_depth)),
-            ("observe", self.observe.to_json()),
-            ("recommend", self.recommend.to_json()),
-        ])
-    }
-}
-
-/// Overload digest inside a [`MetricsReport`]: queue bounds, engine-wide
-/// per-kind conservation counters, the rolling-window shed rate, and the
-/// per-shard breakdown. Present only when the engine was started with
-/// overload accounting ([`crate::OverloadOptions::enabled`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverloadReport {
-    /// Per-shard bounded queue capacity (`None` = deadline-only mode).
-    pub queue_cap: Option<u64>,
-    /// Observe admission threshold (`None` = deadline-only mode).
-    pub observe_cap: Option<u64>,
-    /// Max queue-depth high-water mark across shards.
-    pub peak_depth: u64,
-    /// Engine-wide observe accounting (sum over shards).
-    pub observe: OverloadKindStats,
-    /// Engine-wide recommend accounting (sum over shards).
-    pub recommend: OverloadKindStats,
-    /// Requests offered inside the rolling window (all kinds).
-    pub offered_window: u64,
-    /// Requests shed inside the rolling window (all kinds, all reasons).
-    pub shed_window: u64,
-    pub shards: Vec<OverloadShardStats>,
-}
-
-impl OverloadReport {
-    /// Engine-wide totals across both kinds.
-    pub fn total(&self) -> OverloadKindStats {
-        OverloadKindStats {
-            offered: self.observe.offered + self.recommend.offered,
-            admitted: self.observe.admitted + self.recommend.admitted,
-            shed_queue: self.observe.shed_queue + self.recommend.shed_queue,
-            shed_deadline: self.observe.shed_deadline + self.recommend.shed_deadline,
-        }
-    }
-
-    /// Windowed shed / offered fraction (0 while idle).
-    pub fn shed_rate_window(&self) -> f64 {
-        if self.offered_window == 0 {
-            0.0
-        } else {
-            self.shed_window as f64 / self.offered_window as f64
-        }
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("queue_cap", Json::from(self.queue_cap)),
-            ("observe_cap", Json::from(self.observe_cap)),
-            ("peak_depth", Json::U64(self.peak_depth)),
-            ("observe", self.observe.to_json()),
-            ("recommend", self.recommend.to_json()),
-            ("total", self.total().to_json()),
-            (
-                "window",
-                Json::obj([
-                    ("offered", Json::U64(self.offered_window)),
-                    ("shed", Json::U64(self.shed_window)),
-                    ("shed_rate", Json::F64(self.shed_rate_window())),
-                ]),
-            ),
-            (
-                "shards",
-                Json::Arr(
-                    self.shards
-                        .iter()
-                        .map(OverloadShardStats::to_json)
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// SLO verdicts inside a [`MetricsReport`]: worst state plus the full
-/// per-objective burn-rate detail, machine-readable for `obs-check`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloSection {
-    pub worst: SloState,
-    pub verdicts: Vec<SloVerdict>,
-}
-
-impl SloSection {
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("worst", Json::Str(self.worst.as_str().to_string())),
-            (
-                "objectives",
-                Json::Arr(self.verdicts.iter().map(SloVerdict::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-/// Engine-wide view of the user-state tier: cumulative cache traffic,
-/// the aggregate resident footprint, and spill/load latency digests.
-/// `budget_bytes` is the *per-shard* budget (None when unbounded).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Engine-wide user-state tier traffic and footprint, summed over shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UstateReport {
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
-    /// hits / (hits + misses); 0 before any traffic.
-    pub hit_rate: f64,
     pub resident_bytes: u64,
-    pub resident_users: u64,
-    pub spilled_users: u64,
     pub spill_file_bytes: u64,
-    pub budget_bytes: Option<u64>,
-    pub spill: LatencySummary,
-    pub load: LatencySummary,
 }
 
-impl UstateReport {
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "cache",
-                Json::obj([
-                    ("hit", Json::U64(self.hits)),
-                    ("miss", Json::U64(self.misses)),
-                    ("evict", Json::U64(self.evictions)),
-                    ("hit_rate", Json::F64(self.hit_rate)),
-                ]),
-            ),
-            ("resident_bytes", Json::U64(self.resident_bytes)),
-            ("resident_users", Json::U64(self.resident_users)),
-            ("spilled_users", Json::U64(self.spilled_users)),
-            ("spill_file_bytes", Json::U64(self.spill_file_bytes)),
-            ("budget_bytes_per_shard", Json::from(self.budget_bytes)),
-            ("spill", self.spill.to_json()),
-            ("load", self.load.to_json()),
-        ])
-    }
-}
-
-/// Point-in-time digest of one latency histogram: count and
-/// p50/p95/p99/mean/max, all answered from a single
-/// [`HistogramSnapshot`] capture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a latency histogram says about its mean.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencySummary {
-    pub count: u64,
-    pub p50: Option<Duration>,
-    pub p95: Option<Duration>,
-    pub p99: Option<Duration>,
+    /// Exact mean (sum / count), or `None` when empty.
     pub mean: Option<Duration>,
-    pub max: Option<Duration>,
 }
 
-impl From<HistogramSnapshot> for LatencySummary {
-    fn from(snap: HistogramSnapshot) -> Self {
-        LatencySummary {
-            count: snap.count(),
-            p50: snap.quantile_duration(0.50),
-            p95: snap.quantile_duration(0.95),
-            p99: snap.quantile_duration(0.99),
-            mean: snap.mean().map(|ns| Duration::from_nanos(ns as u64)),
-            max: snap.max().map(Duration::from_nanos),
-        }
-    }
-}
-
-impl LatencySummary {
-    /// JSON shape used inside [`RunReport`](rrc_obs::RunReport)s:
-    /// nanosecond-valued quantiles plus the count.
-    pub fn to_json(&self) -> Json {
-        fn ns(d: Option<Duration>) -> Json {
-            Json::from(d.map(|d| d.as_nanos().min(u64::MAX as u128) as u64))
-        }
-        Json::obj([
-            ("count", Json::U64(self.count)),
-            ("p50_ns", ns(self.p50)),
-            ("p95_ns", ns(self.p95)),
-            ("p99_ns", ns(self.p99)),
-            ("mean_ns", ns(self.mean)),
-            ("max_ns", ns(self.max)),
-        ])
-    }
-}
-
-impl std::fmt::Display for LatencySummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        fn d(x: Option<Duration>) -> String {
-            match x {
-                Some(v) => format!("{v:.1?}"),
-                None => "-".to_string(),
-            }
-        }
-        write!(
-            f,
-            "n={:<9} p50={:<9} p95={:<9} p99={:<9} mean={:<9} max={}",
-            self.count,
-            d(self.p50),
-            d(self.p95),
-            d(self.p99),
-            d(self.mean),
-            d(self.max)
-        )
-    }
-}
-
-/// One shard's traced stage latency breakdown.
+/// One shard's traced stage latencies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageSummary {
-    pub shard: usize,
     /// Time queued in the shard's inbox.
     pub enqueue_wait: LatencySummary,
     /// Shard processing (feature extraction, scoring, online SGD).
@@ -1446,71 +1085,24 @@ pub struct StageSummary {
     pub respond: LatencySummary,
 }
 
-impl StageSummary {
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("shard", Json::from(self.shard)),
-            ("enqueue_wait", self.enqueue_wait.to_json()),
-            ("score", self.score.to_json()),
-            ("respond", self.respond.to_json()),
-        ])
-    }
-}
-
-/// Rolling-window event throughput next to its cumulative counterpart.
-/// `over_cumulative` near 1.0 means the recent rate matches the lifetime
-/// mean (the CI sanity band); it diverges when traffic ramps or stalls.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowedThroughput {
-    /// Traced events processed inside the rolling window.
-    pub events: u64,
-    /// Windowed events per second (over the covered span).
-    pub rate_per_sec: f64,
-    /// How much wall-clock the window actually covers.
-    pub covered: Duration,
-    /// Windowed rate / cumulative lifetime rate (0 when idle).
-    pub over_cumulative: f64,
-}
-
-impl WindowedThroughput {
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("events", Json::U64(self.events)),
-            ("rate_per_sec", Json::F64(self.rate_per_sec)),
-            (
-                "covered_ms",
-                Json::U64(self.covered.as_millis().min(u64::MAX as u128) as u64),
-            ),
-            ("over_cumulative", Json::F64(self.over_cumulative)),
-        ])
-    }
-}
-
-/// A point-in-time view of engine traffic and latency.
-#[derive(Debug, Clone, PartialEq)]
+/// A point-in-time view of the engine's metrics: one registry capture
+/// and what in-process callers read off it. A run report renders
+/// `snapshot` as its `metrics` section and the two digests that are not
+/// series, `forensics` and `slo_verdicts`, as sections of their own.
+#[derive(Debug, Clone)]
 pub struct MetricsReport {
-    /// Time since the engine started.
-    pub uptime: Duration,
-    /// Client-observed recommend latency (queueing + scoring + reply).
-    pub recommend_latency: LatencySummary,
-    /// Client-observed latency of *synchronous* observes only;
-    /// fire-and-forget observes are counted per shard but not timed.
-    pub observe_latency: LatencySummary,
+    /// Every registered series, captured once after the read-side
+    /// gauges (uptime, drift, queue peaks) were refreshed.
+    pub snapshot: RegistrySnapshot,
     /// Per-shard traffic counters, indexed by shard id.
     pub shards: Vec<ShardCountersSnapshot>,
-    /// Per-shard traced stage breakdown (empty when tracing is off).
+    /// Per-shard stage latencies, indexed by shard id (empty untraced).
     pub stages: Vec<StageSummary>,
-    /// Rolling-window throughput (None when tracing is off).
-    pub windowed: Option<WindowedThroughput>,
-    /// User-state tier traffic and footprint.
     pub ustate: UstateReport,
-    /// Exemplar traces and flight-recorder digest (None when forensics
-    /// is off).
+    /// Exemplar traces and flight-recorder digest (forensics on only).
     pub forensics: Option<ForensicsReport>,
-    /// Overload accounting (None when overload is not configured).
-    pub overload: Option<OverloadReport>,
-    /// SLO verdicts (None when no objectives are configured).
-    pub slo: Option<SloSection>,
+    /// Per-objective SLO burn rates (empty without objectives).
+    pub slo_verdicts: Vec<SloVerdict>,
 }
 
 impl MetricsReport {
@@ -1528,203 +1120,24 @@ impl MetricsReport {
     pub fn total_online_updates(&self) -> u64 {
         self.shards.iter().map(|s| s.online_updates).sum()
     }
-
-    /// Mean observes per second over the engine's uptime.
-    pub fn observes_per_sec(&self) -> f64 {
-        self.total_observes() as f64 / self.uptime.as_secs_f64().max(1e-9)
-    }
-
-    /// The report as JSON: per-request-type latency summaries and the
-    /// per-shard counter table (the `loadgen --json` payload core).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "uptime_ms",
-                Json::U64(self.uptime.as_millis().min(u64::MAX as u128) as u64),
-            ),
-            (
-                "requests",
-                Json::obj([
-                    ("recommend", self.recommend_latency.to_json()),
-                    ("observe", self.observe_latency.to_json()),
-                ]),
-            ),
-            (
-                "shards",
-                Json::Arr(
-                    self.shards
-                        .iter()
-                        .enumerate()
-                        .map(|(id, s)| {
-                            Json::obj([
-                                ("shard", Json::from(id)),
-                                ("observes", Json::U64(s.observes)),
-                                ("recommends", Json::U64(s.recommends)),
-                                ("online_updates", Json::U64(s.online_updates)),
-                                ("swaps", Json::U64(s.swaps)),
-                                ("skipped", Json::U64(s.skipped)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "totals",
-                Json::obj([
-                    ("observes", Json::U64(self.total_observes())),
-                    ("recommends", Json::U64(self.total_recommends())),
-                    ("online_updates", Json::U64(self.total_online_updates())),
-                    ("observes_per_sec", Json::F64(self.observes_per_sec())),
-                ]),
-            ),
-            (
-                "stages",
-                Json::Arr(self.stages.iter().map(StageSummary::to_json).collect()),
-            ),
-            (
-                "windowed",
-                self.windowed
-                    .as_ref()
-                    .map_or(Json::Null, WindowedThroughput::to_json),
-            ),
-            ("ustate", self.ustate.to_json()),
-            (
-                "forensics",
-                self.forensics
-                    .as_ref()
-                    .map_or(Json::Null, ForensicsReport::to_json),
-            ),
-            (
-                "overload",
-                self.overload
-                    .as_ref()
-                    .map_or(Json::Null, OverloadReport::to_json),
-            ),
-            (
-                "slo",
-                self.slo.as_ref().map_or(Json::Null, SloSection::to_json),
-            ),
-        ])
-    }
-}
-
-impl std::fmt::Display for MetricsReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "uptime {:.2?}", self.uptime)?;
-        writeln!(f, "recommend  {}", self.recommend_latency)?;
-        writeln!(f, "observe    {}", self.observe_latency)?;
-        for (i, s) in self.shards.iter().enumerate() {
-            writeln!(
-                f,
-                "shard {i:<2} observes={:<9} recommends={:<9} online_updates={:<9} swaps={:<4} skipped={}",
-                s.observes, s.recommends, s.online_updates, s.swaps, s.skipped
-            )?;
-        }
-        for st in &self.stages {
-            writeln!(f, "shard {:<2} enqueue_wait {}", st.shard, st.enqueue_wait)?;
-            writeln!(f, "shard {:<2} score        {}", st.shard, st.score)?;
-            writeln!(f, "shard {:<2} respond      {}", st.shard, st.respond)?;
-        }
-        if let Some(w) = &self.windowed {
-            writeln!(
-                f,
-                "windowed events={} rate={:.0}/s covered={:.1?} over_cumulative={:.3}",
-                w.events, w.rate_per_sec, w.covered, w.over_cumulative
-            )?;
-        }
-        if let Some(fx) = &self.forensics {
-            for t in fx.slowest.iter().take(3) {
-                writeln!(
-                    f,
-                    "slow trace id={} shard={} kind={} total={}ns wait={}ns score={}ns respond={}ns depth={}",
-                    t.id,
-                    t.shard,
-                    t.kind,
-                    t.total_ns(),
-                    t.enqueue_wait_ns,
-                    t.score_ns,
-                    t.respond_ns,
-                    t.queue_depth
-                )?;
-            }
-            for e in &fx.p99_exemplars {
-                writeln!(
-                    f,
-                    "p99 exemplar shard={} stage={} p99={}ns trace={}",
-                    e.shard, e.stage, e.p99_ns, e.trace_id
-                )?;
-            }
-        }
-        if let Some(slo) = &self.slo {
-            for v in &slo.verdicts {
-                writeln!(
-                    f,
-                    "slo {} {} {:.0} state={} burn short={:.2} long={:.2}",
-                    v.name,
-                    v.cmp.as_str(),
-                    v.bound,
-                    v.state.as_str(),
-                    v.short_burn,
-                    v.long_burn
-                )?;
-            }
-        }
-        if let Some(o) = &self.overload {
-            let cap = |c: Option<u64>| c.map_or("-".to_string(), |v| v.to_string());
-            writeln!(
-                f,
-                "overload cap={} observe_cap={} peak_depth={} window_shed_rate={:.3}",
-                cap(o.queue_cap),
-                cap(o.observe_cap),
-                o.peak_depth,
-                o.shed_rate_window()
-            )?;
-            for (kind, k) in [("observe", &o.observe), ("recommend", &o.recommend)] {
-                writeln!(
-                    f,
-                    "overload {kind:<9} offered={} admitted={} shed_queue={} shed_deadline={}",
-                    k.offered, k.admitted, k.shed_queue, k.shed_deadline
-                )?;
-            }
-        }
-        let u = &self.ustate;
-        if u.hits + u.misses > 0 {
-            writeln!(
-                f,
-                "ustate hit={} miss={} evict={} rate={:.3} resident={}B/{} users spilled={}",
-                u.hits,
-                u.misses,
-                u.evictions,
-                u.hit_rate,
-                u.resident_bytes,
-                u.resident_users,
-                u.spilled_users
-            )?;
-        }
-        write!(
-            f,
-            "total observes={} ({:.0}/s) recommends={} online_updates={}",
-            self.total_observes(),
-            self.observes_per_sec(),
-            self.total_recommends(),
-            self.total_online_updates()
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn untraced(options: EngineOptions) -> EngineOptions {
-        EngineOptions {
+    /// Untraced metrics with `overload` accounting.
+    fn with(shards: usize, overload: OverloadOptions) -> EngineMetrics {
+        let options = EngineOptions {
             tracing: false,
-            ..options
-        }
+            overload,
+            ..EngineOptions::default()
+        };
+        EngineMetrics::new(shards, &options)
     }
 
     fn plain(shards: usize) -> EngineMetrics {
-        EngineMetrics::new(shards, &untraced(EngineOptions::default()))
+        with(shards, OverloadOptions::default())
     }
 
     #[test]
@@ -1736,30 +1149,25 @@ mod tests {
         let r = m.report(Duration::from_secs(2));
         assert_eq!(r.total_observes(), 12);
         assert_eq!(r.total_recommends(), 2);
-        assert!((r.observes_per_sec() - 6.0).abs() < 1e-9);
-        // Display renders without panicking.
-        let _ = r.to_string();
+        assert_eq!(r.shards[2].observes, 7);
+        // The typed counters are read off the report's own capture.
+        assert_eq!(r.snapshot.sum("serve_observes_total", &[]), 12);
+        assert_eq!(r.snapshot.sum("serve_uptime_ms", &[]), 2_000);
     }
 
     #[test]
     fn latency_summary_tracks_histogram_snapshot() {
-        let m = plain(1);
+        let m = EngineMetrics::new(2, &EngineOptions::default());
+        let score = &m.tracing.as_ref().unwrap().stages[1][1];
         for micros in [100u64, 200, 400, 800] {
-            m.recommend_latency
-                .record_duration(Duration::from_micros(micros));
+            score.record_duration(Duration::from_micros(micros));
         }
         let r = m.report(Duration::from_secs(1));
-        let s = r.recommend_latency;
-        assert_eq!(s.count, 4);
-        assert!(s.p50.unwrap() >= Duration::from_micros(64));
-        assert_eq!(s.max, Some(Duration::from_micros(800)));
-        let mean = s.mean.unwrap();
-        assert!(
-            mean >= Duration::from_micros(300) && mean <= Duration::from_micros(450),
-            "mean={mean:?}"
-        );
-        // Empty observe histogram reports no quantiles.
-        assert_eq!(r.observe_latency.p99, None);
+        // The mean is exact, Σ / n rather than a bucket midpoint, and an
+        // empty histogram has none.
+        assert_eq!(r.stages[1].score.mean, Some(Duration::from_micros(375)));
+        assert_eq!(r.stages[0].score.mean, None);
+        assert_eq!(r.stages[1].respond.mean, None);
     }
 
     #[test]
@@ -1767,159 +1175,107 @@ mod tests {
         let m = plain(2);
         m.shards[1].observes.add(9);
         m.observe_latency.record_duration(Duration::from_micros(50));
-        m.touch_uptime(Duration::from_millis(1500));
+        m.refresh(Duration::from_millis(1500));
         let text = m.registry.prometheus_text();
-        assert!(
-            text.contains("serve_observes_total{shard=\"1\"} 9"),
-            "{text}"
-        );
-        assert!(text.contains("# TYPE serve_observe_latency_ns histogram"));
-        assert!(text.contains("serve_observe_latency_ns_count 1"));
-        assert!(text.contains("serve_shards 2"));
-        assert!(text.contains("serve_uptime_ms 1500"));
+        for line in [
+            "serve_observes_total{shard=\"1\"} 9",
+            "# TYPE serve_observe_latency_ns histogram",
+            "serve_observe_latency_ns_count 1",
+            "serve_shards 2",
+            "serve_uptime_ms 1500",
+        ] {
+            assert!(text.contains(line), "{line} missing from {text}");
+        }
     }
 
     #[test]
     fn ustate_report_aggregates_shards() {
-        let m = EngineMetrics::new(
-            2,
-            &untraced(EngineOptions {
-                ustate: crate::UstateOptions {
-                    budget_bytes: Some(4096),
-                    ..Default::default()
-                },
-                ..EngineOptions::default()
-            }),
-        );
-        m.ustate.record(
-            0,
-            &rrc_ustate::TierDelta {
-                hits: 3,
-                misses: 1,
-                evictions: 2,
-                evicted_users: vec![7, 9],
-                spill_ns: vec![1_000, 2_000],
-                load_ns: vec![500],
-            },
-        );
-        m.ustate.record(
-            1,
-            &rrc_ustate::TierDelta {
-                hits: 5,
-                misses: 1,
-                evictions: 0,
-                evicted_users: vec![],
-                spill_ns: vec![],
-                load_ns: vec![],
-            },
-        );
-        m.ustate.set_footprint(0, 1_000, 4, 2, 600, Some(4096));
-        m.ustate.set_footprint(1, 900, 3, 1, 400, Some(4096));
-        let r = m.report(Duration::from_secs(1)).ustate;
-        assert_eq!((r.hits, r.misses, r.evictions), (8, 2, 2));
-        assert!((r.hit_rate - 0.8).abs() < 1e-9);
-        assert_eq!(r.resident_bytes, 1_900);
-        assert_eq!(r.resident_users, 7);
-        assert_eq!(r.spilled_users, 3);
-        assert_eq!(r.spill_file_bytes, 1_000);
-        assert_eq!(r.budget_bytes, Some(4096));
-        assert_eq!(r.spill.count, 2);
-        assert_eq!(r.load.count, 1);
-
-        // Two shards of different latencies are one population: the mean
-        // is Σsum / Σcount, the median lies with the faster majority, and
-        // the maximum is the slower shard's.
-        let slow = rrc_ustate::TierDelta {
-            spill_ns: vec![1_000_000],
+        // The shards report their budget with their footprint.
+        let m = plain(2);
+        let delta = |hits, spill_ns: Vec<u64>| rrc_ustate::TierDelta {
+            hits,
+            misses: 1,
+            evictions: spill_ns.len() as u64,
+            spill_ns,
             ..Default::default()
         };
-        m.ustate.record(1, &slow);
-        let spill = m.report(Duration::from_secs(1)).ustate.spill;
-        assert_eq!(spill.count, 3);
-        assert_eq!(
-            spill.mean,
-            Some(Duration::from_nanos((1_000 + 2_000 + 1_000_000) / 3))
-        );
-        assert!(spill.p50 < Some(Duration::from_nanos(1_000_000)));
-        assert_eq!(spill.max, Some(Duration::from_nanos(1_000_000)));
-        let doc = Json::parse(&r.to_json().render()).unwrap();
-        assert_eq!(doc.at("cache.hit").and_then(Json::as_u64), Some(8));
-        assert_eq!(
-            doc.at("budget_bytes_per_shard").and_then(Json::as_u64),
-            Some(4096)
-        );
+        m.ustate.record(0, &delta(3, vec![1_000, 2_000]));
+        m.ustate.record(1, &delta(5, vec![]));
+        m.ustate.set_footprint(0, 1_000, 4, 2, 600, Some(4096));
+        m.ustate.set_footprint(1, 900, 3, 1, 400, Some(4096));
+        let r = m.report(Duration::from_secs(1));
+        let u = r.ustate;
+        assert_eq!((u.hits, u.misses, u.evictions), (8, 2, 2));
+        assert_eq!((u.resident_bytes, u.spill_file_bytes), (1_900, 1_000));
+        let snap = &r.snapshot;
+        assert_eq!(snap.sum("ustate_resident_users", &[]), 7);
+        assert_eq!(snap.sum("ustate_spilled_users", &[]), 3);
+        assert_eq!(snap.sum("ustate_budget_bytes", &[("shard", "1")]), 4096);
+        let spills = |shard| snap.histogram("ustate_spill_ns", &[("shard", shard)]);
+        assert_eq!(spills("0").map(|h| h.count()), Some(2));
+        assert_eq!(spills("1").map(|h| h.count()), Some(0));
     }
 
     #[test]
     fn overload_section_absent_by_default_present_when_enabled() {
         let m = plain(1);
         assert!(m.overload.is_none());
-        let r = m.report(Duration::from_secs(1));
-        assert!(r.overload.is_none());
-        let doc = Json::parse(&r.to_json().render()).unwrap();
-        assert!(doc.get("overload").is_some_and(Json::is_null));
+        let snap = m.report(Duration::from_secs(1)).snapshot;
+        assert!(snap.get("serve_queue_cap", &[]).is_none());
+        assert_eq!(snap.matching("serve_offered_total", &[]).count(), 0);
 
-        let bounded = EngineMetrics::new(
+        let bounded = with(
             2,
-            &untraced(EngineOptions {
-                overload: OverloadOptions {
-                    queue_cap: Some(8),
-                    observe_fraction: 0.75,
-                    deadline: None,
-                },
-                ..EngineOptions::default()
-            }),
+            OverloadOptions {
+                queue_cap: Some(8),
+                observe_fraction: 0.75,
+                deadline: None,
+            },
         );
         // Simulate: 3 observes offered on shard 0 (2 served, 1 queue
         // shed), 2 recommends on shard 1 (1 served, 1 deadline shed).
-        let run = |shard: usize, kind: RequestKind, outcome: Result<(), ShedReason>| {
+        let (observe, recommend) = (RequestKind::Observe, RequestKind::Recommend);
+        for (shard, kind, outcome) in [
+            (0, observe, Ok(())),
+            (0, observe, Ok(())),
+            (0, observe, Err(ShedReason::QueueFull)),
+            (1, recommend, Ok(())),
+            (1, recommend, Err(ShedReason::Deadline)),
+        ] {
             let trace = bounded.offered(shard, kind, false, false).unwrap();
             let mut rec = bounded.dequeued(shard, kind, UserId(0), trace);
             rec.outcome = outcome;
             bounded.finished(&rec, None);
-        };
-        run(0, RequestKind::Observe, Ok(()));
-        run(0, RequestKind::Observe, Ok(()));
-        run(0, RequestKind::Observe, Err(ShedReason::QueueFull));
-        run(1, RequestKind::Recommend, Ok(()));
-        run(1, RequestKind::Recommend, Err(ShedReason::Deadline));
-        let r = bounded.report(Duration::from_secs(1));
-        let o = r.overload.as_ref().unwrap();
-        assert_eq!(o.queue_cap, Some(8));
-        assert_eq!(o.observe_cap, Some(6));
-        assert!(o.observe.conserved(), "{:?}", o.observe);
-        assert!(o.recommend.conserved(), "{:?}", o.recommend);
-        assert_eq!(o.total().offered, 5);
-        assert_eq!(o.total().shed(), 2);
-        assert_eq!(o.observe.shed_queue, 1);
-        assert_eq!(o.recommend.shed_deadline, 1);
+        }
+        let snap = bounded.report(Duration::from_secs(1)).snapshot;
+        assert_eq!(snap.sum("serve_queue_cap", &[]), 8);
+        assert_eq!(snap.sum("serve_queue_observe_cap", &[]), 6);
+        for (kind, offered) in [("observe", 3), ("recommend", 2)] {
+            let k = [("kind", kind)];
+            assert_eq!(snap.sum("serve_offered_total", &k), offered);
+            assert_eq!(
+                snap.sum("serve_admitted_total", &k) + snap.sum("serve_shed_total", &k),
+                offered,
+                "{kind} not conserved"
+            );
+        }
+        let shed =
+            |kind, reason| snap.sum("serve_shed_total", &[("kind", kind), ("reason", reason)]);
+        assert_eq!(
+            (shed("observe", "queue"), shed("recommend", "deadline")),
+            (1, 1)
+        );
         // Window saw 5 offered, 2 shed.
-        assert!((o.shed_rate_window() - 0.4).abs() < 1e-9);
-        let om = bounded.overload.as_ref().unwrap();
-        assert_eq!(om.shed_rate_window(), Some(0.4));
-        let doc = Json::parse(&r.to_json().render()).unwrap();
+        assert_eq!(snap.sum("serve_offered_window", &[]), 5);
+        assert_eq!(snap.sum("serve_shed_window", &[]), 2);
         assert_eq!(
-            doc.at("overload.total.offered").and_then(Json::as_u64),
-            Some(5)
-        );
-        assert_eq!(
-            doc.at("overload.observe.shed_queue").and_then(Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            doc.at("overload.shards.1.recommend.shed_deadline")
-                .and_then(Json::as_u64),
-            Some(1)
+            bounded.overload.as_ref().unwrap().shed_rate_window(),
+            Some(0.4)
         );
         // Prometheus exposition carries the labelled shed series.
         let text = bounded.registry.prometheus_text();
-        assert!(
-            text.contains("serve_shed_total{kind=\"observe\",reason=\"queue\",shard=\"0\"} 1")
-                || text
-                    .contains("serve_shed_total{shard=\"0\",kind=\"observe\",reason=\"queue\"} 1"),
-            "{text}"
-        );
-        let _ = r.to_string();
+        let line = "serve_shed_total{shard=\"0\",kind=\"observe\",reason=\"queue\"} 1";
+        assert!(text.contains(line), "{text}");
     }
 
     #[test]
@@ -1927,17 +1283,15 @@ mod tests {
         let m = plain(2);
         m.shards[0].observes.add(3);
         m.observe_latency.record_duration(Duration::from_micros(10));
-        let doc = Json::parse(&m.report(Duration::from_secs(1)).to_json().render()).unwrap();
+        let snapshot = m.report(Duration::from_secs(1)).snapshot;
+        let doc = Json::parse(&rrc_obs::snapshot_to_json(&snapshot).render()).unwrap();
+        let number = |path| doc.at(path).and_then(Json::as_u64);
+        assert_eq!(number("histograms.serve_observe_latency_ns.count"), Some(1));
+        assert!(number("histograms.serve_observe_latency_ns.p50").is_some());
         assert_eq!(
-            doc.at("requests.observe.count").and_then(Json::as_u64),
-            Some(1)
+            number("counters.serve_observes_total{shard=\"0\"}"),
+            Some(3)
         );
-        assert!(doc
-            .at("requests.observe.p50_ns")
-            .unwrap()
-            .as_u64()
-            .is_some());
-        assert_eq!(doc.at("shards.0.observes").and_then(Json::as_u64), Some(3));
-        assert_eq!(doc.at("totals.observes").and_then(Json::as_u64), Some(3));
+        assert_eq!(number("gauges.serve_uptime_ms"), Some(1_000));
     }
 }

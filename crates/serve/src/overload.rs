@@ -104,7 +104,7 @@ impl Admission {
 ///
 /// The default (`queue_cap: None`, `deadline: None`) preserves the
 /// engine's historical behavior exactly: unbounded queues, no shedding,
-/// no overload metrics, no `engine.overload` report section.
+/// no overload series in the registry or the run report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadOptions {
     /// Bounded per-shard queue capacity for data requests. `None` keeps

@@ -98,63 +98,71 @@ fn engine_registers_exactly_these_series() {
         .map(|(id, _)| id.name)
         .collect();
     // Every series costs its writer something and a reader of the report
-    // a line: name the reader before adding a line.
+    // a line: name the reader before adding a line. A reader is a CI
+    // `obs-check` gate, an `rrc-top` panel, `slo_tick`, or the benchmark's
+    // `sut.rs` through `MetricsReport`.
     let expected = [
-        // `MetricsReport::{recommend,observe}_latency`; CI `--histogram-quantile`.
+        // CI `--require …p50` / `--histogram-quantile`; `rrc-top` requests.
         "serve_observe_latency_ns",
         "serve_recommend_latency_ns",
-        // `MetricsReport::shards`.
+        // CI windowed ÷ cumulative `--between`; `sut.rs` `total_*()`.
         "serve_observes_total",
         "serve_recommends_total",
+        // `sut.rs` `total_online_updates()` and `shards[].swaps`.
         "serve_online_updates_total",
         "serve_swaps_total",
+        // CI `--between … 0 0`: a replay never names an unknown id.
         "serve_skipped_total",
-        // Tracing. `MetricsReport::stages`, and forensics' p99 exemplars.
+        // Tracing. CI `--require`, `rrc-top` stages, `sut.rs` `stages`.
         "serve_stage_duration_ns",
-        // `rrc-top`, CI `--require`, `tests/request_paths.rs`.
+        // CI `--require`; `rrc-top` stages.
         "serve_queue_depth",
         "serve_inflight",
-        // `MetricsReport::windowed`.
+        // CI windowed ÷ cumulative `--between`; `rrc-top` throughput.
         "serve_events_window",
         // Forensics. `slo_tick`'s latency objectives.
         "serve_request_latency_window_ns",
-        // SLO verdicts as gauges, for a scrape (README, DESIGN).
+        // CI `--require`; `rrc-top` SLO panel.
         "slo_state",
         "slo_worst",
-        // Quality. `build_report`'s windowed rows.
+        // Quality: the `quality` section's windowed rows, which CI
+        // `--require`s and `rrc-top` renders.
         "online_opportunities_window",
         "online_hits_window",
         "online_rr_micro_window",
-        // CI `--require` / a scrape.
+        // CI `--require`; `rrc-top` drift line.
         "serve_drift_score_micro",
         "serve_drift_feature_micro",
-        // `MetricsReport::ustate`; CI's bounded step.
+        // CI's bounded step and `rrc-top`'s cache panel; the five that
+        // `UstateReport` sums are `sut.rs`'s too.
         "ustate_cache_hits_total",
         "ustate_cache_misses_total",
         "ustate_cache_evictions_total",
         "ustate_resident_bytes",
-        "ustate_resident_users",
-        "ustate_spilled_users",
         "ustate_spill_file_bytes",
         "ustate_budget_bytes",
         "ustate_spill_ns",
         "ustate_load_ns",
-        // `MetricsReport::overload`; CI's conservation `--eq-sum`.
+        // `rrc-top` cache panel.
+        "ustate_resident_users",
+        "ustate_spilled_users",
+        // CI conservation `--between`; `rrc-top` overload panel.
         "serve_offered_total",
         "serve_admitted_total",
         "serve_shed_total",
-        // `slo_tick`'s shed-rate objective, `OverloadReport::shed_rate_window`.
+        // `slo_tick`'s shed-rate objective; `rrc-top`'s windowed shed rate.
         "serve_offered_window",
         "serve_shed_window",
-        // CI `--require`; set when the report is built or once at start.
+        // CI `--max` / `--min`; `rrc-top` overload panel. The peak is
+        // refreshed from the gates at every exposition.
         "serve_queue_peak",
         "serve_queue_cap",
         "serve_queue_observe_cap",
-        // `rrc-top`'s header; set per install.
+        // `rrc-top` header (CI `--require`s the version).
         "serve_model_version",
         "serve_model_fingerprint",
-        // Set once at start / per exposition, for a scrape.
         "serve_shards",
+        // `rrc-top` header; CI's observes ÷ uptime `--between`.
         "serve_uptime_ms",
     ];
     let expected: BTreeSet<String> = expected.iter().map(|s| s.to_string()).collect();

@@ -46,48 +46,57 @@ fn json_report_carries_the_keys_ci_requires() {
     std::fs::remove_file(&path).ok();
     let doc = Json::parse(&text).expect("report is strict JSON");
 
-    for key in [
+    // CI's `--require` paths; label globs fan over every shard's series.
+    for path in [
         "results.events",
         "results.events_per_sec",
-        "engine.requests.observe.p50_ns",
-        "engine.requests.observe.p95_ns",
-        "engine.requests.observe.p99_ns",
-        "engine.requests.recommend.p99_ns",
-        "engine.shards.0.observes",
-        "engine.totals.observes_per_sec",
-        "engine.stages.0.score.p50_ns",
-        "engine.windowed.over_cumulative",
+        "metrics.histograms.serve_observe_latency_ns.p50",
+        "metrics.histograms.serve_observe_latency_ns.p95",
+        "metrics.histograms.serve_observe_latency_ns.p99",
+        "metrics.histograms.serve_recommend_latency_ns.p99",
+        "metrics.counters.serve_observes_total{shard=0}",
+        "metrics.histograms.serve_stage_duration_ns{shard=*,stage=score}.p50",
+        "metrics.windowed_counters.serve_events_window{shard=*}.total",
+        "metrics.gauges.serve_queue_depth{shard=*}",
+        "metrics.gauges.serve_inflight{shard=*}",
         "metrics.gauges.serve_drift_score_micro",
         "metrics.gauges.serve_model_version",
+        "metrics.gauges.serve_uptime_ms",
         "quality.versions.0.windowed.hit10",
         "quality.drift.score_micro",
         "quality.overall.hit10",
         "quality.overall.mrr",
         "quality.overall.opportunities",
     ] {
-        assert!(
-            doc.at(key).is_some_and(|v| !v.is_null()),
-            "report lacks {key}"
-        );
+        let found = doc.select(path);
+        assert!(!found.is_empty(), "report lacks {path}");
+        for (at, v) in found {
+            assert!(!v.is_null(), "{at} is null");
+        }
     }
-    // The labelled series CI globs over, at shard 0.
-    for (section, series) in [
-        (
-            "metrics.histograms",
-            "serve_stage_duration_ns{shard=\"0\",stage=\"score\"}",
-        ),
-        ("metrics.gauges", "serve_queue_depth{shard=\"0\"}"),
-        ("metrics.gauges", "serve_inflight{shard=\"0\"}"),
-    ] {
-        let section = doc.at(section).expect(section);
-        assert!(section.get(series).is_some(), "report lacks {series}");
+    // Every number that is a series is in `metrics` only.
+    for section in ["engine", "ustate"] {
+        assert!(doc.get(section).is_none(), "report still has `{section}`");
     }
+    let sum = |path: &str| -> u64 {
+        doc.select(path)
+            .iter()
+            .filter_map(|(_, v)| v.as_u64())
+            .sum()
+    };
     // Closed loop: every replayed event is one served observe.
     let events = doc.at("results.events").and_then(Json::as_u64);
     assert!(events > Some(0));
     assert_eq!(
         events,
-        doc.at("engine.totals.observes").and_then(Json::as_u64)
+        Some(sum("metrics.counters.serve_observes_total{shard=*}"))
+    );
+    // The window covers the whole short run, so CI's windowed ÷
+    // cumulative ratio is exactly 1 here.
+    assert_eq!(
+        sum("metrics.windowed_counters.serve_events_window{shard=*}.total"),
+        sum("metrics.counters.serve_observes_total{shard=*}")
+            + sum("metrics.counters.serve_recommends_total{shard=*}")
     );
 }
 

@@ -12,6 +12,7 @@ use rand::SeedableRng;
 use rrc_core::{OnlineConfig, OnlineTsPpr, TsPprModel};
 use rrc_datagen::GeneratorConfig;
 use rrc_features::{FeaturePipeline, TrainStats};
+use rrc_obs::RegistrySnapshot;
 use rrc_sequence::{ItemId, UserId};
 use rrc_serve::{
     Admission, AdmissionGate, EngineOptions, ForensicsOptions, OverloadOptions, RequestKind,
@@ -71,6 +72,26 @@ fn engine_with(
     )
 }
 
+/// One slice of the overload books, `[offered, admitted, shed_queue,
+/// shed_deadline]`, summed over the series carrying `labels`.
+fn books(snap: &RegistrySnapshot, labels: &[(&str, &str)]) -> [u64; 4] {
+    let shed = |reason| {
+        let with_reason: Vec<_> = labels.iter().copied().chain([("reason", reason)]).collect();
+        snap.sum("serve_shed_total", &with_reason)
+    };
+    [
+        snap.sum("serve_offered_total", labels),
+        snap.sum("serve_admitted_total", labels),
+        shed("queue"),
+        shed("deadline"),
+    ]
+}
+
+/// `offered == admitted + shed_queue + shed_deadline`.
+fn conserved([offered, admitted, queue, deadline]: [u64; 4]) -> bool {
+    offered == admitted + queue + deadline
+}
+
 /// The conservation law under concurrent load: many writer threads race
 /// typed observes and recommends against a small bounded queue with a
 /// deadline, and afterwards the books balance — per shard, per kind, and
@@ -116,42 +137,31 @@ fn conservation_holds_per_shard_and_kind_under_concurrent_writers() {
         }
     });
     engine.flush();
-    let report = engine.metrics();
-    let o = report.overload.expect("overload section present");
+    let snap = engine.metrics().snapshot;
 
     // Per shard, per kind: offered == admitted + shed.
-    for shard in &o.shards {
+    for shard in ["0", "1", "2", "3"] {
+        for kind in ["observe", "recommend"] {
+            let b = books(&snap, &[("shard", shard), ("kind", kind)]);
+            assert!(conserved(b), "shard {shard} {kind} not conserved: {b:?}");
+        }
+        let peak = snap.sum("serve_queue_peak", &[("shard", shard)]);
         assert!(
-            shard.observe.conserved(),
-            "shard {} observe not conserved: {:?}",
-            shard.shard,
-            shard.observe
-        );
-        assert!(
-            shard.recommend.conserved(),
-            "shard {} recommend not conserved: {:?}",
-            shard.shard,
-            shard.recommend
-        );
-        assert!(
-            shard.peak_depth <= 8,
-            "shard {} queue exceeded its cap: peak {}",
-            shard.shard,
-            shard.peak_depth
+            peak <= 8,
+            "shard {shard} queue exceeded its cap: peak {peak}"
         );
     }
     // Engine totals equal the client-side books exactly.
-    assert_eq!(o.observe.offered, observes_offered.load(Ordering::Relaxed));
-    assert_eq!(
-        o.recommend.offered,
-        recommends_offered.load(Ordering::Relaxed)
-    );
-    assert_eq!(o.observe.offered, (WRITERS as u64) * PER_WRITER / 5 * 4);
-    let total = o.total();
-    assert!(total.conserved(), "engine totals not conserved: {total:?}");
+    let [observes, ..] = books(&snap, &[("kind", "observe")]);
+    let [recommends, ..] = books(&snap, &[("kind", "recommend")]);
+    assert_eq!(observes, observes_offered.load(Ordering::Relaxed));
+    assert_eq!(recommends, recommends_offered.load(Ordering::Relaxed));
+    assert_eq!(observes, (WRITERS as u64) * PER_WRITER / 5 * 4);
+    let total = books(&snap, &[]);
+    assert!(conserved(total), "engine totals not conserved: {total:?}");
     // Nowait observes report queue sheds but not deadline sheds (their
     // replies are discarded), so the client-side count is a lower bound.
-    assert!(total.shed() >= client_shed.load(Ordering::Relaxed));
+    assert!(total[2] + total[3] >= client_shed.load(Ordering::Relaxed));
     engine.shutdown();
 }
 
@@ -185,14 +195,43 @@ fn full_queue_sheds_with_typed_reason() {
     assert!(admitted > 0, "some of the flood must fit in the queue");
     assert!(shed > 0, "a 4-deep queue cannot absorb 32 instant arrivals");
     engine.flush();
-    let o = engine.metrics().overload.expect("overload section");
-    assert!(o.total().conserved());
-    assert_eq!(o.observe.shed_queue, shed);
-    assert!(
-        o.peak_depth <= 4,
-        "peak depth {} exceeds cap 4",
-        o.peak_depth
+    let snap = engine.metrics().snapshot;
+    assert!(conserved(books(&snap, &[])));
+    assert_eq!(books(&snap, &[("kind", "observe")])[2], shed);
+    let peak = snap.sum("serve_queue_peak", &[]);
+    assert!(peak <= 4, "peak depth {peak} exceeds cap 4");
+    engine.shutdown();
+}
+
+/// A scrape refreshes the queue peak from the gates, as a report does:
+/// after sheds, `metrics_text` shows the gate's high-water mark with no
+/// `metrics()` call before it.
+#[test]
+fn a_scrape_shows_the_queue_peak_without_a_report() {
+    let engine = engine_with(
+        1,
+        OverloadOptions {
+            queue_cap: Some(4),
+            observe_fraction: 1.0,
+            deadline: None,
+        },
+        Some((0, Duration::from_millis(10))),
     );
+    // Park the shard in a stall, then flood its 4-deep queue.
+    let _ = engine.try_observe_nowait(UserId(0), ItemId(1), None);
+    let shed = (0..32)
+        .filter(|&i| {
+            let item = ItemId(i % ITEMS as u32);
+            matches!(
+                engine.try_observe_nowait(UserId(0), item, None),
+                Admission::Shed(_)
+            )
+        })
+        .count();
+    assert!(shed > 0, "a 4-deep queue cannot absorb 32 instant arrivals");
+    engine.flush();
+    let text = engine.metrics_text();
+    assert!(text.contains("serve_queue_peak{shard=\"0\"} 4"), "{text}");
     engine.shutdown();
 }
 
@@ -229,9 +268,9 @@ fn expired_deadline_sheds_instead_of_serving_late() {
     );
     assert!(ok.is_ok());
     engine.flush();
-    let o = engine.metrics().overload.expect("overload section");
-    assert_eq!(o.total().shed_deadline, 2);
-    assert!(o.total().conserved());
+    let total = books(&engine.metrics().snapshot, &[]);
+    assert_eq!(total[3], 2);
+    assert!(conserved(total));
     engine.shutdown();
 }
 
@@ -262,7 +301,11 @@ fn bounded_queue_keeps_recommends_fast_while_unbounded_collapses() {
         let _ = engine.try_recommend(UserId(1), 5, None);
         let latency = t.elapsed();
         engine.flush();
-        let shed = engine.metrics().overload.map(|o| o.total().shed_queue);
+        // No gate, no overload series: `None` rather than a zero.
+        let snap = engine.metrics().snapshot;
+        let shed = snap
+            .get("serve_queue_cap", &[])
+            .map(|_| books(&snap, &[])[2]);
         engine.shutdown();
         (latency, shed)
     };
@@ -273,7 +316,7 @@ fn bounded_queue_keeps_recommends_fast_while_unbounded_collapses() {
         bounded_shed.unwrap() > 0,
         "the bounded run must actually have shed"
     );
-    assert_eq!(unbounded_shed, None, "no gate means no overload section? ");
+    assert_eq!(unbounded_shed, None, "no gate means no overload series");
     // 1500 stalled events ≈ 150ms of backlog unbounded; bounded admits at
     // most 32 ≈ 3.2ms. Compare with a wide margin so CI noise cannot flip
     // the verdict: the unbounded tail must exceed the bounded one several

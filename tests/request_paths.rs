@@ -261,36 +261,50 @@ fn run_cell(door: Door, gated: bool, tracing: bool) {
     }
 
     let report = cell.engine.metrics();
+    let snap = &report.snapshot;
     let text = cell.engine.metrics_text();
     let sum = |pick: fn(&Tally) -> u64, kind: usize| -> u64 {
         cell.books.iter().map(|shard| pick(&shard[kind])).sum()
     };
+    let kinds = ["observe", "recommend"];
 
     // Conservation, per shard and kind, against the client's books.
-    match &report.overload {
-        Some(o) => {
-            assert!(gated, "{label}");
-            for (shard, books) in cell.books.iter().enumerate() {
-                let stats = &o.shards[shard];
-                for (kind, got) in [stats.observe, stats.recommend].into_iter().enumerate() {
-                    let want = books[kind];
-                    assert!(got.conserved(), "{label} shard {shard}: {got:?}");
-                    assert_eq!(
-                        (got.offered, got.admitted, got.shed_queue, got.shed_deadline),
-                        (
-                            want.offered,
-                            want.served,
-                            want.shed_queue,
-                            want.shed_deadline
-                        ),
-                        "{label} shard {shard} kind {kind}"
-                    );
-                }
+    assert_eq!(snap.get("serve_queue_cap", &[]).is_some(), gated, "{label}");
+    if gated {
+        for (shard, books) in cell.books.iter().enumerate() {
+            let shard = shard.to_string();
+            for (kind, want) in kinds.into_iter().zip(books) {
+                let labels = [("shard", shard.as_str()), ("kind", kind)];
+                let shed = |reason| {
+                    let [s, k] = labels;
+                    snap.sum("serve_shed_total", &[s, k, ("reason", reason)])
+                };
+                let got = (
+                    snap.sum("serve_offered_total", &labels),
+                    snap.sum("serve_admitted_total", &labels),
+                    shed("queue"),
+                    shed("deadline"),
+                );
+                assert_eq!(
+                    got.0,
+                    got.1 + got.2 + got.3,
+                    "{label} shard {shard}: {got:?}"
+                );
+                assert_eq!(
+                    got,
+                    (
+                        want.offered,
+                        want.served,
+                        want.shed_queue,
+                        want.shed_deadline
+                    ),
+                    "{label} shard {shard} kind {kind}"
+                );
             }
-            let kind = &[o.observe, o.recommend][door.kind()];
-            assert!(kind.shed_queue >= 1 && kind.shed_deadline >= 1, "{label}");
         }
-        None => assert!(!gated, "{label}"),
+        let kind = kinds[door.kind()];
+        let shed = |reason| snap.sum("serve_shed_total", &[("kind", kind), ("reason", reason)]);
+        assert!(shed("queue") >= 1 && shed("deadline") >= 1, "{label}");
     }
 
     // Only served requests are counted as traffic.
@@ -304,39 +318,43 @@ fn run_cell(door: Door, gated: bool, tracing: bool) {
     }
 
     // Only served synchronous requests enter the latency histograms.
-    assert_eq!(
-        report.observe_latency.count,
-        sum(|t| t.replied, 0),
-        "{label}"
-    );
-    assert_eq!(
-        report.recommend_latency.count,
-        sum(|t| t.replied, 1),
-        "{label}"
-    );
+    let count =
+        |name, labels: &[(&str, &str)]| snap.histogram(name, labels).map_or(0, |h| h.count());
+    for (kind, name) in ["serve_observe_latency_ns", "serve_recommend_latency_ns"]
+        .into_iter()
+        .enumerate()
+    {
+        assert_eq!(count(name, &[]), sum(|t| t.replied, kind), "{label} {name}");
+    }
 
     if tracing {
         assert_eq!(report.stages.len(), SHARDS, "{label}");
         for (shard, books) in cell.books.iter().enumerate() {
-            let stages = &report.stages[shard];
+            let shard_label = shard.to_string();
+            let stage = |stage| {
+                count(
+                    "serve_stage_duration_ns",
+                    &[("shard", shard_label.as_str()), ("stage", stage)],
+                )
+            };
             let served = books[0].served + books[1].served;
             let replied = books[0].replied + books[1].replied;
-            assert_eq!(stages.enqueue_wait.count, served, "{label} shard {shard}");
-            assert_eq!(stages.score.count, served, "{label} shard {shard}");
-            assert_eq!(stages.respond.count, replied, "{label} shard {shard}");
+            assert_eq!(stage("enqueue_wait"), served, "{label} shard {shard}");
+            assert_eq!(stage("score"), served, "{label} shard {shard}");
+            assert_eq!(stage("respond"), replied, "{label} shard {shard}");
             // Shed or served, every request left the queue and finished.
             assert_eq!(gauge(&text, "serve_queue_depth", shard), Some(0), "{label}");
             assert_eq!(gauge(&text, "serve_inflight", shard), Some(0), "{label}");
         }
         let served = sum(|t| t.served, 0) + sum(|t| t.served, 1);
-        assert_eq!(report.windowed.map(|w| w.events), Some(served), "{label}");
+        assert_eq!(snap.sum("serve_events_window", &[]), served, "{label}");
     } else {
         assert!(report.stages.is_empty(), "{label}");
-        assert!(report.windowed.is_none(), "{label}");
         for series in [
             "serve_stage_duration",
             "serve_queue_depth",
             "serve_inflight",
+            "serve_events_window",
         ] {
             assert!(!text.contains(series), "{label}: {series} with tracing off");
         }
