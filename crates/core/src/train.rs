@@ -692,6 +692,106 @@ mod tests {
         let _ = other.train_with(&training, Some(&snaps[0]), None);
     }
 
+    /// ROADMAP item 14, check 2: Alg. 1 ascends Eq. 11's objective. At a
+    /// small α, with one barrier per sweep and a snapshot at every
+    /// barrier, the full-batch objective — each quadruple's
+    /// `ln σ(m) − γ/2 (‖u‖² + ‖v_i‖² + ‖v_j‖²) − λ/2 ‖A_u‖²_F`, weighted by
+    /// its probability under the user → positive → negative draw, which
+    /// is what the expected step climbs — rises from every sweep to the
+    /// next.
+    #[test]
+    fn eq_11_objective_rises_from_sweep_to_sweep() {
+        let (data, _, training) = fixture();
+        let mut cfg = config(&data).with_alpha(0.01).with_max_sweeps(20);
+        cfg.check_interval_fraction = 1.0;
+        cfg.min_sweeps = cfg.max_sweeps;
+        let (gamma, lambda) = (cfg.gamma, cfg.lambda);
+        let mut models = Vec::new();
+        let mut sink = |ck: &TrainCheckpoint| {
+            models.push(ck.model.clone());
+            true
+        };
+        let (_, report) = TsPprTrainer::new(cfg).train_with(
+            &training,
+            None,
+            Some(CheckpointOptions {
+                every_checks: 1,
+                sink: &mut sink,
+            }),
+        );
+        assert_eq!(models.len(), 20, "one snapshot per sweep: {report:?}");
+        let users = training.users_with_data().len() as f64;
+        let objective = |m: &TsPprModel| {
+            let sq = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
+            let mut total = 0.0;
+            for &user in training.users_with_data() {
+                let positives = training.user_positives(user);
+                for p in positives {
+                    let negatives = training.negatives_of(p);
+                    let weight = 1.0 / (users * positives.len() as f64 * negatives.len() as f64);
+                    for n in negatives {
+                        let q = training.quadruple(p, n);
+                        let j = ln_sigmoid(m.margin(q.user, q.pos, q.neg, q.f_pos, q.f_neg))
+                            - gamma / 2.0
+                                * (sq(m.user_factor(q.user))
+                                    + sq(m.item_factor(q.pos))
+                                    + sq(m.item_factor(q.neg)))
+                            - lambda / 2.0 * m.transform(q.user).frobenius_norm_sq();
+                        total += weight * j;
+                    }
+                }
+            }
+            total
+        };
+        let trace: Vec<f64> = models.iter().map(objective).collect();
+        assert!(
+            trace.windows(2).all(|w| w[1] > w[0]),
+            "Eq. 11 must rise every sweep: {trace:?}"
+        );
+    }
+
+    /// ROADMAP item 14, check 4: every `ConvergencePoint::r_tilde` is its
+    /// definition, the mean `r_uvi − r_uvj` over the paper's small batch,
+    /// recomputed here from two `score` calls (not `margin`) on the model
+    /// snapshotted at that barrier.
+    #[test]
+    fn r_tilde_is_the_mean_score_difference_over_the_small_batch() {
+        let (data, _, training) = fixture();
+        let cfg = config(&data);
+        let batch = training.small_batch(cfg.check_fraction);
+        assert!(!batch.is_empty());
+        let mut snaps: Vec<TrainCheckpoint> = Vec::new();
+        let mut sink = |ck: &TrainCheckpoint| {
+            snaps.push(ck.clone());
+            true
+        };
+        let (_, report) = TsPprTrainer::new(cfg).train_with(
+            &training,
+            None,
+            Some(CheckpointOptions {
+                every_checks: 1,
+                sink: &mut sink,
+            }),
+        );
+        // A converged run stops at its last barrier before the snapshot.
+        assert!(snaps.len() >= report.checks.len() - 1 && snaps.len() >= 2);
+        for (ck, point) in snaps.iter().zip(&report.checks) {
+            assert_eq!(point.step, ck.step);
+            let m = &ck.model;
+            let mean = batch
+                .iter()
+                .map(|q| m.score(q.user, q.pos, q.f_pos) - m.score(q.user, q.neg, q.f_neg))
+                .sum::<f64>()
+                / batch.len() as f64;
+            assert!(
+                (point.r_tilde - mean).abs() <= 1e-12 * (1.0 + mean.abs()),
+                "step {}: r̃ {} vs recomputed {mean}",
+                point.step,
+                point.r_tilde
+            );
+        }
+    }
+
     #[test]
     fn convergence_stops_before_sweep_cap() {
         let (data, _, training) = fixture();

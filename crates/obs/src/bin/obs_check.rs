@@ -16,7 +16,7 @@
 //! * `--max a.b.c 1.0`  — the path must be a finite number `<= VALUE`
 //! * `--histogram-quantile 'name{labels}' p99 MAX` — recompute the given
 //!   quantile from the exported bucket counts of every matching histogram
-//!   (cumulative *and* windowed; the name may contain `*` wildcards) and
+//!   under `metrics.histograms` (the name may contain `*` wildcards) and
 //!   require it `<= MAX`. Unlike `--max …p99`, this works for arbitrary
 //!   quantiles (`p99.9`) because it reads the raw buckets, and it fails
 //!   when no histogram matches — a regression gate that can't silently
@@ -389,28 +389,25 @@ fn run_report_checks(
 }
 
 /// Run one `--histogram-quantile` assertion against the report's
-/// cumulative and windowed histogram sections, recomputing the quantile
-/// from the exported buckets with the live snapshot's own rule.
+/// histograms, recomputing the quantile from the exported buckets with
+/// the live snapshot's own rule.
 fn check_quantile(doc: &Json, check: &QuantileCheck, failures: &mut Vec<String>) {
-    let mut matched = 0usize;
-    for section in ["metrics.histograms", "metrics.windowed_histograms"] {
-        for (at, hist) in doc.select(&format!("{section}.{}", check.pattern)) {
-            matched += 1;
-            let quantile = histogram_from_json(hist).and_then(|h| h.quantile(check.q));
-            match quantile.map(|q| q as f64) {
-                None => failures.push(format!(
-                    "{at}: cannot compute {} (empty histogram or malformed buckets)",
-                    check.spec
-                )),
-                Some(x) if x > check.max => failures.push(format!(
-                    "{at} {} = {x} above allowed maximum {}",
-                    check.spec, check.max
-                )),
-                Some(_) => {}
-            }
+    let matches = doc.select(&format!("metrics.histograms.{}", check.pattern));
+    for (at, hist) in &matches {
+        let quantile = histogram_from_json(hist).and_then(|h| h.quantile(check.q));
+        match quantile.map(|q| q as f64) {
+            None => failures.push(format!(
+                "{at}: cannot compute {} (empty histogram or malformed buckets)",
+                check.spec
+            )),
+            Some(x) if x > check.max => failures.push(format!(
+                "{at} {} = {x} above allowed maximum {}",
+                check.spec, check.max
+            )),
+            Some(_) => {}
         }
     }
-    if matched == 0 {
+    if matches.is_empty() {
         failures.push(format!(
             "no histogram matches {} (for {} <= {})",
             check.pattern, check.spec, check.max

@@ -9,8 +9,10 @@
 //! record, redrawing every `--interval` ms. Every number that is a
 //! series is read by name from the report's `metrics` section (the
 //! registry snapshot), with the same label globs `obs-check` takes;
-//! ratios such as the hit rate or windowed ÷ cumulative throughput are
-//! computed here. Optional panels (ustate, quality, overload, slo,
+//! ratios such as the hit rate are computed here. Every series is
+//! cumulative, so "lately" is the difference of two frames: the live view
+//! keeps the previous frame and shows throughput and shed rate since it
+//! (`--once` has no previous frame and prints `-` there). Optional panels (ustate, quality, overload, slo,
 //! forensics) degrade gracefully: one whose series or section is absent
 //! is listed in a "not enabled" footer instead of crashing or rendering
 //! an empty panel:
@@ -119,6 +121,16 @@ fn ratio(a: Option<f64>, b: Option<f64>) -> Option<f64> {
     Some(a? / b.filter(|&b| b > 0.0)?)
 }
 
+/// How much a figure grew since the previous frame (`None` without one).
+fn since(doc: &Json, prev: Option<&Json>, figure: impl Fn(&Json) -> Option<f64>) -> Option<f64> {
+    Some(figure(doc)? - figure(prev?)?)
+}
+
+/// A ratio cell, `-` while undefined.
+fn rate(v: Option<f64>) -> String {
+    v.map_or("-".to_string(), |r| format!("{r:.3}"))
+}
+
 /// The cumulative histograms a series path selects, merged bucket by
 /// bucket into one population (so a shard glob is the engine-wide view).
 fn histogram(doc: &Json, series: &str) -> Option<HistogramSnapshot> {
@@ -155,8 +167,9 @@ fn slo_state(v: Option<f64>) -> &'static str {
         .unwrap_or("?")
 }
 
-/// Render one full frame from a parsed report.
-fn render(doc: &Json) -> String {
+/// Render one full frame from a parsed report; `prev`, the frame before
+/// it, supplies the since-last-frame figures.
+fn render(doc: &Json, prev: Option<&Json>) -> String {
     let mut out = String::new();
     let name = doc.get("report").and_then(Json::as_str).unwrap_or("?");
     let shards = gauge(doc, "serve_shards").unwrap_or(0.0) as usize;
@@ -181,15 +194,18 @@ fn render(doc: &Json) -> String {
     }
     out.push('\n');
 
-    let window = "windowed_counters.serve_events_window{shard=*}";
-    if let Some(events) = sum(doc, &format!("{window}.total")) {
-        let served = sum(doc, "counters.serve_observes_total{shard=*}").unwrap_or(0.0)
-            + sum(doc, "counters.serve_recommends_total{shard=*}").unwrap_or(0.0);
+    let served = |d: &Json| {
+        Some(
+            sum(d, "counters.serve_observes_total{shard=*}")?
+                + sum(d, "counters.serve_recommends_total{shard=*}").unwrap_or(0.0),
+        )
+    };
+    let uptime_s = |d: &Json| gauge(d, "serve_uptime_ms").map(|ms| ms / 1e3);
+    if let Some(total) = served(doc) {
         out.push_str(&format!(
-            "throughput    windowed {:>8}/s over {:>6.1}s · windowed/cumulative {}\n",
-            count(sum(doc, &format!("{window}.rate_per_sec"))),
-            max(doc, &format!("{window}.covered_ms")).unwrap_or(0.0) / 1e3,
-            pct(ratio(Some(events), Some(served))),
+            "throughput    {:>8}/s since start · {:>8}/s since last frame\n",
+            count(ratio(Some(total), uptime_s(doc))),
+            count(ratio(since(doc, prev, served), since(doc, prev, uptime_s))),
         ));
     }
 
@@ -291,9 +307,6 @@ fn render(doc: &Json) -> String {
             for v in versions {
                 let ver = v.get("version").and_then(Json::as_u64).unwrap_or(0);
                 out.push_str(&qrow(format!("v{ver} total"), v));
-                if let Some(w) = v.get("windowed") {
-                    out.push_str(&qrow(format!("v{ver} window"), w));
-                }
             }
         }
         if let Some(overall) = q.get("overall") {
@@ -302,7 +315,7 @@ fn render(doc: &Json) -> String {
         if let Some(d) = q.get("drift") {
             let n = |k: &str| count(d.get(k).and_then(Json::as_f64));
             out.push_str(&format!(
-                "drift         score {:+.3} · feature {:+.3} (window n={}, since install n={})\n",
+                "drift         score {:+.3} · feature {:+.3} (last n={}, since install n={})\n",
                 gauge(doc, "serve_drift_score_micro").unwrap_or(0.0) / 1e6,
                 gauge(doc, "serve_drift_feature_micro").unwrap_or(0.0) / 1e6,
                 n("window_samples"),
@@ -312,8 +325,9 @@ fn render(doc: &Json) -> String {
     }
 
     // Overload panel: the conservation-law books (offered = admitted +
-    // shed, split by kind and reason), queue bounds, and the windowed
-    // shed rate an operator watches during an incident.
+    // shed, split by kind and reason), queue bounds, and the shed rate an
+    // operator watches during an incident, since start and since the
+    // previous frame.
     if let Some(cap) = gauge(doc, "serve_queue_cap") {
         out.push_str(&format!(
             "\n  {:<14} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
@@ -345,22 +359,15 @@ fn render(doc: &Json) -> String {
             Some(c) if c > 0.0 => format!("{c:.0}"),
             _ => none.to_string(),
         };
-        let window = |name: &str| {
-            sum(
-                doc,
-                &format!("windowed_counters.serve_{name}_window{{shard=*,kind=*}}.total"),
-            )
-        };
-        let shed_window = sum(
-            doc,
-            "windowed_counters.serve_shed_window{shard=*,kind=*,reason=*}.total",
-        );
+        let offered = |d: &Json| sum(d, "counters.serve_offered_total{shard=*,kind=*}");
+        let shed = |d: &Json| sum(d, "counters.serve_shed_total{shard=*,kind=*,reason=*}");
         out.push_str(&format!(
-            "  cap {} (observe {}) · peak depth {} · windowed shed rate {}\n",
+            "  cap {} (observe {}) · peak depth {} · shed rate {} since start, {} since last frame\n",
             bound(Some(cap), "unbounded"),
             bound(gauge(doc, "serve_queue_observe_cap"), "-"),
             count(max(doc, "gauges.serve_queue_peak{shard=*}")),
-            ratio(shed_window, window("offered")).map_or("-".to_string(), |r| format!("{r:.3}")),
+            rate(ratio(shed(doc), offered(doc))),
+            rate(ratio(since(doc, prev, shed), since(doc, prev, offered))),
         ));
     }
 
@@ -481,16 +488,22 @@ fn main() {
     // refreshing: visibly flag it even though the last frame still parses.
     let stale_after = stale_after.unwrap_or((interval.as_secs_f64() * 6.0).max(5.0));
 
+    // The newest report read (raw text and parsed) and its frame. A new
+    // report renders against the previous one for its since-last-frame
+    // figures; an unchanged file keeps its frame.
+    let mut last: Option<(String, Json)> = None;
     let mut last_frame: Option<String> = None;
     let mut stale_for = 0u32;
     loop {
-        let frame = std::fs::read_to_string(&path)
+        let report = std::fs::read_to_string(&path)
             .ok()
-            .and_then(|text| Json::parse(&text).ok())
-            .map(|doc| render(&doc));
-        match frame {
-            Some(f) => {
-                last_frame = Some(f);
+            .and_then(|text| Some((Json::parse(&text).ok()?, text)));
+        match report {
+            Some((doc, text)) => {
+                if last.as_ref().is_none_or(|(seen, _)| *seen != text) {
+                    last_frame = Some(render(&doc, last.as_ref().map(|(_, d)| d)));
+                    last = Some((text, doc));
+                }
                 stale_for = 0;
             }
             None if once => {
@@ -544,7 +557,7 @@ mod tests {
         let doc =
             Json::parse(r#"{"report": "bare", "metrics": {"gauges": {"serve_uptime_ms": 12500}}}"#)
                 .unwrap();
-        let frame = render(&doc);
+        let frame = render(&doc, None);
         assert!(frame.contains("rrc-top · report \"bare\" · uptime 12.5s"));
         assert!(
             frame.contains("(not enabled: ustate, quality, overload, slo, forensics)"),
@@ -562,9 +575,9 @@ mod tests {
     #[test]
     fn null_overload_section_counts_as_absent() {
         let doc = Json::parse(r#"{"report": "x", "metrics": null, "forensics": null}"#).unwrap();
-        let frame = render(&doc);
+        let frame = render(&doc, None);
         assert!(frame.contains("overload, slo, forensics"), "{frame}");
-        assert!(!frame.contains("windowed shed rate"));
+        assert!(!frame.contains("shed rate"));
     }
 
     /// With the overload series present, the panel shows the per-kind
@@ -591,19 +604,19 @@ mod tests {
                         "serve_queue_observe_cap": 48,
                         "serve_queue_peak{shard=\"0\"}": 17,
                         "serve_queue_peak{shard=\"1\"}": 9
-                    },
-                    "windowed_counters": {
-                        "serve_offered_window{shard=\"0\",kind=\"observe\"}": {"total": 40},
-                        "serve_shed_window{shard=\"0\",kind=\"observe\",reason=\"queue\"}": {"total": 10}
                     }
                 }
             }"#,
         )
         .unwrap();
-        let frame = render(&doc);
+        let frame = render(&doc, None);
         assert!(frame.contains("cap 64 (observe 48)"), "{frame}");
         assert!(frame.contains("peak depth 17"), "{frame}");
-        assert!(frame.contains("windowed shed rate 0.250"), "{frame}");
+        // 20 of 110 shed since start; no previous frame to compare with.
+        assert!(
+            frame.contains("shed rate 0.182 since start, - since last frame"),
+            "{frame}"
+        );
         // The total row carries the full books: 110 = 90 + 20 (15 + 5).
         let total = frame.lines().find(|l| l.trim_start().starts_with("total"));
         let cells: Vec<&str> = total.expect("total row").split_whitespace().collect();
@@ -612,5 +625,42 @@ mod tests {
             !frame.contains("overload, "),
             "present panel must not be listed absent:\n{frame}"
         );
+    }
+
+    /// A live frame is compared with the one before it: throughput and
+    /// shed rate since then are differences of the two reports' series.
+    #[test]
+    fn live_frames_show_rates_since_the_previous_frame() {
+        // One shard, observes only: `offered` requests, `shed` of them shed.
+        let report = |offered: u64, shed: u64, uptime_ms: u64| {
+            let served = offered - shed;
+            let doc = format!(
+                r#"{{"report": "live", "metrics": {{
+                    "counters": {{
+                        "serve_observes_total{{shard=\"0\"}}": {served},
+                        "serve_offered_total{{shard=\"0\",kind=\"observe\"}}": {offered},
+                        "serve_admitted_total{{shard=\"0\",kind=\"observe\"}}": {served},
+                        "serve_shed_total{{shard=\"0\",kind=\"observe\",reason=\"queue\"}}": {shed}
+                    }},
+                    "gauges": {{"serve_uptime_ms": {uptime_ms}, "serve_queue_cap": 16}}
+                }}}}"#
+            );
+            Json::parse(&doc).unwrap()
+        };
+        let (before, after) = (report(110, 20, 2_000), report(150, 40, 3_000));
+        let frame = render(&after, Some(&before));
+        // 110 served in 3 s; 110 - 90 of them in the 1 s since the last frame.
+        let throughput = "37/s since start ·       20/s since last frame";
+        assert!(frame.contains(throughput), "{frame}");
+        // 40 of 150 shed since start; 20 of the 40 offered since the last frame.
+        assert!(
+            frame.contains("shed rate 0.267 since start, 0.500 since last frame"),
+            "{frame}"
+        );
+        // `--once` has no previous frame: cumulative figures only.
+        let once = render(&after, None);
+        assert!(once.contains("37/s since start ·        -/s"), "{once}");
+        let shed = "0.267 since start, - since last frame";
+        assert!(once.contains(shed), "{once}");
     }
 }

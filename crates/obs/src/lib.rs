@@ -10,7 +10,9 @@
 //!   [`Gauge`], and the power-of-two [`Histogram`] (generalized from
 //!   `rrc-serve`'s original crate-private latency histogram), plus the
 //!   allocation-free [`HistogramSnapshot`] that answers
-//!   p50/p95/p99/mean/max from one atomic capture.
+//!   p50/p95/p99/mean/max from one atomic capture. Every series is
+//!   cumulative; a reader that wants "lately" differences two captures it
+//!   holds ([`HistogramSnapshot::since`] for histograms).
 //! * **Registry** ([`registry`]) — named, labeled metrics
 //!   (`name{shard="0"}`) behind shared `Arc` handles: registration locks
 //!   once, recording never locks. One process-wide instance via
@@ -21,12 +23,6 @@
 //!   attached, append structured JSONL event lines.
 //! * **Exposition** — Prometheus text ([`Registry::prometheus_text`])
 //!   and JSON ([`Registry::to_json`]) snapshots.
-//! * **Windowed metrics** ([`window`]) — [`WindowedCounter`] /
-//!   [`WindowedHistogram`] / [`WindowedSum`]: rings of epoch buckets
-//!   giving rolling rates and rolling quantiles ("lately", not "since
-//!   boot") with wait-free recording and rotate-on-access reclamation;
-//!   registered alongside cumulative metrics and exposed in both
-//!   formats.
 //! * **Run reports** ([`report`]) — [`RunReport`] serializes a whole run
 //!   (config, counters, quantiles, convergence trace) to a JSON file;
 //!   `reproduce --json` and `loadgen --json` emit them and the
@@ -74,7 +70,6 @@ pub mod registry;
 pub mod report;
 pub mod slo;
 pub mod span;
-pub mod window;
 
 pub use alloc::{thread_allocations, CountingAlloc, ProfGuard};
 pub use forensics::{
@@ -86,9 +81,8 @@ pub use json::{Json, JsonError};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramTimer, BUCKETS};
 pub use registry::{
     global, histogram_from_json, histogram_to_json, snapshot_to_json, Metric, MetricId,
-    MetricValue, Registry, RegistrySnapshot, WindowedCounterValue,
+    MetricValue, Registry, RegistrySnapshot,
 };
 pub use report::RunReport;
 pub use slo::{BurnConfig, Cmp, Objective, SloEngine, SloState, SloVerdict};
 pub use span::{JsonlSink, Span};
-pub use window::{WindowSpec, WindowedCounter, WindowedHistogram, WindowedSum};

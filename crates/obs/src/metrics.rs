@@ -211,9 +211,9 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Build a snapshot from raw parts — the merge point for windowed
-    /// histograms, which sum several epoch buckets into one snapshot.
-    /// `count` is derived from the buckets so the two cannot disagree.
+    /// Build a snapshot from raw parts (a report reader rebuilds an
+    /// exported histogram this way). `count` is derived from the buckets
+    /// so the two cannot disagree.
     pub fn from_parts(buckets: [u64; BUCKETS], sum: u64, max: u64) -> Self {
         let count = buckets.iter().sum();
         HistogramSnapshot {
@@ -233,6 +233,22 @@ impl HistogramSnapshot {
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.wrapping_add(other.sum);
         self.max = self.max.max(other.max);
+    }
+
+    /// What was recorded between `base` and this capture of the same
+    /// histogram: the bucket-by-bucket difference, so a reader holding two
+    /// captures sees "lately" without the histogram keeping a window. The
+    /// maximum of the difference is not recorded anywhere; it is bounded
+    /// by the cumulative maximum and by the top of the highest bucket the
+    /// difference still populates, and the smaller of the two is used.
+    pub fn since(&self, base: &HistogramSnapshot) -> HistogramSnapshot {
+        let buckets: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].saturating_sub(base.buckets[i]));
+        let top = buckets
+            .iter()
+            .rposition(|&c| c > 0)
+            .map_or(0, |i| ((1u128 << (i + 1)) - 1).min(u64::MAX as u128) as u64);
+        HistogramSnapshot::from_parts(buckets, self.sum.wrapping_sub(base.sum), self.max.min(top))
     }
 
     /// Samples captured.

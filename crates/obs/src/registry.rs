@@ -15,11 +15,9 @@
 use crate::json::Json;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::span::{JsonlSink, Span};
-use crate::window::{WindowSpec, WindowedCounter, WindowedHistogram};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock, RwLock};
-use std::time::Duration;
 
 /// A metric identity: base name plus ordered `(key, value)` labels.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -83,8 +81,6 @@ pub enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
-    WindowedCounter(Arc<WindowedCounter>),
-    WindowedHistogram(Arc<WindowedHistogram>),
 }
 
 impl Metric {
@@ -93,23 +89,8 @@ impl Metric {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
-            Metric::WindowedCounter(_) => "windowed counter",
-            Metric::WindowedHistogram(_) => "windowed histogram",
         }
     }
-}
-
-/// A point-in-time capture of one windowed counter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowedCounterValue {
-    /// Sum over the live window.
-    pub total: u64,
-    /// `total` divided by the covered span.
-    pub rate_per_sec: f64,
-    /// Wall-clock span the live window covered at capture (≤ `window`).
-    pub covered: Duration,
-    /// The configured rolling horizon.
-    pub window: Duration,
 }
 
 /// A point-in-time value of one registered metric.
@@ -118,12 +99,6 @@ pub enum MetricValue {
     Counter(u64),
     Gauge(i64),
     Histogram(Box<HistogramSnapshot>),
-    WindowedCounter(WindowedCounterValue),
-    WindowedHistogram {
-        snapshot: Box<HistogramSnapshot>,
-        covered: Duration,
-        window: Duration,
-    },
 }
 
 /// An ordered capture of every metric in a registry.
@@ -133,14 +108,13 @@ pub struct RegistrySnapshot {
 }
 
 impl MetricValue {
-    /// A counter's value, a gauge's (negative reads 0) or a windowed
-    /// counter's live-window total; `None` for histograms.
+    /// A counter's value or a gauge's (negative reads 0); `None` for
+    /// histograms.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             MetricValue::Counter(v) => Some(*v),
             MetricValue::Gauge(v) => Some((*v).max(0) as u64),
-            MetricValue::WindowedCounter(w) => Some(w.total),
-            MetricValue::Histogram(_) | MetricValue::WindowedHistogram { .. } => None,
+            MetricValue::Histogram(_) => None,
         }
     }
 }
@@ -181,7 +155,7 @@ impl RegistrySnapshot {
             .sum()
     }
 
-    /// The cumulative histograms among [`RegistrySnapshot::matching`],
+    /// The histograms among [`RegistrySnapshot::matching`],
     /// merged into one population (`None` when none match): exact
     /// labels select one series, fewer roll a family up.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistogramSnapshot> {
@@ -233,11 +207,10 @@ impl Registry {
         }
     }
 
-    fn register_new<T>(
+    fn register_with<T: Default>(
         &self,
         name: &str,
         labels: &[(&str, &str)],
-        make: impl FnOnce() -> T,
         wrap: fn(Arc<T>) -> Metric,
         unwrap: fn(&Metric) -> Option<Arc<T>>,
     ) -> Arc<T> {
@@ -254,22 +227,9 @@ impl Registry {
         let mut metrics = self.inner.metrics.write().expect("registry lock");
         let entry = metrics
             .entry(id.clone())
-            .or_insert_with(|| wrap(Arc::new(make())));
+            .or_insert_with(|| wrap(Arc::default()));
         unwrap(entry)
             .unwrap_or_else(|| panic!("metric {id} already registered as a {}", entry.kind()))
-    }
-
-    fn register_with<T>(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        wrap: fn(Arc<T>) -> Metric,
-        unwrap: fn(&Metric) -> Option<Arc<T>>,
-    ) -> Arc<T>
-    where
-        T: Default,
-    {
-        self.register_new(name, labels, T::default, wrap, unwrap)
     }
 
     /// Get or create the counter `name` (no labels).
@@ -312,55 +272,6 @@ impl Registry {
             Metric::Histogram(h) => Some(h.clone()),
             _ => None,
         })
-    }
-
-    /// Get or create the windowed counter `name` (no labels). The spec
-    /// of the first registration wins; later callers share that ring.
-    pub fn windowed_counter(&self, name: &str, spec: WindowSpec) -> Arc<WindowedCounter> {
-        self.windowed_counter_with(name, &[], spec)
-    }
-
-    /// Get or create the windowed counter `name{labels…}`.
-    pub fn windowed_counter_with(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        spec: WindowSpec,
-    ) -> Arc<WindowedCounter> {
-        self.register_new(
-            name,
-            labels,
-            || WindowedCounter::new(spec),
-            Metric::WindowedCounter,
-            |m| match m {
-                Metric::WindowedCounter(c) => Some(c.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    /// Get or create the windowed histogram `name` (no labels).
-    pub fn windowed_histogram(&self, name: &str, spec: WindowSpec) -> Arc<WindowedHistogram> {
-        self.windowed_histogram_with(name, &[], spec)
-    }
-
-    /// Get or create the windowed histogram `name{labels…}`.
-    pub fn windowed_histogram_with(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        spec: WindowSpec,
-    ) -> Arc<WindowedHistogram> {
-        self.register_new(
-            name,
-            labels,
-            || WindowedHistogram::new(spec),
-            Metric::WindowedHistogram,
-            |m| match m {
-                Metric::WindowedHistogram(h) => Some(h.clone()),
-                _ => None,
-            },
-        )
     }
 
     /// The histogram backing span `name`:
@@ -412,19 +323,6 @@ impl Registry {
                         Metric::Counter(c) => MetricValue::Counter(c.get()),
                         Metric::Gauge(g) => MetricValue::Gauge(g.get()),
                         Metric::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
-                        Metric::WindowedCounter(c) => {
-                            MetricValue::WindowedCounter(WindowedCounterValue {
-                                total: c.window_total(),
-                                rate_per_sec: c.rate_per_sec(),
-                                covered: c.covered(),
-                                window: c.window(),
-                            })
-                        }
-                        Metric::WindowedHistogram(h) => MetricValue::WindowedHistogram {
-                            snapshot: Box::new(h.snapshot()),
-                            covered: h.covered(),
-                            window: h.window(),
-                        },
                     };
                     (id.clone(), value)
                 })
@@ -442,11 +340,8 @@ impl Registry {
         for (id, value) in &snapshot.entries {
             let kind = match value {
                 MetricValue::Counter(_) => "counter",
-                // Windowed counters expose the rolling rate, which can
-                // fall as well as rise — a gauge in Prometheus terms.
-                MetricValue::Gauge(_) | MetricValue::WindowedCounter(_) => "gauge",
+                MetricValue::Gauge(_) => "gauge",
                 MetricValue::Histogram(_) => "histogram",
-                MetricValue::WindowedHistogram { .. } => "summary",
             };
             if last_header.as_ref().map(|(n, k)| (n.as_str(), *k)) != Some((id.name.as_str(), kind))
             {
@@ -487,27 +382,6 @@ impl Registry {
                     let _ = write_labels(&mut out, &id.labels, None);
                     let _ = writeln!(out, " {}", h.count());
                 }
-                MetricValue::WindowedCounter(w) => {
-                    let _ = writeln!(out, "{id} {}", w.rate_per_sec);
-                }
-                MetricValue::WindowedHistogram { snapshot, .. } => {
-                    // Pre-computed rolling quantiles are a Prometheus
-                    // summary: `quantile` labels plus _sum/_count over
-                    // the live window.
-                    for q in [0.5, 0.95, 0.99] {
-                        let Some(v) = snapshot.quantile(q) else { break };
-                        let _ = write!(out, "{}", id.name);
-                        let _ =
-                            write_labels(&mut out, &id.labels, Some(("quantile", &q.to_string())));
-                        let _ = writeln!(out, " {v}");
-                    }
-                    let _ = write!(out, "{}_sum", id.name);
-                    let _ = write_labels(&mut out, &id.labels, None);
-                    let _ = writeln!(out, " {}", snapshot.sum());
-                    let _ = write!(out, "{}_count", id.name);
-                    let _ = write_labels(&mut out, &id.labels, None);
-                    let _ = writeln!(out, " {}", snapshot.count());
-                }
             }
         }
         out
@@ -526,56 +400,18 @@ pub fn snapshot_to_json(snapshot: &RegistrySnapshot) -> Json {
     let mut counters = Vec::new();
     let mut gauges = Vec::new();
     let mut histograms = Vec::new();
-    let mut windowed_counters = Vec::new();
-    let mut windowed_histograms = Vec::new();
     for (id, value) in &snapshot.entries {
         let key = id.to_string();
         match value {
             MetricValue::Counter(v) => counters.push((key, Json::U64(*v))),
             MetricValue::Gauge(v) => gauges.push((key, Json::I64(*v))),
             MetricValue::Histogram(h) => histograms.push((key, histogram_to_json(h))),
-            MetricValue::WindowedCounter(w) => windowed_counters.push((
-                key,
-                Json::obj([
-                    ("total", Json::U64(w.total)),
-                    ("rate_per_sec", Json::F64(w.rate_per_sec)),
-                    ("covered_ms", Json::U64(w.covered.as_millis() as u64)),
-                    ("window_ms", Json::U64(w.window.as_millis() as u64)),
-                ]),
-            )),
-            MetricValue::WindowedHistogram {
-                snapshot: h,
-                covered,
-                window,
-            } => {
-                let mut fields = match histogram_to_json(h) {
-                    Json::Obj(fields) => fields,
-                    other => vec![("histogram".to_string(), other)],
-                };
-                fields.push((
-                    "covered_ms".to_string(),
-                    Json::U64(covered.as_millis() as u64),
-                ));
-                fields.push((
-                    "window_ms".to_string(),
-                    Json::U64(window.as_millis() as u64),
-                ));
-                windowed_histograms.push((key, Json::Obj(fields)));
-            }
         }
     }
     Json::Obj(vec![
         ("counters".to_string(), Json::Obj(counters)),
         ("gauges".to_string(), Json::Obj(gauges)),
         ("histograms".to_string(), Json::Obj(histograms)),
-        (
-            "windowed_counters".to_string(),
-            Json::Obj(windowed_counters),
-        ),
-        (
-            "windowed_histograms".to_string(),
-            Json::Obj(windowed_histograms),
-        ),
     ])
 }
 
@@ -709,60 +545,6 @@ mod tests {
             doc.at("histograms.latency_ns.count").and_then(Json::as_u64),
             Some(100)
         );
-    }
-
-    #[test]
-    fn windowed_metrics_expose_in_both_formats() {
-        let reg = Registry::new();
-        let spec = WindowSpec::default();
-        let wc = reg.windowed_counter_with("events_window", &[("shard", "0")], spec);
-        wc.add(30);
-        let wh = reg.windowed_histogram("stage_window_ns", spec);
-        wh.record(2_000);
-        wh.record(6_000);
-
-        // Same identity → same ring, regardless of a differing spec.
-        let again = reg.windowed_counter_with(
-            "events_window",
-            &[("shard", "0")],
-            WindowSpec {
-                slots: 3,
-                epoch: Duration::from_secs(1),
-            },
-        );
-        again.add(12);
-        assert_eq!(wc.window_total(), 42);
-
-        let text = reg.prometheus_text();
-        assert!(text.contains("# TYPE events_window gauge"), "{text}");
-        assert!(text.contains("# TYPE stage_window_ns summary"), "{text}");
-        assert!(
-            text.contains("stage_window_ns{quantile=\"0.99\"}"),
-            "{text}"
-        );
-        assert!(text.contains("stage_window_ns_count 2"), "{text}");
-
-        let doc = crate::Json::parse(&reg.to_json().render()).unwrap();
-        let wc_json = doc
-            .at("windowed_counters")
-            .and_then(|w| w.get("events_window{shard=\"0\"}"))
-            .expect("windowed counter key");
-        assert_eq!(wc_json.at("total").and_then(Json::as_u64), Some(42));
-        assert!(wc_json.at("rate_per_sec").unwrap().as_f64().unwrap() > 0.0);
-        let wh_json = doc
-            .at("windowed_histograms.stage_window_ns")
-            .expect("windowed histogram key");
-        assert_eq!(wh_json.at("count").and_then(Json::as_u64), Some(2));
-        assert!(wh_json.at("p99").unwrap().as_f64().unwrap() > 0.0);
-        assert!(wh_json.at("window_ms").and_then(Json::as_u64).unwrap() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn windowed_type_mismatch_panics() {
-        let reg = Registry::new();
-        let _ = reg.counter("y");
-        let _ = reg.windowed_counter("y", WindowSpec::default());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! An [`Objective`] is a named bound on a measured value
 //! (`observe_p99_ns ≤ 250_000`, `quality_ratio ≥ 0.95`, ...). The
 //! [`SloEngine`] is fed one measurement per objective per *tick* — the
-//! PR-5 windowed-metrics refresh cadence — and keeps a ring of recent
+//! caller's evaluation cadence; a measurement of "lately" is the caller's
+//! difference of two cumulative captures — and keeps a ring of recent
 //! breach outcomes per objective. Two burn rates are derived with
 //! **fixed denominators** (so a half-filled window cannot page):
 //!

@@ -1,7 +1,8 @@
 //! Reading series back: a registry capture rolled up by name and labels,
 //! and the same capture as report JSON, addressed by label globs and
 //! turned back into histograms that merge and answer quantiles exactly
-//! as the live ones do.
+//! as the live ones do; two captures of one histogram differenced into
+//! what was recorded between them.
 
 use rrc_obs::{
     histogram_from_json, snapshot_to_json, Histogram, HistogramSnapshot, Json, Registry,
@@ -138,4 +139,77 @@ fn merged_snapshots_are_one_population() {
         (4, 5_060, Some(5_000))
     );
     assert_eq!(merged.p50(), both.p50());
+}
+
+/// A capture minus an earlier capture of the same histogram is the
+/// histogram of what was recorded in between: split random streams at a
+/// random point and compare the difference with a histogram of the suffix
+/// alone.
+#[test]
+fn since_is_the_histogram_of_what_came_after_the_base() {
+    // SplitMix64: this crate has no RNG dependency.
+    let mut state = 34u64;
+    let mut next = |below: u64| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % below
+    };
+    let bucket = |v: u64| 63 - v.max(1).leading_zeros();
+    for case in 0..200 {
+        let n = next(300) as usize;
+        // Mixed scales, so streams span many buckets and the cumulative
+        // maximum often sits above the suffix's highest bucket.
+        let samples: Vec<u64> = (0..n)
+            .map(|_| {
+                let bits = 1 + next(39);
+                next(1 << bits)
+            })
+            .collect();
+        let split = next(n as u64 + 1) as usize;
+        let (full, prefix, suffix) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for (i, &v) in samples.iter().enumerate() {
+            full.record(v);
+            if i < split { &prefix } else { &suffix }.record(v);
+        }
+        let suffix = suffix.snapshot();
+        let diff = full.snapshot().since(&prefix.snapshot());
+        assert_eq!(diff.buckets(), suffix.buckets(), "case {case}");
+        assert_eq!(diff.count(), suffix.count(), "case {case}");
+        assert_eq!(diff.sum(), suffix.sum(), "case {case}");
+        if suffix.count() == 0 {
+            assert_eq!(diff.p99(), None, "an empty difference has no quantile");
+            assert_eq!(diff.max(), None);
+            continue;
+        }
+        for q in [0.5, 0.95, 0.99] {
+            let (got, want) = (diff.quantile(q).unwrap(), suffix.quantile(q).unwrap());
+            assert_eq!(
+                bucket(got),
+                bucket(want),
+                "case {case} q={q}: {got} vs {want}"
+            );
+        }
+    }
+}
+
+/// Two captures with nothing recorded between them difference to an empty
+/// histogram: no buckets, count or sum, and no quantile, mean or maximum,
+/// however much the captures themselves hold.
+#[test]
+fn an_empty_difference_reads_zero_everywhere() {
+    let h = Histogram::new();
+    let empty = h.snapshot();
+    for v in [1u64, 900, 70_000, 1 << 40] {
+        h.record(v);
+    }
+    let full = h.snapshot();
+    for (now, base) in [(&empty, &empty), (&full, &full)] {
+        let diff = now.since(base);
+        assert!(diff.buckets().iter().all(|&b| b == 0), "{diff:?}");
+        assert_eq!((diff.count(), diff.sum()), (0, 0));
+        assert_eq!((diff.p50(), diff.p95(), diff.p99()), (None, None, None));
+        assert_eq!((diff.mean(), diff.max()), (None, None));
+    }
 }

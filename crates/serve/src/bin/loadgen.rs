@@ -33,7 +33,10 @@
 //! * `--slo-observe-p99-us N` / `--slo-recommend-p99-us N` /
 //!   `--slo-quality-ratio F` declare SLO objectives; a background thread
 //!   evaluates them every `--slo-tick` ms with multi-window burn rates
-//!   and the final report carries per-objective verdicts.
+//!   and the final report carries per-objective verdicts. Each objective
+//!   judges the last minute: the tick differences the cumulative series
+//!   against a capture it took up to a minute earlier. None of them needs
+//!   `--forensics`.
 //! * `--inject-slow-user U` (with `--inject-slow-us`) stalls one user's
 //!   requests to manufacture a known-slow trace; `--inject-panic-after N`
 //!   panics a client mid-replay to exercise the crash dump (CI smoke).
@@ -53,7 +56,7 @@
 //!   would be served past their deadline. The report's `metrics` section
 //!   gains the `serve_offered_total` / `serve_admitted_total` /
 //!   `serve_shed_total` series, which obey the conservation law
-//!   `offered == admitted + shed`; `--slo-shed-rate` turns the windowed
+//!   `offered == admitted + shed`; `--slo-shed-rate` turns the recent
 //!   shed fraction into an SLO objective.
 //!
 //! Continuous learning (`--continuous`):
@@ -158,11 +161,11 @@ struct Args {
     inject_slow_user: Option<u32>,
     /// Stall duration for `--inject-slow-user`, in microseconds.
     inject_slow_us: u64,
-    /// SLO: max windowed observe p99, in microseconds.
+    /// SLO: max recent observe p99, in microseconds.
     slo_observe_p99_us: Option<u64>,
-    /// SLO: max windowed recommend p99, in microseconds.
+    /// SLO: max recent recommend p99, in microseconds.
     slo_recommend_p99_us: Option<u64>,
-    /// SLO: min windowed-over-cumulative hit@10 ratio (needs --quality).
+    /// SLO: min recent-over-cumulative hit@10 ratio (needs --quality).
     slo_quality_ratio: Option<f64>,
     /// SLO evaluation period, in milliseconds.
     slo_tick_ms: u64,
@@ -184,7 +187,7 @@ struct Args {
     queue_cap: Option<usize>,
     /// Default per-request deadline for open-loop traffic, microseconds.
     deadline_us: Option<u64>,
-    /// SLO: max windowed shed fraction (shed / offered).
+    /// SLO: max recent shed fraction (shed / offered).
     slo_shed_rate: Option<f64>,
     /// Two-leg continuous-learning run: frozen baseline, then serve +
     /// stream-train + publish + hot-swap on the same stream.
@@ -985,7 +988,7 @@ fn run_continuous(args: &Args, data: &Dataset, split: &SplitDataset) {
     let versions_with_traffic = quality
         .versions
         .iter()
-        .filter(|v| v.quality.ranking.opportunities > 0)
+        .filter(|v| v.ranking.opportunities > 0)
         .count();
     let gain = stream.hit10 - baseline.hit10;
     // The headline comparison: both trainers scored *every* eligible

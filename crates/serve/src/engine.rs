@@ -116,21 +116,34 @@ pub struct UstateOptions {
 }
 
 /// Declarative service-level objectives, evaluated by
-/// [`ServeEngine::slo_tick`] over the rolling windowed series with
-/// multi-window burn rates (`rrc_obs::BurnConfig`'s defaults). Every
-/// objective is optional; with none set the SLO engine is not
-/// constructed at all.
+/// [`ServeEngine::slo_tick`] with multi-window burn rates
+/// (`rrc_obs::BurnConfig`'s defaults). Every objective is optional; with
+/// none set the SLO engine is not constructed at all.
+///
+/// Each objective reads "lately": the tick captures the cumulative
+/// series it needs and judges the difference from a base capture, the
+/// oldest it holds. It keeps a capture every 4 s and lets the base age up
+/// to a minute (up to 16 captures; until the first minute has passed the
+/// base is the zero capture taken at engine start). An objective whose
+/// difference has no data (nothing replied, offered or scored since the
+/// base) freezes instead of judging.
+///
+/// The latency objectives read every replied request of that kind,
+/// engine-wide, from the always-on `serve_{observe,recommend}_latency_ns`
+/// histograms: they need neither tracing nor forensics. (They used to
+/// read the max over shards of a 1-in-4 sample, and only with forensics
+/// on.)
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SloOptions {
-    /// Max acceptable windowed observe p99 (max across shards), in ns.
+    /// Max acceptable recent observe p99, in ns.
     pub observe_p99_ns: Option<u64>,
-    /// Max acceptable windowed recommend p99 (max across shards), in ns.
+    /// Max acceptable recent recommend p99, in ns.
     pub recommend_p99_ns: Option<u64>,
-    /// Min acceptable windowed-over-cumulative hit@10 ratio (e.g. 0.95 =
-    /// "recent quality within 5% of since-install"). Needs quality
+    /// Min acceptable recent-over-cumulative hit@10 ratio (e.g. 0.95 =
+    /// "recent quality within 5% of since-start"). Needs quality
     /// monitoring enabled; the objective freezes while idle.
     pub quality_ratio: Option<f64>,
-    /// Max acceptable windowed shed fraction (shed / offered across all
+    /// Max acceptable recent shed fraction (shed / offered across all
     /// shards and kinds, e.g. 0.05 = "shed at most 5% of recent
     /// traffic"). Needs overload accounting enabled
     /// ([`OverloadOptions::enabled`]); freezes while no traffic is
@@ -138,10 +151,10 @@ pub struct SloOptions {
     pub shed_rate: Option<f64>,
 }
 
-/// Forensic observability: tail-sampled exemplar traces, per-shard
-/// flight-recorder rings, and the SLO burn-rate engine. Off by default —
-/// and inert without `tracing`, which provides the stage stamps exemplar
-/// traces are made of.
+/// Forensic observability: tail-sampled exemplar traces and per-shard
+/// flight-recorder rings, off by default — and inert without `tracing`,
+/// which provides the stage stamps exemplar traces are made of — plus the
+/// SLO objectives, which need neither.
 #[derive(Debug, Clone, Default)]
 pub struct ForensicsOptions {
     /// Master switch for reservoirs, exemplars, and flight rings.
@@ -150,8 +163,7 @@ pub struct ForensicsOptions {
     /// (tail-based sampling: admission *is* the sampling decision).
     pub trace_sink: Option<Arc<JsonlSink>>,
     /// SLO objectives; evaluated when [`ServeEngine::slo_tick`] is
-    /// called (independent of `enabled`, though latency objectives read
-    /// series only forensics populates).
+    /// called, whether or not `enabled` or tracing is on.
     pub slo: SloOptions,
     /// Fault injection for tests and smoke runs: stall the owning shard
     /// for the given duration whenever it scores a request from this
@@ -742,7 +754,7 @@ impl ServeEngine {
                 quality: metrics
                     .quality
                     .as_ref()
-                    .map(|q| ShardQuality::new(metrics.registry.clone(), q.spec, q.drift.clone())),
+                    .map(|q| ShardQuality::new(q.drift.clone())),
                 inject_slow: options.forensics.inject_slow,
                 fbuf: Vec::with_capacity(pipeline.len()),
             };
@@ -1015,20 +1027,15 @@ impl ServeEngine {
         out
     }
 
-    /// Online quality report (per model version, cumulative + windowed,
-    /// plus the drift signal), or `None` when the engine was started
+    /// Online quality report (cumulative per model version, plus the
+    /// drift signal), or `None` when the engine was started
     /// without quality monitoring. Runs in-band: each shard exports its
     /// accumulated per-version quality through its FIFO queue, so the
     /// report reflects everything enqueued before this call completes.
     pub fn quality_report(&self) -> Option<QualityReport> {
         let q = self.metrics.quality.as_ref()?;
         let exports = self.broadcast(|reply| Request::ExportQuality { reply });
-        Some(quality::build_report(
-            &self.metrics.registry,
-            q.spec,
-            exports,
-            q.drift.values(),
-        ))
+        Some(quality::build_report(exports, q.drift.values()))
     }
 
     /// Point-in-time report: one refreshed capture of the engine's
@@ -1041,18 +1048,18 @@ impl ServeEngine {
     /// Advance the SLO burn-rate engine one evaluation tick and return
     /// the worst objective state, or `None` when no objectives are
     /// configured. Call at a steady cadence (the burn windows are
-    /// counted in ticks). When a quality objective is configured this
-    /// runs an in-band quality export to compute the windowed-over-
-    /// cumulative hit@10 ratio.
+    /// counted in ticks; see [`SloOptions`] for what each objective
+    /// reads). When a quality objective is configured this runs an
+    /// in-band quality export for the overall hit@10 totals.
     pub fn slo_tick(&self) -> Option<SloState> {
         self.metrics.slo.as_ref()?;
-        let quality_ratio = if self.metrics.slo_wants_quality() {
-            self.quality_report()
-                .and_then(|r| r.windowed_over_cumulative_hit10())
-        } else {
-            None
-        };
-        self.metrics.slo_tick(quality_ratio)
+        let quality = self
+            .metrics
+            .slo_wants_quality()
+            .then(|| self.quality_report())
+            .flatten()
+            .map(|r| r.overall());
+        self.metrics.slo_tick(quality)
     }
 
     /// The per-shard flight-recorder rings (empty when forensics is
@@ -1408,10 +1415,6 @@ mod tests {
         assert_eq!(stage_count("score"), total, "every traced request scores");
         // Only replied-to requests have a respond leg.
         assert_eq!(stage_count("respond"), report.total_recommends());
-        // Short test: the rolling window covers the whole run, so the
-        // windowed count is the cumulative one (CI's windowed/cumulative
-        // gate reads exactly these two sums).
-        assert_eq!(snap.sum("serve_events_window", &[]), total);
         // Quiescent after flush: depth and in-flight gauges back to zero.
         let text = engine.metrics_text();
         assert!(text.contains("serve_queue_depth{shard=\"0\"} 0"), "{text}");
@@ -1462,8 +1465,6 @@ mod tests {
         let _ = engine.recommend(UserId(0), 5);
         let report = engine.metrics();
         assert!(report.stages.is_empty());
-        let windowed = report.snapshot.matching("serve_events_window", &[]);
-        assert_eq!(windowed.count(), 0);
         assert!(!engine.metrics_text().contains("serve_stage_duration_ns"));
         engine.shutdown();
     }
@@ -1550,7 +1551,7 @@ mod tests {
         let by_version: std::collections::HashMap<u64, u64> = report
             .versions
             .iter()
-            .map(|v| (v.quality.version, v.quality.ranking.opportunities))
+            .map(|v| (v.version, v.ranking.opportunities))
             .collect();
         assert_eq!(
             by_version.get(&0),
@@ -1948,6 +1949,33 @@ mod tests {
                 assert!(text.contains(&line), "{line} missing from {text}");
             }
         }
+        engine.shutdown();
+    }
+
+    /// A latency objective reads the always-on latency histograms, so it
+    /// judges with forensics off: a bound no request can meet pages after
+    /// a sustained breach, and every tick is counted.
+    #[test]
+    fn latency_objective_judges_without_forensics() {
+        let options = EngineOptions {
+            forensics: ForensicsOptions {
+                slo: SloOptions {
+                    observe_p99_ns: Some(1),
+                    ..SloOptions::default()
+                },
+                ..ForensicsOptions::default()
+            },
+            ..EngineOptions::default()
+        };
+        let (engine, _) = engine_fixture_with(0, 2, options);
+        for u in 0..8u32 {
+            engine.observe(UserId(u), ItemId(0));
+        }
+        let states: Vec<SloState> = (0..12).map(|_| engine.slo_tick().unwrap()).collect();
+        assert_eq!(*states.last().unwrap(), SloState::Page, "{states:?}");
+        let verdict = &engine.metrics().slo_verdicts[0];
+        assert_eq!(verdict.ticks, 12, "{verdict:?}");
+        assert!(engine.metrics().forensics.is_none());
         engine.shutdown();
     }
 

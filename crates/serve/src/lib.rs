@@ -50,9 +50,9 @@
 //! * **Online quality** ([`quality`]) — opt-in
 //!   ([`EngineOptions::quality`]): each served top-N is scored against
 //!   the user's next eligible repeat, attributed to the **model version
-//!   that served it** (honest across hot-swaps), cumulative and over a
-//!   rolling window, plus a drift signal comparing windowed top-1
-//!   score / feature means against the since-install baseline.
+//!   that served it** (honest across hot-swaps), cumulative, plus a
+//!   drift signal comparing the last 1 024 top-1 score / feature means
+//!   against the since-install baseline.
 //!
 //! Because shard 0's RNG seed equals the [`rrc_core::OnlineConfig`] seed,
 //! a 1-shard engine reproduces `OnlineTsPpr`'s online learning exactly;
@@ -98,10 +98,10 @@ pub use metrics::{
 };
 pub use overlay::{ModelDiff, ModelOverlay};
 pub use overload::{Admission, AdmissionGate, OverloadOptions, RequestKind, ShedReason};
-pub use quality::{DriftValues, QualityReport, VersionQuality, VersionQualityReport, QUALITY_AT};
+pub use quality::{DriftValues, QualityReport, VersionQuality, QUALITY_AT};
 pub use routing::shard_for;
 pub use trace::StageNanos;
 pub use watcher::{RegistryWatcher, SwapLog};
 // The latency histogram now lives in the workspace-wide observability
 // crate; re-exported here for serving-focused callers.
-pub use rrc_obs::{Histogram, HistogramSnapshot, WindowSpec};
+pub use rrc_obs::{Histogram, HistogramSnapshot};

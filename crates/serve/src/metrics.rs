@@ -22,50 +22,62 @@
 //! and the client latency is their span: `serve_*_latency_ns` equals the
 //! three `serve_stage_duration_ns` legs to the nanosecond.
 //!
-//! Every series registered here has a reader (a CI `obs-check` gate, an
-//! `rrc-top` panel, the SLO tick, or the benchmark through
-//! [`MetricsReport`]); the list is pinned by `tests/accounting.rs`.
+//! Every series registered here is cumulative and has a reader (a CI
+//! `obs-check` gate, an `rrc-top` panel, the SLO tick, or the benchmark
+//! through [`MetricsReport`]); the list is pinned by `tests/accounting.rs`.
+//! A reader that wants "lately" differences two captures it holds: the
+//! SLO tick keeps a short deque of them, `rrc-top` compares frames.
 
 use crate::engine::{EngineOptions, SloOptions};
 use crate::overload::{AdmissionGate, OverloadOptions, RequestKind, ShedReason};
-use crate::quality::DriftAccum;
-use crate::trace::{instant_of, now_ns, Enqueued, RequestRecord, StageNanos};
+use crate::quality::{DriftAccum, VersionQuality};
+use crate::trace::{now_ns, Enqueued, RequestRecord, StageNanos};
 use rrc_core::parallel::mix64;
 use rrc_obs::{
     top_slowest, BucketExemplars, BurnConfig, Counter, ExemplarTrace, FlightRecorder, Gauge,
-    Histogram, Json, JsonlSink, Registry, RegistrySnapshot, SloEngine, SloState, SloVerdict,
-    TraceReservoir, WindowSpec, WindowedCounter, WindowedHistogram,
+    Histogram, HistogramSnapshot, Json, JsonlSink, Registry, RegistrySnapshot, SloEngine, SloState,
+    SloVerdict, TraceReservoir,
 };
 use rrc_sequence::UserId;
 use rrc_ustate::TierDelta;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Names of the three traced request stages, in pipeline order. Per-stage
 /// state is an array in this order.
 pub const STAGE_NAMES: [&str; 3] = ["enqueue_wait", "score", "respond"];
 
-/// Forensics folds one request in `1 << WINDOW_SAMPLE_SHIFT` (selected by
+/// Forensics folds one request in `1 << SAMPLE_SHIFT` (selected by
 /// request id, so the sample is unbiased w.r.t. shard and client) into
-/// its stage exemplars, flight ring and rolling request-latency windows.
-/// Everything tracing itself records (stage histograms, gauges, the
-/// windowed event counter) is exact; sampling only thins what forensics
-/// adds per request, and its rolling quantile estimators still see
-/// thousands of samples per window at any realistic traffic level.
-const WINDOW_SAMPLE_SHIFT: u32 = 2;
+/// its stage exemplars and flight ring. Everything tracing itself records
+/// (stage histograms, gauges) is exact; sampling only thins what
+/// forensics adds per request.
+const SAMPLE_SHIFT: u32 = 2;
 
 /// Per-shard reservoir size: the K slowest and K most recent completed
-/// traces are retained per rolling window.
+/// traces are retained per [`RESERVOIR_HORIZON`].
 const RESERVOIR_K: usize = 8;
+
+/// How long a slow trace holds its reservoir slot.
+const RESERVOIR_HORIZON: Duration = Duration::from_secs(60);
+
+/// The SLO tick keeps a capture once the newest it holds is this old…
+const CAPTURE_EVERY: Duration = Duration::from_secs(4);
+
+/// …and drops the oldest while the next one is this old, so an objective
+/// reads the last minute, in [`CAPTURE_EVERY`] steps (at most 16
+/// captures).
+const CAPTURE_HORIZON: Duration = Duration::from_secs(60);
 
 /// Per-shard flight-recorder ring capacity, in events.
 const FLIGHT_CAPACITY: usize = 256;
 
-/// True when this request id is in the 1-in-2^shift rolling sample.
+/// True when this request id is in the 1-in-2^shift sample.
 #[inline]
 fn sampled(id: u64) -> bool {
-    id & ((1 << WINDOW_SAMPLE_SHIFT) - 1) == 0
+    id & ((1 << SAMPLE_SHIFT) - 1) == 0
 }
 
 /// One value per shard, built from the shard's label value.
@@ -99,24 +111,21 @@ impl ShardCounters {
     }
 }
 
-/// Request-scoped tracing state: per-shard stage histograms,
-/// queue-depth/in-flight gauges, and the windowed event counters behind
-/// the windowed-vs-cumulative throughput check. Everything recorded is a
-/// wait-free handle operation; when tracing is off none of it is
-/// touched, which is the difference the benchmark's
-/// `obs.tracing_on_over_off` measures.
+/// Request-scoped tracing state: per-shard stage histograms and
+/// queue-depth/in-flight gauges. Everything recorded is a wait-free
+/// handle operation; when tracing is off none of it is touched, which is
+/// the difference the benchmark's `obs.tracing_on_over_off` measures.
 #[derive(Debug)]
 struct TracingMetrics {
     /// `serve_stage_duration_ns{shard=…,stage=…}`, cumulative.
     stages: Vec<[Arc<Histogram>; 3]>,
     queue_depth: Vec<Arc<Gauge>>,
     inflight: Vec<Arc<Gauge>>,
-    events_window: Vec<Arc<WindowedCounter>>,
     next_id: AtomicU64,
 }
 
 impl TracingMetrics {
-    fn register(registry: &Registry, shards: usize, window: WindowSpec) -> Self {
+    fn register(registry: &Registry, shards: usize) -> Self {
         TracingMetrics {
             stages: per_shard(shards, |s| {
                 STAGE_NAMES.map(|stage| {
@@ -132,9 +141,6 @@ impl TracingMetrics {
             inflight: per_shard(shards, |s| {
                 registry.gauge_with("serve_inflight", &[("shard", s)])
             }),
-            events_window: per_shard(shards, |s| {
-                registry.windowed_counter_with("serve_events_window", &[("shard", s)], window)
-            }),
             next_id: AtomicU64::new(0),
         }
     }
@@ -142,10 +148,8 @@ impl TracingMetrics {
 
 /// Forensic state: per-shard tail-sampling reservoirs, stage bucket
 /// exemplars (a trace id pinned to every populated stage-histogram
-/// bucket, so a p99 bucket links to a concrete replayable trace),
-/// flight-recorder rings, and per-shard rolling request latency
-/// histograms (`serve_request_latency_window_ns{shard,kind}`) that feed
-/// the SLO engine's latency objectives.
+/// bucket, so a p99 bucket links to a concrete replayable trace) and
+/// flight-recorder rings.
 ///
 /// Hot-path cost discipline: exemplars and flight events are recorded
 /// only for sampled requests (the 1-in-4 id sample); the reservoir is
@@ -156,8 +160,6 @@ struct ForensicsMetrics {
     reservoirs: Vec<Arc<TraceReservoir>>,
     exemplars: Vec<[BucketExemplars; 3]>,
     flight: Vec<Arc<FlightRecorder>>,
-    observe_window: Vec<Arc<WindowedHistogram>>,
-    recommend_window: Vec<Arc<WindowedHistogram>>,
     sink: Option<Arc<JsonlSink>>,
 }
 
@@ -171,25 +173,11 @@ impl std::fmt::Debug for ForensicsMetrics {
 }
 
 impl ForensicsMetrics {
-    fn register(
-        registry: &Registry,
-        shards: usize,
-        window: WindowSpec,
-        sink: Option<Arc<JsonlSink>>,
-    ) -> Self {
-        let window_ns = window.window().as_nanos().min(u64::MAX as u128) as u64;
-        let latency = |kind: &str| {
-            per_shard(shards, |s| {
-                registry.windowed_histogram_with(
-                    "serve_request_latency_window_ns",
-                    &[("shard", s), ("kind", kind)],
-                    window,
-                )
-            })
-        };
+    fn register(shards: usize, sink: Option<Arc<JsonlSink>>) -> Self {
+        let horizon_ns = RESERVOIR_HORIZON.as_nanos() as u64;
         ForensicsMetrics {
             reservoirs: (0..shards)
-                .map(|_| Arc::new(TraceReservoir::new(RESERVOIR_K, window_ns)))
+                .map(|_| Arc::new(TraceReservoir::new(RESERVOIR_K, horizon_ns)))
                 .collect(),
             exemplars: (0..shards)
                 .map(|_| STAGE_NAMES.map(|_| BucketExemplars::new()))
@@ -197,8 +185,6 @@ impl ForensicsMetrics {
             flight: (0..shards)
                 .map(|s| Arc::new(FlightRecorder::new(s, FLIGHT_CAPACITY)))
                 .collect(),
-            observe_window: latency("observe"),
-            recommend_window: latency("recommend"),
             sink,
         }
     }
@@ -206,10 +192,8 @@ impl ForensicsMetrics {
     /// Fold one served, traced request, closed at `received`. For
     /// *sampled* requests: pin stage exemplars and drop a `request`
     /// event into the shard's flight ring. For requests whose caller
-    /// waited (`replied`): feed the rolling request latency behind the
-    /// SLO latency objectives and offer the finished timeline to the
-    /// shard's tail reservoir (admission = the sampling decision → JSONL
-    /// sink).
+    /// waited (`replied`): offer the finished timeline to the shard's
+    /// tail reservoir (admission = the sampling decision → JSONL sink).
     fn served(
         &self,
         id: u64,
@@ -238,13 +222,6 @@ impl ForensicsMetrics {
                     ("version", Json::U64(rec.version)),
                 ],
             );
-            if replied {
-                let window = match rec.kind {
-                    RequestKind::Observe => &self.observe_window[shard],
-                    RequestKind::Recommend => &self.recommend_window[shard],
-                };
-                window.record_at_instant(instant_of(received), total);
-            }
         }
         let reservoir = &self.reservoirs[shard];
         if !replied || (!in_sample && total < reservoir.admission_floor()) {
@@ -274,25 +251,70 @@ impl ForensicsMetrics {
     }
 }
 
-/// Which live measurement feeds each SLO objective, in objective order.
+/// Which measurement feeds each SLO objective, in objective order. Each
+/// is computed from the current capture minus the tick's base capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SloValueKind {
-    /// Max across shards of the windowed observe-latency p99.
+    /// p99 of the observe latencies replied since the base, engine-wide.
     ObserveP99,
-    /// Max across shards of the windowed recommend-latency p99.
+    /// p99 of the recommend latencies replied since the base, engine-wide.
     RecommendP99,
-    /// Windowed hit@10 over since-install hit@10 (needs quality
-    /// monitoring; `None` until both sides have opportunities).
+    /// hit@10 since the base over hit@10 since start (needs quality
+    /// monitoring; `None` until both have opportunities and hits).
     QualityRatio,
-    /// Windowed shed / offered fraction across all shards and kinds
-    /// (needs overload accounting; `None` while nothing is offered).
+    /// Shed / offered since the base, across all shards and kinds (needs
+    /// overload accounting; `None` while nothing was offered).
     ShedRate,
+}
+
+impl SloValueKind {
+    /// The objective's value over what happened between `base` and `now`.
+    fn value(self, now: &SloCapture, base: &SloCapture) -> Option<f64> {
+        let ratio = |num: u64, den: u64| (den > 0).then(|| num as f64 / den as f64);
+        let p99 = |now: &HistogramSnapshot, base| now.since(base).p99().map(|ns| ns as f64);
+        match self {
+            SloValueKind::ObserveP99 => p99(&now.observe, &base.observe),
+            SloValueKind::RecommendP99 => p99(&now.recommend, &base.recommend),
+            SloValueKind::QualityRatio => {
+                let lately = ratio(
+                    now.hits10.saturating_sub(base.hits10),
+                    now.opportunities.saturating_sub(base.opportunities),
+                )?;
+                Some(lately / ratio(now.hits10, now.opportunities).filter(|&r| r > 0.0)?)
+            }
+            SloValueKind::ShedRate => ratio(
+                now.shed.saturating_sub(base.shed),
+                now.offered.saturating_sub(base.offered),
+            ),
+        }
+    }
+}
+
+/// The cumulative totals the SLO objectives read, as of one tick. Only
+/// what a configured objective reads is filled in; two captures
+/// difference into what happened between them.
+#[derive(Debug, Clone, Default)]
+struct SloCapture {
+    observe: HistogramSnapshot,
+    recommend: HistogramSnapshot,
+    offered: u64,
+    shed: u64,
+    /// Overall quality opportunities and hits@10, from the in-band export.
+    opportunities: u64,
+    hits10: u64,
+}
+
+/// The burn-rate engine and the captures its values are differences of:
+/// oldest first, seeded with a zero capture at engine start.
+struct SloBooks {
+    engine: SloEngine,
+    captures: VecDeque<(Instant, SloCapture)>,
 }
 
 /// The SLO burn-rate engine plus its exposition gauges
 /// (`slo_state{objective=…}`: 0 ok / 1 warn / 2 page, and `slo_worst`).
 pub(crate) struct SloMetrics {
-    engine: Mutex<SloEngine>,
+    books: Mutex<SloBooks>,
     wants: Vec<SloValueKind>,
     state_gauges: Vec<Arc<Gauge>>,
     worst_gauge: Arc<Gauge>,
@@ -334,21 +356,42 @@ impl SloMetrics {
             .map(|o| registry.gauge_with("slo_state", &[("objective", &o.name)]))
             .collect();
         Some(SloMetrics {
-            engine: Mutex::new(SloEngine::new(objectives, BurnConfig::default())),
+            books: Mutex::new(SloBooks {
+                engine: SloEngine::new(objectives, BurnConfig::default()),
+                captures: VecDeque::from([(Instant::now(), SloCapture::default())]),
+            }),
             wants,
             state_gauges,
             worst_gauge: registry.gauge("slo_worst"),
         })
     }
 
-    /// True when any objective needs an in-band quality report per tick.
-    pub fn wants_quality(&self) -> bool {
-        self.wants.contains(&SloValueKind::QualityRatio)
-    }
-
-    fn tick(&self, values: &[Option<f64>]) -> SloState {
-        let mut engine = self.engine.lock().expect("slo engine lock");
-        engine.tick(values);
+    /// One tick at `now` with the `current` totals: keep the capture if
+    /// the newest held is [`CAPTURE_EVERY`] old, age out captures past
+    /// [`CAPTURE_HORIZON`], and judge every objective on current − oldest.
+    fn tick_at(&self, now: Instant, current: SloCapture) -> SloState {
+        let mut books = self.books.lock().expect("slo books lock");
+        let SloBooks { engine, captures } = &mut *books;
+        let age = |at: &Instant| now.saturating_duration_since(*at);
+        if captures
+            .back()
+            .is_none_or(|(at, _)| age(at) >= CAPTURE_EVERY)
+        {
+            captures.push_back((now, current.clone()));
+        }
+        while captures
+            .get(1)
+            .is_some_and(|(at, _)| age(at) >= CAPTURE_HORIZON)
+        {
+            captures.pop_front();
+        }
+        let base = &captures.front().expect("seeded at engine start").1;
+        let values: Vec<Option<f64>> = self
+            .wants
+            .iter()
+            .map(|kind| kind.value(&current, base))
+            .collect();
+        engine.tick(&values);
         for (gauge, verdict) in self.state_gauges.iter().zip(engine.verdicts()) {
             gauge.set(verdict.state.as_gauge() as i64);
         }
@@ -358,7 +401,7 @@ impl SloMetrics {
     }
 
     fn verdicts(&self) -> Vec<SloVerdict> {
-        self.engine.lock().expect("slo engine lock").verdicts()
+        self.books.lock().expect("slo books lock").engine.verdicts()
     }
 }
 
@@ -441,24 +484,17 @@ impl UstateMetrics {
     }
 }
 
-/// One request kind's per-shard overload accounting series. Offered and
-/// shed have rolling-window twins (the SLO shed-rate objective and
-/// `rrc-top` read recent behavior, not lifetime totals); admitted is
-/// derivable inside a window only at quiescence, so only its cumulative
-/// form exists.
+/// One request kind's per-shard overload accounting series.
 #[derive(Debug)]
 pub(crate) struct OverloadKindSeries {
     pub offered: Vec<Arc<Counter>>,
     pub admitted: Vec<Arc<Counter>>,
     pub shed_queue: Vec<Arc<Counter>>,
     pub shed_deadline: Vec<Arc<Counter>>,
-    pub offered_window: Vec<Arc<WindowedCounter>>,
-    pub shed_queue_window: Vec<Arc<WindowedCounter>>,
-    pub shed_deadline_window: Vec<Arc<WindowedCounter>>,
 }
 
 impl OverloadKindSeries {
-    fn register(registry: &Registry, shards: usize, window: WindowSpec, kind: &str) -> Self {
+    fn register(registry: &Registry, shards: usize, kind: &str) -> Self {
         let counters = |name: &str| {
             per_shard(shards, |s| {
                 registry.counter_with(name, &[("shard", s), ("kind", kind)])
@@ -472,29 +508,11 @@ impl OverloadKindSeries {
                 )
             })
         };
-        let shed_window = |reason: &str| {
-            per_shard(shards, |s| {
-                registry.windowed_counter_with(
-                    "serve_shed_window",
-                    &[("shard", s), ("kind", kind), ("reason", reason)],
-                    window,
-                )
-            })
-        };
         OverloadKindSeries {
             offered: counters("serve_offered_total"),
             admitted: counters("serve_admitted_total"),
             shed_queue: shed("queue"),
             shed_deadline: shed("deadline"),
-            offered_window: per_shard(shards, |s| {
-                registry.windowed_counter_with(
-                    "serve_offered_window",
-                    &[("shard", s), ("kind", kind)],
-                    window,
-                )
-            }),
-            shed_queue_window: shed_window("queue"),
-            shed_deadline_window: shed_window("deadline"),
         }
     }
 }
@@ -512,12 +530,7 @@ pub(crate) struct OverloadMetrics {
 }
 
 impl OverloadMetrics {
-    fn register(
-        registry: &Registry,
-        shards: usize,
-        window: WindowSpec,
-        opts: &OverloadOptions,
-    ) -> Option<Self> {
+    fn register(registry: &Registry, shards: usize, opts: &OverloadOptions) -> Option<Self> {
         if !opts.enabled() {
             return None;
         }
@@ -537,8 +550,8 @@ impl OverloadMetrics {
             .set(observe_cap.map_or(0, |c| c.min(i64::MAX as usize) as i64));
         Some(OverloadMetrics {
             gates,
-            observe: OverloadKindSeries::register(registry, shards, window, "observe"),
-            recommend: OverloadKindSeries::register(registry, shards, window, "recommend"),
+            observe: OverloadKindSeries::register(registry, shards, "observe"),
+            recommend: OverloadKindSeries::register(registry, shards, "recommend"),
             queue_peak: (0..shards)
                 .map(|s| registry.gauge_with("serve_queue_peak", &[("shard", &s.to_string())]))
                 .collect(),
@@ -561,7 +574,6 @@ impl OverloadMetrics {
     fn offer(&self, shard: usize, kind: RequestKind, forced: bool) -> Result<(), ShedReason> {
         let s = self.series(kind);
         s.offered[shard].inc();
-        s.offered_window[shard].add(1);
         match &self.gates {
             Some(gates) if forced => {
                 gates[shard].force_admit();
@@ -586,31 +598,20 @@ impl OverloadMetrics {
         let (s, shard) = (self.series(rec.kind), rec.shard);
         match rec.outcome {
             Ok(()) => s.admitted[shard].inc(),
-            Err(ShedReason::QueueFull) => {
-                s.shed_queue[shard].inc();
-                s.shed_queue_window[shard].add(1);
-            }
-            Err(ShedReason::Deadline) => {
-                s.shed_deadline[shard].inc();
-                s.shed_deadline_window[shard].add(1);
-            }
+            Err(ShedReason::QueueFull) => s.shed_queue[shard].inc(),
+            Err(ShedReason::Deadline) => s.shed_deadline[shard].inc(),
         }
     }
 
-    /// Windowed shed fraction (all kinds, all shards): shed / offered
-    /// over the rolling window, or `None` while nothing was offered —
-    /// the SLO shed-rate objective freezes rather than paging on idle.
-    pub fn shed_rate_window(&self) -> Option<f64> {
-        let sum = |v: &[Arc<WindowedCounter>]| v.iter().map(|c| c.window_total()).sum::<u64>();
-        let offered = sum(&self.observe.offered_window) + sum(&self.recommend.offered_window);
-        if offered == 0 {
-            return None;
-        }
-        let shed = sum(&self.observe.shed_queue_window)
-            + sum(&self.observe.shed_deadline_window)
-            + sum(&self.recommend.shed_queue_window)
-            + sum(&self.recommend.shed_deadline_window);
-        Some(shed as f64 / offered as f64)
+    /// `(offered, shed)` since start, over all shards and kinds: what the
+    /// SLO shed-rate objective differences.
+    fn totals(&self) -> (u64, u64) {
+        let sum = |v: &[Arc<Counter>]| v.iter().map(|c| c.get()).sum::<u64>();
+        let (o, r) = (&self.observe, &self.recommend);
+        (
+            sum(&o.offered) + sum(&r.offered),
+            sum(&o.shed_queue) + sum(&o.shed_deadline) + sum(&r.shed_queue) + sum(&r.shed_deadline),
+        )
     }
 
     /// Copy each live gate's high-water mark into its
@@ -628,17 +629,15 @@ impl OverloadMetrics {
 /// exposition gauges it refreshes.
 #[derive(Debug)]
 pub(crate) struct QualityMetrics {
-    pub spec: WindowSpec,
     pub drift: Arc<DriftAccum>,
     drift_score: Arc<Gauge>,
     drift_feature: Arc<Gauge>,
 }
 
 impl QualityMetrics {
-    fn register(registry: &Registry, spec: WindowSpec) -> Self {
+    fn register(registry: &Registry) -> Self {
         QualityMetrics {
-            spec,
-            drift: Arc::new(DriftAccum::new(spec)),
+            drift: Arc::new(DriftAccum::new()),
             drift_score: registry.gauge("serve_drift_score_micro"),
             drift_feature: registry.gauge("serve_drift_feature_micro"),
         }
@@ -682,8 +681,6 @@ impl EngineMetrics {
             forensics,
             overload,
         } = options;
-        // The rolling window of every windowed series, one minute.
-        let window = WindowSpec::default();
         let registry = Registry::new();
         registry.gauge("serve_shards").set(shards as i64);
         EngineMetrics {
@@ -692,16 +689,15 @@ impl EngineMetrics {
             shards: (0..shards)
                 .map(|id| ShardCounters::register(&registry, id))
                 .collect(),
-            tracing: tracing.then(|| TracingMetrics::register(&registry, shards, window)),
+            tracing: tracing.then(|| TracingMetrics::register(&registry, shards)),
             // Forensics rides on tracing — without stage stamps there is
             // nothing to put in an exemplar trace.
-            forensics: (forensics.enabled && *tracing).then(|| {
-                ForensicsMetrics::register(&registry, shards, window, forensics.trace_sink.clone())
-            }),
+            forensics: (forensics.enabled && *tracing)
+                .then(|| ForensicsMetrics::register(shards, forensics.trace_sink.clone())),
             slo: SloMetrics::register(&registry, &forensics.slo),
-            quality: quality.then(|| QualityMetrics::register(&registry, window)),
+            quality: quality.then(|| QualityMetrics::register(&registry)),
             ustate: UstateMetrics::register(&registry, shards),
-            overload: OverloadMetrics::register(&registry, shards, window, overload),
+            overload: OverloadMetrics::register(&registry, shards, overload),
             model_version: registry.gauge("serve_model_version"),
             model_fingerprint: registry.gauge("serve_model_fingerprint"),
             uptime_ms: registry.gauge("serve_uptime_ms"),
@@ -796,7 +792,6 @@ impl EngineMetrics {
                     for (hist, ns) in t.stages[rec.shard].iter().zip(legs) {
                         hist.record(ns);
                     }
-                    t.events_window[rec.shard].add_at_instant(instant_of(closed), 1);
                     if let Some(fx) = &self.forensics {
                         fx.served(id, rec, &stages, replied, closed);
                     }
@@ -869,43 +864,40 @@ impl EngineMetrics {
     }
 
     /// True when the SLO engine has an objective fed by quality
-    /// monitoring (the caller must then supply `quality_ratio` to
+    /// monitoring (the caller must then supply the overall quality to
     /// [`EngineMetrics::slo_tick`]).
     pub fn slo_wants_quality(&self) -> bool {
-        self.slo.as_ref().is_some_and(|s| s.wants_quality())
+        let wants = |s: &SloMetrics| s.wants.contains(&SloValueKind::QualityRatio);
+        self.slo.as_ref().is_some_and(wants)
     }
 
-    /// Advance the SLO burn-rate engine one evaluation tick against the
-    /// live windowed series; returns the worst objective state, or
-    /// `None` when no objectives are configured. Latency objectives read
-    /// the max-across-shards windowed p99; the quality objective takes
-    /// the caller-computed windowed/cumulative hit@10 ratio.
-    pub fn slo_tick(&self, quality_ratio: Option<f64>) -> Option<SloState> {
+    /// Advance the SLO burn-rate engine one evaluation tick; returns the
+    /// worst objective state, or `None` when no objectives are
+    /// configured. The tick captures what the objectives read — the
+    /// always-on latency histograms, the overload books and the
+    /// caller-exported overall `quality` — and judges each on the
+    /// difference from its base capture.
+    pub fn slo_tick(&self, quality: Option<VersionQuality>) -> Option<SloState> {
         let slo = self.slo.as_ref()?;
-        let windowed_p99 = |windows: &[Arc<WindowedHistogram>]| -> Option<f64> {
-            windows
-                .iter()
-                .filter_map(|w| w.snapshot().quantile(0.99))
-                .max()
-                .map(|ns| ns as f64)
-        };
-        let values: Vec<Option<f64>> = slo
-            .wants
-            .iter()
-            .map(|kind| match kind {
-                SloValueKind::ObserveP99 => self
-                    .forensics
-                    .as_ref()
-                    .and_then(|fx| windowed_p99(&fx.observe_window)),
-                SloValueKind::RecommendP99 => self
-                    .forensics
-                    .as_ref()
-                    .and_then(|fx| windowed_p99(&fx.recommend_window)),
-                SloValueKind::QualityRatio => quality_ratio,
-                SloValueKind::ShedRate => self.overload.as_ref().and_then(|o| o.shed_rate_window()),
-            })
-            .collect();
-        Some(slo.tick(&values))
+        let mut current = SloCapture::default();
+        for kind in &slo.wants {
+            match kind {
+                SloValueKind::ObserveP99 => current.observe = self.observe_latency.snapshot(),
+                SloValueKind::RecommendP99 => current.recommend = self.recommend_latency.snapshot(),
+                SloValueKind::QualityRatio => {
+                    if let Some(q) = quality {
+                        current.opportunities = q.ranking.opportunities;
+                        current.hits10 = q.hits_at[2];
+                    }
+                }
+                SloValueKind::ShedRate => {
+                    if let Some(o) = &self.overload {
+                        (current.offered, current.shed) = o.totals();
+                    }
+                }
+            }
+        }
+        Some(slo.tick_at(Instant::now(), current))
     }
 
     /// Bring the read-side gauges (uptime, drift, queue peaks) up to date.
@@ -1125,6 +1117,7 @@ impl MetricsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SloOptions;
 
     /// Untraced metrics with `overload` accounting.
     fn with(shards: usize, overload: OverloadOptions) -> EngineMetrics {
@@ -1265,17 +1258,129 @@ mod tests {
             (shed("observe", "queue"), shed("recommend", "deadline")),
             (1, 1)
         );
-        // Window saw 5 offered, 2 shed.
-        assert_eq!(snap.sum("serve_offered_window", &[]), 5);
-        assert_eq!(snap.sum("serve_shed_window", &[]), 2);
-        assert_eq!(
-            bounded.overload.as_ref().unwrap().shed_rate_window(),
-            Some(0.4)
-        );
+        // The SLO shed-rate objective differences these totals.
+        assert_eq!(bounded.overload.as_ref().unwrap().totals(), (5, 2));
         // Prometheus exposition carries the labelled shed series.
         let text = bounded.registry.prometheus_text();
         let line = "serve_shed_total{shard=\"0\",kind=\"observe\",reason=\"queue\"} 1";
         assert!(text.contains(line), "{text}");
+    }
+
+    /// Metrics whose SLO engine judges quality ratio, then shed rate.
+    fn slo_metrics() -> EngineMetrics {
+        let mut options = EngineOptions::default();
+        options.forensics.slo = SloOptions {
+            shed_rate: Some(0.5),
+            quality_ratio: Some(0.5),
+            ..SloOptions::default()
+        };
+        EngineMetrics::new(1, &options)
+    }
+
+    /// The engine-start capture every tick instant is measured from.
+    fn seeded_at(slo: &SloMetrics) -> Instant {
+        slo.books.lock().unwrap().captures[0].0
+    }
+
+    #[test]
+    fn slo_captures_are_kept_every_4s_and_age_out_after_a_minute() {
+        let m = slo_metrics();
+        let slo = m.slo.as_ref().unwrap();
+        let start = seeded_at(slo);
+        let held = || -> Vec<Duration> {
+            let books = slo.books.lock().unwrap();
+            books.captures.iter().map(|(at, _)| *at - start).collect()
+        };
+        // Five simulated minutes of 10 ms ticks.
+        let mut most = 0;
+        for tick in 1..=30_000u32 {
+            let now = Duration::from_millis(10 * tick as u64);
+            slo.tick_at(start + now, SloCapture::default());
+            let at = held();
+            most = most.max(at.len());
+            assert!(at.len() <= 16, "{} captures at {now:?}", at.len());
+            // The base is the oldest capture; only it may be a minute old.
+            assert!(
+                at.get(1).is_none_or(|&a| now - a < CAPTURE_HORIZON),
+                "{at:?}"
+            );
+            // The start capture is the base until a later one is a minute old.
+            assert_eq!(
+                at[0] == Duration::ZERO,
+                now < Duration::from_secs(64),
+                "{at:?}"
+            );
+        }
+        assert_eq!(most, 16);
+        let at = held();
+        assert!(
+            at.windows(2).all(|w| w[1] - w[0] == CAPTURE_EVERY),
+            "{at:?}"
+        );
+    }
+
+    #[test]
+    fn a_tick_exactly_on_a_capture_boundary_crosses_it() {
+        let m = slo_metrics();
+        let slo = m.slo.as_ref().unwrap();
+        let start = seeded_at(slo);
+        let held = || -> Vec<Duration> {
+            let books = slo.books.lock().unwrap();
+            books.captures.iter().map(|(at, _)| *at - start).collect()
+        };
+        let nano = Duration::from_nanos(1);
+        // A tick a nanosecond short of CAPTURE_EVERY keeps no capture; one
+        // exactly CAPTURE_EVERY after the newest does.
+        slo.tick_at(start + CAPTURE_EVERY - nano, SloCapture::default());
+        assert_eq!(held(), [Duration::ZERO]);
+        slo.tick_at(start + CAPTURE_EVERY, SloCapture::default());
+        assert_eq!(held(), [Duration::ZERO, CAPTURE_EVERY]);
+        // The start capture stays the base until the next capture is
+        // exactly CAPTURE_HORIZON old, and not a nanosecond longer.
+        let turns = CAPTURE_EVERY + CAPTURE_HORIZON;
+        slo.tick_at(start + turns - nano, SloCapture::default());
+        assert_eq!(held(), [Duration::ZERO, CAPTURE_EVERY, turns - nano]);
+        slo.tick_at(start + turns, SloCapture::default());
+        assert_eq!(held(), [CAPTURE_EVERY, turns - nano]);
+    }
+
+    #[test]
+    fn slo_values_are_differences_from_the_base_capture() {
+        let m = slo_metrics();
+        let slo = m.slo.as_ref().unwrap();
+        let start = seeded_at(slo);
+        let capture = |offered, shed, opportunities, hits10| SloCapture {
+            offered,
+            shed,
+            opportunities,
+            hits10,
+            ..SloCapture::default()
+        };
+        let values = || -> Vec<(Option<f64>, u64)> {
+            slo.verdicts().iter().map(|v| (v.value, v.ticks)).collect()
+        };
+        let secs = |s| start + Duration::from_secs(s);
+        // Against the zero start capture the difference is the total:
+        // 10 / 100 shed, and hit@10 lately equals hit@10 overall.
+        slo.tick_at(secs(4), capture(100, 10, 50, 20));
+        assert_eq!(values(), [(Some(1.0), 1), (Some(0.1), 1)]);
+        // A minute later the 4 s capture is the base: (70 - 10) / (300 -
+        // 100) shed, and (45 - 20) / (150 - 50) = 0.25 over 45 / 150.
+        slo.tick_at(secs(64), capture(300, 70, 150, 45));
+        let [(quality, _), (shed, _)] = values()[..] else {
+            panic!("two objectives")
+        };
+        assert!((shed.unwrap() - 0.3).abs() < 1e-12, "{shed:?}");
+        assert!((quality.unwrap() - 0.25 / 0.3).abs() < 1e-12, "{quality:?}");
+        // Nothing offered or scored since the new base (the 64 s capture):
+        // zero denominators freeze both objectives at their last value.
+        slo.tick_at(secs(130), capture(300, 70, 150, 45));
+        assert_eq!(values(), [(quality, 2), (shed, 2)]);
+        // No hit since start: the overall rate is no denominator either.
+        let cold = slo_metrics();
+        let slo = cold.slo.as_ref().unwrap();
+        slo.tick_at(seeded_at(slo), capture(1, 0, 10, 0));
+        assert_eq!(slo.verdicts()[0].value, None);
     }
 
     #[test]

@@ -10,20 +10,21 @@
 //! remembered list is scored against it: the consumed item's 1-based rank
 //! feeds an [`rrc_eval::RankingResult`] (the exact accumulator the
 //! offline harness uses) plus hit@{1,5,10} counters, cumulative per
-//! version and windowed per version. Attribution by serve-time version is
+//! version. "Lately" is left to the reader: the SLO tick differences two
+//! captures of the overall totals. Attribution by serve-time version is
 //! what keeps quality honest across hot-swaps: a list served by version
 //! A but evaluated after B installed still scores against A.
 //!
-//! A second, cheaper signal watches for **drift**: the rolling mean of
-//! the top-1 predicted score and of the top-1 feature-vector mean versus
-//! their cumulative means since the current model was installed. When the
-//! rolling mean walks away from the since-install mean, the serving
-//! distribution has shifted under the model — time to retrain. Values
-//! are kept in integer micro-units so the accumulators stay wait-free
-//! atomics.
+//! A second, cheaper signal watches for **drift**: the mean of the last
+//! 1 024 top-1 predicted scores and top-1 feature-vector means
+//! versus their cumulative means since the current model was installed.
+//! When the recent mean walks away from the since-install mean, the
+//! serving distribution has shifted under the model — time to retrain.
+//! Values are kept in integer micro-units so the accumulators stay
+//! wait-free atomics.
 
 use rrc_eval::RankingResult;
-use rrc_obs::{Json, Registry, WindowSpec, WindowedCounter, WindowedSum};
+use rrc_obs::Json;
 use rrc_sequence::{ConsumptionKind, ItemId, UserId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -42,50 +43,59 @@ pub(crate) fn micro(x: f64) -> i64 {
     }
 }
 
-/// Wait-free drift accumulator shared by every shard: rolling and
-/// since-install sums of the top-1 predicted score and feature mean.
+/// Top-1 samples the drift signal's recent side averages over.
+pub(crate) const DRIFT_RING: usize = 1024;
+
+/// Wait-free drift accumulator shared by every shard: the last
+/// [`DRIFT_RING`] top-1 samples, and since-install sums of the top-1
+/// predicted score and feature mean.
 #[derive(Debug)]
 pub(crate) struct DriftAccum {
-    score_window: WindowedSum,
-    feat_window: WindowedSum,
-    n_window: WindowedCounter,
+    /// Samples ever recorded; sample `n` lives in slot `n % DRIFT_RING`.
+    recorded: AtomicU64,
+    /// `(score, feature)` per slot, in micro-units.
+    ring: Box<[(AtomicI64, AtomicI64)]>,
     score_cum: AtomicI64,
     feat_cum: AtomicI64,
     n_cum: AtomicU64,
 }
 
-/// Point-in-time drift signal, in micro-units: rolling mean minus
+/// Point-in-time drift signal, in micro-units: recent mean minus
 /// since-install mean. Near zero while the serving distribution matches
 /// what the installed model has seen; walks away under drift.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftValues {
-    /// Rolling − since-install mean of the top-1 predicted score (µ).
+    /// Recent − since-install mean of the top-1 predicted score (µ).
     pub score_micro: i64,
-    /// Rolling − since-install mean of the top-1 feature mean (µ).
+    /// Recent − since-install mean of the top-1 feature mean (µ).
     pub feature_micro: i64,
-    /// Samples inside the rolling window.
+    /// Samples in the recent ring (the last 1 024 at most).
     pub window_samples: u64,
     /// Samples since the current model was installed.
     pub samples_since_install: u64,
 }
 
 impl DriftAccum {
-    pub fn new(spec: WindowSpec) -> Self {
+    pub fn new() -> Self {
         DriftAccum {
-            score_window: WindowedSum::new(spec),
-            feat_window: WindowedSum::new(spec),
-            n_window: WindowedCounter::new(spec),
+            recorded: AtomicU64::new(0),
+            ring: (0..DRIFT_RING)
+                .map(|_| (AtomicI64::new(0), AtomicI64::new(0)))
+                .collect(),
             score_cum: AtomicI64::new(0),
             feat_cum: AtomicI64::new(0),
             n_cum: AtomicU64::new(0),
         }
     }
 
-    /// Record one top-1 sample (micro-units).
+    /// Record one top-1 sample (micro-units). Shards racing for
+    /// neighbouring slots each claim their own; a reader racing a write may
+    /// see one slot's old pair — harmless for a monitoring signal.
     pub fn record(&self, score_micro: i64, feat_micro: i64) {
-        self.score_window.add(score_micro);
-        self.feat_window.add(feat_micro);
-        self.n_window.inc();
+        let n = self.recorded.fetch_add(1, Ordering::Relaxed);
+        let (score, feat) = &self.ring[(n % DRIFT_RING as u64) as usize];
+        score.store(score_micro, Ordering::Relaxed);
+        feat.store(feat_micro, Ordering::Relaxed);
         self.score_cum.fetch_add(score_micro, Ordering::Relaxed);
         self.feat_cum.fetch_add(feat_micro, Ordering::Relaxed);
         self.n_cum.fetch_add(1, Ordering::Relaxed);
@@ -101,11 +111,16 @@ impl DriftAccum {
     }
 
     pub fn values(&self) -> DriftValues {
-        let wn = self.n_window.window_total();
+        let wn = self.recorded.load(Ordering::Relaxed).min(DRIFT_RING as u64);
         let cn = self.n_cum.load(Ordering::Relaxed);
         let mean = |sum: i64, n: u64| if n == 0 { 0 } else { sum / n as i64 };
-        let w_score = mean(self.score_window.window_sum(), wn);
-        let w_feat = mean(self.feat_window.window_sum(), wn);
+        let (mut score_sum, mut feat_sum) = (0i64, 0i64);
+        for (score, feat) in &self.ring[..wn as usize] {
+            score_sum = score_sum.saturating_add(score.load(Ordering::Relaxed));
+            feat_sum = feat_sum.saturating_add(feat.load(Ordering::Relaxed));
+        }
+        let w_score = mean(score_sum, wn);
+        let w_feat = mean(feat_sum, wn);
         let c_score = mean(self.score_cum.load(Ordering::Relaxed), cn);
         let c_feat = mean(self.feat_cum.load(Ordering::Relaxed), cn);
         DriftValues {
@@ -128,41 +143,6 @@ impl DriftValues {
                 Json::U64(self.samples_since_install),
             ),
         ])
-    }
-}
-
-/// Windowed per-version registry handles. Identities are stable, so the
-/// engine's report path re-registers the same names to read them.
-pub(crate) struct VersionHandles {
-    pub opportunities: Arc<WindowedCounter>,
-    pub hits: [Arc<WindowedCounter>; 3],
-    pub rr_micro: Arc<WindowedCounter>,
-}
-
-pub(crate) fn version_handles(
-    registry: &Registry,
-    spec: WindowSpec,
-    version: u64,
-) -> VersionHandles {
-    let v = version.to_string();
-    VersionHandles {
-        opportunities: registry.windowed_counter_with(
-            "online_opportunities_window",
-            &[("version", &v)],
-            spec,
-        ),
-        hits: QUALITY_AT.map(|k| {
-            registry.windowed_counter_with(
-                "online_hits_window",
-                &[("k", &k.to_string()), ("version", &v)],
-                spec,
-            )
-        }),
-        rr_micro: registry.windowed_counter_with(
-            "online_rr_micro_window",
-            &[("version", &v)],
-            spec,
-        ),
     }
 }
 
@@ -204,25 +184,19 @@ struct PendingRec {
 }
 
 /// Per-shard monitor state. Owned exclusively by its shard thread —
-/// only the registry handles and [`DriftAccum`] are shared.
+/// only the [`DriftAccum`] is shared.
 pub(crate) struct ShardQuality {
-    registry: Registry,
-    spec: WindowSpec,
     drift: Arc<DriftAccum>,
     pending: HashMap<u32, PendingRec>,
     versions: BTreeMap<u64, VersionQuality>,
-    handles: HashMap<u64, VersionHandles>,
 }
 
 impl ShardQuality {
-    pub fn new(registry: Registry, spec: WindowSpec, drift: Arc<DriftAccum>) -> Self {
+    pub fn new(drift: Arc<DriftAccum>) -> Self {
         ShardQuality {
-            registry,
-            spec,
             drift,
             pending: HashMap::new(),
             versions: BTreeMap::new(),
-            handles: HashMap::new(),
         }
     }
 
@@ -276,20 +250,6 @@ impl ShardQuality {
                 }
             }
         }
-
-        let handles = self
-            .handles
-            .entry(pending.version)
-            .or_insert_with(|| version_handles(&self.registry, self.spec, pending.version));
-        handles.opportunities.inc();
-        if let Some(rank) = rank {
-            for (i, k) in QUALITY_AT.iter().enumerate() {
-                if rank <= *k {
-                    handles.hits[i].inc();
-                }
-            }
-            handles.rr_micro.add(micro(1.0 / rank as f64) as u64);
-        }
     }
 
     /// Cumulative per-version quality owned by this shard.
@@ -298,45 +258,11 @@ impl ShardQuality {
     }
 }
 
-/// Per-version quality with the windowed view attached — one row of the
-/// engine-wide [`QualityReport`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VersionQualityReport {
-    /// Cumulative quality for this version (merged across shards).
-    pub quality: VersionQuality,
-    /// Opportunities inside the rolling window.
-    pub windowed_opportunities: u64,
-    /// Windowed hits at the [`QUALITY_AT`] cutoffs.
-    pub windowed_hits_at: [u64; 3],
-    /// Windowed Σ 1/rank in micro-units.
-    pub windowed_rr_micro: u64,
-}
-
-impl VersionQualityReport {
-    /// Windowed hit@`QUALITY_AT[i]` rate.
-    pub fn windowed_hit_rate_at(&self, i: usize) -> f64 {
-        if self.windowed_opportunities == 0 {
-            0.0
-        } else {
-            self.windowed_hits_at[i] as f64 / self.windowed_opportunities as f64
-        }
-    }
-
-    /// Windowed mean reciprocal rank.
-    pub fn windowed_mrr(&self) -> f64 {
-        if self.windowed_opportunities == 0 {
-            0.0
-        } else {
-            self.windowed_rr_micro as f64 / 1e6 / self.windowed_opportunities as f64
-        }
-    }
-}
-
 /// Engine-wide online quality: per-version rows (ordered by version) plus
 /// the drift signal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QualityReport {
-    pub versions: Vec<VersionQualityReport>,
+    pub versions: Vec<VersionQuality>,
     pub drift: DriftValues,
 }
 
@@ -345,26 +271,9 @@ impl QualityReport {
     pub fn overall(&self) -> VersionQuality {
         let mut total = VersionQuality::default();
         for v in &self.versions {
-            total.merge(&v.quality);
+            total.merge(v);
         }
         total
-    }
-
-    /// Windowed hit@10 over since-install hit@10, folded across versions
-    /// — the SLO engine's quality-regression signal. `None` until both
-    /// the window and the cumulative ledger have opportunities (absence
-    /// of traffic is not a quality breach).
-    pub fn windowed_over_cumulative_hit10(&self) -> Option<f64> {
-        let cum_rate = self.overall().hit_rate_at(2);
-        if cum_rate <= 0.0 {
-            return None;
-        }
-        let w_opp: u64 = self.versions.iter().map(|v| v.windowed_opportunities).sum();
-        if w_opp == 0 {
-            return None;
-        }
-        let w_hits: u64 = self.versions.iter().map(|v| v.windowed_hits_at[2]).sum();
-        Some((w_hits as f64 / w_opp as f64) / cum_rate)
     }
 
     pub fn to_json(&self) -> Json {
@@ -377,22 +286,12 @@ impl QualityReport {
                         .iter()
                         .map(|v| {
                             Json::obj([
-                                ("version", Json::U64(v.quality.version)),
-                                ("opportunities", Json::U64(v.quality.ranking.opportunities)),
-                                ("hit1", Json::F64(v.quality.hit_rate_at(0))),
-                                ("hit5", Json::F64(v.quality.hit_rate_at(1))),
-                                ("hit10", Json::F64(v.quality.hit_rate_at(2))),
-                                ("mrr", Json::F64(v.quality.ranking.mrr())),
-                                (
-                                    "windowed",
-                                    Json::obj([
-                                        ("opportunities", Json::U64(v.windowed_opportunities)),
-                                        ("hit1", Json::F64(v.windowed_hit_rate_at(0))),
-                                        ("hit5", Json::F64(v.windowed_hit_rate_at(1))),
-                                        ("hit10", Json::F64(v.windowed_hit_rate_at(2))),
-                                        ("mrr", Json::F64(v.windowed_mrr())),
-                                    ]),
-                                ),
+                                ("version", Json::U64(v.version)),
+                                ("opportunities", Json::U64(v.ranking.opportunities)),
+                                ("hit1", Json::F64(v.hit_rate_at(0))),
+                                ("hit5", Json::F64(v.hit_rate_at(1))),
+                                ("hit10", Json::F64(v.hit_rate_at(2))),
+                                ("mrr", Json::F64(v.ranking.mrr())),
                             ])
                         })
                         .collect(),
@@ -414,10 +313,8 @@ impl QualityReport {
 }
 
 /// Assemble the engine-wide report: merge the shards' cumulative
-/// per-version quality and attach the windowed registry series.
+/// per-version quality.
 pub(crate) fn build_report(
-    registry: &Registry,
-    spec: WindowSpec,
     shard_exports: Vec<Vec<VersionQuality>>,
     drift: DriftValues,
 ) -> QualityReport {
@@ -433,41 +330,18 @@ pub(crate) fn build_report(
                 .merge(&vq);
         }
     }
-    let versions = merged
-        .into_values()
-        .map(|quality| {
-            let handles = version_handles(registry, spec, quality.version);
-            VersionQualityReport {
-                quality,
-                windowed_opportunities: handles.opportunities.window_total(),
-                windowed_hits_at: [
-                    handles.hits[0].window_total(),
-                    handles.hits[1].window_total(),
-                    handles.hits[2].window_total(),
-                ],
-                windowed_rr_micro: handles.rr_micro.window_total(),
-            }
-        })
-        .collect();
-    QualityReport { versions, drift }
+    QualityReport {
+        versions: merged.into_values().collect(),
+        drift,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    fn spec() -> WindowSpec {
-        WindowSpec {
-            slots: 4,
-            epoch: Duration::from_secs(60),
-        }
-    }
 
     fn monitor() -> ShardQuality {
-        let registry = Registry::new();
-        let drift = Arc::new(DriftAccum::new(spec()));
-        ShardQuality::new(registry, spec(), drift)
+        ShardQuality::new(Arc::new(DriftAccum::new()))
     }
 
     #[test]
@@ -509,7 +383,7 @@ mod tests {
 
     #[test]
     fn drift_is_zero_on_matching_distributions_and_tracks_shift() {
-        let d = DriftAccum::new(spec());
+        let d = DriftAccum::new();
         for _ in 0..50 {
             d.record(micro(0.5), micro(0.25));
         }
@@ -529,8 +403,32 @@ mod tests {
     }
 
     #[test]
+    fn drift_ring_slots_are_reused_for_the_newest_samples() {
+        let d = DriftAccum::new();
+        for _ in 0..DRIFT_RING {
+            d.record(micro(0.5), micro(0.25));
+        }
+        d.reset_baseline();
+        // Half a ring of 0.9 samples takes over the oldest half of the
+        // slots: the recent mean is 0.7 against a baseline of 0.9.
+        for _ in 0..DRIFT_RING / 2 {
+            d.record(micro(0.9), micro(0.25));
+        }
+        let v = d.values();
+        assert_eq!(v.window_samples, DRIFT_RING as u64);
+        assert_eq!(v.score_micro, -200_000, "{v:?}");
+        // The other half reclaims every 0.5 slot: no drift is left.
+        for _ in 0..DRIFT_RING / 2 {
+            d.record(micro(0.9), micro(0.25));
+        }
+        let v = d.values();
+        assert_eq!(v.window_samples, DRIFT_RING as u64);
+        assert_eq!((v.score_micro, v.feature_micro), (0, 0), "{v:?}");
+        assert_eq!(v.samples_since_install, DRIFT_RING as u64);
+    }
+
+    #[test]
     fn report_merges_shards_and_serves_overall() {
-        let registry = Registry::new();
         let mut a = VersionQuality {
             version: 1,
             ..VersionQuality::default()
@@ -542,16 +440,11 @@ mod tests {
             ..VersionQuality::default()
         };
         b.ranking.record(None);
-        let report = build_report(
-            &registry,
-            spec(),
-            vec![vec![a], vec![b]],
-            DriftAccum::new(spec()).values(),
-        );
+        let report = build_report(vec![vec![a], vec![b]], DriftAccum::new().values());
         assert_eq!(report.versions.len(), 1);
         let v = &report.versions[0];
-        assert_eq!(v.quality.ranking.opportunities, 2);
-        assert!((v.quality.hit_rate_at(2) - 0.5).abs() < 1e-12);
+        assert_eq!(v.ranking.opportunities, 2);
+        assert!((v.hit_rate_at(2) - 0.5).abs() < 1e-12);
         let overall = report.overall();
         assert_eq!(overall.ranking.opportunities, 2);
         // JSON renders with finite numbers.

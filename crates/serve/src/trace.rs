@@ -27,7 +27,7 @@
 
 use crate::overload::{RequestKind, ShedReason};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The common monotonic axis of every stamp.
 fn epoch() -> Instant {
@@ -38,12 +38,6 @@ fn epoch() -> Instant {
 /// Nanoseconds on the stamp axis, now.
 pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64
-}
-
-/// The instant a stamp was taken at (for the rolling windows, which key
-/// their epochs by `Instant`).
-pub(crate) fn instant_of(stamp_ns: u64) -> Instant {
-    epoch() + Duration::from_nanos(stamp_ns)
 }
 
 /// What a request carries through its shard's inbox: the record's id
@@ -199,9 +193,5 @@ mod tests {
         let s = rec.stages(rec.processed);
         assert_eq!(s.respond, 0);
         assert_eq!(s.total(), rec.processed - rec.enqueued);
-        assert_eq!(
-            instant_of(rec.processed),
-            instant_of(rec.enqueued + s.total())
-        );
     }
 }

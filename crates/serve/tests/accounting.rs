@@ -79,8 +79,8 @@ fn engine_registers_exactly_these_series() {
             },
         },
     );
-    // The per-version quality series register with the first scored list:
-    // serve one, then consume an item the window makes an eligible repeat.
+    // Score one list, so every quality path has run: serve one, then
+    // consume an item the window makes an eligible repeat.
     let (user, item) = engine
         .export_windows()
         .into_iter()
@@ -102,10 +102,12 @@ fn engine_registers_exactly_these_series() {
     // `obs-check` gate, an `rrc-top` panel, `slo_tick`, or the benchmark's
     // `sut.rs` through `MetricsReport`.
     let expected = [
-        // CI `--require …p50` / `--histogram-quantile`; `rrc-top` requests.
+        // CI `--require …p50` / `--histogram-quantile`; `rrc-top` requests;
+        // `slo_tick`'s latency objectives.
         "serve_observe_latency_ns",
         "serve_recommend_latency_ns",
-        // CI windowed ÷ cumulative `--between`; `sut.rs` `total_*()`.
+        // CI observes ÷ uptime `--between`; `rrc-top` throughput since
+        // start and since the last frame; `sut.rs` `total_*()`.
         "serve_observes_total",
         "serve_recommends_total",
         // `sut.rs` `total_online_updates()` and `shards[].swaps`.
@@ -118,18 +120,9 @@ fn engine_registers_exactly_these_series() {
         // CI `--require`; `rrc-top` stages.
         "serve_queue_depth",
         "serve_inflight",
-        // CI windowed ÷ cumulative `--between`; `rrc-top` throughput.
-        "serve_events_window",
-        // Forensics. `slo_tick`'s latency objectives.
-        "serve_request_latency_window_ns",
         // CI `--require`; `rrc-top` SLO panel.
         "slo_state",
         "slo_worst",
-        // Quality: the `quality` section's windowed rows, which CI
-        // `--require`s and `rrc-top` renders.
-        "online_opportunities_window",
-        "online_hits_window",
-        "online_rr_micro_window",
         // CI `--require`; `rrc-top` drift line.
         "serve_drift_score_micro",
         "serve_drift_feature_micro",
@@ -146,13 +139,11 @@ fn engine_registers_exactly_these_series() {
         // `rrc-top` cache panel.
         "ustate_resident_users",
         "ustate_spilled_users",
-        // CI conservation `--between`; `rrc-top` overload panel.
+        // CI conservation `--between`; `rrc-top` overload panel and its
+        // shed rates; `slo_tick`'s shed-rate objective (offered and shed).
         "serve_offered_total",
         "serve_admitted_total",
         "serve_shed_total",
-        // `slo_tick`'s shed-rate objective; `rrc-top`'s windowed shed rate.
-        "serve_offered_window",
-        "serve_shed_window",
         // CI `--max` / `--min`; `rrc-top` overload panel. The peak is
         // refreshed from the gates at every exposition.
         "serve_queue_peak",

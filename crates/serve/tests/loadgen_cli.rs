@@ -34,6 +34,12 @@ fn json_report_carries_the_keys_ci_requires() {
         "--quality",
         "--swap-every",
         "20",
+        "--slo-observe-p99-us",
+        "500000",
+        "--slo-quality-ratio",
+        "0.5",
+        "--slo-tick",
+        "10",
         "--json",
         path.to_str().unwrap(),
     ]);
@@ -56,13 +62,12 @@ fn json_report_carries_the_keys_ci_requires() {
         "metrics.histograms.serve_recommend_latency_ns.p99",
         "metrics.counters.serve_observes_total{shard=0}",
         "metrics.histograms.serve_stage_duration_ns{shard=*,stage=score}.p50",
-        "metrics.windowed_counters.serve_events_window{shard=*}.total",
         "metrics.gauges.serve_queue_depth{shard=*}",
         "metrics.gauges.serve_inflight{shard=*}",
         "metrics.gauges.serve_drift_score_micro",
         "metrics.gauges.serve_model_version",
         "metrics.gauges.serve_uptime_ms",
-        "quality.versions.0.windowed.hit10",
+        "quality.versions.0.hit10",
         "quality.drift.score_micro",
         "quality.overall.hit10",
         "quality.overall.mrr",
@@ -74,10 +79,16 @@ fn json_report_carries_the_keys_ci_requires() {
             assert!(!v.is_null(), "{at} is null");
         }
     }
-    // Every number that is a series is in `metrics` only.
+    // Every number that is a series is in `metrics` only, and every
+    // series is a counter, a gauge or a histogram.
     for section in ["engine", "ustate"] {
         assert!(doc.get(section).is_none(), "report still has `{section}`");
     }
+    let kinds: Vec<&str> = match doc.get("metrics") {
+        Some(Json::Obj(fields)) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("metrics is not an object: {other:?}"),
+    };
+    assert_eq!(kinds, ["counters", "gauges", "histograms"]);
     let sum = |path: &str| -> u64 {
         doc.select(path)
             .iter()
@@ -91,13 +102,12 @@ fn json_report_carries_the_keys_ci_requires() {
         events,
         Some(sum("metrics.counters.serve_observes_total{shard=*}"))
     );
-    // The window covers the whole short run, so CI's windowed ÷
-    // cumulative ratio is exactly 1 here.
-    assert_eq!(
-        sum("metrics.windowed_counters.serve_events_window{shard=*}.total"),
-        sum("metrics.counters.serve_observes_total{shard=*}")
-            + sum("metrics.counters.serve_recommends_total{shard=*}")
-    );
+    // CI's `--min slo.N.ticks 1`: both objectives judged at least one
+    // tick, without `--forensics`.
+    for objective in ["slo.0", "slo.1"] {
+        let ticks = doc.at(&format!("{objective}.ticks")).and_then(Json::as_u64);
+        assert!(ticks >= Some(1), "{objective} judged no tick: {ticks:?}");
+    }
 }
 
 #[test]
