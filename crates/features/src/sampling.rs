@@ -519,6 +519,62 @@ mod tests {
         assert_eq!(qa, qb);
     }
 
+    /// Algorithm 1's draw is uniform user → uniform positive of that user
+    /// → uniform pre-sampled negative of that positive, so the cell
+    /// `(u, p, n)` expects `N / (|U| · |P_u| · |N_p|)` of `N` draws. Three
+    /// users with unequal positive and negative counts make every stage's
+    /// weighting visible: a draw uniform over positives or over
+    /// quadruples instead lands far outside the χ² bound.
+    #[test]
+    fn quadruple_draw_matches_the_three_stage_uniform_law() {
+        // negatives per positive, per user.
+        let shape: [&[u32]; 3] = [&[2], &[3, 1], &[1, 2, 4]];
+        let mut set = TrainingSet::empty(1, shape.len());
+        let mut item = 0u32;
+        for (u, negs_per_pos) in shape.iter().enumerate() {
+            for (t, &negs) in negs_per_pos.iter().enumerate() {
+                let f = set.push_feature_raw(&[0.0]);
+                let negs: Vec<(ItemId, u32)> = (0..negs)
+                    .map(|_| {
+                        item += 1;
+                        (ItemId(item), f)
+                    })
+                    .collect();
+                set.push_positive_raw(UserId(u as u32), ItemId(0), t, f, &negs);
+            }
+            set.finish_user_raw(UserId(u as u32));
+        }
+        // Negative items are unique, so a draw's cell is its negative.
+        let cells = item as usize;
+        let mut expected = vec![0.0; cells + 1];
+        const N: usize = 240_000;
+        for (u, negs_per_pos) in shape.iter().enumerate() {
+            let user = UserId(u as u32);
+            for pos in set.user_positives(user) {
+                let share = (shape.len() * negs_per_pos.len() * pos.neg_range.len()) as f64;
+                for neg in set.negatives_of(pos) {
+                    expected[neg.item.index()] = N as f64 / share;
+                }
+            }
+        }
+        let mut observed = vec![0u64; cells + 1];
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..N {
+            let q = set.sample(&mut rng).expect("non-empty set");
+            observed[q.neg.index()] += 1;
+        }
+        let chi2: f64 = (1..=cells)
+            .map(|c| (observed[c] as f64 - expected[c]).powi(2) / expected[c])
+            .sum();
+        // The p = 0.001 critical value of χ² with 13 − 1 = 12 degrees of
+        // freedom.
+        assert_eq!(cells, 13);
+        assert!(
+            chi2 < 32.909,
+            "χ² = {chi2:.1}: {observed:?} vs {expected:?}"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "omega must satisfy")]
     fn omega_ge_window_rejected() {

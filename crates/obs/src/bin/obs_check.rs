@@ -8,7 +8,6 @@
 //! ```text
 //! obs-check REPORT.json [--require PATH]... [--min PATH VALUE]... [--max PATH VALUE]...
 //!           [--between EXPR MIN MAX]... [--histogram-quantile 'name{labels}' pQQ MAX]...
-//!           [--flight BUNDLE.jsonl]...
 //! ```
 //!
 //! * `--require a.b.c`  — the path must exist and not be `null`
@@ -31,8 +30,6 @@
 //!   stored: a conservation law is
 //!   `--between 'offered{kind=*}-admitted{kind=*}-shed{kind=*,reason=*}' 0 0`,
 //!   a hit rate is `hits{shard=*}/hits{shard=*}+misses{shard=*}`.
-//! * `--flight BUNDLE.jsonl` — validate a flight-recorder bundle: header
-//!   magic, event ordering, footer count, and CRC32 over the bytes.
 //!
 //! Path segments may contain `*` wildcards, which is how labeled metric
 //! series are addressed: registry snapshots key series Prometheus-style
@@ -59,7 +56,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: obs-check REPORT.json [--require PATH]... [--min PATH VALUE]... \
          [--max PATH VALUE]... [--between EXPR MIN MAX]... \
-         [--histogram-quantile 'name{{labels}}' pQQ MAX]... [--flight BUNDLE.jsonl]..."
+         [--histogram-quantile 'name{{labels}}' pQQ MAX]..."
     );
     std::process::exit(2);
 }
@@ -194,13 +191,11 @@ fn parse_quantile(spec: &str) -> Option<f64> {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1).peekable();
-    // The report path is optional when only validating flight bundles
-    // (a crash run dies before it can write its report JSON).
-    let path = match args.peek() {
-        Some(p) if !p.starts_with("--") => args.next(),
-        _ => None,
-    };
+    let mut args = std::env::args().skip(1);
+    let path = args
+        .next()
+        .filter(|p| !p.starts_with("--"))
+        .unwrap_or_else(|| usage());
     let mut requires: Vec<String> = vec![
         "report".to_string(),
         "created_unix_ms".to_string(),
@@ -209,7 +204,6 @@ fn main() {
     let mut bounds: Vec<(String, Bound)> = Vec::new();
     let mut quantiles: Vec<QuantileCheck> = Vec::new();
     let mut betweens: Vec<BetweenCheck> = Vec::new();
-    let mut flights: Vec<String> = Vec::new();
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--require" => requires.push(args.next().unwrap_or_else(|| usage())),
@@ -262,7 +256,6 @@ fn main() {
                     max,
                 });
             }
-            "--flight" => flights.push(args.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag: {other}");
@@ -270,68 +263,15 @@ fn main() {
             }
         }
     }
-    let report_checks =
-        requires.len() > 3 || !bounds.is_empty() || !quantiles.is_empty() || !betweens.is_empty();
-    if path.is_none() && (flights.is_empty() || report_checks) {
-        usage();
-    }
 
-    let mut failures = Vec::new();
-    let mut checked = flights.len();
-    if let Some(path) = &path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("obs-check: cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        run_report_checks(
-            path,
-            &text,
-            &requires,
-            &bounds,
-            &quantiles,
-            &betweens,
-            &mut checked,
-            &mut failures,
-        );
-    }
-
-    for bundle in &flights {
-        match rrc_obs::validate_flight_bundle(std::path::Path::new(bundle)) {
-            Ok(stats) => println!(
-                "obs-check: flight bundle {bundle} OK ({} events, crc {:#010x})",
-                stats.events, stats.crc32
-            ),
-            Err(e) => failures.push(format!("flight bundle {bundle}: {e}")),
+    let text = match std::fs::read_to_string(&path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("obs-check: cannot read {path}: {e}");
+            std::process::exit(1);
         }
-    }
-
-    if failures.is_empty() {
-        println!("obs-check: {checked} requirement(s) satisfied");
-    } else {
-        for f in &failures {
-            eprintln!("obs-check: {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Parse the report JSON and run the envelope / bound / quantile /
-/// conservation checks against it.
-#[allow(clippy::too_many_arguments)]
-fn run_report_checks(
-    path: &str,
-    text: &str,
-    requires: &[String],
-    bounds: &[(String, Bound)],
-    quantiles: &[QuantileCheck],
-    betweens: &[BetweenCheck],
-    checked: &mut usize,
-    failures: &mut Vec<String>,
-) {
-    let doc = match Json::parse(text) {
+    };
+    let doc = match Json::parse(&text) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("obs-check: {path} is not valid JSON: {e}");
@@ -340,8 +280,8 @@ fn run_report_checks(
         }
     };
 
-    *checked += requires.len() + bounds.len() + quantiles.len() + betweens.len();
-    for p in requires {
+    let mut failures = Vec::new();
+    for p in &requires {
         let matches = doc.select(p);
         if matches.is_empty() {
             failures.push(format!("missing key: {p}"));
@@ -352,7 +292,7 @@ fn run_report_checks(
             }
         }
     }
-    for (p, bound) in bounds {
+    for (p, bound) in &bounds {
         let matches = doc.select(p);
         if matches.is_empty() {
             failures.push(format!("missing key: {p}"));
@@ -375,16 +315,23 @@ fn run_report_checks(
             }
         }
     }
-    for check in quantiles {
-        check_quantile(&doc, check, failures);
+    for check in &quantiles {
+        check_quantile(&doc, check, &mut failures);
     }
-    for check in betweens {
-        check_between(&doc, check, failures);
+    for check in &betweens {
+        check_between(&doc, check, &mut failures);
     }
 
     if failures.is_empty() {
         let name = doc.get("report").and_then(Json::as_str).unwrap_or("?");
+        let checked = requires.len() + bounds.len() + quantiles.len() + betweens.len();
         println!("obs-check: {path} OK (report \"{name}\")");
+        println!("obs-check: {checked} requirement(s) satisfied");
+    } else {
+        for f in &failures {
+            eprintln!("obs-check: {f}");
+        }
+        std::process::exit(1);
     }
 }
 

@@ -5,17 +5,16 @@
 //! request quantiles, per-shard per-stage latency breakdown, queue
 //! depths, user-state cache traffic (hit/miss/evict, resident footprint,
 //! spill/load latency), per-model-version online quality, overload
-//! books, SLO burn-rate verdicts, and the slowest exemplar traces on
-//! record, redrawing every `--interval` ms. Every number that is a
-//! series is read by name from the report's `metrics` section (the
-//! registry snapshot), with the same label globs `obs-check` takes;
-//! ratios such as the hit rate are computed here. Every series is
-//! cumulative, so "lately" is the difference of two frames: the live view
-//! keeps the previous frame and shows throughput and shed rate since it
-//! (`--once` has no previous frame and prints `-` there). Optional panels (ustate, quality, overload, slo,
-//! forensics) degrade gracefully: one whose series or section is absent
-//! is listed in a "not enabled" footer instead of crashing or rendering
-//! an empty panel:
+//! books and SLO burn-rate verdicts, redrawing every `--interval` ms.
+//! Every number that is a series is read by name from the report's
+//! `metrics` section (the registry snapshot), with the same label globs
+//! `obs-check` takes; ratios such as the hit rate are computed here.
+//! Every series is cumulative, so "lately" is the difference of two
+//! frames: the live view keeps the previous frame and shows throughput
+//! and shed rate since it (`--once` has no previous frame and prints `-`
+//! there). Optional panels (ustate, quality, overload, slo) degrade
+//! gracefully: one whose series or section is absent is listed in a "not
+//! enabled" footer instead of crashing or rendering an empty panel:
 //!
 //! ```text
 //! rrc-top /tmp/live.json              # live, redraw every 500 ms
@@ -405,29 +404,6 @@ fn render(doc: &Json, prev: Option<&Json>) -> String {
         }
     }
 
-    // Forensics panel: the slowest exemplar traces on record — the ids
-    // an operator greps for in the trace sink.
-    let slowest = doc.at("forensics.slowest").and_then(Json::as_array);
-    if let Some(slowest) = slowest.filter(|s| !s.is_empty()) {
-        out.push_str(&format!(
-            "\n  {:<14} {:>7} {:>10} {:>9} {:>9} {:>9} {:>9}\n",
-            "slow trace", "shard", "kind", "total", "wait", "score", "respond"
-        ));
-        for t in slowest.iter().take(3) {
-            let f = |k: &str| t.get(k).and_then(Json::as_f64);
-            out.push_str(&format!(
-                "  id={:<11} {:>7} {:>10} {} {} {} {}\n",
-                count(f("trace_id")),
-                count(f("shard")),
-                t.get("kind").and_then(Json::as_str).unwrap_or("?"),
-                ns(f("total_ns")),
-                ns(f("enqueue_wait_ns")),
-                ns(f("score_ns")),
-                ns(f("respond_ns")),
-            ));
-        }
-    }
-
     // Optional-panel footer: say which panels this report can't show,
     // so a blank dashboard region reads as "not enabled" rather than
     // "broken".
@@ -437,7 +413,6 @@ fn render(doc: &Json, prev: Option<&Json>) -> String {
         ("quality", section("quality")),
         ("overload", gauge(doc, "serve_queue_cap").is_some()),
         ("slo", gauge(doc, "slo_worst").is_some()),
-        ("forensics", section("forensics")),
     ]
     .into_iter()
     .filter(|&(_, present)| !present)
@@ -560,7 +535,7 @@ mod tests {
         let frame = render(&doc, None);
         assert!(frame.contains("rrc-top · report \"bare\" · uptime 12.5s"));
         assert!(
-            frame.contains("(not enabled: ustate, quality, overload, slo, forensics)"),
+            frame.contains("(not enabled: ustate, quality, overload, slo)"),
             "footer must name every absent section, got:\n{frame}"
         );
         assert!(
@@ -574,9 +549,9 @@ mod tests {
     /// and for the registry snapshot the overload panel reads.
     #[test]
     fn null_overload_section_counts_as_absent() {
-        let doc = Json::parse(r#"{"report": "x", "metrics": null, "forensics": null}"#).unwrap();
+        let doc = Json::parse(r#"{"report": "x", "metrics": null, "quality": null}"#).unwrap();
         let frame = render(&doc, None);
-        assert!(frame.contains("overload, slo, forensics"), "{frame}");
+        assert!(frame.contains("quality, overload, slo)"), "{frame}");
         assert!(!frame.contains("shed rate"));
     }
 

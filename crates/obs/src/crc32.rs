@@ -4,8 +4,7 @@
 //!
 //! Lives at the bottom of the workspace graph so every integrity-checked
 //! artifact shares one implementation: `rrc-store` section payloads and
-//! segment records, and the [`forensics`](crate::forensics)
-//! flight-recorder bundle footers.
+//! segment records.
 
 /// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[n][b]` is the
 /// CRC of byte `b` followed by `n` zero bytes, which lets eight input

@@ -27,19 +27,14 @@
 //!   (config, counters, quantiles, convergence trace) to a JSON file;
 //!   `reproduce --json` and `loadgen --json` emit them and the
 //!   `obs-check` binary validates them in CI.
-//! * **Forensics** ([`forensics`]) — tail-sampled [`ExemplarTrace`]
-//!   reservoirs (K slowest + K recent per window), per-bucket histogram
-//!   exemplars, and the [`FlightRecorder`]: a lock-light ring of recent
-//!   structured events dumped to a CRC-checked JSONL bundle on panic,
-//!   SIGTERM, or demand.
 //! * **SLOs** ([`slo`]) — declarative objectives judged tick-by-tick
 //!   with multi-window burn rates ([`SloEngine`]: ok → warn → page).
 //! * **Allocation counts** ([`alloc`]) — [`CountingAlloc`], a
 //!   pass-through global allocator with per-thread totals, and
 //!   [`thread_allocations`], the `(count, bytes)` a closure allocated on
 //!   the calling thread: what the allocation tests assert with.
-//! * **CRC-32** ([`crc32`]) — the zlib-compatible checksum shared by
-//!   `rrc-store` sections and flight bundles.
+//! * **CRC-32** ([`crc32`]) — the zlib-compatible checksum behind
+//!   `rrc-store`'s section payloads and segment records.
 //!
 //! ```
 //! use rrc_obs::{Registry, Json};
@@ -63,7 +58,6 @@
 
 pub mod alloc;
 pub mod crc32;
-pub mod forensics;
 pub mod json;
 pub mod metrics;
 pub mod registry;
@@ -72,11 +66,6 @@ pub mod slo;
 pub mod span;
 
 pub use alloc::{thread_allocations, CountingAlloc, ProfGuard};
-pub use forensics::{
-    dump_flight_now, install_flight_dump, top_slowest, validate_flight_bundle, write_flight_bundle,
-    BucketExemplars, ExemplarTrace, FlightBundleStats, FlightDumpTarget, FlightEvent,
-    FlightRecorder, TraceReservoir,
-};
 pub use json::{Json, JsonError};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramTimer, BUCKETS};
 pub use registry::{

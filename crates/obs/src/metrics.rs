@@ -106,7 +106,7 @@ impl Default for Histogram {
 
 /// `floor(log2(max(v, 1)))`: the bucket holding `v`.
 #[inline]
-pub(crate) fn bucket_index(value: u64) -> usize {
+fn bucket_index(value: u64) -> usize {
     (63 - value.max(1).leading_zeros()) as usize
 }
 

@@ -25,21 +25,15 @@
 //! * `--metrics-json PATH` writes a live run report atomically every
 //!   `--metrics-every` ms during the replay; point `rrc-top` at it for a
 //!   terminal dashboard.
-//! * `--forensics` turns on tail-sampled exemplar traces and the
-//!   per-shard flight recorder; `--trace-out PATH` streams every
-//!   reservoir-admitted trace to a JSONL sink; `--dump-flight PATH`
-//!   dumps a CRC-checked flight bundle at exit — and the same path is
-//!   armed as a panic-hook / SIGTERM crash dump for the whole replay.
 //! * `--slo-observe-p99-us N` / `--slo-recommend-p99-us N` /
 //!   `--slo-quality-ratio F` declare SLO objectives; a background thread
 //!   evaluates them every `--slo-tick` ms with multi-window burn rates
 //!   and the final report carries per-objective verdicts. Each objective
 //!   judges the last minute: the tick differences the cumulative series
-//!   against a capture it took up to a minute earlier. None of them needs
-//!   `--forensics`.
+//!   against a capture it took up to a minute earlier.
 //! * `--inject-slow-user U` (with `--inject-slow-us`) stalls one user's
-//!   requests to manufacture a known-slow trace; `--inject-panic-after N`
-//!   panics a client mid-replay to exercise the crash dump (CI smoke).
+//!   requests on their shard, which shows in that shard's `score` stage
+//!   histogram and trips a latency objective (CI's SLO smoke).
 //!
 //! Overload flags:
 //!
@@ -79,16 +73,16 @@ use rand::SeedableRng;
 use rrc_core::{OnlineConfig, OnlineTsPpr, TsPprModel};
 use rrc_datagen::GeneratorConfig;
 use rrc_features::{FeaturePipeline, TrainStats};
-use rrc_obs::{snapshot_to_json, Json, JsonlSink, MetricValue, RunReport, SloVerdict};
+use rrc_obs::{snapshot_to_json, Json, MetricValue, RunReport, SloVerdict};
 use rrc_sequence::{Dataset, ItemId, SplitDataset, UserId};
 use rrc_serve::arrival::{self, ArrivalProcess, ArrivalSpec, ArrivalTarget};
 use rrc_serve::{
-    EngineOptions, ForensicsOptions, MetricsReport, OverloadOptions, RegistryWatcher, ServeEngine,
-    SloOptions, SwapLog, UstateOptions,
+    EngineOptions, MetricsReport, OverloadOptions, RegistryWatcher, ServeEngine, SloOptions,
+    SwapLog, UstateOptions,
 };
 use rrc_store::ModelRegistry;
 use rrc_stream::{ChannelSource, StreamConfig, StreamEvent, StreamTrainer};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -147,16 +141,6 @@ struct Args {
     k: usize,
     /// Serving window capacity (events per user kept resident).
     window: usize,
-    /// Forensics: tail-sampled exemplar traces + flight recorder.
-    forensics: bool,
-    /// Stream reservoir-admitted traces to this JSONL file.
-    trace_out: Option<String>,
-    /// Flight-bundle path: dumped at exit, and armed as the panic/SIGTERM
-    /// crash-dump target for the whole replay.
-    dump_flight: Option<String>,
-    /// Panic a client thread after this many replayed events (CI smoke
-    /// for the crash-dump path).
-    inject_panic_after: Option<u64>,
     /// Stall requests from this user id (see `--inject-slow-us`).
     inject_slow_user: Option<u32>,
     /// Stall duration for `--inject-slow-user`, in microseconds.
@@ -231,10 +215,6 @@ impl Default for Args {
             user_skew: 0.0,
             k: 16,
             window: 100,
-            forensics: false,
-            trace_out: None,
-            dump_flight: None,
-            inject_panic_after: None,
             inject_slow_user: None,
             inject_slow_us: 20_000,
             slo_observe_p99_us: None,
@@ -261,16 +241,6 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Forensics turns on when asked for directly or implied by any
-    /// forensic flag that needs its plumbing.
-    fn forensics_enabled(&self) -> bool {
-        self.forensics
-            || self.trace_out.is_some()
-            || self.dump_flight.is_some()
-            || self.inject_panic_after.is_some()
-            || self.inject_slow_user.is_some()
-    }
-
     fn slo_options(&self) -> SloOptions {
         SloOptions {
             observe_p99_ns: self.slo_observe_p99_us.map(|us| us.saturating_mul(1_000)),
@@ -323,21 +293,10 @@ impl Args {
         }
     }
 
-    fn forensics_options(&self, sink: Option<Arc<JsonlSink>>) -> ForensicsOptions {
-        ForensicsOptions {
-            enabled: self.forensics_enabled(),
-            trace_sink: sink,
-            slo: self.slo_options(),
-            inject_slow: self
-                .inject_slow_user
-                .map(|u| (u, Duration::from_micros(self.inject_slow_us))),
-        }
-    }
-
     /// The engine every leg runs on, the replay's and both continuous
     /// ones: what the flags ask for, with quality monitoring forced on
     /// under `--continuous` (its report compares the legs' hit@10).
-    fn engine_options(&self, trace_sink: Option<Arc<JsonlSink>>) -> EngineOptions {
+    fn engine_options(&self) -> EngineOptions {
         EngineOptions {
             tracing: !self.no_tracing,
             quality: self.quality || self.continuous,
@@ -346,7 +305,10 @@ impl Args {
                 spill_dir: self.spill_dir.as_ref().map(std::path::PathBuf::from),
                 ..UstateOptions::default()
             },
-            forensics: self.forensics_options(trace_sink),
+            slo: self.slo_options(),
+            inject_slow: self
+                .inject_slow_user
+                .map(|u| (u, Duration::from_micros(self.inject_slow_us))),
             overload: self.overload_options(),
         }
     }
@@ -362,8 +324,7 @@ fn usage() -> ! {
          [--metrics-json PATH] [--metrics-every MILLIS] \
          [--memory-budget BYTES] [--spill-dir DIR] \
          [--user-skew EXPONENT] [--k N] [--window N] \
-         [--forensics] [--trace-out PATH] [--dump-flight PATH] \
-         [--inject-panic-after N] [--inject-slow-user U] [--inject-slow-us MICROS] \
+         [--inject-slow-user U] [--inject-slow-us MICROS] \
          [--slo-observe-p99-us N] [--slo-recommend-p99-us N] \
          [--slo-quality-ratio F] [--slo-tick MILLIS] \
          [--arrival closed|poisson|burst|diurnal] [--rate EV_PER_SEC] \
@@ -428,10 +389,6 @@ fn parse_args() -> Args {
             }
             "--k" => args.k = num(&mut it),
             "--window" => args.window = num(&mut it),
-            "--forensics" => args.forensics = true,
-            "--trace-out" => args.trace_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--dump-flight" => args.dump_flight = Some(it.next().unwrap_or_else(|| usage())),
-            "--inject-panic-after" => args.inject_panic_after = Some(num(&mut it)),
             "--inject-slow-user" => args.inject_slow_user = Some(num(&mut it)),
             "--inject-slow-us" => args.inject_slow_us = num(&mut it),
             "--slo-observe-p99-us" => args.slo_observe_p99_us = Some(num(&mut it)),
@@ -615,7 +572,6 @@ fn run_replay(
     engine: &Arc<ServeEngine>,
     replay: &[(UserId, Vec<ItemId>)],
     args: &Args,
-    panic_after: Option<u64>,
     tap: Option<&EventTap>,
 ) -> Duration {
     // Round-robin users over client threads so each user's stream stays on
@@ -633,8 +589,6 @@ fn run_replay(
     let engine_ref = &**engine;
     let done = AtomicBool::new(false);
     let done_ref = &done;
-    let replayed = AtomicU64::new(0);
-    let replayed_ref = &replayed;
     crossbeam::thread::scope(|scope| {
         // SLO evaluation cadence (no-op without configured objectives).
         if engine_ref.slo_tick().is_some() {
@@ -685,11 +639,6 @@ fn run_replay(
                                 if let Some(tap) = tap {
                                     let _ = tap.send(StreamEvent { user: *user, item });
                                 }
-                                if let Some(n) = panic_after {
-                                    if replayed_ref.fetch_add(1, Ordering::Relaxed) + 1 == n {
-                                        panic!("injected panic after {n} events");
-                                    }
-                                }
                                 if args.recommend_every > 0 {
                                     until_recommend -= 1;
                                     if until_recommend == 0 {
@@ -725,11 +674,6 @@ fn run_replay(
                                 if let Some(tap) = tap {
                                     let _ = tap.send(StreamEvent { user, item });
                                 }
-                                if let Some(n) = panic_after {
-                                    if replayed_ref.fetch_add(1, Ordering::Relaxed) + 1 == n {
-                                        panic!("injected panic after {n} events");
-                                    }
-                                }
                                 if args.recommend_every > 0 {
                                     until_recommend -= 1;
                                     if until_recommend == 0 {
@@ -757,14 +701,10 @@ fn run_replay(
     replay_start.elapsed()
 }
 
-/// The engine's part of a run report: the digests that are not series,
-/// exemplar traces (`forensics`) and SLO burn rates (`slo`), each once,
-/// and the registry snapshot as `metrics`, which holds every number that
-/// is a series.
+/// The engine's part of a run report: the SLO burn rates (`slo`), the
+/// digest that is not a series, and the registry snapshot as `metrics`,
+/// which holds every number that is a series.
 fn add_engine_sections(run: &mut RunReport, report: &MetricsReport) {
-    if let Some(fx) = &report.forensics {
-        run.add_section("forensics", fx.to_json());
-    }
     if !report.slo_verdicts.is_empty() {
         let verdicts = report.slo_verdicts.iter().map(SloVerdict::to_json);
         run.add_section("slo", Json::Arr(verdicts.collect()));
@@ -816,7 +756,7 @@ fn continuous_engine(args: &Args, data: &Dataset, split: &SplitDataset) -> Arc<S
     Arc::new(ServeEngine::start_with(
         build_online(args, data, split, 0),
         args.shards,
-        args.engine_options(None),
+        args.engine_options(),
     ))
 }
 
@@ -895,7 +835,7 @@ fn run_continuous(args: &Args, data: &Dataset, split: &SplitDataset) {
     evaluator.bind_metrics(engine.metrics_registry());
     let (tx, source) = ChannelSource::unbounded();
     let evaluator_thread = spawn_trainer(evaluator, source, "stream-evaluator");
-    let baseline_elapsed = run_replay(&engine, &replay, args, None, Some(&tx));
+    let baseline_elapsed = run_replay(&engine, &replay, args, Some(&tx));
     drop(tx);
     let evaluator = evaluator_thread.join().expect("stream evaluator thread");
     let baseline = LegQuality::of(&engine);
@@ -940,7 +880,7 @@ fn run_continuous(args: &Args, data: &Dataset, split: &SplitDataset) {
     let (tx, source) = ChannelSource::unbounded();
     let trainer_thread = spawn_trainer(trainer, source, "stream-trainer");
 
-    let stream_elapsed = run_replay(&engine, &replay, args, None, Some(&tx));
+    let stream_elapsed = run_replay(&engine, &replay, args, Some(&tx));
     drop(tx); // stream over: the trainer drains its backlog and returns
     let mut trainer = trainer_thread.join().expect("stream trainer thread");
     watcher.stop();
@@ -1133,13 +1073,7 @@ fn main() {
     let total_events: usize = replay.iter().map(|(_, e)| e.len()).sum();
     let rate = |elapsed: Duration| total_events as f64 / elapsed.as_secs_f64().max(1e-9);
 
-    let trace_sink = args.trace_out.as_ref().map(|path| {
-        JsonlSink::to_file(path).unwrap_or_else(|e| {
-            eprintln!("failed to open trace sink {path}: {e}");
-            std::process::exit(1);
-        })
-    });
-    let options = args.engine_options(trace_sink.clone());
+    let options = args.engine_options();
     let online = build_online(&args, &data, &split, args.learn);
     eprintln!(
         "starting engine: {} shards, {} clients, learn={}, tracing={}, quality={}, \
@@ -1158,36 +1092,6 @@ fn main() {
     );
     let engine = Arc::new(ServeEngine::start_with(online, args.shards, options));
 
-    // Arm the crash-dump path: a panic anywhere in the process (and
-    // SIGTERM, via a polling watchdog) dumps every shard's flight ring
-    // to a CRC-checked bundle before dying.
-    if let Some(path) = &args.dump_flight {
-        match engine.flight_dump_target(std::path::PathBuf::from(path)) {
-            Some(target) => {
-                rrc_obs::install_flight_dump(target);
-                eprintln!("flight recorder armed: crash dumps go to {path}");
-                #[cfg(unix)]
-                {
-                    rrc_obs::forensics::signals::install_sigterm_flag();
-                    std::thread::spawn(|| loop {
-                        std::thread::sleep(Duration::from_millis(100));
-                        if rrc_obs::forensics::signals::sigterm_received() {
-                            match rrc_obs::dump_flight_now("sigterm") {
-                                Some(Ok(stats)) => {
-                                    eprintln!("SIGTERM: dumped {} flight events", stats.events)
-                                }
-                                Some(Err(e)) => eprintln!("SIGTERM: flight dump failed: {e}"),
-                                None => {}
-                            }
-                            std::process::exit(143);
-                        }
-                    });
-                }
-            }
-            None => eprintln!("--dump-flight ignored: forensics needs tracing on"),
-        }
-    }
-
     // Deployment loop under load: install every version published into
     // the registry while the replay is running.
     let watcher = args.registry.as_ref().map(|dir| {
@@ -1199,7 +1103,7 @@ fn main() {
         )
     });
 
-    let elapsed = run_replay(&engine, &replay, &args, args.inject_panic_after, None);
+    let elapsed = run_replay(&engine, &replay, &args, None);
     let report = engine.metrics();
     println!(
         "replayed {} events in {:.2?}: {:.0} events/sec ({} clients -> {} shards)",
@@ -1238,30 +1142,6 @@ fn main() {
             q.versions.len()
         );
     }
-    // Drain the exemplar-trace sink and take the on-demand flight dump
-    // now that the replay is over.
-    if let Some(sink) = &trace_sink {
-        sink.flush();
-        eprintln!(
-            "wrote {} exemplar traces to {}",
-            sink.events_written(),
-            args.trace_out.as_deref().unwrap_or("?")
-        );
-    }
-    if let Some(path) = &args.dump_flight {
-        match engine.write_flight_bundle(std::path::Path::new(path), "on-demand") {
-            Some(Ok(stats)) => eprintln!(
-                "flight bundle: {} events, crc {:#010x} -> {path}",
-                stats.events, stats.crc32
-            ),
-            Some(Err(e)) => {
-                eprintln!("failed to write flight bundle {path}: {e}");
-                std::process::exit(1);
-            }
-            None => {}
-        }
-    }
-
     if let Some(path) = &args.json {
         let mut run = RunReport::new("loadgen")
             .config("users", args.users)
@@ -1285,7 +1165,6 @@ fn main() {
             )
             .config("tracing", !args.no_tracing)
             .config("quality", args.quality)
-            .config("forensics", args.forensics_enabled())
             .config("arrival", args.arrival.clone())
             .config("rate", args.rate)
             .config("hot_users", args.hot_users as usize)

@@ -84,11 +84,10 @@ use rrc_core::{
     observe_single, recommend_single, ModelParams, OnlineConfig, OnlineTsPpr, TsPprModel,
 };
 use rrc_features::{FeatureContext, FeaturePipeline, TrainStats};
-use rrc_obs::{FlightBundleStats, FlightDumpTarget, FlightRecorder, Json, JsonlSink, SloState};
+use rrc_obs::SloState;
 use rrc_sequence::{ConsumptionKind, ItemId, UserId, WindowState};
 use rrc_ustate::{EvictionPolicy, TierConfig, TierParams, UserStateTier};
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -130,9 +129,7 @@ pub struct UstateOptions {
 ///
 /// The latency objectives read every replied request of that kind,
 /// engine-wide, from the always-on `serve_{observe,recommend}_latency_ns`
-/// histograms: they need neither tracing nor forensics. (They used to
-/// read the max over shards of a 1-in-4 sample, and only with forensics
-/// on.)
+/// histograms, so they judge with tracing off too.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SloOptions {
     /// Max acceptable recent observe p99, in ns.
@@ -151,40 +148,6 @@ pub struct SloOptions {
     pub shed_rate: Option<f64>,
 }
 
-/// Forensic observability: tail-sampled exemplar traces and per-shard
-/// flight-recorder rings, off by default — and inert without `tracing`,
-/// which provides the stage stamps exemplar traces are made of — plus the
-/// SLO objectives, which need neither.
-#[derive(Debug, Clone, Default)]
-pub struct ForensicsOptions {
-    /// Master switch for reservoirs, exemplars, and flight rings.
-    pub enabled: bool,
-    /// Sink receiving one JSONL `trace` event per reservoir admission
-    /// (tail-based sampling: admission *is* the sampling decision).
-    pub trace_sink: Option<Arc<JsonlSink>>,
-    /// SLO objectives; evaluated when [`ServeEngine::slo_tick`] is
-    /// called, whether or not `enabled` or tracing is on.
-    pub slo: SloOptions,
-    /// Fault injection for tests and smoke runs: stall the owning shard
-    /// for the given duration whenever it scores a request from this
-    /// user id (the stall lands in the `score` stage).
-    pub inject_slow: Option<(u32, Duration)>,
-}
-
-impl PartialEq for ForensicsOptions {
-    fn eq(&self, other: &Self) -> bool {
-        let sink_eq = match (&self.trace_sink, &other.trace_sink) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
-        };
-        sink_eq
-            && self.enabled == other.enabled
-            && self.slo == other.slo
-            && self.inject_slow == other.inject_slow
-    }
-}
-
 /// Optional engine subsystems, chosen at [`ServeEngine::start_with`] time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineOptions {
@@ -199,8 +162,13 @@ pub struct EngineOptions {
     pub quality: bool,
     /// User-state tier sizing (unbounded by default).
     pub ustate: UstateOptions,
-    /// Forensic observability (exemplar traces, flight recorder, SLOs).
-    pub forensics: ForensicsOptions,
+    /// SLO objectives, judged by [`ServeEngine::slo_tick`] (none by
+    /// default).
+    pub slo: SloOptions,
+    /// Fault injection for tests and smoke runs: stall the owning shard
+    /// for the given duration whenever it serves a request from this
+    /// user id (the stall lands in the `score` stage).
+    pub inject_slow: Option<(u32, Duration)>,
     /// Overload policy: bounded per-shard queues with priority shedding
     /// and per-request deadlines (unbounded / no shedding by default).
     pub overload: OverloadOptions,
@@ -212,7 +180,8 @@ impl Default for EngineOptions {
             tracing: true,
             quality: false,
             ustate: UstateOptions::default(),
-            forensics: ForensicsOptions::default(),
+            slo: SloOptions::default(),
+            inject_slow: None,
             overload: OverloadOptions::default(),
         }
     }
@@ -327,7 +296,7 @@ struct Shard {
     version: u64,
     quality: Option<ShardQuality>,
     /// Fault injection: stall this user's requests (see
-    /// [`ForensicsOptions::inject_slow`]).
+    /// [`EngineOptions::inject_slow`]).
     inject_slow: Option<(u32, Duration)>,
     /// Scratch feature buffer for the drift top-1 sample.
     fbuf: Vec<f64>,
@@ -364,7 +333,7 @@ impl Shard {
             .note_access(user)
             .expect("user-state tier: spill evicted state");
         self.tier
-            .drain_delta(|delta| self.metrics.tier_settled(self.id, delta));
+            .drain_delta(|delta| self.metrics.ustate.record(self.id, delta));
         self.metrics.ustate.set_footprint(
             self.id,
             self.tier.resident_bytes(),
@@ -466,7 +435,7 @@ impl Shard {
                 reply,
                 deadline,
             } => {
-                let mut record = self.metrics.dequeued(self.id, op.kind(), user, trace);
+                let mut record = self.metrics.dequeued(self.id, op.kind(), trace);
                 if deadline.is_some_and(|d| Instant::now() > d) {
                     // Sat in the queue past its deadline: shed instead
                     // of served late.
@@ -492,7 +461,7 @@ impl Shard {
                     }
                     Op::Recommend(_) => counters.recommends.inc(),
                 }
-                record.served_by(self.version);
+                record.served();
                 match reply {
                     // The waiting caller closes the record: only it
                     // sees the respond leg.
@@ -522,8 +491,6 @@ impl Shard {
                 self.overlay.install(model.clone());
                 self.tier.install(model, version);
                 self.version = version;
-                self.metrics
-                    .flight(self.id, "swap", || vec![("version", Json::U64(version))]);
                 self.metrics.shards[self.id].swaps.inc();
                 reply.send(());
             }
@@ -755,7 +722,7 @@ impl ServeEngine {
                     .quality
                     .as_ref()
                     .map(|q| ShardQuality::new(q.drift.clone())),
-                inject_slow: options.forensics.inject_slow,
+                inject_slow: options.inject_slow,
                 fbuf: Vec::with_capacity(pipeline.len()),
             };
             let port = Arc::new(Port {
@@ -1039,8 +1006,8 @@ impl ServeEngine {
     }
 
     /// Point-in-time report: one refreshed capture of the engine's
-    /// registry, the counters read off it, and the forensic and SLO
-    /// digests that are not series.
+    /// registry, the counters read off it, and the SLO digest that is not
+    /// a series.
     pub fn metrics(&self) -> MetricsReport {
         self.metrics.report(self.started.elapsed())
     }
@@ -1060,52 +1027,6 @@ impl ServeEngine {
             .flatten()
             .map(|r| r.overall());
         self.metrics.slo_tick(quality)
-    }
-
-    /// The per-shard flight-recorder rings (empty when forensics is
-    /// off). Shared handles: loadgen clones them into a panic-hook dump
-    /// target so a crash can still dump the rings.
-    pub fn flight_recorders(&self) -> Vec<Arc<FlightRecorder>> {
-        self.metrics
-            .flight_rings()
-            .map(<[_]>::to_vec)
-            .unwrap_or_default()
-    }
-
-    /// Metadata lines stamped into flight-bundle headers. (`reason` is
-    /// added separately — [`rrc_obs::dump_flight_now`] stamps its own.)
-    fn flight_meta(&self) -> Vec<(String, Json)> {
-        vec![
-            ("shards".to_string(), Json::from(self.ports.len())),
-            ("model_version".to_string(), Json::U64(self.model_version())),
-            (
-                "uptime_ms".to_string(),
-                Json::U64(self.started.elapsed().as_millis().min(u64::MAX as u128) as u64),
-            ),
-        ]
-    }
-
-    /// Dump every shard's flight ring to a CRC-checked JSONL bundle at
-    /// `path` (atomic tmp+rename), or `None` when forensics is off.
-    pub fn write_flight_bundle(
-        &self,
-        path: &Path,
-        reason: &str,
-    ) -> Option<io::Result<FlightBundleStats>> {
-        let rings = self.metrics.flight_rings()?;
-        let mut meta = self.flight_meta();
-        meta.push(("reason".to_string(), Json::Str(reason.to_string())));
-        Some(rrc_obs::write_flight_bundle(path, &meta, rings))
-    }
-
-    /// A [`FlightDumpTarget`] for `rrc_obs::install_flight_dump` — the
-    /// panic-hook / SIGTERM dump path — or `None` when forensics is off.
-    pub fn flight_dump_target(&self, path: PathBuf) -> Option<FlightDumpTarget> {
-        Some(FlightDumpTarget {
-            path,
-            meta: self.flight_meta(),
-            recorders: self.metrics.flight_rings()?.to_vec(),
-        })
     }
 
     /// Prometheus text exposition of the engine's metrics registry:
@@ -1164,7 +1085,6 @@ impl Drop for ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrc_core::parallel::mix64;
     use rrc_datagen::GeneratorConfig;
     use rrc_features::TrainStats;
 
@@ -1219,6 +1139,9 @@ mod tests {
         }
         let report = engine.metrics();
         assert_eq!(report.total_recommends(), 4);
+        // No objectives configured: no SLO engine to tick or report.
+        assert!(report.slo_verdicts.is_empty());
+        assert!(engine.slo_tick().is_none());
         engine.shutdown();
     }
 
@@ -1723,100 +1646,43 @@ mod tests {
         engine.shutdown();
     }
 
-    /// A `Write` that appends into a shared Vec for inspection.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    /// The PR's end-to-end acceptance path: a known-slow request is
-    /// recoverable after the fact — its trace id is the exemplar on the
-    /// p99 `score` bucket, its full per-stage timeline is in the trace
-    /// sink, it tops the slowest-trace reservoir, and the SLO engine
-    /// walks ok → warn → page on the sustained latency breach.
+    /// A known-slow request shows in its own shard's `score` histogram
+    /// and nowhere else, and the SLO engine walks ok → warn → page on the
+    /// sustained latency breach.
     #[test]
-    fn injected_slow_request_is_recoverable_end_to_end() {
-        let buf = SharedBuf::default();
-        let sink = rrc_obs::JsonlSink::to_writer(Box::new(buf.clone()));
+    fn injected_slow_request_shows_in_its_shard_and_pages() {
         let slow_user = 1u32;
         let options = EngineOptions {
-            forensics: ForensicsOptions {
-                enabled: true,
-                trace_sink: Some(sink.clone()),
-                slo: SloOptions {
-                    // Far below the injected 20ms stall: every tick
-                    // under traffic is a breach.
-                    observe_p99_ns: Some(100_000),
-                    ..SloOptions::default()
-                },
-                inject_slow: Some((slow_user, Duration::from_millis(20))),
+            slo: SloOptions {
+                // Far below the injected 20ms stall: every tick under
+                // traffic is a breach.
+                observe_p99_ns: Some(100_000),
+                ..SloOptions::default()
             },
+            inject_slow: Some((slow_user, Duration::from_millis(20))),
             ..EngineOptions::default()
         };
         let (engine, _) = engine_fixture_with(0, 2, options);
-
-        // The slow user's request goes first so it draws trace id 0 —
-        // inside the 1-in-4 sample, so its stage exemplars are pinned.
-        let _ = engine.observe(UserId(slow_user), ItemId(0));
         for u in 0..8u32 {
-            if u != slow_user {
-                engine.observe(UserId(u), ItemId(0));
-            }
+            engine.observe(UserId(u), ItemId(0));
         }
         engine.flush();
 
-        // 1. The slow request's trace id is the exemplar on the p99
-        //    score bucket of its shard.
-        let report = engine.metrics();
-        let fx = report.forensics.as_ref().expect("forensics enabled");
+        // The stall lands in the slow shard's `score` stage only.
+        let snap = engine.metrics().snapshot;
+        let score_max = |shard: usize| {
+            let shard = shard.to_string();
+            let labels = [("shard", shard.as_str()), ("stage", "score")];
+            let hist = snap.histogram("serve_stage_duration_ns", &labels);
+            hist.and_then(|h| h.max())
+                .expect("the shard scored a request")
+        };
         let slow_shard = shard_for(UserId(slow_user), 2);
-        let score_exemplar = fx
-            .p99_exemplars
-            .iter()
-            .find(|e| e.shard == slow_shard && e.stage == "score")
-            .expect("score p99 exemplar on the slow shard");
-        assert_eq!(score_exemplar.trace_id, 0, "{fx:?}");
-        assert!(
-            score_exemplar.p99_ns >= 15_000_000,
-            "p99 must sit in the stalled bucket: {score_exemplar:?}"
-        );
+        assert!(score_max(slow_shard) >= 15_000_000, "{snap:?}");
+        assert!(score_max(1 - slow_shard) < 15_000_000, "{snap:?}");
 
-        // 2. The reservoir ranks it slowest engine-wide.
-        let slowest = fx.slowest.first().expect("reservoir has traces");
-        assert_eq!(slowest.id, 0);
-        assert_eq!(slowest.user_hash, mix64(slow_user as u64));
-        assert!(slowest.score_ns >= 15_000_000);
-
-        // 3. Its full per-stage timeline reached the trace sink.
-        sink.flush();
-        let lines = buf.0.lock().unwrap().clone();
-        let lines = String::from_utf8(lines).expect("sink is utf-8");
-        let slow_line = lines
-            .lines()
-            .map(|l| Json::parse(l).expect("sink lines parse"))
-            .find(|doc| {
-                doc.get("event").and_then(Json::as_str) == Some("trace")
-                    && doc.get("trace_id").and_then(Json::as_u64) == Some(0)
-            })
-            .expect("slow trace admitted to the sink");
-        assert!(slow_line.get("score_ns").and_then(Json::as_u64).unwrap() >= 15_000_000);
-        assert!(slow_line.get("enqueue_wait_ns").is_some());
-        assert!(slow_line.get("respond_ns").is_some());
-        assert_eq!(
-            slow_line.get("shard").and_then(Json::as_u64),
-            Some(slow_shard as u64)
-        );
-
-        // 4. Sustained breach: the burn-rate engine escalates
-        //    ok → warn → page, in order, without skipping warn.
+        // Sustained breach: the burn-rate engine escalates ok → warn →
+        // page, in order, without skipping warn.
         let states: Vec<SloState> = (0..12).map(|_| engine.slo_tick().unwrap()).collect();
         assert_eq!(states[0], SloState::Ok, "one breach tick cannot warn");
         assert_eq!(*states.last().unwrap(), SloState::Page, "{states:?}");
@@ -1827,16 +1693,6 @@ mod tests {
             "must pass through warn before paging: {states:?}"
         );
 
-        // 5. The flight rings saw the traffic and dump to a valid bundle.
-        let dir = std::env::temp_dir().join(format!("rrc-e2e-flight-{}", std::process::id()));
-        let path = dir.join("bundle.jsonl");
-        let stats = engine
-            .write_flight_bundle(&path, "test")
-            .expect("forensics on")
-            .expect("bundle writes");
-        assert!(stats.events > 0);
-        assert_eq!(rrc_obs::validate_flight_bundle(&path).unwrap(), stats);
-        std::fs::remove_dir_all(&dir).ok();
         engine.shutdown();
     }
 
@@ -1953,17 +1809,15 @@ mod tests {
     }
 
     /// A latency objective reads the always-on latency histograms, so it
-    /// judges with forensics off: a bound no request can meet pages after
-    /// a sustained breach, and every tick is counted.
+    /// judges with tracing off: a bound no request can meet pages after a
+    /// sustained breach, and every tick is counted.
     #[test]
-    fn latency_objective_judges_without_forensics() {
+    fn latency_objective_judges_with_tracing_off() {
         let options = EngineOptions {
-            forensics: ForensicsOptions {
-                slo: SloOptions {
-                    observe_p99_ns: Some(1),
-                    ..SloOptions::default()
-                },
-                ..ForensicsOptions::default()
+            tracing: false,
+            slo: SloOptions {
+                observe_p99_ns: Some(1),
+                ..SloOptions::default()
             },
             ..EngineOptions::default()
         };
@@ -1975,22 +1829,6 @@ mod tests {
         assert_eq!(*states.last().unwrap(), SloState::Page, "{states:?}");
         let verdict = &engine.metrics().slo_verdicts[0];
         assert_eq!(verdict.ticks, 12, "{verdict:?}");
-        assert!(engine.metrics().forensics.is_none());
-        engine.shutdown();
-    }
-
-    #[test]
-    fn forensics_off_reports_no_sections() {
-        let (engine, _) = engine_fixture(0, 2);
-        let _ = engine.recommend(UserId(0), 5);
-        let report = engine.metrics();
-        assert!(report.forensics.is_none());
-        assert!(report.slo_verdicts.is_empty());
-        assert!(engine.slo_tick().is_none());
-        assert!(engine.flight_recorders().is_empty());
-        assert!(engine
-            .write_flight_bundle(Path::new("/dev/null"), "x")
-            .is_none());
         engine.shutdown();
     }
 }

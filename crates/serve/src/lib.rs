@@ -34,9 +34,9 @@
 //!   outcome — that the metrics layer hears about when the request is
 //!   offered, dequeued and finished; with tracing on (the default) its
 //!   enqueue-wait / score / respond stage durations land in per-shard
-//!   histograms, next to queue-depth and in-flight gauges and a rolling
-//!   event counter. The record's four stamps are the request's only
-//!   clock reads, and the client latency is their span.
+//!   histograms, next to queue-depth and in-flight gauges. The record's
+//!   four stamps are the request's only clock reads, and the client
+//!   latency is their span.
 //! * **Overload** ([`overload`]) — opt-in
 //!   ([`EngineOptions::overload`]): bounded per-shard admission gates
 //!   with a typed `Admit`/`Shed` decision at enqueue, priority shedding
@@ -91,11 +91,8 @@ pub mod trace;
 pub mod watcher;
 
 pub use arrival::{Arrival, ArrivalProcess, ArrivalSpec, ArrivalTarget};
-pub use engine::{EngineOptions, ForensicsOptions, ServeEngine, SloOptions, UstateOptions};
-pub use metrics::{
-    ForensicsReport, LatencySummary, MetricsReport, P99Exemplar, ShardCountersSnapshot,
-    StageSummary,
-};
+pub use engine::{EngineOptions, ServeEngine, SloOptions, UstateOptions};
+pub use metrics::{LatencySummary, MetricsReport, ShardCountersSnapshot, StageSummary};
 pub use overlay::{ModelDiff, ModelOverlay};
 pub use overload::{Admission, AdmissionGate, OverloadOptions, RequestKind, ShedReason};
 pub use quality::{DriftValues, QualityReport, VersionQuality, QUALITY_AT};

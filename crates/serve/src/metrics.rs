@@ -16,7 +16,7 @@
 //! A data request is accounted for by one [`RequestRecord`], which
 //! `EngineMetrics` hears about at most three times: `offered` at the
 //! client, `dequeued` at the shard, `finished` on whichever side closes
-//! it. Tracing, forensics and overload accounting each fold that record;
+//! it. Tracing and overload accounting each fold that record;
 //! the engine never asks which of them is on. The record's stamps are
 //! the only clock reads a request makes, one per boundary it crosses,
 //! and the client latency is their span: `serve_*_latency_ns` equals the
@@ -31,37 +31,19 @@
 use crate::engine::{EngineOptions, SloOptions};
 use crate::overload::{AdmissionGate, OverloadOptions, RequestKind, ShedReason};
 use crate::quality::{DriftAccum, VersionQuality};
-use crate::trace::{now_ns, Enqueued, RequestRecord, StageNanos};
-use rrc_core::parallel::mix64;
+use crate::trace::{now_ns, Enqueued, RequestRecord};
 use rrc_obs::{
-    top_slowest, BucketExemplars, BurnConfig, Counter, ExemplarTrace, FlightRecorder, Gauge,
-    Histogram, HistogramSnapshot, Json, JsonlSink, Registry, RegistrySnapshot, SloEngine, SloState,
-    SloVerdict, TraceReservoir,
+    BurnConfig, Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
+    SloEngine, SloState, SloVerdict,
 };
-use rrc_sequence::UserId;
 use rrc_ustate::TierDelta;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Names of the three traced request stages, in pipeline order. Per-stage
 /// state is an array in this order.
 pub const STAGE_NAMES: [&str; 3] = ["enqueue_wait", "score", "respond"];
-
-/// Forensics folds one request in `1 << SAMPLE_SHIFT` (selected by
-/// request id, so the sample is unbiased w.r.t. shard and client) into
-/// its stage exemplars and flight ring. Everything tracing itself records
-/// (stage histograms, gauges) is exact; sampling only thins what
-/// forensics adds per request.
-const SAMPLE_SHIFT: u32 = 2;
-
-/// Per-shard reservoir size: the K slowest and K most recent completed
-/// traces are retained per [`RESERVOIR_HORIZON`].
-const RESERVOIR_K: usize = 8;
-
-/// How long a slow trace holds its reservoir slot.
-const RESERVOIR_HORIZON: Duration = Duration::from_secs(60);
 
 /// The SLO tick keeps a capture once the newest it holds is this old…
 const CAPTURE_EVERY: Duration = Duration::from_secs(4);
@@ -70,15 +52,6 @@ const CAPTURE_EVERY: Duration = Duration::from_secs(4);
 /// reads the last minute, in [`CAPTURE_EVERY`] steps (at most 16
 /// captures).
 const CAPTURE_HORIZON: Duration = Duration::from_secs(60);
-
-/// Per-shard flight-recorder ring capacity, in events.
-const FLIGHT_CAPACITY: usize = 256;
-
-/// True when this request id is in the 1-in-2^shift sample.
-#[inline]
-fn sampled(id: u64) -> bool {
-    id & ((1 << SAMPLE_SHIFT) - 1) == 0
-}
 
 /// One value per shard, built from the shard's label value.
 fn per_shard<T>(shards: usize, make: impl Fn(&str) -> T) -> Vec<T> {
@@ -121,7 +94,6 @@ struct TracingMetrics {
     stages: Vec<[Arc<Histogram>; 3]>,
     queue_depth: Vec<Arc<Gauge>>,
     inflight: Vec<Arc<Gauge>>,
-    next_id: AtomicU64,
 }
 
 impl TracingMetrics {
@@ -141,112 +113,6 @@ impl TracingMetrics {
             inflight: per_shard(shards, |s| {
                 registry.gauge_with("serve_inflight", &[("shard", s)])
             }),
-            next_id: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Forensic state: per-shard tail-sampling reservoirs, stage bucket
-/// exemplars (a trace id pinned to every populated stage-histogram
-/// bucket, so a p99 bucket links to a concrete replayable trace) and
-/// flight-recorder rings.
-///
-/// Hot-path cost discipline: exemplars and flight events are recorded
-/// only for sampled requests (the 1-in-4 id sample); the reservoir is
-/// consulted for every completed reply but takes its mutex only when the
-/// trace clears the lock-free [`TraceReservoir::admission_floor`] (i.e.
-/// is a tail candidate) or is in the sample.
-struct ForensicsMetrics {
-    reservoirs: Vec<Arc<TraceReservoir>>,
-    exemplars: Vec<[BucketExemplars; 3]>,
-    flight: Vec<Arc<FlightRecorder>>,
-    sink: Option<Arc<JsonlSink>>,
-}
-
-impl std::fmt::Debug for ForensicsMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ForensicsMetrics")
-            .field("shards", &self.flight.len())
-            .field("sink", &self.sink.is_some())
-            .finish()
-    }
-}
-
-impl ForensicsMetrics {
-    fn register(shards: usize, sink: Option<Arc<JsonlSink>>) -> Self {
-        let horizon_ns = RESERVOIR_HORIZON.as_nanos() as u64;
-        ForensicsMetrics {
-            reservoirs: (0..shards)
-                .map(|_| Arc::new(TraceReservoir::new(RESERVOIR_K, horizon_ns)))
-                .collect(),
-            exemplars: (0..shards)
-                .map(|_| STAGE_NAMES.map(|_| BucketExemplars::new()))
-                .collect(),
-            flight: (0..shards)
-                .map(|s| Arc::new(FlightRecorder::new(s, FLIGHT_CAPACITY)))
-                .collect(),
-            sink,
-        }
-    }
-
-    /// Fold one served, traced request, closed at `received`. For
-    /// *sampled* requests: pin stage exemplars and drop a `request`
-    /// event into the shard's flight ring. For requests whose caller
-    /// waited (`replied`): offer the finished timeline to the shard's
-    /// tail reservoir (admission = the sampling decision → JSONL sink).
-    fn served(
-        &self,
-        id: u64,
-        rec: &RequestRecord,
-        stages: &StageNanos,
-        replied: bool,
-        received: u64,
-    ) {
-        let (shard, kind) = (rec.shard, rec.kind.as_str());
-        let total = stages.total();
-        let in_sample = sampled(id);
-        if in_sample {
-            let legs = stages.legs().into_iter().take(2 + replied as usize);
-            for (exemplars, ns) in self.exemplars[shard].iter().zip(legs) {
-                exemplars.record(ns, id);
-            }
-            self.flight[shard].record(
-                "request",
-                vec![
-                    ("trace_id", Json::U64(id)),
-                    ("user_hash", Json::U64(rec.user_hash)),
-                    ("kind", Json::Str(kind.to_string())),
-                    ("queue_depth", Json::U64(rec.queue_depth)),
-                    ("enqueue_wait_ns", Json::U64(stages.enqueue_wait)),
-                    ("score_ns", Json::U64(stages.score)),
-                    ("version", Json::U64(rec.version)),
-                ],
-            );
-        }
-        let reservoir = &self.reservoirs[shard];
-        if !replied || (!in_sample && total < reservoir.admission_floor()) {
-            return; // fast path: cannot be tail, not in the sample
-        }
-        let exemplar = ExemplarTrace {
-            id,
-            user_hash: rec.user_hash,
-            shard,
-            version: rec.version,
-            kind,
-            queue_depth: rec.queue_depth,
-            enqueue_wait_ns: stages.enqueue_wait,
-            score_ns: stages.score,
-            respond_ns: stages.respond,
-        };
-        if !reservoir.offer(exemplar.clone(), received) {
-            return;
-        }
-        if let (Some(sink), Json::Obj(fields)) = (&self.sink, exemplar.to_json()) {
-            let fields: Vec<(&str, Json)> = fields
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.clone()))
-                .collect();
-            sink.event("trace", &fields);
         }
     }
 }
@@ -660,7 +526,6 @@ pub(crate) struct EngineMetrics {
     pub observe_latency: Arc<Histogram>,
     pub shards: Vec<ShardCounters>,
     tracing: Option<TracingMetrics>,
-    forensics: Option<ForensicsMetrics>,
     pub slo: Option<SloMetrics>,
     pub quality: Option<QualityMetrics>,
     pub ustate: UstateMetrics,
@@ -678,7 +543,9 @@ impl EngineMetrics {
             // The tier's budget reaches the registry through each
             // shard's `ustate_budget_bytes` gauge.
             ustate: _,
-            forensics,
+            slo,
+            // Stalls the shard itself; nothing here reads it.
+            inject_slow: _,
             overload,
         } = options;
         let registry = Registry::new();
@@ -690,11 +557,7 @@ impl EngineMetrics {
                 .map(|id| ShardCounters::register(&registry, id))
                 .collect(),
             tracing: tracing.then(|| TracingMetrics::register(&registry, shards)),
-            // Forensics rides on tracing — without stage stamps there is
-            // nothing to put in an exemplar trace.
-            forensics: (forensics.enabled && *tracing)
-                .then(|| ForensicsMetrics::register(shards, forensics.trace_sink.clone())),
-            slo: SloMetrics::register(&registry, &forensics.slo),
+            slo: SloMetrics::register(&registry, slo),
             quality: quality.then(|| QualityMetrics::register(&registry)),
             ustate: UstateMetrics::register(&registry, shards),
             overload: OverloadMetrics::register(&registry, shards, overload),
@@ -708,10 +571,10 @@ impl EngineMetrics {
     /// Client side, before a data request enters `shard`'s inbox: count
     /// the offer, take its queue slot (see [`OverloadMetrics::offer`] for
     /// `forced`), with tracing on bump the queue-depth and in-flight
-    /// gauges and mint the id, and stamp the enqueue if anything will read
-    /// the stamp: the stage histograms, or the latency of a caller that
-    /// `waits`. `Err` means the request was shed at the gate: it is fully
-    /// accounted and must not be sent.
+    /// gauges, and stamp the enqueue if anything will read the stamp: the
+    /// stage histograms, or the latency of a caller that `waits`. `Err`
+    /// means the request was shed at the gate: it is fully accounted and
+    /// must not be sent.
     pub fn offered(
         &self,
         shard: usize,
@@ -727,37 +590,27 @@ impl EngineMetrics {
                 return Err(reason);
             }
         }
-        let id = self.tracing.as_ref().map(|t| {
+        if let Some(t) = &self.tracing {
             t.queue_depth[shard].add(1);
             t.inflight[shard].add(1);
-            t.next_id.fetch_add(1, Ordering::Relaxed)
-        });
-        let at = if id.is_some() || waits { now_ns() } else { 0 };
-        Ok(Enqueued { id, at })
+        }
+        let traced = self.tracing.is_some();
+        let at = if traced || waits { now_ns() } else { 0 };
+        Ok(Enqueued { traced, at })
     }
 
     /// Shard side, right after popping the request off the inbox: give
     /// back its queue slot and open its record — for a traced request,
-    /// drop the depth gauge, note the remaining depth, and stamp the
-    /// dequeue.
-    pub fn dequeued(
-        &self,
-        shard: usize,
-        kind: RequestKind,
-        user: UserId,
-        trace: Enqueued,
-    ) -> RequestRecord {
+    /// drop the depth gauge and stamp the dequeue.
+    pub fn dequeued(&self, shard: usize, kind: RequestKind, trace: Enqueued) -> RequestRecord {
         let mut rec = RequestRecord::new(kind, shard);
         rec.enqueued = trace.at;
         if let Some(om) = &self.overload {
             om.release(shard);
         }
-        if let (Some(t), Some(id)) = (&self.tracing, trace.id) {
-            let depth = &t.queue_depth[shard];
-            depth.add(-1);
-            rec.queue_depth = depth.get().max(0) as u64;
-            rec.id = Some(id);
-            rec.user_hash = mix64(user.0 as u64);
+        if let Some(t) = self.tracing.as_ref().filter(|_| trace.traced) {
+            t.queue_depth[shard].add(-1);
+            rec.traced = true;
             rec.dequeued = now_ns();
         }
         rec
@@ -766,87 +619,40 @@ impl EngineMetrics {
     /// Close the request, once, on the side that learns its outcome last:
     /// the shard for a shed or fire-and-forget request, the caller that
     /// waited for a reply, with the stamp it `received` it at. Overload
-    /// books, stage histograms, forensics and the client latency
-    /// histogram all read the one record — only *served* requests have
-    /// stages or a latency, and the latency is the stages' sum.
+    /// books, stage histograms and the client latency histogram all read
+    /// the one record — only *served* requests have stages or a latency,
+    /// and the latency is the stages' sum.
     pub fn finished(&self, rec: &RequestRecord, received: Option<u64>) {
         if let Some(om) = &self.overload {
             om.close(rec);
         }
-        // A record has an id iff it was enqueued with tracing on, i.e.
+        // A record is traced iff it was enqueued with tracing on, i.e.
         // iff it was counted in flight.
-        let traced = self.tracing.as_ref().zip(rec.id);
-        if let Some((t, _)) = traced {
+        let traced = self.tracing.as_ref().filter(|_| rec.traced);
+        if let Some(t) = traced {
             t.inflight[rec.shard].add(-1);
         }
-        match rec.outcome {
-            Ok(()) => {
-                // A request nobody waited for closes at its processed
-                // stamp and has no `respond` leg (that leg is only
-                // observable by a waiting client).
-                let replied = received.is_some();
-                let closed = received.unwrap_or(rec.processed);
-                let stages = rec.stages(closed);
-                if let Some((t, id)) = traced {
-                    let legs = stages.legs().into_iter().take(2 + replied as usize);
-                    for (hist, ns) in t.stages[rec.shard].iter().zip(legs) {
-                        hist.record(ns);
-                    }
-                    if let Some(fx) = &self.forensics {
-                        fx.served(id, rec, &stages, replied, closed);
-                    }
-                }
-                if replied {
-                    let latency = match rec.kind {
-                        RequestKind::Observe => &self.observe_latency,
-                        RequestKind::Recommend => &self.recommend_latency,
-                    };
-                    latency.record(stages.total());
-                }
-            }
-            Err(reason) => {
-                if traced.is_some() {
-                    self.flight(rec.shard, "shed", || {
-                        vec![
-                            ("kind", Json::Str(rec.kind.as_str().to_string())),
-                            ("reason", Json::Str(reason.as_str().to_string())),
-                        ]
-                    });
-                }
+        if rec.outcome.is_err() {
+            return;
+        }
+        // A request nobody waited for closes at its processed stamp and
+        // has no `respond` leg (that leg is only observable by a waiting
+        // client).
+        let replied = received.is_some();
+        let stages = rec.stages(received.unwrap_or(rec.processed));
+        if let Some(t) = traced {
+            let legs = stages.legs().into_iter().take(2 + replied as usize);
+            for (hist, ns) in t.stages[rec.shard].iter().zip(legs) {
+                hist.record(ns);
             }
         }
-    }
-
-    /// Drop an event into `shard`'s flight ring (forensics on only;
-    /// `fields` is not built otherwise).
-    pub fn flight(
-        &self,
-        shard: usize,
-        kind: &'static str,
-        fields: impl FnOnce() -> Vec<(&'static str, Json)>,
-    ) {
-        if let Some(fx) = &self.forensics {
-            fx.flight[shard].record(kind, fields());
+        if replied {
+            let latency = match rec.kind {
+                RequestKind::Observe => &self.observe_latency,
+                RequestKind::Recommend => &self.recommend_latency,
+            };
+            latency.record(stages.total());
         }
-    }
-
-    /// The per-shard flight rings, or `None` with forensics off.
-    pub fn flight_rings(&self) -> Option<&[Arc<FlightRecorder>]> {
-        self.forensics.as_ref().map(|fx| fx.flight.as_slice())
-    }
-
-    /// Shard side, after a request touched the user-state tier: drain the
-    /// tier's delta into the cache series and the flight ring.
-    pub fn tier_settled(&self, shard: usize, delta: &TierDelta) {
-        // Evictions and spills are rare, high-signal events — exactly
-        // what a post-incident flight dump should show.
-        for &u in &delta.evicted_users {
-            self.flight(shard, "eviction", || vec![("user", Json::U64(u as u64))]);
-        }
-        for &ns in &delta.spill_ns {
-            self.flight(shard, "spill", || vec![("spill_ns", Json::U64(ns))]);
-        }
-        self.ustate.record(shard, delta);
     }
 
     /// Record a model install: stamp the version/fingerprint gauges and
@@ -957,86 +763,13 @@ impl EngineMetrics {
             resident_bytes: snapshot.sum("ustate_resident_bytes", &[]),
             spill_file_bytes: snapshot.sum("ustate_spill_file_bytes", &[]),
         };
-        let forensics = self.forensics.as_ref().map(|fx| {
-            let stages = self.tracing.iter().flat_map(|t| &t.stages).enumerate();
-            let p99_exemplars = stages
-                .flat_map(|(shard, hists)| {
-                    let per_stage = STAGE_NAMES.iter().zip(hists).zip(&fx.exemplars[shard]);
-                    per_stage.filter_map(move |((&stage, hist), exemplars)| {
-                        let p99_ns = hist.snapshot().quantile(0.99)?;
-                        let trace_id = exemplars.exemplar_for_value(p99_ns)?;
-                        Some(P99Exemplar {
-                            shard,
-                            stage,
-                            p99_ns,
-                            trace_id,
-                        })
-                    })
-                })
-                .collect();
-            ForensicsReport {
-                slowest: top_slowest(fx.reservoirs.iter().map(|r| r.as_ref()), 10),
-                p99_exemplars,
-                flight_events: fx.flight.iter().map(|r| r.recorded()).sum(),
-            }
-        });
         MetricsReport {
             shards,
             stages,
             ustate,
-            forensics,
             slo_verdicts: self.slo.iter().flat_map(SloMetrics::verdicts).collect(),
             snapshot,
         }
-    }
-}
-
-/// A stage-histogram p99 pinned to a concrete trace: the exemplar that
-/// turns "shard 2's score p99 regressed" into a replayable request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct P99Exemplar {
-    pub shard: usize,
-    /// One of [`STAGE_NAMES`].
-    pub stage: &'static str,
-    /// The stage's cumulative p99 at report time, in nanoseconds.
-    pub p99_ns: u64,
-    /// Trace id pinned to (or nearest below) the p99 bucket.
-    pub trace_id: u64,
-}
-
-/// Forensic digest inside a [`MetricsReport`]: the engine-wide slowest
-/// exemplar traces, the p99 bucket exemplars per shard × stage, and the
-/// lifetime flight-recorder event count. None of it is a series, so a
-/// run report carries it as its own `forensics` section.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForensicsReport {
-    /// Slowest completed traces across all shard reservoirs, slowest
-    /// first (at most 10).
-    pub slowest: Vec<ExemplarTrace>,
-    pub p99_exemplars: Vec<P99Exemplar>,
-    /// Events ever recorded into flight rings (not just the survivors).
-    pub flight_events: u64,
-}
-
-impl ForensicsReport {
-    pub fn to_json(&self) -> Json {
-        let p99 = |e: &P99Exemplar| {
-            Json::obj([
-                ("shard", Json::from(e.shard)),
-                ("stage", Json::from(e.stage)),
-                ("p99_ns", Json::U64(e.p99_ns)),
-                ("trace_id", Json::U64(e.trace_id)),
-            ])
-        };
-        let slowest = self.slowest.iter().map(ExemplarTrace::to_json);
-        Json::obj([
-            ("slowest", Json::Arr(slowest.collect())),
-            (
-                "p99_exemplars",
-                Json::Arr(self.p99_exemplars.iter().map(p99).collect()),
-            ),
-            ("flight_events", Json::U64(self.flight_events)),
-        ])
     }
 }
 
@@ -1079,8 +812,8 @@ pub struct StageSummary {
 
 /// A point-in-time view of the engine's metrics: one registry capture
 /// and what in-process callers read off it. A run report renders
-/// `snapshot` as its `metrics` section and the two digests that are not
-/// series, `forensics` and `slo_verdicts`, as sections of their own.
+/// `snapshot` as its `metrics` section and `slo_verdicts`, the digest
+/// that is not a series, as a section of its own.
 #[derive(Debug, Clone)]
 pub struct MetricsReport {
     /// Every registered series, captured once after the read-side
@@ -1091,8 +824,6 @@ pub struct MetricsReport {
     /// Per-shard stage latencies, indexed by shard id (empty untraced).
     pub stages: Vec<StageSummary>,
     pub ustate: UstateReport,
-    /// Exemplar traces and flight-recorder digest (forensics on only).
-    pub forensics: Option<ForensicsReport>,
     /// Per-objective SLO burn rates (empty without objectives).
     pub slo_verdicts: Vec<SloVerdict>,
 }
@@ -1118,6 +849,7 @@ impl MetricsReport {
 mod tests {
     use super::*;
     use crate::engine::SloOptions;
+    use rrc_obs::Json;
 
     /// Untraced metrics with `overload` accounting.
     fn with(shards: usize, overload: OverloadOptions) -> EngineMetrics {
@@ -1236,7 +968,7 @@ mod tests {
             (1, recommend, Err(ShedReason::Deadline)),
         ] {
             let trace = bounded.offered(shard, kind, false, false).unwrap();
-            let mut rec = bounded.dequeued(shard, kind, UserId(0), trace);
+            let mut rec = bounded.dequeued(shard, kind, trace);
             rec.outcome = outcome;
             bounded.finished(&rec, None);
         }
@@ -1268,11 +1000,13 @@ mod tests {
 
     /// Metrics whose SLO engine judges quality ratio, then shed rate.
     fn slo_metrics() -> EngineMetrics {
-        let mut options = EngineOptions::default();
-        options.forensics.slo = SloOptions {
-            shed_rate: Some(0.5),
-            quality_ratio: Some(0.5),
-            ..SloOptions::default()
+        let options = EngineOptions {
+            slo: SloOptions {
+                shed_rate: Some(0.5),
+                quality_ratio: Some(0.5),
+                ..SloOptions::default()
+            },
+            ..EngineOptions::default()
         };
         EngineMetrics::new(1, &options)
     }

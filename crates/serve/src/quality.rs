@@ -133,10 +133,10 @@ impl DriftAccum {
 }
 
 impl DriftValues {
+    /// The sample counts only: the drift values themselves are the
+    /// `serve_drift_{score,feature}_micro` gauges.
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("score_micro", Json::I64(self.score_micro)),
-            ("feature_micro", Json::I64(self.feature_micro)),
             ("window_samples", Json::U64(self.window_samples)),
             (
                 "samples_since_install",
@@ -455,7 +455,11 @@ mod tests {
             .as_f64()
             .unwrap()
             .is_finite());
-        assert!(doc.at("drift.score_micro").is_some());
+        assert!(doc.at("drift.window_samples").is_some());
+        assert!(
+            doc.at("drift.score_micro").is_none(),
+            "a gauge, not repeated"
+        );
     }
 
     #[test]

@@ -40,32 +40,27 @@ pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// What a request carries through its shard's inbox: the record's id
-/// (`None` with tracing off) and enqueue stamp (0 when nothing will read
-/// it: tracing off and nobody waiting). The shard builds the
-/// [`RequestRecord`] around them at dequeue, so a queued message stays
-/// as small as it can be.
+/// What a request carries through its shard's inbox: whether it is
+/// traced, and its enqueue stamp (0 when nothing will read it: tracing
+/// off and nobody waiting). The shard builds the [`RequestRecord`]
+/// around them at dequeue, so a queued message stays as small as it can
+/// be.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Enqueued {
-    pub id: Option<u64>,
+    pub traced: bool,
     pub at: u64,
 }
 
-/// One data request's account. An untraced request (`id == None`) carries
-/// no stamp but the `enqueued` its waiting caller measures latency from:
-/// the kind, shard and outcome still balance the overload books.
+/// One data request's account. An untraced request carries no stamp but
+/// the `enqueued` its waiting caller measures latency from: the kind,
+/// shard and outcome still balance the overload books.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestRecord {
-    /// Engine-unique trace id (assigned at enqueue), `None` when the
-    /// engine runs with tracing off.
-    pub id: Option<u64>,
+    /// Enqueued with tracing on: stamped at every boundary and counted
+    /// in the shard's in-flight gauge.
+    pub traced: bool,
     pub kind: RequestKind,
-    /// `mix64` of the requesting user id — a stable join key carried
-    /// into exemplar traces without shipping the raw id.
-    pub user_hash: u64,
     pub shard: usize,
-    /// Model version that served the request.
-    pub version: u64,
     /// When the client handed the request to the shard's inbox: the
     /// start of `enqueue_wait` and of the client-observed latency.
     pub enqueued: u64,
@@ -73,8 +68,6 @@ pub struct RequestRecord {
     pub dequeued: u64,
     /// When the shard finished processing (start of the respond leg).
     pub processed: u64,
-    /// Channel depth observed at dequeue.
-    pub queue_depth: u64,
     /// Served, or shed with the reason. Starts out `Ok`.
     pub outcome: Result<(), ShedReason>,
 }
@@ -83,24 +76,20 @@ impl RequestRecord {
     /// An untraced, not yet shed record.
     pub fn new(kind: RequestKind, shard: usize) -> RequestRecord {
         RequestRecord {
-            id: None,
+            traced: false,
             kind,
-            user_hash: 0,
             shard,
-            version: 0,
             enqueued: 0,
             dequeued: 0,
             processed: 0,
-            queue_depth: 0,
             outcome: Ok(()),
         }
     }
 
-    /// Shard side, when the request has been served by model `version`:
-    /// the processed stamp (traced requests only).
-    pub(crate) fn served_by(&mut self, version: u64) {
-        self.version = version;
-        if self.id.is_some() {
+    /// Shard side, when the request has been served: the processed stamp
+    /// (traced requests only).
+    pub(crate) fn served(&mut self) {
+        if self.traced {
             self.processed = now_ns();
         }
     }
@@ -185,10 +174,10 @@ mod tests {
         // the live clock are monotone, and a record closed at its own
         // processed stamp has no respond leg.
         let mut rec = RequestRecord::new(RequestKind::Observe, 0);
-        rec.id = Some(0);
+        rec.traced = true;
         rec.enqueued = now_ns();
         rec.dequeued = now_ns();
-        rec.served_by(3);
+        rec.served();
         assert!(rec.enqueued <= rec.dequeued && rec.dequeued <= rec.processed);
         let s = rec.stages(rec.processed);
         assert_eq!(s.respond, 0);

@@ -9,9 +9,7 @@ use rrc_core::{OnlineConfig, OnlineTsPpr, TsPprModel};
 use rrc_datagen::GeneratorConfig;
 use rrc_features::{FeaturePipeline, TrainStats};
 use rrc_sequence::{ItemId, UserId};
-use rrc_serve::{
-    EngineOptions, ForensicsOptions, OverloadOptions, ServeEngine, SloOptions, UstateOptions,
-};
+use rrc_serve::{EngineOptions, OverloadOptions, ServeEngine, SloOptions, UstateOptions};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -62,16 +60,13 @@ fn engine_registers_exactly_these_series() {
                 budget_bytes: Some(1 << 20),
                 ..UstateOptions::default()
             },
-            forensics: ForensicsOptions {
-                enabled: true,
-                slo: SloOptions {
-                    observe_p99_ns: Some(1_000_000),
-                    recommend_p99_ns: Some(1_000_000),
-                    quality_ratio: Some(0.9),
-                    shed_rate: Some(0.1),
-                },
-                ..ForensicsOptions::default()
+            slo: SloOptions {
+                observe_p99_ns: Some(1_000_000),
+                recommend_p99_ns: Some(1_000_000),
+                quality_ratio: Some(0.9),
+                shed_rate: Some(0.1),
             },
+            inject_slow: None,
             overload: OverloadOptions {
                 queue_cap: Some(64),
                 deadline: Some(Duration::from_secs(5)),

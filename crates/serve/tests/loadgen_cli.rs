@@ -1,5 +1,5 @@
-//! `loadgen` at its command line: the report shape CI's first
-//! `obs-check` step gates on, and the arguments it must refuse.
+//! `loadgen` at its command line: the report shapes CI's `obs-check`
+//! steps gate on, and the arguments it must refuse.
 
 use rrc_obs::Json;
 use std::process::{Command, Output};
@@ -68,7 +68,6 @@ fn json_report_carries_the_keys_ci_requires() {
         "metrics.gauges.serve_model_version",
         "metrics.gauges.serve_uptime_ms",
         "quality.versions.0.hit10",
-        "quality.drift.score_micro",
         "quality.overall.hit10",
         "quality.overall.mrr",
         "quality.overall.opportunities",
@@ -103,7 +102,7 @@ fn json_report_carries_the_keys_ci_requires() {
         Some(sum("metrics.counters.serve_observes_total{shard=*}"))
     );
     // CI's `--min slo.N.ticks 1`: both objectives judged at least one
-    // tick, without `--forensics`.
+    // tick.
     for objective in ["slo.0", "slo.1"] {
         let ticks = doc.at(&format!("{objective}.ticks")).and_then(Json::as_u64);
         assert!(ticks >= Some(1), "{objective} judged no tick: {ticks:?}");
@@ -144,4 +143,57 @@ fn a_user_id_past_32_bits_prints_usage() {
     // It must not wrap around to user 0.
     assert_usage(&["--users", "20", "--inject-slow-user", "4294967296"]);
     assert_usage(&["--users", "20", "--hot-users", "4294967296"]);
+}
+
+/// CI's slow-user SLO smoke gates on the `score` stage of the shard that
+/// owns the stalled user, by its label: user 3 of 4 shards is shard 1.
+const SLOW_SHARD: &str = "1";
+
+#[test]
+fn the_slow_user_stalls_the_score_stage_of_the_shard_ci_names() {
+    assert_eq!(
+        rrc_serve::shard_for(rrc_sequence::UserId(3), 4).to_string(),
+        SLOW_SHARD
+    );
+    let path = std::env::temp_dir().join(format!("loadgen_slo_{}.json", std::process::id()));
+    // CI's "Slow-user SLO smoke" step at 20 users.
+    let out = loadgen(&[
+        "--users",
+        "20",
+        "--clients",
+        "2",
+        "--learn",
+        "2",
+        "--swap-every",
+        "20",
+        "--inject-slow-user",
+        "3",
+        "--inject-slow-us",
+        "2000",
+        "--slo-observe-p99-us",
+        "500000",
+        "--slo-tick",
+        "100",
+        "--json",
+        path.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&path).expect("report written");
+    std::fs::remove_file(&path).ok();
+    let doc = Json::parse(&text).expect("report is strict JSON");
+    // CI's `--between '…{shard=S,stage=score}.max' 1000000 inf`.
+    let max =
+        format!("metrics.histograms.serve_stage_duration_ns{{shard={SLOW_SHARD},stage=score}}.max");
+    let max = doc.select(&max).first().and_then(|(_, v)| v.as_u64());
+    assert!(max >= Some(1_000_000), "{text}");
+    for path in [
+        "metrics.gauges.slo_worst",
+        "metrics.gauges.slo_state{objective=*}",
+    ] {
+        assert!(!doc.select(path).is_empty(), "report lacks {path}");
+    }
 }

@@ -15,8 +15,7 @@ use rrc_features::{FeaturePipeline, TrainStats};
 use rrc_obs::RegistrySnapshot;
 use rrc_sequence::{ItemId, UserId};
 use rrc_serve::{
-    Admission, AdmissionGate, EngineOptions, ForensicsOptions, OverloadOptions, RequestKind,
-    ServeEngine, ShedReason,
+    Admission, AdmissionGate, EngineOptions, OverloadOptions, RequestKind, ServeEngine, ShedReason,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -62,11 +61,7 @@ fn engine_with(
         shards,
         EngineOptions {
             overload,
-            forensics: ForensicsOptions {
-                enabled: inject_slow.is_some(),
-                inject_slow,
-                ..ForensicsOptions::default()
-            },
+            inject_slow,
             ..EngineOptions::default()
         },
     )

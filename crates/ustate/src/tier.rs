@@ -73,9 +73,6 @@ pub struct TierDelta {
     pub misses: u64,
     /// Entries pushed out under budget pressure.
     pub evictions: u64,
-    /// The user ids evicted, in eviction order — forensic hooks (flight
-    /// recorders) want *who* was pushed out, not just how many.
-    pub evicted_users: Vec<u32>,
     /// Nanoseconds per eviction spill (encode + segment append).
     pub spill_ns: Vec<u64>,
     /// Nanoseconds per cold reload (segment read + decode + rebase).
@@ -93,7 +90,6 @@ impl TierDelta {
         self.hits = 0;
         self.misses = 0;
         self.evictions = 0;
-        self.evicted_users.clear();
         self.spill_ns.clear();
         self.load_ns.clear();
     }
@@ -103,7 +99,6 @@ impl TierDelta {
         self.hits += other.hits;
         self.misses += other.misses;
         self.evictions += other.evictions;
-        self.evicted_users.extend(other.evicted_users);
         self.spill_ns.extend(other.spill_ns);
         self.load_ns.extend(other.load_ns);
     }
@@ -477,7 +472,6 @@ impl UserStateTier {
         })?;
         self.delta.spill_ns.push(t0.elapsed().as_nanos() as u64);
         self.delta.evictions += 1;
-        self.delta.evicted_users.push(victim);
         let entry = self.entries.remove(&victim).expect("victim resident");
         self.resident_bytes -= entry.bytes;
         self.clock.pop_front();

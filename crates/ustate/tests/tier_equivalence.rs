@@ -246,7 +246,7 @@ fn failed_spill_keeps_the_victim_resident() {
         assert!(matches!(again, Err(StoreError::Io(_))), "{again:?}");
         assert_eq!((tier.resident_users(), tier.resident_bytes()), state);
     }
-    assert!(tier.take_delta().evicted_users.is_empty());
+    assert_eq!(tier.take_delta().evictions, 0);
     let residents: Vec<u32> = (0..fed).filter(|&u| tier.is_resident(u)).collect();
     assert_eq!(residents.len(), state.0);
     for &u in &residents {

@@ -16,7 +16,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use repeat_rec::prelude::*;
-use repeat_rec::serve::{shard_for, Admission, EngineOptions, ForensicsOptions};
+use repeat_rec::serve::{shard_for, Admission, EngineOptions};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -258,10 +258,7 @@ fn shard_goes_down(on_caller: bool) {
         online,
         SHARDS,
         EngineOptions {
-            forensics: ForensicsOptions {
-                inject_slow: Some((STALL_USER.0, stall)),
-                ..ForensicsOptions::default()
-            },
+            inject_slow: Some((STALL_USER.0, stall)),
             ..EngineOptions::default()
         },
     );

@@ -10,9 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use repeat_rec::prelude::*;
-use repeat_rec::serve::{
-    shard_for, Admission, EngineOptions, ForensicsOptions, OverloadOptions, ShedReason,
-};
+use repeat_rec::serve::{shard_for, Admission, EngineOptions, OverloadOptions, ShedReason};
 use std::time::{Duration, Instant};
 
 const USERS: u32 = 16;
@@ -133,10 +131,7 @@ impl Cell {
         let options = EngineOptions {
             tracing,
             overload,
-            forensics: ForensicsOptions {
-                inject_slow: Some((STALL_USER.0, STALL)),
-                ..ForensicsOptions::default()
-            },
+            inject_slow: Some((STALL_USER.0, STALL)),
             ..EngineOptions::default()
         };
         Cell {
