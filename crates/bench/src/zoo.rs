@@ -260,9 +260,8 @@ pub fn train_tsppr_model(
             ("dataset".to_string(), exp.kind.to_string()),
             ("seed".to_string(), opts.seed.to_string()),
             ("steps".to_string(), report.steps.to_string()),
-            // Training-config fingerprint: lets downstream consumers
-            // (serve watcher, rrc-top) attribute online quality and
-            // drift to the exact configuration that trained the model.
+            // Training-config fingerprint: ties the file to the exact
+            // configuration that trained the model.
             (
                 rrc_store::META_FINGERPRINT.to_string(),
                 format!("{fingerprint:016x}"),

@@ -56,7 +56,8 @@ pub trait ModelParams {
 
     /// Full time-sensitive preference `r_uvt = uᵀ(v + A_u f)` (Eq. 5),
     /// evaluated as `u·v + (A_uᵀu)·f` without allocating (see the module
-    /// docs): the fold lives on the stack, [`FOLD_LANES`] columns at a time.
+    /// docs): the fold lives on the stack, a fixed block of columns at a
+    /// time.
     fn score(&self, user: UserId, item: ItemId, f: &[f64]) -> f64 {
         debug_assert_eq!(f.len(), self.f_dim(), "feature dimension mismatch");
         let u = self.user_factor(user);

@@ -32,8 +32,8 @@
 //!   a hit rate is `hits{shard=*}/hits{shard=*}+misses{shard=*}`.
 //!
 //! Path segments may contain `*` wildcards, which is how labeled metric
-//! series are addressed: registry snapshots key series Prometheus-style
-//! (`serve_queue_depth{shard="0"}`), so
+//! series are addressed: registry snapshots key series by name and
+//! quoted labels (`serve_queue_depth{shard="0"}`), so
 //!
 //! ```text
 //! --require 'metrics.gauges.serve_queue_depth{shard=*}'

@@ -1,7 +1,7 @@
 //! A minimal JSON value: writer **and** parser.
 //!
 //! The workspace builds offline with no registry access, so there is no
-//! `serde`; everything machine-readable (metric snapshots, JSONL events,
+//! `serde`; everything machine-readable (metric snapshots,
 //! [`RunReport`](crate::RunReport) files) goes through this one small
 //! [`Json`] enum instead. The renderer never emits `NaN`/`Infinity`
 //! (non-finite floats become `null`, keeping output parseable by any
@@ -118,8 +118,8 @@ impl Json {
     /// Metric keys carry quoted label values (`serve_queue_depth{shard="0"}`);
     /// a segment also matches the key with its quotes stripped, so
     /// `serve_queue_depth{shard=*}` selects every shard's series without
-    /// shell-hostile `"` characters. This is how `obs-check` and `rrc-top`
-    /// address a labelled series family in a report's `metrics` section.
+    /// shell-hostile `"` characters. This is how `obs-check` addresses a
+    /// labelled series family in a report's `metrics` section.
     pub fn select(&self, path: &str) -> Vec<(String, &Json)> {
         let mut frontier: Vec<(String, &Json)> = vec![(String::new(), self)];
         for seg in path.split('.') {
@@ -176,14 +176,6 @@ impl Json {
         match *self {
             Json::U64(v) => Some(v),
             Json::I64(v) => u64::try_from(v).ok(),
-            _ => None,
-        }
-    }
-
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::U64(v) => i64::try_from(v).ok(),
-            Json::I64(v) => Some(v),
             _ => None,
         }
     }

@@ -19,14 +19,13 @@
 //!   [`global()`]; subsystems can own private registries (each
 //!   `ServeEngine` does).
 //! * **Tracing spans** ([`span`]) — RAII guards that record elapsed time
-//!   into `span_duration_ns{span="…"}` and, when a [`JsonlSink`] is
-//!   attached, append structured JSONL event lines.
-//! * **Exposition** — Prometheus text ([`Registry::prometheus_text`])
-//!   and JSON ([`Registry::to_json`]) snapshots.
+//!   into `span_duration_ns{span="…"}`.
 //! * **Run reports** ([`report`]) — [`RunReport`] serializes a whole run
-//!   (config, counters, quantiles, convergence trace) to a JSON file;
-//!   `reproduce --json` and `loadgen --json` emit them and the
-//!   `obs-check` binary validates them in CI.
+//!   (config, quantiles, convergence trace) to a JSON file whose
+//!   `metrics` section is a registry snapshot rendered by
+//!   [`snapshot_to_json`], the one exposition; `reproduce --json` and
+//!   `loadgen --json` emit them and the `obs-check` binary validates
+//!   them in CI.
 //! * **SLOs** ([`slo`]) — declarative objectives judged tick-by-tick
 //!   with multi-window burn rates ([`SloEngine`]: ok → warn → page).
 //! * **Allocation counts** ([`alloc`]) — [`CountingAlloc`], a
@@ -37,7 +36,7 @@
 //!   `rrc-store`'s section payloads and segment records.
 //!
 //! ```
-//! use rrc_obs::{Registry, Json};
+//! use rrc_obs::{snapshot_to_json, Json, Registry};
 //!
 //! let reg = Registry::new();
 //! let requests = reg.counter_with("requests_total", &[("shard", "0")]);
@@ -48,12 +47,12 @@
 //! latency.record_duration(std::time::Duration::from_micros(42));
 //! { let _guard = reg.span("rebuild.index"); /* timed work */ }
 //!
-//! // Cold path: exposition.
-//! println!("{}", reg.prometheus_text());
+//! // Cold path: one capture, one rendering.
 //! let snapshot = latency.snapshot(); // quantiles now allocation-free
 //! assert_eq!(snapshot.count(), 1);
 //! assert!(snapshot.p99().is_some());
-//! let _ = Json::parse(&reg.to_json().render()).unwrap();
+//! let doc = Json::parse(&snapshot_to_json(&reg.snapshot()).render()).unwrap();
+//! assert_eq!(doc.at("histograms.request_latency_ns.count").and_then(Json::as_u64), Some(1));
 //! ```
 
 pub mod alloc;
@@ -74,4 +73,4 @@ pub use registry::{
 };
 pub use report::RunReport;
 pub use slo::{BurnConfig, Cmp, Objective, SloEngine, SloState, SloVerdict};
-pub use span::{JsonlSink, Span};
+pub use span::Span;

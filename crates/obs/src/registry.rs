@@ -1,12 +1,12 @@
-//! The named-metric registry and its exposition formats.
+//! The named-metric registry and its JSON exposition.
 //!
 //! A [`Registry`] maps `name{label="value",…}` identities to shared
 //! metric handles. Registration (`counter`/`gauge`/`histogram`) takes a
 //! short write lock **once**; the returned `Arc` handle is then held by
 //! the instrumented code, so the hot path — `inc`, `add`, `record` —
-//! never touches the registry again and stays wait-free. Snapshots and
-//! both exposition formats (Prometheus text, JSON) take a read lock only
-//! to walk the name table.
+//! never touches the registry again and stays wait-free. A snapshot takes
+//! a read lock only to walk the name table; [`snapshot_to_json`] renders
+//! it.
 //!
 //! A process-wide registry is available via [`global()`]; subsystems
 //! that want isolation (e.g. one registry per serving engine) create
@@ -14,7 +14,7 @@
 
 use crate::json::Json;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-use crate::span::{JsonlSink, Span};
+use crate::span::Span;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock, RwLock};
@@ -39,40 +39,26 @@ impl MetricId {
 }
 
 impl std::fmt::Display for MetricId {
-    /// Prometheus-style rendering: `name{k="v",…}` (bare name when
-    /// unlabeled).
+    /// `name{k="v",…}` (bare name when unlabeled): the key a series
+    /// has in the JSON exposition.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.name)?;
-        write_labels(f, &self.labels, None)
-    }
-}
-
-fn write_labels(
-    f: &mut dyn std::fmt::Write,
-    labels: &[(String, String)],
-    extra: Option<(&str, &str)>,
-) -> std::fmt::Result {
-    if labels.is_empty() && extra.is_none() {
-        return Ok(());
-    }
-    f.write_char('{')?;
-    let mut first = true;
-    for (k, v) in labels
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .chain(extra)
-    {
-        if !first {
-            f.write_char(',')?;
+        if self.labels.is_empty() {
+            return Ok(());
         }
-        first = false;
-        write!(
-            f,
-            "{k}=\"{}\"",
-            v.replace('\\', "\\\\").replace('"', "\\\"")
-        )?;
+        f.write_char('{')?;
+        for (i, (k, v)) in self.labels.iter().enumerate() {
+            if i > 0 {
+                f.write_char(',')?;
+            }
+            write!(
+                f,
+                "{k}=\"{}\"",
+                v.replace('\\', "\\\\").replace('"', "\\\"")
+            )?;
+        }
+        f.write_char('}')
     }
-    f.write_char('}')
 }
 
 /// A registered metric handle.
@@ -173,7 +159,6 @@ impl RegistrySnapshot {
 
 struct RegistryInner {
     metrics: RwLock<BTreeMap<MetricId, Metric>>,
-    sink: RwLock<Option<Arc<JsonlSink>>>,
 }
 
 /// See the [module docs](self). Cheap to clone (shared interior).
@@ -202,7 +187,6 @@ impl Registry {
         Registry {
             inner: Arc::new(RegistryInner {
                 metrics: RwLock::new(BTreeMap::new()),
-                sink: RwLock::new(None),
             }),
         }
     }
@@ -283,33 +267,9 @@ impl Registry {
     }
 
     /// Open a tracing span: an RAII guard that, on drop, records its
-    /// elapsed time into [`Registry::span_histogram`] and — when a sink
-    /// is attached — appends a JSONL `span` event.
+    /// elapsed time into [`Registry::span_histogram`].
     pub fn span(&self, name: &str) -> Span {
-        Span::new(
-            name,
-            self.span_histogram(name),
-            self.inner.sink.read().expect("sink lock").clone(),
-        )
-    }
-
-    /// Attach (or detach, with `None`) the structured-event sink that
-    /// [`Registry::span`] guards and [`Registry::event`] write to.
-    pub fn set_sink(&self, sink: Option<Arc<JsonlSink>>) {
-        *self.inner.sink.write().expect("sink lock") = sink;
-    }
-
-    /// The attached structured-event sink, if any.
-    pub fn sink(&self) -> Option<Arc<JsonlSink>> {
-        self.inner.sink.read().expect("sink lock").clone()
-    }
-
-    /// Append a structured event to the attached sink (no-op without
-    /// one).
-    pub fn event(&self, name: &str, fields: &[(&str, Json)]) {
-        if let Some(sink) = self.sink() {
-            sink.event(name, fields);
-        }
+        Span::new(name, self.span_histogram(name))
     }
 
     /// Capture every metric, ordered by identity.
@@ -329,73 +289,12 @@ impl Registry {
                 .collect(),
         }
     }
-
-    /// Prometheus text exposition (`# TYPE` headers, cumulative
-    /// `_bucket{le=…}` lines for histograms, only non-empty buckets plus
-    /// `+Inf`).
-    pub fn prometheus_text(&self) -> String {
-        let snapshot = self.snapshot();
-        let mut out = String::new();
-        let mut last_header: Option<(String, &'static str)> = None;
-        for (id, value) in &snapshot.entries {
-            let kind = match value {
-                MetricValue::Counter(_) => "counter",
-                MetricValue::Gauge(_) => "gauge",
-                MetricValue::Histogram(_) => "histogram",
-            };
-            if last_header.as_ref().map(|(n, k)| (n.as_str(), *k)) != Some((id.name.as_str(), kind))
-            {
-                let _ = writeln!(out, "# TYPE {} {kind}", id.name);
-                last_header = Some((id.name.clone(), kind));
-            }
-            match value {
-                MetricValue::Counter(v) => {
-                    let _ = writeln!(out, "{id} {v}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = writeln!(out, "{id} {v}");
-                }
-                MetricValue::Histogram(h) => {
-                    let mut cumulative = 0u64;
-                    for (i, &c) in h.buckets().iter().enumerate() {
-                        if c == 0 {
-                            continue;
-                        }
-                        cumulative += c;
-                        // Bucket i covers [2^i, 2^(i+1)); its Prometheus
-                        // upper bound is 2^(i+1). Bucket 63's tail is
-                        // covered by +Inf below.
-                        if i < 63 {
-                            let _ = write!(out, "{}_bucket", id.name);
-                            let le = (1u128 << (i + 1)).to_string();
-                            let _ = write_labels(&mut out, &id.labels, Some(("le", &le)));
-                            let _ = writeln!(out, " {cumulative}");
-                        }
-                    }
-                    let _ = write!(out, "{}_bucket", id.name);
-                    let _ = write_labels(&mut out, &id.labels, Some(("le", "+Inf")));
-                    let _ = writeln!(out, " {}", h.count());
-                    let _ = write!(out, "{}_sum", id.name);
-                    let _ = write_labels(&mut out, &id.labels, None);
-                    let _ = writeln!(out, " {}", h.sum());
-                    let _ = write!(out, "{}_count", id.name);
-                    let _ = write_labels(&mut out, &id.labels, None);
-                    let _ = writeln!(out, " {}", h.count());
-                }
-            }
-        }
-        out
-    }
-
-    /// JSON exposition: `{"counters":…, "gauges":…, "histograms":…}`,
-    /// each keyed by the full `name{labels}` identity.
-    pub fn to_json(&self) -> Json {
-        snapshot_to_json(&self.snapshot())
-    }
 }
 
-/// JSON rendering of a [`RegistrySnapshot`] (shared by [`Registry::to_json`]
-/// and [`RunReport`](crate::RunReport)).
+/// JSON rendering of a [`RegistrySnapshot`]:
+/// `{"counters":…, "gauges":…, "histograms":…}`, each keyed by the full
+/// `name{labels}` identity. A [`RunReport`](crate::RunReport)'s
+/// `metrics` section is this rendering.
 pub fn snapshot_to_json(snapshot: &RegistrySnapshot) -> Json {
     let mut counters = Vec::new();
     let mut gauges = Vec::new();
@@ -497,44 +396,29 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_text_exposes_all_kinds() {
+    fn json_exposition_parses_and_has_quantiles() {
         let reg = Registry::new();
+        reg.counter("hits_total").add(7);
         reg.counter_with("events_total", &[("shard", "0")]).add(3);
         reg.counter_with("events_total", &[("shard", "1")]).add(4);
         reg.gauge("shards").set(2);
         let h = reg.histogram("latency_ns");
-        h.record(1000);
-        h.record(3000);
-        let text = reg.prometheus_text();
-        assert!(text.contains("# TYPE events_total counter"), "{text}");
-        assert!(text.contains("events_total{shard=\"0\"} 3"), "{text}");
-        assert!(text.contains("events_total{shard=\"1\"} 4"), "{text}");
-        assert!(text.contains("# TYPE shards gauge"), "{text}");
-        assert!(text.contains("shards 2"), "{text}");
-        assert!(text.contains("# TYPE latency_ns histogram"), "{text}");
-        // 1000 lands in [512,1024) → le="1024"; 3000 in [2048,4096).
-        assert!(text.contains("latency_ns_bucket{le=\"1024\"} 1"), "{text}");
-        assert!(text.contains("latency_ns_bucket{le=\"4096\"} 2"), "{text}");
-        assert!(text.contains("latency_ns_bucket{le=\"+Inf\"} 2"), "{text}");
-        assert!(text.contains("latency_ns_sum 4000"), "{text}");
-        assert!(text.contains("latency_ns_count 2"), "{text}");
-        // The TYPE header appears once per (name, kind), not per series.
-        assert_eq!(text.matches("# TYPE events_total").count(), 1);
-    }
-
-    #[test]
-    fn json_exposition_parses_and_has_quantiles() {
-        let reg = Registry::new();
-        reg.counter("hits_total").add(7);
-        let h = reg.histogram("latency_ns");
         for v in 1..=100u64 {
             h.record(v * 1000);
         }
-        let doc = crate::Json::parse(&reg.to_json().render()).unwrap();
+        let doc = Json::parse(&snapshot_to_json(&reg.snapshot()).render()).unwrap();
         assert_eq!(
             doc.at("counters.hits_total").and_then(Json::as_u64),
             Some(7)
         );
+        // A labelled series is keyed by its full identity, and a reader
+        // addresses it with the quotes left out.
+        let shard0 = doc.select("counters.events_total{shard=0}");
+        assert_eq!(shard0.len(), 1, "{doc:?}");
+        assert_eq!(shard0[0].0, "counters.events_total{shard=\"0\"}");
+        assert_eq!(shard0[0].1.as_u64(), Some(3));
+        assert_eq!(doc.select("counters.events_total{shard=*}").len(), 2);
+        assert_eq!(doc.at("gauges.shards").and_then(Json::as_u64), Some(2));
         let p50 = doc
             .at("histograms.latency_ns.p50")
             .unwrap()

@@ -1,98 +1,13 @@
-//! Lightweight tracing spans and the thread-safe JSONL event sink.
+//! Lightweight tracing spans.
 //!
 //! A [`Span`] is an RAII guard: on drop it records its elapsed time into
 //! the histogram `span_duration_ns{span="<name>"}` of the registry that
-//! opened it, and — when that registry has a [`JsonlSink`] attached —
-//! appends one structured `span` event line. Opening and closing a span
-//! is two `Instant` reads plus one wait-free histogram record; the sink,
-//! when present, takes a short mutex only on the emitting thread.
+//! opened it. Opening and closing a span is two `Instant` reads plus one
+//! wait-free histogram record.
 
-use crate::json::Json;
 use crate::metrics::Histogram;
-use std::fmt::Write as _;
-use std::io::Write;
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-
-/// A thread-safe, line-buffered sink of structured JSONL events.
-///
-/// Every line is a self-contained JSON object:
-///
-/// ```json
-/// {"seq":12,"ts_unix_ms":1738000000123,"event":"span","span":"tsppr.train.check","elapsed_ns":48211}
-/// ```
-///
-/// `seq` is a process-local monotonic sequence number so interleaved
-/// writers can be totally ordered after the fact.
-pub struct JsonlSink {
-    out: Mutex<Box<dyn Write + Send>>,
-    seq: AtomicU64,
-}
-
-impl std::fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink")
-            .field("seq", &self.seq.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl JsonlSink {
-    /// Sink into any writer (buffer it yourself if it is unbuffered).
-    pub fn to_writer(out: Box<dyn Write + Send>) -> Arc<JsonlSink> {
-        Arc::new(JsonlSink {
-            out: Mutex::new(out),
-            seq: AtomicU64::new(0),
-        })
-    }
-
-    /// Sink into a (truncated) file, buffered.
-    pub fn to_file(path: impl AsRef<Path>) -> std::io::Result<Arc<JsonlSink>> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self::to_writer(Box::new(std::io::BufWriter::new(file))))
-    }
-
-    /// Sink into stderr (line-buffered by the OS).
-    pub fn stderr() -> Arc<JsonlSink> {
-        Self::to_writer(Box::new(std::io::stderr()))
-    }
-
-    /// Append one event line. `fields` follow the standard `seq` /
-    /// `ts_unix_ms` / `event` prefix.
-    pub fn event(&self, event: &str, fields: &[(&str, Json)]) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let ts_unix_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
-            .unwrap_or(0);
-        let mut line = String::with_capacity(96);
-        let _ = write!(line, "{{\"seq\":{seq},\"ts_unix_ms\":{ts_unix_ms}");
-        let _ = write!(line, ",\"event\":{}", Json::Str(event.to_string()).render());
-        for (key, value) in fields {
-            let _ = write!(
-                line,
-                ",{}:{}",
-                Json::Str(key.to_string()).render(),
-                value.render()
-            );
-        }
-        line.push_str("}\n");
-        let mut out = self.out.lock().expect("sink lock");
-        let _ = out.write_all(line.as_bytes());
-    }
-
-    /// Flush the underlying writer.
-    pub fn flush(&self) {
-        let _ = self.out.lock().expect("sink lock").flush();
-    }
-
-    /// Events emitted so far.
-    pub fn events_written(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
-}
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// An open tracing span; see the [module docs](self). Create via
 /// [`Registry::span`](crate::Registry::span).
@@ -100,16 +15,14 @@ impl JsonlSink {
 pub struct Span {
     name: String,
     histogram: Arc<Histogram>,
-    sink: Option<Arc<JsonlSink>>,
     start: Instant,
 }
 
 impl Span {
-    pub(crate) fn new(name: &str, histogram: Arc<Histogram>, sink: Option<Arc<JsonlSink>>) -> Span {
+    pub(crate) fn new(name: &str, histogram: Arc<Histogram>) -> Span {
         Span {
             name: name.to_string(),
             histogram,
-            sink,
             start: Instant::now(),
         }
     }
@@ -135,18 +48,7 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let elapsed = self.start.elapsed();
-        self.histogram.record_duration(elapsed);
-        if let Some(sink) = &self.sink {
-            let nanos = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-            sink.event(
-                "span",
-                &[
-                    ("span", Json::Str(self.name.clone())),
-                    ("elapsed_ns", Json::U64(nanos)),
-                ],
-            );
-        }
+        self.histogram.record_duration(self.start.elapsed());
     }
 }
 
@@ -154,20 +56,6 @@ impl Drop for Span {
 mod tests {
     use super::*;
     use crate::registry::Registry;
-
-    /// A Write that appends into a shared Vec for inspection.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
 
     #[test]
     fn span_records_into_named_histogram() {
@@ -180,61 +68,5 @@ mod tests {
         assert!(d < Duration::from_secs(1));
         let snap = reg.span_histogram("unit.work").snapshot();
         assert_eq!(snap.count(), 2);
-    }
-
-    #[test]
-    fn spans_emit_jsonl_events_when_sink_attached() {
-        let buf = SharedBuf::default();
-        let reg = Registry::new();
-        reg.set_sink(Some(JsonlSink::to_writer(Box::new(buf.clone()))));
-        drop(reg.span("traced.step"));
-        reg.event("custom", &[("answer", Json::U64(42))]);
-        reg.sink().unwrap().flush();
-        let bytes = buf.0.lock().unwrap().clone();
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "{text}");
-        let span_ev = Json::parse(lines[0]).unwrap();
-        assert_eq!(span_ev.get("event").and_then(Json::as_str), Some("span"));
-        assert_eq!(
-            span_ev.get("span").and_then(Json::as_str),
-            Some("traced.step")
-        );
-        assert!(span_ev.get("elapsed_ns").and_then(Json::as_u64).is_some());
-        assert_eq!(span_ev.get("seq").and_then(Json::as_u64), Some(0));
-        let custom = Json::parse(lines[1]).unwrap();
-        assert_eq!(custom.get("event").and_then(Json::as_str), Some("custom"));
-        assert_eq!(custom.get("answer").and_then(Json::as_u64), Some(42));
-        assert_eq!(custom.get("seq").and_then(Json::as_u64), Some(1));
-    }
-
-    #[test]
-    fn sink_is_safe_from_many_threads() {
-        let buf = SharedBuf::default();
-        let sink = JsonlSink::to_writer(Box::new(buf.clone()));
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let sink = sink.clone();
-                std::thread::spawn(move || {
-                    for i in 0..100 {
-                        sink.event("tick", &[("thread", Json::U64(t)), ("i", Json::U64(i))]);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        sink.flush();
-        assert_eq!(sink.events_written(), 400);
-        let bytes = buf.0.lock().unwrap().clone();
-        let text = String::from_utf8(bytes).unwrap();
-        let mut seqs = Vec::new();
-        for line in text.lines() {
-            let ev = Json::parse(line).expect("every line is valid JSON");
-            seqs.push(ev.get("seq").and_then(Json::as_u64).unwrap());
-        }
-        seqs.sort_unstable();
-        assert_eq!(seqs, (0..400).collect::<Vec<_>>());
     }
 }

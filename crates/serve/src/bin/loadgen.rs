@@ -8,7 +8,7 @@
 //! exercise swap-under-load. Finishes by printing the end-to-end replay
 //! rate; `--json PATH` writes the run report, whose `metrics` section is
 //! the engine's registry snapshot (latency histograms, per-stage and
-//! per-shard series; `rrc-top --once PATH` renders it).
+//! per-shard series; `obs-check` gates on it).
 //!
 //! ```text
 //! cargo run --release -p rrc-serve --bin loadgen -- --shards 4 --clients 8 --learn 3
@@ -20,11 +20,8 @@
 //!   is scored against the user's next eligible repeat, attributed to the
 //!   model version that served it (combine with `--swap-every` to watch
 //!   attribution across hot-swaps), and the report gains a `quality`
-//!   section plus drift gauges.
+//!   section.
 //! * `--no-tracing` disables request-scoped tracing.
-//! * `--metrics-json PATH` writes a live run report atomically every
-//!   `--metrics-every` ms during the replay; point `rrc-top` at it for a
-//!   terminal dashboard.
 //! * `--slo-observe-p99-us N` / `--slo-recommend-p99-us N` /
 //!   `--slo-quality-ratio F` declare SLO objectives; a background thread
 //!   evaluates them every `--slo-tick` ms with multi-window burn rates
@@ -127,10 +124,6 @@ struct Args {
     quality: bool,
     /// Disable request-scoped tracing.
     no_tracing: bool,
-    /// Live dashboard file, refreshed during the replay.
-    metrics_json: Option<String>,
-    /// Refresh period for `--metrics-json`, in milliseconds.
-    metrics_every_ms: u64,
     /// Per-shard user-state byte budget; None = unbounded (classic).
     memory_budget: Option<usize>,
     /// Spill directory for bounded runs (temp dir when unset).
@@ -208,8 +201,6 @@ impl Default for Args {
             registry_poll_ms: 50,
             quality: false,
             no_tracing: false,
-            metrics_json: None,
-            metrics_every_ms: 500,
             memory_budget: None,
             spill_dir: None,
             user_skew: 0.0,
@@ -321,7 +312,6 @@ fn usage() -> ! {
          [--swap-every MILLIS] [--seed N] [--json PATH] [--load-model PATH] \
          [--save-model PATH] [--registry DIR] [--registry-poll MILLIS] \
          [--quality] [--no-tracing] \
-         [--metrics-json PATH] [--metrics-every MILLIS] \
          [--memory-budget BYTES] [--spill-dir DIR] \
          [--user-skew EXPONENT] [--k N] [--window N] \
          [--inject-slow-user U] [--inject-slow-us MICROS] \
@@ -376,8 +366,6 @@ fn parse_args() -> Args {
             "--registry-poll" => args.registry_poll_ms = num(&mut it),
             "--quality" => args.quality = true,
             "--no-tracing" => args.no_tracing = true,
-            "--metrics-json" => args.metrics_json = Some(it.next().unwrap_or_else(|| usage())),
-            "--metrics-every" => args.metrics_every_ms = num(&mut it),
             "--memory-budget" => args.memory_budget = Some(num(&mut it)),
             "--spill-dir" => args.spill_dir = Some(it.next().unwrap_or_else(|| usage())),
             "--user-skew" => {
@@ -547,25 +535,6 @@ fn build_online(args: &Args, data: &Dataset, split: &SplitDataset, learn: usize)
     online
 }
 
-/// Snapshot the engine into a run-report JSON and move it into place
-/// atomically (write-to-temp + rename), so a concurrently polling
-/// `rrc-top` never reads a torn file.
-fn write_live_report(engine: &ServeEngine, args: &Args, path: &str) {
-    let mut run = RunReport::new("loadgen-live")
-        .config("shards", args.shards)
-        .config("clients", args.clients)
-        .config("seed", args.seed);
-    if let Some(q) = engine.quality_report() {
-        run.add_section("quality", q.to_json());
-    }
-    add_engine_sections(&mut run, &engine.metrics());
-    let tmp = format!("{path}.tmp");
-    let write = std::fs::write(&tmp, run.render()).and_then(|()| std::fs::rename(&tmp, path));
-    if let Err(e) = write {
-        eprintln!("failed to refresh {path}: {e}");
-    }
-}
-
 /// Replay the test streams against the engine. Returns the wall-clock
 /// duration of the replay (flush included).
 fn run_replay(
@@ -611,17 +580,6 @@ fn run_replay(
                     swaps += 1;
                 }
                 eprintln!("swapper: {swaps} hot swaps under load");
-            });
-        }
-        if let Some(path) = &args.metrics_json {
-            let period = Duration::from_millis(args.metrics_every_ms.max(50));
-            scope.spawn(move |_| {
-                while !done_ref.load(Ordering::Relaxed) {
-                    write_live_report(engine_ref, args, path);
-                    std::thread::sleep(period);
-                }
-                // Final frame so the dashboard shows the finished state.
-                write_live_report(engine_ref, args, path);
             });
         }
         // One origin for every client so burst/diurnal phases line up.
@@ -1132,13 +1090,10 @@ fn main() {
     if let Some(q) = &quality {
         let overall = q.overall();
         println!(
-            "online quality: {} opportunities, hit@10 {:.3}, mrr {:.3}, \
-             drift score {}µ feature {}µ ({} versions)",
+            "online quality: {} opportunities, hit@10 {:.3}, mrr {:.3} ({} versions)",
             overall.ranking.opportunities,
             overall.hit_rate_at(2),
             overall.ranking.mrr(),
-            q.drift.score_micro,
-            q.drift.feature_micro,
             q.versions.len()
         );
     }

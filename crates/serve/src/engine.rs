@@ -75,15 +75,13 @@ use crate::metrics::{EngineMetrics, MetricsReport};
 use crate::overlay::{ModelDiff, ModelOverlay};
 use crate::overload::{Admission, OverloadOptions, RequestKind, ShedReason};
 use crate::port::{Inbox, Look, Replier, ReplySlot};
-use crate::quality::{self, micro, QualityReport, ShardQuality, VersionQuality};
+use crate::quality::{self, QualityReport, ShardQuality, VersionQuality};
 use crate::routing::shard_for;
 use crate::trace::{now_ns, Enqueued, RequestRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rrc_core::{
-    observe_single, recommend_single, ModelParams, OnlineConfig, OnlineTsPpr, TsPprModel,
-};
-use rrc_features::{FeatureContext, FeaturePipeline, TrainStats};
+use rrc_core::{observe_single, recommend_single, OnlineConfig, OnlineTsPpr, TsPprModel};
+use rrc_features::{FeaturePipeline, TrainStats};
 use rrc_obs::SloState;
 use rrc_sequence::{ConsumptionKind, ItemId, UserId, WindowState};
 use rrc_ustate::{EvictionPolicy, TierConfig, TierParams, UserStateTier};
@@ -156,9 +154,8 @@ pub struct EngineOptions {
     /// request) and on by default; turn off to measure its overhead.
     pub tracing: bool,
     /// Online quality monitoring (served lists scored against the user's
-    /// next eligible repeat, attributed to the serve-time model version,
-    /// plus drift gauges). Off by default: it retains the last served
-    /// list per user.
+    /// next eligible repeat, attributed to the serve-time model version).
+    /// Off by default: it retains the last served list per user.
     pub quality: bool,
     /// User-state tier sizing (unbounded by default).
     pub ustate: UstateOptions,
@@ -298,8 +295,6 @@ struct Shard {
     /// Fault injection: stall this user's requests (see
     /// [`EngineOptions::inject_slow`]).
     inject_slow: Option<(u32, Duration)>,
-    /// Scratch feature buffer for the drift top-1 sample.
-    fbuf: Vec<f64>,
 }
 
 impl Shard {
@@ -327,7 +322,7 @@ impl Shard {
 
     /// Re-account the touched user, enforce the byte budget, and drain
     /// the tier's metrics delta (hits/misses/evictions, spill/load
-    /// latencies) plus footprint gauges into the engine registry.
+    /// latencies) plus byte-footprint gauges into the engine registry.
     fn settle_tier(&mut self, user: UserId) {
         self.tier
             .note_access(user)
@@ -337,8 +332,6 @@ impl Shard {
         self.metrics.ustate.set_footprint(
             self.id,
             self.tier.resident_bytes(),
-            self.tier.resident_users(),
-            self.tier.spilled_users(),
             self.tier.spill_file_bytes(),
             self.tier.budget_bytes(),
         );
@@ -406,18 +399,7 @@ impl Shard {
             n,
         );
         if let Some(q) = &mut self.quality {
-            // Drift sample: the top-1 item's predicted score and
-            // feature mean, under the model that just served it.
-            let sample = recs.first().map(|&top| {
-                let fctx = FeatureContext {
-                    window,
-                    stats: &self.stats,
-                };
-                self.pipeline.extract_into(&fctx, top, &mut self.fbuf);
-                let mean = self.fbuf.iter().sum::<f64>() / self.fbuf.len().max(1) as f64;
-                (micro(params.score(user, top, &self.fbuf)), micro(mean))
-            });
-            q.on_recommend(user, &recs, self.version, sample);
+            q.on_recommend(user, &recs, self.version);
         }
         self.settle_tier(user);
         recs
@@ -630,6 +612,9 @@ pub struct ServeEngine {
     /// Default per-request deadline the `try_*` paths apply when the
     /// caller passes none ([`OverloadOptions::deadline`]).
     default_deadline: Option<Duration>,
+    /// Whether the shards score served lists
+    /// ([`EngineOptions::quality`]).
+    quality: bool,
     started: Instant,
 }
 
@@ -718,12 +703,8 @@ impl ServeEngine {
                 rng: StdRng::seed_from_u64(config.seed.wrapping_add(id as u64)),
                 metrics: metrics.clone(),
                 version: 0,
-                quality: metrics
-                    .quality
-                    .as_ref()
-                    .map(|q| ShardQuality::new(q.drift.clone())),
+                quality: options.quality.then(ShardQuality::default),
                 inject_slow: options.inject_slow,
-                fbuf: Vec::with_capacity(pipeline.len()),
             };
             let port = Arc::new(Port {
                 id,
@@ -749,6 +730,7 @@ impl ServeEngine {
             version: AtomicU64::new(0),
             config,
             default_deadline: options.overload.deadline,
+            quality: options.quality,
             started: Instant::now(),
         }
     }
@@ -929,19 +911,6 @@ impl ServeEngine {
     /// accumulates between the two phases are rebased onto the new
     /// weights rather than discarded.
     pub fn swap_model(&self, new_model: TsPprModel) -> Arc<TsPprModel> {
-        self.swap_model_tagged(new_model, None)
-    }
-
-    /// [`ServeEngine::swap_model`] with provenance: `fingerprint` is the
-    /// training-config fingerprint stored alongside the model (see
-    /// [`rrc_store::META_FINGERPRINT`]), exposed as the
-    /// `serve_model_fingerprint` gauge so scrapes can tie online quality
-    /// and drift back to the exact training run.
-    pub fn swap_model_tagged(
-        &self,
-        new_model: TsPprModel,
-        fingerprint: Option<u64>,
-    ) -> Arc<TsPprModel> {
         // Held across both phases: concurrent swappers serialize here.
         let mut published = self.model.lock().expect("model lock");
         assert_eq!(
@@ -964,7 +933,7 @@ impl ServeEngine {
             version,
             reply,
         });
-        self.metrics.on_install(version, fingerprint);
+        self.metrics.on_install(version);
         *published = merged.clone();
         merged
     }
@@ -994,15 +963,17 @@ impl ServeEngine {
         out
     }
 
-    /// Online quality report (cumulative per model version, plus the
-    /// drift signal), or `None` when the engine was started
-    /// without quality monitoring. Runs in-band: each shard exports its
-    /// accumulated per-version quality through its FIFO queue, so the
-    /// report reflects everything enqueued before this call completes.
+    /// Online quality report (cumulative per model version), or `None`
+    /// when the engine was started without quality monitoring. Runs
+    /// in-band: each shard exports its accumulated per-version quality
+    /// through its FIFO queue, so the report reflects everything enqueued
+    /// before this call completes.
     pub fn quality_report(&self) -> Option<QualityReport> {
-        let q = self.metrics.quality.as_ref()?;
+        if !self.quality {
+            return None;
+        }
         let exports = self.broadcast(|reply| Request::ExportQuality { reply });
-        Some(quality::build_report(exports, q.drift.values()))
+        Some(quality::build_report(exports))
     }
 
     /// Point-in-time report: one refreshed capture of the engine's
@@ -1029,21 +1000,10 @@ impl ServeEngine {
         self.metrics.slo_tick(quality)
     }
 
-    /// Prometheus text exposition of the engine's metrics registry:
-    /// request-latency histograms (`serve_recommend_latency_ns`,
-    /// `serve_observe_latency_ns` — cumulative `_bucket{le=…}` series)
-    /// and per-shard traffic counters (`serve_observes_total{shard="0"}`,
-    /// …). Ready to serve on a `/metrics` endpoint.
-    pub fn metrics_text(&self) -> String {
-        self.metrics.refresh(self.started.elapsed());
-        self.metrics.registry.prometheus_text()
-    }
-
     /// The engine's private metrics registry (each engine owns one, so
-    /// concurrent engines never share series). Use it to attach a
-    /// [`rrc_obs::JsonlSink`] or to register another component's series
-    /// beside the engine's; [`ServeEngine::metrics`] is its refreshed
-    /// capture.
+    /// concurrent engines never share series). Use it to register another
+    /// component's series beside the engine's; [`ServeEngine::metrics`]
+    /// is its refreshed capture.
     pub fn metrics_registry(&self) -> &rrc_obs::Registry {
         &self.metrics.registry
     }
@@ -1087,6 +1047,7 @@ mod tests {
     use super::*;
     use rrc_datagen::GeneratorConfig;
     use rrc_features::TrainStats;
+    use rrc_obs::MetricValue;
 
     fn engine_fixture_with(
         negatives_per_event: usize,
@@ -1225,31 +1186,29 @@ mod tests {
     }
 
     #[test]
-    fn metrics_text_exposes_live_series() {
+    fn metrics_expose_live_series() {
         let (engine, _) = engine_fixture(0, 2);
         let _ = engine.recommend(UserId(1), 5);
         engine.observe(UserId(1), ItemId(0));
-        let text = engine.metrics_text();
-        assert!(
-            text.contains("# TYPE serve_recommend_latency_ns histogram"),
-            "{text}"
-        );
-        assert!(
-            text.contains("serve_recommend_latency_ns_count 1"),
-            "{text}"
-        );
-        assert!(text.contains("serve_observe_latency_ns_count 1"), "{text}");
-        assert!(text.contains("serve_shards 2"), "{text}");
+        let report = engine.metrics();
+        let count = |name| report.snapshot.histogram(name, &[]).map(|h| h.count());
+        assert_eq!(count("serve_recommend_latency_ns"), Some(1));
+        assert_eq!(count("serve_observe_latency_ns"), Some(1));
+        assert_eq!(report.shards.len(), 2);
         // Exactly one shard owns user 1's single observe.
-        let owned: u64 = (0..2)
+        let owned: Vec<u64> = (0..2)
             .map(|s| {
                 engine
                     .metrics_registry()
                     .counter_with("serve_observes_total", &[("shard", &s.to_string())])
                     .get()
             })
-            .sum();
-        assert_eq!(owned, 1);
+            .collect();
+        assert_eq!(owned.iter().sum::<u64>(), 1);
+        assert_eq!(
+            report.shards.iter().map(|s| s.observes).collect::<Vec<_>>(),
+            owned
+        );
         engine.shutdown();
     }
 
@@ -1339,13 +1298,11 @@ mod tests {
         // Only replied-to requests have a respond leg.
         assert_eq!(stage_count("respond"), report.total_recommends());
         // Quiescent after flush: depth and in-flight gauges back to zero.
-        let text = engine.metrics_text();
-        assert!(text.contains("serve_queue_depth{shard=\"0\"} 0"), "{text}");
-        assert!(text.contains("serve_inflight{shard=\"1\"} 0"), "{text}");
-        assert!(
-            text.contains("serve_stage_duration_ns_count{shard=\"0\",stage=\"score\"}"),
-            "{text}"
-        );
+        let zero = Some(&MetricValue::Gauge(0));
+        assert_eq!(snap.get("serve_queue_depth", &[("shard", "0")]), zero);
+        assert_eq!(snap.get("serve_inflight", &[("shard", "1")]), zero);
+        let shard0 = [("shard", "0"), ("stage", "score")];
+        assert!(snap.histogram("serve_stage_duration_ns", &shard0).is_some());
         engine.shutdown();
     }
 
@@ -1388,7 +1345,8 @@ mod tests {
         let _ = engine.recommend(UserId(0), 5);
         let report = engine.metrics();
         assert!(report.stages.is_empty());
-        assert!(!engine.metrics_text().contains("serve_stage_duration_ns"));
+        let stages = report.snapshot.matching("serve_stage_duration_ns", &[]);
+        assert_eq!(stages.count(), 0);
         engine.shutdown();
     }
 
@@ -1487,8 +1445,6 @@ mod tests {
             "post-swap serve evaluates against version 1: {report:?}"
         );
         assert_eq!(report.overall().ranking.opportunities, 2);
-        // Drift gauges were fed by the recommends (top-1 samples).
-        assert!(report.drift.window_samples >= 2);
         // The JSON view renders finite numbers.
         let doc = rrc_obs::Json::parse(&report.to_json().render()).unwrap();
         let hit10 = doc.at("overall.hit10").unwrap().as_f64().unwrap();
@@ -1620,22 +1576,19 @@ mod tests {
             snap.sum("ustate_budget_bytes", &budget),
             TIGHT_BUDGET as u64
         );
-        assert!(snap.sum("ustate_resident_users", &[]) > 0);
+        assert!(snap.sum("ustate_resident_bytes", &[]) > 0);
         if u.evictions > 0 {
             let spills = snap
                 .histogram("ustate_spill_ns", &[])
                 .map_or(0, |h| h.count());
             assert!(spills > 0, "evictions must time spills: {u:?}");
         }
-        let text = engine.metrics_text();
-        assert!(
-            text.contains("ustate_cache_hits_total{shard=\"0\"}"),
-            "{text}"
-        );
-        assert!(
-            text.contains("ustate_resident_bytes{shard=\"1\"}"),
-            "{text}"
-        );
+        assert!(snap
+            .get("ustate_cache_hits_total", &[("shard", "0")])
+            .is_some());
+        assert!(snap
+            .get("ustate_resident_bytes", &[("shard", "1")])
+            .is_some());
         // The run report's JSON view of the same capture carries the
         // cache series CI's bounded step gates on.
         let doc = rrc_obs::snapshot_to_json(snap);
@@ -1798,11 +1751,10 @@ mod tests {
         assert_eq!(stage("score"), 4 * half);
         // Replied-to requests only: not the fire-and-forget observes.
         assert_eq!(stage("respond"), 2 * half);
-        let text = engine.metrics_text();
-        for shard in 0..2 {
+        for shard in ["0", "1"] {
             for gauge in ["serve_queue_depth", "serve_inflight"] {
-                let line = format!("{gauge}{{shard=\"{shard}\"}} 0");
-                assert!(text.contains(&line), "{line} missing from {text}");
+                let value = report.snapshot.get(gauge, &[("shard", shard)]);
+                assert_eq!(value, Some(&MetricValue::Gauge(0)), "{gauge} {shard}");
             }
         }
         engine.shutdown();

@@ -27,9 +27,9 @@
 //! * **Observability** ([`metrics`], [`trace`]) — every engine owns a
 //!   private [`rrc_obs::Registry`]: wait-free power-of-two latency
 //!   histograms (p50/p95/p99/mean/max) and per-shard traffic counters,
-//!   captured as a [`MetricsReport`] (the registry snapshot a run report
-//!   carries as its `metrics` section) or exposed as Prometheus text via
-//!   [`ServeEngine::metrics_text`]. Every data request is accounted for
+//!   captured by [`ServeEngine::metrics`] as a [`MetricsReport`], the
+//!   one read path: its registry snapshot is what a run report carries
+//!   as its `metrics` section. Every data request is accounted for
 //!   by one fixed-size [`trace::RequestRecord`] — kind, shard, stamps,
 //!   outcome — that the metrics layer hears about when the request is
 //!   offered, dequeued and finished; with tracing on (the default) its
@@ -50,9 +50,7 @@
 //! * **Online quality** ([`quality`]) — opt-in
 //!   ([`EngineOptions::quality`]): each served top-N is scored against
 //!   the user's next eligible repeat, attributed to the **model version
-//!   that served it** (honest across hot-swaps), cumulative, plus a
-//!   drift signal comparing the last 1 024 top-1 score / feature means
-//!   against the since-install baseline.
+//!   that served it** (honest across hot-swaps), cumulative.
 //!
 //! Because shard 0's RNG seed equals the [`rrc_core::OnlineConfig`] seed,
 //! a 1-shard engine reproduces `OnlineTsPpr`'s online learning exactly;
@@ -71,7 +69,6 @@
 //! engine.observe_nowait(UserId(3), ItemId(17));
 //! let top = engine.recommend(UserId(3), 10);
 //! println!("{} observes", engine.metrics().total_observes());
-//! println!("{}", engine.metrics_text());
 //! engine.shutdown();
 //! # let _ = top;
 //! ```
@@ -95,7 +92,7 @@ pub use engine::{EngineOptions, ServeEngine, SloOptions, UstateOptions};
 pub use metrics::{LatencySummary, MetricsReport, ShardCountersSnapshot, StageSummary};
 pub use overlay::{ModelDiff, ModelOverlay};
 pub use overload::{Admission, AdmissionGate, OverloadOptions, RequestKind, ShedReason};
-pub use quality::{DriftValues, QualityReport, VersionQuality, QUALITY_AT};
+pub use quality::{QualityReport, VersionQuality, QUALITY_AT};
 pub use routing::shard_for;
 pub use trace::StageNanos;
 pub use watcher::{RegistryWatcher, SwapLog};

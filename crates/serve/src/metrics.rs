@@ -8,10 +8,9 @@
 //! (`serve_recommend_latency_ns`, `serve_observe_latency_ns`), traffic
 //! into per-shard counters (`serve_observes_total{shard="0"}`, …). A read
 //! captures the registry once, without stopping traffic, into a
-//! [`MetricsReport`] (a run report's `metrics` section is that capture);
-//! [`ServeEngine::metrics_text`](crate::ServeEngine::metrics_text)
-//! renders it as Prometheus text. Ratios and conservation laws over
-//! series are computed by their readers (`obs-check --between`, `rrc-top`).
+//! [`MetricsReport`]; a run report's `metrics` section is that capture,
+//! rendered by [`rrc_obs::snapshot_to_json`]. Ratios and conservation
+//! laws over series are computed by their reader (`obs-check --between`).
 //!
 //! A data request is accounted for by one [`RequestRecord`], which
 //! `EngineMetrics` hears about at most three times: `offered` at the
@@ -23,14 +22,14 @@
 //! three `serve_stage_duration_ns` legs to the nanosecond.
 //!
 //! Every series registered here is cumulative and has a reader (a CI
-//! `obs-check` gate, an `rrc-top` panel, the SLO tick, or the benchmark
-//! through [`MetricsReport`]); the list is pinned by `tests/accounting.rs`.
-//! A reader that wants "lately" differences two captures it holds: the
-//! SLO tick keeps a short deque of them, `rrc-top` compares frames.
+//! `obs-check` gate, the SLO tick, or the benchmark through
+//! [`MetricsReport`]); the list is pinned by `tests/accounting.rs`. A
+//! reader that wants "lately" differences two captures it holds, as the
+//! SLO tick does with a short deque of them.
 
 use crate::engine::{EngineOptions, SloOptions};
 use crate::overload::{AdmissionGate, OverloadOptions, RequestKind, ShedReason};
-use crate::quality::{DriftAccum, VersionQuality};
+use crate::quality::VersionQuality;
 use crate::trace::{now_ns, Enqueued, RequestRecord};
 use rrc_obs::{
     BurnConfig, Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
@@ -283,8 +282,6 @@ pub(crate) struct UstateMetrics {
     pub misses: Vec<Arc<Counter>>,
     pub evictions: Vec<Arc<Counter>>,
     pub resident_bytes: Vec<Arc<Gauge>>,
-    pub resident_users: Vec<Arc<Gauge>>,
-    pub spilled_users: Vec<Arc<Gauge>>,
     pub spill_file_bytes: Vec<Arc<Gauge>>,
     pub budget_bytes: Vec<Arc<Gauge>>,
     pub spill_ns: Vec<Arc<Histogram>>,
@@ -303,8 +300,6 @@ impl UstateMetrics {
             misses: counters("ustate_cache_misses_total"),
             evictions: counters("ustate_cache_evictions_total"),
             resident_bytes: gauges("ustate_resident_bytes"),
-            resident_users: gauges("ustate_resident_users"),
-            spilled_users: gauges("ustate_spilled_users"),
             spill_file_bytes: gauges("ustate_spill_file_bytes"),
             budget_bytes: gauges("ustate_budget_bytes"),
             spill_ns: hists("ustate_spill_ns"),
@@ -336,15 +331,11 @@ impl UstateMetrics {
         &self,
         shard: usize,
         resident_bytes: usize,
-        resident_users: usize,
-        spilled_users: usize,
         spill_file_bytes: usize,
         budget: Option<usize>,
     ) {
         let clamp = |v: usize| v.min(i64::MAX as usize) as i64;
         self.resident_bytes[shard].set(clamp(resident_bytes));
-        self.resident_users[shard].set(clamp(resident_users));
-        self.spilled_users[shard].set(clamp(spilled_users));
         self.spill_file_bytes[shard].set(clamp(spill_file_bytes));
         self.budget_bytes[shard].set(budget.map_or(0, clamp));
     }
@@ -400,9 +391,7 @@ impl OverloadMetrics {
         if !opts.enabled() {
             return None;
         }
-        let observe_cap = opts.observe_cap();
-        let gates = opts.queue_cap.map(|cap| {
-            let ocap = observe_cap.unwrap_or(cap);
+        let gates = opts.queue_cap.zip(opts.observe_cap()).map(|(cap, ocap)| {
             (0..shards)
                 .map(|_| Arc::new(AdmissionGate::new(cap, ocap)))
                 .collect::<Vec<_>>()
@@ -411,9 +400,6 @@ impl OverloadMetrics {
             opts.queue_cap
                 .map_or(0, |c| c.min(i64::MAX as usize) as i64),
         );
-        registry
-            .gauge("serve_queue_observe_cap")
-            .set(observe_cap.map_or(0, |c| c.min(i64::MAX as usize) as i64));
         Some(OverloadMetrics {
             gates,
             observe: OverloadKindSeries::register(registry, shards, "observe"),
@@ -491,33 +477,6 @@ impl OverloadMetrics {
     }
 }
 
-/// Online-quality metric state: the shared drift accumulator plus the
-/// exposition gauges it refreshes.
-#[derive(Debug)]
-pub(crate) struct QualityMetrics {
-    pub drift: Arc<DriftAccum>,
-    drift_score: Arc<Gauge>,
-    drift_feature: Arc<Gauge>,
-}
-
-impl QualityMetrics {
-    fn register(registry: &Registry) -> Self {
-        QualityMetrics {
-            drift: Arc::new(DriftAccum::new()),
-            drift_score: registry.gauge("serve_drift_score_micro"),
-            drift_feature: registry.gauge("serve_drift_feature_micro"),
-        }
-    }
-
-    /// Recompute the drift gauges from the accumulator (called at every
-    /// exposition, so scrapes always see a current value).
-    pub fn refresh(&self) {
-        let v = self.drift.values();
-        self.drift_score.set(v.score_micro);
-        self.drift_feature.set(v.feature_micro);
-    }
-}
-
 /// All metric state shared between the engine handle and its shards.
 #[derive(Debug)]
 pub(crate) struct EngineMetrics {
@@ -527,11 +486,9 @@ pub(crate) struct EngineMetrics {
     pub shards: Vec<ShardCounters>,
     tracing: Option<TracingMetrics>,
     pub slo: Option<SloMetrics>,
-    pub quality: Option<QualityMetrics>,
     pub ustate: UstateMetrics,
     overload: Option<OverloadMetrics>,
     model_version: Arc<Gauge>,
-    model_fingerprint: Arc<Gauge>,
     uptime_ms: Arc<Gauge>,
 }
 
@@ -539,7 +496,9 @@ impl EngineMetrics {
     pub fn new(shards: usize, options: &EngineOptions) -> Self {
         let EngineOptions {
             tracing,
-            quality,
+            // Quality is scored by the shards and read in-band by
+            // `ServeEngine::quality_report`; no series records it.
+            quality: _,
             // The tier's budget reaches the registry through each
             // shard's `ustate_budget_bytes` gauge.
             ustate: _,
@@ -549,7 +508,6 @@ impl EngineMetrics {
             overload,
         } = options;
         let registry = Registry::new();
-        registry.gauge("serve_shards").set(shards as i64);
         EngineMetrics {
             recommend_latency: registry.histogram("serve_recommend_latency_ns"),
             observe_latency: registry.histogram("serve_observe_latency_ns"),
@@ -558,11 +516,9 @@ impl EngineMetrics {
                 .collect(),
             tracing: tracing.then(|| TracingMetrics::register(&registry, shards)),
             slo: SloMetrics::register(&registry, slo),
-            quality: quality.then(|| QualityMetrics::register(&registry)),
             ustate: UstateMetrics::register(&registry, shards),
             overload: OverloadMetrics::register(&registry, shards, overload),
             model_version: registry.gauge("serve_model_version"),
-            model_fingerprint: registry.gauge("serve_model_fingerprint"),
             uptime_ms: registry.gauge("serve_uptime_ms"),
             registry,
         }
@@ -655,18 +611,9 @@ impl EngineMetrics {
         }
     }
 
-    /// Record a model install: stamp the version/fingerprint gauges and
-    /// restart the drift baseline — drift is always measured against the
-    /// model currently serving.
-    pub fn on_install(&self, version: u64, fingerprint: Option<u64>) {
+    /// Record a model install: stamp the version gauge.
+    pub fn on_install(&self, version: u64) {
         self.model_version.set(version.min(i64::MAX as u64) as i64);
-        if let Some(fp) = fingerprint {
-            // Bit-cast: the gauge is a label, not an arithmetic value.
-            self.model_fingerprint.set(fp as i64);
-        }
-        if let Some(q) = &self.quality {
-            q.drift.reset_baseline();
-        }
     }
 
     /// True when the SLO engine has an objective fed by quality
@@ -706,14 +653,11 @@ impl EngineMetrics {
         Some(slo.tick_at(Instant::now(), current))
     }
 
-    /// Bring the read-side gauges (uptime, drift, queue peaks) up to date.
-    /// Every exposition calls it first, so a scrape and a report agree.
-    pub fn refresh(&self, uptime: Duration) {
+    /// Bring the read-side gauges (uptime, queue peaks) up to date.
+    /// [`EngineMetrics::report`] calls it before its one capture.
+    fn refresh(&self, uptime: Duration) {
         self.uptime_ms
             .set(uptime.as_millis().min(i64::MAX as u128) as i64);
-        if let Some(q) = &self.quality {
-            q.refresh();
-        }
         if let Some(o) = &self.overload {
             o.refresh_peaks();
         }
@@ -817,7 +761,7 @@ pub struct StageSummary {
 #[derive(Debug, Clone)]
 pub struct MetricsReport {
     /// Every registered series, captured once after the read-side
-    /// gauges (uptime, drift, queue peaks) were refreshed.
+    /// gauges (uptime, queue peaks) were refreshed.
     pub snapshot: RegistrySnapshot,
     /// Per-shard traffic counters, indexed by shard id.
     pub shards: Vec<ShardCountersSnapshot>,
@@ -849,7 +793,7 @@ impl MetricsReport {
 mod tests {
     use super::*;
     use crate::engine::SloOptions;
-    use rrc_obs::Json;
+    use rrc_obs::{Json, MetricValue};
 
     /// Untraced metrics with `overload` accounting.
     fn with(shards: usize, overload: OverloadOptions) -> EngineMetrics {
@@ -896,21 +840,21 @@ mod tests {
     }
 
     #[test]
-    fn engine_registry_exposes_prometheus_series() {
+    fn engine_registry_exposes_its_series() {
         let m = plain(2);
         m.shards[1].observes.add(9);
         m.observe_latency.record_duration(Duration::from_micros(50));
-        m.refresh(Duration::from_millis(1500));
-        let text = m.registry.prometheus_text();
-        for line in [
-            "serve_observes_total{shard=\"1\"} 9",
-            "# TYPE serve_observe_latency_ns histogram",
-            "serve_observe_latency_ns_count 1",
-            "serve_shards 2",
-            "serve_uptime_ms 1500",
-        ] {
-            assert!(text.contains(line), "{line} missing from {text}");
-        }
+        let snap = m.report(Duration::from_millis(1500)).snapshot;
+        assert_eq!(
+            snap.get("serve_observes_total", &[("shard", "1")]),
+            Some(&MetricValue::Counter(9))
+        );
+        let observe = snap.histogram("serve_observe_latency_ns", &[]);
+        assert_eq!(observe.map(|h| h.count()), Some(1));
+        assert_eq!(
+            snap.get("serve_uptime_ms", &[]),
+            Some(&MetricValue::Gauge(1500))
+        );
     }
 
     #[test]
@@ -926,15 +870,13 @@ mod tests {
         };
         m.ustate.record(0, &delta(3, vec![1_000, 2_000]));
         m.ustate.record(1, &delta(5, vec![]));
-        m.ustate.set_footprint(0, 1_000, 4, 2, 600, Some(4096));
-        m.ustate.set_footprint(1, 900, 3, 1, 400, Some(4096));
+        m.ustate.set_footprint(0, 1_000, 600, Some(4096));
+        m.ustate.set_footprint(1, 900, 400, Some(4096));
         let r = m.report(Duration::from_secs(1));
         let u = r.ustate;
         assert_eq!((u.hits, u.misses, u.evictions), (8, 2, 2));
         assert_eq!((u.resident_bytes, u.spill_file_bytes), (1_900, 1_000));
         let snap = &r.snapshot;
-        assert_eq!(snap.sum("ustate_resident_users", &[]), 7);
-        assert_eq!(snap.sum("ustate_spilled_users", &[]), 3);
         assert_eq!(snap.sum("ustate_budget_bytes", &[("shard", "1")]), 4096);
         let spills = |shard| snap.histogram("ustate_spill_ns", &[("shard", shard)]);
         assert_eq!(spills("0").map(|h| h.count()), Some(2));
@@ -974,7 +916,8 @@ mod tests {
         }
         let snap = bounded.report(Duration::from_secs(1)).snapshot;
         assert_eq!(snap.sum("serve_queue_cap", &[]), 8);
-        assert_eq!(snap.sum("serve_queue_observe_cap", &[]), 6);
+        let gates = bounded.overload.as_ref().unwrap().gates.as_ref().unwrap();
+        assert_eq!(gates[1].observe_cap(), 6, "75 % of the cap");
         for (kind, offered) in [("observe", 3), ("recommend", 2)] {
             let k = [("kind", kind)];
             assert_eq!(snap.sum("serve_offered_total", &k), offered);
@@ -992,10 +935,12 @@ mod tests {
         );
         // The SLO shed-rate objective differences these totals.
         assert_eq!(bounded.overload.as_ref().unwrap().totals(), (5, 2));
-        // Prometheus exposition carries the labelled shed series.
-        let text = bounded.registry.prometheus_text();
-        let line = "serve_shed_total{shard=\"0\",kind=\"observe\",reason=\"queue\"} 1";
-        assert!(text.contains(line), "{text}");
+        // The capture carries the fully labelled shed series.
+        let labels = [("shard", "0"), ("kind", "observe"), ("reason", "queue")];
+        assert_eq!(
+            snap.get("serve_shed_total", &labels),
+            Some(&MetricValue::Counter(1))
+        );
     }
 
     /// Metrics whose SLO engine judges quality ratio, then shed rate.

@@ -64,8 +64,6 @@ pub fn poll_once(
     if last_seen.is_some_and(|seen| version <= seen) {
         return Ok(None);
     }
-    // The view form keeps the file's metadata (notably the training-config
-    // fingerprint) available alongside the parameters.
     let view = ModelView::open(&path).map_err(|e| format!("load version {version}: {e}"))?;
     let current = engine.model();
     if (view.num_users(), view.num_items()) != (current.num_users(), current.num_items()) {
@@ -80,8 +78,7 @@ pub fn poll_once(
             current.num_items()
         ));
     }
-    let fingerprint = view.fingerprint();
-    engine.swap_model_tagged(view.into_model(), fingerprint);
+    engine.swap_model(view.into_model());
     *last_seen = Some(version);
     Ok(Some(version))
 }

@@ -94,15 +94,14 @@ fn engine_registers_exactly_these_series() {
         .collect();
     // Every series costs its writer something and a reader of the report
     // a line: name the reader before adding a line. A reader is a CI
-    // `obs-check` gate, an `rrc-top` panel, `slo_tick`, or the benchmark's
-    // `sut.rs` through `MetricsReport`.
+    // `obs-check` gate, `slo_tick`, or the benchmark's `sut.rs` through
+    // `MetricsReport`.
     let expected = [
-        // CI `--require …p50` / `--histogram-quantile`; `rrc-top` requests;
-        // `slo_tick`'s latency objectives.
+        // CI `--require …p50` / `--histogram-quantile`; `slo_tick`'s
+        // latency objectives.
         "serve_observe_latency_ns",
         "serve_recommend_latency_ns",
-        // CI observes ÷ uptime `--between`; `rrc-top` throughput since
-        // start and since the last frame; `sut.rs` `total_*()`.
+        // CI observes ÷ uptime `--between`; `sut.rs` `total_*()`.
         "serve_observes_total",
         "serve_recommends_total",
         // `sut.rs` `total_online_updates()` and `shards[].swaps`.
@@ -110,19 +109,16 @@ fn engine_registers_exactly_these_series() {
         "serve_swaps_total",
         // CI `--between … 0 0`: a replay never names an unknown id.
         "serve_skipped_total",
-        // Tracing. CI `--require`, `rrc-top` stages, `sut.rs` `stages`.
+        // Tracing. CI `--require`, `sut.rs` `stages`.
         "serve_stage_duration_ns",
-        // CI `--require`; `rrc-top` stages.
+        // CI `--require`.
         "serve_queue_depth",
         "serve_inflight",
-        // CI `--require`; `rrc-top` SLO panel.
+        // CI `--require` in the SLO step.
         "slo_state",
         "slo_worst",
-        // CI `--require`; `rrc-top` drift line.
-        "serve_drift_score_micro",
-        "serve_drift_feature_micro",
-        // CI's bounded step and `rrc-top`'s cache panel; the five that
-        // `UstateReport` sums are `sut.rs`'s too.
+        // CI's bounded step; the five that `UstateReport` sums are
+        // `sut.rs`'s too.
         "ustate_cache_hits_total",
         "ustate_cache_misses_total",
         "ustate_cache_evictions_total",
@@ -131,24 +127,18 @@ fn engine_registers_exactly_these_series() {
         "ustate_budget_bytes",
         "ustate_spill_ns",
         "ustate_load_ns",
-        // `rrc-top` cache panel.
-        "ustate_resident_users",
-        "ustate_spilled_users",
-        // CI conservation `--between`; `rrc-top` overload panel and its
-        // shed rates; `slo_tick`'s shed-rate objective (offered and shed).
+        // CI conservation `--between`; `slo_tick`'s shed-rate objective
+        // (offered and shed).
         "serve_offered_total",
         "serve_admitted_total",
         "serve_shed_total",
-        // CI `--max` / `--min`; `rrc-top` overload panel. The peak is
-        // refreshed from the gates at every exposition.
+        // CI `--max` / `--min`. The peak is refreshed from the gates
+        // before every capture.
         "serve_queue_peak",
         "serve_queue_cap",
-        "serve_queue_observe_cap",
-        // `rrc-top` header (CI `--require`s the version).
+        // CI `--require`.
         "serve_model_version",
-        "serve_model_fingerprint",
-        "serve_shards",
-        // `rrc-top` header; CI's observes ÷ uptime `--between`.
+        // CI's observes ÷ uptime `--between`.
         "serve_uptime_ms",
     ];
     let expected: BTreeSet<String> = expected.iter().map(|s| s.to_string()).collect();

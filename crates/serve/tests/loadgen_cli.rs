@@ -33,7 +33,7 @@ fn json_report_carries_the_keys_ci_requires() {
         "2",
         "--quality",
         "--swap-every",
-        "20",
+        "2",
         "--slo-observe-p99-us",
         "500000",
         "--slo-quality-ratio",
@@ -64,7 +64,6 @@ fn json_report_carries_the_keys_ci_requires() {
         "metrics.histograms.serve_stage_duration_ns{shard=*,stage=score}.p50",
         "metrics.gauges.serve_queue_depth{shard=*}",
         "metrics.gauges.serve_inflight{shard=*}",
-        "metrics.gauges.serve_drift_score_micro",
         "metrics.gauges.serve_model_version",
         "metrics.gauges.serve_uptime_ms",
         "quality.versions.0.hit10",

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use rrc_core::{OnlineConfig, OnlineTsPpr, TsPprModel};
 use rrc_datagen::GeneratorConfig;
 use rrc_features::{FeaturePipeline, TrainStats};
-use rrc_obs::RegistrySnapshot;
+use rrc_obs::{MetricValue, RegistrySnapshot};
 use rrc_sequence::{ItemId, UserId};
 use rrc_serve::{
     Admission, AdmissionGate, EngineOptions, OverloadOptions, RequestKind, ServeEngine, ShedReason,
@@ -198,11 +198,11 @@ fn full_queue_sheds_with_typed_reason() {
     engine.shutdown();
 }
 
-/// A scrape refreshes the queue peak from the gates, as a report does:
-/// after sheds, `metrics_text` shows the gate's high-water mark with no
-/// `metrics()` call before it.
+/// The report refreshes the queue peak from the gates before its one
+/// capture: after sheds, the first `metrics()` call shows the gate's
+/// high-water mark.
 #[test]
-fn a_scrape_shows_the_queue_peak_without_a_report() {
+fn the_first_report_after_sheds_shows_the_queue_peak() {
     let engine = engine_with(
         1,
         OverloadOptions {
@@ -225,8 +225,9 @@ fn a_scrape_shows_the_queue_peak_without_a_report() {
         .count();
     assert!(shed > 0, "a 4-deep queue cannot absorb 32 instant arrivals");
     engine.flush();
-    let text = engine.metrics_text();
-    assert!(text.contains("serve_queue_peak{shard=\"0\"} 4"), "{text}");
+    let snap = engine.metrics().snapshot;
+    let peak = snap.get("serve_queue_peak", &[("shard", "0")]);
+    assert_eq!(peak, Some(&MetricValue::Gauge(4)), "{snap:?}");
     engine.shutdown();
 }
 

@@ -18,8 +18,9 @@ pub const KIND_TSPPR: &str = "tsppr-model";
 
 /// `META` key carrying the training-config fingerprint (16 lowercase hex
 /// digits — the same `TrainCheckpoint::fingerprint_of` value checkpoints
-/// store). Publishers write it so serving-side monitors can attribute
-/// online quality and drift to the exact training configuration.
+/// store). Publishers write it so a reader of the file
+/// ([`ModelView::fingerprint`]) can tie it to the exact training
+/// configuration.
 pub const META_FINGERPRINT: &str = "fingerprint";
 
 /// Serialize a model (plus caller metadata) into container bytes.

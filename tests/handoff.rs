@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use repeat_rec::prelude::*;
 use repeat_rec::serve::{shard_for, Admission, EngineOptions};
+use rrc_obs::MetricValue;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -282,8 +283,13 @@ fn shard_goes_down(on_caller: bool) {
                 // Put the shard thread into a stall, holding the shard:
                 // the blocking request below can only queue up and wait.
                 engine.observe_nowait(STALL_USER, ItemId(1));
-                let depth = format!("serve_queue_depth{{shard=\"{down}\"}} 0");
-                while !engine.metrics_text().contains(&depth) {
+                let shard = down.to_string();
+                let drained = || {
+                    let snap = engine.metrics().snapshot;
+                    let depth = snap.get("serve_queue_depth", &[("shard", shard.as_str())]);
+                    depth == Some(&MetricValue::Gauge(0))
+                };
+                while !drained() {
                     std::thread::yield_now();
                 }
             }

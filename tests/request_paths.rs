@@ -11,6 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use repeat_rec::prelude::*;
 use repeat_rec::serve::{shard_for, Admission, EngineOptions, OverloadOptions, ShedReason};
+use rrc_obs::{MetricValue, RegistrySnapshot};
 use std::time::{Duration, Instant};
 
 const USERS: u32 = 16;
@@ -218,13 +219,12 @@ impl Cell {
     }
 }
 
-/// Value of a gauge labelled by shard only, in a Prometheus text
-/// exposition.
-fn gauge(text: &str, name: &str, shard: usize) -> Option<i64> {
-    let prefix = format!("{name}{{shard=\"{shard}\"}} ");
-    text.lines()
-        .find_map(|line| line.strip_prefix(&prefix))
-        .map(|value| value.trim().parse().expect("gauge value"))
+/// Value of a gauge labelled by shard only, in a registry capture.
+fn gauge(snap: &RegistrySnapshot, name: &str, shard: usize) -> Option<i64> {
+    match snap.get(name, &[("shard", &shard.to_string())])? {
+        MetricValue::Gauge(v) => Some(*v),
+        other => panic!("{name} is not a gauge: {other:?}"),
+    }
 }
 
 fn run_cell(door: Door, gated: bool, tracing: bool) {
@@ -257,7 +257,6 @@ fn run_cell(door: Door, gated: bool, tracing: bool) {
 
     let report = cell.engine.metrics();
     let snap = &report.snapshot;
-    let text = cell.engine.metrics_text();
     let sum = |pick: fn(&Tally) -> u64, kind: usize| -> u64 {
         cell.books.iter().map(|shard| pick(&shard[kind])).sum()
     };
@@ -338,17 +337,18 @@ fn run_cell(door: Door, gated: bool, tracing: bool) {
             assert_eq!(stage("score"), served, "{label} shard {shard}");
             assert_eq!(stage("respond"), replied, "{label} shard {shard}");
             // Shed or served, every request left the queue and finished.
-            assert_eq!(gauge(&text, "serve_queue_depth", shard), Some(0), "{label}");
-            assert_eq!(gauge(&text, "serve_inflight", shard), Some(0), "{label}");
+            assert_eq!(gauge(snap, "serve_queue_depth", shard), Some(0), "{label}");
+            assert_eq!(gauge(snap, "serve_inflight", shard), Some(0), "{label}");
         }
     } else {
         assert!(report.stages.is_empty(), "{label}");
         for series in [
-            "serve_stage_duration",
+            "serve_stage_duration_ns",
             "serve_queue_depth",
             "serve_inflight",
         ] {
-            assert!(!text.contains(series), "{label}: {series} with tracing off");
+            let found = snap.matching(series, &[]).count();
+            assert_eq!(found, 0, "{label}: {series} with tracing off");
         }
     }
     cell.engine.shutdown();
